@@ -30,8 +30,10 @@ blockconnect:
 reorg:
 	$(GO) run ./cmd/bcwan-bench -only reorg
 
-# Regenerate results/BENCH_relay.json (16-node mesh wire bytes and
-# propagation time: flood vs inventory/compact relay).
+# Regenerate results/BENCH_relay.json (16-node mesh wire bytes,
+# propagation time and compact hit rate of the inventory/compact
+# relay). The committed file also holds the row measured for the
+# full-payload flood the relay replaced; regenerating drops it.
 relay-bench:
 	$(GO) run ./cmd/bcwan-bench -only relay
 

@@ -211,14 +211,14 @@ func run(args []string) error {
 		if *quick {
 			cfg = experiments.RelayBenchConfig{Nodes: 6, Degree: 2, TxsPerBlock: 6, Blocks: 2}
 		}
-		results, err := experiments.RunRelayBench(cfg)
+		res, err := experiments.RunRelayBench(cfg)
 		if err != nil {
 			return err
 		}
-		experiments.WriteRelayBench(out, cfg, results)
+		experiments.WriteRelayBench(out, cfg, res)
 		if *resultsDir != "" {
 			path := filepath.Join(*resultsDir, "BENCH_relay.json")
-			if err := experiments.WriteRelayBenchJSON(path, cfg, results); err != nil {
+			if err := experiments.WriteRelayBenchJSON(path, cfg, res); err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "wrote %s\n\n", path)

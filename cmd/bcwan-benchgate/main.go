@@ -23,8 +23,8 @@
 // blockconnect documents from the SAME machine in the SAME CI job — the
 // baseline measured under GOMAXPROCS=1, the candidate on all cores — and
 // the gate asserts the multicore run connects blocks at least
-// -min-parallel-speedup times faster. A sharded-UTXO or verify-pool
-// regression that serializes block connect pushes the ratio to 1x.
+// -min-parallel-speedup times faster. It guards the script-verify pool:
+// a regression that serializes verification pushes the ratio to 1x.
 //
 // The thresholds are deliberately loose (25% ns/op slack, hit rate no
 // lower than 75% of baseline, reorg scaling ratio at most 5x, relay
@@ -130,12 +130,11 @@ type blockConnectDoc struct {
 
 // relayDoc mirrors results/BENCH_relay.json.
 type relayDoc struct {
-	Nodes          int     `json:"nodes"`
-	Degree         int     `json:"degree"`
-	TxsPerBlock    int     `json:"txs_per_block"`
-	Blocks         int     `json:"blocks"`
-	ReductionRatio float64 `json:"reduction_ratio"`
-	Results        []struct {
+	Nodes       int `json:"nodes"`
+	Degree      int `json:"degree"`
+	TxsPerBlock int `json:"txs_per_block"`
+	Blocks      int `json:"blocks"`
+	Results     []struct {
 		Mode          string  `json:"mode"`
 		BytesPerBlock int64   `json:"bytes_per_block"`
 		HitRate       float64 `json:"hit_rate"`
@@ -569,10 +568,9 @@ func gateRelay(baselinePath, candidatePath string, maxRegression, minHitRate flo
 // cores: the baseline is a blockconnect document measured under
 // GOMAXPROCS=1 and the candidate the same workload on all cores, both
 // fresh from the same machine, so the ratio of their best cold-cache
-// rows is a pure parallel-speedup measurement. Below minSpeedup the
-// sharded UTXO apply or the verify worker pool has stopped buying
-// anything — the gate that keeps the multicore win from silently
-// regressing to the single-map implementation.
+// rows is a pure parallel-speedup measurement. UTXO accounting is one
+// sequential pass, so the speedup is all the script-verify worker pool;
+// below minSpeedup the pool has stopped buying anything.
 func gateConnectScaling(serialPath, parallelPath string, minSpeedup float64) ([]string, error) {
 	var serial, parallel blockConnectDoc
 	if err := readJSON(serialPath, &serial); err != nil {
@@ -589,9 +587,8 @@ func gateConnectScaling(serialPath, parallelPath string, minSpeedup float64) ([]
 	}
 
 	// Best cold-cache row per document: cold connects do the full
-	// signature + UTXO work, so this is where the worker pool and the
-	// sharded apply show up. min-over-workers makes the gate robust to
-	// one noisy row.
+	// signature + UTXO work, so this is where the verify pool shows up.
+	// min-over-workers makes the gate robust to one noisy row.
 	bestCold := func(doc blockConnectDoc, path string) (int64, int, error) {
 		best, workers := int64(0), 0
 		for _, r := range doc.Results {

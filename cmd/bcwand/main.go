@@ -63,11 +63,9 @@ func run(args []string) error {
 	recipientAddr := fs.String("recipient", "", "also run a recipient delivery listener on this address")
 	dataDir := fs.String("datadir", "", "directory to persist the chain across restarts")
 	metricsLog := fs.Duration("metrics-log", 0, "periodically log a JSON telemetry snapshot at this interval (0 disables)")
-	floodRelay := fs.Bool("flood-relay", false, "gossip full tx/block payloads to every peer instead of the inv/compact announcement protocol (debugging escape hatch)")
 	prune := fs.Int64("prune", 0, "keep only this many recent block bodies; older heights become header-only stubs at each store compaction (0 = keep everything)")
 	snapshotInterval := fs.Int64("snapshot-interval", 0, "height spacing of signed snapshot commitments published when mining (0 = default 1024)")
 	legacySync := fs.Bool("legacy-sync", false, "join by replaying every block from genesis instead of headers-first + snapshot bootstrap")
-	noChannels := fs.Bool("no-channels", false, "disable off-chain payment channels; every delivery settles with an on-chain payment transaction (escape hatch)")
 	groupCommit := fs.Duration("store-group-commit", 0, "store append collection window: appends arriving within it share one fsync (0 = fsync per append unless appends queue up)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -101,13 +99,11 @@ func run(args []string) error {
 		ListenRPC:    *rpcAddr,
 		Peers:        splitNonEmpty(*peers),
 		MineInterval: *interval,
-		FloodRelay:   *floodRelay,
 		Logger:       logger,
 
 		LegacySyncOnly:   *legacySync,
 		PruneDepth:       *prune,
 		SnapshotInterval: *snapshotInterval,
-		NoChannels:       *noChannels,
 
 		StoreGroupCommitDelay: *groupCommit,
 	}
@@ -144,8 +140,6 @@ func run(args []string) error {
 		if err := os.MkdirAll(*dataDir, 0o700); err != nil {
 			return err
 		}
-		// Open loads the incremental store and migrates a legacy
-		// whole-file chain.dat if one is present.
 		loaded, err := node.Open(*dataDir)
 		if err != nil {
 			return fmt.Errorf("restore chain: %w", err)
@@ -173,14 +167,10 @@ func run(args []string) error {
 		if *dataDir != "" {
 			ccfg.StoreDir = *dataDir + "/channels"
 		}
-		// EnableChannels is a no-op returning nil under -no-channels.
-		mgr, err := rd.EnableChannels(ccfg)
-		if err != nil {
+		if _, err := rd.EnableChannels(ccfg); err != nil {
 			return fmt.Errorf("enable channels: %w", err)
 		}
-		if mgr != nil {
-			logger.Printf("payment channels enabled (openchannel/closechannel RPCs); disable with -no-channels")
-		}
+		logger.Printf("payment channels enabled (openchannel/closechannel RPCs)")
 		logger.Printf("recipient @R %s delivering on %s", rd.Recipient.Wallet().Address(), rd.Addr())
 		logger.Printf("fund the recipient wallet and call PublishBinding via your tooling before exchanges")
 	}

@@ -281,12 +281,11 @@ func (c *Chain) reorgLocked(branch []*Block, notify *[]*Block) error {
 	}
 	detached := append([]*Block(nil), c.best[fork:]...)
 
-	// Disconnect the losing suffix, tip first, fanning each block's
-	// journal out per shard when a worker pool is configured.
+	// Disconnect the losing suffix, tip first.
 	for i := len(c.best) - 1; i >= fork; i-- {
 		blk := c.best[i]
 		blkID := blk.ID()
-		if err := c.utxo.UndoBlockWorkers(c.undo[blkID], c.verifier.Workers()); err != nil {
+		if err := c.utxo.UndoBlock(c.undo[blkID]); err != nil {
 			// Journal corruption — never expected; surface loudly.
 			panic(fmt.Sprintf("chain: disconnect height %d: %v", i, err))
 		}
@@ -327,7 +326,7 @@ func (c *Chain) restoreBranch(fork int, detached []*Block) {
 	for i := len(c.best) - 1; i >= fork; i-- {
 		blk := c.best[i]
 		blkID := blk.ID()
-		if err := c.utxo.UndoBlockWorkers(c.undo[blkID], c.verifier.Workers()); err != nil {
+		if err := c.utxo.UndoBlock(c.undo[blkID]); err != nil {
 			panic(fmt.Sprintf("chain: reorg rollback at height %d: %v", i, err))
 		}
 		c.unindexBlockTxs(blk)

@@ -37,72 +37,31 @@ type BlockUndo struct {
 	Txs []*TxUndo
 }
 
-// spendLocked removes one entry under its shard lock, returning the
-// removed entry, or false if it is absent.
-func (u *UTXOSet) spendLocked(op OutPoint) (UTXOEntry, bool) {
-	s := u.shardFor(op)
-	s.mu.Lock()
-	e, ok := s.get(op)
-	if ok {
-		s.del(op)
-	}
-	s.mu.Unlock()
-	return e, ok
-}
-
-// restoreLocked re-inserts a spent entry under its shard lock.
-func (u *UTXOSet) restoreLocked(op OutPoint, e UTXOEntry) {
-	s := u.shardFor(op)
-	s.mu.Lock()
-	s.put(op, e)
-	s.mu.Unlock()
-}
-
-// createLocked inserts one entry under its shard lock, or reports false
-// if the outpoint already exists.
-func (u *UTXOSet) createLocked(op OutPoint, e UTXOEntry) bool {
-	s := u.shardFor(op)
-	s.mu.Lock()
-	if _, dup := s.get(op); dup {
-		s.mu.Unlock()
-		return false
-	}
-	s.put(op, e)
-	s.mu.Unlock()
-	return true
-}
-
-// deleteLocked removes one entry under its shard lock, reporting
-// whether it was present.
-func (u *UTXOSet) deleteLocked(op OutPoint) bool {
-	s := u.shardFor(op)
-	s.mu.Lock()
-	_, ok := s.get(op)
-	if ok {
-		s.del(op)
-	}
-	s.mu.Unlock()
-	return ok
-}
-
 // ApplyTxUndo is ApplyTx with journaling: it spends the transaction's
 // inputs and creates its outputs, returning the undo record that
 // UndoTx needs to reverse the mutation exactly. On error the set is
 // left untouched.
 func (u *UTXOSet) ApplyTxUndo(tx *Tx, height int64) (*TxUndo, error) {
 	undo := &TxUndo{}
+	// rollback reverts the part of this transaction already applied, so
+	// a failed apply leaves no partial mutation.
+	rollback := func() {
+		for _, c := range undo.Created {
+			delete(u.entries, c)
+		}
+		for _, s := range undo.Spent {
+			u.entries[s.Prev] = s.Entry
+		}
+	}
 	if !tx.IsCoinbase() {
 		undo.Spent = make([]SpentOutput, 0, len(tx.Inputs))
 		for _, in := range tx.Inputs {
-			e, ok := u.spendLocked(in.Prev)
+			e, ok := u.entries[in.Prev]
 			if !ok {
-				// Roll back the inputs already consumed so a failed
-				// apply leaves no partial mutation.
-				for _, s := range undo.Spent {
-					u.restoreLocked(s.Prev, s.Entry)
-				}
+				rollback()
 				return nil, fmt.Errorf("%w: %s", ErrMissingUTXO, in.Prev)
 			}
+			delete(u.entries, in.Prev)
 			undo.Spent = append(undo.Spent, SpentOutput{Prev: in.Prev, Entry: e})
 		}
 	}
@@ -112,15 +71,11 @@ func (u *UTXOSet) ApplyTxUndo(tx *Tx, height int64) (*TxUndo, error) {
 			continue
 		}
 		op := OutPoint{TxID: id, Index: uint32(i)}
-		if !u.createLocked(op, UTXOEntry{Out: out, Height: height, Coinbase: tx.IsCoinbase()}) {
-			for _, c := range undo.Created {
-				u.deleteLocked(c)
-			}
-			for _, s := range undo.Spent {
-				u.restoreLocked(s.Prev, s.Entry)
-			}
+		if _, dup := u.entries[op]; dup {
+			rollback()
 			return nil, fmt.Errorf("%w: %s", ErrDuplicateUTXO, op)
 		}
+		u.entries[op] = UTXOEntry{Out: out, Height: height, Coinbase: tx.IsCoinbase()}
 		undo.Created = append(undo.Created, op)
 	}
 	return undo, nil
@@ -132,15 +87,17 @@ func (u *UTXOSet) ApplyTxUndo(tx *Tx, height int64) (*TxUndo, error) {
 // undone — which can only mean journal corruption.
 func (u *UTXOSet) UndoTx(undo *TxUndo) error {
 	for _, op := range undo.Created {
-		if !u.deleteLocked(op) {
+		if _, ok := u.entries[op]; !ok {
 			return fmt.Errorf("chain: undo: created outpoint %s missing", op)
 		}
+		delete(u.entries, op)
 	}
 	for i := len(undo.Spent) - 1; i >= 0; i-- {
 		s := undo.Spent[i]
-		if !u.createLocked(s.Prev, s.Entry) {
+		if _, dup := u.entries[s.Prev]; dup {
 			return fmt.Errorf("chain: undo: spent outpoint %s already present", s.Prev)
 		}
+		u.entries[s.Prev] = s.Entry
 	}
 	return nil
 }
@@ -158,28 +115,15 @@ func (u *UTXOSet) UndoBlock(undo *BlockUndo) error {
 }
 
 // Equal reports whether two sets hold byte-identical entries — the
-// acceptance predicate of the undo-vs-replay cross-check. Both sets use
-// the same outpoint→shard mapping, so the comparison runs shard by
-// shard.
+// acceptance predicate of the undo-vs-replay cross-check.
 func (u *UTXOSet) Equal(other *UTXOSet) bool {
-	for i := range u.shards {
-		us, os := &u.shards[i], &other.shards[i]
-		us.mu.RLock()
-		os.mu.RLock()
-		eq := len(us.entries) == len(os.entries)
-		if eq {
-			for op, e := range us.entries {
-				oe, ok := os.entries[op]
-				if !ok || e.Height != oe.Height || e.Coinbase != oe.Coinbase ||
-					e.Out.Value != oe.Out.Value || !bytes.Equal(e.Out.Lock, oe.Out.Lock) {
-					eq = false
-					break
-				}
-			}
-		}
-		os.mu.RUnlock()
-		us.mu.RUnlock()
-		if !eq {
+	if len(u.entries) != len(other.entries) {
+		return false
+	}
+	for op, e := range u.entries {
+		oe, ok := other.entries[op]
+		if !ok || e.Height != oe.Height || e.Coinbase != oe.Coinbase ||
+			e.Out.Value != oe.Out.Value || !bytes.Equal(e.Out.Lock, oe.Out.Lock) {
 			return false
 		}
 	}

@@ -1,10 +1,8 @@
 package chain
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"bcwan/internal/script"
 )
@@ -16,68 +14,13 @@ type UTXOEntry struct {
 	Coinbase bool
 }
 
-// The UTXO map is sharded by outpoint hash so block connect and
-// disconnect can apply per-shard mutation streams on independent
-// goroutines (connect_parallel.go). The count is a power of two so the
-// shard of an outpoint is a mask, not a modulo.
-const (
-	utxoShardBits  = 4
-	utxoShardCount = 1 << utxoShardBits
-	utxoShardMask  = utxoShardCount - 1
-)
-
-// shardIndex maps an outpoint to its shard. TxIDs are double-SHA256
-// outputs, so their leading bytes are already uniformly distributed;
-// folding in the output index spreads the outputs of one transaction
-// across shards.
-func shardIndex(op OutPoint) int {
-	h := binary.LittleEndian.Uint32(op.TxID[:4]) ^ op.Index
-	return int(h & utxoShardMask)
-}
-
-// utxoShard is one partition of the set. The entries map is allocated
-// lazily on first insert so empty sets stay cheap to create.
-//
-// Lock discipline: the shard mutex makes single-outpoint operations safe
-// under concurrent readers, and the parallel connect/disconnect paths
-// hold it once per shard for a whole per-block mutation stream. Code
-// never holds two shard locks at once — every operation resolves to
-// exactly one shard — so there is no inter-shard lock order to get
-// wrong; aggregate operations (Len, Clone, Serialize, …) visit shards
-// one at a time in ascending index order.
-type utxoShard struct {
-	mu      sync.RWMutex
-	entries map[OutPoint]UTXOEntry
-}
-
-// get looks an entry up without locking; the caller holds the shard
-// lock (or has exclusive ownership of the shard).
-func (s *utxoShard) get(op OutPoint) (UTXOEntry, bool) {
-	e, ok := s.entries[op]
-	return e, ok
-}
-
-// put inserts without locking, allocating the map on first use.
-func (s *utxoShard) put(op OutPoint, e UTXOEntry) {
-	if s.entries == nil {
-		s.entries = make(map[OutPoint]UTXOEntry)
-	}
-	s.entries[op] = e
-}
-
-// del removes without locking.
-func (s *utxoShard) del(op OutPoint) {
-	delete(s.entries, op)
-}
-
-// UTXOSet is the set of unspent transaction outputs, sharded by
-// outpoint hash. Single-outpoint operations take the owning shard's
-// lock, so the set is safe for concurrent use; the chain additionally
-// serializes all mutation behind its own lock, which is what lets the
-// parallel connect path hand disjoint shards to workers without
-// contending with outside readers.
+// UTXOSet is the set of unspent transaction outputs: one map, not safe
+// for concurrent use on its own. The chain's live set is guarded by
+// Chain.mu — every mutation runs under the write lock, every read
+// (including ReadState callbacks) under the read lock; any other set is
+// a private copy owned by whoever cloned or deserialized it.
 type UTXOSet struct {
-	shards [utxoShardCount]utxoShard
+	entries map[OutPoint]UTXOEntry
 }
 
 // UTXO errors.
@@ -91,86 +34,48 @@ var (
 
 // NewUTXOSet returns an empty set.
 func NewUTXOSet() *UTXOSet {
-	return &UTXOSet{}
-}
-
-// shardFor returns the shard owning an outpoint.
-func (u *UTXOSet) shardFor(op OutPoint) *utxoShard {
-	return &u.shards[shardIndex(op)]
+	return &UTXOSet{entries: make(map[OutPoint]UTXOEntry)}
 }
 
 // Get looks up an entry.
 func (u *UTXOSet) Get(op OutPoint) (UTXOEntry, bool) {
-	s := u.shardFor(op)
-	s.mu.RLock()
-	e, ok := s.get(op)
-	s.mu.RUnlock()
+	e, ok := u.entries[op]
 	return e, ok
 }
 
 // Len reports the number of unspent outputs.
-func (u *UTXOSet) Len() int {
-	n := 0
-	for i := range u.shards {
-		s := &u.shards[i]
-		s.mu.RLock()
-		n += len(s.entries)
-		s.mu.RUnlock()
-	}
-	return n
-}
+func (u *UTXOSet) Len() int { return len(u.entries) }
 
 // TotalValue sums all unspent output values — conserved modulo coinbase
 // subsidies and fees, an invariant the tests assert.
 func (u *UTXOSet) TotalValue() uint64 {
 	var sum uint64
-	for i := range u.shards {
-		s := &u.shards[i]
-		s.mu.RLock()
-		for _, e := range s.entries {
-			sum += e.Out.Value
-		}
-		s.mu.RUnlock()
+	for _, e := range u.entries {
+		sum += e.Out.Value
 	}
 	return sum
 }
 
-// Clone deep-copies the set (scripts are immutable and shared). The
-// copy preserves shard placement, so clone-and-compare paths stay
-// shard-by-shard.
+// Clone deep-copies the set (scripts are immutable and shared).
 func (u *UTXOSet) Clone() *UTXOSet {
-	out := &UTXOSet{}
-	for i := range u.shards {
-		s := &u.shards[i]
-		s.mu.RLock()
-		if len(s.entries) > 0 {
-			dst := make(map[OutPoint]UTXOEntry, len(s.entries))
-			for k, v := range s.entries {
-				dst[k] = v
-			}
-			out.shards[i].entries = dst
-		}
-		s.mu.RUnlock()
+	out := &UTXOSet{entries: make(map[OutPoint]UTXOEntry, len(u.entries))}
+	for k, v := range u.entries {
+		out.entries[k] = v
 	}
 	return out
 }
 
 // ApplyTx spends the transaction's inputs and creates its outputs.
 // OP_RETURN outputs are never added to the set (they are unspendable).
-// On error the set may be left with a prefix of the mutation applied,
-// exactly as the pre-shard implementation did; callers that need
-// rollback use ApplyTxUndo.
+// On error the set may be left with a prefix of the mutation applied;
+// callers that need rollback use ApplyTxUndo.
 func (u *UTXOSet) ApplyTx(tx *Tx, height int64) error {
 	if !tx.IsCoinbase() {
 		for _, in := range tx.Inputs {
-			s := u.shardFor(in.Prev)
-			s.mu.Lock()
-			if _, ok := s.get(in.Prev); !ok {
-				s.mu.Unlock()
+			if _, ok := u.entries[in.Prev]; !ok {
 				return fmt.Errorf("%w: %s", ErrMissingUTXO, in.Prev)
 			}
-			s.del(in.Prev)
-			s.mu.Unlock()
+			delete(u.entries, in.Prev)
 		}
 	}
 	id := tx.ID()
@@ -179,14 +84,10 @@ func (u *UTXOSet) ApplyTx(tx *Tx, height int64) error {
 			continue
 		}
 		op := OutPoint{TxID: id, Index: uint32(i)}
-		s := u.shardFor(op)
-		s.mu.Lock()
-		if _, ok := s.get(op); ok {
-			s.mu.Unlock()
+		if _, ok := u.entries[op]; ok {
 			return fmt.Errorf("%w: %s", ErrDuplicateUTXO, op)
 		}
-		s.put(op, UTXOEntry{Out: out, Height: height, Coinbase: tx.IsCoinbase()})
-		s.mu.Unlock()
+		u.entries[op] = UTXOEntry{Out: out, Height: height, Coinbase: tx.IsCoinbase()}
 	}
 	return nil
 }
@@ -195,16 +96,11 @@ func (u *UTXOSet) ApplyTx(tx *Tx, height int64) error {
 // given hash — the wallet's coin selection source.
 func (u *UTXOSet) FindByPubKeyHash(hash [script.HashLen]byte) []OutPoint {
 	var out []OutPoint
-	for i := range u.shards {
-		s := &u.shards[i]
-		s.mu.RLock()
-		for op, e := range s.entries {
-			h, err := script.ExtractP2PKHHash(e.Out.Lock)
-			if err == nil && h == hash {
-				out = append(out, op)
-			}
+	for op, e := range u.entries {
+		h, err := script.ExtractP2PKHHash(e.Out.Lock)
+		if err == nil && h == hash {
+			out = append(out, op)
 		}
-		s.mu.RUnlock()
 	}
 	return out
 }

@@ -6,32 +6,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
 )
 
 // UTXO set serialization, used by the daemon's snapshot store. The
 // encoding is deterministic (entries sorted by outpoint) so identical
 // sets produce identical bytes — which lets the restore path cross-check
 // the replayed chain state against the snapshot with a plain compare.
-//
-// With the sharded set, the global sort is produced shard-aware: each
-// shard's entries are collected and sorted concurrently (shards
-// partition by outpoint hash, not by range), then the per-shard sorted
-// runs are merged. The merged order — and therefore every serialized
-// byte and the SnapshotHash over it — is identical to the pre-shard
-// single-map encoding.
 
 // ErrBadUTXOData reports an unreadable serialized UTXO set.
 var ErrBadUTXOData = errors.New("chain: malformed serialized UTXO set")
-
-// utxoRec is one collected entry: the outpoint plus its value, so the
-// merge step never has to re-lock shards.
-type utxoRec struct {
-	op OutPoint
-	e  UTXOEntry
-}
 
 // outpointLess is the canonical serialization order: big-endian
 // lexicographic TxID, then output index.
@@ -42,94 +26,36 @@ func outpointLess(a, b OutPoint) bool {
 	return a.Index < b.Index
 }
 
-// sortedRecs snapshots every shard into a per-shard slice sorted by
-// outpoint, fanning the sorts out across cores, and returns the runs
-// plus the total entry count.
-func (u *UTXOSet) sortedRecs() ([][]utxoRec, int) {
-	runs := make([][]utxoRec, utxoShardCount)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > utxoShardCount {
-		workers = utxoShardCount
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next sync.Mutex
-	idx := 0
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				next.Lock()
-				i := idx
-				idx++
-				next.Unlock()
-				if i >= utxoShardCount {
-					return
-				}
-				s := &u.shards[i]
-				s.mu.RLock()
-				recs := make([]utxoRec, 0, len(s.entries))
-				for op, e := range s.entries {
-					recs = append(recs, utxoRec{op: op, e: e})
-				}
-				s.mu.RUnlock()
-				sort.Slice(recs, func(a, b int) bool { return outpointLess(recs[a].op, recs[b].op) })
-				runs[i] = recs
-			}
-		}()
-	}
-	wg.Wait()
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	return runs, total
-}
-
 // SerializeUTXO encodes the set deterministically: an entry count
 // followed by entries in outpoint order.
 func (u *UTXOSet) SerializeUTXO() []byte {
-	runs, total := u.sortedRecs()
+	ops := make([]OutPoint, 0, len(u.entries))
+	for op := range u.entries {
+		ops = append(ops, op)
+	}
+	sort.Slice(ops, func(a, b int) bool { return outpointLess(ops[a], ops[b]) })
 
 	var buf bytes.Buffer
 	var scratch [8]byte
-	binary.BigEndian.PutUint32(scratch[:4], uint32(total))
+	binary.BigEndian.PutUint32(scratch[:4], uint32(len(ops)))
 	buf.Write(scratch[:4])
-
-	// Merge the sorted per-shard runs. Shard count is small and fixed,
-	// so a linear min-scan over the run heads beats heap bookkeeping.
-	heads := make([]int, len(runs))
-	for written := 0; written < total; written++ {
-		best := -1
-		for i, r := range runs {
-			if heads[i] >= len(r) {
-				continue
-			}
-			if best < 0 || outpointLess(r[heads[i]].op, runs[best][heads[best]].op) {
-				best = i
-			}
-		}
-		rec := runs[best][heads[best]]
-		heads[best]++
-
-		buf.Write(rec.op.TxID[:])
-		binary.BigEndian.PutUint32(scratch[:4], rec.op.Index)
+	for _, op := range ops {
+		e := u.entries[op]
+		buf.Write(op.TxID[:])
+		binary.BigEndian.PutUint32(scratch[:4], op.Index)
 		buf.Write(scratch[:4])
-		binary.BigEndian.PutUint64(scratch[:], uint64(rec.e.Height))
+		binary.BigEndian.PutUint64(scratch[:], uint64(e.Height))
 		buf.Write(scratch[:])
-		if rec.e.Coinbase {
+		if e.Coinbase {
 			buf.WriteByte(1)
 		} else {
 			buf.WriteByte(0)
 		}
-		binary.BigEndian.PutUint64(scratch[:], rec.e.Out.Value)
+		binary.BigEndian.PutUint64(scratch[:], e.Out.Value)
 		buf.Write(scratch[:])
-		binary.BigEndian.PutUint32(scratch[:4], uint32(len(rec.e.Out.Lock)))
+		binary.BigEndian.PutUint32(scratch[:4], uint32(len(e.Out.Lock)))
 		buf.Write(scratch[:4])
-		buf.Write(rec.e.Out.Lock)
+		buf.Write(e.Out.Lock)
 	}
 	return buf.Bytes()
 }
@@ -178,9 +104,10 @@ func DeserializeUTXO(r io.Reader) (*UTXOSet, error) {
 				return nil, fmt.Errorf("%w: entry %d: %v", ErrBadUTXOData, i, err)
 			}
 		}
-		if !u.createLocked(op, e) {
+		if _, dup := u.entries[op]; dup {
 			return nil, fmt.Errorf("%w: duplicate outpoint %s", ErrBadUTXOData, op)
 		}
+		u.entries[op] = e
 	}
 	return u, nil
 }

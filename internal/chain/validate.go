@@ -232,12 +232,6 @@ func connectBlockUndo(utxo *UTXOSet, b *Block, params Params, v *Verifier) (*Blo
 	if err := checkBlockStateless(b, params); err != nil {
 		return nil, err
 	}
-	// Blocks with enough mutations fan out per UTXO shard when a worker
-	// pool is configured; the sequential path below is the ground truth
-	// (and what CheckConsistency replays against).
-	if v.Workers() > 1 && blockOpCount(b) >= parallelConnectMinOps {
-		return connectBlockParallel(utxo, b, params, v)
-	}
 	undo := &BlockUndo{Txs: make([]*TxUndo, 0, len(b.Txs))}
 	rollback := func() {
 		for i := len(undo.Txs) - 1; i >= 0; i-- {

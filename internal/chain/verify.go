@@ -59,14 +59,6 @@ func NewVerifier(workers int, cache *SigCache) *Verifier {
 	return &Verifier{workers: workers, cache: cache}
 }
 
-// Workers reports the configured fan-out width.
-func (v *Verifier) Workers() int {
-	if v == nil {
-		return 0
-	}
-	return v.workers
-}
-
 // Cache returns the shared signature cache (nil when disabled).
 func (v *Verifier) Cache() *SigCache {
 	if v == nil {

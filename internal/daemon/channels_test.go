@@ -442,47 +442,20 @@ func TestChannelPayeeClosesBeforeRefundDeadline(t *testing.T) {
 	}
 }
 
-// TestNoChannelsEscapeHatch proves the -no-channels escape hatch: a
-// recipient node configured with NoChannels ignores EnableChannels and
-// every delivery settles through the legacy on-chain path even when the
-// gateway advertises a channel endpoint.
-func TestNoChannelsEscapeHatch(t *testing.T) {
+// TestChannelOfferIgnoredByOnChainRecipient covers the mixed
+// federation: a recipient that never called EnableChannels settles every
+// delivery through the on-chain path even when the gateway advertises a
+// channel endpoint.
+func TestChannelOfferIgnoredByOnChainRecipient(t *testing.T) {
 	c := newCluster(t)
-	// Rebuild the recipient daemon on a NoChannels node.
-	rcptNode, err := NewNode(NodeConfig{
-		Genesis:    c.master.Chain().Genesis(),
-		Params:     c.params,
-		Miners:     [][]byte{},
-		Peers:      []string{c.master.P2PAddr(), c.gwd.Node.P2PAddr()},
-		NoChannels: true,
-	})
-	if err != nil {
+	if _, err := c.gwd.EnableChannels(DefaultChannelConfig()); err != nil {
 		t.Fatal(err)
-	}
-	t.Cleanup(func() { rcptNode.Close() })
-	rcptd, err := NewRecipientDaemon(rcptNode, recipient.DefaultConfig(), "127.0.0.1:0", rand.Reader, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rcptd.Close() })
-	c.rcptd = rcptd
-
-	ccfg := DefaultChannelConfig()
-	if _, err := c.gwd.EnableChannels(ccfg); err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := rcptd.EnableChannels(ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mgr != nil {
-		t.Fatal("NoChannels node still enabled channels")
 	}
 
 	c.publishBinding(t)
 	dev := c.provisionSensor(t, lora.DevEUI{0xc4, 2})
 	received := make(chan *recipient.Message, 1)
-	rcptd.OnReceive(func(m *recipient.Message) { received <- m })
+	c.rcptd.OnReceive(func(m *recipient.Message) { received <- m })
 	c.uplink(t, dev, []byte("on-chain"))
 
 	// The on-chain exchange needs the claim mined before it settles.

@@ -39,12 +39,8 @@ type GatewayDaemon struct {
 
 // EnableChannels attaches a payee-side channel manager: the gateway
 // advertises channel settlement in every delivery and answers verified
-// commitment updates with the exchange's ephemeral key. A no-op
-// returning nil when the node was configured with NoChannels.
+// commitment updates with the exchange's ephemeral key.
 func (g *GatewayDaemon) EnableChannels(cfg ChannelConfig) (*ChannelManager, error) {
-	if g.Node.cfg.NoChannels {
-		return nil, nil
-	}
 	if cfg.Price == 0 {
 		// Every update must pay at least the delivery price, or a payer
 		// could drain key disclosures for 1 unit apiece.
@@ -202,12 +198,8 @@ func (r *RecipientDaemon) Addr() string { return r.listener.Addr().String() }
 
 // EnableChannels attaches a payer-side channel manager: deliveries that
 // advertise a channel endpoint settle off-chain, falling back to the
-// on-chain payment path on any channel failure. A no-op returning nil
-// when the node was configured with NoChannels.
+// on-chain payment path on any channel failure.
 func (r *RecipientDaemon) EnableChannels(cfg ChannelConfig) (*ChannelManager, error) {
-	if r.Node.cfg.NoChannels {
-		return nil, nil
-	}
 	mgr, err := newChannelManager(r.Node, r.Recipient.Wallet(), cfg, nil)
 	if err != nil {
 		return nil, err
@@ -322,15 +314,17 @@ func (r *RecipientDaemon) handleConn(conn net.Conn) {
 			ack.Accepted = true
 			ack.ChannelID = settle.ChannelID.String()
 			ack.ChannelVersion = settle.Version
-			if err := json.NewEncoder(conn).Encode(&ack); err != nil {
-				r.logf("ack encode: %v", err)
-			}
+			// Commit, then ack: the gateway treats the ack as "the
+			// reading is in the inbox", so the append comes first.
 			r.mu.Lock()
 			r.inbox = append(r.inbox, msg)
 			fn := r.onRecv
 			r.mu.Unlock()
 			if fn != nil {
 				fn(msg)
+			}
+			if err := json.NewEncoder(conn).Encode(&ack); err != nil {
+				r.logf("ack encode: %v", err)
 			}
 			return
 		}

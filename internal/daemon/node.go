@@ -61,10 +61,6 @@ type NodeConfig struct {
 	// StoreGroupCommitMaxBytes caps one group-commit batch's payload
 	// (0 = the store default).
 	StoreGroupCommitMaxBytes int
-	// FloodRelay reverts to the legacy full-payload gossip flood instead
-	// of the inventory/compact-block relay. Kept for the relaybench
-	// baseline and as an escape hatch.
-	FloodRelay bool
 	// RelayRequestTimeout is how long the relay waits for an announced
 	// object (and a blocktxn response) before falling back to the next
 	// source (0 = the p2p default of 500ms).
@@ -72,7 +68,6 @@ type NodeConfig struct {
 	// LegacySyncOnly disables the headers-first sync state machine and
 	// keeps the height-blast anti-entropy as the only catch-up path.
 	// Kept for the sync benchmark baseline and as an escape hatch.
-	// FloodRelay implies it (the machine's tail fetch needs the relay).
 	LegacySyncOnly bool
 	// SnapshotSyncDisabled keeps headers-first sync but never bootstraps
 	// from a peer-served snapshot (a fresh node always fetches bodies).
@@ -99,10 +94,6 @@ type NodeConfig struct {
 	// TamperSnapshot, when set, rewrites served snapshot chunk payloads
 	// — a chaos-test hook that simulates a lying snapshot peer.
 	TamperSnapshot func(height int64, chunk int32, payload []byte) []byte
-	// NoChannels disables the payment-channel subsystem: EnableChannels
-	// becomes a no-op and every delivery settles on-chain. Kept as the
-	// escape hatch and for the channelbench baseline.
-	NoChannels bool
 	// MaxPeers bounds the gossip node's registered peer set (0 =
 	// unlimited). Connections beyond the bound are refused; combined
 	// with misbehavior bans this is the eclipse-recovery lever.
@@ -125,11 +116,11 @@ type Node struct {
 	ledger *fairex.Node
 	dir    *registry.Directory
 	gossip *p2p.Node
-	relay  *p2p.Relay // nil when cfg.FloodRelay
+	relay  *p2p.Relay
 	rpcSrv *rpc.Server
 	miner  *chain.Miner
 	store  *Store       // nil until Open; set before the append subscription
-	sync   *syncManager // nil when LegacySyncOnly or FloodRelay
+	sync   *syncManager // nil when LegacySyncOnly
 	reg    *telemetry.Registry
 	// metrics is set once in NewNode, before any goroutine starts.
 	metrics *daemonMetrics
@@ -208,27 +199,20 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			n.broadcastTx(tx, false)
 		},
 	}
-	if cfg.FloodRelay {
-		gossip.Handle("tx", n.onTx)
-		gossip.Handle("block", n.onBlock)
-	} else {
-		n.relay = p2p.NewRelay(gossip, p2p.RelayConfig{
-			Have:           n.relayHave,
-			Fetch:          n.relayFetch,
-			RequestTimeout: cfg.RelayRequestTimeout,
-		})
-		n.relay.Handle("tx", n.onRelayTx)
-		n.relay.Handle("block", n.onRelayBlock)
-		gossip.HandleDirect("cmpctblock", n.onCompactBlock)
-		gossip.HandleDirect("getblocktxn", n.onGetBlockTxn)
-		gossip.HandleDirect("blocktxn", n.onBlockTxn)
-	}
+	n.relay = p2p.NewRelay(gossip, p2p.RelayConfig{
+		Have:           n.relayHave,
+		Fetch:          n.relayFetch,
+		RequestTimeout: cfg.RelayRequestTimeout,
+	})
+	n.relay.Handle("tx", n.onRelayTx)
+	n.relay.Handle("block", n.onRelayBlock)
+	gossip.HandleDirect("cmpctblock", n.onCompactBlock)
+	gossip.HandleDirect("getblocktxn", n.onGetBlockTxn)
+	gossip.HandleDirect("blocktxn", n.onBlockTxn)
 	gossip.Handle("sync", n.onSync)
-	// Headers are served to anyone; the sync state machine needs the
-	// relay (its tail fetch is a getdata batch), so FloodRelay falls
-	// back to legacy sync.
+	// Headers are served to anyone, even by a LegacySyncOnly node.
 	gossip.HandleDirect(p2p.MsgTypeGetHeaders, n.onGetHeaders)
-	if !cfg.LegacySyncOnly && !cfg.FloodRelay {
+	if !cfg.LegacySyncOnly {
 		n.sync = newSyncManager(n)
 		gossip.HandleDirect(p2p.MsgTypeHeaders, func(from string, msg p2p.Message) { n.sync.onHeaders(from, msg) })
 		gossip.HandleDirect(p2p.MsgTypeGetSnapshot, n.onGetSnapshot)
@@ -291,15 +275,14 @@ func (n *Node) getChannelOps() rpc.ChannelOps {
 
 // Open attaches persistence rooted at dataDir: the incremental store
 // in dataDir/chainstore is loaded into the chain (snapshot plus log
-// tail), a retired whole-file chain.dat found in dataDir is migrated
-// into the store, and every future best-branch connect is appended
-// (fsync'd) to the log, with a snapshot + log compaction every
+// tail), and every future best-branch connect is appended (fsync'd) to
+// the log, with a snapshot + log compaction every
 // cfg.StoreCompactEvery appends. When cfg.PruneDepth is set, each
 // compaction first prunes block bodies more than PruneDepth heights
 // below the tip, so the store's next snapshot is the pruned form.
 //
 // Call once, after NewNode and before the node sees traffic. Returns
-// the number of blocks restored from disk (including migrated ones).
+// the number of blocks restored from disk.
 func (n *Node) Open(dataDir string) (int, error) {
 	st, err := OpenStore(filepath.Join(dataDir, "chainstore"))
 	if err != nil {
@@ -314,12 +297,6 @@ func (n *Node) Open(dataDir string) (int, error) {
 		st.Close()
 		return loaded, err
 	}
-	migrated, err := MigrateLegacy(st, n.chain, DefaultChainPath(dataDir))
-	if err != nil {
-		st.Close()
-		return loaded + migrated, err
-	}
-	loaded += migrated
 	n.metrics.storeLoadSeconds.ObserveSince(start)
 	n.store = st
 	every := n.cfg.StoreCompactEvery
@@ -441,21 +418,14 @@ func (n *Node) orphanGaps() []int64 {
 	return gaps
 }
 
-// RebroadcastPending re-gossips every pooled transaction. In flood mode
-// gossip duplicate suppression drops copies peers already saw; in relay
-// mode the whole pool goes out as one forced inv frame per peer —
-// forced because a peer that lost the original inv to a fault would
-// otherwise be skipped forever by its known-inventory entry, batched
-// because per-tx announcements cost O(txs × peers) messages per call.
+// RebroadcastPending re-announces every pooled transaction: the whole
+// pool goes out as one forced inv frame per peer — forced because a
+// peer that lost the original inv to a fault would otherwise be skipped
+// forever by its known-inventory entry, batched because per-tx
+// announcements cost O(txs × peers) messages per call.
 func (n *Node) RebroadcastPending() {
 	txs := n.pool.Select(n.chain.Params().MaxBlockTxs)
 	if len(txs) == 0 {
-		return
-	}
-	if n.relay == nil {
-		for _, tx := range txs {
-			n.broadcastTx(tx, true)
-		}
 		return
 	}
 	ids := make([]p2p.ObjectID, len(txs))
@@ -498,9 +468,7 @@ func (n *Node) Close() error {
 	if n.sync != nil {
 		n.sync.close()
 	}
-	if n.relay != nil {
-		n.relay.Close()
-	}
+	n.relay.Close()
 	n.mu.Lock()
 	for id, pc := range n.pendingCmpct {
 		pc.timer.Stop()
@@ -535,16 +503,6 @@ func (n *Node) mineLoop() {
 
 // maxOrphanTxs bounds the out-of-order transaction buffer.
 const maxOrphanTxs = 10_000
-
-func (n *Node) onTx(from string, msg p2p.Message) {
-	tx, err := chain.DeserializeTx(msg.Payload)
-	if err != nil {
-		n.logf("gossiped tx undecodable: %v", err)
-		n.misbehave(from, "undecodable tx")
-		return
-	}
-	n.admitTx(tx)
-}
 
 // admitTx pools a gossiped transaction. A dependent transaction can
 // arrive before the one funding it (the gateway's claim chains onto the
@@ -609,16 +567,6 @@ func (n *Node) retryOrphanTxs() {
 			return
 		}
 	}
-}
-
-func (n *Node) onBlock(from string, msg p2p.Message) {
-	b, err := chain.DeserializeBlock(msg.Payload)
-	if err != nil {
-		n.logf("gossiped block undecodable: %v", err)
-		n.misbehave(from, "undecodable block")
-		return
-	}
-	n.acceptBlock(b)
 }
 
 // acceptBlock adds a block, parking it as an orphan if its parent has not
@@ -708,28 +656,18 @@ func isOrphanErr(err error) bool {
 // sync continues from its new tip.
 const maxSyncBlocks = 64
 
-// onSync answers a peer's catch-up request. In relay mode the gap
-// chunk is advertised as one batched inv to the peer the request
-// arrived from (the requester, or a forwarder that then answers the
-// requester itself when the flooded request reaches it); re-announcing
-// every block to every peer amplified each request by O(gap × peers)
-// and starved the send queues. Flood mode re-broadcasts full bodies
-// and lets duplicate suppression clean up.
+// onSync answers a peer's catch-up request. The gap chunk is advertised
+// as one batched inv to the peer the request arrived from (the
+// requester, or a forwarder that then answers the requester itself when
+// the flooded request reaches it); re-announcing every block to every
+// peer amplified each request by O(gap × peers) and starved the send
+// queues. Pruned stubs have no body to serve (nor does any valid
+// serialization for one exist) — the requester must bootstrap from a
+// snapshot instead.
 func (n *Node) onSync(from string, msg p2p.Message) {
 	var reqHeight, nonce int64
 	if _, err := fmt.Sscanf(string(msg.Payload), "%d|%d", &reqHeight, &nonce); err != nil {
 		n.misbehave(from, "malformed sync request")
-		return
-	}
-	if n.relay == nil {
-		for h := reqHeight + 1; h <= n.chain.Height() && h <= reqHeight+maxSyncBlocks; h++ {
-			// Pruned stubs have no body to serve (nor does any valid
-			// serialization for one exist) — the requester must
-			// bootstrap from a snapshot instead.
-			if b, ok := n.chain.BlockAt(h); ok && len(b.Txs) > 0 {
-				n.gossip.Broadcast("block", b.Serialize())
-			}
-		}
 		return
 	}
 	var (

@@ -71,9 +71,9 @@ func (n *Node) onRelayTx(from string, payload []byte) (p2p.ObjectID, bool) {
 		return p2p.ObjectID{}, false
 	}
 	n.admitTx(tx)
-	// Relay onward regardless of admission: parked orphans and
-	// first-seen conflicts propagated under flooding too, and peers make
-	// their own admission decisions.
+	// Relay onward regardless of admission: a transaction parked here as
+	// an orphan, or refused as a first-seen conflict, may be admissible
+	// at a peer, and peers make their own admission decisions.
 	return p2p.ObjectID(tx.ID()), true
 }
 
@@ -92,24 +92,15 @@ func (n *Node) onRelayBlock(from string, payload []byte) (p2p.ObjectID, bool) {
 	return p2p.ObjectID(id), true
 }
 
-// broadcastTx hands a transaction to the active relay. force bypasses
-// per-peer known-inventory suppression (sync repair).
+// broadcastTx hands a transaction to the relay. force bypasses per-peer
+// known-inventory suppression (sync repair).
 func (n *Node) broadcastTx(tx *chain.Tx, force bool) {
-	if n.relay == nil {
-		n.gossip.Broadcast("tx", tx.Serialize())
-		return
-	}
 	n.relay.Announce("tx", p2p.ObjectID(tx.ID()), tx.Serialize(), force)
 }
 
-// broadcastBlock propagates a freshly mined block: a compact sketch in
-// relay mode, a full-body flood otherwise. Catch-up blocks travel
-// through onSync's batched AnnounceTo instead.
+// broadcastBlock propagates a freshly mined block as a compact sketch.
+// Catch-up blocks travel through onSync's batched AnnounceTo instead.
 func (n *Node) broadcastBlock(b *chain.Block) {
-	if n.relay == nil {
-		n.gossip.Broadcast("block", b.Serialize())
-		return
-	}
 	n.relay.Put("block", p2p.ObjectID(b.ID()), b.Serialize())
 	n.sendCompact(b, "")
 }

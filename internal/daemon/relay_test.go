@@ -239,93 +239,89 @@ func TestCompactBlockFullFallback(t *testing.T) {
 	}
 }
 
-// TestRelayMeshConvergesCheaperThanFlood runs the same two-block
-// workload over a 4-daemon mesh in flood mode and in relay mode, and
-// requires relay-mode convergence with strictly fewer wire bytes.
+// TestRelayMeshConvergesCheaperThanFlood runs a two-block workload over
+// a 4-daemon ring and requires convergence inside an absolute wire-byte
+// budget. When transaction and block bodies could still be flooded, the
+// flood moved 46.0 kB on this workload and the relay 20.2–21.0 kB over
+// twelve runs; the budget sits between the two, with room for a retried
+// sync but not for bodies travelling to peers that already hold them.
 func TestRelayMeshConvergesCheaperThanFlood(t *testing.T) {
 	const nNodes, nTxs = 4, 6
-	run := func(flood bool) uint64 {
-		f := newRelayFixture(t, nTxs)
-		tr := p2p.NewMemTransport()
-		nodes := make([]*Node, nNodes)
-		for i := range nodes {
-			cfg := NodeConfig{
-				Genesis:      f.genesis,
-				Params:       f.params,
-				Miners:       f.miners,
-				Transport:    tr,
-				MineInterval: time.Hour,
-				FloodRelay:   flood,
-			}
-			if i == 0 {
-				cfg.MinerKey = f.miner
-			} else {
-				cfg.Peers = []string{nodes[i-1].P2PAddr()}
-			}
-			n, err := NewNode(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { n.Close() })
-			nodes[i] = n
+	const budget = 25_000
+	f := newRelayFixture(t, nTxs)
+	tr := p2p.NewMemTransport()
+	nodes := make([]*Node, nNodes)
+	for i := range nodes {
+		cfg := NodeConfig{
+			Genesis:      f.genesis,
+			Params:       f.params,
+			Miners:       f.miners,
+			Transport:    tr,
+			MineInterval: time.Hour,
 		}
-		// Ring closure for redundant paths. The extra sync is the first
-		// message over the new link, teaching nodes[0] the dialer's
-		// address; every node then learns both ring neighbours before the
-		// workload starts (inbound peers register on first message).
-		if err := nodes[nNodes-1].Connect(nodes[0].P2PAddr()); err != nil {
+		if i == 0 {
+			cfg.MinerKey = f.miner
+		} else {
+			cfg.Peers = []string{nodes[i-1].P2PAddr()}
+		}
+		n, err := NewNode(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[nNodes-1].RequestSync()
-		waitCond(t, "ring to become bidirectional", func() bool {
+		t.Cleanup(func() { n.Close() })
+		nodes[i] = n
+	}
+	// Ring closure for redundant paths. The extra sync is the first
+	// message over the new link, teaching nodes[0] the dialer's
+	// address; every node then learns both ring neighbours before the
+	// workload starts (inbound peers register on first message).
+	if err := nodes[nNodes-1].Connect(nodes[0].P2PAddr()); err != nil {
+		t.Fatal(err)
+	}
+	nodes[nNodes-1].RequestSync()
+	waitCond(t, "ring to become bidirectional", func() bool {
+		for _, n := range nodes {
+			if len(n.gossip.Peers()) != 2 {
+				return false
+			}
+		}
+		return true
+	})
+
+	for blkRound := 0; blkRound < 2; blkRound++ {
+		for i := 0; i < nTxs; i++ {
+			if err := nodes[0].Ledger().Submit(f.payment(t, nodes[0], i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitCond(t, "all pools warm", func() bool {
 			for _, n := range nodes {
-				if len(n.gossip.Peers()) != 2 {
+				if n.Ledger().Pool.Len() != nTxs {
 					return false
 				}
 			}
 			return true
 		})
-
-		for blkRound := 0; blkRound < 2; blkRound++ {
-			for i := 0; i < nTxs; i++ {
-				if err := nodes[0].Ledger().Submit(f.payment(t, nodes[0], i)); err != nil {
-					t.Fatal(err)
+		want := int64(blkRound + 1)
+		if _, err := nodes[0].MineNow(); err != nil {
+			t.Fatal(err)
+		}
+		waitCond(t, fmt.Sprintf("height %d everywhere", want), func() bool {
+			for _, n := range nodes {
+				if n.Chain().Height() != want {
+					return false
 				}
 			}
-			waitCond(t, "all pools warm", func() bool {
-				for _, n := range nodes {
-					if n.Ledger().Pool.Len() != nTxs {
-						return false
-					}
-				}
-				return true
-			})
-			want := int64(blkRound + 1)
-			if _, err := nodes[0].MineNow(); err != nil {
-				t.Fatal(err)
-			}
-			waitCond(t, fmt.Sprintf("height %d everywhere", want), func() bool {
-				for _, n := range nodes {
-					if n.Chain().Height() != want {
-						return false
-					}
-				}
-				return true
-			})
-		}
-		time.Sleep(100 * time.Millisecond) // drain in-flight duplicates
-		var bytes uint64
-		for _, n := range nodes {
-			bytes += n.Telemetry().Counter("bcwan_p2p_bytes_out_total", "").Value()
-		}
-		return bytes
+			return true
+		})
 	}
-
-	floodBytes := run(true)
-	relayBytes := run(false)
-	if relayBytes >= floodBytes {
-		t.Fatalf("relay mesh moved %d bytes, flood moved %d", relayBytes, floodBytes)
+	time.Sleep(100 * time.Millisecond) // drain in-flight duplicates
+	var bytes uint64
+	for _, n := range nodes {
+		bytes += n.Telemetry().Counter("bcwan_p2p_bytes_out_total", "").Value()
 	}
-	t.Logf("flood %d bytes, relay %d bytes (%.1fx reduction)",
-		floodBytes, relayBytes, float64(floodBytes)/float64(relayBytes))
+	if bytes > budget {
+		t.Fatalf("relay mesh moved %d bytes, budget %d", bytes, budget)
+	}
+	t.Logf("relay mesh moved %d bytes (budget %d)", bytes, budget)
 }

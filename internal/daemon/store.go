@@ -33,13 +33,6 @@ import (
 //     a pruned horizon; restoring installs the base through the chain's
 //     trusted snapshot path, so a pruned gateway restarts without the
 //     bodies it deliberately dropped.
-//
-// The legacy whole-file format (storeMagic, chain.dat) is read once by
-// MigrateLegacy and never written again.
-
-// storeMagic heads the retired whole-file format; MigrateLegacy still
-// recognizes it.
-var storeMagic = []byte("BCWANCHAIN1\n")
 
 // logMagic and snapMagic/snapMagic2 head the incremental store's files.
 var (
@@ -50,77 +43,6 @@ var (
 
 // ErrBadStore reports an unreadable chain file.
 var ErrBadStore = errors.New("daemon: malformed chain store")
-
-// MigrateLegacy absorbs a retired whole-file chain.dat into the open
-// store: every stored block is replayed into the chain through full
-// validation and, when newly connected, appended to the block log, and
-// the file is renamed to path+".migrated" so the next start skips it.
-// A missing file is not an error. Returns how many blocks migrated.
-func MigrateLegacy(s *Store, c *chain.Chain, path string) (int, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, fmt.Errorf("daemon: migrate legacy: %w", err)
-	}
-	r := bufio.NewReader(f)
-	magic := make([]byte, len(storeMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != string(storeMagic) {
-		f.Close()
-		return 0, fmt.Errorf("%w: bad legacy magic", ErrBadStore)
-	}
-	migrated := 0
-	for {
-		var lenb [4]byte
-		if _, err := io.ReadFull(r, lenb[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			f.Close()
-			return migrated, fmt.Errorf("%w: %v", ErrBadStore, err)
-		}
-		n := binary.BigEndian.Uint32(lenb[:])
-		if n > maxStoredBlock {
-			f.Close()
-			return migrated, fmt.Errorf("%w: block of %d bytes", ErrBadStore, n)
-		}
-		raw := make([]byte, n)
-		if _, err := io.ReadFull(r, raw); err != nil {
-			f.Close()
-			return migrated, fmt.Errorf("%w: %v", ErrBadStore, err)
-		}
-		b, err := chain.DeserializeBlock(raw)
-		if err != nil {
-			f.Close()
-			return migrated, fmt.Errorf("daemon: migrate legacy: %w", err)
-		}
-		switch err := c.AddBlock(b); {
-		case err == nil:
-			// Durable in the new store before the old file goes away.
-			if err := s.AppendBlock(b); err != nil {
-				f.Close()
-				return migrated, err
-			}
-			migrated++
-		case errors.Is(err, chain.ErrDuplicateBlock):
-		default:
-			f.Close()
-			return migrated, fmt.Errorf("daemon: migrate legacy height %d: %w", b.Header.Height, err)
-		}
-	}
-	f.Close()
-	if err := os.Rename(path, path+".migrated"); err != nil {
-		return migrated, fmt.Errorf("daemon: migrate legacy: %w", err)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return migrated, fmt.Errorf("daemon: migrate legacy: %w", err)
-	}
-	return migrated, nil
-}
-
-// DefaultChainPath places the store under dir.
-func DefaultChainPath(dir string) string { return filepath.Join(dir, "chain.dat") }
 
 // maxStoredBlock bounds a single record so a corrupt length prefix
 // cannot trigger a huge allocation.

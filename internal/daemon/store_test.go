@@ -1,11 +1,7 @@
 package daemon
 
 import (
-	"bytes"
 	"crypto/rand"
-	"encoding/binary"
-	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -55,28 +51,6 @@ func freshReplica(t *testing.T, genesis *chain.Block, miners [][]byte) *chain.Ch
 	return c
 }
 
-// writeLegacyChain writes c's best branch in the retired whole-file
-// format, standing in for a chain.dat left behind by an old build.
-func writeLegacyChain(t *testing.T, c *chain.Chain, path string) {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.Write(storeMagic)
-	for h := int64(1); h <= c.Height(); h++ {
-		b, ok := c.BlockAt(h)
-		if !ok {
-			t.Fatalf("missing height %d", h)
-		}
-		raw := b.Serialize()
-		var lenb [4]byte
-		binary.BigEndian.PutUint32(lenb[:], uint32(len(raw)))
-		buf.Write(lenb[:])
-		buf.Write(raw)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func openTestStore(t *testing.T, dir string) *Store {
 	t.Helper()
 	st, err := OpenStore(dir)
@@ -85,142 +59,6 @@ func openTestStore(t *testing.T, dir string) *Store {
 	}
 	t.Cleanup(func() { st.Close() })
 	return st
-}
-
-func TestMigrateLegacyRoundTrip(t *testing.T) {
-	c, genesis, miners := storedChain(t, 5)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "chain.dat")
-	writeLegacyChain(t, c, path)
-
-	st := openTestStore(t, filepath.Join(dir, "chainstore"))
-	replica := freshReplica(t, genesis, miners)
-	migrated, err := MigrateLegacy(st, replica, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if migrated != 5 {
-		t.Fatalf("migrated = %d, want 5", migrated)
-	}
-	if replica.Tip().ID() != c.Tip().ID() {
-		t.Fatal("restored tip differs")
-	}
-	if replica.UTXO().TotalValue() != c.UTXO().TotalValue() {
-		t.Fatal("restored UTXO differs")
-	}
-	// The file moves aside so the next start skips it...
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("legacy file still present: %v", err)
-	}
-	if _, err := os.Stat(path + ".migrated"); err != nil {
-		t.Fatalf("renamed copy missing: %v", err)
-	}
-	if again, err := MigrateLegacy(st, replica, path); err != nil || again != 0 {
-		t.Fatalf("second migration = %d, %v", again, err)
-	}
-	// ...and the blocks are durable in the new log: a fresh chain
-	// restores them from the store alone.
-	restored := freshReplica(t, genesis, miners)
-	loaded, err := st.Load(restored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded != 5 || restored.Tip().ID() != c.Tip().ID() {
-		t.Fatalf("store reload = %d blocks, tip match %v", loaded, restored.Tip().ID() == c.Tip().ID())
-	}
-}
-
-func TestMigrateLegacyMissingFileIsFreshStart(t *testing.T) {
-	_, genesis, miners := storedChain(t, 0)
-	dir := t.TempDir()
-	st := openTestStore(t, filepath.Join(dir, "chainstore"))
-	replica := freshReplica(t, genesis, miners)
-	migrated, err := MigrateLegacy(st, replica, filepath.Join(dir, "nope.dat"))
-	if err != nil || migrated != 0 {
-		t.Fatalf("migrated = %d, err = %v", migrated, err)
-	}
-}
-
-func TestMigrateLegacyRejectsGarbage(t *testing.T) {
-	_, genesis, miners := storedChain(t, 0)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "chain.dat")
-	if err := os.WriteFile(path, []byte("not a chain store at all"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	st := openTestStore(t, filepath.Join(dir, "chainstore"))
-	replica := freshReplica(t, genesis, miners)
-	if _, err := MigrateLegacy(st, replica, path); !errors.Is(err, ErrBadStore) {
-		t.Fatalf("err = %v, want ErrBadStore", err)
-	}
-}
-
-func TestMigrateLegacyRejectsTamperedBlock(t *testing.T) {
-	c, genesis, miners := storedChain(t, 3)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "chain.dat")
-	writeLegacyChain(t, c, path)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-10] ^= 0xff // corrupt inside the last block
-	if err := os.WriteFile(path, data, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	st := openTestStore(t, filepath.Join(dir, "chainstore"))
-	replica := freshReplica(t, genesis, miners)
-	if _, err := MigrateLegacy(st, replica, path); err == nil {
-		t.Fatal("tampered store accepted")
-	}
-}
-
-func TestMigrateLegacyTruncatedFile(t *testing.T) {
-	c, genesis, miners := storedChain(t, 5)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "chain.dat")
-	writeLegacyChain(t, c, path)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cut the file mid-record, as a crash between write and rename
-	// would: migration must surface ErrBadStore, keeping the blocks
-	// that did round-trip intact (and leaving the file for inspection).
-	if err := os.WriteFile(path, data[:len(data)-7], 0o600); err != nil {
-		t.Fatal(err)
-	}
-	st := openTestStore(t, filepath.Join(dir, "chainstore"))
-	replica := freshReplica(t, genesis, miners)
-	migrated, err := MigrateLegacy(st, replica, path)
-	if !errors.Is(err, ErrBadStore) {
-		t.Fatalf("err = %v, want ErrBadStore", err)
-	}
-	if migrated != 4 {
-		t.Fatalf("migrated = %d complete blocks, want 4", migrated)
-	}
-	if replica.Height() != 4 {
-		t.Fatalf("replica height = %d, want 4", replica.Height())
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("truncated file should stay in place: %v", err)
-	}
-}
-
-func TestMigrateLegacyIdempotentBlocks(t *testing.T) {
-	c, _, _ := storedChain(t, 4)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "chain.dat")
-	writeLegacyChain(t, c, path)
-	st := openTestStore(t, filepath.Join(dir, "chainstore"))
-	// Migrating into the same chain skips duplicates.
-	migrated, err := MigrateLegacy(st, c, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if migrated != 0 {
-		t.Fatalf("re-migration added %d blocks", migrated)
-	}
 }
 
 // TestStorePrunedSnapshotRoundTrip compacts a pruned chain (v2 snapshot
@@ -254,11 +92,5 @@ func TestStorePrunedSnapshotRoundTrip(t *testing.T) {
 	}
 	if b, ok := restored.BlockAt(8); !ok || len(b.Txs) == 0 {
 		t.Fatal("height 8 should keep its body")
-	}
-}
-
-func TestDefaultChainPath(t *testing.T) {
-	if got := DefaultChainPath("/data"); got != "/data/chain.dat" {
-		t.Fatal(got)
 	}
 }

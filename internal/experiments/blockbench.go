@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"bcwan/internal/chain"
@@ -263,8 +264,21 @@ type blockConnectJSONRow struct {
 	SigCacheHitRate float64 `json:"sigcache_hit_rate"`
 }
 
+// hostStamp says where a timing document was measured: a worker sweep
+// read without its core count cannot show whether it scaled.
+type hostStamp struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+func currentHost() hostStamp {
+	return hostStamp{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+}
+
 // blockConnectJSON is the BENCH_blockconnect.json document.
 type blockConnectJSON struct {
+	Host        hostStamp             `json:"host"`
 	Blocks      int                   `json:"blocks"`
 	TxsPerBlock int                   `json:"txs_per_block"`
 	Repeats     int                   `json:"repeats"`
@@ -274,7 +288,7 @@ type blockConnectJSON struct {
 // WriteBlockConnectJSON writes the sweep as machine-readable JSON to
 // path, creating parent directories as needed.
 func WriteBlockConnectJSON(path string, cfg BlockConnectConfig, results []*BlockConnectResult) error {
-	doc := blockConnectJSON{Blocks: cfg.Blocks, TxsPerBlock: cfg.TxsPerBlock, Repeats: cfg.Repeats}
+	doc := blockConnectJSON{Host: currentHost(), Blocks: cfg.Blocks, TxsPerBlock: cfg.TxsPerBlock, Repeats: cfg.Repeats}
 	for _, r := range results {
 		row := blockConnectJSONRow{
 			Workers:         r.Workers,

@@ -396,7 +396,8 @@ func TestBlockConnectSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		Blocks  int `json:"blocks"`
+		Host    hostStamp `json:"host"`
+		Blocks  int       `json:"blocks"`
 		Results []struct {
 			Workers         int     `json:"workers"`
 			NsPerBlock      int64   `json:"ns_per_block"`
@@ -406,6 +407,9 @@ func TestBlockConnectSweep(t *testing.T) {
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
+	}
+	if doc.Host != currentHost() || doc.Host.NProc < 1 || doc.Host.GoVersion == "" {
+		t.Fatalf("JSON doc host stamp = %+v", doc.Host)
 	}
 	if doc.Blocks != cfg.Blocks || len(doc.Results) != len(results) {
 		t.Fatalf("JSON doc = %d blocks / %d rows, want %d / %d",

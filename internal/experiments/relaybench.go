@@ -16,12 +16,12 @@ import (
 	"bcwan/internal/wallet"
 )
 
-// RelayBenchConfig sizes the gossip-relay experiment: the ablation
-// behind the inventory/compact-block relay (DESIGN.md §12). The same
-// transaction-then-block workload runs twice over a sparse daemon mesh
-// — once with the legacy full-payload flood, once with the inv/getdata
-// + compact-block relay — and the bytes-on-wire plus time-to-full-
-// propagation are compared side by side.
+// RelayBenchConfig sizes the gossip-relay experiment (DESIGN.md §12): a
+// transaction-then-block workload runs over a sparse daemon mesh on the
+// inv/getdata + compact-block relay, and the bytes on the wire, the
+// time to full propagation and the compact reconstruction hit rate are
+// reported. results/BENCH_relay.json also carries the row measured for
+// the full-payload flood this relay replaced (5.5× the bytes).
 type RelayBenchConfig struct {
 	Nodes       int // mesh size
 	Degree      int // outbound dials per node (ring + doubling chords)
@@ -36,9 +36,8 @@ func DefaultRelayBenchConfig() RelayBenchConfig {
 	return RelayBenchConfig{Nodes: 16, Degree: 3, TxsPerBlock: 32, Blocks: 3}
 }
 
-// RelayBenchResult is the measured cost of one relay mode.
+// RelayBenchResult is the measured cost of the relay.
 type RelayBenchResult struct {
-	Mode          string  // "flood" or "inv"
 	BytesPerBlock int64   // total wire bytes sent across the mesh, per block round
 	PropagationMS float64 // mean MineNow → every-node-at-height latency
 	HitRate       float64 // compact reconstructions resolved from the mempool alone
@@ -77,7 +76,7 @@ type relayMesh struct {
 // newRelayMesh boots cfg.Nodes daemons (node 0 mines) over a shared
 // in-memory transport with the sparse dial plan, and waits until every
 // link is bidirectional so announcements reach every neighbor.
-func newRelayMesh(cfg RelayBenchConfig, flood bool) (*relayMesh, error) {
+func newRelayMesh(cfg RelayBenchConfig) (*relayMesh, error) {
 	minerKey, err := bccrypto.GenerateECKey(rand.Reader)
 	if err != nil {
 		return nil, err
@@ -102,7 +101,6 @@ func newRelayMesh(cfg RelayBenchConfig, flood bool) (*relayMesh, error) {
 			Miners:       [][]byte{minerKey.PublicBytes()},
 			Transport:    tr,
 			MineInterval: time.Hour,
-			FloodRelay:   flood,
 		}
 		if i == 0 {
 			nc.MinerKey = minerKey
@@ -176,8 +174,8 @@ func (m *relayMesh) sum(name string) uint64 {
 // run drives the workload: per block, gossip TxsPerBlock payments from
 // node 0 until every pool holds them, then mine and time full
 // propagation of the block.
-func (m *relayMesh) run(mode string) (*RelayBenchResult, error) {
-	res := &RelayBenchResult{Mode: mode}
+func (m *relayMesh) run() (*RelayBenchResult, error) {
+	res := &RelayBenchResult{}
 	miner := m.nodes[0]
 	startBytes := m.sum("bcwan_p2p_bytes_out_total")
 	var propagation time.Duration
@@ -221,7 +219,7 @@ func (m *relayMesh) run(mode string) (*RelayBenchResult, error) {
 		propagation += time.Since(start)
 	}
 	// Let trailing announcements (re-relayed invs, duplicate sketches)
-	// drain so both modes pay for their full message cost.
+	// drain so the run pays for its full message cost.
 	time.Sleep(50 * time.Millisecond)
 
 	res.BytesPerBlock = int64(m.sum("bcwan_p2p_bytes_out_total")-startBytes) / int64(m.cfg.Blocks)
@@ -235,67 +233,27 @@ func (m *relayMesh) run(mode string) (*RelayBenchResult, error) {
 	return res, nil
 }
 
-// RunRelayBench measures the workload under both relay modes: the
-// legacy flood first (the baseline the paper's gossip layer started
-// from), then the inventory/compact-block relay.
-func RunRelayBench(cfg RelayBenchConfig) ([]*RelayBenchResult, error) {
+// RunRelayBench measures the workload on a fresh mesh.
+func RunRelayBench(cfg RelayBenchConfig) (*RelayBenchResult, error) {
 	if cfg.Nodes < 2 || cfg.Degree < 1 || cfg.TxsPerBlock < 1 || cfg.Blocks < 1 {
 		return nil, fmt.Errorf("relay bench config must be positive: %+v", cfg)
 	}
-	var results []*RelayBenchResult
-	for _, mode := range []string{"flood", "inv"} {
-		mesh, err := newRelayMesh(cfg, mode == "flood")
-		if err != nil {
-			return nil, err
-		}
-		res, err := mesh.run(mode)
-		mesh.close()
-		if err != nil {
-			return nil, fmt.Errorf("relay bench %s: %w", mode, err)
-		}
-		results = append(results, res)
+	mesh, err := newRelayMesh(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return results, nil
+	defer mesh.close()
+	return mesh.run()
 }
 
-// RelayReductionRatio is flood bytes-per-block over inv bytes-per-block
-// — the headline number of the relay redesign; 0 when either row is
-// missing or non-positive.
-func RelayReductionRatio(results []*RelayBenchResult) float64 {
-	var flood, inv int64
-	for _, r := range results {
-		switch r.Mode {
-		case "flood":
-			flood = r.BytesPerBlock
-		case "inv":
-			inv = r.BytesPerBlock
-		}
-	}
-	if flood <= 0 || inv <= 0 {
-		return 0
-	}
-	return float64(flood) / float64(inv)
-}
-
-// WriteRelayBench prints both modes side by side with the byte
-// reduction ratio the CI gate tracks.
-func WriteRelayBench(w io.Writer, cfg RelayBenchConfig, results []*RelayBenchResult) {
-	fmt.Fprintf(w, "== Gossip relay: flood vs inventory/compact (%d nodes, degree %d, %d tx × %d blocks) ==\n",
+// WriteRelayBench prints the measurement.
+func WriteRelayBench(w io.Writer, cfg RelayBenchConfig, r *RelayBenchResult) {
+	fmt.Fprintf(w, "== Gossip relay: inventory/compact (%d nodes, degree %d, %d tx × %d blocks) ==\n",
 		cfg.Nodes, cfg.Degree, cfg.TxsPerBlock, cfg.Blocks)
-	fmt.Fprintf(w, "%-8s %16s %16s %10s %14s %14s\n",
-		"mode", "bytes/block", "propagation", "hit rate", "txn roundtrips", "full fallbacks")
-	for _, r := range results {
-		hit := "-"
-		if r.Mode == "inv" {
-			hit = fmt.Sprintf("%8.0f%%", 100*r.HitRate)
-		}
-		fmt.Fprintf(w, "%-8s %16d %13.2fms %10s %14d %14d\n",
-			r.Mode, r.BytesPerBlock, r.PropagationMS, hit, r.TxnRoundTrips, r.FullFallbacks)
-	}
-	if ratio := RelayReductionRatio(results); ratio > 0 {
-		fmt.Fprintf(w, "wire-byte reduction: %.1fx\n", ratio)
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "%16s %16s %10s %14s %14s\n",
+		"bytes/block", "propagation", "hit rate", "txn roundtrips", "full fallbacks")
+	fmt.Fprintf(w, "%16d %13.2fms %9.0f%% %14d %14d\n\n",
+		r.BytesPerBlock, r.PropagationMS, 100*r.HitRate, r.TxnRoundTrips, r.FullFallbacks)
 }
 
 // relayJSONRow is one machine-readable relay measurement.
@@ -309,36 +267,32 @@ type relayJSONRow struct {
 }
 
 // relayJSON is the BENCH_relay.json document bcwan-benchgate consumes:
-// it bounds the inv row's bytes_per_block against the committed
+// it bounds the "inv" row's bytes_per_block against the committed
 // baseline and floors its reconstruction hit rate.
 type relayJSON struct {
-	Nodes          int            `json:"nodes"`
-	Degree         int            `json:"degree"`
-	TxsPerBlock    int            `json:"txs_per_block"`
-	Blocks         int            `json:"blocks"`
-	ReductionRatio float64        `json:"reduction_ratio"`
-	Results        []relayJSONRow `json:"results"`
+	Nodes       int            `json:"nodes"`
+	Degree      int            `json:"degree"`
+	TxsPerBlock int            `json:"txs_per_block"`
+	Blocks      int            `json:"blocks"`
+	Results     []relayJSONRow `json:"results"`
 }
 
-// WriteRelayBenchJSON writes the measurements as machine-readable JSON
+// WriteRelayBenchJSON writes the measurement as machine-readable JSON
 // to path, creating parent directories as needed.
-func WriteRelayBenchJSON(path string, cfg RelayBenchConfig, results []*RelayBenchResult) error {
+func WriteRelayBenchJSON(path string, cfg RelayBenchConfig, r *RelayBenchResult) error {
 	doc := relayJSON{
-		Nodes:          cfg.Nodes,
-		Degree:         cfg.Degree,
-		TxsPerBlock:    cfg.TxsPerBlock,
-		Blocks:         cfg.Blocks,
-		ReductionRatio: RelayReductionRatio(results),
-	}
-	for _, r := range results {
-		doc.Results = append(doc.Results, relayJSONRow{
-			Mode:          r.Mode,
+		Nodes:       cfg.Nodes,
+		Degree:      cfg.Degree,
+		TxsPerBlock: cfg.TxsPerBlock,
+		Blocks:      cfg.Blocks,
+		Results: []relayJSONRow{{
+			Mode:          "inv",
 			BytesPerBlock: r.BytesPerBlock,
 			PropagationMS: r.PropagationMS,
 			HitRate:       r.HitRate,
 			TxnRoundTrips: r.TxnRoundTrips,
 			FullFallbacks: r.FullFallbacks,
-		})
+		}},
 	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err

@@ -200,6 +200,7 @@ type reorgJSONRow struct {
 // longest chain's per-reorg cost over the shortest chain's; bcwan-benchgate
 // asserts it stays at or below the 5x acceptance bound.
 type reorgJSON struct {
+	Host         hostStamp      `json:"host"`
 	Depth        int            `json:"depth"`
 	ScalingRatio float64        `json:"scaling_ratio"`
 	Results      []reorgJSONRow `json:"results"`
@@ -217,7 +218,7 @@ func ReorgScalingRatio(results []*ReorgResult) float64 {
 // WriteReorgJSON writes the measurements as machine-readable JSON to
 // path, creating parent directories as needed.
 func WriteReorgJSON(path string, cfg ReorgConfig, results []*ReorgResult) error {
-	doc := reorgJSON{Depth: cfg.Depth, ScalingRatio: ReorgScalingRatio(results)}
+	doc := reorgJSON{Host: currentHost(), Depth: cfg.Depth, ScalingRatio: ReorgScalingRatio(results)}
 	for _, r := range results {
 		doc.Results = append(doc.Results, reorgJSONRow{
 			ChainLen:   r.ChainLen,

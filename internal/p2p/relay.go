@@ -12,9 +12,8 @@ import (
 // ("getdata"). Per-peer known-inventory sets keep a node from
 // announcing an object back to the peer it learned it from, and a
 // timeout re-requests an announced object from the next announcer when
-// the first one never answers. The naive flood path in node.go remains
-// available (daemon.NodeConfig.FloodRelay) so the relaybench experiment
-// can print the before/after wire-byte ratio.
+// the first one never answers. Node.Broadcast's flood still carries the
+// small control messages (sync requests, snapshot commitments).
 
 // ObjectID is the 32-byte content identifier inventory gossip relays
 // (transaction and block hashes).
