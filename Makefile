@@ -20,77 +20,45 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
-# Regenerate results/BENCH_blockconnect.json (VerifyWorkers x sig-cache
-# sweep). Commit the result to move the CI regression baseline.
-blockconnect:
-	$(GO) run ./cmd/bcwan-bench -only blockconnect
+# Every campaign CI gates: one row of experiments.Benches each. A new
+# campaign is one row there and one word here.
+BENCH_KINDS := blockconnect reorg relay sync channel city
 
-# Regenerate results/BENCH_reorg.json (depth-2 reorg cost vs chain
-# length, the undo-journal ablation).
-reorg:
-	$(GO) run ./cmd/bcwan-bench -only reorg
+# Where bench-gate and bench-scaling put fresh measurements.
+BENCH_CANDIDATE ?= /tmp/bcwan-bench-candidate
+BENCH_SERIAL ?= /tmp/bcwan-bench-serial
 
-# Regenerate results/BENCH_relay.json (16-node mesh wire bytes,
-# propagation time and compact hit rate of the inventory/compact
-# relay). The committed file also holds the row measured for the
-# full-payload flood the relay replaced; regenerating drops it.
-relay-bench:
-	$(GO) run ./cmd/bcwan-bench -only relay
-
-# Regenerate results/BENCH_sync.json (height-100k gateway cold start:
-# genesis replay vs headers + snapshot bootstrap). Takes minutes.
-sync-bench:
-	$(GO) run ./cmd/bcwan-bench -only sync
-
-# Regenerate results/BENCH_channel.json (delivery settlement:
-# per-message on-chain payments vs one batched payment channel).
-channel-bench:
-	$(GO) run ./cmd/bcwan-bench -only channel
-
-# Regenerate results/BENCH_city.json (the 10k-device metropolitan
-# scaling curve: latency, delivery success and settlement chain load
-# per tier). Takes seconds.
-city-bench:
-	$(GO) run ./cmd/bcwan-bench -only city
+# Regenerate results/BENCH_<kind>.json; commit the result to move the CI
+# regression baseline. sync takes minutes, the rest seconds. The
+# committed relay file also holds the row measured for the full-payload
+# flood the relay replaced; regenerating drops it.
+blockconnect reorg:
+	$(GO) run ./cmd/bcwan-bench -only $@
+relay-bench sync-bench channel-bench city-bench:
+	$(GO) run ./cmd/bcwan-bench -only $(@:-bench=)
 
 # What the CI bench-regression job runs: re-measure into a scratch
 # directory and gate against the committed baselines.
 bench-gate:
-	$(GO) run ./cmd/bcwan-bench -only blockconnect -results /tmp/bcwan-bench-candidate
-	$(GO) run ./cmd/bcwan-bench -only reorg -results /tmp/bcwan-bench-candidate
-	$(GO) run ./cmd/bcwan-bench -only relay -results /tmp/bcwan-bench-candidate
-	$(GO) run ./cmd/bcwan-bench -only sync -results /tmp/bcwan-bench-candidate
-	$(GO) run ./cmd/bcwan-bench -only channel -results /tmp/bcwan-bench-candidate
-	$(GO) run ./cmd/bcwan-bench -only city -results /tmp/bcwan-bench-candidate
-	$(GO) run ./cmd/bcwan-benchgate -kind blockconnect \
-		-baseline results/BENCH_blockconnect.json \
-		-candidate /tmp/bcwan-bench-candidate/BENCH_blockconnect.json
-	$(GO) run ./cmd/bcwan-benchgate -kind reorg \
-		-baseline results/BENCH_reorg.json \
-		-candidate /tmp/bcwan-bench-candidate/BENCH_reorg.json
-	$(GO) run ./cmd/bcwan-benchgate -kind relay \
-		-baseline results/BENCH_relay.json \
-		-candidate /tmp/bcwan-bench-candidate/BENCH_relay.json
-	$(GO) run ./cmd/bcwan-benchgate -kind sync \
-		-baseline results/BENCH_sync.json \
-		-candidate /tmp/bcwan-bench-candidate/BENCH_sync.json
-	$(GO) run ./cmd/bcwan-benchgate -kind channel \
-		-baseline results/BENCH_channel.json \
-		-candidate /tmp/bcwan-bench-candidate/BENCH_channel.json
-	$(GO) run ./cmd/bcwan-benchgate -kind city \
-		-baseline results/BENCH_city.json \
-		-candidate /tmp/bcwan-bench-candidate/BENCH_city.json
+	for k in $(BENCH_KINDS); do \
+		$(GO) run ./cmd/bcwan-bench -only $$k -results $(BENCH_CANDIDATE) || exit 1; \
+	done
+	for k in $(BENCH_KINDS); do \
+		$(GO) run ./cmd/bcwan-benchgate -kind $$k \
+			-baseline results/BENCH_$$k.json \
+			-candidate $(BENCH_CANDIDATE)/BENCH_$$k.json || exit 1; \
+	done
 
 # What the CI connect-scaling step runs: measure block connect pinned
 # to one core and again on all cores, then require the multicore run to
 # beat the pinned one by the committed floor. Meaningful only on a
 # multicore machine.
 bench-scaling:
-	GOMAXPROCS=1 $(GO) run ./cmd/bcwan-bench -only blockconnect -results /tmp/bcwan-bench-serial
-	$(GO) run ./cmd/bcwan-bench -only blockconnect -results /tmp/bcwan-bench-candidate
+	GOMAXPROCS=1 $(GO) run ./cmd/bcwan-bench -only blockconnect -results $(BENCH_SERIAL)
+	$(GO) run ./cmd/bcwan-bench -only blockconnect -results $(BENCH_CANDIDATE)
 	$(GO) run ./cmd/bcwan-benchgate -kind connect-scaling \
-		-baseline /tmp/bcwan-bench-serial/BENCH_blockconnect.json \
-		-candidate /tmp/bcwan-bench-candidate/BENCH_blockconnect.json
+		-baseline $(BENCH_SERIAL)/BENCH_blockconnect.json \
+		-candidate $(BENCH_CANDIDATE)/BENCH_blockconnect.json
 
 # Static analysis. CI installs the tools; locally:
 #   go install honnef.co/go/tools/cmd/staticcheck@latest

@@ -247,15 +247,15 @@ func BenchmarkBlockConnect(b *testing.B) {
 	cfg := experiments.BlockConnectConfig{
 		Blocks: 4, TxsPerBlock: 12, Workers: []int{0, 1, 2, 4, 8},
 	}
-	var results []*experiments.BlockConnectResult
+	var doc *experiments.BlockConnectDoc
 	for i := 0; i < b.N; i++ {
 		var err error
-		results, err = experiments.RunBlockConnect(cfg)
+		doc, err = experiments.RunBlockConnect(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, r := range results {
+	for _, r := range doc.Results {
 		name := fmt.Sprintf("txs-per-sec-%dw-cold", r.Workers)
 		if r.Warm {
 			name = fmt.Sprintf("txs-per-sec-%dw-warm", r.Workers)

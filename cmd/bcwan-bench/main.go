@@ -45,7 +45,13 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("bcwan-bench", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "scaled-down run (seconds instead of minutes)")
-	only := fs.String("only", "", "run a single experiment: fig4|fig5|fig6|budget|doublespend|reputation|sweeps|legacy|blockconnect|reorg|relay|sync|channel|city")
+	onlyHelp := "run a single experiment: fig4|fig5|fig6|budget|doublespend|reputation|sweeps|legacy"
+	for _, b := range experiments.Benches {
+		if b.Run != nil {
+			onlyHelp += "|" + b.Kind
+		}
+	}
+	only := fs.String("only", "", onlyHelp)
 	csvDir := fs.String("csv", "", "also write per-exchange latency series (the raw figure data) as CSV files into this directory")
 	resultsDir := fs.String("results", "results", "directory for machine-readable benchmark JSON (empty disables)")
 	if err := fs.Parse(args); err != nil {
@@ -166,120 +172,12 @@ func run(args []string) error {
 			experiments.Int64Labels(confs), byConfs)
 	}
 
-	if want("blockconnect") {
-		cfg := experiments.DefaultBlockConnectConfig()
-		if *quick {
-			cfg.Blocks = 4
-			cfg.TxsPerBlock = 8
+	for _, b := range experiments.Benches {
+		if b.Run == nil || !want(b.Kind) {
+			continue
 		}
-		results, err := experiments.RunBlockConnect(cfg)
-		if err != nil {
+		if err := b.Run(*quick, *resultsDir, out); err != nil {
 			return err
-		}
-		experiments.WriteBlockConnect(out, cfg, results)
-		if *resultsDir != "" {
-			path := filepath.Join(*resultsDir, "BENCH_blockconnect.json")
-			if err := experiments.WriteBlockConnectJSON(path, cfg, results); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n\n", path)
-		}
-	}
-
-	if want("reorg") {
-		cfg := experiments.DefaultReorgConfig()
-		if *quick {
-			cfg.ChainLengths = []int{20, 60}
-			cfg.Iterations = 5
-		}
-		results, err := experiments.RunReorg(cfg)
-		if err != nil {
-			return err
-		}
-		experiments.WriteReorg(out, cfg, results)
-		if *resultsDir != "" {
-			path := filepath.Join(*resultsDir, "BENCH_reorg.json")
-			if err := experiments.WriteReorgJSON(path, cfg, results); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n\n", path)
-		}
-	}
-
-	if want("relay") {
-		cfg := experiments.DefaultRelayBenchConfig()
-		if *quick {
-			cfg = experiments.RelayBenchConfig{Nodes: 6, Degree: 2, TxsPerBlock: 6, Blocks: 2}
-		}
-		res, err := experiments.RunRelayBench(cfg)
-		if err != nil {
-			return err
-		}
-		experiments.WriteRelayBench(out, cfg, res)
-		if *resultsDir != "" {
-			path := filepath.Join(*resultsDir, "BENCH_relay.json")
-			if err := experiments.WriteRelayBenchJSON(path, cfg, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n\n", path)
-		}
-	}
-
-	if want("sync") {
-		cfg := experiments.DefaultSyncBenchConfig()
-		if *quick {
-			cfg = experiments.SyncBenchConfig{Height: 600, SnapshotInterval: 128, SnapshotChunkSize: 32 << 10, TxsPerBlock: 2}
-		}
-		results, err := experiments.RunSyncBench(cfg)
-		if err != nil {
-			return err
-		}
-		experiments.WriteSyncBench(out, cfg, results)
-		if *resultsDir != "" {
-			path := filepath.Join(*resultsDir, "BENCH_sync.json")
-			if err := experiments.WriteSyncBenchJSON(path, cfg, results); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n\n", path)
-		}
-	}
-
-	if want("channel") {
-		cfg := experiments.DefaultChannelBenchConfig()
-		if *quick {
-			cfg.Deliveries = 30
-			cfg.Capacity = 10_000
-		}
-		results, err := experiments.RunChannelBench(cfg)
-		if err != nil {
-			return err
-		}
-		experiments.WriteChannelBench(out, cfg, results)
-		if *resultsDir != "" {
-			path := filepath.Join(*resultsDir, "BENCH_channel.json")
-			if err := experiments.WriteChannelBenchJSON(path, cfg, results); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n\n", path)
-		}
-	}
-
-	if want("city") {
-		cfg := experiments.DefaultCityConfig()
-		if *quick {
-			cfg = experiments.QuickCityConfig()
-		}
-		results, err := experiments.RunCityBench(cfg)
-		if err != nil {
-			return err
-		}
-		experiments.WriteCityBench(out, cfg, results)
-		if *resultsDir != "" {
-			path := filepath.Join(*resultsDir, "BENCH_city.json")
-			if err := experiments.WriteCityBenchJSON(path, cfg, results); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n\n", path)
 		}
 	}
 

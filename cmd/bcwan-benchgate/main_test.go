@@ -1,19 +1,44 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bcwan/internal/experiments"
 )
 
-func writeFile(t *testing.T, dir, name, content string) string {
+// gate runs the binary's entry point over two fixture documents and
+// splits the outcome the way the cases below read it: the FAIL lines it
+// printed, or the error that stopped the comparison.
+func gate(t *testing.T, kind, base, cand string) ([]string, error) {
 	t.Helper()
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	basePath, candPath := filepath.Join(dir, "base.json"), filepath.Join(dir, "cand.json")
+	for path, content := range map[string]string{basePath: base, candPath: cand} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return path
+	return runGate(kind, basePath, candPath)
+}
+
+func runGate(kind, basePath, candPath string) ([]string, error) {
+	var out bytes.Buffer
+	err := run([]string{"-kind", kind, "-baseline", basePath, "-candidate", candPath}, &out)
+	var failures []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f, ok := strings.CutPrefix(line, "FAIL: "); ok {
+			failures = append(failures, f)
+		}
+	}
+	if len(failures) > 0 {
+		return failures, nil
+	}
+	return nil, err
 }
 
 const baseBlockConnect = `{
@@ -25,17 +50,15 @@ const baseBlockConnect = `{
 }`
 
 func TestGateBlockConnectPasses(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baseBlockConnect)
 	// 20% slower and hit rate at 80% of baseline: inside both thresholds.
-	cand := writeFile(t, dir, "cand.json", `{
+	cand := `{
 	  "blocks": 12, "txs_per_block": 24,
 	  "results": [
 	    {"workers": 0, "warm": false, "ns_per_block": 4800000, "sigcache_hit_rate": 0},
 	    {"workers": 4, "warm": true,  "ns_per_block": 210000,  "sigcache_hit_rate": 0.4}
 	  ]
-	}`)
-	failures, err := gateBlockConnect(base, cand, 0.25, 0.75)
+	}`
+	failures, err := gate(t, "blockconnect", baseBlockConnect, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,17 +68,15 @@ func TestGateBlockConnectPasses(t *testing.T) {
 }
 
 func TestGateBlockConnectFlagsRegressions(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baseBlockConnect)
 	// Sequential row 50% slower, warm row's cache effectively disabled.
-	cand := writeFile(t, dir, "cand.json", `{
+	cand := `{
 	  "blocks": 12, "txs_per_block": 24,
 	  "results": [
 	    {"workers": 0, "warm": false, "ns_per_block": 6000000, "sigcache_hit_rate": 0},
 	    {"workers": 4, "warm": true,  "ns_per_block": 200000,  "sigcache_hit_rate": 0.1}
 	  ]
-	}`)
-	failures, err := gateBlockConnect(base, cand, 0.25, 0.75)
+	}`
+	failures, err := gate(t, "blockconnect", baseBlockConnect, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +89,8 @@ func TestGateBlockConnectFlagsRegressions(t *testing.T) {
 }
 
 func TestGateBlockConnectWorkloadMismatch(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baseBlockConnect)
-	cand := writeFile(t, dir, "cand.json", `{"blocks": 4, "txs_per_block": 8, "results": []}`)
-	if _, err := gateBlockConnect(base, cand, 0.25, 0.75); err == nil {
+	cand := `{"blocks": 4, "txs_per_block": 8, "results": []}`
+	if _, err := gate(t, "blockconnect", baseBlockConnect, cand); err == nil {
 		t.Fatal("want workload-mismatch error")
 	}
 }
@@ -85,9 +104,7 @@ const baseReorg = `{
 }`
 
 func TestGateReorgPasses(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baseReorg)
-	failures, err := gateReorg(base, base, 5)
+	failures, err := gate(t, "reorg", baseReorg, baseReorg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,17 +114,15 @@ func TestGateReorgPasses(t *testing.T) {
 }
 
 func TestGateReorgFlagsLinearScaling(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baseReorg)
 	// A replay-from-genesis reorg: 10x the cost at 10x the height.
-	cand := writeFile(t, dir, "cand.json", `{
+	cand := `{
 	  "depth": 2, "scaling_ratio": 10,
 	  "results": [
 	    {"chain_len": 100,  "ns_per_reorg": 300000},
 	    {"chain_len": 1000, "ns_per_reorg": 3000000}
 	  ]
-	}`)
-	failures, err := gateReorg(base, cand, 5)
+	}`
+	failures, err := gate(t, "reorg", baseReorg, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,18 +141,16 @@ const baseRelay = `{
 }`
 
 func TestGateRelayPasses(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baseRelay)
 	// 20% more bytes and a slightly lower hit rate: inside both thresholds.
-	cand := writeFile(t, dir, "cand.json", `{
+	cand := `{
 	  "nodes": 16, "degree": 3, "txs_per_block": 32, "blocks": 3,
 	  "reduction_ratio": 5.0,
 	  "results": [
 	    {"mode": "flood", "bytes_per_block": 600000, "hit_rate": 0},
 	    {"mode": "inv",   "bytes_per_block": 120000, "hit_rate": 0.90}
 	  ]
-	}`)
-	failures, err := gateRelay(base, cand, 0.25, 0.75)
+	}`
+	failures, err := gate(t, "relay", baseRelay, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,19 +160,17 @@ func TestGateRelayPasses(t *testing.T) {
 }
 
 func TestGateRelayFlagsRegressions(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baseRelay)
 	// Relay degenerated back to flooding: bytes blew past the slack and
 	// reconstruction stopped working.
-	cand := writeFile(t, dir, "cand.json", `{
+	cand := `{
 	  "nodes": 16, "degree": 3, "txs_per_block": 32, "blocks": 3,
 	  "reduction_ratio": 1.0,
 	  "results": [
 	    {"mode": "flood", "bytes_per_block": 600000, "hit_rate": 0},
 	    {"mode": "inv",   "bytes_per_block": 590000, "hit_rate": 0.2}
 	  ]
-	}`)
-	failures, err := gateRelay(base, cand, 0.25, 0.75)
+	}`
+	failures, err := gate(t, "relay", baseRelay, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +183,8 @@ func TestGateRelayFlagsRegressions(t *testing.T) {
 }
 
 func TestGateRelayWorkloadMismatch(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baseRelay)
-	cand := writeFile(t, dir, "cand.json", `{"nodes": 6, "degree": 2, "txs_per_block": 6, "blocks": 2, "results": []}`)
-	if _, err := gateRelay(base, cand, 0.25, 0.75); err == nil {
+	cand := `{"nodes": 6, "degree": 2, "txs_per_block": 6, "blocks": 2, "results": []}`
+	if _, err := gate(t, "relay", baseRelay, cand); err == nil {
 		t.Fatal("want workload-mismatch error")
 	}
 }
@@ -190,9 +199,7 @@ const baseSync = `{
 }`
 
 func TestGateSyncPasses(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baseSync)
-	failures, err := gateSync(base, base, 1.5)
+	failures, err := gate(t, "sync", baseSync, baseSync)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,19 +209,17 @@ func TestGateSyncPasses(t *testing.T) {
 }
 
 func TestGateSyncFlagsDegradedBootstrap(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baseSync)
 	// The bootstrap quietly fell back to a full replay: no pruning, every
 	// body executed, and the speedup collapsed to parity.
-	cand := writeFile(t, dir, "cand.json", `{
+	cand := `{
 	  "height": 100000, "snapshot_interval": 8192, "snapshot_chunk_size": 262144, "txs_per_block": 4,
 	  "speedup_ratio": 1.0,
 	  "results": [
 	    {"mode": "replay",   "first_delivery_ms": 60000, "prune_base": 0, "blocks_replayed": 100001},
 	    {"mode": "snapshot", "first_delivery_ms": 59000, "prune_base": 0, "blocks_replayed": 100001}
 	  ]
-	}`)
-	failures, err := gateSync(base, cand, 1.5)
+	}`
+	failures, err := gate(t, "sync", baseSync, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +233,8 @@ func TestGateSyncFlagsDegradedBootstrap(t *testing.T) {
 }
 
 func TestGateSyncWorkloadMismatch(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baseSync)
-	cand := writeFile(t, dir, "cand.json", `{"height": 600, "snapshot_interval": 128, "txs_per_block": 2, "results": []}`)
-	if _, err := gateSync(base, cand, 1.5); err == nil {
+	cand := `{"height": 600, "snapshot_interval": 128, "txs_per_block": 2, "results": []}`
+	if _, err := gate(t, "sync", baseSync, cand); err == nil {
 		t.Fatal("want workload-mismatch error")
 	}
 }
@@ -246,18 +249,16 @@ const serialConnect = `{
 }`
 
 func TestGateConnectScalingPasses(t *testing.T) {
-	dir := t.TempDir()
-	serial := writeFile(t, dir, "serial.json", serialConnect)
 	// All-cores run connects cold blocks 2.5x faster at workers=4.
-	cand := writeFile(t, dir, "cand.json", `{
+	cand := `{
 	  "blocks": 12, "txs_per_block": 24, "repeats": 5,
 	  "results": [
 	    {"workers": 0, "warm": false, "ns_per_block": 3950000, "sigcache_hit_rate": 0},
 	    {"workers": 4, "warm": false, "ns_per_block": 1560000, "sigcache_hit_rate": 0},
 	    {"workers": 4, "warm": true,  "ns_per_block": 90000,   "sigcache_hit_rate": 0.5}
 	  ]
-	}`)
-	failures, err := gateConnectScaling(serial, cand, 1.5)
+	}`
+	failures, err := gate(t, "connect-scaling", serialConnect, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,17 +268,15 @@ func TestGateConnectScalingPasses(t *testing.T) {
 }
 
 func TestGateConnectScalingFlagsSerializedConnect(t *testing.T) {
-	dir := t.TempDir()
-	serial := writeFile(t, dir, "serial.json", serialConnect)
 	// Multicore run no faster than the pinned run: parallelism broke.
-	cand := writeFile(t, dir, "cand.json", `{
+	cand := `{
 	  "blocks": 12, "txs_per_block": 24, "repeats": 5,
 	  "results": [
 	    {"workers": 0, "warm": false, "ns_per_block": 4000000, "sigcache_hit_rate": 0},
 	    {"workers": 4, "warm": false, "ns_per_block": 3850000, "sigcache_hit_rate": 0}
 	  ]
-	}`)
-	failures, err := gateConnectScaling(serial, cand, 1.5)
+	}`
+	failures, err := gate(t, "connect-scaling", serialConnect, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,26 +286,22 @@ func TestGateConnectScalingFlagsSerializedConnect(t *testing.T) {
 }
 
 func TestGateConnectScalingRejectsSerialOnlyCandidate(t *testing.T) {
-	dir := t.TempDir()
-	serial := writeFile(t, dir, "serial.json", serialConnect)
 	// Candidate's best cold row is the sequential one — the run never
 	// measured a multi-worker connect, so the comparison is meaningless.
-	cand := writeFile(t, dir, "cand.json", `{
+	cand := `{
 	  "blocks": 12, "txs_per_block": 24, "repeats": 5,
 	  "results": [
 	    {"workers": 0, "warm": false, "ns_per_block": 1000000, "sigcache_hit_rate": 0}
 	  ]
-	}`)
-	if _, err := gateConnectScaling(serial, cand, 1.5); err == nil {
+	}`
+	if _, err := gate(t, "connect-scaling", serialConnect, cand); err == nil {
 		t.Fatal("want multi-worker-row error")
 	}
 }
 
 func TestGateConnectScalingWorkloadMismatch(t *testing.T) {
-	dir := t.TempDir()
-	serial := writeFile(t, dir, "serial.json", serialConnect)
-	cand := writeFile(t, dir, "cand.json", `{"blocks": 4, "txs_per_block": 8, "repeats": 1, "results": []}`)
-	if _, err := gateConnectScaling(serial, cand, 1.5); err == nil {
+	cand := `{"blocks": 4, "txs_per_block": 8, "repeats": 1, "results": []}`
+	if _, err := gate(t, "connect-scaling", serialConnect, cand); err == nil {
 		t.Fatal("want workload-mismatch error")
 	}
 }
@@ -322,17 +317,10 @@ const baseCity = `{
   ]
 }`
 
-var defaultCityThresholds = cityThresholds{
-	minDevices: 10_000, minGateways: 100, minSuccess: 0.9,
-	maxLatencyScaling: 3, minThroughputFrac: 0.15,
-}
-
 func TestGateCityPasses(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baseCity)
 	// Candidate throughputs differ from baseline (different machine) but
 	// tier-to-tier retention, success and p95 flatness all hold.
-	cand := writeFile(t, dir, "cand.json", `{
+	cand := `{
 	  "seed": 7, "sim_duration_ms": 7200000, "mean_uplink_interval_ms": 600000,
 	  "settle_interval_ms": 300000, "block_interval_ms": 30000, "gateway_spacing_m": 2000,
 	  "tiers": [
@@ -341,8 +329,8 @@ func TestGateCityPasses(t *testing.T) {
 	    {"devices": 10000, "gateways": 100, "success_rate": 0.95, "latency_p95_ms": 1500,
 	     "settle_txs": 25, "blocks": 25, "frames_per_wall_sec": 4000}
 	  ]
-	}`)
-	failures, err := gateCity(base, cand, defaultCityThresholds)
+	}`
+	failures, err := gate(t, "city", baseCity, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,11 +340,9 @@ func TestGateCityPasses(t *testing.T) {
 }
 
 func TestGateCityFlagsRegressions(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baseCity)
 	// Success collapsed on the big tier, p95 blew up 10x, throughput
 	// retention fell to 4% (the all-pairs signature), settlement idle.
-	cand := writeFile(t, dir, "cand.json", `{
+	cand := `{
 	  "seed": 7, "sim_duration_ms": 7200000, "mean_uplink_interval_ms": 600000,
 	  "settle_interval_ms": 300000, "block_interval_ms": 30000, "gateway_spacing_m": 2000,
 	  "tiers": [
@@ -365,8 +351,8 @@ func TestGateCityFlagsRegressions(t *testing.T) {
 	    {"devices": 10000, "gateways": 100, "success_rate": 0.6, "latency_p95_ms": 11000,
 	     "settle_txs": 0, "blocks": 0, "frames_per_wall_sec": 2000}
 	  ]
-	}`)
-	failures, err := gateCity(base, cand, defaultCityThresholds)
+	}`
+	failures, err := gate(t, "city", baseCity, cand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +362,6 @@ func TestGateCityFlagsRegressions(t *testing.T) {
 }
 
 func TestGateCityFlagsSubScaleCampaign(t *testing.T) {
-	dir := t.TempDir()
 	small := `{
 	  "seed": 7, "sim_duration_ms": 7200000, "mean_uplink_interval_ms": 600000,
 	  "settle_interval_ms": 300000, "block_interval_ms": 30000, "gateway_spacing_m": 2000,
@@ -387,9 +372,7 @@ func TestGateCityFlagsSubScaleCampaign(t *testing.T) {
 	     "settle_txs": 25, "blocks": 25, "frames_per_wall_sec": 40000}
 	  ]
 	}`
-	base := writeFile(t, dir, "base.json", small)
-	cand := writeFile(t, dir, "cand.json", small)
-	failures, err := gateCity(base, cand, defaultCityThresholds)
+	failures, err := gate(t, "city", small, small)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,9 +382,7 @@ func TestGateCityFlagsSubScaleCampaign(t *testing.T) {
 }
 
 func TestGateCityWorkloadMismatch(t *testing.T) {
-	dir := t.TempDir()
-	base := writeFile(t, dir, "base.json", baseCity)
-	cand := writeFile(t, dir, "cand.json", `{
+	cand := `{
 	  "seed": 7, "sim_duration_ms": 3600000, "mean_uplink_interval_ms": 600000,
 	  "settle_interval_ms": 300000, "block_interval_ms": 30000, "gateway_spacing_m": 2000,
 	  "tiers": [
@@ -410,9 +391,52 @@ func TestGateCityWorkloadMismatch(t *testing.T) {
 	    {"devices": 10000, "gateways": 100, "success_rate": 0.99, "latency_p95_ms": 1150,
 	     "settle_txs": 25, "blocks": 25, "frames_per_wall_sec": 25000}
 	  ]
-	}`)
-	if _, err := gateCity(base, cand, defaultCityThresholds); err == nil ||
+	}`
+	if _, err := gate(t, "city", baseCity, cand); err == nil ||
 		!strings.Contains(err.Error(), "workload mismatch") {
+		t.Fatalf("want workload mismatch, got %v", err)
+	}
+}
+
+const baseChannel = `{
+  "deliveries": 150, "capacity": 50000, "price": 100, "block_interval_ms": 100,
+  "results": [
+    {"mode": "onchain", "deliveries_per_sec": 9.2,   "onchain_txs": 300},
+    {"mode": "channel", "deliveries_per_sec": 131.3, "onchain_txs": 2}
+  ]
+}`
+
+func TestGateChannel(t *testing.T) {
+	doc := func(channelDPS float64, channelTxs int) string {
+		return strings.NewReplacer("131.3", fmt.Sprint(channelDPS), `"onchain_txs": 2}`, fmt.Sprintf(`"onchain_txs": %d}`, channelTxs)).Replace(baseChannel)
+	}
+	for _, tc := range []struct {
+		name string
+		cand string
+		want []string // one substring per expected failure, in order
+	}{
+		{"passes", doc(60, 30), nil},
+		// Every delivery settling on-chain again: parity throughput.
+		{"speedup below 5x", doc(40, 2), []string{"speedup 4.35x below floor 5.0x"}},
+		// Per-delivery settlement leaking onto the chain: 61 > 300/5.
+		{"tx count above deliveries/5", doc(131.3, 61), []string{"batching saved less than 5x"}},
+		{"fewer than two anchors", doc(131.3, 1), []string{"mined only 1 txs"}},
+	} {
+		failures, err := gate(t, "channel", baseChannel, tc.cand)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(failures) != len(tc.want) {
+			t.Fatalf("%s: failures = %v, want %d", tc.name, failures, len(tc.want))
+		}
+		for i, want := range tc.want {
+			if !strings.Contains(failures[i], want) {
+				t.Fatalf("%s: failure %q does not mention %q", tc.name, failures[i], want)
+			}
+		}
+	}
+	mismatch := strings.Replace(baseChannel, `"deliveries": 150`, `"deliveries": 30`, 1)
+	if _, err := gate(t, "channel", baseChannel, mismatch); err == nil || !strings.Contains(err.Error(), "workload mismatch") {
 		t.Fatalf("want workload mismatch, got %v", err)
 	}
 }
@@ -420,25 +444,13 @@ func TestGateCityWorkloadMismatch(t *testing.T) {
 func TestGateAgainstCommittedBaselines(t *testing.T) {
 	// The committed baselines must pass against themselves, or the CI
 	// job would fail on an untouched tree.
-	root := "../.."
-	bc := filepath.Join(root, "results", "BENCH_blockconnect.json")
-	if failures, err := gateBlockConnect(bc, bc, 0.25, 0.75); err != nil || len(failures) != 0 {
-		t.Fatalf("blockconnect self-gate: err=%v failures=%v", err, failures)
-	}
-	ro := filepath.Join(root, "results", "BENCH_reorg.json")
-	if failures, err := gateReorg(ro, ro, 5); err != nil || len(failures) != 0 {
-		t.Fatalf("reorg self-gate: err=%v failures=%v", err, failures)
-	}
-	re := filepath.Join(root, "results", "BENCH_relay.json")
-	if failures, err := gateRelay(re, re, 0.25, 0.75); err != nil || len(failures) != 0 {
-		t.Fatalf("relay self-gate: err=%v failures=%v", err, failures)
-	}
-	sy := filepath.Join(root, "results", "BENCH_sync.json")
-	if failures, err := gateSync(sy, sy, 1.5); err != nil || len(failures) != 0 {
-		t.Fatalf("sync self-gate: err=%v failures=%v", err, failures)
-	}
-	ci := filepath.Join(root, "results", "BENCH_city.json")
-	if failures, err := gateCity(ci, ci, defaultCityThresholds); err != nil || len(failures) != 0 {
-		t.Fatalf("city self-gate: err=%v failures=%v", err, failures)
+	for _, b := range experiments.Benches {
+		if b.Run == nil {
+			continue
+		}
+		path := filepath.Join("..", "..", "results", "BENCH_"+b.Kind+".json")
+		if failures, err := runGate(b.Kind, path, path); err != nil || len(failures) != 0 {
+			t.Errorf("%s self-gate: err=%v failures=%v", b.Kind, err, failures)
+		}
 	}
 }

@@ -66,7 +66,6 @@ func run(args []string) error {
 	prune := fs.Int64("prune", 0, "keep only this many recent block bodies; older heights become header-only stubs at each store compaction (0 = keep everything)")
 	snapshotInterval := fs.Int64("snapshot-interval", 0, "height spacing of signed snapshot commitments published when mining (0 = default 1024)")
 	legacySync := fs.Bool("legacy-sync", false, "join by replaying every block from genesis instead of headers-first + snapshot bootstrap")
-	groupCommit := fs.Duration("store-group-commit", 0, "store append collection window: appends arriving within it share one fsync (0 = fsync per append unless appends queue up)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -104,8 +103,6 @@ func run(args []string) error {
 		LegacySyncOnly:   *legacySync,
 		PruneDepth:       *prune,
 		SnapshotInterval: *snapshotInterval,
-
-		StoreGroupCommitDelay: *groupCommit,
 	}
 	if *mine {
 		if *minerKeyHex == "" {

@@ -14,13 +14,12 @@ import (
 	"bcwan/internal/wallet"
 )
 
-// Store crash scenarios: the daemon store's group-commit append path
-// (DESIGN.md §16) must keep its durability promise through power cuts.
-// AppendBlock returning nil means the record survived an fsync, even
-// when the fsync was shared with a whole batch — so after a crash that
-// tears the tail of blocks.log mid-write and vaporizes the in-memory
-// queue, recovery must replay exactly the flushed prefix, truncate the
-// torn record, and leave a log clean enough to keep appending to.
+// Store crash scenarios: the daemon store's append path (DESIGN.md §16)
+// must keep its durability promise through power cuts. AppendBlock
+// returning nil means the record survived an fsync — so after a crash
+// that tears the tail of blocks.log mid-write, recovery must replay
+// exactly the returned prefix, truncate the torn record, and leave a
+// log clean enough to keep appending to.
 
 // storeScenario is the seeded world one crash round operates on: a
 // pre-built valid block sequence and a factory for fresh replicas.
@@ -108,20 +107,20 @@ func buildStoreScenario(t *testing.T, name string, seed int64, n int) *storeScen
 }
 
 func TestStoreCrashScenarios(t *testing.T) {
-	t.Run("group-commit-torn-tail", testStoreGroupCommitTornTail)
+	t.Run("torn-tail", testStoreTornTail)
 }
 
-// testStoreGroupCommitTornTail loops crash/recover rounds against one
-// on-disk store: each round appends a random burst of blocks through
-// concurrent AppendBlock calls (sharing group-commit fsyncs), flushes,
-// then pulls the plug mid-write of the NEXT record with a seeded torn
-// prefix. Reopening must recover exactly the flushed prefix, pass
-// CheckConsistency, and accept the re-append of the lost block — the
-// same block a restarted node would refetch over gossip.
-func testStoreGroupCommitTornTail(t *testing.T) {
-	const name = "group-commit-torn-tail"
+// testStoreTornTail loops crash/recover rounds against one on-disk
+// store: each round appends a random burst of blocks through concurrent
+// AppendBlock calls, then pulls the plug mid-write of the NEXT record
+// with a seeded torn prefix. Reopening must recover exactly the
+// returned prefix, pass CheckConsistency, and accept the re-append of
+// the lost block — the same block a restarted node would refetch over
+// gossip.
+func testStoreTornTail(t *testing.T) {
+	const name = "torn-tail"
 	seed, src := effectiveSeed(7331)
-	t.Logf("scenario %q seed %d (%s); replay: CHAOS_SEED=%d go test -run 'TestStoreCrashScenarios/group-commit-torn-tail' ./internal/chaos",
+	t.Logf("scenario %q seed %d (%s); replay: CHAOS_SEED=%d go test -run 'TestStoreCrashScenarios/torn-tail' ./internal/chaos",
 		name, seed, src, seed)
 
 	const maxHeight = 20
@@ -129,18 +128,12 @@ func testStoreGroupCommitTornTail(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(seed + 1))
 
 	dir := filepath.Join(t.TempDir(), "store")
-	// A generous collection window so each round's burst shares fsyncs;
-	// the Flush barrier closes the window early once the burst is in.
-	const window = 200 * time.Millisecond
-
 	st, err := daemon.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetGroupCommit(window, 0)
 
 	durable := 0
-	var batchedTotal uint64
 	for round := 0; round < 3 && durable+1 < maxHeight; round++ {
 		burst := 2 + rng.Intn(4)
 		if durable+burst >= maxHeight {
@@ -164,19 +157,13 @@ func testStoreGroupCommitTornTail(t *testing.T) {
 		if t.Failed() {
 			s.failf("round %d: burst append failed", round)
 		}
-		if err := st.Flush(); err != nil {
-			s.failf("round %d: flush: %v", round, err)
+		if syncs := st.Syncs() - syncsBefore; syncs != uint64(burst) {
+			s.failf("round %d: %d appends cost %d fsyncs, want one each", round, burst, syncs)
 		}
-		// The whole burst plus the barrier must fit in very few fsyncs;
-		// one-per-record would mean group commit regressed to the seed.
-		if syncs := st.Syncs() - syncsBefore; burst >= 3 && syncs >= uint64(burst) {
-			s.failf("round %d: %d appends cost %d fsyncs; batch did not coalesce", round, burst, syncs)
-		}
-		batchedTotal += st.BatchedRecords()
 		durable = end
 
 		// Power cut mid-write of the next record: a seeded torn prefix
-		// lands on disk unsynced, queued work is gone.
+		// lands on disk unsynced.
 		torn := rng.Intn(512)
 		if err := st.CrashForTest(s.blocks[durable+1], torn); err != nil {
 			s.failf("round %d: crash: %v", round, err)
@@ -186,25 +173,21 @@ func testStoreGroupCommitTornTail(t *testing.T) {
 		if err != nil {
 			s.failf("round %d: reopen: %v", round, err)
 		}
-		st.SetGroupCommit(window, 0)
 		replica := s.mk()
 		loaded, err := st.Load(replica)
 		if err != nil {
 			s.failf("round %d: recovery load: %v", round, err)
 		}
 		if replica.Height() != int64(durable) {
-			s.failf("round %d: recovered to height %d, want the %d flushed records (loaded %d, torn %d bytes)",
+			s.failf("round %d: recovered to height %d, want the %d returned records (loaded %d, torn %d bytes)",
 				round, replica.Height(), durable, loaded, torn)
 		}
 		if replica.Tip().ID() != s.blocks[durable].ID() {
-			s.failf("round %d: recovered tip diverged from the flushed prefix", round)
+			s.failf("round %d: recovered tip diverged from the returned prefix", round)
 		}
 		if err := replica.CheckConsistency(); err != nil {
 			s.failf("round %d: recovered chain inconsistent: %v", round, err)
 		}
-	}
-	if batchedTotal == 0 {
-		s.failf("no append ever shared a group-commit batch across %d-block bursts", durable)
 	}
 
 	// The store that lived through every crash keeps working: append the

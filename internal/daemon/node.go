@@ -54,13 +54,6 @@ type NodeConfig struct {
 	// snapshot + log compaction in a store opened via OpenStore
 	// (0 = default of 64).
 	StoreCompactEvery int
-	// StoreGroupCommitDelay is the collection window the store's group
-	// commit holds open to coalesce concurrent appends into one fsync
-	// (0 = no added latency; only already-queued appends coalesce).
-	StoreGroupCommitDelay time.Duration
-	// StoreGroupCommitMaxBytes caps one group-commit batch's payload
-	// (0 = the store default).
-	StoreGroupCommitMaxBytes int
 	// RelayRequestTimeout is how long the relay waits for an announced
 	// object (and a blocktxn response) before falling back to the next
 	// source (0 = the p2p default of 500ms).
@@ -287,9 +280,6 @@ func (n *Node) Open(dataDir string) (int, error) {
 	st, err := OpenStore(filepath.Join(dataDir, "chainstore"))
 	if err != nil {
 		return 0, err
-	}
-	if n.cfg.StoreGroupCommitDelay > 0 || n.cfg.StoreGroupCommitMaxBytes > 0 {
-		st.SetGroupCommit(n.cfg.StoreGroupCommitDelay, n.cfg.StoreGroupCommitMaxBytes)
 	}
 	start := time.Now()
 	loaded, err := st.Load(n.chain)

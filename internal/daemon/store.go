@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bcwan/internal/chain"
 )
@@ -54,64 +53,26 @@ const maxStoredBlock = 64 << 20
 // at that height). Restart loads the snapshot through the trusted fast
 // path and replays only the log tail through full validation.
 //
-// Appends are group-committed: AppendBlock stays synchronous — it does
-// not return until its record is on stable storage — but the fsync is
-// amortized. All appends funnel through a single flusher goroutine that
-// coalesces whatever requests have queued while the previous batch was
-// writing (plus, when a coalescing delay is configured, a short
-// collection window bounded by a byte threshold) into one write and one
-// Sync. Under a single writer the behavior is the seed's one-sync-per-
-// record; under concurrent subscription callbacks N appends cost one
-// sync. Flush is a durability barrier (its own Sync), and Compact
-// flushes synchronously before touching the snapshot — the snapshot
-// boundary is never allowed to pass an open batch.
+// Every node has one writer — the chain's subscription callback — so
+// AppendBlock is one write and one fsync under the store mutex, and it
+// returns only once its record is on stable storage.
 //
-// Store methods are safe for concurrent use; appends arrive from chain
-// subscription callbacks which may race each other, so log order is not
+// Store methods are safe for concurrent use; appends arriving from
+// racing callbacks serialize on the mutex, so log order is not
 // guaranteed to be chain order — Load's replay is order-tolerant.
 type Store struct {
-	// mu guards the log fd and everything written through it (batches,
-	// truncation, snapshot renames, replay).
+	// mu guards the log fd and everything written through it (appends,
+	// truncation, snapshot renames, replay). A nil log means closed.
 	mu      sync.Mutex
 	dir     string
 	log     *os.File
 	records int
 
-	// qmu guards the append queue's lifecycle: closed, and the right to
-	// send on reqCh.
-	qmu    sync.Mutex
-	closed bool
-	reqCh  chan *appendReq
-	// crashed (set by CrashForTest) makes the flusher discard queued
-	// batches instead of writing them — the in-memory queue a real crash
-	// would lose.
-	crashed atomic.Bool
-	flusher sync.WaitGroup
-
-	// Group-commit knobs (atomics so the flusher reads them without a
-	// lock): gcDelayNanos is the collection window opened after the
-	// first request of a batch; gcMaxBytes caps a batch's payload.
-	gcDelayNanos atomic.Int64
-	gcMaxBytes   atomic.Int64
-
-	// syncs counts log fsyncs; batched counts records that rode a batch
-	// with at least one other record — together they expose the
-	// amortization ratio to tests and metrics.
-	syncs   atomic.Uint64
-	batched atomic.Uint64
+	// syncs counts log fsyncs issued by appends.
+	syncs atomic.Uint64
 }
 
-// appendReq is one queued log operation: a framed record to append, or
-// a flush barrier (empty rec). done receives the batch's outcome.
-type appendReq struct {
-	rec  []byte
-	done chan error
-}
-
-// defaultGCMaxBytes caps one group-commit batch's payload.
-const defaultGCMaxBytes = 4 << 20
-
-// errStoreClosed reports an append or flush against a closed store.
+// errStoreClosed reports an append against a closed store.
 var errStoreClosed = errors.New("daemon: append block: store closed")
 
 // dirSyncHook, when non-nil, observes every directory fsync — a test
@@ -157,38 +118,14 @@ func OpenStore(dir string) (*Store, error) {
 			return nil, fmt.Errorf("%w: bad log magic", ErrBadStore)
 		}
 	}
-	s := &Store{dir: dir, log: f, reqCh: make(chan *appendReq, 64)}
-	s.gcMaxBytes.Store(defaultGCMaxBytes)
-	s.flusher.Add(1)
-	go s.runFlusher()
-	return s, nil
+	return &Store{dir: dir, log: f}, nil
 }
 
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-// SetGroupCommit configures the append coalescing knobs: delay is the
-// collection window the flusher holds open after a batch's first
-// record (0 — the default — coalesces only what queued while the
-// previous batch was in flight, adding no latency to a lone writer);
-// maxBytes caps a batch's payload (<= 0 restores the default).
-func (s *Store) SetGroupCommit(delay time.Duration, maxBytes int) {
-	if delay < 0 {
-		delay = 0
-	}
-	if maxBytes <= 0 {
-		maxBytes = defaultGCMaxBytes
-	}
-	s.gcDelayNanos.Store(int64(delay))
-	s.gcMaxBytes.Store(int64(maxBytes))
-}
-
 // Syncs returns how many log fsyncs the store has issued.
 func (s *Store) Syncs() uint64 { return s.syncs.Load() }
-
-// BatchedRecords returns how many appended records shared their fsync
-// with at least one other record.
-func (s *Store) BatchedRecords() uint64 { return s.batched.Load() }
 
 // LogRecords returns the number of block records currently in the log
 // (valid records found at load time plus appends since). Compact resets
@@ -199,17 +136,8 @@ func (s *Store) LogRecords() int {
 	return s.records
 }
 
-// Close flushes any queued appends durably and closes the log file.
+// Close closes the log file. Every returned append is already durable.
 func (s *Store) Close() error {
-	s.qmu.Lock()
-	if s.closed {
-		s.qmu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.reqCh)
-	s.qmu.Unlock()
-	s.flusher.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.log == nil {
@@ -218,19 +146,6 @@ func (s *Store) Close() error {
 	err := s.log.Close()
 	s.log = nil
 	return err
-}
-
-// enqueue hands one request to the flusher, failing fast on a closed
-// store.
-func (s *Store) enqueue(req *appendReq) error {
-	s.qmu.Lock()
-	if s.closed {
-		s.qmu.Unlock()
-		return errStoreClosed
-	}
-	s.reqCh <- req
-	s.qmu.Unlock()
-	return nil
 }
 
 // encodeRecord frames one block for the log:
@@ -244,142 +159,36 @@ func encodeRecord(b *chain.Block) []byte {
 	return rec
 }
 
-// AppendBlock durably appends one block to the log. The call returns
-// only after the record's batch is fsync'd — group commit changes how
-// many records share that fsync, never the durability contract.
+// AppendBlock durably appends one block to the log: the call returns
+// only after the record is written and fsync'd.
 func (s *Store) AppendBlock(b *chain.Block) error {
-	done := make(chan error, 1)
-	if err := s.enqueue(&appendReq{rec: encodeRecord(b), done: done}); err != nil {
-		return err
-	}
-	return <-done
-}
-
-// Flush is a durability barrier: it returns once every append enqueued
-// before it is on stable storage (issuing a Sync of its own, so it also
-// orders against non-append log writes).
-func (s *Store) Flush() error {
-	done := make(chan error, 1)
-	if err := s.enqueue(&appendReq{done: done}); err != nil {
-		return err
-	}
-	return <-done
-}
-
-// runFlusher is the single log writer: it takes the oldest queued
-// request, coalesces more up to the byte cap — non-blocking by default,
-// or across the configured collection window — and commits the batch
-// with one write and one Sync.
-func (s *Store) runFlusher() {
-	defer s.flusher.Done()
-	for req := range s.reqCh {
-		batch := []*appendReq{req}
-		size := len(req.rec)
-		maxBytes := int(s.gcMaxBytes.Load())
-		// A flush barrier never waits for followers; append requests
-		// coalesce.
-		if delay := time.Duration(s.gcDelayNanos.Load()); delay > 0 && len(req.rec) > 0 {
-			timer := time.NewTimer(delay)
-		window:
-			for size < maxBytes {
-				select {
-				case r, ok := <-s.reqCh:
-					if !ok {
-						break window
-					}
-					batch = append(batch, r)
-					size += len(r.rec)
-					if len(r.rec) == 0 {
-						break window // flush barrier closes the batch
-					}
-				case <-timer.C:
-					break window
-				}
-			}
-			timer.Stop()
-		} else {
-		drain:
-			for size < maxBytes {
-				select {
-				case r, ok := <-s.reqCh:
-					if !ok {
-						break drain
-					}
-					batch = append(batch, r)
-					size += len(r.rec)
-					if len(r.rec) == 0 {
-						break drain
-					}
-				default:
-					break drain
-				}
-			}
-		}
-		err := s.commitBatch(batch)
-		for _, r := range batch {
-			r.done <- err
-		}
-	}
-}
-
-// commitBatch writes a batch's records in one write and makes them
-// durable with one Sync. Flush-only batches still Sync — the barrier
-// semantics callers rely on.
-func (s *Store) commitBatch(batch []*appendReq) error {
-	if s.crashed.Load() {
-		return errStoreClosed
-	}
-	var buf []byte
-	recs := 0
-	for _, r := range batch {
-		if len(r.rec) > 0 {
-			buf = append(buf, r.rec...)
-			recs++
-		}
-	}
+	rec := encodeRecord(b)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log == nil || s.crashed.Load() {
+	if s.log == nil {
 		return errStoreClosed
 	}
-	if recs > 0 {
-		if _, err := s.log.Seek(0, io.SeekEnd); err != nil {
-			return fmt.Errorf("daemon: append block: %w", err)
-		}
-		if _, err := s.log.Write(buf); err != nil {
-			return fmt.Errorf("daemon: append block: %w", err)
-		}
+	if _, err := s.log.Seek(0, io.SeekEnd); err != nil {
+		return fmt.Errorf("daemon: append block: %w", err)
+	}
+	if _, err := s.log.Write(rec); err != nil {
+		return fmt.Errorf("daemon: append block: %w", err)
 	}
 	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("daemon: append block: %w", err)
 	}
-	s.records += recs
+	s.records++
 	s.syncs.Add(1)
-	if recs > 1 {
-		s.batched.Add(uint64(recs))
-	}
 	return nil
 }
 
-// CrashForTest simulates a power cut mid-batch: queued appends are
-// discarded (the in-memory queue a real crash loses), a torn prefix of
-// one more record is left on disk without any fsync, and the fd is
-// closed. tornBytes is clamped to strictly less than the full record so
-// the tail is genuinely torn. Recovery is Load's job: the CRC framing
-// must truncate the torn tail and keep every record flushed before the
-// crash.
+// CrashForTest simulates a power cut mid-append: the store is marked
+// closed, a torn prefix of one more record is left on disk without any
+// fsync, and the fd is closed. tornBytes is clamped to strictly less
+// than the full record so the tail is genuinely torn. Recovery is
+// Load's job: the CRC framing must truncate the torn tail and keep
+// every record whose append returned before the crash.
 func (s *Store) CrashForTest(b *chain.Block, tornBytes int) error {
-	s.crashed.Store(true)
-	s.qmu.Lock()
-	if s.closed {
-		s.qmu.Unlock()
-		return errStoreClosed
-	}
-	s.closed = true
-	close(s.reqCh)
-	s.qmu.Unlock()
-	s.flusher.Wait()
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.log == nil {
@@ -661,15 +470,13 @@ func (s *Store) replayLog(c *chain.Chain) (int, error) {
 }
 
 // Compact writes a fresh snapshot of the chain's best branch and UTXO
-// set, then resets the log. Crash-safe ordering: queued appends are
-// flushed synchronously first (the snapshot boundary never passes an
-// open group-commit batch), then the snapshot rename is made durable
-// before the log is truncated — so a crash in between leaves duplicate
-// blocks in the log, which replay tolerates, never missing ones.
+// set, then resets the log. It needs no barrier against appends: it
+// takes the mutex every append completes under, so no record is ever
+// half-written when the log is truncated. Crash-safe ordering: the
+// snapshot rename is made durable before the log is truncated — so a
+// crash in between leaves duplicate blocks in the log, which replay
+// tolerates, never missing ones.
 func (s *Store) Compact(c *chain.Chain) error {
-	if err := s.Flush(); err != nil {
-		return fmt.Errorf("daemon: compact: %w", err)
-	}
 	var body bytes.Buffer
 	magic := snapMagic
 	if c.PruneBase() > 0 {

@@ -4,27 +4,38 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 )
 
-// Tests for the store's group-commit append path: durability per
-// AppendBlock return, fsync amortization under concurrency, the Flush
-// barrier, the fresh-directory sync window, and torn-tail crash
-// recovery of a half-committed batch.
+// Tests for the store's append path: one fsync per returned
+// AppendBlock (sequential and concurrent writers), the closed-store
+// error, the fresh-directory sync window, and torn-tail crash recovery.
 
-func TestGroupCommitConcurrentAppendsShareSyncs(t *testing.T) {
-	c, genesis, miners := storedChain(t, 12)
+func TestSequentialAppendsSyncOncePerRecord(t *testing.T) {
+	c, _, _ := storedChain(t, 5)
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	// A generous collection window: concurrent appends must coalesce.
-	st.SetGroupCommit(50*time.Millisecond, 0)
+	base := st.Syncs()
+	appendBest(t, st, c, 1, 5)
+	if syncs := st.Syncs() - base; syncs != 5 {
+		t.Fatalf("5 sequential appends issued %d fsyncs, want 5", syncs)
+	}
+}
+
+func TestConcurrentAppendsEachSync(t *testing.T) {
+	const n = 8
+	c, genesis, miners := storedChain(t, n)
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 
 	base := st.Syncs()
 	var wg sync.WaitGroup
-	for h := int64(1); h <= 12; h++ {
+	for h := int64(1); h <= n; h++ {
 		b, ok := c.BlockAt(h)
 		if !ok {
 			t.Fatalf("missing height %d", h)
@@ -38,18 +49,15 @@ func TestGroupCommitConcurrentAppendsShareSyncs(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := st.LogRecords(); got != 12 {
-		t.Fatalf("LogRecords = %d, want 12", got)
+	if got := st.LogRecords(); got != n {
+		t.Fatalf("LogRecords = %d, want %d", got, n)
 	}
-	syncs := st.Syncs() - base
-	if syncs >= 12 {
-		t.Fatalf("12 concurrent appends issued %d fsyncs; group commit did not amortize", syncs)
-	}
-	if st.BatchedRecords() == 0 {
-		t.Fatal("no record shared a batch despite the collection window")
+	if syncs := st.Syncs() - base; syncs != n {
+		t.Fatalf("%d concurrent appends issued %d fsyncs, want one each", n, syncs)
 	}
 
-	// Everything a returned AppendBlock promised must replay.
+	// Everything a returned AppendBlock promised must replay, whatever
+	// order the goroutines reached the log in.
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,60 +71,8 @@ func TestGroupCommitConcurrentAppendsShareSyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded != 12 || replica.Height() != 12 {
-		t.Fatalf("reloaded %d blocks to height %d, want 12", loaded, replica.Height())
-	}
-}
-
-func TestGroupCommitSequentialAppendsStaySynchronous(t *testing.T) {
-	// With no collection window (the default), a lone sequential writer
-	// must not be delayed — and still gets one fsync per append, the
-	// seed's exact durability cadence.
-	c, _, _ := storedChain(t, 5)
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	base := st.Syncs()
-	appendBest(t, st, c, 1, 5)
-	if syncs := st.Syncs() - base; syncs != 5 {
-		t.Fatalf("5 sequential appends issued %d fsyncs, want 5", syncs)
-	}
-	if st.BatchedRecords() != 0 {
-		t.Fatalf("sequential appends reported %d batched records", st.BatchedRecords())
-	}
-}
-
-func TestFlushIsDurabilityBarrier(t *testing.T) {
-	c, _, _ := storedChain(t, 3)
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	st.SetGroupCommit(time.Hour, 0) // window longer than the test
-	done := make(chan error, 1)
-	go func() {
-		b, _ := c.BlockAt(1)
-		done <- st.AppendBlock(b)
-	}()
-	// Flush must close the open collection window and return only once
-	// the append above is durable.
-	time.Sleep(10 * time.Millisecond)
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("append still blocked after Flush returned")
-	}
-	if got := st.LogRecords(); got != 1 {
-		t.Fatalf("LogRecords = %d, want 1", got)
+	if loaded != n || replica.Height() != n {
+		t.Fatalf("reloaded %d blocks to height %d, want %d", loaded, replica.Height(), n)
 	}
 }
 
@@ -132,9 +88,6 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	b, _ := c.BlockAt(1)
 	if err := st.AppendBlock(b); !errors.Is(err, errStoreClosed) {
 		t.Fatalf("append after close: %v, want errStoreClosed", err)
-	}
-	if err := st.Flush(); !errors.Is(err, errStoreClosed) {
-		t.Fatalf("flush after close: %v, want errStoreClosed", err)
 	}
 }
 
@@ -189,8 +142,8 @@ func TestCrashMidBatchTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flushed records 1..4, then a crash mid-write of record 5 leaves a
-	// torn tail and discards anything still queued.
+	// Records 1..4 returned durable, then a crash mid-write of record 5
+	// leaves a torn tail.
 	appendBest(t, st, c, 1, 4)
 	b5, _ := c.BlockAt(5)
 	if err := st.CrashForTest(b5, 13); err != nil {
@@ -211,7 +164,7 @@ func TestCrashMidBatchTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	if loaded != 4 || replica.Height() != 4 {
-		t.Fatalf("recovered %d blocks to height %d, want the 4 flushed records", loaded, replica.Height())
+		t.Fatalf("recovered %d blocks to height %d, want the 4 returned records", loaded, replica.Height())
 	}
 	// The torn tail is gone: appending the lost block again must leave
 	// a cleanly replayable log.

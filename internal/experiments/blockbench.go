@@ -2,12 +2,8 @@ package experiments
 
 import (
 	"crypto/rand"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"runtime"
 	"time"
 
 	"bcwan/internal/chain"
@@ -20,13 +16,13 @@ import (
 // blocks is built once, then replayed into fresh chains that differ only
 // in worker count and signature-cache priming.
 type BlockConnectConfig struct {
-	Blocks      int   // blocks in the replayed sequence
-	TxsPerBlock int   // payment transactions per block (plus a coinbase)
-	Workers     []int // VerifyWorkers values to sweep; 0 = seed's sequential path
+	Blocks      int   `json:"blocks"`        // blocks in the replayed sequence
+	TxsPerBlock int   `json:"txs_per_block"` // payment transactions per block (plus a coinbase)
+	Workers     []int `json:"-"`             // VerifyWorkers values to sweep; 0 = seed's sequential path
 	// Repeats replays each configuration this many times and reports
 	// the fastest run, suppressing scheduler noise so the CI regression
 	// gate's 25% threshold measures the code, not the runner.
-	Repeats int
+	Repeats int `json:"repeats"`
 }
 
 // DefaultBlockConnectConfig is the paper-scale sweep: the worker widths
@@ -35,19 +31,46 @@ func DefaultBlockConnectConfig() BlockConnectConfig {
 	return BlockConnectConfig{Blocks: 12, TxsPerBlock: 24, Workers: []int{0, 1, 2, 4, 8}, Repeats: 5}
 }
 
+func quickBlockConnectConfig() BlockConnectConfig {
+	cfg := DefaultBlockConnectConfig()
+	cfg.Blocks, cfg.TxsPerBlock = 4, 8
+	return cfg
+}
+
 // BlockConnectResult is one replay measurement. The signature-cache
 // fields come from the replay chain's telemetry snapshot, covering the
 // whole replay (warm runs include the mempool-priming verifications).
 type BlockConnectResult struct {
-	Workers         int           // VerifyWorkers for this run
-	Warm            bool          // true when txs passed through the mempool first (shared sig cache primed)
-	Elapsed         time.Duration // total time inside Chain.AddBlock
-	Blocks          int
-	Txs             int // payment txs connected (coinbases excluded)
-	TxsPerSec       float64
-	SigCacheHits    uint64
-	SigCacheMisses  uint64
-	SigCacheHitRate float64 // hits / (hits + misses); 0 when no lookups ran
+	Workers         int           `json:"workers"` // VerifyWorkers for this run
+	Warm            bool          `json:"warm"`    // true when txs passed through the mempool first (shared sig cache primed)
+	Elapsed         time.Duration `json:"-"`       // total time inside Chain.AddBlock
+	Blocks          int           `json:"-"`
+	Txs             int           `json:"-"` // payment txs connected (coinbases excluded)
+	NsPerBlock      int64         `json:"ns_per_block"`
+	BlocksPerSec    float64       `json:"blocks_per_sec"`
+	TxsPerSec       float64       `json:"txs_per_sec"`
+	SigCacheHits    uint64        `json:"sigcache_hits"`
+	SigCacheMisses  uint64        `json:"sigcache_misses"`
+	SigCacheHitRate float64       `json:"sigcache_hit_rate"` // hits / (hits + misses); 0 when no lookups ran
+}
+
+// BlockConnectDoc is the BENCH_blockconnect.json document.
+type BlockConnectDoc struct {
+	docHeader
+	BlockConnectConfig
+	Results []*BlockConnectResult `json:"results"`
+}
+
+func newBlockConnectDoc(cfg BlockConnectConfig, results []*BlockConnectResult) *BlockConnectDoc {
+	for _, r := range results {
+		if r.Blocks > 0 {
+			r.NsPerBlock = r.Elapsed.Nanoseconds() / int64(r.Blocks)
+		}
+		if r.Elapsed > 0 {
+			r.BlocksPerSec = float64(r.Blocks) / r.Elapsed.Seconds()
+		}
+	}
+	return &BlockConnectDoc{BlockConnectConfig: cfg, Results: results}
 }
 
 // blockConnectFixture is the prebuilt block sequence plus everything a
@@ -191,7 +214,7 @@ func snapshotValue(reg *telemetry.Registry, name string) float64 {
 // RunBlockConnect builds the block sequence once and replays it cold
 // (empty signature cache) at every requested worker count, then warm
 // (mempool-primed cache) at the same counts.
-func RunBlockConnect(cfg BlockConnectConfig) ([]*BlockConnectResult, error) {
+func RunBlockConnect(cfg BlockConnectConfig) (*BlockConnectDoc, error) {
 	if cfg.Blocks <= 0 || cfg.TxsPerBlock <= 0 {
 		return nil, fmt.Errorf("block-connect config must be positive: %+v", cfg)
 	}
@@ -224,18 +247,18 @@ func RunBlockConnect(cfg BlockConnectConfig) ([]*BlockConnectResult, error) {
 			results = append(results, best)
 		}
 	}
-	return results, nil
+	return newBlockConnectDoc(cfg, results), nil
 }
 
 // WriteBlockConnect prints the throughput sweep. The cold rows isolate
 // the worker pool; the warm rows show the mempool→block-connect cache
 // handoff, where block connect skips every script already verified at
 // admission.
-func WriteBlockConnect(w io.Writer, cfg BlockConnectConfig, results []*BlockConnectResult) {
-	fmt.Fprintf(w, "== Block-connect throughput (%d blocks x %d txs) ==\n", cfg.Blocks, cfg.TxsPerBlock)
+func WriteBlockConnect(w io.Writer, doc *BlockConnectDoc) {
+	fmt.Fprintf(w, "== Block-connect throughput (%d blocks x %d txs) ==\n", doc.Blocks, doc.TxsPerBlock)
 	fmt.Fprintf(w, "%-8s %-22s %12s %12s %9s\n", "workers", "sig cache", "connect", "txs/sec", "hit rate")
 	var base float64
-	for _, r := range results {
+	for _, r := range doc.Results {
 		cache := "cold"
 		if r.Warm {
 			cache = "warm (mempool-primed)"
@@ -252,66 +275,116 @@ func WriteBlockConnect(w io.Writer, cfg BlockConnectConfig, results []*BlockConn
 	fmt.Fprintln(w)
 }
 
-// blockConnectJSONRow is one machine-readable sweep row.
-type blockConnectJSONRow struct {
-	Workers         int     `json:"workers"`
-	Warm            bool    `json:"warm"`
-	NsPerBlock      int64   `json:"ns_per_block"`
-	BlocksPerSec    float64 `json:"blocks_per_sec"`
-	TxsPerSec       float64 `json:"txs_per_sec"`
-	SigCacheHits    uint64  `json:"sigcache_hits"`
-	SigCacheMisses  uint64  `json:"sigcache_misses"`
-	SigCacheHitRate float64 `json:"sigcache_hit_rate"`
-}
+// The thresholds are loose so shared CI runners do not flake; a genuine
+// algorithmic regression overshoots them by orders of magnitude.
+const (
+	// maxConnectRegression is the allowed ns/block increase over baseline.
+	maxConnectRegression = 0.25
+	// minSigCacheHitFrac floors the candidate's hit rate as a fraction of
+	// the baseline's.
+	minSigCacheHitFrac = 0.75
+	// minParallelSpeedup floors the all-cores run's ns/block speedup over
+	// the GOMAXPROCS=1 run.
+	minParallelSpeedup = 1.5
+)
 
-// hostStamp says where a timing document was measured: a worker sweep
-// read without its core count cannot show whether it scaled.
-type hostStamp struct {
-	NProc      int    `json:"nproc"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	GoVersion  string `json:"go_version"`
-}
-
-func currentHost() hostStamp {
-	return hostStamp{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
-}
-
-// blockConnectJSON is the BENCH_blockconnect.json document.
-type blockConnectJSON struct {
-	Host        hostStamp             `json:"host"`
-	Blocks      int                   `json:"blocks"`
-	TxsPerBlock int                   `json:"txs_per_block"`
-	Repeats     int                   `json:"repeats"`
-	Results     []blockConnectJSONRow `json:"results"`
-}
-
-// WriteBlockConnectJSON writes the sweep as machine-readable JSON to
-// path, creating parent directories as needed.
-func WriteBlockConnectJSON(path string, cfg BlockConnectConfig, results []*BlockConnectResult) error {
-	doc := blockConnectJSON{Host: currentHost(), Blocks: cfg.Blocks, TxsPerBlock: cfg.TxsPerBlock, Repeats: cfg.Repeats}
-	for _, r := range results {
-		row := blockConnectJSONRow{
-			Workers:         r.Workers,
-			Warm:            r.Warm,
-			TxsPerSec:       r.TxsPerSec,
-			SigCacheHits:    r.SigCacheHits,
-			SigCacheMisses:  r.SigCacheMisses,
-			SigCacheHitRate: r.SigCacheHitRate,
-		}
-		if r.Blocks > 0 {
-			row.NsPerBlock = r.Elapsed.Nanoseconds() / int64(r.Blocks)
-		}
-		if r.Elapsed > 0 {
-			row.BlocksPerSec = float64(r.Blocks) / r.Elapsed.Seconds()
-		}
-		doc.Results = append(doc.Results, row)
+// gateBlockConnect matches candidate rows to baseline rows by
+// (workers, warm) and flags any ns/op regression beyond
+// maxConnectRegression or any hit rate falling below minSigCacheHitFrac
+// of the baseline's. Rows only one side has are ignored: sweeping a new
+// worker count must not fail the gate.
+func gateBlockConnect(base, cand *BlockConnectDoc) ([]string, error) {
+	if base.Blocks != cand.Blocks || base.TxsPerBlock != cand.TxsPerBlock || base.Repeats != cand.Repeats {
+		return nil, fmt.Errorf("workload mismatch: baseline %dx%d best-of-%d vs candidate %dx%d best-of-%d — regenerate the baseline",
+			base.Blocks, base.TxsPerBlock, base.Repeats, cand.Blocks, cand.TxsPerBlock, cand.Repeats)
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
+
+	type key struct {
+		workers int
+		warm    bool
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
+	baseRows := make(map[key]*BlockConnectResult)
+	for _, r := range base.Results {
+		baseRows[key{r.Workers, r.Warm}] = r
+	}
+	var failures []string
+	matched := 0
+	for _, c := range cand.Results {
+		b, ok := baseRows[key{c.Workers, c.Warm}]
+		if !ok {
+			continue
+		}
+		matched++
+		if b.NsPerBlock > 0 && float64(c.NsPerBlock) > float64(b.NsPerBlock)*(1+maxConnectRegression) {
+			failures = append(failures, fmt.Sprintf(
+				"block connect workers=%d warm=%v: %d ns/block vs baseline %d (+%.0f%%, allowed +%.0f%%)",
+				c.Workers, c.Warm, c.NsPerBlock, b.NsPerBlock,
+				100*(float64(c.NsPerBlock)/float64(b.NsPerBlock)-1), 100*maxConnectRegression))
+		}
+		if b.SigCacheHitRate > 0 && c.SigCacheHitRate < b.SigCacheHitRate*minSigCacheHitFrac {
+			failures = append(failures, fmt.Sprintf(
+				"sig cache workers=%d warm=%v: hit rate %.2f vs baseline %.2f (floor %.2f)",
+				c.Workers, c.Warm, c.SigCacheHitRate, b.SigCacheHitRate, b.SigCacheHitRate*minSigCacheHitFrac))
+		}
+	}
+	if matched == 0 {
+		return nil, fmt.Errorf("no candidate row matches any baseline row — wrong file?")
+	}
+	return failures, nil
+}
+
+// gateConnectScaling asserts that block connect actually scales with
+// cores. Unlike the other gates, both inputs are fresh blockconnect
+// documents from the SAME machine in the SAME CI job — the baseline
+// measured under GOMAXPROCS=1, the candidate on all cores — so the ratio
+// of their best cold-cache rows is a pure parallel-speedup measurement.
+// UTXO accounting is one sequential pass, so the speedup is all the
+// script-verify worker pool; below minParallelSpeedup the pool has
+// stopped buying anything.
+func gateConnectScaling(serial, parallel *BlockConnectDoc) ([]string, error) {
+	if serial.Blocks != parallel.Blocks || serial.TxsPerBlock != parallel.TxsPerBlock ||
+		serial.Repeats != parallel.Repeats {
+		return nil, fmt.Errorf("workload mismatch: serial %dx%d best-of-%d vs parallel %dx%d best-of-%d — both runs must measure the same workload",
+			serial.Blocks, serial.TxsPerBlock, serial.Repeats,
+			parallel.Blocks, parallel.TxsPerBlock, parallel.Repeats)
+	}
+
+	// Best cold-cache row per document: cold connects do the full
+	// signature + UTXO work, so this is where the verify pool shows up.
+	// min-over-workers makes the gate robust to one noisy row.
+	bestCold := func(doc *BlockConnectDoc) (int64, int, error) {
+		best, workers := int64(0), 0
+		for _, r := range doc.Results {
+			if r.Warm || r.NsPerBlock <= 0 {
+				continue
+			}
+			if best == 0 || r.NsPerBlock < best {
+				best, workers = r.NsPerBlock, r.Workers
+			}
+		}
+		if best == 0 {
+			return 0, 0, fmt.Errorf("%s: no cold (warm=false) row with positive ns_per_block", doc.path)
+		}
+		return best, workers, nil
+	}
+	serialNs, _, err := bestCold(serial)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	parallelNs, parallelWorkers, err := bestCold(parallel)
+	if err != nil {
+		return nil, err
+	}
+	if parallelWorkers < 2 {
+		return nil, fmt.Errorf("%s: best parallel row uses %d workers — the candidate run never exercised a multi-worker connect",
+			parallel.path, parallelWorkers)
+	}
+
+	speedup := float64(serialNs) / float64(parallelNs)
+	if speedup < minParallelSpeedup {
+		return []string{fmt.Sprintf(
+			"parallel connect speedup %.2fx below floor %.1fx (GOMAXPROCS=1 best %d ns/block vs all-cores best %d at workers=%d) — did block connect serialize?",
+			speedup, minParallelSpeedup, serialNs, parallelNs, parallelWorkers)}, nil
+	}
+	return nil, nil
 }

@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"crypto/rand"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"bcwan/internal/bccrypto"
@@ -27,16 +24,16 @@ import (
 // every reading) and once through a single payment channel (two anchor
 // transactions total: the funding and the batched close).
 type ChannelBenchConfig struct {
-	Deliveries int    // readings streamed per mode
-	Capacity   uint64 // channel funding capacity
-	Price      uint64 // per-delivery price
+	Deliveries int    `json:"deliveries"` // readings streamed per mode
+	Capacity   uint64 `json:"capacity"`   // channel funding capacity
+	Price      uint64 `json:"price"`      // per-delivery price
 	// BlockIntervalMS is the federation's block-production cadence: every
 	// mined block costs this much wall clock before the settlement it
 	// carries is durable. 0 mines on demand — useful for deterministic
 	// tests, but it hides the confirmation latency that per-message
 	// settlement pays once per reading in a real deployment (the paper
 	// runs 15 s intervals; the bench scales that down to keep CI fast).
-	BlockIntervalMS int
+	BlockIntervalMS int `json:"block_interval_ms"`
 }
 
 // DefaultChannelBenchConfig is the committed-baseline workload: enough
@@ -46,14 +43,52 @@ func DefaultChannelBenchConfig() ChannelBenchConfig {
 	return ChannelBenchConfig{Deliveries: 150, Capacity: 50_000, Price: 100, BlockIntervalMS: 100}
 }
 
+func quickChannelBenchConfig() ChannelBenchConfig {
+	cfg := DefaultChannelBenchConfig()
+	cfg.Deliveries, cfg.Capacity = 30, 10_000
+	return cfg
+}
+
 // ChannelBenchResult is the measured cost of one settlement mode.
 type ChannelBenchResult struct {
-	Mode             string  // "onchain" or "channel"
-	Deliveries       int     // readings settled end to end
-	ElapsedMS        float64 // first uplink → last settlement durable on-chain/off-chain
-	DeliveriesPerSec float64
-	OnChainTxs       int64 // non-coinbase transactions mined during the stream
-	BlocksMined      int64 // blocks mined during the stream
+	Mode             string  `json:"mode"`       // "onchain" or "channel"
+	Deliveries       int     `json:"deliveries"` // readings settled end to end
+	ElapsedMS        float64 `json:"elapsed_ms"` // first uplink → last settlement durable on-chain/off-chain
+	DeliveriesPerSec float64 `json:"deliveries_per_sec"`
+	OnChainTxs       int64   `json:"onchain_txs"`  // non-coinbase transactions mined during the stream
+	BlocksMined      int64   `json:"blocks_mined"` // blocks mined during the stream
+}
+
+// ChannelDoc is the BENCH_channel.json document. SpeedupRatio is channel
+// deliveries/sec over on-chain deliveries/sec — the headline number of
+// the channel subsystem — and TxReduction the on-chain transaction count
+// ratio (per-message over channel): how many mined transactions one
+// channel anchor pair replaces. Either is 0 when a row is missing or
+// non-positive. Both modes run on the same machine with the same
+// workload, so the ratios are machine-independent.
+type ChannelDoc struct {
+	docHeader
+	ChannelBenchConfig
+	SpeedupRatio float64               `json:"speedup_ratio"`
+	TxReduction  float64               `json:"tx_reduction"`
+	Results      []*ChannelBenchResult `json:"results"`
+}
+
+func (r *ChannelBenchResult) mode() string { return r.Mode }
+
+func newChannelDoc(cfg ChannelBenchConfig, results []*ChannelBenchResult) *ChannelDoc {
+	doc := &ChannelDoc{ChannelBenchConfig: cfg, Results: results}
+	onchain, channel := rowByMode(doc.Results, "onchain"), rowByMode(doc.Results, "channel")
+	if onchain == nil || channel == nil {
+		return doc
+	}
+	if onchain.DeliveriesPerSec > 0 && channel.DeliveriesPerSec > 0 {
+		doc.SpeedupRatio = channel.DeliveriesPerSec / onchain.DeliveriesPerSec
+	}
+	if onchain.OnChainTxs > 0 && channel.OnChainTxs > 0 {
+		doc.TxReduction = float64(onchain.OnChainTxs) / float64(channel.OnChainTxs)
+	}
+	return doc
 }
 
 // channelBenchTimeout bounds each wait; the mesh is in-memory and
@@ -223,27 +258,16 @@ func (cb *channelBench) mine() error {
 		return err
 	}
 	h := b.Header.Height
-	return cb.waitFor("replicas to adopt the block", func() bool {
+	return waitFor("channel bench", channelBenchTimeout, "replicas to adopt the block", func() bool {
 		return cb.gwd.Node.Chain().Height() >= h && cb.rcptd.Node.Chain().Height() >= h
 	})
 }
 
 func (cb *channelBench) waitMasterPooled(id chain.Hash) error {
-	return cb.waitFor(fmt.Sprintf("tx %s to reach the miner pool", id), func() bool {
+	return waitFor("channel bench", channelBenchTimeout, fmt.Sprintf("tx %s to reach the miner pool", id), func() bool {
 		_, ok := cb.master.Ledger().PendingTx(id)
 		return ok
 	})
-}
-
-func (cb *channelBench) waitFor(what string, cond func() bool) error {
-	deadline := time.Now().Add(channelBenchTimeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("channel bench: timed out waiting for %s", what)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return nil
 }
 
 // uplink runs one key-request + data-frame exchange.
@@ -288,7 +312,7 @@ func (cb *channelBench) runOnChain() (*ChannelBenchResult, error) {
 		// The uplink returns with the payment and the zero-conf claim
 		// pooled; mine them so the recipient settles before the next
 		// reading.
-		if err := cb.waitFor("payment and claim to pool", func() bool {
+		if err := waitFor("channel bench", channelBenchTimeout, "payment and claim to pool", func() bool {
 			return cb.master.Ledger().Pool.Len() >= 2
 		}); err != nil {
 			return nil, err
@@ -297,7 +321,7 @@ func (cb *channelBench) runOnChain() (*ChannelBenchResult, error) {
 			return nil, err
 		}
 		want := i + 1
-		if err := cb.waitFor("the claim to settle", func() bool {
+		if err := waitFor("channel bench", channelBenchTimeout, "the claim to settle", func() bool {
 			return len(cb.rcptd.Inbox()) >= want
 		}); err != nil {
 			return nil, err
@@ -360,7 +384,7 @@ func (cb *channelBench) runChannel() (*ChannelBenchResult, error) {
 		return nil, err
 	}
 	op := chain.OutPoint{TxID: fundingID, Index: 0}
-	if err := cb.waitFor("the close commitment to pool", func() bool {
+	if err := waitFor("channel bench", channelBenchTimeout, "the close commitment to pool", func() bool {
 		return cb.master.Ledger().Pool.Len() >= 1
 	}); err != nil {
 		return nil, err
@@ -385,7 +409,7 @@ func (cb *channelBench) runChannel() (*ChannelBenchResult, error) {
 
 // RunChannelBench measures the delivery stream under both settlement
 // paths, each on a fresh federation with an identical workload shape.
-func RunChannelBench(cfg ChannelBenchConfig) ([]*ChannelBenchResult, error) {
+func RunChannelBench(cfg ChannelBenchConfig) (*ChannelDoc, error) {
 	if cfg.Deliveries < 2 || cfg.Capacity == 0 || cfg.Price == 0 {
 		return nil, fmt.Errorf("channel bench config must be positive with ≥ 2 deliveries: %+v", cfg)
 	}
@@ -411,119 +435,77 @@ func RunChannelBench(cfg ChannelBenchConfig) ([]*ChannelBenchResult, error) {
 		}
 		results = append(results, res)
 	}
-	return results, nil
-}
-
-// ChannelSpeedupRatio is channel deliveries/sec over on-chain
-// deliveries/sec — the headline number of the channel subsystem; 0 when
-// either row is missing or non-positive. Both modes run on the same
-// machine with the same workload, so the ratio is machine-independent
-// and CI gates on it directly.
-func ChannelSpeedupRatio(results []*ChannelBenchResult) float64 {
-	var onchain, channel float64
-	for _, r := range results {
-		switch r.Mode {
-		case "onchain":
-			onchain = r.DeliveriesPerSec
-		case "channel":
-			channel = r.DeliveriesPerSec
-		}
-	}
-	if onchain <= 0 || channel <= 0 {
-		return 0
-	}
-	return channel / onchain
-}
-
-// ChannelTxReduction is the on-chain transaction count ratio
-// (per-message over channel) — how many mined transactions one channel
-// anchor pair replaces; 0 when either row is missing or empty.
-func ChannelTxReduction(results []*ChannelBenchResult) float64 {
-	var onchain, channel int64
-	for _, r := range results {
-		switch r.Mode {
-		case "onchain":
-			onchain = r.OnChainTxs
-		case "channel":
-			channel = r.OnChainTxs
-		}
-	}
-	if onchain <= 0 || channel <= 0 {
-		return 0
-	}
-	return float64(onchain) / float64(channel)
+	return newChannelDoc(cfg, results), nil
 }
 
 // WriteChannelBench prints both settlement paths side by side with the
 // ratios the CI gate tracks.
-func WriteChannelBench(w io.Writer, cfg ChannelBenchConfig, results []*ChannelBenchResult) {
+func WriteChannelBench(w io.Writer, doc *ChannelDoc) {
 	fmt.Fprintf(w, "== Delivery settlement: per-message on-chain vs payment channel (%d deliveries, price %d, capacity %d, %dms blocks) ==\n",
-		cfg.Deliveries, cfg.Price, cfg.Capacity, cfg.BlockIntervalMS)
+		doc.Deliveries, doc.Price, doc.Capacity, doc.BlockIntervalMS)
 	fmt.Fprintf(w, "%-10s %12s %12s %16s %14s %14s\n",
 		"mode", "deliveries", "elapsed", "deliveries/sec", "on-chain txs", "blocks mined")
-	for _, r := range results {
+	for _, r := range doc.Results {
 		fmt.Fprintf(w, "%-10s %12d %9.0fms %16.1f %14d %14d\n",
 			r.Mode, r.Deliveries, r.ElapsedMS, r.DeliveriesPerSec, r.OnChainTxs, r.BlocksMined)
 	}
-	if ratio := ChannelSpeedupRatio(results); ratio > 0 {
-		fmt.Fprintf(w, "deliveries/sec speedup: %.1fx\n", ratio)
+	if doc.SpeedupRatio > 0 {
+		fmt.Fprintf(w, "deliveries/sec speedup: %.1fx\n", doc.SpeedupRatio)
 	}
-	if ratio := ChannelTxReduction(results); ratio > 0 {
-		fmt.Fprintf(w, "on-chain tx reduction: %.1fx\n", ratio)
+	if doc.TxReduction > 0 {
+		fmt.Fprintf(w, "on-chain tx reduction: %.1fx\n", doc.TxReduction)
 	}
 	fmt.Fprintln(w)
 }
 
-// channelJSONRow is one machine-readable settlement measurement.
-type channelJSONRow struct {
-	Mode             string  `json:"mode"`
-	Deliveries       int     `json:"deliveries"`
-	ElapsedMS        float64 `json:"elapsed_ms"`
-	DeliveriesPerSec float64 `json:"deliveries_per_sec"`
-	OnChainTxs       int64   `json:"onchain_txs"`
-	BlocksMined      int64   `json:"blocks_mined"`
-}
+// minChannelSpeedup floors the deliveries/sec speedup of channel
+// settlement over per-message on-chain settlement.
+const minChannelSpeedup = 5.0
 
-// channelJSON is the BENCH_channel.json document bcwan-benchgate
-// consumes: it floors the candidate's own channel/on-chain speedup and
-// transaction-reduction ratios.
-type channelJSON struct {
-	Deliveries      int              `json:"deliveries"`
-	Capacity        uint64           `json:"capacity"`
-	Price           uint64           `json:"price"`
-	BlockIntervalMS int              `json:"block_interval_ms"`
-	SpeedupRatio    float64          `json:"speedup_ratio"`
-	TxReduction     float64          `json:"tx_reduction"`
-	Results         []channelJSONRow `json:"results"`
-}
+// gateChannel asserts the batched-settlement property inside the
+// candidate document itself: routing a delivery stream through a payment
+// channel must reach first-inbox-to-last-inbox throughput at least
+// minChannelSpeedup times the per-message on-chain path, and the channel
+// run must anchor the whole stream with dramatically fewer mined
+// transactions (at most deliveries/5, never below the funding + close
+// pair). Both runs execute the same workload back to back on the same
+// machine, so the ratio holds on any runner speed — a channel layer
+// that quietly falls back to settling each delivery on-chain pushes
+// the speedup to 1x and the tx count to 2x deliveries. The baseline is
+// only checked for workload-shape agreement (absolute deliveries/sec
+// are not compared across machines).
+func gateChannel(base, cand *ChannelDoc) ([]string, error) {
+	if base.ChannelBenchConfig != cand.ChannelBenchConfig {
+		return nil, fmt.Errorf("workload mismatch: baseline %d deliveries/capacity %d/price %d/%dms blocks vs candidate %d deliveries/capacity %d/price %d/%dms blocks — regenerate the baseline",
+			base.Deliveries, base.Capacity, base.Price, base.BlockIntervalMS,
+			cand.Deliveries, cand.Capacity, cand.Price, cand.BlockIntervalMS)
+	}
+	onchain := rowByMode(cand.Results, "onchain")
+	if onchain == nil {
+		return nil, fmt.Errorf("%s: no onchain row", cand.path)
+	}
+	channel := rowByMode(cand.Results, "channel")
+	if channel == nil {
+		return nil, fmt.Errorf("%s: no channel row", cand.path)
+	}
+	if onchain.DeliveriesPerSec <= 0 || channel.DeliveriesPerSec <= 0 {
+		return nil, fmt.Errorf("%s: non-positive deliveries/sec", cand.path)
+	}
 
-// WriteChannelBenchJSON writes the measurements as machine-readable
-// JSON to path, creating parent directories as needed.
-func WriteChannelBenchJSON(path string, cfg ChannelBenchConfig, results []*ChannelBenchResult) error {
-	doc := channelJSON{
-		Deliveries:      cfg.Deliveries,
-		Capacity:        cfg.Capacity,
-		Price:           cfg.Price,
-		BlockIntervalMS: cfg.BlockIntervalMS,
-		SpeedupRatio:    ChannelSpeedupRatio(results),
-		TxReduction:     ChannelTxReduction(results),
+	var failures []string
+	if ratio := channel.DeliveriesPerSec / onchain.DeliveriesPerSec; ratio < minChannelSpeedup {
+		failures = append(failures, fmt.Sprintf(
+			"channel settlement speedup %.2fx below floor %.1fx (on-chain %.1f vs channel %.1f deliveries/sec over %d deliveries) — is every delivery settling on-chain again?",
+			ratio, minChannelSpeedup, onchain.DeliveriesPerSec, channel.DeliveriesPerSec, cand.Deliveries))
 	}
-	for _, r := range results {
-		doc.Results = append(doc.Results, channelJSONRow{
-			Mode:             r.Mode,
-			Deliveries:       r.Deliveries,
-			ElapsedMS:        r.ElapsedMS,
-			DeliveriesPerSec: r.DeliveriesPerSec,
-			OnChainTxs:       r.OnChainTxs,
-			BlocksMined:      r.BlocksMined,
-		})
+	if channel.OnChainTxs*5 > onchain.OnChainTxs {
+		failures = append(failures, fmt.Sprintf(
+			"channel run mined %d txs vs %d on-chain — batching saved less than 5x, did per-delivery settlement leak onto the chain?",
+			channel.OnChainTxs, onchain.OnChainTxs))
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
+	if channel.OnChainTxs < 2 {
+		failures = append(failures, fmt.Sprintf(
+			"channel run mined only %d txs — the funding and close anchors must both confirm", channel.OnChainTxs))
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return failures, nil
 }

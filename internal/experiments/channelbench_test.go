@@ -2,18 +2,16 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
 func TestChannelBenchBatchesSettlement(t *testing.T) {
 	cfg := ChannelBenchConfig{Deliveries: 10, Capacity: 10_000, Price: 100}
-	results, err := RunChannelBench(cfg)
+	doc, err := RunChannelBench(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := doc.Results
 	if len(results) != 2 || results[0].Mode != "onchain" || results[1].Mode != "channel" {
 		t.Fatalf("want [onchain channel] rows, got %+v", results)
 	}
@@ -34,40 +32,23 @@ func TestChannelBenchBatchesSettlement(t *testing.T) {
 	}
 	// Wall-clock is noisy at this size; the test only asserts the ratios
 	// are well-formed — the committed full-scale run is what CI gates.
-	if ratio := ChannelSpeedupRatio(results); ratio <= 0 {
-		t.Fatalf("speedup ratio %.2f, want > 0", ratio)
+	if doc.SpeedupRatio <= 0 {
+		t.Fatalf("speedup ratio %.2f, want > 0", doc.SpeedupRatio)
 	}
-	if ratio := ChannelTxReduction(results); ratio != float64(cfg.Deliveries) {
-		t.Fatalf("tx reduction %.1f, want %d", ratio, cfg.Deliveries)
+	if doc.TxReduction != float64(cfg.Deliveries) {
+		t.Fatalf("tx reduction %.1f, want %d", doc.TxReduction, cfg.Deliveries)
 	}
 
 	var text bytes.Buffer
-	WriteChannelBench(&text, cfg, results)
+	WriteChannelBench(&text, doc)
 	if !bytes.Contains(text.Bytes(), []byte("on-chain tx reduction")) {
 		t.Fatalf("report missing reduction line:\n%s", text.String())
 	}
 
-	path := filepath.Join(t.TempDir(), "BENCH_channel.json")
-	if err := WriteChannelBenchJSON(path, cfg, results); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Deliveries  int     `json:"deliveries"`
-		TxReduction float64 `json:"tx_reduction"`
-		Results     []struct {
-			Mode       string `json:"mode"`
-			OnChainTxs int64  `json:"onchain_txs"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Deliveries != cfg.Deliveries || len(doc.Results) != 2 || doc.Results[1].OnChainTxs != 2 {
-		t.Fatalf("JSON document malformed: %+v", doc)
+	got := reload(t, doc)
+	if got.Deliveries != cfg.Deliveries || got.TxReduction != doc.TxReduction ||
+		len(got.Results) != 2 || got.Results[1].OnChainTxs != 2 {
+		t.Fatalf("JSON document malformed: %+v", got)
 	}
 }
 

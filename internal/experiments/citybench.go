@@ -3,14 +3,11 @@ package experiments
 import (
 	"crypto/rand"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	mrand "math/rand"
-	"os"
-	"path/filepath"
 	"time"
 
 	"bcwan/internal/bccrypto"
@@ -127,40 +124,76 @@ func QuickCityConfig() CityConfig {
 
 // CityTierResult is the measured outcome of one tier.
 type CityTierResult struct {
-	Devices  int
-	Gateways int
+	Devices  int `json:"devices"`
+	Gateways int `json:"gateways"`
 
 	// FramesSent counts uplink frames enqueued at devices (a burst
 	// counts each frame); FramesDelivered counts frames first-accepted
 	// at the recipient after dedupe, Duplicates the redundant copies
 	// other gateways forwarded, OutageDrops the frames a deaf gateway
 	// overheard and discarded.
-	FramesSent      uint64
-	FramesDelivered uint64
-	Duplicates      uint64
-	OutageDrops     uint64
-	SuccessRate     float64
+	FramesSent      uint64  `json:"frames_sent"`
+	FramesDelivered uint64  `json:"frames_delivered"`
+	Duplicates      uint64  `json:"duplicates"`
+	OutageDrops     uint64  `json:"outage_drops"`
+	SuccessRate     float64 `json:"success_rate"`
 
 	// Latency is enqueue → first recipient acceptance: it includes
 	// duty-cycle waits, CAD backoffs, airtime and the WAN leg.
-	Latencies []time.Duration
-	Latency   LatencyStats
+	Latencies       []time.Duration `json:"-"`
+	Latency         LatencyStats    `json:"-"`
+	LatencyMedianMS float64         `json:"latency_median_ms"`
+	LatencyP95MS    float64         `json:"latency_p95_ms"`
+	LatencyMaxMS    float64         `json:"latency_max_ms"`
 
-	Channel lora.ChannelStats
+	Channel lora.ChannelStats `json:"-"`
 
 	// Chain load of the batched settlement layer.
-	SettleTxs     int
-	Blocks        int
-	PayoutOutputs int
-	CreditsPaid   uint64
+	SettleTxs     int    `json:"settle_txs"`
+	Blocks        int    `json:"blocks"`
+	PayoutOutputs int    `json:"payout_outputs"`
+	CreditsPaid   uint64 `json:"credits_paid"`
 
-	GatewayOutages int
-	DeviceMoves    int
+	GatewayOutages int `json:"gateway_outages"`
+	DeviceMoves    int `json:"device_moves"`
 
 	// WallClockMS is the real time this tier took; with FramesSent it
 	// yields the frames-per-wall-second scaling the gate tracks.
-	WallClockMS      float64
-	FramesPerWallSec float64
+	WallClockMS      float64 `json:"wall_clock_ms"`
+	FramesPerWallSec float64 `json:"frames_per_wall_sec"`
+}
+
+// CityDoc is the BENCH_city.json document: the workload-shape fields of
+// the CityConfig it was measured under, in milliseconds, and one row per
+// tier.
+type CityDoc struct {
+	docHeader
+	Seed                 int64             `json:"seed"`
+	SimDurationMS        int64             `json:"sim_duration_ms"`
+	MeanUplinkIntervalMS int64             `json:"mean_uplink_interval_ms"`
+	SettleIntervalMS     int64             `json:"settle_interval_ms"`
+	BlockIntervalMS      int64             `json:"block_interval_ms"`
+	GatewaySpacingM      float64           `json:"gateway_spacing_m"`
+	Tiers                []*CityTierResult `json:"tiers"`
+}
+
+func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+func newCityDoc(cfg CityConfig, tiers []*CityTierResult) *CityDoc {
+	for _, r := range tiers {
+		r.LatencyMedianMS = durMS(r.Latency.Median)
+		r.LatencyP95MS = durMS(r.Latency.P95)
+		r.LatencyMaxMS = durMS(r.Latency.Max)
+	}
+	return &CityDoc{
+		Seed:                 cfg.Seed,
+		SimDurationMS:        cfg.SimDuration.Milliseconds(),
+		MeanUplinkIntervalMS: cfg.MeanUplinkInterval.Milliseconds(),
+		SettleIntervalMS:     cfg.SettleInterval.Milliseconds(),
+		BlockIntervalMS:      cfg.BlockInterval.Milliseconds(),
+		GatewaySpacingM:      cfg.GatewaySpacing,
+		Tiers:                tiers,
+	}
 }
 
 // citySFWeights is the device population's spreading-factor mix, in
@@ -632,11 +665,13 @@ func runCityTier(cfg CityConfig, tier CityTier) (*CityTierResult, error) {
 	if s.res.WallClockMS > 0 {
 		s.res.FramesPerWallSec = float64(s.res.FramesSent) / (s.res.WallClockMS / 1000)
 	}
-	return &s.res, nil
+	// A copy, so the result does not keep the tier's whole world alive.
+	res := s.res
+	return &res, nil
 }
 
 // RunCityBench runs every tier of the scaling curve, smallest first.
-func RunCityBench(cfg CityConfig) ([]*CityTierResult, error) {
+func RunCityBench(cfg CityConfig) (*CityDoc, error) {
 	if len(cfg.Tiers) == 0 {
 		return nil, errors.New("citybench: at least one tier required")
 	}
@@ -657,17 +692,18 @@ func RunCityBench(cfg CityConfig) ([]*CityTierResult, error) {
 		}
 		results = append(results, res)
 	}
-	return results, nil
+	return newCityDoc(cfg, results), nil
 }
 
 // WriteCityBench prints the scaling curve as a table.
-func WriteCityBench(w io.Writer, cfg CityConfig, results []*CityTierResult) {
+func WriteCityBench(w io.Writer, doc *CityDoc) {
+	ms := func(n int64) time.Duration { return time.Duration(n) * time.Millisecond }
 	fmt.Fprintf(w, "== City scale: %s of traffic, %.0f m lattice pitch, settle every %s ==\n",
-		cfg.SimDuration, cfg.GatewaySpacing, cfg.SettleInterval)
+		ms(doc.SimDurationMS), doc.GatewaySpacingM, ms(doc.SettleIntervalMS))
 	fmt.Fprintf(w, "%8s %5s %8s %9s %7s %9s %9s %9s %6s %7s %8s %9s\n",
 		"devices", "gws", "sent", "delivered", "succ", "lat p50", "lat p95", "lat max",
 		"txs", "payouts", "wall", "frames/s")
-	for _, r := range results {
+	for _, r := range doc.Tiers {
 		fmt.Fprintf(w, "%8d %5d %8d %9d %5.1f%% %9s %9s %9s %6d %7d %7.1fs %9.0f\n",
 			r.Devices, r.Gateways, r.FramesSent, r.FramesDelivered, 100*r.SuccessRate,
 			r.Latency.Median.Round(time.Millisecond), r.Latency.P95.Round(time.Millisecond),
@@ -677,80 +713,88 @@ func WriteCityBench(w io.Writer, cfg CityConfig, results []*CityTierResult) {
 	fmt.Fprintln(w)
 }
 
-// cityJSONTier is one machine-readable scaling-curve row.
-type cityJSONTier struct {
-	Devices          int     `json:"devices"`
-	Gateways         int     `json:"gateways"`
-	FramesSent       uint64  `json:"frames_sent"`
-	FramesDelivered  uint64  `json:"frames_delivered"`
-	Duplicates       uint64  `json:"duplicates"`
-	OutageDrops      uint64  `json:"outage_drops"`
-	SuccessRate      float64 `json:"success_rate"`
-	LatencyMedianMS  float64 `json:"latency_median_ms"`
-	LatencyP95MS     float64 `json:"latency_p95_ms"`
-	LatencyMaxMS     float64 `json:"latency_max_ms"`
-	SettleTxs        int     `json:"settle_txs"`
-	Blocks           int     `json:"blocks"`
-	PayoutOutputs    int     `json:"payout_outputs"`
-	CreditsPaid      uint64  `json:"credits_paid"`
-	GatewayOutages   int     `json:"gateway_outages"`
-	DeviceMoves      int     `json:"device_moves"`
-	WallClockMS      float64 `json:"wall_clock_ms"`
-	FramesPerWallSec float64 `json:"frames_per_wall_sec"`
-}
+const (
+	// minCityDevices and minCityGateways are the floors the largest tier
+	// must reach for the campaign to count as city scale.
+	minCityDevices  = 10_000
+	minCityGateways = 100
+	// minCitySuccess floors every tier's delivery success rate.
+	minCitySuccess = 0.9
+	// maxCityLatencyScaling caps the p95 latency ratio of the largest
+	// tier to the smallest.
+	maxCityLatencyScaling = 3.0
+	// minCityThroughputFrac floors the largest tier's frames per wall
+	// second as a fraction of the smallest's.
+	minCityThroughputFrac = 0.15
+)
 
-// cityJSON is the BENCH_city.json document bcwan-benchgate consumes.
-type cityJSON struct {
-	Seed                 int64          `json:"seed"`
-	SimDurationMS        int64          `json:"sim_duration_ms"`
-	MeanUplinkIntervalMS int64          `json:"mean_uplink_interval_ms"`
-	SettleIntervalMS     int64          `json:"settle_interval_ms"`
-	BlockIntervalMS      int64          `json:"block_interval_ms"`
-	GatewaySpacingM      float64        `json:"gateway_spacing_m"`
-	Tiers                []cityJSONTier `json:"tiers"`
-}
+// gateCity asserts the metropolitan-scale properties inside the
+// candidate document itself: the campaign must actually reach city scale
+// (device and gateway floors on the largest tier), deliveries must not
+// collapse under load (per-tier success floor), the p95 exchange
+// latency must stay flat across the curve (a virtual-time property,
+// machine-independent), and the simulator's frames-per-wall-second may
+// not collapse between the smallest and largest tier — the all-pairs
+// engine the spatial index replaced degrades that ratio quadratically
+// in the device count. Wall-clock throughputs are compared only
+// tier-to-tier within the candidate, so the gate holds on any runner
+// speed. The baseline is checked for workload-shape agreement
+// (absolute frames/sec are not compared across machines).
+func gateCity(base, cand *CityDoc) ([]string, error) {
+	if base.Seed != cand.Seed || base.SimDurationMS != cand.SimDurationMS ||
+		base.MeanUplinkIntervalMS != cand.MeanUplinkIntervalMS ||
+		base.SettleIntervalMS != cand.SettleIntervalMS ||
+		base.BlockIntervalMS != cand.BlockIntervalMS ||
+		base.GatewaySpacingM != cand.GatewaySpacingM ||
+		len(base.Tiers) != len(cand.Tiers) {
+		return nil, fmt.Errorf("workload mismatch: baseline seed %d/%dms sim/%d tiers vs candidate seed %d/%dms sim/%d tiers — regenerate the baseline",
+			base.Seed, base.SimDurationMS, len(base.Tiers),
+			cand.Seed, cand.SimDurationMS, len(cand.Tiers))
+	}
+	for i := range base.Tiers {
+		if base.Tiers[i].Devices != cand.Tiers[i].Devices ||
+			base.Tiers[i].Gateways != cand.Tiers[i].Gateways {
+			return nil, fmt.Errorf("workload mismatch: tier %d is %dx%d in the baseline, %dx%d in the candidate — regenerate the baseline",
+				i, base.Tiers[i].Devices, base.Tiers[i].Gateways,
+				cand.Tiers[i].Devices, cand.Tiers[i].Gateways)
+		}
+	}
+	if len(cand.Tiers) < 2 {
+		return nil, fmt.Errorf("city document needs at least two tiers for a scaling curve, got %d", len(cand.Tiers))
+	}
 
-func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// WriteCityBenchJSON writes the scaling curve as machine-readable JSON
-// to path, creating parent directories as needed.
-func WriteCityBenchJSON(path string, cfg CityConfig, results []*CityTierResult) error {
-	doc := cityJSON{
-		Seed:                 cfg.Seed,
-		SimDurationMS:        cfg.SimDuration.Milliseconds(),
-		MeanUplinkIntervalMS: cfg.MeanUplinkInterval.Milliseconds(),
-		SettleIntervalMS:     cfg.SettleInterval.Milliseconds(),
-		BlockIntervalMS:      cfg.BlockInterval.Milliseconds(),
-		GatewaySpacingM:      cfg.GatewaySpacing,
+	var failures []string
+	first, last := cand.Tiers[0], cand.Tiers[len(cand.Tiers)-1]
+	if last.Devices < minCityDevices || last.Gateways < minCityGateways {
+		failures = append(failures, fmt.Sprintf(
+			"largest tier is %d devices over %d gateways — below the %d-device/%d-gateway city floor",
+			last.Devices, last.Gateways, minCityDevices, minCityGateways))
 	}
-	for _, r := range results {
-		doc.Tiers = append(doc.Tiers, cityJSONTier{
-			Devices:          r.Devices,
-			Gateways:         r.Gateways,
-			FramesSent:       r.FramesSent,
-			FramesDelivered:  r.FramesDelivered,
-			Duplicates:       r.Duplicates,
-			OutageDrops:      r.OutageDrops,
-			SuccessRate:      r.SuccessRate,
-			LatencyMedianMS:  durMS(r.Latency.Median),
-			LatencyP95MS:     durMS(r.Latency.P95),
-			LatencyMaxMS:     durMS(r.Latency.Max),
-			SettleTxs:        r.SettleTxs,
-			Blocks:           r.Blocks,
-			PayoutOutputs:    r.PayoutOutputs,
-			CreditsPaid:      r.CreditsPaid,
-			GatewayOutages:   r.GatewayOutages,
-			DeviceMoves:      r.DeviceMoves,
-			WallClockMS:      r.WallClockMS,
-			FramesPerWallSec: r.FramesPerWallSec,
-		})
+	for i, tier := range cand.Tiers {
+		if tier.SuccessRate < minCitySuccess {
+			failures = append(failures, fmt.Sprintf(
+				"tier %d (%d devices): success rate %.3f below floor %.2f — deliveries collapsed under load",
+				i, tier.Devices, tier.SuccessRate, minCitySuccess))
+		}
+		if tier.SettleTxs < 1 || tier.Blocks < 1 {
+			failures = append(failures, fmt.Sprintf(
+				"tier %d (%d devices): settlement chain idle (%d txs, %d blocks) — delivery credits never anchored",
+				i, tier.Devices, tier.SettleTxs, tier.Blocks))
+		}
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
+	if first.LatencyP95MS > 0 {
+		if ratio := last.LatencyP95MS / first.LatencyP95MS; ratio > maxCityLatencyScaling {
+			failures = append(failures, fmt.Sprintf(
+				"p95 latency grows %.2fx from %d to %d devices (%.0fms → %.0fms, allowed %.1fx) — the medium or scheduler is congesting superlinearly",
+				ratio, first.Devices, last.Devices, first.LatencyP95MS, last.LatencyP95MS, maxCityLatencyScaling))
+		}
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
+	if first.FramesPerWallSec > 0 {
+		if frac := last.FramesPerWallSec / first.FramesPerWallSec; frac < minCityThroughputFrac {
+			failures = append(failures, fmt.Sprintf(
+				"simulator throughput falls to %.2fx of the small tier's at %d devices (%.0f vs %.0f frames/wall-sec, floor %.2fx) — did delivery fall back to an all-pairs scan?",
+				frac, last.Devices, last.FramesPerWallSec, first.FramesPerWallSec, minCityThroughputFrac))
+		}
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return failures, nil
 }

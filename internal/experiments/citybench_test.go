@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestCityBenchSmoke runs the quick campaign end to end and checks the
 // structural invariants of the city world: traffic flows, dedupe works,
@@ -13,10 +8,11 @@ import (
 // exactly one credit per first-accepted frame.
 func TestCityBenchSmoke(t *testing.T) {
 	cfg := QuickCityConfig()
-	results, err := RunCityBench(cfg)
+	doc, err := RunCityBench(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := doc.Tiers
 	if len(results) != len(cfg.Tiers) {
 		t.Fatalf("got %d tiers, want %d", len(results), len(cfg.Tiers))
 	}
@@ -74,7 +70,7 @@ func TestCityBenchDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, y := a[0], b[0]
+	x, y := a.Tiers[0], b.Tiers[0]
 	if x.FramesSent != y.FramesSent || x.FramesDelivered != y.FramesDelivered ||
 		x.Duplicates != y.Duplicates || x.OutageDrops != y.OutageDrops {
 		t.Errorf("traffic diverged: %d/%d/%d/%d vs %d/%d/%d/%d",
@@ -109,40 +105,22 @@ func TestCityBenchDeterminism(t *testing.T) {
 func TestCityBenchJSON(t *testing.T) {
 	cfg := QuickCityConfig()
 	cfg.Tiers = cfg.Tiers[:1]
-	results, err := RunCityBench(cfg)
+	doc, err := RunCityBench(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "results", "BENCH_city.json")
-	if err := WriteCityBenchJSON(path, cfg, results); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Seed          int64 `json:"seed"`
-		SimDurationMS int64 `json:"sim_duration_ms"`
-		Tiers         []struct {
-			Devices     int     `json:"devices"`
-			Gateways    int     `json:"gateways"`
-			SuccessRate float64 `json:"success_rate"`
-			SettleTxs   int     `json:"settle_txs"`
-		} `json:"tiers"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Seed != cfg.Seed || doc.SimDurationMS != cfg.SimDuration.Milliseconds() {
-		t.Errorf("header = seed %d / %d ms, want %d / %d", doc.Seed, doc.SimDurationMS,
+	got := reload(t, doc)
+	if got.Seed != cfg.Seed || got.SimDurationMS != cfg.SimDuration.Milliseconds() {
+		t.Errorf("header = seed %d / %d ms, want %d / %d", got.Seed, got.SimDurationMS,
 			cfg.Seed, cfg.SimDuration.Milliseconds())
 	}
-	if len(doc.Tiers) != 1 || doc.Tiers[0].Devices != results[0].Devices ||
-		doc.Tiers[0].Gateways != results[0].Gateways ||
-		doc.Tiers[0].SuccessRate != results[0].SuccessRate ||
-		doc.Tiers[0].SettleTxs != results[0].SettleTxs {
-		t.Errorf("tiers round-trip mismatch: %+v vs %+v", doc.Tiers, results[0])
+	want := doc.Tiers[0]
+	if len(got.Tiers) != 1 || got.Tiers[0].Devices != want.Devices ||
+		got.Tiers[0].Gateways != want.Gateways ||
+		got.Tiers[0].SuccessRate != want.SuccessRate ||
+		got.Tiers[0].SettleTxs != want.SettleTxs ||
+		got.Tiers[0].LatencyP95MS != durMS(want.Latency.P95) {
+		t.Errorf("tiers round-trip mismatch: %+v vs %+v", got.Tiers[0], want)
 	}
 }
 

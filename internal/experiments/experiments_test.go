@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -353,10 +350,11 @@ func TestLatencyRatioFig6OverFig5SameOrderAsPaper(t *testing.T) {
 
 func TestBlockConnectSweep(t *testing.T) {
 	cfg := BlockConnectConfig{Blocks: 3, TxsPerBlock: 4, Workers: []int{0, 2}}
-	results, err := RunBlockConnect(cfg)
+	doc, err := RunBlockConnect(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := doc.Results
 	// Two cache states x two worker counts, ordered cold-first.
 	if len(results) != 4 {
 		t.Fatalf("results = %d, want 4", len(results))
@@ -382,40 +380,20 @@ func TestBlockConnectSweep(t *testing.T) {
 		}
 	}
 	var buf strings.Builder
-	WriteBlockConnect(&buf, cfg, results)
+	WriteBlockConnect(&buf, doc)
 	if !strings.Contains(buf.String(), "warm (mempool-primed)") {
 		t.Fatalf("report missing warm rows:\n%s", buf.String())
 	}
 
-	path := filepath.Join(t.TempDir(), "results", "BENCH_blockconnect.json")
-	if err := WriteBlockConnectJSON(path, cfg, results); err != nil {
-		t.Fatal(err)
+	got := reload(t, doc)
+	if got.Host.NProc < 1 || got.Host.GOMAXPROCS < 1 || got.Host.GoVersion == "" {
+		t.Fatalf("JSON doc host stamp = %+v", got.Host)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Host    hostStamp `json:"host"`
-		Blocks  int       `json:"blocks"`
-		Results []struct {
-			Workers         int     `json:"workers"`
-			NsPerBlock      int64   `json:"ns_per_block"`
-			BlocksPerSec    float64 `json:"blocks_per_sec"`
-			SigCacheHitRate float64 `json:"sigcache_hit_rate"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Host != currentHost() || doc.Host.NProc < 1 || doc.Host.GoVersion == "" {
-		t.Fatalf("JSON doc host stamp = %+v", doc.Host)
-	}
-	if doc.Blocks != cfg.Blocks || len(doc.Results) != len(results) {
+	if got.Blocks != cfg.Blocks || len(got.Results) != len(results) {
 		t.Fatalf("JSON doc = %d blocks / %d rows, want %d / %d",
-			doc.Blocks, len(doc.Results), cfg.Blocks, len(results))
+			got.Blocks, len(got.Results), cfg.Blocks, len(results))
 	}
-	for i, row := range doc.Results {
+	for i, row := range got.Results {
 		if row.NsPerBlock <= 0 || row.BlocksPerSec <= 0 {
 			t.Fatalf("JSON row %d has non-positive timing: %+v", i, row)
 		}

@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"crypto/rand"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"bcwan/internal/bccrypto"
@@ -23,10 +20,10 @@ import (
 // reported. results/BENCH_relay.json also carries the row measured for
 // the full-payload flood this relay replaced (5.5× the bytes).
 type RelayBenchConfig struct {
-	Nodes       int // mesh size
-	Degree      int // outbound dials per node (ring + doubling chords)
-	TxsPerBlock int // payments gossiped then mined per block
-	Blocks      int // mined blocks (workload rounds)
+	Nodes       int `json:"nodes"`         // mesh size
+	Degree      int `json:"degree"`        // outbound dials per node (ring + doubling chords)
+	TxsPerBlock int `json:"txs_per_block"` // payments gossiped then mined per block
+	Blocks      int `json:"blocks"`        // mined blocks (workload rounds)
 }
 
 // DefaultRelayBenchConfig is the committed-baseline workload: a 16-node
@@ -36,14 +33,30 @@ func DefaultRelayBenchConfig() RelayBenchConfig {
 	return RelayBenchConfig{Nodes: 16, Degree: 3, TxsPerBlock: 32, Blocks: 3}
 }
 
-// RelayBenchResult is the measured cost of the relay.
-type RelayBenchResult struct {
-	BytesPerBlock int64   // total wire bytes sent across the mesh, per block round
-	PropagationMS float64 // mean MineNow → every-node-at-height latency
-	HitRate       float64 // compact reconstructions resolved from the mempool alone
-	TxnRoundTrips uint64  // getblocktxn round trips across the mesh
-	FullFallbacks uint64  // reconstructions abandoned for a full-block fetch
+func quickRelayBenchConfig() RelayBenchConfig {
+	return RelayBenchConfig{Nodes: 6, Degree: 2, TxsPerBlock: 6, Blocks: 2}
 }
+
+// RelayBenchResult is the measured cost of one relay mode. The bench
+// measures "inv"; the committed baseline also keeps the "flood" row of
+// the relay this one replaced.
+type RelayBenchResult struct {
+	Mode          string  `json:"mode"`
+	BytesPerBlock int64   `json:"bytes_per_block"` // total wire bytes sent across the mesh, per block round
+	PropagationMS float64 `json:"propagation_ms"`  // mean MineNow → every-node-at-height latency
+	HitRate       float64 `json:"hit_rate"`        // compact reconstructions resolved from the mempool alone
+	TxnRoundTrips uint64  `json:"txn_roundtrips"`  // getblocktxn round trips across the mesh
+	FullFallbacks uint64  `json:"full_fallbacks"`  // reconstructions abandoned for a full-block fetch
+}
+
+// RelayDoc is the BENCH_relay.json document.
+type RelayDoc struct {
+	docHeader
+	RelayBenchConfig
+	Results []*RelayBenchResult `json:"results"`
+}
+
+func (r *RelayBenchResult) mode() string { return r.Mode }
 
 // relayBenchTimeout bounds each propagation wait; the mesh is in-memory
 // and fault-free, so reaching it means the relay is broken, not slow.
@@ -130,7 +143,7 @@ func newRelayMesh(cfg RelayBenchConfig) (*relayMesh, error) {
 		}
 		n.RequestSync()
 	}
-	err = m.waitFor("bidirectional mesh", func() bool {
+	err = waitFor("relay bench", relayBenchTimeout, "bidirectional mesh", func() bool {
 		for i, n := range m.nodes {
 			if int(n.Telemetry().Gauge("bcwan_p2p_peer_count", "").Value()) != len(degrees[i]) {
 				return false
@@ -151,17 +164,6 @@ func (m *relayMesh) close() {
 	}
 }
 
-func (m *relayMesh) waitFor(what string, cond func() bool) error {
-	deadline := time.Now().Add(relayBenchTimeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("relay bench: timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return nil
-}
-
 // sum adds one counter across every node in the mesh.
 func (m *relayMesh) sum(name string) uint64 {
 	var total uint64
@@ -175,7 +177,7 @@ func (m *relayMesh) sum(name string) uint64 {
 // node 0 until every pool holds them, then mine and time full
 // propagation of the block.
 func (m *relayMesh) run() (*RelayBenchResult, error) {
-	res := &RelayBenchResult{}
+	res := &RelayBenchResult{Mode: "inv"}
 	miner := m.nodes[0]
 	startBytes := m.sum("bcwan_p2p_bytes_out_total")
 	var propagation time.Duration
@@ -189,7 +191,7 @@ func (m *relayMesh) run() (*RelayBenchResult, error) {
 				return nil, fmt.Errorf("relay bench: submit %d round %d: %w", i, round, err)
 			}
 		}
-		err := m.waitFor("warm pools", func() bool {
+		err := waitFor("relay bench", relayBenchTimeout, "warm pools", func() bool {
 			for _, n := range m.nodes {
 				if n.Ledger().Pool.Len() != m.cfg.TxsPerBlock {
 					return false
@@ -205,7 +207,7 @@ func (m *relayMesh) run() (*RelayBenchResult, error) {
 		if _, err := miner.MineNow(); err != nil {
 			return nil, fmt.Errorf("relay bench: mine round %d: %w", round, err)
 		}
-		err = m.waitFor(fmt.Sprintf("height %d everywhere", want), func() bool {
+		err = waitFor("relay bench", relayBenchTimeout, fmt.Sprintf("height %d everywhere", want), func() bool {
 			for _, n := range m.nodes {
 				if n.Chain().Height() != want {
 					return false
@@ -234,7 +236,7 @@ func (m *relayMesh) run() (*RelayBenchResult, error) {
 }
 
 // RunRelayBench measures the workload on a fresh mesh.
-func RunRelayBench(cfg RelayBenchConfig) (*RelayBenchResult, error) {
+func RunRelayBench(cfg RelayBenchConfig) (*RelayDoc, error) {
 	if cfg.Nodes < 2 || cfg.Degree < 1 || cfg.TxsPerBlock < 1 || cfg.Blocks < 1 {
 		return nil, fmt.Errorf("relay bench config must be positive: %+v", cfg)
 	}
@@ -243,63 +245,68 @@ func RunRelayBench(cfg RelayBenchConfig) (*RelayBenchResult, error) {
 		return nil, err
 	}
 	defer mesh.close()
-	return mesh.run()
+	res, err := mesh.run()
+	if err != nil {
+		return nil, err
+	}
+	return &RelayDoc{RelayBenchConfig: cfg, Results: []*RelayBenchResult{res}}, nil
 }
 
 // WriteRelayBench prints the measurement.
-func WriteRelayBench(w io.Writer, cfg RelayBenchConfig, r *RelayBenchResult) {
+func WriteRelayBench(w io.Writer, doc *RelayDoc) {
 	fmt.Fprintf(w, "== Gossip relay: inventory/compact (%d nodes, degree %d, %d tx × %d blocks) ==\n",
-		cfg.Nodes, cfg.Degree, cfg.TxsPerBlock, cfg.Blocks)
+		doc.Nodes, doc.Degree, doc.TxsPerBlock, doc.Blocks)
 	fmt.Fprintf(w, "%16s %16s %10s %14s %14s\n",
 		"bytes/block", "propagation", "hit rate", "txn roundtrips", "full fallbacks")
-	fmt.Fprintf(w, "%16d %13.2fms %9.0f%% %14d %14d\n\n",
-		r.BytesPerBlock, r.PropagationMS, 100*r.HitRate, r.TxnRoundTrips, r.FullFallbacks)
+	for _, r := range doc.Results {
+		fmt.Fprintf(w, "%16d %13.2fms %9.0f%% %14d %14d\n",
+			r.BytesPerBlock, r.PropagationMS, 100*r.HitRate, r.TxnRoundTrips, r.FullFallbacks)
+	}
+	fmt.Fprintln(w)
 }
 
-// relayJSONRow is one machine-readable relay measurement.
-type relayJSONRow struct {
-	Mode          string  `json:"mode"`
-	BytesPerBlock int64   `json:"bytes_per_block"`
-	PropagationMS float64 `json:"propagation_ms"`
-	HitRate       float64 `json:"hit_rate"`
-	TxnRoundTrips uint64  `json:"txn_roundtrips"`
-	FullFallbacks uint64  `json:"full_fallbacks"`
-}
+const (
+	// maxRelayBytesRegression is the allowed bytes-per-block increase
+	// over the committed baseline.
+	maxRelayBytesRegression = 0.25
+	// minCompactHitRate is an absolute floor, not a fraction of baseline:
+	// reconstruction on a warm mempool is deterministic, so a drop means
+	// the short-txid matching broke.
+	minCompactHitRate = 0.75
+)
 
-// relayJSON is the BENCH_relay.json document bcwan-benchgate consumes:
-// it bounds the "inv" row's bytes_per_block against the committed
-// baseline and floors its reconstruction hit rate.
-type relayJSON struct {
-	Nodes       int            `json:"nodes"`
-	Degree      int            `json:"degree"`
-	TxsPerBlock int            `json:"txs_per_block"`
-	Blocks      int            `json:"blocks"`
-	Results     []relayJSONRow `json:"results"`
-}
+// gateRelay compares the inv-relay row of the candidate against the
+// baseline: wire bytes per block may grow at most
+// maxRelayBytesRegression over the committed figure, and the
+// compact-block reconstruction hit rate must stay at or above
+// minCompactHitRate. Bytes are comparable across machines because the
+// workload — message count and sizes on an in-memory transport — is
+// fixed by the document's node/tx shape.
+func gateRelay(base, cand *RelayDoc) ([]string, error) {
+	if base.RelayBenchConfig != cand.RelayBenchConfig {
+		return nil, fmt.Errorf("workload mismatch: baseline %d nodes/deg %d/%dx%d vs candidate %d nodes/deg %d/%dx%d — regenerate the baseline",
+			base.Nodes, base.Degree, base.TxsPerBlock, base.Blocks,
+			cand.Nodes, cand.Degree, cand.TxsPerBlock, cand.Blocks)
+	}
+	b := rowByMode(base.Results, "inv")
+	if b == nil {
+		return nil, fmt.Errorf("%s: no inv row", base.path)
+	}
+	c := rowByMode(cand.Results, "inv")
+	if c == nil {
+		return nil, fmt.Errorf("%s: no inv row", cand.path)
+	}
 
-// WriteRelayBenchJSON writes the measurement as machine-readable JSON
-// to path, creating parent directories as needed.
-func WriteRelayBenchJSON(path string, cfg RelayBenchConfig, r *RelayBenchResult) error {
-	doc := relayJSON{
-		Nodes:       cfg.Nodes,
-		Degree:      cfg.Degree,
-		TxsPerBlock: cfg.TxsPerBlock,
-		Blocks:      cfg.Blocks,
-		Results: []relayJSONRow{{
-			Mode:          "inv",
-			BytesPerBlock: r.BytesPerBlock,
-			PropagationMS: r.PropagationMS,
-			HitRate:       r.HitRate,
-			TxnRoundTrips: r.TxnRoundTrips,
-			FullFallbacks: r.FullFallbacks,
-		}},
+	var failures []string
+	if b.BytesPerBlock > 0 && float64(c.BytesPerBlock) > float64(b.BytesPerBlock)*(1+maxRelayBytesRegression) {
+		failures = append(failures, fmt.Sprintf(
+			"relay bytes per block: %d vs baseline %d (+%.0f%%, allowed +%.0f%%)",
+			c.BytesPerBlock, b.BytesPerBlock, 100*(float64(c.BytesPerBlock)/float64(b.BytesPerBlock)-1), 100*maxRelayBytesRegression))
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
+	if c.HitRate < minCompactHitRate {
+		failures = append(failures, fmt.Sprintf(
+			"compact reconstruction hit rate %.2f below floor %.2f — short-txid matching or mempool lookup regressed",
+			c.HitRate, minCompactHitRate))
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return failures, nil
 }

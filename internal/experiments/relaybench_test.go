@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -34,9 +31,13 @@ func TestMeshNeighbors(t *testing.T) {
 // those numbers in the "inv" row.
 func TestRelayBenchWarmPoolsReconstruct(t *testing.T) {
 	cfg := RelayBenchConfig{Nodes: 6, Degree: 2, TxsPerBlock: 6, Blocks: 2}
-	res, err := RunRelayBench(cfg)
+	doc, err := RunRelayBench(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	res := rowByMode(doc.Results, "inv")
+	if res == nil || len(doc.Results) != 1 {
+		t.Fatalf("want exactly the inv row, got %+v", doc.Results)
 	}
 	if res.BytesPerBlock <= 0 {
 		t.Fatalf("relay moved %d bytes/block", res.BytesPerBlock)
@@ -49,32 +50,13 @@ func TestRelayBenchWarmPoolsReconstruct(t *testing.T) {
 	}
 
 	var text bytes.Buffer
-	WriteRelayBench(&text, cfg, res)
+	WriteRelayBench(&text, doc)
 	if !bytes.Contains(text.Bytes(), []byte("bytes/block")) {
 		t.Fatalf("report missing the bytes column:\n%s", text.String())
 	}
 
-	path := filepath.Join(t.TempDir(), "BENCH_relay.json")
-	if err := WriteRelayBenchJSON(path, cfg, res); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Nodes   int `json:"nodes"`
-		Results []struct {
-			Mode          string  `json:"mode"`
-			BytesPerBlock int64   `json:"bytes_per_block"`
-			HitRate       float64 `json:"hit_rate"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Nodes != cfg.Nodes || len(doc.Results) != 1 || doc.Results[0].Mode != "inv" ||
-		doc.Results[0].BytesPerBlock != res.BytesPerBlock || doc.Results[0].HitRate != res.HitRate {
-		t.Fatalf("JSON document malformed: %+v", doc)
+	got := reload(t, doc)
+	if got.Nodes != cfg.Nodes || len(got.Results) != 1 || *got.Results[0] != *res {
+		t.Fatalf("JSON document malformed: %+v", got)
 	}
 }

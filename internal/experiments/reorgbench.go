@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"crypto/rand"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"bcwan/internal/chain"
@@ -20,9 +17,9 @@ import (
 // O(d) disconnects + O(d+1) connects, so the rows should be flat where
 // a replay-from-genesis design would scale linearly with chain length.
 type ReorgConfig struct {
-	ChainLengths []int // best-chain heights to measure at
-	Depth        int   // blocks disconnected per reorg
-	Iterations   int   // measured reorgs per chain length
+	ChainLengths []int `json:"-"`     // best-chain heights to measure at
+	Depth        int   `json:"depth"` // blocks disconnected per reorg
+	Iterations   int   `json:"-"`     // measured reorgs per chain length
 }
 
 // DefaultReorgConfig measures the acceptance bound of DESIGN.md §11: a
@@ -32,13 +29,35 @@ func DefaultReorgConfig() ReorgConfig {
 	return ReorgConfig{ChainLengths: []int{100, 1000}, Depth: 2, Iterations: 30}
 }
 
+func quickReorgConfig() ReorgConfig {
+	return ReorgConfig{ChainLengths: []int{20, 60}, Depth: 2, Iterations: 5}
+}
+
 // ReorgResult is the measured reorg cost at one chain length.
 type ReorgResult struct {
-	ChainLen   int
-	Depth      int
-	Iterations int
-	Elapsed    time.Duration // total time inside the reorg-triggering AddBlock calls
-	NsPerReorg int64
+	ChainLen   int           `json:"chain_len"`
+	Depth      int           `json:"depth"`
+	Iterations int           `json:"iterations"`
+	Elapsed    time.Duration `json:"-"` // total time inside the reorg-triggering AddBlock calls
+	NsPerReorg int64         `json:"ns_per_reorg"`
+}
+
+// ReorgDoc is the BENCH_reorg.json document. ScalingRatio is the longest
+// chain's per-reorg cost over the shortest chain's (rows are in ascending
+// chain-length order); 0 with fewer than two rows.
+type ReorgDoc struct {
+	docHeader
+	ReorgConfig
+	ScalingRatio float64        `json:"scaling_ratio"`
+	Results      []*ReorgResult `json:"results"`
+}
+
+func newReorgDoc(cfg ReorgConfig, results []*ReorgResult) *ReorgDoc {
+	doc := &ReorgDoc{ReorgConfig: cfg, Results: results}
+	if len(results) >= 2 && results[0].NsPerReorg > 0 {
+		doc.ScalingRatio = float64(results[len(results)-1].NsPerReorg) / float64(results[0].NsPerReorg)
+	}
+	return doc
 }
 
 // reorgFixture owns one growing chain; each measured reorg forks
@@ -146,7 +165,7 @@ func (fix *reorgFixture) measure(cfg ReorgConfig, chainLen int) (*ReorgResult, e
 }
 
 // RunReorg measures the reorg cost at every configured chain length.
-func RunReorg(cfg ReorgConfig) ([]*ReorgResult, error) {
+func RunReorg(cfg ReorgConfig) (*ReorgDoc, error) {
 	if cfg.Depth <= 0 || cfg.Iterations <= 0 || len(cfg.ChainLengths) == 0 {
 		return nil, fmt.Errorf("reorg config must be positive: %+v", cfg)
 	}
@@ -165,16 +184,16 @@ func RunReorg(cfg ReorgConfig) ([]*ReorgResult, error) {
 		}
 		results = append(results, res)
 	}
-	return results, nil
+	return newReorgDoc(cfg, results), nil
 }
 
 // WriteReorg prints the reorg-cost table with each row's scaling ratio
 // against the shortest chain — the number the CI gate bounds at 5x.
-func WriteReorg(w io.Writer, cfg ReorgConfig, results []*ReorgResult) {
-	fmt.Fprintf(w, "== Reorg cost (depth %d, %d reorgs per length) ==\n", cfg.Depth, cfg.Iterations)
+func WriteReorg(w io.Writer, doc *ReorgDoc) {
+	fmt.Fprintf(w, "== Reorg cost (depth %d, %d reorgs per length) ==\n", doc.Depth, doc.Iterations)
 	fmt.Fprintf(w, "%-12s %14s %10s\n", "chain length", "per reorg", "vs first")
 	var base int64
-	for _, r := range results {
+	for _, r := range doc.Results {
 		if base == 0 {
 			base = r.NsPerReorg
 		}
@@ -188,51 +207,35 @@ func WriteReorg(w io.Writer, cfg ReorgConfig, results []*ReorgResult) {
 	fmt.Fprintln(w)
 }
 
-// reorgJSONRow is one machine-readable reorg measurement.
-type reorgJSONRow struct {
-	ChainLen   int   `json:"chain_len"`
-	Depth      int   `json:"depth"`
-	Iterations int   `json:"iterations"`
-	NsPerReorg int64 `json:"ns_per_reorg"`
-}
+// maxReorgScaling caps the per-reorg cost ratio of the longest chain to
+// the shortest (the acceptance bound of DESIGN.md §11).
+const maxReorgScaling = 5.0
 
-// reorgJSON is the BENCH_reorg.json document. ScalingRatio is the
-// longest chain's per-reorg cost over the shortest chain's; bcwan-benchgate
-// asserts it stays at or below the 5x acceptance bound.
-type reorgJSON struct {
-	Host         hostStamp      `json:"host"`
-	Depth        int            `json:"depth"`
-	ScalingRatio float64        `json:"scaling_ratio"`
-	Results      []reorgJSONRow `json:"results"`
-}
-
-// ReorgScalingRatio is last-row cost over first-row cost (rows are in
-// ascending chain-length order); 0 with fewer than two rows.
-func ReorgScalingRatio(results []*ReorgResult) float64 {
-	if len(results) < 2 || results[0].NsPerReorg <= 0 {
-		return 0
+// gateReorg asserts the undo-journal property inside the candidate
+// document itself: the per-reorg cost on the longest chain must stay
+// within maxReorgScaling times the cost on the shortest. This is a
+// same-machine comparison, so it holds on any runner speed — a
+// replay-from-genesis reorg would push the ratio toward
+// chainLenMax/chainLenMin. The baseline is only checked for
+// workload-shape agreement (absolute nanoseconds are not compared across
+// machines).
+func gateReorg(base, cand *ReorgDoc) ([]string, error) {
+	if base.Depth != cand.Depth || len(base.Results) != len(cand.Results) {
+		return nil, fmt.Errorf("workload mismatch: baseline depth %d/%d lengths vs candidate depth %d/%d lengths — regenerate the baseline",
+			base.Depth, len(base.Results), cand.Depth, len(cand.Results))
 	}
-	return float64(results[len(results)-1].NsPerReorg) / float64(results[0].NsPerReorg)
-}
-
-// WriteReorgJSON writes the measurements as machine-readable JSON to
-// path, creating parent directories as needed.
-func WriteReorgJSON(path string, cfg ReorgConfig, results []*ReorgResult) error {
-	doc := reorgJSON{Host: currentHost(), Depth: cfg.Depth, ScalingRatio: ReorgScalingRatio(results)}
-	for _, r := range results {
-		doc.Results = append(doc.Results, reorgJSONRow{
-			ChainLen:   r.ChainLen,
-			Depth:      r.Depth,
-			Iterations: r.Iterations,
-			NsPerReorg: r.NsPerReorg,
-		})
+	if len(cand.Results) < 2 {
+		return nil, fmt.Errorf("reorg document needs at least two chain lengths, got %d", len(cand.Results))
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
+	first, last := cand.Results[0], cand.Results[len(cand.Results)-1]
+	if first.NsPerReorg <= 0 {
+		return nil, fmt.Errorf("reorg baseline row has non-positive ns_per_reorg")
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
+	ratio := float64(last.NsPerReorg) / float64(first.NsPerReorg)
+	if ratio > maxReorgScaling {
+		return []string{fmt.Sprintf(
+			"depth-%d reorg cost scales with chain length: %d ns at height %d vs %d ns at height %d (%.2fx > %.1fx) — did a reorg path fall back to replay-from-genesis?",
+			cand.Depth, last.NsPerReorg, last.ChainLen, first.NsPerReorg, first.ChainLen, ratio, maxReorgScaling)}, nil
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return nil, nil
 }

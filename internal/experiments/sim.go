@@ -122,7 +122,11 @@ func Run(cfg Config) (*Result, error) {
 	s.result.Channel = s.channel.Stats
 	s.result.Summary = Summarize(s.result.Latencies)
 	s.result.Config = cfg
-	return &s.result, nil
+	// Return a copy: a pointer into the sim would keep its chain, mempool,
+	// radios and scheduler reachable for as long as the caller holds the
+	// Result.
+	res := s.result
+	return &res, nil
 }
 
 func newSim(cfg Config) (*sim, error) {

@@ -3,11 +3,8 @@ package experiments
 import (
 	"bytes"
 	"crypto/rand"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"bcwan/internal/bccrypto"
@@ -25,10 +22,10 @@ import (
 // genesis-replay path (every body fetched and executed), once over the
 // headers + signed-snapshot bootstrap.
 type SyncBenchConfig struct {
-	Height            int64 // server chain height before the joiner dials
-	SnapshotInterval  int64 // miner commitment spacing
-	SnapshotChunkSize int   // served chunk payload size in bytes
-	TxsPerBlock       int   // payment bodies mined into every block
+	Height            int64 `json:"height"`              // server chain height before the joiner dials
+	SnapshotInterval  int64 `json:"snapshot_interval"`   // miner commitment spacing
+	SnapshotChunkSize int   `json:"snapshot_chunk_size"` // served chunk payload size in bytes
+	TxsPerBlock       int   `json:"txs_per_block"`       // payment bodies mined into every block
 }
 
 // DefaultSyncBenchConfig is the committed-baseline workload: the
@@ -41,14 +38,41 @@ func DefaultSyncBenchConfig() SyncBenchConfig {
 	return SyncBenchConfig{Height: 100_000, SnapshotInterval: 8192, SnapshotChunkSize: 256 << 10, TxsPerBlock: 4}
 }
 
+func quickSyncBenchConfig() SyncBenchConfig {
+	return SyncBenchConfig{Height: 600, SnapshotInterval: 128, SnapshotChunkSize: 32 << 10, TxsPerBlock: 2}
+}
+
 // SyncBenchResult is the measured cost of one join mode.
 type SyncBenchResult struct {
-	Mode            string  // "replay" or "snapshot"
-	ColdStartMS     float64 // dial → caught up with the server tip
-	FirstDeliveryMS float64 // dial → first payment settled on the joiner
-	BytesIn         int64   // wire bytes the joiner received
-	PruneBase       int64   // joiner's horizon after the join (0 = full history)
-	BlocksReplayed  int64   // bodies fetched and executed during the join
+	Mode            string  `json:"mode"`              // "replay" or "snapshot"
+	ColdStartMS     float64 `json:"cold_start_ms"`     // dial → caught up with the server tip
+	FirstDeliveryMS float64 `json:"first_delivery_ms"` // dial → first payment settled on the joiner
+	BytesIn         int64   `json:"bytes_in"`          // wire bytes the joiner received
+	PruneBase       int64   `json:"prune_base"`        // joiner's horizon after the join (0 = full history)
+	BlocksReplayed  int64   `json:"blocks_replayed"`   // bodies fetched and executed during the join
+}
+
+// SyncDoc is the BENCH_sync.json document. SpeedupRatio is replay
+// first-delivery time over snapshot first-delivery time — the headline
+// number of the sync redesign; 0 when either row is missing or
+// non-positive. Both joins run on the same machine against the same
+// history, so the ratio is machine-independent.
+type SyncDoc struct {
+	docHeader
+	SyncBenchConfig
+	SpeedupRatio float64            `json:"speedup_ratio"`
+	Results      []*SyncBenchResult `json:"results"`
+}
+
+func (r *SyncBenchResult) mode() string { return r.Mode }
+
+func newSyncDoc(cfg SyncBenchConfig, results []*SyncBenchResult) *SyncDoc {
+	doc := &SyncDoc{SyncBenchConfig: cfg, Results: results}
+	replay, snapshot := rowByMode(doc.Results, "replay"), rowByMode(doc.Results, "snapshot")
+	if replay != nil && snapshot != nil && replay.FirstDeliveryMS > 0 && snapshot.FirstDeliveryMS > 0 {
+		doc.SpeedupRatio = replay.FirstDeliveryMS / snapshot.FirstDeliveryMS
+	}
+	return doc
 }
 
 // syncBenchTimeout bounds each wait; the mesh is in-memory and
@@ -192,17 +216,6 @@ func (sb *syncBench) close() {
 	}
 }
 
-func waitUntil(what string, cond func() bool) error {
-	deadline := time.Now().Add(syncBenchTimeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("sync bench: timed out waiting for %s", what)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return nil
-}
-
 // run measures one cold start: boot a fresh joiner against the server,
 // wait until it has caught up with the tip, then settle one payment
 // through it and stop the clock when the joiner sees the spend
@@ -232,7 +245,7 @@ func (sb *syncBench) run(mode string, wlt *wallet.Wallet) (*SyncBenchResult, err
 	if mode == "replay" {
 		err = sb.driveLegacyJoin(joiner, target)
 	} else {
-		err = waitUntil("snapshot joiner live at tip", func() bool {
+		err = waitFor("sync bench", syncBenchTimeout, "snapshot joiner live at tip", func() bool {
 			return joiner.SyncInfo().Phase == "live" && joiner.Chain().Height() >= target
 		})
 	}
@@ -250,7 +263,7 @@ func (sb *syncBench) run(mode string, wlt *wallet.Wallet) (*SyncBenchResult, err
 	if err := joiner.Ledger().Submit(tx); err != nil {
 		return nil, fmt.Errorf("sync bench %s: submit: %w", mode, err)
 	}
-	if err := waitUntil("payment to reach the miner pool", func() bool {
+	if err := waitFor("sync bench", syncBenchTimeout, "payment to reach the miner pool", func() bool {
 		return sb.server.Ledger().Pool.Len() > 0
 	}); err != nil {
 		return nil, err
@@ -258,7 +271,7 @@ func (sb *syncBench) run(mode string, wlt *wallet.Wallet) (*SyncBenchResult, err
 	if _, err := sb.server.MineNow(); err != nil {
 		return nil, fmt.Errorf("sync bench %s: mine delivery: %w", mode, err)
 	}
-	if err := waitUntil("delivery to settle on the joiner", func() bool {
+	if err := waitFor("sync bench", syncBenchTimeout, "delivery to settle on the joiner", func() bool {
 		_, _, spent := joiner.Chain().FindSpender(tx.Inputs[0].Prev)
 		return spent
 	}); err != nil {
@@ -315,7 +328,7 @@ func msSince(t time.Time) float64 {
 // RunSyncBench measures the cold start under both join paths against
 // one shared mined history: the genesis replay first (the baseline the
 // redesign retired), then the snapshot bootstrap.
-func RunSyncBench(cfg SyncBenchConfig) ([]*SyncBenchResult, error) {
+func RunSyncBench(cfg SyncBenchConfig) (*SyncDoc, error) {
 	if cfg.Height < 1 || cfg.SnapshotInterval < 1 || cfg.SnapshotChunkSize < 1 || cfg.TxsPerBlock < 1 {
 		return nil, fmt.Errorf("sync bench config must be positive: %+v", cfg)
 	}
@@ -336,95 +349,71 @@ func RunSyncBench(cfg SyncBenchConfig) ([]*SyncBenchResult, error) {
 		}
 		results = append(results, res)
 	}
-	return results, nil
-}
-
-// SyncSpeedupRatio is replay first-delivery time over snapshot
-// first-delivery time — the headline number of the sync redesign; 0
-// when either row is missing or non-positive. Both joins run on the
-// same machine against the same history, so the ratio is
-// machine-independent and CI can gate on it directly.
-func SyncSpeedupRatio(results []*SyncBenchResult) float64 {
-	var replay, snapshot float64
-	for _, r := range results {
-		switch r.Mode {
-		case "replay":
-			replay = r.FirstDeliveryMS
-		case "snapshot":
-			snapshot = r.FirstDeliveryMS
-		}
-	}
-	if replay <= 0 || snapshot <= 0 {
-		return 0
-	}
-	return replay / snapshot
+	return newSyncDoc(cfg, results), nil
 }
 
 // WriteSyncBench prints both join paths side by side with the speedup
 // ratio the CI gate tracks.
-func WriteSyncBench(w io.Writer, cfg SyncBenchConfig, results []*SyncBenchResult) {
+func WriteSyncBench(w io.Writer, doc *SyncDoc) {
 	fmt.Fprintf(w, "== Gateway cold start: genesis replay vs snapshot bootstrap (height %d, snapshot every %d, %d txs/block) ==\n",
-		cfg.Height, cfg.SnapshotInterval, cfg.TxsPerBlock)
+		doc.Height, doc.SnapshotInterval, doc.TxsPerBlock)
 	fmt.Fprintf(w, "%-10s %14s %16s %14s %12s %14s\n",
 		"mode", "cold start", "first delivery", "bytes in", "prune base", "blocks replayed")
-	for _, r := range results {
+	for _, r := range doc.Results {
 		fmt.Fprintf(w, "%-10s %11.0fms %13.0fms %14d %12d %14d\n",
 			r.Mode, r.ColdStartMS, r.FirstDeliveryMS, r.BytesIn, r.PruneBase, r.BlocksReplayed)
 	}
-	if ratio := SyncSpeedupRatio(results); ratio > 0 {
-		fmt.Fprintf(w, "first-delivery speedup: %.1fx\n", ratio)
+	if doc.SpeedupRatio > 0 {
+		fmt.Fprintf(w, "first-delivery speedup: %.1fx\n", doc.SpeedupRatio)
 	}
 	fmt.Fprintln(w)
 }
 
-// syncJSONRow is one machine-readable cold-start measurement.
-type syncJSONRow struct {
-	Mode            string  `json:"mode"`
-	ColdStartMS     float64 `json:"cold_start_ms"`
-	FirstDeliveryMS float64 `json:"first_delivery_ms"`
-	BytesIn         int64   `json:"bytes_in"`
-	PruneBase       int64   `json:"prune_base"`
-	BlocksReplayed  int64   `json:"blocks_replayed"`
-}
+// minSyncSpeedup floors the snapshot bootstrap's first-delivery speedup
+// over the genesis replay.
+const minSyncSpeedup = 1.5
 
-// syncJSON is the BENCH_sync.json document bcwan-benchgate consumes: it
-// floors the candidate's own replay/snapshot speedup ratio and checks
-// the snapshot row actually pruned.
-type syncJSON struct {
-	Height            int64         `json:"height"`
-	SnapshotInterval  int64         `json:"snapshot_interval"`
-	SnapshotChunkSize int           `json:"snapshot_chunk_size"`
-	TxsPerBlock       int           `json:"txs_per_block"`
-	SpeedupRatio      float64       `json:"speedup_ratio"`
-	Results           []syncJSONRow `json:"results"`
-}
+// gateSync asserts the snapshot-bootstrap property inside the candidate
+// document itself: joining via snapshot must reach first delivery at
+// least minSyncSpeedup times faster than the genesis replay of the same
+// history, and the snapshot join must actually have pruned
+// (prune_base > 0) with fewer bodies executed than the replay. Both
+// joins run back to back on the same machine, so the ratio holds on any
+// runner speed — a bootstrap that quietly degrades to replaying every
+// body pushes it to 1x. The baseline is only checked for workload-shape
+// agreement (absolute milliseconds are not compared across machines).
+func gateSync(base, cand *SyncDoc) ([]string, error) {
+	if base.Height != cand.Height || base.SnapshotInterval != cand.SnapshotInterval ||
+		base.TxsPerBlock != cand.TxsPerBlock {
+		return nil, fmt.Errorf("workload mismatch: baseline height %d/interval %d/%d txs vs candidate height %d/interval %d/%d txs — regenerate the baseline",
+			base.Height, base.SnapshotInterval, base.TxsPerBlock,
+			cand.Height, cand.SnapshotInterval, cand.TxsPerBlock)
+	}
+	replay := rowByMode(cand.Results, "replay")
+	if replay == nil {
+		return nil, fmt.Errorf("%s: no replay row", cand.path)
+	}
+	snap := rowByMode(cand.Results, "snapshot")
+	if snap == nil {
+		return nil, fmt.Errorf("%s: no snapshot row", cand.path)
+	}
+	if replay.FirstDeliveryMS <= 0 || snap.FirstDeliveryMS <= 0 {
+		return nil, fmt.Errorf("%s: non-positive first-delivery time", cand.path)
+	}
 
-// WriteSyncBenchJSON writes the measurements as machine-readable JSON
-// to path, creating parent directories as needed.
-func WriteSyncBenchJSON(path string, cfg SyncBenchConfig, results []*SyncBenchResult) error {
-	doc := syncJSON{
-		Height:            cfg.Height,
-		SnapshotInterval:  cfg.SnapshotInterval,
-		SnapshotChunkSize: cfg.SnapshotChunkSize,
-		TxsPerBlock:       cfg.TxsPerBlock,
-		SpeedupRatio:      SyncSpeedupRatio(results),
+	var failures []string
+	if ratio := replay.FirstDeliveryMS / snap.FirstDeliveryMS; ratio < minSyncSpeedup {
+		failures = append(failures, fmt.Sprintf(
+			"snapshot bootstrap speedup %.2fx below floor %.1fx (replay %.0fms vs snapshot %.0fms at height %d) — is the join replaying bodies below the horizon?",
+			ratio, minSyncSpeedup, replay.FirstDeliveryMS, snap.FirstDeliveryMS, cand.Height))
 	}
-	for _, r := range results {
-		doc.Results = append(doc.Results, syncJSONRow{
-			Mode:            r.Mode,
-			ColdStartMS:     r.ColdStartMS,
-			FirstDeliveryMS: r.FirstDeliveryMS,
-			BytesIn:         r.BytesIn,
-			PruneBase:       r.PruneBase,
-			BlocksReplayed:  r.BlocksReplayed,
-		})
+	if snap.PruneBase <= 0 {
+		failures = append(failures, fmt.Sprintf(
+			"snapshot join never pruned (prune_base %d) — did the bootstrap fall back to a full sync?", snap.PruneBase))
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
+	if snap.BlocksReplayed >= replay.BlocksReplayed {
+		failures = append(failures, fmt.Sprintf(
+			"snapshot join executed %d bodies, replay %d — the horizon saved nothing", snap.BlocksReplayed, replay.BlocksReplayed))
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return failures, nil
 }

@@ -2,18 +2,16 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
 func TestSyncBenchSnapshotBeatsReplay(t *testing.T) {
 	cfg := SyncBenchConfig{Height: 600, SnapshotInterval: 128, SnapshotChunkSize: 32 << 10, TxsPerBlock: 2}
-	results, err := RunSyncBench(cfg)
+	doc, err := RunSyncBench(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := doc.Results
 	if len(results) != 2 || results[0].Mode != "replay" || results[1].Mode != "snapshot" {
 		t.Fatalf("want [replay snapshot] rows, got %+v", results)
 	}
@@ -31,37 +29,20 @@ func TestSyncBenchSnapshotBeatsReplay(t *testing.T) {
 	// At this small height the wall-clock gap is noisy, so the test only
 	// asserts direction on the structural numbers and that the ratio is
 	// well-formed; the committed full-scale run is what CI gates.
-	if ratio := SyncSpeedupRatio(results); ratio <= 0 {
-		t.Fatalf("speedup ratio %.2f, want > 0", ratio)
+	if doc.SpeedupRatio <= 0 {
+		t.Fatalf("speedup ratio %.2f, want > 0", doc.SpeedupRatio)
 	}
 
 	var text bytes.Buffer
-	WriteSyncBench(&text, cfg, results)
+	WriteSyncBench(&text, doc)
 	if !bytes.Contains(text.Bytes(), []byte("first-delivery speedup")) {
 		t.Fatalf("report missing speedup line:\n%s", text.String())
 	}
 
-	path := filepath.Join(t.TempDir(), "BENCH_sync.json")
-	if err := WriteSyncBenchJSON(path, cfg, results); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Height       int64   `json:"height"`
-		SpeedupRatio float64 `json:"speedup_ratio"`
-		Results      []struct {
-			Mode      string `json:"mode"`
-			PruneBase int64  `json:"prune_base"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Height != cfg.Height || len(doc.Results) != 2 || doc.Results[1].PruneBase == 0 {
-		t.Fatalf("JSON document malformed: %+v", doc)
+	got := reload(t, doc)
+	if got.Height != cfg.Height || got.SpeedupRatio != doc.SpeedupRatio ||
+		len(got.Results) != 2 || got.Results[1].PruneBase == 0 {
+		t.Fatalf("JSON document malformed: %+v", got)
 	}
 }
 
