@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench blockconnect reorg relay-bench sync-bench channel-bench city-bench bench-gate bench-scaling lint fuzz chaos chaos-byzantine ci
+.PHONY: build test vet race harness-smoke bench blockconnect reorg relay-bench sync-bench channel-bench city-bench bench-gate bench-scaling lint fuzz chaos chaos-byzantine ci
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,14 @@ vet:
 # the interesting part.
 race:
 	$(GO) test -race ./...
+
+# benchmark/ is its own module and a frozen contract: vet and test it
+# against this tree, so a change to anything it compiles against
+# (Ledger().UTXO(), Wallet().Balance, BuildPayment, the actor methods)
+# shows here and not in the driver's benchmark run.
+harness-smoke:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
 
 # One iteration of every figure/table bench, including BenchmarkBlockConnect.
 bench:
@@ -91,4 +99,4 @@ chaos:
 chaos-byzantine:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 -v -run 'TestByzantineScenarios' ./internal/chaos
 
-ci: vet race
+ci: vet race harness-smoke

@@ -163,7 +163,7 @@ func (n *Network) MineBlock() (*chain.Block, error) {
 
 // Fund pays an amount from the treasury to a wallet and confirms it.
 func (n *Network) Fund(w *wallet.Wallet, amount uint64) error {
-	tx, err := n.treasury.BuildPayment(n.ledger.UTXO(), w.PubKeyHash(), amount, 1)
+	tx, err := n.treasury.BuildPayment(n.ledger.Spendable(n.treasury.PubKeyHash()), w.PubKeyHash(), amount, 1)
 	if err != nil {
 		return fmt.Errorf("bcwan: fund: %w", err)
 	}
@@ -212,7 +212,7 @@ func (n *Network) NewRecipient(netAddr string, cfg RecipientConfig) (*Recipient,
 	if err := n.Fund(w, 1_000_000); err != nil {
 		return nil, err
 	}
-	pub, err := registry.BuildPublish(w, n.ledger.UTXO(), netAddr, 1)
+	pub, err := registry.BuildPublish(w, n.ledger.Spendable(w.PubKeyHash()), netAddr, 1)
 	if err != nil {
 		return nil, fmt.Errorf("bcwan: publish binding: %w", err)
 	}

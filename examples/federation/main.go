@@ -109,6 +109,7 @@ func run() error {
 
 	fmt.Printf("after %d exchanges:\n\n", rounds*len(companies)*5)
 	fmt.Printf("%-14s %9s %10s %12s %14s\n", "company", "gateways", "exchanges", "gw revenue", "net position")
+	// One copy for the whole report, so every balance is of the same state.
 	utxo := net.Ledger().UTXO()
 	price := int(bcwan.DefaultGatewayConfig().Price)
 	for _, c := range companies {

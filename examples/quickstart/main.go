@@ -62,7 +62,7 @@ func run() error {
 	}
 
 	fmt.Printf("recipient decrypted: %q (from sensor %s)\n", msg.Plaintext, msg.DevEUI)
-	fmt.Printf("gateway balance after claim: %d units\n", gw.Wallet().Balance(net.Ledger().UTXO()))
+	fmt.Printf("gateway balance after claim: %d units\n", gw.Wallet().Balance(net.Ledger().Spendable(gw.Wallet().PubKeyHash())))
 	fmt.Printf("chain height: %d blocks\n", net.Chain().Height())
 	return nil
 }

@@ -81,6 +81,7 @@ func run() error {
 
 	fmt.Printf("delivered %d readings across %d rounds\n\n", delivered, readingsPerNode)
 	fmt.Println("gateway settlement (deliveries are paid, §4.1):")
+	// One copy for the whole report, so every balance is of the same state.
 	utxo := net.Ledger().UTXO()
 	for i, gw := range gws {
 		fmt.Printf("  gateway %d: %3d deliveries, balance %6d units\n",

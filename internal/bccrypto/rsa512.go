@@ -2,13 +2,13 @@ package bccrypto
 
 import (
 	"bytes"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 )
 
 // RSA-512 implemented directly on math/big.
@@ -57,32 +57,35 @@ type RSA512PrivateKey struct {
 	Q *big.Int // prime factor 2
 }
 
+var (
+	rsa512E = big.NewInt(rsa512PublicExponent)
+	bigOne  = big.NewInt(1)
+)
+
 // GenerateRSA512 creates a fresh 512-bit keypair from the given entropy
 // source. BcWAN gateways call this once per message to mint the ephemeral
-// pair (ePk, eSk) of Fig. 3 step 1.
+// pair (ePk, eSk) of Fig. 3 step 1. The key is a function of the bytes
+// read: the same stream yields the same key.
 func GenerateRSA512(random io.Reader) (*RSA512PrivateKey, error) {
-	e := big.NewInt(rsa512PublicExponent)
-	one := big.NewInt(1)
+	var search primeSearch
 	for {
-		p, err := rand.Prime(random, RSA512Bits/2)
+		p, err := search.next(random)
 		if err != nil {
 			return nil, fmt.Errorf("generate prime p: %w", err)
 		}
-		q, err := rand.Prime(random, RSA512Bits/2)
+		q, err := search.next(random)
 		if err != nil {
 			return nil, fmt.Errorf("generate prime q: %w", err)
 		}
 		if p.Cmp(q) == 0 {
 			continue
 		}
+		// Both primes have their top two bits set, so n has exactly
+		// RSA512Bits bits. φ(n) = (p−1)(q−1) = n − p − q + 1.
 		n := new(big.Int).Mul(p, q)
-		if n.BitLen() != RSA512Bits {
-			continue
-		}
-		pm1 := new(big.Int).Sub(p, one)
-		qm1 := new(big.Int).Sub(q, one)
-		phi := new(big.Int).Mul(pm1, qm1)
-		d := new(big.Int).ModInverse(e, phi)
+		phi := new(big.Int).Sub(n, p)
+		phi.Sub(phi, q).Add(phi, bigOne)
+		d := new(big.Int).ModInverse(rsa512E, phi)
 		if d == nil {
 			// e not invertible mod phi; retry with new primes.
 			continue
@@ -93,6 +96,95 @@ func GenerateRSA512(random io.Reader) (*RSA512PrivateKey, error) {
 			P:               p,
 			Q:               q,
 		}, nil
+	}
+}
+
+const (
+	rsa512PrimeLen = RSA512Bits / 2 / 8
+	// sieveWindow is how many consecutive odd numbers one random draw
+	// covers. One odd 256-bit number in 89 is prime, so a window comes
+	// up empty about once in 10⁵ draws (and is then simply drawn again).
+	sieveWindow = 1024
+	// sievePrimeBound bounds the trial-division table: the 1 000 primes
+	// below 7 920. Sieving by them leaves about one odd number in eight,
+	// of which one in eleven is prime.
+	sievePrimeBound = 7920
+)
+
+// sievePrimes is the odd primes below sievePrimeBound.
+var sievePrimes = func() []uint64 {
+	var composite [sievePrimeBound]bool
+	var primes []uint64
+	for n := 3; n < sievePrimeBound; n += 2 {
+		if composite[n] {
+			continue
+		}
+		primes = append(primes, uint64(n))
+		for m := n * n; m < sievePrimeBound; m += 2 * n {
+			composite[m] = true
+		}
+	}
+	return primes
+}()
+
+// primeSearch finds 256-bit primes for GenerateRSA512 and holds the
+// scratch both searches of one key share. It draws candidates exactly as
+// crypto/rand.Prime does — 32 random bytes, top two bits and low bit set
+// — and accepts on the same test, ProbablyPrime(20); what differs is
+// that a draw is sieved against sievePrimes in word arithmetic first,
+// so the test only runs on the few numbers of the window no table
+// prime divides.
+type primeSearch struct {
+	buf       [rsa512PrimeLen]byte
+	composite [sieveWindow]bool
+	cand      big.Int
+}
+
+// next returns the first probable prime at or above a fresh random draw,
+// drawing again if the draw's window holds none.
+func (ps *primeSearch) next(random io.Reader) (*big.Int, error) {
+	for {
+		if _, err := io.ReadFull(random, ps.buf[:]); err != nil {
+			return nil, err
+		}
+		ps.buf[0] |= 0xc0
+		ps.buf[rsa512PrimeLen-1] |= 1
+		var base [rsa512PrimeLen / 8]uint64 // most significant word first
+		for i := range base {
+			base[i] = binary.BigEndian.Uint64(ps.buf[8*i:])
+		}
+
+		// composite[k] marks base+2k as divisible by a table prime.
+		ps.composite = [sieveWindow]bool{}
+		for _, p := range sievePrimes {
+			var r uint64
+			for _, w := range base {
+				r = bits.Rem64(r, w, p)
+			}
+			// base+2k ≡ 0 (mod p) first at k ≡ −r·2⁻¹, and 2⁻¹ is (p+1)/2.
+			for k := (p - r) % p * ((p + 1) / 2) % p; k < sieveWindow; k += p {
+				ps.composite[k] = true
+			}
+		}
+
+		for k := range ps.composite {
+			if ps.composite[k] {
+				continue
+			}
+			cand, carry := base, uint64(2*k)
+			for i := len(cand) - 1; i >= 0; i-- {
+				cand[i], carry = bits.Add64(cand[i], carry, 0)
+			}
+			if carry != 0 {
+				break // the window ran past 2²⁵⁶
+			}
+			for i, w := range cand {
+				binary.BigEndian.PutUint64(ps.buf[8*i:], w)
+			}
+			if ps.cand.SetBytes(ps.buf[:]).ProbablyPrime(20) {
+				return new(big.Int).Set(&ps.cand), nil
+			}
+		}
 	}
 }
 

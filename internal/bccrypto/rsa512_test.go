@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"io"
 	"math/big"
+	mrand "math/rand"
 	"sync"
 	"testing"
 )
@@ -51,6 +53,146 @@ func TestGenerateRSA512Properties(t *testing.T) {
 	ed := new(big.Int).Mul(big.NewInt(key.E), key.D)
 	if new(big.Int).Mod(ed, phi).Cmp(one) != 0 {
 		t.Error("e*d mod phi(n) != 1")
+	}
+}
+
+// TestGenerateRSA512Contract pins what every caller of GenerateRSA512
+// relies on, over enough keys to meet the rare branches: a 512-bit
+// modulus (which is why keygen needs no bit-length retry), two distinct
+// 256-bit primes drawn the way crypto/rand.Prime draws them and passing
+// the same ProbablyPrime(20), a matching private exponent, and a working
+// encrypt/decrypt pair.
+func TestGenerateRSA512Contract(t *testing.T) {
+	one := big.NewInt(1)
+	for i := 0; i < 200; i++ {
+		key, err := GenerateRSA512(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := key.N.BitLen(); got != RSA512Bits {
+			t.Fatalf("key %d: modulus has %d bits, want %d", i, got, RSA512Bits)
+		}
+		if key.P.Cmp(key.Q) == 0 {
+			t.Fatalf("key %d: p == q", i)
+		}
+		if pq := new(big.Int).Mul(key.P, key.Q); pq.Cmp(key.N) != 0 {
+			t.Fatalf("key %d: N != P*Q", i)
+		}
+		for name, prime := range map[string]*big.Int{"p": key.P, "q": key.Q} {
+			if prime.BitLen() != RSA512Bits/2 || prime.Bit(RSA512Bits/2-2) != 1 {
+				t.Fatalf("key %d: %s = %x lacks its top two bits", i, name, prime)
+			}
+			if !prime.ProbablyPrime(20) {
+				t.Fatalf("key %d: %s = %x is composite", i, name, prime)
+			}
+		}
+		phi := new(big.Int).Mul(new(big.Int).Sub(key.P, one), new(big.Int).Sub(key.Q, one))
+		ed := new(big.Int).Mul(big.NewInt(key.E), key.D)
+		if ed.Mod(ed, phi).Cmp(one) != 0 {
+			t.Fatalf("key %d: e*d mod phi(n) != 1", i)
+		}
+		msg := []byte("reading")
+		ct, err := EncryptRSA512(rand.Reader, key.Public(), msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt, err := DecryptRSA512(key, ct); err != nil || !bytes.Equal(pt, msg) {
+			t.Fatalf("key %d: decrypt = %q, %v", i, pt, err)
+		}
+	}
+}
+
+// TestGenerateRSA512SameStreamSameKey: the key is a function of the
+// bytes read, so a seeded reader reproduces it.
+func TestGenerateRSA512SameStreamSameKey(t *testing.T) {
+	a, err := GenerateRSA512(mrand.New(mrand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := GenerateRSA512(mrand.New(mrand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(MarshalRSA512PrivateKey(a), MarshalRSA512PrivateKey(b)) || a.P.Cmp(b.P) != 0 || a.Q.Cmp(b.Q) != 0 {
+		t.Fatal("the same byte stream produced two different keys")
+	}
+	c, err := GenerateRSA512(mrand.New(mrand.NewSource(8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.N.Cmp(c.N) == 0 {
+		t.Fatal("different byte streams produced the same key")
+	}
+}
+
+// failingReader yields n bytes of a seeded stream, then errBrokenReader.
+type failingReader struct {
+	src io.Reader
+	n   int
+}
+
+var errBrokenReader = errors.New("entropy source broke")
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, errBrokenReader
+	}
+	if len(p) > r.n {
+		p = p[:r.n]
+	}
+	n, err := r.src.Read(p)
+	r.n -= n
+	return n, err
+}
+
+func TestGenerateRSA512PropagatesReaderError(t *testing.T) {
+	// 0: before the first draw; 16: inside it; 48: inside the second
+	// draw, whichever prime it belongs to.
+	for _, n := range []int{0, 16, 48} {
+		_, err := GenerateRSA512(&failingReader{src: mrand.New(mrand.NewSource(1)), n: n})
+		if !errors.Is(err, errBrokenReader) {
+			t.Errorf("reader failing after %d bytes: err = %v, want errBrokenReader", n, err)
+		}
+	}
+}
+
+// TestPrimeSearchFindsFirstPrimeAtOrAboveDraw checks the sieve against
+// the search it replaces: from the same 32 bytes, testing every odd
+// number in turn with ProbablyPrime(20) must stop at the same prime.
+func TestPrimeSearchFindsFirstPrimeAtOrAboveDraw(t *testing.T) {
+	var search primeSearch
+	for seed := int64(1); seed <= 25; seed++ {
+		got, err := search.next(mrand.New(mrand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var draw [rsa512PrimeLen]byte
+		if _, err := io.ReadFull(mrand.New(mrand.NewSource(seed)), draw[:]); err != nil {
+			t.Fatal(err)
+		}
+		draw[0] |= 0xc0
+		draw[rsa512PrimeLen-1] |= 1
+		want := new(big.Int).SetBytes(draw[:])
+		for !want.ProbablyPrime(20) {
+			want.Add(want, big.NewInt(2))
+		}
+		if got.Cmp(want) != 0 {
+			t.Fatalf("seed %d: sieve search found %x, plain search %x", seed, got, want)
+		}
+	}
+}
+
+// TestPrimeSearchRedrawsPastTopOfRange: a draw whose window would carry
+// out of 256 bits is abandoned, not wrapped.
+func TestPrimeSearchRedrawsPastTopOfRange(t *testing.T) {
+	var search primeSearch
+	stream := io.MultiReader(bytes.NewReader(bytes.Repeat([]byte{0xff}, rsa512PrimeLen)), mrand.New(mrand.NewSource(3)))
+	p, err := search.next(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.BitLen() != RSA512Bits/2 || p.Bit(RSA512Bits/2-2) != 1 || !p.ProbablyPrime(20) {
+		t.Fatalf("after an all-ones draw the search returned %x", p)
 	}
 }
 

@@ -160,7 +160,10 @@ func (c *Chain) BlockByID(id Hash) (*Block, bool) {
 	return b, ok
 }
 
-// UTXO returns a snapshot copy of the best-branch UTXO set.
+// UTXO returns a private copy of the best-branch UTXO set. The copy is
+// O(set) in time and memory: it is for callers that need a whole,
+// consistent set to keep (invariant checks, benchmarks), never for a
+// per-message path — those read the live set inside ReadState.
 func (c *Chain) UTXO() *UTXOSet {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -459,6 +462,9 @@ func (c *Chain) CheckConsistency() error {
 		return fmt.Errorf("%w: utxo set diverged (incremental %d entries, replay %d)",
 			ErrInconsistentState, c.utxo.Len(), replayed.Len())
 	}
+	if err := c.utxo.checkIndex(); err != nil {
+		return fmt.Errorf("%w: %v", ErrInconsistentState, err)
+	}
 	// Rebuild the indexes from the best branch and compare.
 	var txs, spends int
 	for _, blk := range c.best {
@@ -521,6 +527,9 @@ func (c *Chain) checkConsistencyPrunedLocked() error {
 	if !c.utxo.Equal(rewound) {
 		return fmt.Errorf("%w: utxo set diverged after unwind/re-apply round trip (incremental %d entries, round trip %d)",
 			ErrInconsistentState, c.utxo.Len(), rewound.Len())
+	}
+	if err := c.utxo.checkIndex(); err != nil {
+		return fmt.Errorf("%w: %v", ErrInconsistentState, err)
 	}
 	// Stubs must stay stubs, and indexed txs/spends must come from
 	// genesis plus the unpruned suffix exactly.
@@ -611,13 +620,14 @@ func (c *Chain) FindSpender(op OutPoint) (*Tx, int64, bool) {
 	return loc.tx, loc.height, true
 }
 
-// ReadState runs fn with the tip block and a read-only view of the tip
-// UTXO set, under the chain's read lock. It lets hot paths (mempool
-// admission, block-template assembly) layer a UTXOView overlay over the
-// live set instead of deep-cloning it. fn must treat utxo as immutable
+// ReadState runs fn with the tip block and the live tip UTXO set, under
+// the chain's read lock. It lets hot paths (mempool admission,
+// block-template assembly, a wallet's coin lookup, serialization) read
+// the live set instead of deep-cloning it. fn must treat utxo as
+// immutable, must not keep it or anything aliasing it past its return,
 // and must not call back into Chain methods that take the lock (Tip,
 // UTXO, AddBlock, …) — the values it needs are passed in.
-func (c *Chain) ReadState(fn func(tip *Block, utxo UTXOReader)) {
+func (c *Chain) ReadState(fn func(tip *Block, utxo *UTXOSet)) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	fn(c.best[len(c.best)-1], c.utxo)

@@ -33,7 +33,7 @@ func newConnectFixture() *connectFixture {
 	fund := func(n byte, e UTXOEntry) OutPoint {
 		op := OutPoint{TxID: Hash{n}, Index: uint32(n)}
 		e.Out.Lock = fixtureLock(n)
-		f.utxo.entries[op] = e
+		f.utxo.put(op, e)
 		return op
 	}
 	f.a = fund(1, UTXOEntry{Out: TxOut{Value: 1000}, Height: 1})
@@ -114,7 +114,7 @@ func TestConnectBlockDefects(t *testing.T) {
 			// transaction), so plant pay2's first output in the set
 			// before the block creates it.
 			clash := OutPoint{TxID: f.txs[2].ID(), Index: 0}
-			f.utxo.entries[clash] = UTXOEntry{Out: TxOut{Value: 1}, Height: 1}
+			f.utxo.put(clash, UTXOEntry{Out: TxOut{Value: 1}, Height: 1})
 			return f.connect, fmt.Sprintf("tx 2 (%s): chain: duplicate outpoint: %s", f.txs[2].ID(), clash)
 		}},
 		{"undo with created outpoint gone", func(f *connectFixture) (func() error, string) {
@@ -126,7 +126,7 @@ func TestConnectBlockDefects(t *testing.T) {
 			// transaction's first created outpoint is checked before
 			// anything is touched.
 			victim := undo.Txs[2].Created[0]
-			delete(f.utxo.entries, victim)
+			f.utxo.remove(victim, f.utxo.entries[victim])
 			return func() error { return f.utxo.UndoBlock(undo) },
 				fmt.Sprintf("chain: undo: created outpoint %s missing", victim)
 		}},

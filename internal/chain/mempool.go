@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"bcwan/internal/script"
 	"bcwan/internal/telemetry"
 )
 
@@ -208,6 +209,35 @@ func (m *Mempool) ForceReplace(tx *Tx) {
 	if m.metrics != nil {
 		m.metrics.size.Set(int64(len(m.txs)))
 	}
+}
+
+// Spendable returns the coins the given pubkey-hash can spend on top of
+// the pool, as a small private set: its confirmed coins (utxo's
+// pubkey-hash index) and the outputs pooled transactions pay it —
+// unconfirmed change included — minus every outpoint a pooled
+// transaction already claims, which Accept would refuse as a conflict.
+// It reads the same persistent overlay Accept validates against, so the
+// cost follows the wallet and the pool, never the size of utxo. Call it
+// where Accept is called: inside Chain.ReadState, with the live set and
+// tip height.
+func (m *Mempool) Spendable(hash [script.HashLen]byte, utxo *UTXOSet, height int64) *UTXOSet {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := NewUTXOSet()
+	offer := func(op OutPoint, e UTXOEntry) {
+		if _, claimed := m.spends[op]; !claimed {
+			out.put(op, e)
+		}
+	}
+	for _, op := range utxo.byHash[hash] {
+		offer(op, utxo.entries[op])
+	}
+	for op, e := range m.overlayLocked(utxo, height).created {
+		if h, err := script.ExtractP2PKHHash(e.Out.Lock); err == nil && h == hash {
+			offer(op, e)
+		}
+	}
+	return out
 }
 
 // ExtendView applies every pooled transaction, in arrival order, to the

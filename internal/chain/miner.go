@@ -57,7 +57,7 @@ func (m *Miner) BuildBlock(now time.Time) (*Block, error) {
 	var height int64
 	var fees uint64
 	var txs []*Tx
-	m.chain.ReadState(func(t *Block, utxo UTXOReader) {
+	m.chain.ReadState(func(t *Block, utxo *UTXOSet) {
 		tip = t
 		height = t.Header.Height + 1
 		view := NewUTXOView(utxo)

@@ -47,10 +47,10 @@ func (u *UTXOSet) ApplyTxUndo(tx *Tx, height int64) (*TxUndo, error) {
 	// a failed apply leaves no partial mutation.
 	rollback := func() {
 		for _, c := range undo.Created {
-			delete(u.entries, c)
+			u.remove(c, u.entries[c])
 		}
 		for _, s := range undo.Spent {
-			u.entries[s.Prev] = s.Entry
+			u.put(s.Prev, s.Entry)
 		}
 	}
 	if !tx.IsCoinbase() {
@@ -61,7 +61,7 @@ func (u *UTXOSet) ApplyTxUndo(tx *Tx, height int64) (*TxUndo, error) {
 				rollback()
 				return nil, fmt.Errorf("%w: %s", ErrMissingUTXO, in.Prev)
 			}
-			delete(u.entries, in.Prev)
+			u.remove(in.Prev, e)
 			undo.Spent = append(undo.Spent, SpentOutput{Prev: in.Prev, Entry: e})
 		}
 	}
@@ -75,7 +75,7 @@ func (u *UTXOSet) ApplyTxUndo(tx *Tx, height int64) (*TxUndo, error) {
 			rollback()
 			return nil, fmt.Errorf("%w: %s", ErrDuplicateUTXO, op)
 		}
-		u.entries[op] = UTXOEntry{Out: out, Height: height, Coinbase: tx.IsCoinbase()}
+		u.put(op, UTXOEntry{Out: out, Height: height, Coinbase: tx.IsCoinbase()})
 		undo.Created = append(undo.Created, op)
 	}
 	return undo, nil
@@ -87,17 +87,18 @@ func (u *UTXOSet) ApplyTxUndo(tx *Tx, height int64) (*TxUndo, error) {
 // undone — which can only mean journal corruption.
 func (u *UTXOSet) UndoTx(undo *TxUndo) error {
 	for _, op := range undo.Created {
-		if _, ok := u.entries[op]; !ok {
+		e, ok := u.entries[op]
+		if !ok {
 			return fmt.Errorf("chain: undo: created outpoint %s missing", op)
 		}
-		delete(u.entries, op)
+		u.remove(op, e)
 	}
 	for i := len(undo.Spent) - 1; i >= 0; i-- {
 		s := undo.Spent[i]
 		if _, dup := u.entries[s.Prev]; dup {
 			return fmt.Errorf("chain: undo: spent outpoint %s already present", s.Prev)
 		}
-		u.entries[s.Prev] = s.Entry
+		u.put(s.Prev, s.Entry)
 	}
 	return nil
 }

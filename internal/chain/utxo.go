@@ -14,13 +14,20 @@ type UTXOEntry struct {
 	Coinbase bool
 }
 
-// UTXOSet is the set of unspent transaction outputs: one map, not safe
-// for concurrent use on its own. The chain's live set is guarded by
-// Chain.mu — every mutation runs under the write lock, every read
-// (including ReadState callbacks) under the read lock; any other set is
-// a private copy owned by whoever cloned or deserialized it.
+// UTXOSet is the set of unspent transaction outputs: one map plus an
+// index over it, not safe for concurrent use on its own. The chain's
+// live set is guarded by Chain.mu — every mutation runs under the write
+// lock, every read (including ReadState callbacks) under the read lock;
+// any other set is a private copy owned by whoever cloned or
+// deserialized it.
 type UTXOSet struct {
 	entries map[OutPoint]UTXOEntry
+	// byHash holds the outpoints of the P2PKH entries, keyed by the
+	// pubkey-hash they pay, so a wallet's coins are a lookup and not a
+	// scan of the set. Every mutation of entries goes through put and
+	// remove, which keep the two in step; a hash with no coins has no
+	// key. Slices are unordered: removal swaps the last element in.
+	byHash map[[script.HashLen]byte][]OutPoint
 }
 
 // UTXO errors.
@@ -34,7 +41,43 @@ var (
 
 // NewUTXOSet returns an empty set.
 func NewUTXOSet() *UTXOSet {
-	return &UTXOSet{entries: make(map[OutPoint]UTXOEntry)}
+	return &UTXOSet{
+		entries: make(map[OutPoint]UTXOEntry),
+		byHash:  make(map[[script.HashLen]byte][]OutPoint),
+	}
+}
+
+// put adds an entry the caller has checked is absent.
+func (u *UTXOSet) put(op OutPoint, e UTXOEntry) {
+	u.entries[op] = e
+	if h, err := script.ExtractP2PKHHash(e.Out.Lock); err == nil {
+		u.byHash[h] = append(u.byHash[h], op)
+	}
+}
+
+// remove deletes the entry e the caller found at op. The index slice is
+// searched from its end, where the outpoints a disconnect removes (the
+// most recently created) sit; the cost is bounded by the coins of one
+// pubkey-hash, not by the set.
+func (u *UTXOSet) remove(op OutPoint, e UTXOEntry) {
+	delete(u.entries, op)
+	h, err := script.ExtractP2PKHHash(e.Out.Lock)
+	if err != nil {
+		return
+	}
+	ops := u.byHash[h]
+	for i := len(ops) - 1; i >= 0; i-- {
+		if ops[i] == op {
+			ops[i] = ops[len(ops)-1]
+			ops = ops[:len(ops)-1]
+			break
+		}
+	}
+	if len(ops) == 0 {
+		delete(u.byHash, h)
+	} else {
+		u.byHash[h] = ops
+	}
 }
 
 // Get looks up an entry.
@@ -58,9 +101,15 @@ func (u *UTXOSet) TotalValue() uint64 {
 
 // Clone deep-copies the set (scripts are immutable and shared).
 func (u *UTXOSet) Clone() *UTXOSet {
-	out := &UTXOSet{entries: make(map[OutPoint]UTXOEntry, len(u.entries))}
+	out := &UTXOSet{
+		entries: make(map[OutPoint]UTXOEntry, len(u.entries)),
+		byHash:  make(map[[script.HashLen]byte][]OutPoint, len(u.byHash)),
+	}
 	for k, v := range u.entries {
 		out.entries[k] = v
+	}
+	for h, ops := range u.byHash {
+		out.byHash[h] = append([]OutPoint(nil), ops...)
 	}
 	return out
 }
@@ -72,10 +121,11 @@ func (u *UTXOSet) Clone() *UTXOSet {
 func (u *UTXOSet) ApplyTx(tx *Tx, height int64) error {
 	if !tx.IsCoinbase() {
 		for _, in := range tx.Inputs {
-			if _, ok := u.entries[in.Prev]; !ok {
+			e, ok := u.entries[in.Prev]
+			if !ok {
 				return fmt.Errorf("%w: %s", ErrMissingUTXO, in.Prev)
 			}
-			delete(u.entries, in.Prev)
+			u.remove(in.Prev, e)
 		}
 	}
 	id := tx.ID()
@@ -87,31 +137,61 @@ func (u *UTXOSet) ApplyTx(tx *Tx, height int64) error {
 		if _, ok := u.entries[op]; ok {
 			return fmt.Errorf("%w: %s", ErrDuplicateUTXO, op)
 		}
-		u.entries[op] = UTXOEntry{Out: out, Height: height, Coinbase: tx.IsCoinbase()}
+		u.put(op, UTXOEntry{Out: out, Height: height, Coinbase: tx.IsCoinbase()})
 	}
 	return nil
 }
 
 // FindByPubKeyHash returns the outpoints of all P2PKH outputs paying the
-// given hash — the wallet's coin selection source.
+// given hash — the wallet's coin selection source — in no particular
+// order. It is a lookup in the pubkey-hash index; the slice is the
+// caller's.
 func (u *UTXOSet) FindByPubKeyHash(hash [script.HashLen]byte) []OutPoint {
-	var out []OutPoint
-	for op, e := range u.entries {
-		h, err := script.ExtractP2PKHHash(e.Out.Lock)
-		if err == nil && h == hash {
-			out = append(out, op)
-		}
-	}
-	return out
+	return append([]OutPoint(nil), u.byHash[hash]...)
 }
 
 // BalanceOf sums the P2PKH outputs paying the given hash.
 func (u *UTXOSet) BalanceOf(hash [script.HashLen]byte) uint64 {
 	var sum uint64
-	for _, op := range u.FindByPubKeyHash(hash) {
-		if e, ok := u.Get(op); ok {
-			sum += e.Out.Value
-		}
+	for _, op := range u.byHash[hash] {
+		sum += u.entries[op].Out.Value
 	}
 	return sum
+}
+
+// checkIndex verifies the pubkey-hash index against a full scan of the
+// entries: every indexed outpoint is a live P2PKH entry paying the hash
+// it is filed under, none is filed twice, and none is missing.
+func (u *UTXOSet) checkIndex() error {
+	seen := make(map[OutPoint]struct{}, len(u.entries))
+	for h, ops := range u.byHash {
+		if len(ops) == 0 {
+			return fmt.Errorf("pubkey-hash index keeps an empty slice for %x", h)
+		}
+		for _, op := range ops {
+			e, ok := u.entries[op]
+			if !ok {
+				return fmt.Errorf("pubkey-hash index holds spent outpoint %s", op)
+			}
+			if got, err := script.ExtractP2PKHHash(e.Out.Lock); err != nil || got != h {
+				return fmt.Errorf("pubkey-hash index files %s under %x", op, h)
+			}
+			if _, dup := seen[op]; dup {
+				return fmt.Errorf("pubkey-hash index holds %s twice", op)
+			}
+			seen[op] = struct{}{}
+		}
+	}
+	// The indexed outpoints are distinct live P2PKH entries, so the
+	// index is complete exactly when it has as many as the scan finds.
+	var p2pkh int
+	for _, e := range u.entries {
+		if _, err := script.ExtractP2PKHHash(e.Out.Lock); err == nil {
+			p2pkh++
+		}
+	}
+	if p2pkh != len(seen) {
+		return fmt.Errorf("pubkey-hash index holds %d outpoints, a scan finds %d", len(seen), p2pkh)
+	}
+	return nil
 }

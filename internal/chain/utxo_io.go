@@ -107,7 +107,7 @@ func DeserializeUTXO(r io.Reader) (*UTXOSet, error) {
 		if _, dup := u.entries[op]; dup {
 			return nil, fmt.Errorf("%w: duplicate outpoint %s", ErrBadUTXOData, op)
 		}
-		u.entries[op] = e
+		u.put(op, e)
 	}
 	return u, nil
 }

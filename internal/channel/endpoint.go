@@ -35,7 +35,7 @@ func OpenPayer(w *wallet.Wallet, ledger fairex.Ledger, store *Store, gatewayPub 
 		CloseFee:     closeFee,
 		RefundHeight: ledger.Height() + refundWindow,
 	}
-	funding, err := w.BuildChannelFunding(ledger.UTXO(), params.ScriptParams(), capacity, fundFee)
+	funding, err := w.BuildChannelFunding(ledger.Spendable(w.PubKeyHash()), params.ScriptParams(), capacity, fundFee)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -195,7 +195,7 @@ func (b *Byzantine) ForgeBinding(victim [20]byte, netAddr string, fee uint64) (*
 		return nil, err
 	}
 	led := b.c.Node(b.node).Ledger()
-	tx, err := b.c.AdversaryWallet.BuildDataPublish(led.UTXO(), payload, fee)
+	tx, err := b.c.AdversaryWallet.BuildDataPublish(led.Spendable(b.c.AdversaryWallet.PubKeyHash()), payload, fee)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: forge binding: %w", err)
 	}

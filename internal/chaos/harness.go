@@ -376,7 +376,7 @@ func (c *Cluster) Recipient(i int, cfg recipient.Config) *recipient.Recipient {
 // i (the recipient's node) and returns the binding transaction.
 func (c *Cluster) PublishBinding(i int, netAddr string) (*chain.Tx, error) {
 	led := c.Node(i).Ledger()
-	tx, err := registry.BuildPublish(c.RecipientWallet, led.UTXO(), netAddr, 1)
+	tx, err := registry.BuildPublish(c.RecipientWallet, led.Spendable(c.RecipientWallet.PubKeyHash()), netAddr, 1)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: build binding: %w", err)
 	}

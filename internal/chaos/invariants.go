@@ -95,11 +95,14 @@ func CheckConvergence(c *Cluster) error {
 // allocation plus one reward per mined block. (Fees move value into
 // the coinbase rather than destroying it, so they cancel out.)
 func CheckConservation(ch *chain.Chain, genesisValue uint64) error {
-	want := genesisValue + ch.Params().CoinbaseReward*uint64(ch.Height())
-	got := ch.UTXO().TotalValue()
-	if got != want {
+	var height int64
+	var got uint64
+	ch.ReadState(func(tip *chain.Block, utxo *chain.UTXOSet) {
+		height, got = tip.Header.Height, utxo.TotalValue()
+	})
+	if want := genesisValue + ch.Params().CoinbaseReward*uint64(height); got != want {
 		return fmt.Errorf("chaos: value not conserved at height %d: UTXO total %d, want %d",
-			ch.Height(), got, want)
+			height, got, want)
 	}
 	return nil
 }
@@ -132,7 +135,9 @@ func CheckNoDoubleSpend(ch *chain.Chain) error {
 			}
 		}
 	}
-	if got, want := utxo.TotalValue(), ch.UTXO().TotalValue(); got != want {
+	var want uint64
+	ch.ReadState(func(_ *chain.Block, live *chain.UTXOSet) { want = live.TotalValue() })
+	if got := utxo.TotalValue(); got != want {
 		return fmt.Errorf("chaos: replayed UTXO total %d differs from node's %d", got, want)
 	}
 	return nil

@@ -261,7 +261,8 @@ func (r *RecipientDaemon) Inbox() []*recipient.Message {
 // returns it so callers can track its confirmation. The wallet must hold
 // funds for the fee.
 func (r *RecipientDaemon) PublishBinding(fee uint64) (*chain.Tx, error) {
-	tx, err := registry.BuildPublish(r.Recipient.Wallet(), r.Node.Ledger().UTXO(), r.Addr(), fee)
+	w := r.Recipient.Wallet()
+	tx, err := registry.BuildPublish(w, r.Node.Ledger().Spendable(w.PubKeyHash()), r.Addr(), fee)
 	if err != nil {
 		return nil, err
 	}

@@ -523,7 +523,7 @@ func (n *Node) admitTx(tx *chain.Tx) {
 // makes both redundant.
 func (n *Node) acceptPooled(tx *chain.Tx) error {
 	var err error
-	n.chain.ReadState(func(tip *chain.Block, utxo chain.UTXOReader) {
+	n.chain.ReadState(func(tip *chain.Block, utxo *chain.UTXOSet) {
 		err = n.pool.Accept(tx, utxo, tip.Header.Height, n.chain.Params())
 	})
 	return err

@@ -301,7 +301,9 @@ func (s *Store) loadSnapshot(c *chain.Chain) (int, error) {
 	// The snapshot's serialized set must match the set the trusted
 	// replay just rebuilt — this is the integrity check that makes
 	// skipping script verification on restore safe to trust.
-	if !snapUTXO.Equal(c.UTXO()) {
+	var match bool
+	c.ReadState(func(_ *chain.Block, utxo *chain.UTXOSet) { match = snapUTXO.Equal(utxo) })
+	if !match {
 		return loaded, fmt.Errorf("%w: snapshot UTXO set does not match replayed chain state", ErrBadStore)
 	}
 	return loaded, nil
@@ -393,7 +395,7 @@ func (s *Store) loadSnapshotV2(c *chain.Chain, r *bytes.Reader) (int, error) {
 	// The stored tip-set hash must match the state the trusted replay
 	// rebuilt — the integrity check that makes skipping script
 	// verification on restore safe to trust.
-	if chain.SnapshotHash(c.UTXO().SerializeUTXO()) != tipHash {
+	if tipSetHash(c) != tipHash {
 		return loaded, fmt.Errorf("%w: snapshot UTXO set does not match replayed chain state", ErrBadStore)
 	}
 	return loaded, nil
@@ -559,7 +561,7 @@ func writeFullBody(body *bytes.Buffer, c *chain.Chain) error {
 		body.Write(scratch[:])
 		body.Write(raw)
 	}
-	body.Write(c.UTXO().SerializeUTXO())
+	c.ReadState(func(_ *chain.Block, utxo *chain.UTXOSet) { body.Write(utxo.SerializeUTXO()) })
 	return nil
 }
 
@@ -602,9 +604,17 @@ func writePrunedBody(body *bytes.Buffer, c *chain.Chain) error {
 		body.Write(s4[:])
 		body.Write(raw)
 	}
-	tipHash := chain.SnapshotHash(c.UTXO().SerializeUTXO())
+	tipHash := tipSetHash(c)
 	body.Write(tipHash[:])
 	return nil
+}
+
+// tipSetHash is the snapshot hash of the chain's tip UTXO set,
+// serialized under the chain's read lock rather than from a copy.
+func tipSetHash(c *chain.Chain) chain.Hash {
+	var h chain.Hash
+	c.ReadState(func(_ *chain.Block, utxo *chain.UTXOSet) { h = chain.SnapshotHash(utxo.SerializeUTXO()) })
+	return h
 }
 
 // SnapshotChunks splits a serialized snapshot into fixed-size chunks

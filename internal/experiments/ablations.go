@@ -218,7 +218,7 @@ func runDoubleSpendTrial(cfg DoubleSpendConfig, attackerWinsRace bool) (bool, er
 		RefundHeight:      c.Height() + 100,
 		BuyerPubKeyHash:   buyerWallet.PubKeyHash(),
 	}
-	payment, err := buyerWallet.BuildKeyReleasePayment(ledger.UTXO(), krParams, cfg.Price, 1)
+	payment, err := buyerWallet.BuildKeyReleasePayment(ledger.Spendable(buyerWallet.PubKeyHash()), krParams, cfg.Price, 1)
 	if err != nil {
 		return false, err
 	}
@@ -230,6 +230,8 @@ func runDoubleSpendTrial(cfg DoubleSpendConfig, attackerWinsRace bool) (bool, er
 	// to itself.
 	doubleSpend := &chain.Tx{Version: 2}
 	var inValue uint64
+	// The confirmed set as it stands with the payment only pooled: the
+	// attacker prices its conflicting spend from the same inputs.
 	baseUTXO := c.UTXO()
 	for _, in := range payment.Inputs {
 		doubleSpend.Inputs = append(doubleSpend.Inputs, chain.TxIn{Prev: in.Prev})
@@ -298,6 +300,7 @@ func runDoubleSpendTrial(cfg DoubleSpendConfig, attackerWinsRace bool) (bool, er
 			return false, err
 		}
 	}
+	// Once per trial, after the chain settled: confirmed balance only.
 	paid := gwWallet.Balance(c.UTXO()) > 0
 	return revealed && !paid, nil
 }

@@ -121,6 +121,8 @@ func buildBlockConnectFixture(cfg BlockConnectConfig) (*blockConnectFixture, err
 	}
 	for b := 0; b < cfg.Blocks; b++ {
 		for _, w := range wallets {
+			// Fixture set-up, untimed: confirmed coins only, and no
+			// ledger here to ask for one wallet's.
 			tx, err := w.BuildPayment(c.UTXO(), w.PubKeyHash(), 1000, 1)
 			if err != nil {
 				return nil, err
@@ -176,6 +178,8 @@ func (fix *blockConnectFixture) replay(workers int, warm bool) (*BlockConnectRes
 		}
 		if warm {
 			for _, tx := range blk.Txs[1:] {
+				// Warm-up, untimed: admission puts the block's scripts in
+				// the signature cache the timed AddBlock then hits.
 				if err := pool.Accept(tx, c.UTXO(), c.Height(), params); err != nil {
 					return nil, fmt.Errorf("mempool admission: %w", err)
 				}

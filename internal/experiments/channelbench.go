@@ -178,7 +178,7 @@ func newChannelBench(cfg ChannelBenchConfig, channels bool) (*channelBench, erro
 	}
 
 	// Fund the recipient and publish its binding before the clock runs.
-	fund, err := treasury.BuildPayment(cb.master.Ledger().UTXO(),
+	fund, err := treasury.BuildPayment(cb.master.Ledger().Spendable(treasury.PubKeyHash()),
 		cb.rcptd.Recipient.Wallet().PubKeyHash(), 1_000_000, 1)
 	if err != nil {
 		cb.close()

@@ -183,7 +183,7 @@ func (m *relayMesh) run() (*RelayBenchResult, error) {
 	var propagation time.Duration
 	for round := 0; round < m.cfg.Blocks; round++ {
 		for i, w := range m.wallets {
-			tx, err := w.BuildPayment(miner.Chain().UTXO(), w.PubKeyHash(), 1000, 1)
+			tx, err := w.BuildPayment(miner.Ledger().Spendable(w.PubKeyHash()), w.PubKeyHash(), 1000, 1)
 			if err != nil {
 				return nil, fmt.Errorf("relay bench: payment %d round %d: %w", i, round, err)
 			}

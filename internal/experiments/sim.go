@@ -256,7 +256,7 @@ func newSim(cfg Config) (*sim, error) {
 
 	// Recipient publishes its IP binding; one bootstrap block carries
 	// it (the paper's EC2 master bootstraps the nodes).
-	pub, err := registry.BuildPublish(rcptWallet, c.UTXO(), "203.0.113.10:7000", 1)
+	pub, err := registry.BuildPublish(rcptWallet, s.ledger.Spendable(rcptWallet.PubKeyHash()), "203.0.113.10:7000", 1)
 	if err != nil {
 		return nil, err
 	}

@@ -256,6 +256,8 @@ func (sb *syncBench) run(mode string, wlt *wallet.Wallet) (*SyncBenchResult, err
 
 	// First delivery: a payment submitted at the freshly joined gateway,
 	// relayed to the miner, mined, and seen settled back on the joiner.
+	// One payment per campaign row from confirmed coins only: the copy
+	// is the joiner's whole synced state, taken once.
 	tx, err := wlt.BuildPayment(joiner.Chain().UTXO(), wlt.PubKeyHash(), 1000, 1)
 	if err != nil {
 		return nil, fmt.Errorf("sync bench %s: payment: %w", mode, err)

@@ -103,8 +103,14 @@ func VerifyOffer(nodePub *bccrypto.RSA512PublicKey, d *Delivery) error {
 type Ledger interface {
 	// Height returns the best-branch height.
 	Height() int64
-	// UTXO returns a snapshot of the spendable set.
+	// UTXO returns a private copy of the whole spendable set, pooled
+	// transactions applied. It is O(set): nothing on a per-message path
+	// calls it.
 	UTXO() *chain.UTXOSet
+	// Spendable returns the coins one pubkey-hash can spend — confirmed
+	// or created by a pooled transaction, and claimed by none — as a
+	// small private set for wallet.Build* to select from.
+	Spendable(pubKeyHash [script.HashLen]byte) *chain.UTXOSet
 	// Submit validates a transaction into the mempool and gossips it.
 	Submit(tx *chain.Tx) error
 	// FindTx locates a confirmed transaction.
@@ -133,13 +139,26 @@ var _ Ledger = (*Node)(nil)
 // Height implements Ledger.
 func (n *Node) Height() int64 { return n.Chain.Height() }
 
-// UTXO implements Ledger: the confirmed set extended with mempool
-// transactions, so wallets can chain spends onto unconfirmed change (and
-// the gateway's claim can chain onto the unconfirmed payment).
+// UTXO implements Ledger: a copy of the confirmed set with every pooled
+// transaction applied. It costs O(set) per call — reports, tests and the
+// benchmark harness use it; a wallet building a payment asks Spendable
+// for its own coins instead.
 func (n *Node) UTXO() *chain.UTXOSet {
 	view := n.Chain.UTXO()
 	n.Pool.ExtendView(view, n.Chain.Height())
 	return view
+}
+
+// Spendable implements Ledger. It reads the chain's pubkey-hash index
+// and the mempool's overlay under Chain.mu's read lock (Mempool.mu
+// nested inside, the order Submit takes them in) and keeps nothing of
+// either past the callback: the returned set is the caller's.
+func (n *Node) Spendable(pubKeyHash [script.HashLen]byte) *chain.UTXOSet {
+	var coins *chain.UTXOSet
+	n.Chain.ReadState(func(tip *chain.Block, utxo *chain.UTXOSet) {
+		coins = n.Pool.Spendable(pubKeyHash, utxo, tip.Header.Height)
+	})
+	return coins
 }
 
 // Submit implements Ledger. Admission validates against the chain's
@@ -147,7 +166,7 @@ func (n *Node) UTXO() *chain.UTXOSet {
 // layered on inside Accept's copy-on-write overlay.
 func (n *Node) Submit(tx *chain.Tx) error {
 	var err error
-	n.Chain.ReadState(func(tip *chain.Block, utxo chain.UTXOReader) {
+	n.Chain.ReadState(func(tip *chain.Block, utxo *chain.UTXOSet) {
 		err = n.Pool.Accept(tx, utxo, tip.Header.Height, n.Chain.Params())
 	})
 	if err != nil {

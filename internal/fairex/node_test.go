@@ -13,11 +13,12 @@ import (
 )
 
 type nodeFixture struct {
-	node  *Node
-	miner *chain.Miner
-	buyer *wallet.Wallet
-	gw    *wallet.Wallet
-	now   time.Time
+	node   *Node
+	miner  *chain.Miner
+	minerW *wallet.Wallet
+	buyer  *wallet.Wallet
+	gw     *wallet.Wallet
+	now    time.Time
 }
 
 func newNodeFixture(t *testing.T) *nodeFixture {
@@ -42,11 +43,12 @@ func newNodeFixture(t *testing.T) *nodeFixture {
 	c.AuthorizeMiner(minerW.PublicBytes())
 	pool := chain.NewMempool()
 	return &nodeFixture{
-		node:  &Node{Chain: c, Pool: pool},
-		miner: chain.NewMiner(minerW.Key(), c, pool, rand.Reader),
-		buyer: buyer,
-		gw:    gw,
-		now:   time.Date(2018, 12, 10, 0, 0, 0, 0, time.UTC),
+		node:   &Node{Chain: c, Pool: pool},
+		miner:  chain.NewMiner(minerW.Key(), c, pool, rand.Reader),
+		minerW: minerW,
+		buyer:  buyer,
+		gw:     gw,
+		now:    time.Date(2018, 12, 10, 0, 0, 0, 0, time.UTC),
 	}
 }
 

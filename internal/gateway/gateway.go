@@ -6,6 +6,7 @@
 package gateway
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"io"
@@ -62,6 +63,8 @@ type pendingExchange struct {
 	// issued is when the key was handed out; zero unless the gateway is
 	// instrumented (it only feeds the key-disclosure histogram).
 	issued time.Time
+	// queued is this exchange's place in Gateway.pendingOrder.
+	queued *list.Element
 }
 
 // exchangeKey identifies one pending exchange: the ephemeral pair is
@@ -72,7 +75,8 @@ type exchangeKey struct {
 	counter uint32
 }
 
-// maxPending bounds abandoned exchange state.
+// maxPending bounds abandoned exchange state: keys issued and neither
+// claimed nor disclosed. Past it the oldest is dropped.
 const maxPending = 10_000
 
 // Gateway is one foreign gateway.
@@ -83,9 +87,12 @@ type Gateway struct {
 	dir    *registry.Directory
 	random io.Reader
 
-	mu           sync.Mutex
-	pending      map[exchangeKey]*pendingExchange
-	pendingOrder []exchangeKey
+	mu      sync.Mutex
+	pending map[exchangeKey]*pendingExchange
+	// pendingOrder lists the keys of pending, oldest first. The two hold
+	// the same exchanges at all times — settling unlinks the element —
+	// so an evicted head is always a live, abandoned exchange.
+	pendingOrder *list.List
 	metrics      *gatewayMetrics
 
 	// Stats counts protocol outcomes.
@@ -107,12 +114,13 @@ type Stats struct {
 // New creates a gateway.
 func New(cfg Config, w *wallet.Wallet, ledger fairex.Ledger, dir *registry.Directory, random io.Reader) *Gateway {
 	return &Gateway{
-		cfg:     cfg,
-		wallet:  w,
-		ledger:  ledger,
-		dir:     dir,
-		random:  random,
-		pending: make(map[exchangeKey]*pendingExchange),
+		cfg:          cfg,
+		wallet:       w,
+		ledger:       ledger,
+		dir:          dir,
+		random:       random,
+		pending:      make(map[exchangeKey]*pendingExchange),
+		pendingOrder: list.New(),
 	}
 }
 
@@ -145,24 +153,7 @@ func (g *Gateway) HandleKeyRequest(f *lora.Frame) (*lora.Frame, error) {
 		return nil, fmt.Errorf("gateway: ephemeral keygen: %w", err)
 	}
 	pub := bccrypto.MarshalRSA512PublicKey(key.Public())
-	ek := exchangeKey{eui: f.DevEUI, counter: f.Counter}
-	g.mu.Lock()
-	if _, exists := g.pending[ek]; !exists {
-		g.pendingOrder = append(g.pendingOrder, ek)
-	}
-	pend := &pendingExchange{key: key, pub: pub}
-	if g.metrics != nil {
-		pend.issued = time.Now()
-		g.metrics.exchangesStarted.Inc()
-	}
-	g.pending[ek] = pend
-	if len(g.pendingOrder) > maxPending {
-		evict := g.pendingOrder[0]
-		g.pendingOrder = g.pendingOrder[1:]
-		delete(g.pending, evict)
-	}
-	g.Stats.KeysIssued++
-	g.mu.Unlock()
+	g.track(exchangeKey{eui: f.DevEUI, counter: f.Counter}, &pendingExchange{key: key, pub: pub})
 	// The response echoes the request counter; the device repeats it in
 	// its data frame to name this exchange.
 	return &lora.Frame{
@@ -171,6 +162,28 @@ func (g *Gateway) HandleKeyRequest(f *lora.Frame) (*lora.Frame, error) {
 		Counter: f.Counter,
 		Payload: pub,
 	}, nil
+}
+
+// track records a freshly keyed exchange as pending, dropping the oldest
+// pending one past maxPending.
+func (g *Gateway) track(ek exchangeKey, pend *pendingExchange) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if prior, exists := g.pending[ek]; exists {
+		// A retransmitted request replaces the pair and keeps its age.
+		pend.queued = prior.queued
+	} else {
+		pend.queued = g.pendingOrder.PushBack(ek)
+	}
+	if g.metrics != nil {
+		pend.issued = time.Now()
+		g.metrics.exchangesStarted.Inc()
+	}
+	g.pending[ek] = pend
+	if g.pendingOrder.Len() > maxPending {
+		g.retireLocked(g.pendingOrder.Front().Value.(exchangeKey))
+	}
+	g.Stats.KeysIssued++
 }
 
 // HandleData performs Fig. 3 steps 6–7: decode (Em ‖ Sig ‖ @R), resolve
@@ -271,7 +284,7 @@ func (g *Gateway) VerifyAndClaim(devEUI lora.DevEUI, exchange uint32, paymentID 
 	}
 	g.mu.Lock()
 	g.Stats.Claims++
-	delete(g.pending, ek)
+	g.retireLocked(ek)
 	if g.metrics != nil {
 		g.metrics.exchangesSettled.Inc()
 		if !pend.issued.IsZero() {
@@ -295,7 +308,7 @@ func (g *Gateway) DiscloseKey(devEUI lora.DevEUI, exchange uint32) ([]byte, erro
 	if !ok {
 		return nil, fmt.Errorf("%w: %s (exchange %d)", ErrUnknownDevice, devEUI, exchange)
 	}
-	delete(g.pending, ek)
+	g.retireLocked(ek)
 	g.Stats.OffChainClaims++
 	if g.metrics != nil {
 		g.metrics.exchangesSettled.Inc()
@@ -304,6 +317,15 @@ func (g *Gateway) DiscloseKey(devEUI lora.DevEUI, exchange uint32) ([]byte, erro
 		}
 	}
 	return bccrypto.MarshalRSA512PrivateKey(pend.key), nil
+}
+
+// retireLocked forgets a pending exchange, if it still is one, in the
+// map and the age order together; the caller holds g.mu.
+func (g *Gateway) retireLocked(ek exchangeKey) {
+	if pend, ok := g.pending[ek]; ok {
+		g.pendingOrder.Remove(pend.queued)
+		delete(g.pending, ek)
+	}
 }
 
 func (g *Gateway) bumpFailed() {

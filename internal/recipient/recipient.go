@@ -250,7 +250,7 @@ func (r *Recipient) HandleDelivery(d *fairex.Delivery) (*chain.Tx, error) {
 		RefundHeight:      r.ledger.Height() + window,
 		BuyerPubKeyHash:   r.wallet.PubKeyHash(),
 	}
-	payment, err := r.wallet.BuildKeyReleasePayment(r.ledger.UTXO(), params, d.Price, r.cfg.PaymentFee)
+	payment, err := r.wallet.BuildKeyReleasePayment(r.ledger.Spendable(r.wallet.PubKeyHash()), params, d.Price, r.cfg.PaymentFee)
 	if err != nil {
 		return nil, fmt.Errorf("recipient: build payment: %w", err)
 	}

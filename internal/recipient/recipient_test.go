@@ -25,7 +25,11 @@ type fixture struct {
 	now     time.Time
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t *testing.T) *fixture { return newFixtureWith(t, 100_000, 0) }
+
+// newFixtureWith funds the recipient with one genesis coin and puts the
+// given number of unspent outputs paying other hashes beside it.
+func newFixtureWith(t testing.TB, funds uint64, unrelated int) *fixture {
 	t.Helper()
 	rcptW, err := wallet.New(rand.Reader)
 	if err != nil {
@@ -39,7 +43,11 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	genesis := chain.GenesisBlock(map[[20]byte]uint64{rcptW.PubKeyHash(): 100_000})
+	alloc := map[[20]byte]uint64{rcptW.PubKeyHash(): funds}
+	for i := 0; i < unrelated; i++ {
+		alloc[[20]byte{0xff, byte(i >> 16), byte(i >> 8), byte(i)}] = 1
+	}
+	genesis := chain.GenesisBlock(alloc)
 	c, err := chain.New(chain.DefaultParams(), genesis)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +85,7 @@ func newFixture(t *testing.T) *fixture {
 	}
 }
 
-func (f *fixture) mine(t *testing.T) {
+func (f *fixture) mine(t testing.TB) {
 	t.Helper()
 	f.now = f.now.Add(15 * time.Second)
 	if _, err := f.miner.Mine(f.now); err != nil {
@@ -86,7 +94,7 @@ func (f *fixture) mine(t *testing.T) {
 }
 
 // delivery builds a valid signed Delivery for the fixture's device.
-func (f *fixture) delivery(t *testing.T, plaintext string) *fairex.Delivery {
+func (f *fixture) delivery(t testing.TB, plaintext string) *fairex.Delivery {
 	t.Helper()
 	frame, err := bccrypto.EncryptFrame(rand.Reader, f.shared, []byte(plaintext))
 	if err != nil {

@@ -548,7 +548,7 @@ func handleSendRawTransaction(s *Server, params []json.RawMessage) (any, error) 
 	}
 	c := s.backend.Chain
 	var acceptErr error
-	c.ReadState(func(tip *chain.Block, utxo chain.UTXOReader) {
+	c.ReadState(func(tip *chain.Block, utxo *chain.UTXOSet) {
 		acceptErr = s.backend.Mempool.Accept(tx, utxo, tip.Header.Height, c.Params())
 	})
 	if acceptErr != nil {
@@ -565,20 +565,21 @@ func handleListUnspent(s *Server, params []json.RawMessage) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	utxo := s.backend.Chain.UTXO()
 	out := []UnspentOutput{}
-	for _, op := range utxo.FindByPubKeyHash(hash) {
-		entry, _ := utxo.Get(op)
-		out = append(out, UnspentOutput{
-			TxID:      op.TxID.String(),
-			Vout:      op.Index,
-			Value:     entry.Out.Value,
-			LockHex:   hex.EncodeToString(entry.Out.Lock),
-			Height:    entry.Height,
-			Coinbase:  entry.Coinbase,
-			Spendable: true,
-		})
-	}
+	s.backend.Chain.ReadState(func(_ *chain.Block, utxo *chain.UTXOSet) {
+		for _, op := range utxo.FindByPubKeyHash(hash) {
+			entry, _ := utxo.Get(op)
+			out = append(out, UnspentOutput{
+				TxID:      op.TxID.String(),
+				Vout:      op.Index,
+				Value:     entry.Out.Value,
+				LockHex:   hex.EncodeToString(entry.Out.Lock),
+				Height:    entry.Height,
+				Coinbase:  entry.Coinbase,
+				Spendable: true,
+			})
+		}
+	})
 	return out, nil
 }
 
@@ -587,7 +588,11 @@ func handleGetBalance(s *Server, params []json.RawMessage) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.backend.Chain.UTXO().BalanceOf(hash), nil
+	var balance uint64
+	s.backend.Chain.ReadState(func(_ *chain.Block, utxo *chain.UTXOSet) {
+		balance = utxo.BalanceOf(hash)
+	})
+	return balance, nil
 }
 
 // handleGetMetrics returns the telemetry snapshot as JSON — the same

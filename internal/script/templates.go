@@ -151,6 +151,9 @@ func UnlockKeyReleaseRefund(sig, pubKey []byte) Script {
 
 // Classify recognizes the locking-script template, if any.
 func Classify(s Script) Class {
+	if isCanonicalP2PKH(s) {
+		return ClassP2PKH
+	}
 	instrs, err := Parse(s)
 	if err != nil {
 		return ClassUnknown
@@ -167,6 +170,15 @@ func Classify(s Script) Class {
 	default:
 		return ClassUnknown
 	}
+}
+
+// isCanonicalP2PKH recognises, byte for byte and without parsing, the
+// encoding PayToPubKeyHash emits: the UTXO set classifies every output
+// it creates and spends, and nearly all of them are this. Any other
+// spelling of the template takes the parser and isP2PKH.
+func isCanonicalP2PKH(s Script) bool {
+	return len(s) == 5+HashLen && s[0] == byte(OpDup) && s[1] == byte(OpHash160) && s[2] == HashLen &&
+		s[3+HashLen] == byte(OpEqualVerify) && s[4+HashLen] == byte(OpCheckSig)
 }
 
 func isP2PKH(instrs []Instruction) bool {
@@ -240,6 +252,10 @@ func ExtractClaimedRSAKey(unlock Script) ([]byte, error) {
 // ExtractP2PKHHash returns the public key hash of a P2PKH locking script.
 func ExtractP2PKHHash(s Script) ([HashLen]byte, error) {
 	var out [HashLen]byte
+	if isCanonicalP2PKH(s) {
+		copy(out[:], s[3:])
+		return out, nil
+	}
 	instrs, err := Parse(s)
 	if err != nil {
 		return out, err
