@@ -37,9 +37,7 @@ BENCH_CANDIDATE ?= /tmp/bcwan-bench-candidate
 BENCH_SERIAL ?= /tmp/bcwan-bench-serial
 
 # Regenerate results/BENCH_<kind>.json; commit the result to move the CI
-# regression baseline. sync takes minutes, the rest seconds. The
-# committed relay file also holds the row measured for the full-payload
-# flood the relay replaced; regenerating drops it.
+# regression baseline. sync takes minutes, the rest seconds.
 blockconnect reorg:
 	$(GO) run ./cmd/bcwan-bench -only $@
 relay-bench sync-bench channel-bench city-bench:

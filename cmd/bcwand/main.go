@@ -65,7 +65,6 @@ func run(args []string) error {
 	metricsLog := fs.Duration("metrics-log", 0, "periodically log a JSON telemetry snapshot at this interval (0 disables)")
 	prune := fs.Int64("prune", 0, "keep only this many recent block bodies; older heights become header-only stubs at each store compaction (0 = keep everything)")
 	snapshotInterval := fs.Int64("snapshot-interval", 0, "height spacing of signed snapshot commitments published when mining (0 = default 1024)")
-	legacySync := fs.Bool("legacy-sync", false, "join by replaying every block from genesis instead of headers-first + snapshot bootstrap")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -100,7 +99,6 @@ func run(args []string) error {
 		MineInterval: *interval,
 		Logger:       logger,
 
-		LegacySyncOnly:   *legacySync,
 		PruneDepth:       *prune,
 		SnapshotInterval: *snapshotInterval,
 	}

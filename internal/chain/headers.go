@@ -129,6 +129,24 @@ func (hc *HeaderChain) Locator() []Hash {
 	return append(loc, hc.ids[0])
 }
 
+// Rebase makes the spine a copy of c's best branch, keeping the prefix
+// the two already share. Best-branch headers were validated when their
+// blocks connected, so none is checked again; a catch-up round then
+// extends the copy with a peer's headers from wherever the two diverge.
+func (hc *HeaderChain) Rebase(c *Chain) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	h := min(len(hc.ids), len(c.best)) - 1
+	for h > 0 && hc.ids[h] != c.best[h].ID() {
+		h--
+	}
+	hc.headers, hc.ids = hc.headers[:h+1], hc.ids[:h+1]
+	for _, b := range c.best[h+1:] {
+		hc.headers = append(hc.headers, &b.Header)
+		hc.ids = append(hc.ids, b.ID())
+	}
+}
+
 // Connect validates a batch of headers against the spine in order and
 // appends them. A header already on the spine is skipped; one that
 // attaches below the tip (a fork) truncates the spine to its fork point

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bcwan/internal/daemon"
+	"bcwan/internal/p2p"
 )
 
 // Bootstrap scenarios: a late joiner enters a mesh that already has
@@ -21,16 +22,40 @@ func bootstrapTweak(cfg *daemon.NodeConfig) {
 	cfg.SnapshotChunkSize = 256
 }
 
-// tamperChunk0 flips a byte of the first served snapshot chunk — a
-// lying peer whose download passes every cheap check and fails only
-// the commitment hash over the assembled bytes.
-func tamperChunk0(_ int64, chunk int32, payload []byte) []byte {
-	if chunk != 0 || len(payload) == 0 {
-		return payload
+// lyingTransport wraps a node's link to the chaos network so it flips a
+// byte of the first snapshot chunk on every link it serves — a lying
+// peer whose download passes every cheap check and fails only the
+// commitment hash over the assembled bytes.
+type lyingTransport struct{ p2p.Transport }
+
+func (t lyingTransport) Listen(addr string) (p2p.Listener, error) {
+	l, err := t.Transport.Listen(addr)
+	return lyingListener{l}, err
+}
+
+func (t lyingTransport) Dial(addr string) (p2p.Conn, error) {
+	c, err := t.Transport.Dial(addr)
+	return lyingConn{c}, err
+}
+
+type lyingListener struct{ p2p.Listener }
+
+func (l lyingListener) Accept() (p2p.Conn, error) {
+	c, err := l.Listener.Accept()
+	return lyingConn{c}, err
+}
+
+type lyingConn struct{ p2p.Conn }
+
+func (c lyingConn) Send(m p2p.Message) error {
+	if m.Type == p2p.MsgTypeSnapshotChunk {
+		if msg, err := p2p.DecodeSnapshotChunk(m.Payload); err == nil && msg.Chunk == 0 && len(msg.Payload) > 0 {
+			msg.Payload = append([]byte(nil), msg.Payload...)
+			msg.Payload[0] ^= 0xff
+			m.Payload = msg.Encode()
+		}
 	}
-	bad := append([]byte(nil), payload...)
-	bad[0] ^= 0xff
-	return bad
+	return c.Conn.Send(m)
 }
 
 func TestBootstrapSnapshotJoin(t *testing.T) {
@@ -106,7 +131,7 @@ func TestBootstrapAllSnapshotPeersLie(t *testing.T) {
 			bootstrapTweak(cfg)
 			// Every node that could serve a snapshot serves corrupted
 			// chunks; the joiner must reject them all and fall back.
-			cfg.TamperSnapshot = tamperChunk0
+			cfg.Transport = lyingTransport{cfg.Transport}
 		},
 	})
 	if err != nil {

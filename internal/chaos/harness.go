@@ -23,7 +23,7 @@ import (
 // Options configures a chaos cluster.
 type Options struct {
 	// Seed fixes every random decision — key material, fault draws,
-	// sync nonces — so a scenario replays exactly.
+	// block signatures — so a scenario replays exactly.
 	Seed int64
 	// Nodes is the cluster size; node i listens on transport address
 	// "n<i>".
@@ -51,7 +51,7 @@ type Options struct {
 	// already has history to bootstrap from.
 	DeferStart []int
 	// NodeTweak, when set, may adjust each node's config just before it
-	// boots (per-node prune depth, snapshot knobs, tamper hooks...).
+	// boots (per-node prune depth, snapshot knobs, a wrapped transport...).
 	NodeTweak func(i int, cfg *daemon.NodeConfig)
 	// Logger receives node logs (nil = silent).
 	Logger *log.Logger
@@ -67,8 +67,7 @@ type Peer struct {
 	Node    *daemon.Node
 	Alive   bool
 	// generation distinguishes restarts so a reborn node does not
-	// replay the identical random stream (its sync nonces would be
-	// suppressed by gossip dedup as already-seen).
+	// replay the random stream of its previous life.
 	generation int
 }
 
@@ -191,9 +190,9 @@ func (c *Cluster) nodeRandom(i, generation int) io.Reader {
 }
 
 // startNode boots peer i: fresh daemon, chain reloaded from its store,
-// connections to every live peer, and a sync request for anything
-// missed while down. It returns the number of blocks recovered from
-// disk.
+// connections to every live peer (each greeted with a getheaders), and a
+// catch-up round for anything missed while down. It returns the number
+// of blocks recovered from disk.
 func (c *Cluster) startNode(i int) (int, error) {
 	p := c.peers[i]
 	cfg := daemon.NodeConfig{
@@ -303,7 +302,7 @@ func (c *Cluster) Close() {
 }
 
 // PumpRound drives one anti-entropy round: every live node re-gossips
-// its pooled transactions and requests missing blocks, the given
+// its pooled transactions and runs a catch-up round, the given
 // miners each mint one block, and the round then idles briefly so the
 // gossip fans out.
 func (c *Cluster) PumpRound(miners ...int) {

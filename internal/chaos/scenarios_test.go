@@ -254,6 +254,16 @@ func TestFaultScenarios(t *testing.T) {
 					}
 					time.Sleep(2 * time.Millisecond)
 				}
+				// Heal n0 → n3 before n1 → n3 and n2 → n3. Those two may
+				// still be admitting the claim and announcing it, and an
+				// announcement reaching n3 ahead of the sketch would pool
+				// the claim there first. Whatever n0 queued for n3 — its
+				// own claim inv, or headers a stalled catch-up round asked
+				// for — travels ahead of its sketch on one link, so n3 can
+				// ask for the claim or the body but not have it in time.
+				for _, from := range []string{"n1", "n2"} {
+					env.c.Net.SetLinkFaults(from, "n3", Faults{Drop: 1})
+				}
 				env.c.Net.Heal()
 				// Mine before any pump round can re-announce pending txs,
 				// so the sketch reaches n3 with the claim still unknown.
@@ -270,6 +280,9 @@ func TestFaultScenarios(t *testing.T) {
 						t.Fatalf("n3 never adopted the post-heal block")
 					}
 					time.Sleep(2 * time.Millisecond)
+				}
+				for _, from := range []string{"n1", "n2"} {
+					env.c.Net.SetLinkFaults(from, "n3", Faults{})
 				}
 				env.miners = []int{0}
 			},

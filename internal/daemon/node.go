@@ -6,7 +6,6 @@
 package daemon
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"log"
@@ -58,10 +57,6 @@ type NodeConfig struct {
 	// object (and a blocktxn response) before falling back to the next
 	// source (0 = the p2p default of 500ms).
 	RelayRequestTimeout time.Duration
-	// LegacySyncOnly disables the headers-first sync state machine and
-	// keeps the height-blast anti-entropy as the only catch-up path.
-	// Kept for the sync benchmark baseline and as an escape hatch.
-	LegacySyncOnly bool
 	// SnapshotSyncDisabled keeps headers-first sync but never bootstraps
 	// from a peer-served snapshot (a fresh node always fetches bodies).
 	SnapshotSyncDisabled bool
@@ -84,9 +79,6 @@ type NodeConfig struct {
 	// SyncRetryInterval is the sync state machine's retry tick
 	// (0 = default of 500ms).
 	SyncRetryInterval time.Duration
-	// TamperSnapshot, when set, rewrites served snapshot chunk payloads
-	// — a chaos-test hook that simulates a lying snapshot peer.
-	TamperSnapshot func(height int64, chunk int32, payload []byte) []byte
 	// MaxPeers bounds the gossip node's registered peer set (0 =
 	// unlimited). Connections beyond the bound are refused; combined
 	// with misbehavior bans this is the eclipse-recovery lever.
@@ -112,8 +104,8 @@ type Node struct {
 	relay  *p2p.Relay
 	rpcSrv *rpc.Server
 	miner  *chain.Miner
-	store  *Store       // nil until Open; set before the append subscription
-	sync   *syncManager // nil when LegacySyncOnly
+	store  *Store // nil until Open; set before the append subscription
+	sync   *syncManager
 	reg    *telemetry.Registry
 	// metrics is set once in NewNode, before any goroutine starts.
 	metrics *daemonMetrics
@@ -186,11 +178,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		gossip.SetBanThreshold(cfg.BanThreshold)
 	}
 	n.ledger = &fairex.Node{
-		Chain: c,
-		Pool:  n.pool,
-		OnSubmit: func(tx *chain.Tx) {
-			n.broadcastTx(tx, false)
-		},
+		Chain:    c,
+		Pool:     n.pool,
+		OnSubmit: n.broadcastTx,
 	}
 	n.relay = p2p.NewRelay(gossip, p2p.RelayConfig{
 		Have:           n.relayHave,
@@ -202,26 +192,20 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	gossip.HandleDirect("cmpctblock", n.onCompactBlock)
 	gossip.HandleDirect("getblocktxn", n.onGetBlockTxn)
 	gossip.HandleDirect("blocktxn", n.onBlockTxn)
-	gossip.Handle("sync", n.onSync)
-	// Headers are served to anyone, even by a LegacySyncOnly node.
+	n.sync = newSyncManager(n)
 	gossip.HandleDirect(p2p.MsgTypeGetHeaders, n.onGetHeaders)
-	if !cfg.LegacySyncOnly {
-		n.sync = newSyncManager(n)
-		gossip.HandleDirect(p2p.MsgTypeHeaders, func(from string, msg p2p.Message) { n.sync.onHeaders(from, msg) })
-		gossip.HandleDirect(p2p.MsgTypeGetSnapshot, n.onGetSnapshot)
-		gossip.HandleDirect(p2p.MsgTypeSnapshotChunk, func(from string, msg p2p.Message) { n.sync.onSnapshotChunk(from, msg) })
-		gossip.Handle(p2p.MsgTypeSnapCommit, n.onSnapCommit)
-	}
+	gossip.HandleDirect(p2p.MsgTypeHeaders, n.sync.onHeaders)
+	gossip.HandleDirect(p2p.MsgTypeGetSnapshot, n.onGetSnapshot)
+	gossip.HandleDirect(p2p.MsgTypeSnapshotChunk, n.sync.onSnapshotChunk)
+	gossip.Handle(p2p.MsgTypeSnapCommit, n.onSnapCommit)
 
 	rpcSrv, err := rpc.NewServer(cfg.ListenRPC, rpc.Backend{
-		Chain:   c,
-		Mempool: n.pool,
-		OnTxAccepted: func(tx *chain.Tx) {
-			n.broadcastTx(tx, false)
-		},
-		Telemetry: n.reg,
-		SyncInfo:  func() any { return n.SyncInfo() },
-		Channels:  func() rpc.ChannelOps { return n.getChannelOps() },
+		Chain:        c,
+		Mempool:      n.pool,
+		OnTxAccepted: n.broadcastTx,
+		Telemetry:    n.reg,
+		SyncInfo:     func() any { return n.SyncInfo() },
+		Channels:     func() rpc.ChannelOps { return n.getChannelOps() },
 	})
 	if err != nil {
 		gossip.Close()
@@ -230,14 +214,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.rpcSrv = rpcSrv
 
 	for _, peer := range cfg.Peers {
-		if err := gossip.Connect(peer); err != nil {
+		if err := n.Connect(peer); err != nil {
 			n.logf("connect %s: %v", peer, err)
 		}
 	}
-	n.RequestSync()
-	if n.sync != nil {
-		n.sync.start()
-	}
+	n.sync.start()
 
 	if cfg.MinerKey != nil {
 		n.miner = chain.NewMiner(cfg.MinerKey, c, n.pool, randomOrDefault(cfg.Random))
@@ -315,17 +296,15 @@ func (n *Node) Open(dataDir string) (int, error) {
 			n.metrics.storeCompactions.Inc()
 		}
 	})
-	if sm := n.sync; sm != nil {
-		// A restarting miner re-offers a commitment at its latest
-		// snapshot boundary so joiners can bootstrap without waiting for
-		// the next boundary to be mined.
-		if n.cfg.MinerKey != nil {
-			if h := (n.chain.Height() / n.snapshotInterval()) * n.snapshotInterval(); h > 0 && h >= n.chain.PruneBase() {
-				n.publishSnapshotCommitment(h)
-			}
+	// A restarting miner re-offers a commitment at its latest snapshot
+	// boundary so joiners can bootstrap without waiting for the next
+	// boundary to be mined.
+	if n.cfg.MinerKey != nil {
+		if h := (n.chain.Height() / n.snapshotInterval()) * n.snapshotInterval(); h > 0 && h >= n.chain.PruneBase() {
+			n.publishSnapshotCommitment(h)
 		}
-		sm.release()
 	}
+	n.sync.release()
 	return loaded, nil
 }
 
@@ -360,52 +339,27 @@ func (n *Node) misbehave(from, reason string) {
 // RPCAddr returns the JSON-RPC listen address.
 func (n *Node) RPCAddr() string { return n.rpcSrv.Addr() }
 
-// Connect dials an extra gossip peer.
-func (n *Node) Connect(addr string) error { return n.gossip.Connect(addr) }
+// Connect dials a gossip peer and greets it with a getheaders, which
+// also registers us at the dialee (p2p learns an inbound peer from its
+// first message).
+func (n *Node) Connect(addr string) error {
+	if err := n.gossip.Connect(addr); err != nil {
+		return err
+	}
+	n.sync.greet(addr)
+	return nil
+}
 
-// RequestSync asks the mesh to re-broadcast blocks above our height
-// (anti-entropy after partitions, restarts or message loss). The nonce
-// keeps distinct requests from colliding in the gossip dedup cache.
-// Orphan blocks whose ancestors are still missing — a fork where both
-// sides mined, so the gap sits below our own height — trigger extra
-// backfill requests from below the orphan.
+// RequestSync runs a catch-up round (after partitions, restarts or
+// message loss): one getheaders with the chain's locator to the next
+// peer in rotation, then a tail fetch of whatever the answer shows we
+// lack — a block whose inv was lost, or the far side of a fork of any
+// depth. While the boot sequence or an earlier round is still running,
+// it advances that one retry step instead.
 func (n *Node) RequestSync() {
-	if sm := n.sync; sm != nil && sm.active() {
-		// The state machine owns catch-up until it goes live; a legacy
-		// height blast during bootstrap would pull full bodies the
-		// snapshot is about to make redundant.
-		sm.kick()
-		return
+	if !n.sync.round("") {
+		n.sync.tick()
 	}
-	n.legacySyncBroadcast()
-}
-
-// legacySyncBroadcast is the height-blast anti-entropy request itself;
-// the sync machine fires it once when it goes live to hand over.
-func (n *Node) legacySyncBroadcast() {
-	nonce := syncNonce(randomOrDefault(n.cfg.Random))
-	n.gossip.Broadcast("sync", []byte(fmt.Sprintf("%d|%d", n.chain.Height(), nonce)))
-	for _, from := range n.orphanGaps() {
-		n.gossip.Broadcast("sync", []byte(fmt.Sprintf("%d|%d", from, nonce)))
-	}
-}
-
-// orphanGaps returns, for each parked block whose parent is still
-// unknown, the height to re-request blocks above so the gap refills.
-func (n *Node) orphanGaps() []int64 {
-	n.mu.Lock()
-	parked := make([]*chain.Block, 0, len(n.orphans))
-	for _, b := range n.orphans {
-		parked = append(parked, b)
-	}
-	n.mu.Unlock()
-	var gaps []int64
-	for _, b := range parked {
-		if _, ok := n.chain.BlockByID(b.Header.PrevBlock); !ok {
-			gaps = append(gaps, b.Header.Height-2)
-		}
-	}
-	return gaps
 }
 
 // RebroadcastPending re-announces every pooled transaction: the whole
@@ -455,9 +409,7 @@ func (n *Node) Close() error {
 		close(n.stopMine)
 		<-n.mineDone
 	}
-	if n.sync != nil {
-		n.sync.close()
-	}
+	n.sync.close()
 	n.relay.Close()
 	n.mu.Lock()
 	for id, pc := range n.pendingCmpct {
@@ -559,40 +511,28 @@ func (n *Node) retryOrphanTxs() {
 	}
 }
 
-// acceptBlock adds a block, parking it as an orphan if its parent has not
-// arrived yet, and retrying orphans after every acceptance.
-func (n *Node) acceptBlock(b *chain.Block) {
+// acceptBlock adds a block received from peer from, parking it as an
+// orphan if its parent has not arrived yet, and retrying orphans after
+// every acceptance.
+func (n *Node) acceptBlock(b *chain.Block, from string) {
 	switch err := n.chain.AddBlock(b); {
 	case err == nil:
 		n.pool.RemoveConfirmed(b)
 		n.drainOrphans()
 		// Confirmed outputs may fund transactions parked out of order.
 		n.retryOrphanTxs()
-		if sm := n.sync; sm != nil {
-			sm.noteBlockConnected()
-		}
+		n.sync.noteBlockConnected()
 	case isOrphanErr(err):
 		n.mu.Lock()
 		if len(n.orphans) < 10_000 {
 			n.orphans[b.Header.PrevBlock] = b
 		}
 		n.mu.Unlock()
-		// While the sync machine is bootstrapping, live blocks park here
-		// until the snapshot + tail catch up and drain them; a backfill
-		// blast now would cascade full-body downloads to genesis and
-		// defeat the snapshot.
-		if sm := n.sync; sm != nil && sm.active() {
-			return
-		}
-		// Ask the mesh for the missing ancestors right away; after a
-		// fork where both sides mined they sit below our own height, so
-		// the regular catch-up request never covers them. The nonce is
-		// derived from the orphan so the request passes gossip dedup
-		// once per distinct gap (RequestSync retries with fresh nonces
-		// if this one is lost).
-		id := b.ID()
-		nonce := int64(binary.BigEndian.Uint64(id[:8]) >> 1)
-		n.gossip.Broadcast("sync", []byte(fmt.Sprintf("%d|%d", b.Header.Height-2, nonce)))
+		// Ask the sender for the missing ancestors: a round's locator
+		// finds the fork point however deep it sits below our tip. While
+		// the boot sequence or a round is running, the orphan waits for
+		// it to drain the gap instead.
+		n.sync.round(from)
 	default:
 		n.logf("block %s rejected: %v", b.ID(), err)
 	}
@@ -635,45 +575,6 @@ func (n *Node) drainOrphans() {
 
 func isOrphanErr(err error) bool {
 	return err != nil && containsErr(err, chain.ErrBadPrevBlock)
-}
-
-// maxSyncBlocks caps one sync response. Answering with the whole gap
-// melts down when the requester is far behind a live miner: every
-// repeated request costs O(gap) ids, pending-fetch timers, and block
-// bodies — enough to overflow the bounded per-peer send queue — while
-// the gap keeps growing, so recovery work is quadratic in the deficit.
-// A capped response hands over a bounded chunk; the requester's next
-// sync continues from its new tip.
-const maxSyncBlocks = 64
-
-// onSync answers a peer's catch-up request. The gap chunk is advertised
-// as one batched inv to the peer the request arrived from (the
-// requester, or a forwarder that then answers the requester itself when
-// the flooded request reaches it); re-announcing every block to every
-// peer amplified each request by O(gap × peers) and starved the send
-// queues. Pruned stubs have no body to serve (nor does any valid
-// serialization for one exist) — the requester must bootstrap from a
-// snapshot instead.
-func (n *Node) onSync(from string, msg p2p.Message) {
-	var reqHeight, nonce int64
-	if _, err := fmt.Sscanf(string(msg.Payload), "%d|%d", &reqHeight, &nonce); err != nil {
-		n.misbehave(from, "malformed sync request")
-		return
-	}
-	var (
-		ids    []p2p.ObjectID
-		bodies [][]byte
-	)
-	for h := reqHeight + 1; h <= n.chain.Height() && len(ids) < maxSyncBlocks; h++ {
-		if b, ok := n.chain.BlockAt(h); ok && len(b.Txs) > 0 {
-			ids = append(ids, p2p.ObjectID(b.ID()))
-			bodies = append(bodies, b.Serialize())
-		}
-	}
-	if len(ids) == 0 {
-		return
-	}
-	n.relay.AnnounceTo(from, "block", ids, bodies)
 }
 
 func (n *Node) logf(format string, args ...any) {

@@ -8,11 +8,12 @@ import (
 )
 
 // This file is the daemon side of the inventory/compact-block relay
-// (DESIGN.md §12). Transactions and catch-up blocks travel as inv
-// announcements resolved by getdata; a freshly mined block travels as a
-// BIP152-style sketch, reconstructed from the receiver's mempool with a
-// getblocktxn/blocktxn round trip for the misses and a full-block
-// getdata as the last rung of the ladder.
+// (DESIGN.md §12). Transactions travel as inv announcements resolved by
+// getdata; a freshly mined block travels as a BIP152-style sketch,
+// reconstructed from the receiver's mempool with a getblocktxn/blocktxn
+// round trip for the misses and a full-block getdata as the last rung
+// of the ladder. Catch-up blocks are fetched by the sync machine's tail
+// getdata (sync.go) and arrive through the same block handler.
 
 // compactTxnTimeout returns how long a reconstruction waits for a
 // blocktxn response before falling back to the full block.
@@ -88,18 +89,17 @@ func (n *Node) onRelayBlock(from string, payload []byte) (p2p.ObjectID, bool) {
 	}
 	id := b.ID()
 	n.clearPendingCompact(id) // a full body supersedes any sketch round trip
-	n.acceptBlock(b)
+	n.acceptBlock(b, from)
 	return p2p.ObjectID(id), true
 }
 
-// broadcastTx hands a transaction to the relay. force bypasses per-peer
-// known-inventory suppression (sync repair).
-func (n *Node) broadcastTx(tx *chain.Tx, force bool) {
-	n.relay.Announce("tx", p2p.ObjectID(tx.ID()), tx.Serialize(), force)
+// broadcastTx hands a transaction to the relay.
+func (n *Node) broadcastTx(tx *chain.Tx) {
+	n.relay.Announce("tx", p2p.ObjectID(tx.ID()), tx.Serialize())
 }
 
 // broadcastBlock propagates a freshly mined block as a compact sketch.
-// Catch-up blocks travel through onSync's batched AnnounceTo instead.
+// Catch-up blocks are fetched by the sync machine's tail getdata instead.
 func (n *Node) broadcastBlock(b *chain.Block) {
 	n.relay.Put("block", p2p.ObjectID(b.ID()), b.Serialize())
 	n.sendCompact(b, "")
@@ -261,6 +261,6 @@ func (n *Node) completeCompact(b *chain.Block, from string) {
 	id := p2p.ObjectID(b.ID())
 	n.relay.Put("block", id, b.Serialize())
 	n.relay.MarkKnown(from, "block", id)
-	n.acceptBlock(b)
+	n.acceptBlock(b, from)
 	n.sendCompact(b, from)
 }

@@ -11,13 +11,15 @@ import (
 	"bcwan/internal/p2p"
 )
 
-// Headers-first sync and snapshot bootstrap (DESIGN.md §13). A joining
-// node walks a state machine — headers → snapshot → tail → live —
-// instead of replaying every block from genesis:
+// Headers-first sync and snapshot bootstrap (DESIGN.md §13). Every
+// catch-up — the join at boot and every later round — walks one state
+// machine, headers → snapshot → tail → live, instead of replaying blocks
+// from genesis:
 //
-//  1. headers: fetch the header spine with locator-based getheaders
-//     batches, validating linkage, miner membership and signatures as
-//     batches arrive. The spine pins every block ID below the tip.
+//  1. headers: rebase the header spine onto the chain's best branch and
+//     extend it with locator-based getheaders batches, validating
+//     linkage, miner membership and signatures as batches arrive. The
+//     spine pins every block ID below the peer's tip.
 //  2. snapshot: fetch a miner-signed snapshot commitment (the manifest)
 //     and the serialized UTXO set it commits to, in checksummed chunks.
 //     The commitment is trusted only if its signature verifies against
@@ -26,11 +28,13 @@ import (
 //     value. A peer that fails any check is abandoned for the next;
 //     when every peer has failed, the machine falls back to a full
 //     sync from genesis — it never installs unverified state.
-//  3. tail: fetch full bodies for the spine IDs above the snapshot
-//     horizon (or above genesis, in the fallback) as direct getdata
-//     batches served by the PR 5 relay.
-//  4. live: the machine retires; ongoing replication is the relay's
-//     inv/compact-block gossip plus the legacy sync anti-entropy.
+//  3. tail: fetch full bodies for the spine IDs the chain lacks, from
+//     the first height where spine and best chain disagree (above the
+//     snapshot horizon, if one was installed), as direct getdata batches
+//     served by the relay — so a fork of any depth resolves in one round.
+//  4. live: ongoing replication is the relay's inv/compact-block gossip.
+//     RequestSync, every outbound Connect and an orphan block (asked of
+//     the peer that sent it) start the next round at headers.
 //
 // Every phase is driven by a retry ticker with deterministic peer
 // rotation (sorted peer names, round-robin counter), so chaos runs
@@ -56,9 +60,13 @@ const (
 	// signals the requester to immediately ask for more.
 	headersBatchMax = 2000
 	// syncStallTicks is how many retry ticks a phase may stall before
-	// the machine gives up on it (headers/tail degrade to live, where
-	// legacy anti-entropy takes over).
+	// the machine gives up on it (headers/tail degrade to live; the next
+	// round retries).
 	syncStallTicks = 10
+	// maxSyncBlocks caps one tail getdata batch. The connect hook asks
+	// for the next batch once this one has connected, so a laggard never
+	// has more than this many bodies in flight from one peer's send queue.
+	maxSyncBlocks = 64
 	// snapshotStallTicks is how many ticks a snapshot peer may stall
 	// before the machine fails over to the next one.
 	snapshotStallTicks = 4
@@ -69,12 +77,12 @@ const (
 
 // SyncInfo is the sync-progress surface exposed over RPC.
 type SyncInfo struct {
-	// Phase is "headers", "snapshot", "tail", "live" or "legacy" (no
-	// sync machine configured).
+	// Phase is "headers", "snapshot", "tail" or "live".
 	Phase       string `json:"phase"`
 	ChainHeight int64  `json:"chainheight"`
-	// SpineHeight is the validated header spine tip (0 before any
-	// headers arrive; meaningless in legacy mode).
+	// SpineHeight is the validated header spine tip: the best chain's
+	// tip plus whatever headers the last round learned (0 until the
+	// machine is released).
 	SpineHeight int64 `json:"spineheight"`
 	PruneBase   int64 `json:"prunebase"`
 	// SnapshotHeight is the horizon of the snapshot being downloaded or
@@ -98,22 +106,23 @@ type syncManager struct {
 	// rot is the deterministic peer-rotation counter.
 	rot   int
 	stall int
-	// lastTailHeight detects tail progress between ticks.
-	lastTailHeight int64
 	// headersSent records that the opening getheaders went out, so
 	// later ticks only re-send after a silent interval.
 	headersSent bool
+	// tailPeer serves the tail: the peer whose headers extended the
+	// spine (it holds the bodies), rotated only when it stalls.
+	tailPeer string
 	// tailReqEnd is the top of the last requested tail batch; the
-	// connect hook sends the next batch once the chain reaches it.
+	// connect hook sends the next batch once that block is indexed.
 	tailReqEnd int64
 
-	// Snapshot download state.
-	// held suppresses ticks until Node.Open has loaded the store (or
-	// the first retry tick fires, for nodes that never open one), so a
-	// network bootstrap cannot race the disk load into a half-initialized
-	// chain.
+	// held suppresses ticks and headers responses until Node.Open has
+	// loaded the store (or the first retry tick fires, for nodes that
+	// never open one), so a network bootstrap cannot race the disk load
+	// into a half-initialized chain.
 	held bool
 
+	// Snapshot download state.
 	snapPeer  string
 	commit    *chain.SnapshotCommitment
 	chunks    [][]byte
@@ -157,9 +166,7 @@ func (sm *syncManager) run() {
 		select {
 		case <-ticker.C:
 			sm.release()
-			if sm.tick() {
-				return
-			}
+			sm.tick()
 		case <-sm.stop:
 			return
 		}
@@ -168,9 +175,7 @@ func (sm *syncManager) run() {
 
 func (sm *syncManager) close() {
 	sm.mu.Lock()
-	if sm.phase != syncLive {
-		sm.phase = syncLive
-	}
+	sm.phase = syncLive
 	sm.mu.Unlock()
 	select {
 	case <-sm.stop:
@@ -180,33 +185,70 @@ func (sm *syncManager) close() {
 	<-sm.done
 }
 
-// active reports whether the machine is still bootstrapping (legacy
-// sync broadcasts are suppressed while it is).
-func (sm *syncManager) active() bool {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	return sm.phase != syncLive
-}
-
-// kick triggers an immediate retry step (RequestSync delegates here
-// during bootstrap, so chaos pump rounds advance the machine).
-func (sm *syncManager) kick() {
-	sm.tick()
-}
-
-// release lifts the startup hold; ticks are no-ops until then.
+// release lifts the startup hold, rebases the spine onto whatever chain
+// Open loaded, and asks every peer for headers with the chain's own
+// locator: the answers to the greetings sent while held were dropped.
 func (sm *syncManager) release() {
 	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	if !sm.held {
+		return
+	}
 	sm.held = false
-	sm.mu.Unlock()
+	sm.spine.Rebase(sm.n.chain)
+	for _, p := range sm.n.gossip.Peers() {
+		sm.sendGetHeadersLocked(p)
+		sm.headersSent = true
+	}
 }
 
-// tick advances the machine one retry step; returns true once live.
-func (sm *syncManager) tick() bool {
+// round starts a catch-up round against peer ("" = the next peer in
+// rotation) with one getheaders. It reports false, and does nothing,
+// while the boot sequence or an earlier round is still running.
+func (sm *syncManager) round(peer string) bool {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	if sm.phase != syncLive {
+		return false
+	}
+	sm.beginRoundLocked()
+	if peer == "" {
+		peer = sm.nextPeerLocked()
+	}
+	sm.sendGetHeadersLocked(peer)
+	return true
+}
+
+// beginRoundLocked puts a live machine back at the headers phase, with
+// the spine rebased onto the best chain so a getheaders carries the
+// chain's own locator and a peer answers from the fork point.
+func (sm *syncManager) beginRoundLocked() {
+	sm.spine.Rebase(sm.n.chain)
+	sm.phase = syncHeaders
+	sm.stall = 0
+	sm.headersSent = true
+	sm.tailPeer = ""
+}
+
+// greet opens an outbound link with a getheaders. The dialee learns our
+// address from it (p2p registers an inbound peer on its first message);
+// once live it is also a round against the new peer. A held machine
+// drops the answer, and release asks again.
+func (sm *syncManager) greet(peer string) {
+	if sm.round(peer) {
+		return
+	}
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	sm.sendGetHeadersLocked(peer)
+}
+
+// tick advances the machine one retry step.
+func (sm *syncManager) tick() {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	if sm.held {
-		return false
+		return
 	}
 	// Every phase self-paces off its responses (onHeaders chains the
 	// next batch, onSnapshotChunk the next chunk, the block-connect hook
@@ -218,14 +260,14 @@ func (sm *syncManager) tick() bool {
 		sm.stall++
 		if sm.stall > syncStallTicks {
 			// Nobody answered. If the spine learned anything, fetch
-			// those bodies; either way stop blocking the node — legacy
-			// anti-entropy covers whatever was missed.
+			// those bodies; either way stop blocking the node — the next
+			// round covers whatever was missed.
 			if sm.spine.Height() > sm.n.chain.Height() {
 				sm.toTailLocked()
 			} else {
 				sm.toLiveLocked()
 			}
-			return sm.phase == syncLive
+			return
 		}
 		if !sm.headersSent || sm.stall >= 2 {
 			sm.sendGetHeadersLocked(sm.nextPeerLocked())
@@ -235,33 +277,27 @@ func (sm *syncManager) tick() bool {
 		sm.stall++
 		if sm.stall > snapshotStallTicks {
 			sm.failSnapshotPeerLocked("stalled")
-			return false
+			return
 		}
 		if sm.stall >= 2 {
 			sm.resendSnapshotRequestLocked()
 		}
 	case syncTail:
-		h := sm.n.chain.Height()
-		if h > sm.lastTailHeight {
-			sm.lastTailHeight = h
-			sm.stall = 0
-		}
-		if h >= sm.spine.Height() {
+		if sm.tailDoneLocked() {
 			sm.toLiveLocked()
-			return true
+			return
 		}
+		// noteBlockConnected resets the count on every connect.
 		sm.stall++
 		if sm.stall > syncStallTicks {
 			sm.toLiveLocked()
-			return true
+			return
 		}
 		if sm.stall >= 2 {
-			sm.sendTailRequestLocked(sm.nextPeerLocked())
+			sm.tailPeer = sm.nextPeerLocked()
+			sm.sendTailRequestLocked(sm.tailPeer)
 		}
-	case syncLive:
-		return true
 	}
-	return false
 }
 
 // nextPeerLocked rotates deterministically through the sorted peer set.
@@ -309,12 +345,22 @@ func (sm *syncManager) onHeaders(from string, msg p2p.Message) {
 	}
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
+	if sm.held {
+		return
+	}
+	if sm.phase == syncLive {
+		// A late answer — to a greeting, a boot request or an earlier
+		// round — may still show blocks we lack: it opens a round with
+		// its sender.
+		sm.beginRoundLocked()
+	}
 	if sm.phase != syncHeaders {
 		return
 	}
 	added, err := sm.spine.Connect(headers)
 	if added > 0 {
 		sm.stall = 0
+		sm.tailPeer = from
 		sm.n.metrics.headersSynced.Add(uint64(added))
 	}
 	if err != nil {
@@ -528,8 +574,37 @@ func (sm *syncManager) installSnapshotLocked() {
 func (sm *syncManager) toTailLocked() {
 	sm.phase = syncTail
 	sm.stall = 0
-	sm.lastTailHeight = sm.n.chain.Height()
-	sm.sendTailRequestLocked(sm.nextPeerLocked())
+	if sm.tailPeer == "" {
+		sm.tailPeer = sm.nextPeerLocked()
+	}
+	sm.sendTailRequestLocked(sm.tailPeer)
+}
+
+// tailDoneLocked reports that the best chain has caught up with the
+// spine (by extending it, or by reorganizing onto the spine's branch).
+func (sm *syncManager) tailDoneLocked() bool {
+	return sm.n.chain.Height() >= sm.spine.Height()
+}
+
+// tailStartLocked is the lowest spine height whose block the chain does
+// not hold yet: the search starts above the highest height where the
+// spine and the best chain agree and skips side-branch blocks already
+// fetched, so a fork of any depth is fetched from its first diverging
+// block rather than from our tip.
+func (sm *syncManager) tailStartLocked() int64 {
+	h := min(sm.spine.Height(), sm.n.chain.Height())
+	for ; h > 0; h-- {
+		id, _ := sm.spine.IDAt(h)
+		if b, ok := sm.n.chain.BlockAt(h); ok && b.ID() == id {
+			break
+		}
+	}
+	for h++; h <= sm.spine.Height(); h++ {
+		if id, _ := sm.spine.IDAt(h); !sm.n.relayHave("block", p2p.ObjectID(id)) {
+			break
+		}
+	}
+	return h
 }
 
 // sendTailRequestLocked asks a peer for the next batch of spine block
@@ -539,25 +614,22 @@ func (sm *syncManager) sendTailRequestLocked(peer string) {
 	if peer == "" {
 		return
 	}
-	our := sm.n.chain.Height()
+	from := sm.tailStartLocked()
 	var ids []p2p.ObjectID
-	for h := our + 1; h <= sm.spine.Height() && len(ids) < maxSyncBlocks; h++ {
-		id, ok := sm.spine.IDAt(h)
-		if !ok {
-			break
-		}
+	for h := from; h <= sm.spine.Height() && len(ids) < maxSyncBlocks; h++ {
+		id, _ := sm.spine.IDAt(h)
 		ids = append(ids, p2p.ObjectID(id))
 	}
 	if len(ids) == 0 {
 		return
 	}
-	sm.tailReqEnd = our + int64(len(ids))
+	sm.tailReqEnd = from + int64(len(ids)) - 1
 	sm.n.gossip.SendTo(peer, "getdata", p2p.EncodeInv("block", ids...))
 }
 
-// noteBlockConnected is called from acceptBlock whenever the chain
-// grows: during the tail phase it requests the next getdata batch as
-// soon as the previous one has fully connected, so the backfill is
+// noteBlockConnected is called from acceptBlock whenever a block joins
+// the index: during the tail phase it requests the next getdata batch as
+// soon as the previous one has fully arrived, so the backfill is
 // response-paced instead of waiting out a retry tick per batch.
 func (sm *syncManager) noteBlockConnected() {
 	sm.mu.Lock()
@@ -565,30 +637,19 @@ func (sm *syncManager) noteBlockConnected() {
 	if sm.phase != syncTail {
 		return
 	}
-	h := sm.n.chain.Height()
-	if h > sm.lastTailHeight {
-		sm.lastTailHeight = h
-		sm.stall = 0
-	}
-	if h >= sm.spine.Height() {
+	sm.stall = 0
+	if sm.tailDoneLocked() {
 		sm.toLiveLocked()
 		return
 	}
-	if h >= sm.tailReqEnd {
-		sm.sendTailRequestLocked(sm.nextPeerLocked())
+	if id, ok := sm.spine.IDAt(sm.tailReqEnd); ok && sm.n.relayHave("block", p2p.ObjectID(id)) {
+		sm.sendTailRequestLocked(sm.tailPeer)
 	}
 }
 
 func (sm *syncManager) toLiveLocked() {
-	if sm.phase != syncLive {
-		sm.phase = syncLive
-		sm.n.logf("sync live at height %d", sm.n.chain.Height())
-		// Hand ongoing anti-entropy back to the legacy height blast; the
-		// broadcast also announces this node to peers it dialed but never
-		// messaged during bootstrap (inbound peers register on first
-		// message).
-		sm.n.legacySyncBroadcast()
-	}
+	sm.phase = syncLive
+	sm.n.logf("sync live at height %d", sm.n.chain.Height())
 }
 
 // info snapshots the machine state for RPC.
@@ -644,9 +705,6 @@ func (n *Node) onGetSnapshot(from string, msg p2p.Message) {
 		return
 	}
 	sm := n.sync
-	if sm == nil {
-		return
-	}
 	sm.mu.Lock()
 	commit, data := sm.serveCommit, sm.serveData
 	if commit != nil && data == nil {
@@ -671,15 +729,11 @@ func (n *Node) onGetSnapshot(from string, msg p2p.Message) {
 	if int(dec.Chunk) >= len(chunks) {
 		return
 	}
-	payload := chunks[dec.Chunk]
-	if n.cfg.TamperSnapshot != nil {
-		payload = n.cfg.TamperSnapshot(dec.Height, dec.Chunk, payload)
-	}
 	resp := &p2p.MsgSnapshotChunk{
 		Height:  commit.Height,
 		Chunk:   dec.Chunk,
 		Total:   int32(len(chunks)),
-		Payload: payload,
+		Payload: chunks[dec.Chunk],
 	}
 	if n.gossip.SendTo(from, p2p.MsgTypeSnapshotChunk, resp.Encode()) {
 		n.metrics.snapshotChunksServed.Inc()
@@ -712,10 +766,6 @@ func (sm *syncManager) buildServeDataLocked() []byte {
 // against the miner set and our own best branch, and cache the newest
 // one for serving.
 func (n *Node) onSnapCommit(from string, msg p2p.Message) {
-	sm := n.sync
-	if sm == nil {
-		return
-	}
 	commit, err := chain.DeserializeSnapshotCommitment(msg.Payload)
 	if err != nil {
 		return
@@ -730,6 +780,7 @@ func (n *Node) onSnapCommit(from string, msg p2p.Message) {
 		// rather than cache — serving requires local proof.
 		return
 	}
+	sm := n.sync
 	sm.mu.Lock()
 	if sm.serveCommit == nil || commit.Height > sm.serveCommit.Height {
 		sm.serveCommit = commit
@@ -741,7 +792,7 @@ func (n *Node) onSnapCommit(from string, msg p2p.Message) {
 // publishSnapshotCommitment builds, signs, caches and gossips a
 // commitment to this miner's state at the given height.
 func (n *Node) publishSnapshotCommitment(height int64) {
-	if n.cfg.MinerKey == nil || n.sync == nil || height <= 0 {
+	if n.cfg.MinerKey == nil || height <= 0 {
 		return
 	}
 	u, err := n.chain.StateAt(height)
@@ -778,7 +829,7 @@ func (n *Node) publishSnapshotCommitment(height int64) {
 // maybePublishCommitment publishes after mining a block on a snapshot
 // interval boundary.
 func (n *Node) maybePublishCommitment(b *chain.Block) {
-	if n.sync == nil || n.cfg.MinerKey == nil {
+	if n.cfg.MinerKey == nil {
 		return
 	}
 	if interval := n.snapshotInterval(); b.Header.Height%interval == 0 {
@@ -788,10 +839,7 @@ func (n *Node) maybePublishCommitment(b *chain.Block) {
 
 // SyncInfo reports bootstrap progress (RPC getsyncinfo).
 func (n *Node) SyncInfo() SyncInfo {
-	si := SyncInfo{Phase: "legacy"}
-	if n.sync != nil {
-		si = n.sync.info()
-	}
+	si := n.sync.info()
 	si.ChainHeight = n.chain.Height()
 	si.PruneBase = n.chain.PruneBase()
 	return si

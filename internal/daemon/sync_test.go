@@ -2,10 +2,13 @@ package daemon
 
 import (
 	"context"
+	"crypto/rand"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"bcwan/internal/bccrypto"
 	"bcwan/internal/chain"
 	"bcwan/internal/p2p"
 	"bcwan/internal/rpc"
@@ -177,17 +180,7 @@ func TestSnapshotBootstrapEndToEnd(t *testing.T) {
 func TestSnapshotTamperFallsBackToFullSync(t *testing.T) {
 	f := newRelayFixture(t, 1)
 	tr := p2p.NewMemTransport()
-	miner := syncTestNode(t, f, tr, func(cfg *NodeConfig) {
-		cfg.MinerKey = f.miner
-		cfg.TamperSnapshot = func(_ int64, chunk int32, payload []byte) []byte {
-			if chunk != 0 || len(payload) == 0 {
-				return payload
-			}
-			bad := append([]byte(nil), payload...)
-			bad[0] ^= 0xff
-			return bad
-		}
-	})
+	miner := syncTestNode(t, f, lyingTransport{tr}, func(cfg *NodeConfig) { cfg.MinerKey = f.miner })
 	for i := 0; i < 24; i++ {
 		if _, err := miner.MineNow(); err != nil {
 			t.Fatal(err)
@@ -224,25 +217,15 @@ func TestSnapshotTamperFallsBackToFullSync(t *testing.T) {
 func TestSnapshotBootstrapPrefersHonestPeer(t *testing.T) {
 	f := newRelayFixture(t, 1)
 	tr := p2p.NewMemTransport()
-	tamper := func(cfg *NodeConfig) {
-		cfg.MinerKey = f.miner
-		cfg.TamperSnapshot = func(_ int64, chunk int32, payload []byte) []byte {
-			if chunk != 0 || len(payload) == 0 {
-				return payload
-			}
-			bad := append([]byte(nil), payload...)
-			bad[0] ^= 0xff
-			return bad
-		}
-	}
-	liar := syncTestNode(t, f, tr, tamper)
+	liar := syncTestNode(t, f, lyingTransport{tr}, func(cfg *NodeConfig) { cfg.MinerKey = f.miner })
 	for i := 0; i < 24; i++ {
 		if _, err := liar.MineNow(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The honest node replicates the liar's chain (the tamper hook only
-	// rewrites served snapshot chunks, not blocks), then serves joiners.
+	// The honest node replicates the liar's chain (the lying transport
+	// only rewrites served snapshot chunks, not blocks), then serves
+	// joiners.
 	honest := syncTestNode(t, f, tr, func(cfg *NodeConfig) { cfg.SnapshotSyncDisabled = true }, liar.P2PAddr())
 	waitCond(t, "honest node to replicate the chain", func() bool {
 		return honest.SyncInfo().Phase == "live" && honest.Chain().Height() == 24
@@ -270,6 +253,115 @@ func TestSnapshotBootstrapPrefersHonestPeer(t *testing.T) {
 	if joiner.Chain().Tip().ID() != honest.Chain().Tip().ID() {
 		t.Fatal("joiner tip differs")
 	}
+}
+
+// TestConnectRegistersDialerAtOnce checks the greeting getheaders every
+// outbound dial sends: the dialee learns the dialer from it within
+// 100 ms, instead of waiting for the dialer's first 500 ms retry tick.
+func TestConnectRegistersDialerAtOnce(t *testing.T) {
+	f := newRelayFixture(t, 1)
+	tr := p2p.NewMemTransport()
+	var nodes []*Node
+	for i := 0; i < 3; i++ {
+		var peers []string
+		for _, n := range nodes {
+			peers = append(peers, n.P2PAddr())
+		}
+		start := time.Now()
+		n := f.node(t, tr, i == 0, peers...)
+		for _, dialee := range nodes {
+			for !slices.Contains(dialee.Gossip().Peers(), n.P2PAddr()) {
+				if time.Since(start) > 100*time.Millisecond {
+					t.Fatalf("dialee %s does not list dialer %s after %s", dialee.P2PAddr(), n.P2PAddr(), time.Since(start))
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		nodes = append(nodes, n)
+	}
+}
+
+// TestDeepForkResolvesInOneRound splits two miners for longer than one
+// tail batch: each mines its own branch off genesis, then a bare link
+// joins them — nothing is announced over it, as when a partition heals.
+// The shorter side must reorganize onto the longer branch within
+// ⌈depth/64⌉ + 1 RequestSync calls: a round's locator finds the fork
+// point, and the tail fetches from there instead of from its own tip.
+func TestDeepForkResolvesInOneRound(t *testing.T) {
+	const short, long = 70, 140
+	f := newRelayFixture(t, 1)
+	other, err := bccrypto.GenerateECKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	miners := [][]byte{f.miner.PublicBytes(), other.PublicBytes()}
+	tr := p2p.NewMemTransport()
+	mk := func(key *bccrypto.ECKey, blocks int) *Node {
+		n := syncTestNode(t, f, tr, func(cfg *NodeConfig) { cfg.Miners, cfg.MinerKey = miners, key })
+		for i := 0; i < blocks; i++ {
+			if _, err := n.MineNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+	a, b := mk(f.miner, short), mk(other, long)
+	bothLive := func() bool { return a.SyncInfo().Phase == "live" && b.SyncInfo().Phase == "live" }
+	waitCond(t, "both miners live", bothLive)
+	if err := a.Gossip().Connect(b.P2PAddr()); err != nil {
+		t.Fatal(err)
+	}
+
+	bound := (long+maxSyncBlocks-1)/maxSyncBlocks + 1
+	calls := 0
+	for ; a.Chain().Tip().ID() != b.Chain().Tip().ID(); calls++ {
+		if calls == bound {
+			t.Fatalf("no convergence after %d RequestSync calls (a at %d, b at %d)", calls, a.Chain().Height(), b.Chain().Height())
+		}
+		a.RequestSync()
+		b.RequestSync()
+		waitCond(t, "the round to finish", bothLive)
+	}
+	if got := a.Chain().Height(); got != long {
+		t.Fatalf("a at height %d, want the long branch's %d", got, long)
+	}
+	t.Logf("a %d-block fork resolved after %d RequestSync calls (bound %d)", long, calls, bound)
+}
+
+// lyingTransport makes a node a lying snapshot peer: chunk 0 of every
+// snapshot it serves has a byte flipped, so the download passes every
+// cheap check and fails only the commitment hash over the assembled
+// bytes.
+type lyingTransport struct{ p2p.Transport }
+
+func (t lyingTransport) Listen(addr string) (p2p.Listener, error) {
+	l, err := t.Transport.Listen(addr)
+	return lyingListener{l}, err
+}
+
+func (t lyingTransport) Dial(addr string) (p2p.Conn, error) {
+	c, err := t.Transport.Dial(addr)
+	return lyingConn{c}, err
+}
+
+type lyingListener struct{ p2p.Listener }
+
+func (l lyingListener) Accept() (p2p.Conn, error) {
+	c, err := l.Listener.Accept()
+	return lyingConn{c}, err
+}
+
+type lyingConn struct{ p2p.Conn }
+
+func (c lyingConn) Send(m p2p.Message) error {
+	if m.Type == p2p.MsgTypeSnapshotChunk {
+		if msg, err := p2p.DecodeSnapshotChunk(m.Payload); err == nil && msg.Chunk == 0 && len(msg.Payload) > 0 {
+			msg.Payload = append([]byte(nil), msg.Payload...)
+			msg.Payload[0] ^= 0xff
+			m.Payload = msg.Encode()
+		}
+	}
+	return c.Conn.Send(m)
 }
 
 // mustServeCommit reads a node's cached serving commitment.

@@ -10,8 +10,8 @@ import (
 func containsErr(err, target error) bool { return errors.Is(err, target) }
 
 // lockedReader serializes an injected random source. Tests hand in
-// plain *math/rand.Rand streams, and the mine loop, the sync machine's
-// goroutine and request handlers all draw from the one reader.
+// plain *math/rand.Rand streams, and the mine loop, explicit MineNow
+// calls and snapshot-commitment signing all draw from the one reader.
 type lockedReader struct {
 	mu sync.Mutex
 	r  io.Reader
@@ -28,21 +28,4 @@ func randomOrDefault(r io.Reader) io.Reader {
 		return rand.Reader
 	}
 	return r
-}
-
-// syncNonce draws a random tag so identical-height sync requests from
-// different nodes are not deduplicated by the gossip layer.
-func syncNonce(r io.Reader) int64 {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 1
-	}
-	var n int64
-	for _, v := range b {
-		n = n<<8 | int64(v)
-	}
-	if n < 0 {
-		n = -n
-	}
-	return n
 }

@@ -17,8 +17,7 @@ import (
 // transaction-then-block workload runs over a sparse daemon mesh on the
 // inv/getdata + compact-block relay, and the bytes on the wire, the
 // time to full propagation and the compact reconstruction hit rate are
-// reported. results/BENCH_relay.json also carries the row measured for
-// the full-payload flood this relay replaced (5.5× the bytes).
+// reported.
 type RelayBenchConfig struct {
 	Nodes       int `json:"nodes"`         // mesh size
 	Degree      int `json:"degree"`        // outbound dials per node (ring + doubling chords)
@@ -37,9 +36,8 @@ func quickRelayBenchConfig() RelayBenchConfig {
 	return RelayBenchConfig{Nodes: 6, Degree: 2, TxsPerBlock: 6, Blocks: 2}
 }
 
-// RelayBenchResult is the measured cost of one relay mode. The bench
-// measures "inv"; the committed baseline also keeps the "flood" row of
-// the relay this one replaced.
+// RelayBenchResult is the measured cost of one relay mode; the bench
+// measures "inv".
 type RelayBenchResult struct {
 	Mode          string  `json:"mode"`
 	BytesPerBlock int64   `json:"bytes_per_block"` // total wire bytes sent across the mesh, per block round
@@ -126,8 +124,9 @@ func newRelayMesh(cfg RelayBenchConfig) (*relayMesh, error) {
 		m.nodes = append(m.nodes, n)
 	}
 
-	// Dial the mesh, then sync-nudge so every dialee registers its
-	// dialer (inbound peers register on the first received message).
+	// Dial the mesh; each dial's greeting getheaders registers the dialer
+	// at its dialee (inbound peers register on the first received
+	// message).
 	degrees := make([]map[int]bool, cfg.Nodes)
 	for i := range degrees {
 		degrees[i] = make(map[int]bool)
@@ -141,7 +140,6 @@ func newRelayMesh(cfg RelayBenchConfig) (*relayMesh, error) {
 			degrees[i][j] = true
 			degrees[j][i] = true
 		}
-		n.RequestSync()
 	}
 	err = waitFor("relay bench", relayBenchTimeout, "bidirectional mesh", func() bool {
 		for i, n := range m.nodes {

@@ -18,9 +18,10 @@ import (
 // SyncBenchConfig sizes the cold-start experiment behind the headers-
 // first sync redesign (DESIGN.md §13): a miner builds Height blocks of
 // history, then a fresh gateway joins and the time from first dial to
-// first settled delivery is measured twice — once over the legacy
-// genesis-replay path (every body fetched and executed), once over the
-// headers + signed-snapshot bootstrap.
+// first settled delivery is measured twice — once with snapshots
+// disabled (headers first, then every body fetched and executed from
+// genesis, as when no peer serves a snapshot), once over the headers +
+// signed-snapshot bootstrap.
 type SyncBenchConfig struct {
 	Height            int64 `json:"height"`              // server chain height before the joiner dials
 	SnapshotInterval  int64 `json:"snapshot_interval"`   // miner commitment spacing
@@ -79,16 +80,10 @@ func newSyncDoc(cfg SyncBenchConfig, results []*SyncBenchResult) *SyncDoc {
 // fault-free, so reaching it means the join path is broken, not slow.
 const syncBenchTimeout = 10 * time.Minute
 
-// legacySyncBatch mirrors the daemon's cap on one legacy sync response
-// (maxSyncBlocks): the replay driver re-requests as soon as a full
-// batch has connected.
-const legacySyncBatch = 64
-
-// joinerRetryInterval paces the snapshot joiner's stall-retry ticks and
-// the replay driver's stall window alike, so neither mode is favored by
-// the driver cadence. It sits above the worst-case batch verification
-// time — the machine self-paces off responses, and a retry firing while
-// a batch is still being checked would inject duplicate traffic.
+// joinerRetryInterval paces both joiners' stall-retry ticks. It sits
+// above the worst-case batch verification time — the machine self-paces
+// off responses, and a retry firing while a batch is still being checked
+// would inject duplicate traffic.
 const joinerRetryInterval = 25 * time.Millisecond
 
 // syncBench is one server-plus-history instance; both join modes run
@@ -226,29 +221,25 @@ func (sb *syncBench) run(mode string, wlt *wallet.Wallet) (*SyncBenchResult, err
 
 	start := time.Now()
 	joiner, err := daemon.NewNode(daemon.NodeConfig{
-		Genesis:           sb.genesis,
-		Params:            sb.params,
-		Miners:            sb.miners,
-		Transport:         sb.tr,
-		MineInterval:      time.Hour,
-		Peers:             []string{sb.server.P2PAddr()},
-		SyncRetryInterval: joinerRetryInterval,
-		SnapshotInterval:  sb.cfg.SnapshotInterval,
-		SnapshotChunkSize: sb.cfg.SnapshotChunkSize,
-		LegacySyncOnly:    mode == "replay",
+		Genesis:              sb.genesis,
+		Params:               sb.params,
+		Miners:               sb.miners,
+		Transport:            sb.tr,
+		MineInterval:         time.Hour,
+		Peers:                []string{sb.server.P2PAddr()},
+		SyncRetryInterval:    joinerRetryInterval,
+		SnapshotInterval:     sb.cfg.SnapshotInterval,
+		SnapshotChunkSize:    sb.cfg.SnapshotChunkSize,
+		SnapshotSyncDisabled: mode == "replay",
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer joiner.Close()
 
-	if mode == "replay" {
-		err = sb.driveLegacyJoin(joiner, target)
-	} else {
-		err = waitFor("sync bench", syncBenchTimeout, "snapshot joiner live at tip", func() bool {
-			return joiner.SyncInfo().Phase == "live" && joiner.Chain().Height() >= target
-		})
-	}
+	err = waitFor("sync bench", syncBenchTimeout, mode+" joiner live at tip", func() bool {
+		return joiner.SyncInfo().Phase == "live" && joiner.Chain().Height() >= target
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -295,41 +286,13 @@ func (sb *syncBench) run(mode string, wlt *wallet.Wallet) (*SyncBenchResult, err
 	return res, nil
 }
 
-// driveLegacyJoin paces the height-blast anti-entropy the way a real
-// restarting gateway does: one request per connected batch, with a
-// stall retry. The legacy protocol is requester-paced (no state
-// machine), so the driver re-requests as soon as the previous 64-block
-// batch has fully connected.
-func (sb *syncBench) driveLegacyJoin(joiner *daemon.Node, target int64) error {
-	deadline := time.Now().Add(syncBenchTimeout)
-	reqAt := joiner.Chain().Height() // NewNode issued the first request
-	lastH, lastChange := reqAt, time.Now()
-	for {
-		h := joiner.Chain().Height()
-		if h >= target {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("sync bench: replay join stuck at height %d of %d", h, target)
-		}
-		if h != lastH {
-			lastH, lastChange = h, time.Now()
-		}
-		if h >= reqAt+legacySyncBatch || time.Since(lastChange) > joinerRetryInterval {
-			joiner.RequestSync()
-			reqAt, lastChange = h, time.Now()
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
 func msSince(t time.Time) float64 {
 	return float64(time.Since(t).Microseconds()) / 1000
 }
 
 // RunSyncBench measures the cold start under both join paths against
-// one shared mined history: the genesis replay first (the baseline the
-// redesign retired), then the snapshot bootstrap.
+// one shared mined history: the genesis replay first (what a joiner pays
+// when no peer serves a snapshot), then the snapshot bootstrap.
 func RunSyncBench(cfg SyncBenchConfig) (*SyncDoc, error) {
 	if cfg.Height < 1 || cfg.SnapshotInterval < 1 || cfg.SnapshotChunkSize < 1 || cfg.TxsPerBlock < 1 {
 		return nil, fmt.Errorf("sync bench config must be positive: %+v", cfg)

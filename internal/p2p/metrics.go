@@ -28,7 +28,7 @@ type p2pMetrics struct {
 
 // knownMessageTypes are pre-registered so the per-type series exist at
 // zero before the first message of each type flows.
-var knownMessageTypes = []string{"tx", "block", "sync", "inv", "getdata", "cmpctblock", "getblocktxn", "blocktxn"}
+var knownMessageTypes = []string{"tx", "block", "inv", "getdata", "cmpctblock", "getblocktxn", "blocktxn"}
 
 func newP2PMetrics(reg *telemetry.Registry) *p2pMetrics {
 	ns := reg.Namespace("p2p")

@@ -77,8 +77,8 @@ const maxSeen = 100_000
 // wrote to the transport directly, two nodes with full transport
 // buffers could block each other's readers forever (send-side
 // head-of-line deadlock). Sends therefore enqueue to a per-peer writer
-// goroutine and the queue sheds load when a peer stalls — gossip's
-// sync repair re-delivers anything dropped.
+// goroutine and the queue sheds load when a peer stalls — the next
+// catch-up round or mempool rebroadcast re-delivers anything dropped.
 const sendQueueLen = 256
 
 // peer is one registered neighbor: its connection plus the outbound

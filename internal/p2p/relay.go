@@ -12,8 +12,8 @@ import (
 // ("getdata"). Per-peer known-inventory sets keep a node from
 // announcing an object back to the peer it learned it from, and a
 // timeout re-requests an announced object from the next announcer when
-// the first one never answers. Node.Broadcast's flood still carries the
-// small control messages (sync requests, snapshot commitments).
+// the first one never answers. Node.Broadcast's flood carries only
+// snapshot commitments.
 
 // ObjectID is the 32-byte content identifier inventory gossip relays
 // (transaction and block hashes).
@@ -162,11 +162,8 @@ func (r *Relay) Close() {
 }
 
 // Announce stores the object and advertises its digest to connected
-// peers. Peers already known to hold the object are skipped unless
-// force is set — sync repair forces, because the original requester of
-// a catch-up is hidden behind gossip re-flooding and may have missed an
-// earlier announcement.
-func (r *Relay) Announce(kind string, id ObjectID, payload []byte, force bool) {
+// peers not already known to hold it.
+func (r *Relay) Announce(kind string, id ObjectID, payload []byte) {
 	key := invKey{kind, id}
 	peers := r.node.Peers()
 	r.mu.Lock()
@@ -179,7 +176,7 @@ func (r *Relay) Announce(kind string, id ObjectID, payload []byte, force bool) {
 	r.pruneKnownLocked(peers)
 	targets := make([]string, 0, len(peers))
 	for _, addr := range peers {
-		if force || !r.knownLocked(addr).has(key) {
+		if !r.knownLocked(addr).has(key) {
 			targets = append(targets, addr)
 		}
 	}
@@ -202,35 +199,6 @@ func (r *Relay) Announce(kind string, id ObjectID, payload []byte, force bool) {
 		r.knownLocked(addr).add(key)
 	}
 	r.mu.Unlock()
-}
-
-// AnnounceTo stores a batch of objects and advertises all their digests
-// to one peer in a single inv frame — the sync-response path. Fanning a
-// forced per-object announcement to every peer amplified one catch-up
-// request into O(gap × peers) messages and starved the send queues the
-// getdata responses share; a batched digest list to the requester costs
-// one message. Known-inventory is deliberately not consulted or marked:
-// the peer told us what it lacks, and a lost inv must be repairable by
-// the next request.
-func (r *Relay) AnnounceTo(addr, kind string, ids []ObjectID, bodies [][]byte) {
-	if len(ids) == 0 || len(ids) != len(bodies) {
-		return
-	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	for i, id := range ids {
-		key := invKey{kind, id}
-		r.storeLocked(key, bodies[i])
-		r.clearPendingLocked(key)
-	}
-	m := r.node.metrics
-	r.mu.Unlock()
-	if r.node.SendTo(addr, "inv", encodeInv(kind, ids...)) {
-		m.relayAnnounce(kind, "out").Add(uint64(len(ids)))
-	}
 }
 
 // AnnounceBatch stores a batch of objects and advertises them with one
@@ -457,7 +425,7 @@ func (r *Relay) onObject(kind, from string, payload []byte) {
 	_, already := r.store[key]
 	r.mu.Unlock()
 	if relayOn && !already {
-		r.Announce(kind, id, payload, false)
+		r.Announce(kind, id, payload)
 	}
 }
 

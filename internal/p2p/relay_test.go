@@ -111,7 +111,7 @@ func TestRelayMeshFewerBytesThanFlood(t *testing.T) {
 			}
 		})
 		id := sha256.Sum256(payload)
-		rts[0].relay.Announce("tx", id, payload, false)
+		rts[0].relay.Announce("tx", id, payload)
 		for i := 1; i < nNodes; i++ {
 			rts[i].got.waitFor(t, 1)
 		}
@@ -204,7 +204,7 @@ func TestRelayNeverAnnouncesBack(t *testing.T) {
 
 	payload := []byte("no-echo")
 	id := sha256.Sum256(payload)
-	a.relay.Announce("tx", id, payload, false)
+	a.relay.Announce("tx", id, payload)
 	b.got.waitFor(t, 1)
 
 	// b's handler relayed the object onward; its only peer is a, which is

@@ -7,8 +7,8 @@ import (
 )
 
 // Typed sync messages for headers-first synchronization and snapshot
-// bootstrap. They replace the stringly height-blast "sync" payload with
-// versioned binary structs: a version byte leads every encoding, and
+// bootstrap, the daemon's only catch-up protocol. They are versioned
+// binary structs: a version byte leads every encoding, and
 // decoders reject versions they do not understand, so a future format
 // bump fails loudly at the requester instead of corrupting a sync. The
 // message *types* themselves stay forward compatible the same way the
