@@ -169,7 +169,9 @@ func DeserializeCompactBlock(data []byte) (*CompactBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > 1_000_000 {
+	// Each short id takes 8 bytes: a count the frame cannot hold is a
+	// lie, refused before it sizes an allocation.
+	if n > 1_000_000 || n > uint64(r.Len())/8 {
 		return nil, ErrCompactMalformed
 	}
 	cb.ShortIDs = make([]uint64, n)
@@ -209,7 +211,7 @@ func DecodeGetBlockTxn(data []byte) (Hash, []uint32, error) {
 		return Hash{}, nil, ErrCompactMalformed
 	}
 	n, err := readVarInt(r)
-	if err != nil || n > 1_000_000 {
+	if err != nil || n > 1_000_000 || n > uint64(r.Len()) {
 		return Hash{}, nil, ErrCompactMalformed
 	}
 	indexes := make([]uint32, n)
@@ -262,7 +264,7 @@ func writePrefilled(buf *bytes.Buffer, txs []PrefilledTx) {
 
 func readPrefilled(r *bytes.Reader) ([]PrefilledTx, error) {
 	n, err := readVarInt(r)
-	if err != nil || n > 1_000_000 {
+	if err != nil || n > 1_000_000 || n > uint64(r.Len())/2 {
 		return nil, ErrCompactMalformed
 	}
 	out := make([]PrefilledTx, n)

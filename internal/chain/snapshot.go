@@ -95,6 +95,10 @@ func (sc *SnapshotCommitment) Serialize() []byte {
 	return buf.Bytes()
 }
 
+// ID is the commitment's relay identity: the double SHA-256 of its
+// serialization, signature included.
+func (sc *SnapshotCommitment) ID() Hash { return Hash(bccrypto.DoubleSHA256(sc.Serialize())) }
+
 // DeserializeSnapshotCommitment parses a commitment produced by
 // Serialize.
 func DeserializeSnapshotCommitment(data []byte) (*SnapshotCommitment, error) {

@@ -184,16 +184,16 @@ func newChannelManager(node *Node, w *wallet.Wallet, cfg ChannelConfig, disclose
 		}
 	}
 	if disclose != nil {
-		node.gossip.HandleDirect(p2p.MsgTypeChannelOpen, m.onChanOpen)
-		node.gossip.HandleDirect(p2p.MsgTypeChannelFund, m.onChanFund)
-		node.gossip.HandleDirect(p2p.MsgTypeChannelUpdate, m.onChanUpdate)
-		node.gossip.HandleDirect(p2p.MsgTypeChannelClose, m.onChanClose)
+		node.gossip.Handle(p2p.MsgTypeChannelOpen, m.onChanOpen)
+		node.gossip.Handle(p2p.MsgTypeChannelFund, m.onChanFund)
+		node.gossip.Handle(p2p.MsgTypeChannelUpdate, m.onChanUpdate)
+		node.gossip.Handle(p2p.MsgTypeChannelClose, m.onChanClose)
 		// A payee must have its earned balance on-chain before the CLTV
 		// refund path unlocks: close every channel nearing its deadline.
 		node.Chain().Subscribe(func(*chain.Block) { m.CloseExpiring() })
 	} else {
-		node.gossip.HandleDirect(p2p.MsgTypeChannelAccept, m.onChanAccept)
-		node.gossip.HandleDirect(p2p.MsgTypeChannelUpdateAck, m.onChanUpdateAck)
+		node.gossip.Handle(p2p.MsgTypeChannelAccept, m.onChanAccept)
+		node.gossip.Handle(p2p.MsgTypeChannelUpdateAck, m.onChanUpdateAck)
 		// A payer abandoned past the CLTV timeout reclaims its capacity.
 		node.Chain().Subscribe(func(*chain.Block) { m.RefundExpired() })
 	}

@@ -83,9 +83,6 @@ type NodeConfig struct {
 	// unlimited). Connections beyond the bound are refused; combined
 	// with misbehavior bans this is the eclipse-recovery lever.
 	MaxPeers int
-	// BanThreshold overrides the misbehavior score at which a peer is
-	// banned (0 = the p2p default).
-	BanThreshold int
 }
 
 // misbehaviorPenalty is charged per malformed frame; an honest peer's
@@ -166,16 +163,13 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.dir = registry.NewDirectory()
 	n.dir.Attach(c)
 
-	gossip, err := p2p.NewNodeWithTelemetry(cfg.Transport, cfg.ListenP2P, cfg.Logger, n.reg)
+	gossip, err := p2p.NewNode(cfg.Transport, cfg.ListenP2P, cfg.Logger, n.reg)
 	if err != nil {
 		return nil, err
 	}
 	n.gossip = gossip
 	if cfg.MaxPeers > 0 {
 		gossip.SetMaxPeers(cfg.MaxPeers)
-	}
-	if cfg.BanThreshold > 0 {
-		gossip.SetBanThreshold(cfg.BanThreshold)
 	}
 	n.ledger = &fairex.Node{
 		Chain:    c,
@@ -189,15 +183,15 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	})
 	n.relay.Handle("tx", n.onRelayTx)
 	n.relay.Handle("block", n.onRelayBlock)
-	gossip.HandleDirect("cmpctblock", n.onCompactBlock)
-	gossip.HandleDirect("getblocktxn", n.onGetBlockTxn)
-	gossip.HandleDirect("blocktxn", n.onBlockTxn)
+	gossip.Handle("cmpctblock", n.onCompactBlock)
+	gossip.Handle("getblocktxn", n.onGetBlockTxn)
+	gossip.Handle("blocktxn", n.onBlockTxn)
 	n.sync = newSyncManager(n)
-	gossip.HandleDirect(p2p.MsgTypeGetHeaders, n.onGetHeaders)
-	gossip.HandleDirect(p2p.MsgTypeHeaders, n.sync.onHeaders)
-	gossip.HandleDirect(p2p.MsgTypeGetSnapshot, n.onGetSnapshot)
-	gossip.HandleDirect(p2p.MsgTypeSnapshotChunk, n.sync.onSnapshotChunk)
-	gossip.Handle(p2p.MsgTypeSnapCommit, n.onSnapCommit)
+	gossip.Handle(p2p.MsgTypeGetHeaders, n.onGetHeaders)
+	gossip.Handle(p2p.MsgTypeHeaders, n.sync.onHeaders)
+	gossip.Handle(p2p.MsgTypeGetSnapshot, n.onGetSnapshot)
+	gossip.Handle(p2p.MsgTypeSnapshotChunk, n.sync.onSnapshotChunk)
+	n.relay.Handle(p2p.MsgTypeSnapCommit, n.onSnapCommit)
 
 	rpcSrv, err := rpc.NewServer(cfg.ListenRPC, rpc.Backend{
 		Chain:        c,
@@ -363,10 +357,10 @@ func (n *Node) RequestSync() {
 }
 
 // RebroadcastPending re-announces every pooled transaction: the whole
-// pool goes out as one forced inv frame per peer — forced because a
-// peer that lost the original inv to a fault would otherwise be skipped
-// forever by its known-inventory entry, batched because per-tx
-// announcements cost O(txs × peers) messages per call.
+// pool goes out as one inv frame per peer, regardless of known-inventory
+// — a peer that lost the original inv to a fault would otherwise be
+// skipped forever — and batched because per-tx announcements cost
+// O(txs × peers) messages per call.
 func (n *Node) RebroadcastPending() {
 	txs := n.pool.Select(n.chain.Params().MaxBlockTxs)
 	if len(txs) == 0 {
@@ -378,7 +372,7 @@ func (n *Node) RebroadcastPending() {
 		ids[i] = p2p.ObjectID(tx.ID())
 		bodies[i] = tx.Serialize()
 	}
-	n.relay.AnnounceBatch("tx", ids, bodies, true)
+	n.relay.AnnounceBatch("tx", ids, bodies)
 }
 
 // MineNow mints one block immediately (used by tests and by single-node

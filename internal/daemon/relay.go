@@ -8,12 +8,13 @@ import (
 )
 
 // This file is the daemon side of the inventory/compact-block relay
-// (DESIGN.md §12). Transactions travel as inv announcements resolved by
-// getdata; a freshly mined block travels as a BIP152-style sketch,
-// reconstructed from the receiver's mempool with a getblocktxn/blocktxn
-// round trip for the misses and a full-block getdata as the last rung
-// of the ladder. Catch-up blocks are fetched by the sync machine's tail
-// getdata (sync.go) and arrive through the same block handler.
+// (DESIGN.md §12). Transactions and snapshot commitments travel as inv
+// announcements resolved by getdata; a freshly mined block travels as a
+// BIP152-style sketch, reconstructed from the receiver's mempool with a
+// getblocktxn/blocktxn round trip for the misses and a full-block
+// getdata as the last rung of the ladder. Catch-up blocks are fetched by
+// the sync machine's tail getdata (sync.go) and arrive through the same
+// block handler.
 
 // compactTxnTimeout returns how long a reconstruction waits for a
 // blocktxn response before falling back to the full block.
@@ -41,6 +42,9 @@ func (n *Node) relayHave(kind string, id p2p.ObjectID) bool {
 	case "block":
 		_, ok := n.chain.BlockByID(chain.Hash(id))
 		return ok
+	case p2p.MsgTypeSnapCommit:
+		_, ok := n.sync.cachedCommit(id)
+		return ok
 	}
 	return false
 }
@@ -59,6 +63,8 @@ func (n *Node) relayFetch(kind string, id p2p.ObjectID) ([]byte, bool) {
 		if b, ok := n.chain.BlockByID(chain.Hash(id)); ok && len(b.Txs) > 0 {
 			return b.Serialize(), true
 		}
+	case p2p.MsgTypeSnapCommit:
+		return n.sync.cachedCommit(id)
 	}
 	return nil, false
 }

@@ -209,13 +209,13 @@ func TestCompactBlockFullFallback(t *testing.T) {
 
 	// An adversarial peer that pushes the sketch, stonewalls the
 	// getblocktxn rung, but answers the full-block getdata.
-	faker, err := p2p.NewNode(tr, "", nil)
+	faker, err := p2p.NewNode(tr, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer faker.Close()
-	faker.HandleDirect("getblocktxn", func(string, p2p.Message) {})
-	faker.HandleDirect("getdata", func(from string, msg p2p.Message) {
+	faker.Handle("getblocktxn", func(string, p2p.Message) {})
+	faker.Handle("getdata", func(from string, msg p2p.Message) {
 		faker.SendTo(from, "block", raw)
 	})
 	if err := faker.Connect(b.P2PAddr()); err != nil {

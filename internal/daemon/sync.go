@@ -762,23 +762,27 @@ func (sm *syncManager) buildServeDataLocked() []byte {
 	return data
 }
 
-// onSnapCommit consumes a gossiped snapshot commitment: verify it
-// against the miner set and our own best branch, and cache the newest
-// one for serving.
-func (n *Node) onSnapCommit(from string, msg p2p.Message) {
-	commit, err := chain.DeserializeSnapshotCommitment(msg.Payload)
+// onSnapCommit consumes a relayed snapshot commitment: verify it
+// against the miner set and cache the newest one on our own best branch
+// for serving. A commitment relays onward once an authorized miner's
+// signature checks out, even when this node cannot place its block yet
+// (behind, or on a fork); a forged one stops here.
+func (n *Node) onSnapCommit(from string, payload []byte) (p2p.ObjectID, bool) {
+	commit, err := chain.DeserializeSnapshotCommitment(payload)
 	if err != nil {
-		return
+		n.misbehave(from, "undecodable snapshot commitment")
+		return p2p.ObjectID{}, false
 	}
+	id := p2p.ObjectID(commit.ID())
 	if !n.chain.IsAuthorizedMiner(commit.MinerPubKey) || !commit.VerifySignature() {
 		n.metrics.snapshotRejected.Inc()
-		return
+		return id, false
 	}
 	b, ok := n.chain.BlockAt(commit.Height)
 	if !ok || b.ID() != commit.BlockID {
-		// Not verifiable against our branch (behind, or a fork): ignore
-		// rather than cache — serving requires local proof.
-		return
+		// Not verifiable against our branch: relay, but do not cache —
+		// serving requires local proof.
+		return id, true
 	}
 	sm := n.sync
 	sm.mu.Lock()
@@ -787,10 +791,23 @@ func (n *Node) onSnapCommit(from string, msg p2p.Message) {
 		sm.serveData = nil
 	}
 	sm.mu.Unlock()
+	return id, true
 }
 
-// publishSnapshotCommitment builds, signs, caches and gossips a
-// commitment to this miner's state at the given height.
+// cachedCommit returns the serialized serving commitment when its relay
+// ID is id — what relayHave and relayFetch answer for "snapcommit".
+func (sm *syncManager) cachedCommit(id p2p.ObjectID) ([]byte, bool) {
+	sm.mu.Lock()
+	commit := sm.serveCommit
+	sm.mu.Unlock()
+	if commit == nil || p2p.ObjectID(commit.ID()) != id {
+		return nil, false
+	}
+	return commit.Serialize(), true
+}
+
+// publishSnapshotCommitment builds, signs and caches a commitment to
+// this miner's state at the given height, and announces it on the relay.
 func (n *Node) publishSnapshotCommitment(height int64) {
 	if n.cfg.MinerKey == nil || height <= 0 {
 		return
@@ -823,7 +840,7 @@ func (n *Node) publishSnapshotCommitment(height int64) {
 		sm.serveData = data
 	}
 	sm.mu.Unlock()
-	n.gossip.Broadcast(p2p.MsgTypeSnapCommit, commit.Serialize())
+	n.relay.Announce(p2p.MsgTypeSnapCommit, p2p.ObjectID(commit.ID()), commit.Serialize())
 }
 
 // maybePublishCommitment publishes after mining a block on a snapshot

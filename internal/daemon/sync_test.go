@@ -12,6 +12,7 @@ import (
 	"bcwan/internal/chain"
 	"bcwan/internal/p2p"
 	"bcwan/internal/rpc"
+	"bcwan/internal/telemetry"
 )
 
 // syncTestNode builds a node with fast sync knobs: a small snapshot
@@ -231,10 +232,10 @@ func TestSnapshotBootstrapPrefersHonestPeer(t *testing.T) {
 		return honest.SyncInfo().Phase == "live" && honest.Chain().Height() == 24
 	})
 	// An honest full replica can serve snapshots once it holds a
-	// verifiable commitment; the liar's mine-time broadcasts predate it,
+	// verifiable commitment; the liar's mine-time announcements predate it,
 	// so hand it one directly.
 	waitCond(t, "honest node to cache a commitment", func() bool {
-		honest.onSnapCommit("test", p2p.Message{Payload: mustServeCommit(t, liar).Serialize()})
+		honest.onSnapCommit("test", mustServeCommit(t, liar).Serialize())
 		honest.sync.mu.Lock()
 		defer honest.sync.mu.Unlock()
 		return honest.sync.serveCommit != nil
@@ -252,6 +253,82 @@ func TestSnapshotBootstrapPrefersHonestPeer(t *testing.T) {
 	}
 	if joiner.Chain().Tip().ID() != honest.Chain().Tip().ID() {
 		t.Fatal("joiner tip differs")
+	}
+}
+
+// TestCommitmentRelayStopsForgeriesAtFirstHop runs a line miner — mid —
+// far. A genuine snapshot commitment crosses both hops by inv/getdata
+// and far caches it for serving; a commitment signed by a key outside
+// the miner set and a 1 MiB frame of a type no node handles, both fed to
+// mid, never reach far.
+func TestCommitmentRelayStopsForgeriesAtFirstHop(t *testing.T) {
+	f := newRelayFixture(t, 1)
+	tr := p2p.NewMemTransport()
+	miner := syncTestNode(t, f, tr, func(cfg *NodeConfig) { cfg.MinerKey = f.miner })
+	mid := syncTestNode(t, f, tr, nil, miner.P2PAddr())
+	far := syncTestNode(t, f, tr, nil, mid.P2PAddr())
+	waitCond(t, "the line to link up and go live", func() bool {
+		return len(miner.Gossip().Peers()) == 1 && len(mid.Gossip().Peers()) == 2 &&
+			mid.SyncInfo().Phase == "live" && far.SyncInfo().Phase == "live"
+	})
+	for i := 0; i < 8; i++ { // SnapshotInterval: the 8th block is a boundary
+		if _, err := miner.MineNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitCond(t, "far to cache the miner's commitment", func() bool {
+		far.sync.mu.Lock()
+		defer far.sync.mu.Unlock()
+		return far.sync.serveCommit != nil
+	})
+	genuine := mustServeCommit(t, miner)
+	if mustServeCommit(t, far).ID() != genuine.ID() {
+		t.Fatal("far caches a commitment other than the miner's")
+	}
+	msgsIn := func(n *Node, msgType string) uint64 {
+		return n.Telemetry().Counter("bcwan_p2p_messages_in_total", "", telemetry.L("type", msgType)).Value()
+	}
+	genuineIn := msgsIn(far, p2p.MsgTypeSnapCommit)
+
+	rogue, err := bccrypto.GenerateECKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := *genuine
+	if err := forged.Sign(rogue, rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	attacker, err := p2p.NewNode(tr, "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer attacker.Close()
+	if err := attacker.Connect(mid.P2PAddr()); err != nil {
+		t.Fatal(err)
+	}
+	attacker.SendTo(mid.P2PAddr(), p2p.MsgTypeSnapCommit, forged.Serialize())
+	attacker.SendTo(mid.P2PAddr(), "xyz-unknown", make([]byte, 1<<20))
+	// A valid transaction behind them on the same link is the barrier:
+	// mid handles the link's frames in order and far its link from mid,
+	// so once far pools the transaction, anything mid forwarded of the
+	// two frames before it has been counted at far.
+	tx := f.payment(t, mid, 0)
+	attacker.SendTo(mid.P2PAddr(), "tx", tx.Serialize())
+	waitCond(t, "far to pool the barrier transaction", func() bool {
+		return far.Ledger().Pool.Contains(tx.ID())
+	})
+
+	if daemonCounter(mid, "snapshot_rejected_total") == 0 || msgsIn(mid, "xyz-unknown") != 1 {
+		t.Fatal("the injected frames never reached mid")
+	}
+	if got := msgsIn(far, p2p.MsgTypeSnapCommit); got != genuineIn {
+		t.Fatalf("far received %d snapcommit bodies, %d of them genuine: mid relayed the forgery", got, genuineIn)
+	}
+	if got := msgsIn(far, "xyz-unknown"); got != 0 {
+		t.Fatalf("far received %d frames of an unregistered type", got)
+	}
+	if mustServeCommit(t, far).ID() != genuine.ID() {
+		t.Fatal("far's cached commitment changed")
 	}
 }
 

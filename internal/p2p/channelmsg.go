@@ -14,7 +14,7 @@ import (
 // simply ignored by nodes without a handler — channel-speaking and
 // channel-less nodes coexist on one mesh.
 
-// Channel message type names, registered with Node.HandleDirect.
+// Channel message type names, registered with Node.Handle.
 const (
 	MsgTypeChannelOpen      = "chanopen"
 	MsgTypeChannelAccept    = "chanaccept"

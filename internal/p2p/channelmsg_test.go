@@ -138,12 +138,12 @@ func TestChannelMsgRejectsBadInput(t *testing.T) {
 // message type and keeps serving the types it knows.
 func TestChannelUnknownTypeTolerated(t *testing.T) {
 	tr := NewMemTransport()
-	oldNode, err := NewNode(tr, "old", nil)
+	oldNode, err := NewNode(tr, "old", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer oldNode.Close()
-	newNode, err := NewNode(tr, "new", nil)
+	newNode, err := NewNode(tr, "new", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestChannelUnknownTypeTolerated(t *testing.T) {
 	newNode.SendTo("old", MsgTypeChannelOpen, (&MsgChannelOpen{RecipientPub: []byte("rc")}).Encode())
 	newNode.SendTo("old", MsgTypeChannelUpdate, (&MsgChannelUpdate{ChanVersion: 1}).Encode())
 	newNode.SendTo("old", MsgTypeChannelClose, (&MsgChannelClose{}).Encode())
-	newNode.Broadcast("block", []byte("payload"))
+	newNode.SendTo("old", "block", []byte("payload"))
 
 	select {
 	case msg := <-known:

@@ -98,7 +98,7 @@ func TestNodeCloseReleasesGoroutines(t *testing.T) {
 	tr := NewMemTransport()
 	var nodes []*Node
 	for i := 0; i < 4; i++ {
-		n, err := NewNode(tr, fmt.Sprintf("n%d", i), nil)
+		n, err := NewNode(tr, fmt.Sprintf("n%d", i), nil, nil)
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -114,7 +114,9 @@ func TestNodeCloseReleasesGoroutines(t *testing.T) {
 		}
 	}
 	for i, n := range nodes {
-		n.Broadcast("t", []byte{byte(i)})
+		for _, p := range n.Peers() {
+			n.SendTo(p, "t", []byte{byte(i)})
+		}
 	}
 	for _, n := range nodes {
 		if err := n.Close(); err != nil {
@@ -137,17 +139,18 @@ func TestNodeCloseReleasesGoroutines(t *testing.T) {
 }
 
 // TestFloodDoesNotDeadlock is the regression test for the send-side
-// head-of-line deadlock: handlers used to re-flood synchronously on
-// reader goroutines, so two nodes with full transport buffers blocked
-// each other's readers forever. With per-peer writer queues the flood
-// below completes; before the fix it hung.
+// head-of-line deadlock: handlers used to send synchronously on reader
+// goroutines, so two nodes with full transport buffers blocked each
+// other's readers forever. Here every received message is answered from
+// its reader goroutine; with per-peer writer queues the flood below
+// completes, where synchronous replies hang.
 func TestFloodDoesNotDeadlock(t *testing.T) {
 	tr := NewMemTransport()
-	a, err := NewNode(tr, "a", nil)
+	a, err := NewNode(tr, "a", nil, nil)
 	if err != nil {
 		t.Fatalf("node a: %v", err)
 	}
-	b, err := NewNode(tr, "b", nil)
+	b, err := NewNode(tr, "b", nil, nil)
 	if err != nil {
 		t.Fatalf("node b: %v", err)
 	}
@@ -156,6 +159,11 @@ func TestFloodDoesNotDeadlock(t *testing.T) {
 	}
 	if err := b.Connect("a"); err != nil {
 		t.Fatalf("connect: %v", err)
+	}
+	for _, n := range []*Node{a, b} {
+		n.Handle("t", func(from string, msg Message) {
+			n.SendTo(from, "r", msg.Payload)
+		})
 	}
 
 	// Well past the 64-message transport buffer and the send queues,
@@ -170,13 +178,13 @@ func TestFloodDoesNotDeadlock(t *testing.T) {
 			go func(f int) {
 				defer wg.Done()
 				for i := 0; i < msgs; i++ {
-					a.Broadcast("t", []byte(fmt.Sprintf("a/%d/%d", f, i)))
+					a.SendTo("b", "t", []byte(fmt.Sprintf("a/%d/%d", f, i)))
 				}
 			}(f)
 			go func(f int) {
 				defer wg.Done()
 				for i := 0; i < msgs; i++ {
-					b.Broadcast("t", []byte(fmt.Sprintf("b/%d/%d", f, i)))
+					b.SendTo("a", "t", []byte(fmt.Sprintf("b/%d/%d", f, i)))
 				}
 			}(f)
 		}

@@ -6,17 +6,15 @@ import "bcwan/internal/telemetry"
 // nil-safe no-ops when the node was built without a registry, so the
 // hot paths only pay a nil check.
 type p2pMetrics struct {
-	ns            *telemetry.Namespace
-	bytesIn       *telemetry.Counter
-	bytesOut      *telemetry.Counter
-	messageBytes  *telemetry.Histogram
-	dupSuppressed *telemetry.Counter
-	seenEvictions *telemetry.Counter
-	peerCount     *telemetry.Gauge
-	dialFailures  *telemetry.Counter
-	queueDrops    *telemetry.Counter
-	misbehavior   *telemetry.Counter
-	bans          *telemetry.Counter
+	ns           *telemetry.Namespace
+	bytesIn      *telemetry.Counter
+	bytesOut     *telemetry.Counter
+	messageBytes *telemetry.Histogram
+	peerCount    *telemetry.Gauge
+	dialFailures *telemetry.Counter
+	queueDrops   *telemetry.Counter
+	misbehavior  *telemetry.Counter
+	bans         *telemetry.Counter
 
 	// Inventory-relay counters (see relay.go). All nil-safe through the
 	// label-lookup helpers below.
@@ -33,17 +31,15 @@ var knownMessageTypes = []string{"tx", "block", "inv", "getdata", "cmpctblock", 
 func newP2PMetrics(reg *telemetry.Registry) *p2pMetrics {
 	ns := reg.Namespace("p2p")
 	m := &p2pMetrics{
-		ns:            ns,
-		bytesIn:       ns.Counter("bytes_in_total", "Total message bytes (type, sender, payload) received from peers."),
-		bytesOut:      ns.Counter("bytes_out_total", "Total message bytes (type, sender, payload) sent to peers."),
-		messageBytes:  ns.Histogram("message_bytes", "Distribution of received message sizes in bytes (type, sender, payload).", telemetry.SizeBuckets),
-		dupSuppressed: ns.Counter("duplicates_suppressed_total", "Gossip messages dropped because they were already seen."),
-		seenEvictions: ns.Counter("seen_evictions_total", "Entries evicted from the duplicate-suppression ring."),
-		peerCount:     ns.Gauge("peer_count", "Connected gossip peers."),
-		dialFailures:  ns.Counter("dial_failures_total", "Outbound connection attempts that failed."),
-		queueDrops:    ns.Counter("send_queue_drops_total", "Outbound messages dropped because a peer's send queue was full."),
-		misbehavior:   ns.Counter("misbehavior_points_total", "Misbehavior points charged against peers for protocol abuse."),
-		bans:          ns.Counter("bans_total", "Peers banned after crossing the misbehavior threshold."),
+		ns:           ns,
+		bytesIn:      ns.Counter("bytes_in_total", "Total message bytes (type, sender, payload) received from peers."),
+		bytesOut:     ns.Counter("bytes_out_total", "Total message bytes (type, sender, payload) sent to peers."),
+		messageBytes: ns.Histogram("message_bytes", "Distribution of received message sizes in bytes (type, sender, payload).", telemetry.SizeBuckets),
+		peerCount:    ns.Gauge("peer_count", "Connected gossip peers."),
+		dialFailures: ns.Counter("dial_failures_total", "Outbound connection attempts that failed."),
+		queueDrops:   ns.Counter("send_queue_drops_total", "Outbound messages dropped because a peer's send queue was full."),
+		misbehavior:  ns.Counter("misbehavior_points_total", "Misbehavior points charged against peers for protocol abuse."),
+		bans:         ns.Counter("bans_total", "Peers banned after crossing the misbehavior threshold."),
 
 		relayTimeouts:    ns.Counter("relay_request_timeouts_total", "Object requests that timed out waiting for the asked announcer."),
 		relayRerequests:  ns.Counter("relay_rerequests_total", "Timed-out object requests retried against another announcer."),
@@ -110,15 +106,4 @@ func (m *p2pMetrics) relayFulfill(kind, dir string) *telemetry.Counter {
 	}
 	return m.ns.Counter("relay_fulfills_total", "Objects delivered in answer to getdata, by kind and direction.",
 		telemetry.L("kind", kind), telemetry.L("dir", dir))
-}
-
-// relayBytesSaved returns the estimated-savings counter for a kind: the
-// full-body bytes a naive flood would have pushed for announcements of
-// objects this node already held.
-func (m *p2pMetrics) relayBytesSaved(kind string) *telemetry.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.ns.Counter("relay_bytes_saved_total", "Estimated wire bytes saved vs naive flooding: object bytes not re-sent because an announcement found the object already present.",
-		telemetry.L("kind", kind))
 }

@@ -1,9 +1,7 @@
 package p2p
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"bcwan/internal/telemetry"
 )
@@ -29,64 +27,46 @@ func snapValue(t *testing.T, reg *telemetry.Registry, name string, labels map[st
 	return 0
 }
 
-// TestSeenRingEviction fills the duplicate-suppression ring past
-// capacity and checks memory stays bounded, old entries are forgotten,
-// fresh ones are remembered, and evictions are counted.
-func TestSeenRingEviction(t *testing.T) {
-	tr := NewMemTransport()
-	reg := telemetry.NewRegistry()
-	n, err := NewNodeWithTelemetry(tr, "", nil, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-
+// TestKnownInventoryEviction fills one peer's known-inventory ring past
+// capacity and checks memory stays bounded, old entries are forgotten
+// and fresh ones are remembered.
+func TestKnownInventoryEviction(t *testing.T) {
+	key := func(i int) invKey { return invKey{kind: "tx", id: ObjectID{byte(i), byte(i >> 8), byte(i >> 16)}} }
+	s := newInvSet(maxKnownPerPeer)
 	const extra = 10
-	for i := 0; i < maxSeen+extra; i++ {
-		msg := Message{Type: "tx", Payload: []byte(fmt.Sprintf("m-%d", i))}
-		if !n.markSeen(msg) {
-			t.Fatalf("message %d reported as duplicate", i)
+	for i := 0; i < maxKnownPerPeer+extra; i++ {
+		if !s.add(key(i)) {
+			t.Fatalf("entry %d reported as present", i)
 		}
 	}
-
-	n.mu.Lock()
-	seenLen, ringLen, ringCap := len(n.seen), len(n.seenRing), cap(n.seenRing)
-	n.mu.Unlock()
-	if seenLen != maxSeen || ringLen != maxSeen {
-		t.Fatalf("seen=%d ring=%d, want both %d", seenLen, ringLen, maxSeen)
+	if len(s.set) != maxKnownPerPeer || len(s.ring) != maxKnownPerPeer {
+		t.Fatalf("set=%d ring=%d, want both %d", len(s.set), len(s.ring), maxKnownPerPeer)
 	}
-	if ringCap > 2*maxSeen {
-		t.Fatalf("ring capacity %d grew past bound", ringCap)
+	if cap(s.ring) > 2*maxKnownPerPeer {
+		t.Fatalf("ring capacity %d grew past bound", cap(s.ring))
 	}
-
-	// The first `extra` messages were evicted: re-marking them is "new".
-	if !n.markSeen(Message{Type: "tx", Payload: []byte("m-0")}) {
-		t.Fatal("evicted message still marked seen")
+	// The first `extra` entries were evicted: re-adding one is "new".
+	if s.has(key(0)) || !s.add(key(0)) {
+		t.Fatal("evicted entry still known")
 	}
-	// A recent message is still remembered.
-	recent := Message{Type: "tx", Payload: []byte(fmt.Sprintf("m-%d", maxSeen+extra-1))}
-	if n.markSeen(recent) {
-		t.Fatal("recent message forgotten")
-	}
-
-	// maxSeen+extra inserts + the re-mark of m-0 → extra+1 evictions.
-	if got := snapValue(t, reg, "bcwan_p2p_seen_evictions_total", nil); got != extra+1 {
-		t.Fatalf("evictions = %v, want %d", got, extra+1)
+	// A recent entry is still remembered.
+	if s.add(key(maxKnownPerPeer + extra - 1)) {
+		t.Fatal("recent entry forgotten")
 	}
 }
 
-// TestP2PTelemetryCounters runs a two-node gossip exchange and checks
+// TestP2PTelemetryCounters runs a two-node message exchange and checks
 // message/byte/peer metrics on both sides.
 func TestP2PTelemetryCounters(t *testing.T) {
 	tr := NewMemTransport()
 	regA := telemetry.NewRegistry()
 	regB := telemetry.NewRegistry()
-	a, err := NewNodeWithTelemetry(tr, "", nil, regA)
+	a, err := NewNode(tr, "", nil, regA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := NewNodeWithTelemetry(tr, "", nil, regB)
+	b, err := NewNode(tr, "", nil, regB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +78,7 @@ func TestP2PTelemetryCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("payload-1")
-	a.Broadcast("tx", payload)
+	a.SendTo(b.Addr(), "tx", payload)
 	got.waitFor(t, 1)
 
 	if got := snapValue(t, regA, "bcwan_p2p_messages_out_total", map[string]string{"type": "tx"}); got != 1 {
@@ -122,17 +102,6 @@ func TestP2PTelemetryCounters(t *testing.T) {
 	// Pre-registered series exist at zero even for unseen types.
 	if got := snapValue(t, regB, "bcwan_p2p_messages_in_total", map[string]string{"type": "block"}); got != 0 {
 		t.Fatalf("b block messages_in = %v, want 0", got)
-	}
-
-	// B re-delivering the same message to itself is suppressed and
-	// counted: feed the duplicate through dispatch directly.
-	b.dispatch(Message{Type: "tx", From: a.Addr(), Payload: payload})
-	deadline := time.Now().Add(2 * time.Second)
-	for snapValue(t, regB, "bcwan_p2p_duplicates_suppressed_total", nil) < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("duplicate suppression not counted")
-		}
-		time.Sleep(time.Millisecond)
 	}
 
 	// Dial failures are counted.

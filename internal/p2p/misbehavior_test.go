@@ -20,22 +20,21 @@ func waitPeers(t *testing.T, n *Node, want int) {
 
 func TestMisbehaveCrossingThresholdBans(t *testing.T) {
 	tr := NewMemTransport()
-	a, err := NewNode(tr, "", nil)
+	a, err := NewNode(tr, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := NewNode(tr, "", nil)
+	b, err := NewNode(tr, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 
-	a.SetBanThreshold(20)
 	if err := a.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	a.Misbehave(b.Addr(), 10, "malformed frame")
+	a.Misbehave(b.Addr(), DefaultBanThreshold-10, "malformed frames")
 	if a.Banned(b.Addr()) {
 		t.Fatal("banned below threshold")
 	}
@@ -43,8 +42,8 @@ func TestMisbehaveCrossingThresholdBans(t *testing.T) {
 	if !a.Banned(b.Addr()) {
 		t.Fatal("not banned at threshold")
 	}
-	if got := a.BanScore(b.Addr()); got != 20 {
-		t.Fatalf("ban score = %d, want 20", got)
+	if got := a.BanScore(b.Addr()); got != DefaultBanThreshold {
+		t.Fatalf("ban score = %d, want %d", got, DefaultBanThreshold)
 	}
 	waitPeers(t, a, 0)
 	if err := a.Connect(b.Addr()); !errors.Is(err, ErrBanned) {
@@ -54,12 +53,12 @@ func TestMisbehaveCrossingThresholdBans(t *testing.T) {
 
 func TestBannedInboundRefusedAndNotDispatched(t *testing.T) {
 	tr := NewMemTransport()
-	a, err := NewNode(tr, "", nil)
+	a, err := NewNode(tr, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := NewNode(tr, "", nil)
+	b, err := NewNode(tr, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +66,12 @@ func TestBannedInboundRefusedAndNotDispatched(t *testing.T) {
 
 	var got collector
 	a.Handle("tx", got.handler)
-	a.SetBanThreshold(1)
-	a.Misbehave(b.Addr(), 1, "preemptive")
+	a.Misbehave(b.Addr(), DefaultBanThreshold, "preemptive")
 
 	if err := b.Connect(a.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	b.Broadcast("tx", []byte("from-banned"))
+	b.SendTo(a.Addr(), "tx", []byte("from-banned"))
 	time.Sleep(50 * time.Millisecond)
 	if got.count() != 0 {
 		t.Fatalf("dispatched %d messages from a banned peer", got.count())
@@ -86,7 +84,7 @@ func TestBannedInboundRefusedAndNotDispatched(t *testing.T) {
 func TestMaxPeersRefusesExtraAndBanFreesSlot(t *testing.T) {
 	tr := NewMemTransport()
 	mk := func() *Node {
-		n, err := NewNode(tr, "", nil)
+		n, err := NewNode(tr, "", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +106,7 @@ func TestMaxPeersRefusesExtraAndBanFreesSlot(t *testing.T) {
 	if err := c.Connect(a.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	c.Broadcast("tx", []byte("hello"))
+	c.SendTo(a.Addr(), "tx", []byte("hello"))
 	time.Sleep(50 * time.Millisecond)
 	if len(a.Peers()) != 1 || a.Peers()[0] != b.Addr() {
 		t.Fatalf("peers = %v, want just %s", a.Peers(), b.Addr())

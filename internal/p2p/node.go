@@ -1,7 +1,6 @@
 package p2p
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"log"
@@ -21,64 +20,52 @@ var ErrPeerLimit = errors.New("p2p: peer limit reached")
 // standard 10-point penalty.
 const DefaultBanThreshold = 100
 
-// Handler processes a gossip message. Handlers run on per-connection
+// Handler processes one received message. Handlers run on per-connection
 // reader goroutines; implementations must be safe for concurrent use.
 type Handler func(from string, msg Message)
 
-// Node is one gossip participant: it listens for peers, maintains
-// outbound connections, and floods messages with duplicate suppression.
+// Node is one overlay participant: it listens for peers, maintains
+// outbound connections, and moves every message point-to-point. Nothing
+// is forwarded here — a gossiped object travels only through the
+// inventory relay (relay.go), which announces what a handler validated —
+// so a message of a type no handler knows is dropped at the first hop.
 type Node struct {
 	transport Transport
 	listener  Listener
 	logger    *log.Logger
 
-	// metrics is set once before the accept loop starts (see
-	// NewNodeWithTelemetry) and never mutated, so reads need no lock.
-	// All its methods are nil-safe no-ops when unset.
+	// metrics is set once in NewNode, before the accept loop starts, and
+	// never mutated, so reads need no lock. All its methods are nil-safe
+	// no-ops when unset.
 	metrics *p2pMetrics
 
 	mu       sync.Mutex
 	peers    map[string]*peer
 	conns    map[Conn]bool // every live conn, incl. unregistered inbound
 	handlers map[string]Handler
-	// direct marks message types that are addressed point-to-point (the
-	// relay's inv/getdata/fulfillment traffic): they bypass duplicate
-	// suppression — the same getdata from two peers must be answered
-	// twice — and are never re-flooded.
-	direct map[string]bool
-	seen   map[[sha256.Size]byte]bool
-	// seenRing is a fixed-capacity ring over the keys of seen, in
-	// insertion order. It grows to maxSeen and is then overwritten in
-	// place at seenHead — unlike the previous slice-shift eviction,
-	// the backing array is allocated once and old digests become
-	// collectable as soon as they are overwritten.
-	seenRing [][sha256.Size]byte
-	seenHead int
 	closed   bool
 
-	// Misbehavior accounting (PR 8): protocol-level abuse accumulates a
-	// per-address score; crossing banThreshold drops the peer and refuses
-	// further connections either way. maxPeers (0 = unlimited) bounds the
-	// registered-peer set so an adversary cannot add slots at will — and
-	// banning a slot-squatter is the recovery path from an eclipse.
-	banScore     map[string]int
-	banned       map[string]bool
-	banThreshold int
-	maxPeers     int
+	// Misbehavior accounting: protocol-level abuse accumulates a
+	// per-address score; crossing DefaultBanThreshold drops the peer and
+	// refuses further connections either way. maxPeers (0 = unlimited)
+	// bounds the registered-peer set so an adversary cannot add slots at
+	// will — and banning a slot-squatter is the recovery path from an
+	// eclipse.
+	banScore map[string]int
+	banned   map[string]bool
+	maxPeers int
 
 	wg sync.WaitGroup
 }
 
-// maxSeen bounds the duplicate-suppression memory.
-const maxSeen = 100_000
-
 // sendQueueLen bounds each peer's outbound queue. Handlers run on
-// reader goroutines and re-flood what they receive; if those floods
-// wrote to the transport directly, two nodes with full transport
-// buffers could block each other's readers forever (send-side
-// head-of-line deadlock). Sends therefore enqueue to a per-peer writer
-// goroutine and the queue sheds load when a peer stalls — the next
-// catch-up round or mempool rebroadcast re-delivers anything dropped.
+// reader goroutines and often answer what they receive (getdata with a
+// body, getheaders with headers); if those replies wrote to the
+// transport directly, two nodes with full transport buffers could block
+// each other's readers forever (send-side head-of-line deadlock). Sends
+// therefore enqueue to a per-peer writer goroutine and the queue sheds
+// load when a peer stalls — the relay's re-request timeout, the next
+// catch-up round or the mempool rebroadcast re-delivers anything dropped.
 const sendQueueLen = 256
 
 // peer is one registered neighbor: its connection plus the outbound
@@ -104,31 +91,24 @@ func (p *peer) enqueue(msg Message) bool {
 	}
 }
 
-// NewNode starts a node listening on addr (empty = transport default).
-func NewNode(transport Transport, addr string, logger *log.Logger) (*Node, error) {
-	return NewNodeWithTelemetry(transport, addr, logger, nil)
-}
-
-// NewNodeWithTelemetry starts a node whose gossip traffic is recorded
-// in reg (messages and bytes in/out by type, duplicate suppression,
-// peer count, dial failures). A nil registry disables instrumentation.
-func NewNodeWithTelemetry(transport Transport, addr string, logger *log.Logger, reg *telemetry.Registry) (*Node, error) {
+// NewNode starts a node listening on addr (empty = transport default)
+// whose traffic is recorded in reg (messages and bytes in/out by type,
+// peer count, dial failures, bans). A nil registry disables
+// instrumentation.
+func NewNode(transport Transport, addr string, logger *log.Logger, reg *telemetry.Registry) (*Node, error) {
 	listener, err := transport.Listen(addr)
 	if err != nil {
 		return nil, err
 	}
 	n := &Node{
-		transport:    transport,
-		listener:     listener,
-		logger:       logger,
-		peers:        make(map[string]*peer),
-		conns:        make(map[Conn]bool),
-		handlers:     make(map[string]Handler),
-		direct:       make(map[string]bool),
-		seen:         make(map[[sha256.Size]byte]bool),
-		banScore:     make(map[string]int),
-		banned:       make(map[string]bool),
-		banThreshold: DefaultBanThreshold,
+		transport: transport,
+		listener:  listener,
+		logger:    logger,
+		peers:     make(map[string]*peer),
+		conns:     make(map[Conn]bool),
+		handlers:  make(map[string]Handler),
+		banScore:  make(map[string]int),
+		banned:    make(map[string]bool),
 	}
 	if reg != nil {
 		n.metrics = newP2PMetrics(reg)
@@ -141,22 +121,13 @@ func NewNodeWithTelemetry(transport Transport, addr string, logger *log.Logger, 
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.listener.Addr() }
 
-// Handle registers the handler for a message type. Must be called before
-// messages of that type arrive.
+// Handle registers the handler for a message type. Must be called
+// before messages of that type arrive. Handlers must be idempotent — the
+// wire may deliver the same message more than once.
 func (n *Node) Handle(msgType string, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.handlers[msgType] = h
-}
-
-// HandleDirect registers a handler for a point-to-point message type:
-// no duplicate suppression and no gossip re-flood. Handlers must be
-// idempotent — the wire may deliver the same message more than once.
-func (n *Node) HandleDirect(msgType string, h Handler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.handlers[msgType] = h
-	n.direct[msgType] = true
 }
 
 // SetMaxPeers bounds the number of registered peers (0 = unlimited).
@@ -165,14 +136,6 @@ func (n *Node) SetMaxPeers(k int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.maxPeers = k
-}
-
-// SetBanThreshold overrides the misbehavior score at which a peer is
-// banned.
-func (n *Node) SetBanThreshold(v int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.banThreshold = v
 }
 
 // Misbehave charges points of protocol abuse (malformed frames, bogus
@@ -186,7 +149,7 @@ func (n *Node) Misbehave(addr string, points int, reason string) {
 	n.mu.Lock()
 	n.banScore[addr] += points
 	score := n.banScore[addr]
-	freshBan := score >= n.banThreshold && !n.banned[addr]
+	freshBan := score >= DefaultBanThreshold && !n.banned[addr]
 	if freshBan {
 		n.banned[addr] = true
 	}
@@ -271,15 +234,6 @@ func (n *Node) Peers() []string {
 	return out
 }
 
-// Broadcast floods a message to every connected peer. The message is
-// marked seen locally so a gossiped echo is not re-processed. Sends are
-// queued to per-peer writers and never block the caller.
-func (n *Node) Broadcast(msgType string, payload []byte) {
-	msg := Message{Type: msgType, From: n.Addr(), Payload: payload}
-	n.markSeen(msg)
-	n.sendToPeers(msg, "")
-}
-
 // SendTo queues a message to one connected peer only — the relay's
 // announcement, request and fulfillment traffic. It reports false when
 // the peer is unknown or its queue was full (the message was shed).
@@ -302,31 +256,6 @@ func (n *Node) SendTo(addr, msgType string, payload []byte) bool {
 		m.bytesOut.Add(uint64(msg.WireSize()))
 	}
 	return true
-}
-
-// sendToPeers queues msg to every peer except the one named by skip.
-func (n *Node) sendToPeers(msg Message, skip string) {
-	n.mu.Lock()
-	targets := make([]*peer, 0, len(n.peers))
-	for addr, p := range n.peers {
-		if addr == skip {
-			continue
-		}
-		targets = append(targets, p)
-	}
-	n.mu.Unlock()
-	for _, p := range targets {
-		if !p.enqueue(msg) {
-			if m := n.metrics; m != nil {
-				m.queueDrops.Inc()
-			}
-			continue
-		}
-		if m := n.metrics; m != nil {
-			m.msgOut(msg.Type).Inc()
-			m.bytesOut.Add(uint64(msg.WireSize()))
-		}
-	}
 }
 
 // Close shuts the node down and waits for its goroutines.
@@ -458,8 +387,9 @@ func (n *Node) readLoop(addr string, conn Conn) {
 			}
 			return
 		}
-		// Learn inbound peer addresses so broadcasts reach them, and
-		// so the mesh becomes bidirectional without extra dials. Banned
+		// Learn inbound peer addresses so replies and announcements
+		// reach them, and so the mesh becomes bidirectional without
+		// extra dials. Banned
 		// addresses and inbounds beyond the peer limit are refused — the
 		// connection is closed, not just left unregistered, so a refused
 		// peer cannot keep feeding us traffic.
@@ -494,71 +424,15 @@ func (n *Node) readLoop(addr string, conn Conn) {
 	}
 }
 
-// dispatch runs the handler once per unique message and re-floods it.
-// Direct (point-to-point) types skip both the duplicate suppression and
-// the re-flood.
+// dispatch runs the message's handler, if its type has one. Nothing is
+// forwarded.
 func (n *Node) dispatch(msg Message) {
 	n.mu.Lock()
 	h := n.handlers[msg.Type]
-	direct := n.direct[msg.Type]
 	n.mu.Unlock()
-	if direct {
-		if h != nil {
-			h(msg.From, msg)
-		}
-		return
-	}
-	if !n.markSeen(msg) {
-		if m := n.metrics; m != nil {
-			m.dupSuppressed.Inc()
-		}
-		return
-	}
 	if h != nil {
 		h(msg.From, msg)
 	}
-	// Gossip re-flood with our own origin, so indirect peers learn it.
-	n.sendToPeers(Message{Type: msg.Type, From: n.Addr(), Payload: msg.Payload}, msg.From)
-}
-
-// messageDigest is the duplicate-suppression key. The payload is hashed
-// on its own first (Sum256 runs over the original slice, no copy), then
-// combined with the type through a small stack buffer — the previous
-// type+payload concatenation allocated a fresh payload-sized buffer for
-// every message on the hot path. Types longer than 63 bytes are
-// truncated; gossip types are short constants.
-func messageDigest(msgType string, payload []byte) [sha256.Size]byte {
-	inner := sha256.Sum256(payload)
-	var buf [63 + 1 + sha256.Size]byte
-	n := copy(buf[:63], msgType)
-	buf[n] = 0
-	n++
-	n += copy(buf[n:], inner[:])
-	return sha256.Sum256(buf[:n])
-}
-
-// markSeen records the message body; it reports true the first time.
-// Once the ring reaches maxSeen entries the oldest digest is evicted in
-// place, keeping memory constant.
-func (n *Node) markSeen(msg Message) bool {
-	sum := messageDigest(msg.Type, msg.Payload)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.seen[sum] {
-		return false
-	}
-	n.seen[sum] = true
-	if len(n.seenRing) < maxSeen {
-		n.seenRing = append(n.seenRing, sum)
-		return true
-	}
-	delete(n.seen, n.seenRing[n.seenHead])
-	n.seenRing[n.seenHead] = sum
-	n.seenHead = (n.seenHead + 1) % maxSeen
-	if m := n.metrics; m != nil {
-		m.seenEvictions.Inc()
-	}
-	return true
 }
 
 // peerGaugeLocked syncs the peer-count gauge; the caller holds n.mu.

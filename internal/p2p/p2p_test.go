@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 	"testing"
@@ -50,12 +49,12 @@ func TestDirectBroadcast(t *testing.T) {
 	for name, mk := range transports(t) {
 		t.Run(name, func(t *testing.T) {
 			tr := mk()
-			a, err := NewNode(tr, "", nil)
+			a, err := NewNode(tr, "", nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer a.Close()
-			b, err := NewNode(tr, "", nil)
+			b, err := NewNode(tr, "", nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +65,7 @@ func TestDirectBroadcast(t *testing.T) {
 			if err := a.Connect(b.Addr()); err != nil {
 				t.Fatal(err)
 			}
-			a.Broadcast("tx", []byte("payload-1"))
+			a.SendTo(b.Addr(), "tx", []byte("payload-1"))
 			got.waitFor(t, 1)
 			if string(got.msgs[0].Payload) != "payload-1" {
 				t.Fatalf("payload = %q", got.msgs[0].Payload)
@@ -78,79 +77,14 @@ func TestDirectBroadcast(t *testing.T) {
 	}
 }
 
-func TestGossipReachesIndirectPeers(t *testing.T) {
-	for name, mk := range transports(t) {
-		t.Run(name, func(t *testing.T) {
-			tr := mk()
-			// Chain topology: a — b — c. A broadcast from a must reach c.
-			nodes := make([]*Node, 3)
-			for i := range nodes {
-				n, err := NewNode(tr, "", nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer n.Close()
-				nodes[i] = n
-			}
-			var got collector
-			nodes[2].Handle("block", got.handler)
-			if err := nodes[0].Connect(nodes[1].Addr()); err != nil {
-				t.Fatal(err)
-			}
-			if err := nodes[1].Connect(nodes[2].Addr()); err != nil {
-				t.Fatal(err)
-			}
-			nodes[0].Broadcast("block", []byte("b-100"))
-			got.waitFor(t, 1)
-		})
-	}
-}
-
-func TestDuplicateSuppression(t *testing.T) {
-	tr := NewMemTransport()
-	// Triangle: every node connected to both others; each message must be
-	// handled exactly once per node despite multiple delivery paths.
-	nodes := make([]*Node, 3)
-	for i := range nodes {
-		n, err := NewNode(tr, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer n.Close()
-		nodes[i] = n
-	}
-	cols := make([]collector, 3)
-	for i := range nodes {
-		nodes[i].Handle("tx", cols[i].handler)
-	}
-	for i := range nodes {
-		for j := range nodes {
-			if i != j {
-				if err := nodes[i].Connect(nodes[j].Addr()); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	nodes[0].Broadcast("tx", []byte("once"))
-	cols[1].waitFor(t, 1)
-	cols[2].waitFor(t, 1)
-	// Give any duplicate a chance to arrive, then assert exactly one.
-	time.Sleep(50 * time.Millisecond)
-	if cols[1].count() != 1 || cols[2].count() != 1 {
-		t.Fatalf("handled %d and %d times, want exactly 1",
-			cols[1].count(), cols[2].count())
-	}
-}
-
 func TestBidirectionalAfterInbound(t *testing.T) {
 	tr := NewMemTransport()
-	a, err := NewNode(tr, "", nil)
+	a, err := NewNode(tr, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := NewNode(tr, "", nil)
+	b, err := NewNode(tr, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +95,14 @@ func TestBidirectionalAfterInbound(t *testing.T) {
 	var bGot collector
 	b.Handle("tx", bGot.handler)
 
-	// Only a dials b. After a's first broadcast, b must be able to
+	// Only a dials b. After a's first message, b must be able to
 	// answer over the learned inbound connection.
 	if err := a.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	a.Broadcast("tx", []byte("hello"))
+	a.SendTo(b.Addr(), "tx", []byte("hello"))
 	bGot.waitFor(t, 1)
-	b.Broadcast("tx", []byte("reply"))
+	b.SendTo(a.Addr(), "tx", []byte("reply"))
 	aGot.waitFor(t, 1)
 	if string(aGot.msgs[0].Payload) != "reply" {
 		t.Fatalf("payload = %q", aGot.msgs[0].Payload)
@@ -177,7 +111,7 @@ func TestBidirectionalAfterInbound(t *testing.T) {
 
 func TestConnectSelfIsNoop(t *testing.T) {
 	tr := NewMemTransport()
-	a, err := NewNode(tr, "", nil)
+	a, err := NewNode(tr, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +126,7 @@ func TestConnectSelfIsNoop(t *testing.T) {
 
 func TestConnectUnknownAddressFails(t *testing.T) {
 	tr := NewMemTransport()
-	a, err := NewNode(tr, "", nil)
+	a, err := NewNode(tr, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +138,7 @@ func TestConnectUnknownAddressFails(t *testing.T) {
 
 func TestCloseIsIdempotentAndStopsUse(t *testing.T) {
 	tr := NewMemTransport()
-	a, err := NewNode(tr, "", nil)
+	a, err := NewNode(tr, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,36 +227,5 @@ func TestTCPFrameRoundTrip(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("frame not received")
-	}
-}
-
-func TestMeshBroadcastStress(t *testing.T) {
-	tr := NewMemTransport()
-	const nNodes = 5
-	const nMsgs = 20
-	nodes := make([]*Node, nNodes)
-	cols := make([]collector, nNodes)
-	for i := range nodes {
-		n, err := NewNode(tr, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer n.Close()
-		nodes[i] = n
-		nodes[i].Handle("tx", cols[i].handler)
-	}
-	// Ring topology.
-	for i := range nodes {
-		if err := nodes[i].Connect(nodes[(i+1)%nNodes].Addr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for m := 0; m < nMsgs; m++ {
-		nodes[m%nNodes].Broadcast("tx", []byte(fmt.Sprintf("msg-%d", m)))
-	}
-	// Every node receives every message it did not originate.
-	for i := range cols {
-		want := nMsgs - nMsgs/nNodes
-		cols[i].waitFor(t, want)
 	}
 }

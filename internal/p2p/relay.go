@@ -5,25 +5,26 @@ import (
 	"time"
 )
 
-// This file implements inventory-based relay on top of the gossip node:
-// instead of flooding full transaction and block bodies to every peer,
-// a node that obtains a new object announces its 32-byte digest ("inv")
-// and peers request only the bodies they do not already hold
-// ("getdata"). Per-peer known-inventory sets keep a node from
-// announcing an object back to the peer it learned it from, and a
-// timeout re-requests an announced object from the next announcer when
-// the first one never answers. Node.Broadcast's flood carries only
-// snapshot commitments.
+// This file implements inventory-based relay on top of the point-to-point
+// node, the only way a gossiped object (transaction, block, snapshot
+// commitment) reaches peers beyond the first hop: a node that obtains a
+// new object announces its 32-byte digest ("inv") and peers request only
+// the bodies they do not already hold ("getdata"). An object travels on
+// only after its kind's handler accepted it, so a forged or junk body
+// stops at the first honest node. Per-peer known-inventory sets keep a
+// node from announcing an object back to the peer it learned it from,
+// and a timeout re-requests an announced object from the next announcer
+// when the first one never answers.
 
 // ObjectID is the 32-byte content identifier inventory gossip relays
-// (transaction and block hashes).
+// (transaction, block and snapshot-commitment hashes).
 type ObjectID = [32]byte
 
 const (
 	// maxKnownPerPeer bounds each peer's known-inventory ring.
 	maxKnownPerPeer = 8192
-	// defaultMaxRelayObjects bounds the relay's payload store.
-	defaultMaxRelayObjects = 4096
+	// maxRelayObjects bounds the relay's payload store.
+	maxRelayObjects = 4096
 	// defaultRequestTimeout is how long a getdata waits before the
 	// relay asks the next announcer.
 	defaultRequestTimeout = 500 * time.Millisecond
@@ -40,8 +41,6 @@ type RelayConfig struct {
 	Fetch func(kind string, id ObjectID) ([]byte, bool)
 	// RequestTimeout overrides defaultRequestTimeout (tests shrink it).
 	RequestTimeout time.Duration
-	// MaxObjects overrides defaultMaxRelayObjects.
-	MaxObjects int
 }
 
 // ObjectHandler consumes one relayed object body. It returns the
@@ -57,7 +56,7 @@ type invKey struct {
 }
 
 // invSet is a bounded set of object identities with ring eviction, the
-// same discipline as the node's seen ring.
+// same discipline as the relay's object store.
 type invSet struct {
 	set  map[invKey]bool
 	ring []invKey
@@ -108,7 +107,6 @@ type Relay struct {
 	store    map[invKey][]byte
 	ring     []invKey
 	head     int
-	maxObjs  int
 	known    map[string]*invSet // peer addr → inventory it is known to have
 	pending  map[invKey]*pendingFetch
 	closed   bool
@@ -123,18 +121,14 @@ func NewRelay(n *Node, cfg RelayConfig) *Relay {
 		timeout:  cfg.RequestTimeout,
 		handlers: make(map[string]ObjectHandler),
 		store:    make(map[invKey][]byte),
-		maxObjs:  cfg.MaxObjects,
 		known:    make(map[string]*invSet),
 		pending:  make(map[invKey]*pendingFetch),
 	}
 	if r.timeout <= 0 {
 		r.timeout = defaultRequestTimeout
 	}
-	if r.maxObjs <= 0 {
-		r.maxObjs = defaultMaxRelayObjects
-	}
-	n.HandleDirect("inv", r.onInv)
-	n.HandleDirect("getdata", r.onGetData)
+	n.Handle("inv", r.onInv)
+	n.Handle("getdata", r.onGetData)
 	return r
 }
 
@@ -144,7 +138,7 @@ func (r *Relay) Handle(kind string, h ObjectHandler) {
 	r.mu.Lock()
 	r.handlers[kind] = h
 	r.mu.Unlock()
-	r.node.HandleDirect(kind, func(from string, msg Message) {
+	r.node.Handle(kind, func(from string, msg Message) {
 		r.onObject(kind, from, msg.Payload)
 	})
 }
@@ -186,7 +180,7 @@ func (r *Relay) Announce(kind string, id ObjectID, payload []byte) {
 	if len(targets) == 0 {
 		return
 	}
-	wire := encodeInv(kind, id)
+	wire := EncodeInv(kind, id)
 	var sent []string
 	for _, addr := range targets {
 		if r.node.SendTo(addr, "inv", wire) {
@@ -201,13 +195,13 @@ func (r *Relay) Announce(kind string, id ObjectID, payload []byte) {
 	r.mu.Unlock()
 }
 
-// AnnounceBatch stores a batch of objects and advertises them with one
-// inv frame per peer — the mempool-rebroadcast path, which would
-// otherwise cost one message per object per peer every pump. Forced
-// batches still go to every peer (known-inventory can hold false
-// positives when a send was enqueued but lost); unforced ones skip ids
-// a peer is known to hold and peers with nothing new.
-func (r *Relay) AnnounceBatch(kind string, ids []ObjectID, bodies [][]byte, force bool) {
+// AnnounceBatch stores a batch of objects and advertises all of them
+// with one inv frame per peer — the mempool-rebroadcast path, which
+// would otherwise cost one message per object per peer every pump. The
+// batch ignores known-inventory: an entry can be a false positive when
+// a send was enqueued but lost, and a rebroadcast exists to repair
+// exactly that.
+func (r *Relay) AnnounceBatch(kind string, ids []ObjectID, bodies [][]byte) {
 	if len(ids) == 0 || len(ids) != len(bodies) {
 		return
 	}
@@ -224,35 +218,16 @@ func (r *Relay) AnnounceBatch(kind string, ids []ObjectID, bodies [][]byte, forc
 		r.clearPendingLocked(keys[i])
 	}
 	r.pruneKnownLocked(peers)
-	type batch struct {
-		addr string
-		send []ObjectID
-		keys []invKey
-	}
-	batches := make([]batch, 0, len(peers))
-	for _, addr := range peers {
-		known := r.knownLocked(addr)
-		var send []ObjectID
-		var sendKeys []invKey
-		for i, key := range keys {
-			if force || !known.has(key) {
-				send = append(send, ids[i])
-				sendKeys = append(sendKeys, key)
-			}
-		}
-		if len(send) > 0 {
-			batches = append(batches, batch{addr, send, sendKeys})
-		}
-	}
 	m := r.node.metrics
 	r.mu.Unlock()
 
-	for _, b := range batches {
-		if r.node.SendTo(b.addr, "inv", encodeInv(kind, b.send...)) {
-			m.relayAnnounce(kind, "out").Add(uint64(len(b.send)))
+	wire := EncodeInv(kind, ids...)
+	for _, addr := range peers {
+		if r.node.SendTo(addr, "inv", wire) {
+			m.relayAnnounce(kind, "out").Add(uint64(len(ids)))
 			r.mu.Lock()
-			known := r.knownLocked(b.addr)
-			for _, key := range b.keys {
+			known := r.knownLocked(addr)
+			for _, key := range keys {
 				known.add(key)
 			}
 			r.mu.Unlock()
@@ -322,7 +297,7 @@ func (r *Relay) Request(kind string, id ObjectID, from string) {
 	m := r.node.metrics
 	r.mu.Unlock()
 	m.relayRequest(kind, "out").Inc()
-	r.node.SendTo(from, "getdata", encodeInv(kind, id))
+	r.node.SendTo(from, "getdata", EncodeInv(kind, id))
 }
 
 // onInv records the announcer and requests any object this node lacks.
@@ -352,12 +327,7 @@ func (r *Relay) onInv(from string, msg Message) {
 			}
 			continue
 		}
-		if body, have := r.store[key]; have {
-			// A flood design would have pushed the full body here; the
-			// announcement cost a digest instead.
-			if saved := len(body) - len(msg.Payload); saved > 0 {
-				m.relayBytesSaved(kind).Add(uint64(saved))
-			}
+		if _, have := r.store[key]; have {
 			continue
 		}
 		if r.cfg.Have != nil && r.cfg.Have(kind, id) {
@@ -369,7 +339,7 @@ func (r *Relay) onInv(from string, msg Message) {
 	r.mu.Unlock()
 	if len(want) > 0 {
 		m.relayRequest(kind, "out").Add(uint64(len(want)))
-		r.node.SendTo(from, "getdata", encodeInv(kind, want...))
+		r.node.SendTo(from, "getdata", EncodeInv(kind, want...))
 	}
 }
 
@@ -423,6 +393,11 @@ func (r *Relay) onObject(kind, from string, payload []byte) {
 	r.knownLocked(from).add(key)
 	r.clearPendingLocked(key)
 	_, already := r.store[key]
+	if relayOn && !already {
+		// Store before unlocking: an inv handled between clearing the
+		// fetch and Announce's store would otherwise fetch the body again.
+		r.storeLocked(key, payload)
+	}
 	r.mu.Unlock()
 	if relayOn && !already {
 		r.Announce(kind, id, payload)
@@ -458,7 +433,7 @@ func (r *Relay) expire(key invKey) {
 	r.mu.Unlock()
 	m.relayRerequests.Inc()
 	m.relayRequest(key.kind, "out").Inc()
-	r.node.SendTo(next, "getdata", encodeInv(key.kind, key.id))
+	r.node.SendTo(next, "getdata", EncodeInv(key.kind, key.id))
 }
 
 // newPendingLocked registers an outstanding fetch asked of from; the
@@ -488,13 +463,13 @@ func (r *Relay) storeLocked(key invKey, payload []byte) {
 		return
 	}
 	r.store[key] = payload
-	if len(r.ring) < r.maxObjs {
+	if len(r.ring) < maxRelayObjects {
 		r.ring = append(r.ring, key)
 		return
 	}
 	delete(r.store, r.ring[r.head])
 	r.ring[r.head] = key
-	r.head = (r.head + 1) % r.maxObjs
+	r.head = (r.head + 1) % maxRelayObjects
 }
 
 // knownLocked returns the peer's known-inventory set, creating it on
@@ -525,9 +500,11 @@ func (r *Relay) pruneKnownLocked(peers []string) {
 	}
 }
 
-// encodeInv frames an inventory payload: 1-byte kind length, the kind,
-// then one or more 32-byte ids.
-func encodeInv(kind string, ids ...ObjectID) []byte {
+// EncodeInv frames an inventory payload: 1-byte kind length, the kind,
+// then one or more 32-byte ids. The relay's inv and getdata share it, and
+// the sync state machine's tail getdata batches use it to be answered by
+// the same code path.
+func EncodeInv(kind string, ids ...ObjectID) []byte {
 	out := make([]byte, 0, 1+len(kind)+32*len(ids))
 	out = append(out, byte(len(kind)))
 	out = append(out, kind...)
@@ -537,7 +514,7 @@ func encodeInv(kind string, ids ...ObjectID) []byte {
 	return out
 }
 
-// decodeInv parses an encodeInv payload. It rejects empty, truncated or
+// decodeInv parses an EncodeInv payload. It rejects empty, truncated or
 // ragged frames.
 func decodeInv(payload []byte) (kind string, ids []ObjectID, ok bool) {
 	if len(payload) < 1 {

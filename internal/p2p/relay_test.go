@@ -1,10 +1,14 @@
 package p2p
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"bcwan/internal/chain"
 	"bcwan/internal/telemetry"
 )
 
@@ -20,7 +24,7 @@ type relayTestNode struct {
 func newRelayTestNode(t *testing.T, tr Transport, cfg RelayConfig) *relayTestNode {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	n, err := NewNodeWithTelemetry(tr, "", nil, reg)
+	n, err := NewNode(tr, "", nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,30 +64,44 @@ func TestRelayMeshFewerBytesThanFlood(t *testing.T) {
 		}
 	}
 
-	// Flood baseline.
+	// Flood baseline: every node forwards the body to each peer but the
+	// sender the first time it sees it.
 	floodBytes := func() uint64 {
 		tr := NewMemTransport()
 		regs := make([]*telemetry.Registry, nNodes)
 		nodes := make([]*Node, nNodes)
 		cols := make([]collector, nNodes)
+		seen := make([]sync.Once, nNodes)
 		addrs := make([]string, nNodes)
+		forward := func(i int, from string, payload []byte) {
+			for _, p := range nodes[i].Peers() {
+				if p != from {
+					nodes[i].SendTo(p, "tx", payload)
+				}
+			}
+		}
 		for i := range nodes {
 			regs[i] = telemetry.NewRegistry()
-			n, err := NewNodeWithTelemetry(tr, "", nil, regs[i])
+			n, err := NewNode(tr, "", nil, regs[i])
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer n.Close()
 			nodes[i] = n
 			addrs[i] = n.Addr()
-			nodes[i].Handle("tx", cols[i].handler)
+			nodes[i].Handle("tx", func(from string, msg Message) {
+				seen[i].Do(func() {
+					cols[i].handler(from, msg)
+					forward(i, from, msg.Payload)
+				})
+			})
 		}
 		connectMesh(t, addrs, func(i int, addr string) {
 			if err := nodes[i].Connect(addr); err != nil {
 				t.Fatal(err)
 			}
 		})
-		nodes[0].Broadcast("tx", payload)
+		seen[0].Do(func() { forward(0, "", payload) })
 		for i := 1; i < nNodes; i++ {
 			cols[i].waitFor(t, 1)
 		}
@@ -139,23 +157,23 @@ func TestRelayRerequestsFromSecondAnnouncer(t *testing.T) {
 
 	payload := []byte("relayed-object-body")
 	id := sha256.Sum256(payload)
-	inv := encodeInv("tx", id)
+	inv := EncodeInv("tx", id)
 
 	// silent announces the object but never answers getdata.
-	silent, err := NewNode(tr, "", nil)
+	silent, err := NewNode(tr, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer silent.Close()
-	silent.HandleDirect("getdata", func(string, Message) {})
+	silent.Handle("getdata", func(string, Message) {})
 
 	// honest serves the body on request.
-	honest, err := NewNode(tr, "", nil)
+	honest, err := NewNode(tr, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer honest.Close()
-	honest.HandleDirect("getdata", func(from string, msg Message) {
+	honest.Handle("getdata", func(from string, msg Message) {
 		if kind, ids, ok := decodeInv(msg.Payload); ok && kind == "tx" && ids[0] == id {
 			honest.SendTo(from, "tx", payload)
 		}
@@ -232,15 +250,15 @@ func TestRelayDedupAcrossAnnouncers(t *testing.T) {
 
 	payload := []byte("fetched-once")
 	id := sha256.Sum256(payload)
-	inv := encodeInv("tx", id)
+	inv := EncodeInv("tx", id)
 
 	mkServer := func() *Node {
-		n, err := NewNode(tr, "", nil)
+		n, err := NewNode(tr, "", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
-		n.HandleDirect("getdata", func(from string, msg Message) {
+		n.Handle("getdata", func(from string, msg Message) {
 			n.SendTo(from, "tx", payload)
 		})
 		if err := n.Connect(target.node.Addr()); err != nil {
@@ -268,13 +286,111 @@ func TestRelayDedupAcrossAnnouncers(t *testing.T) {
 func TestInvEncodingRoundTrip(t *testing.T) {
 	id1 := sha256.Sum256([]byte("a"))
 	id2 := sha256.Sum256([]byte("b"))
-	kind, ids, ok := decodeInv(encodeInv("block", id1, id2))
+	kind, ids, ok := decodeInv(EncodeInv("block", id1, id2))
 	if !ok || kind != "block" || len(ids) != 2 || ids[0] != id1 || ids[1] != id2 {
 		t.Fatalf("round trip failed: %q %v %v", kind, ids, ok)
 	}
-	for _, bad := range [][]byte{nil, {}, {5, 'a'}, encodeInv("tx")[:3], append(encodeInv("tx", id1), 1)} {
+	for _, bad := range [][]byte{nil, {}, {5, 'a'}, EncodeInv("tx")[:3], append(EncodeInv("tx", id1), 1)} {
 		if _, _, ok := decodeInv(bad); ok {
 			t.Fatalf("decodeInv accepted malformed frame %v", bad)
 		}
 	}
+}
+
+// FuzzRelayMsgDecode drives the decoders the relay and compact-block
+// paths feed with peer bytes — inv/getdata framing, cmpctblock,
+// getblocktxn, blocktxn and snapcommit bodies: none may panic, every
+// accepted message must respect its documented bounds, and
+// decode→encode→decode must agree.
+func FuzzRelayMsgDecode(f *testing.F) {
+	// compact.go caps every count and index it decodes at one million.
+	const maxCompactEntries = 1_000_000
+	genesis := chain.GenesisBlock(map[[20]byte]uint64{{1}: 50, {2}: 70})
+	id := ObjectID(genesis.ID())
+	commit := &chain.SnapshotCommitment{Version: 1, Height: 8, BlockID: genesis.ID(), UTXOSize: 99,
+		MinerPubKey: []byte("miner-pub"), Signature: []byte("sig")}
+	for _, valid := range [][]byte{
+		EncodeInv("tx", id),
+		EncodeInv("block", id, ObjectID{2}),
+		EncodeInv(MsgTypeSnapCommit, id),
+		chain.NewCompactBlock(genesis).Serialize(),
+		chain.EncodeGetBlockTxn(genesis.ID(), []uint32{1, 2, 5}),
+		chain.EncodeBlockTxn(genesis.ID(), []chain.PrefilledTx{{Index: 0, Tx: genesis.Txs[0]}}),
+		commit.Serialize(),
+	} {
+		// Hostile-field seeds beside each valid encoding: a truncation,
+		// trailing garbage, and a mid-message byte forced to 0xFF (a
+		// lying interior count or length prefix).
+		f.Add(valid)
+		f.Add(valid[:len(valid)-1])
+		f.Add(append(append([]byte(nil), valid...), 0xDE, 0xAD))
+		lying := append([]byte(nil), valid...)
+		lying[len(lying)/2] = 0xFF
+		f.Add(lying)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xFF})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if kind, ids, ok := decodeInv(data); ok {
+			if len(ids) == 0 || len(data) != 1+len(kind)+32*len(ids) {
+				t.Fatalf("inv accepted %d ids of kind %q from %d bytes", len(ids), kind, len(data))
+			}
+			if !bytes.Equal(EncodeInv(kind, ids...), data) {
+				t.Fatal("inv round-trip mismatch")
+			}
+		}
+		if cb, err := chain.DeserializeCompactBlock(data); err == nil {
+			if len(cb.ShortIDs) > maxCompactEntries || len(cb.Prefilled) > maxCompactEntries {
+				t.Fatalf("cmpctblock accepted %d short ids, %d prefilled", len(cb.ShortIDs), len(cb.Prefilled))
+			}
+			for _, p := range cb.Prefilled {
+				if p.Index > maxCompactEntries || p.Tx == nil {
+					t.Fatalf("cmpctblock accepted prefilled index %d", p.Index)
+				}
+			}
+			enc := cb.Serialize()
+			cb2, err := chain.DeserializeCompactBlock(enc)
+			if err != nil {
+				t.Fatalf("re-decode cmpctblock: %v", err)
+			}
+			if cb2.BlockID() != cb.BlockID() || cb2.TxCount() != cb.TxCount() || !bytes.Equal(cb2.Serialize(), enc) {
+				t.Fatal("cmpctblock round-trip mismatch")
+			}
+		}
+		if bid, idx, err := chain.DecodeGetBlockTxn(data); err == nil {
+			if len(idx) > maxCompactEntries {
+				t.Fatalf("getblocktxn accepted %d indexes", len(idx))
+			}
+			for _, i := range idx {
+				if i > maxCompactEntries {
+					t.Fatalf("getblocktxn accepted index %d", i)
+				}
+			}
+			bid2, idx2, err := chain.DecodeGetBlockTxn(chain.EncodeGetBlockTxn(bid, idx))
+			if err != nil || bid2 != bid || !slices.Equal(idx2, idx) {
+				t.Fatalf("getblocktxn round-trip mismatch: %v", err)
+			}
+		}
+		if bid, fills, err := chain.DecodeBlockTxn(data); err == nil {
+			if len(fills) > maxCompactEntries {
+				t.Fatalf("blocktxn accepted %d transactions", len(fills))
+			}
+			enc := chain.EncodeBlockTxn(bid, fills)
+			bid2, fills2, err := chain.DecodeBlockTxn(enc)
+			if err != nil || bid2 != bid || len(fills2) != len(fills) || !bytes.Equal(chain.EncodeBlockTxn(bid2, fills2), enc) {
+				t.Fatalf("blocktxn round-trip mismatch: %v", err)
+			}
+		}
+		if sc, err := chain.DeserializeSnapshotCommitment(data); err == nil {
+			if sc.Version != 1 || len(sc.MinerPubKey) > 1024 || len(sc.Signature) > 1024 {
+				t.Fatalf("snapcommit accepted version %d, %d-byte key, %d-byte signature",
+					sc.Version, len(sc.MinerPubKey), len(sc.Signature))
+			}
+			sc2, err := chain.DeserializeSnapshotCommitment(sc.Serialize())
+			if err != nil || sc2.ID() != sc.ID() {
+				t.Fatalf("snapcommit round-trip mismatch: %v", err)
+			}
+		}
+	})
 }

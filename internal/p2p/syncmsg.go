@@ -15,9 +15,9 @@ import (
 // rest of the gossip layer is — a node simply has no handler registered
 // for a type it does not know and ignores it.
 
-// Sync message type names, as registered with Node.HandleDirect (the
-// request/response pairs are point-to-point, not flooded) and
-// Node.Handle (snapshot commitments gossip like blocks).
+// Sync message type names. The request/response pairs are registered
+// with Node.Handle and travel point-to-point; snapshot commitments are a
+// relay kind and travel by inv/getdata like transactions and blocks.
 const (
 	MsgTypeGetHeaders    = "getheaders"
 	MsgTypeHeaders       = "headers"
@@ -236,14 +236,4 @@ func checkVersion(payload []byte) error {
 		return fmt.Errorf("%w: unsupported version %d", ErrBadSyncMsg, payload[0])
 	}
 	return nil
-}
-
-// EncodeInv exposes the relay's inventory framing so the sync state
-// machine can issue direct getdata batches for tail blocks through the
-// same code path the relay answers.
-func EncodeInv(kind string, ids ...ObjectID) []byte { return encodeInv(kind, ids...) }
-
-// DecodeInv parses an EncodeInv payload.
-func DecodeInv(payload []byte) (kind string, ids []ObjectID, ok bool) {
-	return decodeInv(payload)
 }

@@ -98,16 +98,16 @@ func TestSyncMsgRejectsBadInput(t *testing.T) {
 }
 
 // TestUnknownMessageTypeTolerated proves old and new nodes coexist: a
-// node with no handler for a message type ignores it — direct or
-// flooded — and keeps serving the types it does know.
+// node with no handler for a message type ignores it and keeps serving
+// the types it does know.
 func TestUnknownMessageTypeTolerated(t *testing.T) {
 	tr := NewMemTransport()
-	oldNode, err := NewNode(tr, "old", nil)
+	oldNode, err := NewNode(tr, "old", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer oldNode.Close()
-	newNode, err := NewNode(tr, "new", nil)
+	newNode, err := NewNode(tr, "new", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,12 +119,11 @@ func TestUnknownMessageTypeTolerated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The new node speaks messages the old one has never heard of,
-	// point-to-point and flooded, then a type both understand.
+	// The new node speaks messages the old one has never heard of, then
+	// a type both understand.
 	newNode.SendTo("old", MsgTypeGetHeaders, (&MsgGetHeaders{Max: 10}).Encode())
 	newNode.SendTo("old", MsgTypeGetSnapshot, (&MsgGetSnapshot{Height: 9, Chunk: -1}).Encode())
-	newNode.Broadcast(MsgTypeSnapCommit, []byte{1, 2, 3})
-	newNode.Broadcast("block", []byte("payload"))
+	newNode.SendTo("old", "block", []byte("payload"))
 
 	select {
 	case msg := <-known:

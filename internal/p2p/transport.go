@@ -31,8 +31,8 @@ type Message struct {
 // WireSize is the logical size of the message on the wire: type, sender
 // and payload bytes. Transport framing (JSON field names, base64
 // expansion, length prefixes) is excluded so byte metrics compare
-// protocols, not encodings. The relay-savings telemetry and the
-// relaybench experiment both use this measure on each side.
+// protocols, not encodings. The byte counters and the relaybench
+// experiment both use this measure.
 func (m *Message) WireSize() int { return len(m.Type) + len(m.From) + len(m.Payload) }
 
 // maxFrameSize bounds a single framed message (a full block with many

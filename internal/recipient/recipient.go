@@ -86,6 +86,11 @@ type Recipient struct {
 	ledger fairex.Ledger
 	random io.Reader
 
+	// payMu serializes payment building: Spendable → Build → Submit runs
+	// as one step, so a concurrent payment sees the coins the previous
+	// one spent already claimed by the pool and never picks them again.
+	payMu sync.Mutex
+
 	mu              sync.Mutex
 	devices         map[lora.DevEUI]DeviceInfo
 	pending         map[chain.Hash]*pendingPayment
@@ -250,18 +255,29 @@ func (r *Recipient) HandleDelivery(d *fairex.Delivery) (*chain.Tx, error) {
 		RefundHeight:      r.ledger.Height() + window,
 		BuyerPubKeyHash:   r.wallet.PubKeyHash(),
 	}
-	payment, err := r.wallet.BuildKeyReleasePayment(r.ledger.Spendable(r.wallet.PubKeyHash()), params, d.Price, r.cfg.PaymentFee)
+	payment, err := r.pay(params, d.Price)
 	if err != nil {
-		return nil, fmt.Errorf("recipient: build payment: %w", err)
-	}
-	if err := r.ledger.Submit(payment); err != nil {
-		return nil, fmt.Errorf("recipient: submit payment: %w", err)
+		return nil, err
 	}
 
 	r.mu.Lock()
 	r.pending[payment.ID()] = &pendingPayment{delivery: d, payment: payment}
 	r.Stats.Payments++
 	r.mu.Unlock()
+	return payment, nil
+}
+
+// pay builds and submits one key-release payment under payMu.
+func (r *Recipient) pay(params script.KeyReleaseParams, price uint64) (*chain.Tx, error) {
+	r.payMu.Lock()
+	defer r.payMu.Unlock()
+	payment, err := r.wallet.BuildKeyReleasePayment(r.ledger.Spendable(r.wallet.PubKeyHash()), params, price, r.cfg.PaymentFee)
+	if err != nil {
+		return nil, fmt.Errorf("recipient: build payment: %w", err)
+	}
+	if err := r.ledger.Submit(payment); err != nil {
+		return nil, fmt.Errorf("recipient: submit payment: %w", err)
+	}
 	return payment, nil
 }
 

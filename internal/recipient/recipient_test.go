@@ -3,6 +3,8 @@ package recipient
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"bcwan/internal/chain"
 	"bcwan/internal/fairex"
 	"bcwan/internal/lora"
+	"bcwan/internal/script"
 	"bcwan/internal/wallet"
 )
 
@@ -241,5 +244,62 @@ func TestSettleClaimFromChain(t *testing.T) {
 	}
 	if string(msg.Plaintext) != "42" {
 		t.Fatalf("plaintext = %q", msg.Plaintext)
+	}
+}
+
+// TestConcurrentDeliveriesPayWithDistinctCoins runs eight HandleDelivery
+// calls at once against a recipient holding eight confirmed coins. Each
+// must return its own payment admitted to the pool: none may pick a coin
+// another payment already spent and be refused as a double spend.
+func TestConcurrentDeliveriesPayWithDistinctCoins(t *testing.T) {
+	const n = 8
+	f := newFixture(t)
+	w := f.rcpt.Wallet()
+	utxo := f.node.Spendable(w.PubKeyHash())
+	split := &chain.Tx{Version: 1}
+	for _, op := range utxo.FindByPubKeyHash(w.PubKeyHash()) {
+		split.Inputs = append(split.Inputs, chain.TxIn{Prev: op})
+	}
+	for i := 0; i < n; i++ {
+		split.Outputs = append(split.Outputs, chain.TxOut{Value: 10_000, Lock: script.PayToPubKeyHash(w.PubKeyHash())})
+	}
+	if err := w.SignP2PKHInputs(split, utxo); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.node.Submit(split); err != nil {
+		t.Fatal(err)
+	}
+	f.mine(t)
+	if got := len(f.node.Spendable(w.PubKeyHash()).FindByPubKeyHash(w.PubKeyHash())); got != n {
+		t.Fatalf("recipient holds %d coins, want %d", got, n)
+	}
+
+	deliveries := make([]*fairex.Delivery, n)
+	for i := range deliveries {
+		deliveries[i] = f.delivery(t, fmt.Sprintf("reading-%d", i))
+	}
+	payments := make([]*chain.Tx, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range deliveries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			payments[i], errs[i] = f.rcpt.HandleDelivery(deliveries[i])
+		}()
+	}
+	wg.Wait()
+	ids := make(map[chain.Hash]bool, n)
+	for i, p := range payments {
+		if errs[i] != nil {
+			t.Fatalf("delivery %d: %v", i, errs[i])
+		}
+		if !f.node.Pool.Contains(p.ID()) {
+			t.Fatalf("payment %d not in the pool", i)
+		}
+		ids[p.ID()] = true
+	}
+	if len(ids) != n {
+		t.Fatalf("%d distinct payments for %d deliveries", len(ids), n)
 	}
 }
