@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race harness-smoke bench blockconnect reorg relay-bench sync-bench channel-bench city-bench bench-gate bench-scaling lint fuzz chaos chaos-byzantine ci
+.PHONY: build test vet race harness-smoke bench blockconnect reorg relay-bench sync-bench channel-bench city-bench bench-gate bench-e2e-gate bench-scaling lint fuzz chaos chaos-byzantine ci
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,15 @@ bench-gate:
 			-baseline results/BENCH_$$k.json \
 			-candidate $(BENCH_CANDIDATE)/BENCH_$$k.json || exit 1; \
 	done
+
+# HEAD against its parent on the end-to-end harness (benchmark/run.sh,
+# sim_federation and facade_onchain, seeds 1-3, interleaved), gated only
+# on what a shared host cannot move: allocations per delivery, failed
+# deliveries and simulated time. Time rows are printed, not gated. Needs
+# HEAD~1 in the clone; see scripts/bench-e2e-gate.sh.
+BENCH_E2E_DIR ?= /tmp/bcwan-bench-e2e
+bench-e2e-gate:
+	bash scripts/bench-e2e-gate.sh $(BENCH_E2E_DIR)
 
 # What the CI connect-scaling step runs: measure block connect pinned
 # to one core and again on all cores, then require the multicore run to

@@ -70,17 +70,24 @@ func (c *cluster) provisionSensor(t *testing.T, eui lora.DevEUI) *device.Device 
 // gateway daemon.
 func (c *cluster) uplink(t *testing.T, dev *device.Device, payload []byte) {
 	t.Helper()
+	if _, err := c.gwd.HandleUplink(c.dataFrame(t, dev, payload)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dataFrame runs the key-request half of an uplink and returns the data
+// frame that completes it.
+func (c *cluster) dataFrame(t *testing.T, dev *device.Device, payload []byte) *lora.Frame {
+	t.Helper()
 	keyResp, err := c.gwd.HandleUplink(dev.KeyRequestFrame())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dataFrame, err := dev.DataFrame(payload, keyResp.Payload, keyResp.Counter)
+	frame, err := dev.DataFrame(payload, keyResp.Payload, keyResp.Counter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.gwd.HandleUplink(dataFrame); err != nil {
-		t.Fatal(err)
-	}
+	return frame
 }
 
 // publishBinding funds the recipient and mines its @R → IP binding.

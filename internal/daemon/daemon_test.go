@@ -33,6 +33,12 @@ type cluster struct {
 
 func newCluster(t *testing.T) *cluster {
 	t.Helper()
+	return newGatewayCluster(t, gateway.DefaultConfig())
+}
+
+// newGatewayCluster is newCluster with the gateway daemon on gwCfg.
+func newGatewayCluster(t *testing.T, gwCfg gateway.Config) *cluster {
+	t.Helper()
 	treasury, err := wallet.New(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +85,7 @@ func newCluster(t *testing.T) *cluster {
 	}
 	t.Cleanup(func() { rcptNode.Close() })
 
-	gwd, err := NewGatewayDaemon(gwNode, gateway.DefaultConfig(), rand.Reader, nil)
+	gwd, err := NewGatewayDaemon(gwNode, gwCfg, rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

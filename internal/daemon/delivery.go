@@ -114,18 +114,35 @@ func (g *GatewayDaemon) deliverAndClaim(f *lora.Frame) error {
 	if err != nil {
 		return fmt.Errorf("daemon: ack payment id: %w", err)
 	}
-	// The payment was submitted on the recipient's node; wait for the
-	// gossip to surface it here, then claim.
-	deadline := time.Now().Add(deliveryTimeout)
-	for {
-		_, err := g.Gateway.VerifyAndClaim(delivery.DevEUI, delivery.Exchange, paymentID, offerHeight)
-		if err == nil {
+	return g.claim(delivery, paymentID, offerHeight)
+}
+
+// claim performs Fig. 3 step 10 on this node's replica. The payment was
+// admitted on the recipient's node, so the claim is re-tried each time a
+// pool admission or block connect here may have surfaced (or confirmed)
+// it, until deliveryTimeout. Any other verdict is permanent — a payment
+// that fails CheckPayment cannot start passing — and returns at once.
+func (g *GatewayDaemon) claim(d *fairex.Delivery, paymentID chain.Hash, offerHeight int64) error {
+	start := time.Now()
+	timeout := time.NewTimer(deliveryTimeout)
+	defer timeout.Stop()
+	for woken := false; ; woken = true {
+		changed := g.Node.ledgerChanged() // before the check: no lost wake-up
+		_, err := g.Gateway.VerifyAndClaim(d.DevEUI, d.Exchange, paymentID, offerHeight)
+		switch {
+		case err == nil:
+			g.Node.metrics.claimWaitSeconds.ObserveSince(start)
 			return nil
+		case !errors.Is(err, gateway.ErrPaymentNotVisible) && !errors.Is(err, gateway.ErrNotEnoughConfirmations):
+			return fmt.Errorf("daemon: claim: %w", err)
+		case woken:
+			g.Node.metrics.claimRechecks.Inc()
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-changed:
+		case <-timeout.C:
 			return fmt.Errorf("daemon: claim: %w", err)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -331,6 +348,9 @@ func (r *RecipientDaemon) handleConn(conn net.Conn) {
 		}
 		r.logf("channel settle failed, falling back on-chain: %v", err)
 	}
+	// Commit, then ack, on-chain too: HandleDelivery returns only after
+	// Submit has admitted the payment to this node's mempool, so the id
+	// the ack names is already pooled here and on its way to the gateway.
 	payment, err := r.Recipient.HandleDelivery(&d)
 	if err != nil {
 		ack.Reason = err.Error()

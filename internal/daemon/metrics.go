@@ -8,6 +8,10 @@ type daemonMetrics struct {
 	deliveriesSent     *telemetry.Counter
 	deliveriesReceived *telemetry.Counter
 	orphanTxsParked    *telemetry.Counter
+	// The gateway's claim wait (DESIGN.md §6): ack received to claim
+	// submitted, and wake-ups that did not yet find the payment.
+	claimWaitSeconds   *telemetry.Histogram
+	claimRechecks      *telemetry.Counter
 	storeLoadSeconds   *telemetry.Histogram
 	storeAppendSeconds *telemetry.Histogram
 	storeCompactions   *telemetry.Counter
@@ -46,6 +50,8 @@ func newDaemonMetrics(reg *telemetry.Registry) *daemonMetrics {
 		deliveriesSent:     ns.Counter("deliveries_sent_total", "TCP deliveries a gateway daemon pushed to recipients."),
 		deliveriesReceived: ns.Counter("deliveries_received_total", "TCP deliveries a recipient daemon accepted from gateways."),
 		orphanTxsParked:    ns.Counter("orphan_txs_parked_total", "Gossiped transactions parked until their inputs become visible."),
+		claimWaitSeconds:   ns.Histogram("claim_wait_seconds", "Gateway wait from the recipient's ack to the claim's submission, in seconds.", nil),
+		claimRechecks:      ns.Counter("claim_rechecks_total", "Gateway claim wake-ups that did not yet find the payment (or its confirmations)."),
 		storeLoadSeconds:   ns.Histogram("store_load_seconds", "Chain store load latency in seconds.", nil),
 		storeAppendSeconds: ns.Histogram("store_append_seconds", "Block-log append+fsync latency in seconds.", nil),
 		storeCompactions:   ns.Counter("store_compactions_total", "Snapshot + log-compaction cycles of the incremental store."),

@@ -119,6 +119,12 @@ type Node struct {
 	stopMine chan struct{}
 	mineDone chan struct{}
 	closed   bool
+
+	// ledgerCh is closed, and replaced, whenever a payment may have
+	// become visible here: a pool admission or a best-branch connect.
+	// It is nil while nobody waits. ledgerMu guards it alone.
+	ledgerMu sync.Mutex
+	ledgerCh chan struct{}
 }
 
 // NewNode starts a blockchain daemon.
@@ -162,6 +168,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.pool.Instrument(n.reg)
 	n.dir = registry.NewDirectory()
 	n.dir.Attach(c)
+	// A connect can confirm, or first show, a payment a claim waits for.
+	c.Subscribe(func(*chain.Block) { n.notifyLedger() })
 
 	gossip, err := p2p.NewNode(cfg.Transport, cfg.ListenP2P, cfg.Logger, n.reg)
 	if err != nil {
@@ -472,7 +480,32 @@ func (n *Node) acceptPooled(tx *chain.Tx) error {
 	n.chain.ReadState(func(tip *chain.Block, utxo *chain.UTXOSet) {
 		err = n.pool.Accept(tx, utxo, tip.Header.Height, n.chain.Params())
 	})
+	if err == nil {
+		n.notifyLedger()
+	}
 	return err
+}
+
+// ledgerChanged returns a channel closed at the next pool admission or
+// best-branch connect on this node. Take it before reading the ledger,
+// so a change between the read and the wait is not lost.
+func (n *Node) ledgerChanged() <-chan struct{} {
+	n.ledgerMu.Lock()
+	defer n.ledgerMu.Unlock()
+	if n.ledgerCh == nil {
+		n.ledgerCh = make(chan struct{})
+	}
+	return n.ledgerCh
+}
+
+// notifyLedger wakes every ledgerChanged waiter.
+func (n *Node) notifyLedger() {
+	n.ledgerMu.Lock()
+	if n.ledgerCh != nil {
+		close(n.ledgerCh)
+		n.ledgerCh = nil
+	}
+	n.ledgerMu.Unlock()
 }
 
 // retryOrphanTxs re-attempts parked transactions until a full pass

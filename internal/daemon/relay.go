@@ -99,8 +99,10 @@ func (n *Node) onRelayBlock(from string, payload []byte) (p2p.ObjectID, bool) {
 	return p2p.ObjectID(id), true
 }
 
-// broadcastTx hands a transaction to the relay.
+// broadcastTx hands a transaction admitted locally (Submit or
+// sendrawtransaction) to the relay.
 func (n *Node) broadcastTx(tx *chain.Tx) {
+	n.notifyLedger()
 	n.relay.Announce("tx", p2p.ObjectID(tx.ID()), tx.Serialize())
 }
 
