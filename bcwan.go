@@ -42,7 +42,8 @@ type NetworkConfig struct {
 	BlockInterval time.Duration
 	// Treasury is the amount minted at genesis to fund actors.
 	Treasury uint64
-	// Random is the entropy source (defaults to crypto/rand).
+	// Random is the entropy source (defaults to crypto/rand). It need not
+	// be safe for concurrent use: the network serializes its reads.
 	Random io.Reader
 }
 
@@ -98,6 +99,9 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	if cfg.Random == nil {
 		cfg.Random = rand.Reader
 	}
+	// Every actor draws from this one source, and each gateway's key-pool
+	// refill reads it from a goroutine of its own.
+	cfg.Random = bccrypto.SerialReader(cfg.Random)
 	if cfg.BlockInterval <= 0 {
 		cfg.BlockInterval = 15 * time.Second
 	}

@@ -2,6 +2,8 @@ package bcwan
 
 import (
 	"errors"
+	"fmt"
+	mrand "math/rand"
 	"testing"
 )
 
@@ -39,6 +41,41 @@ func TestQuickstartFlow(t *testing.T) {
 	// The gateway earned the price minus its claim fee.
 	if got := gw.Wallet().Balance(net.Ledger().UTXO()); got == 0 {
 		t.Fatal("gateway not paid")
+	}
+}
+
+// TestSeededNetworkIsRaceFree runs exchanges on a network seeded with a
+// *math/rand.Rand, which is not safe for concurrent use, while the
+// gateway's key pool refills from the same source on its own goroutine.
+// Under -race it fails unless NewNetwork serializes the reader.
+func TestSeededNetworkIsRaceFree(t *testing.T) {
+	cfg := DefaultNetworkConfig()
+	cfg.Random = mrand.New(mrand.NewSource(1))
+	net, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := net.NewGateway(DefaultGatewayConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcpt, err := net.NewRecipient("192.0.2.9:7000", DefaultRecipientConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sensor, err := rcpt.ProvisionSensor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		reading := fmt.Sprintf("reading-%d", i)
+		msg, err := net.RunExchange(sensor, gw, rcpt, []byte(reading))
+		if err != nil {
+			t.Fatalf("exchange %d: %v", i, err)
+		}
+		if string(msg.Plaintext) != reading {
+			t.Fatalf("exchange %d plaintext = %q", i, msg.Plaintext)
+		}
 	}
 }
 

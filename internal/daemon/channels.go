@@ -125,6 +125,10 @@ type ChannelManager struct {
 	// disclose resolves a verified update into the exchange's ephemeral
 	// private key (payee mode only).
 	disclose func(lora.DevEUI, uint32) ([]byte, error)
+	// spend runs a channel funding under the lock the recipient builds its
+	// on-chain payments under, so the two never pick the same coin (payer
+	// mode only).
+	spend func(func() error) error
 
 	// settleMu serializes payer-side rounds so commitment versions leave
 	// in signing order.
@@ -141,7 +145,7 @@ type ChannelManager struct {
 
 // newChannelManager builds the manager, reloads persisted endpoints and
 // registers the p2p handlers for its mode.
-func newChannelManager(node *Node, w *wallet.Wallet, cfg ChannelConfig, disclose func(lora.DevEUI, uint32) ([]byte, error)) (*ChannelManager, error) {
+func newChannelManager(node *Node, w *wallet.Wallet, cfg ChannelConfig, disclose func(lora.DevEUI, uint32) ([]byte, error), spend func(func() error) error) (*ChannelManager, error) {
 	def := DefaultChannelConfig()
 	if cfg.Capacity == 0 {
 		cfg.Capacity = def.Capacity
@@ -166,6 +170,7 @@ func newChannelManager(node *Node, w *wallet.Wallet, cfg ChannelConfig, disclose
 		node:          node,
 		wallet:        w,
 		disclose:      disclose,
+		spend:         spend,
 		payers:        make(map[chain.Hash]*channel.Payer),
 		payees:        make(map[chain.Hash]*channel.Payee),
 		byGateway:     make(map[string]chain.Hash),
@@ -565,8 +570,13 @@ func (m *ChannelManager) openPayer(peer string, wantGwPub []byte, capacity uint6
 	if len(wantGwPub) > 0 && !bytes.Equal(acc.GatewayPub, wantGwPub) {
 		return nil, errors.New("daemon: channel accept names a different gateway key")
 	}
-	payer, funding, err := channel.OpenPayer(m.wallet, m.node.Ledger(), m.store,
-		acc.GatewayPub, capacity, m.cfg.FundingFee, m.cfg.CloseFee, m.cfg.RefundWindow, peer)
+	var payer *channel.Payer
+	var funding *chain.Tx
+	err := m.spend(func() (err error) {
+		payer, funding, err = channel.OpenPayer(m.wallet, m.node.Ledger(), m.store,
+			acc.GatewayPub, capacity, m.cfg.FundingFee, m.cfg.CloseFee, m.cfg.RefundWindow, peer)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"bcwan/internal/chain"
 	"bcwan/internal/channel"
 	"bcwan/internal/device"
+	"bcwan/internal/fairex"
 	"bcwan/internal/gateway"
 	"bcwan/internal/lora"
 	"bcwan/internal/p2p"
@@ -174,6 +177,71 @@ func TestChannelDeliveryEndToEnd(t *testing.T) {
 	}
 	if status := info.(ChannelSummary).Status; status == "open" {
 		t.Fatalf("channel still open after close (status %q)", status)
+	}
+}
+
+// TestChannelOpenAndPaymentsSpendDistinctCoins opens a channel while
+// on-chain deliveries pay from the same recipient wallet. The funding and
+// every payment must reach the pool: none may pick a coin another one
+// already spent and be refused as a double spend.
+func TestChannelOpenAndPaymentsSpendDistinctCoins(t *testing.T) {
+	const payments = 16
+	c := newCluster(t)
+	_, rcptMgr := c.enableChannels(t)
+	c.publishBinding(t)
+	dev := c.provisionSensor(t, lora.DevEUI{0xc4, 2})
+	deliveries := make([]*fairex.Delivery, payments)
+	for i := range deliveries {
+		var err error
+		if deliveries[i], _, err = c.gwd.Gateway.HandleData(c.dataFrame(t, dev, []byte(fmt.Sprintf("reading-%d", i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ledger := c.rcptd.Node.Ledger()
+	txs := make([]*chain.Tx, payments+1) // the funding goes last
+	errs := make([]error, payments+1)
+	var wg sync.WaitGroup
+	wg.Add(payments + 1)
+	go func() {
+		defer wg.Done()
+		sum, err := rcptMgr.OpenChannel(c.gwd.Node.P2PAddr(), 0)
+		if err != nil {
+			errs[payments] = err
+			return
+		}
+		id, err := chain.HashFromString(sum.(ChannelSummary).ID)
+		if err != nil {
+			errs[payments] = err
+			return
+		}
+		txs[payments], _ = ledger.PendingTx(id)
+	}()
+	for i, d := range deliveries {
+		go func() {
+			defer wg.Done()
+			txs[i], errs[i] = c.rcptd.Recipient.HandleDelivery(d)
+		}()
+	}
+	wg.Wait()
+
+	spentBy := make(map[chain.OutPoint]int)
+	for i, tx := range txs {
+		if errs[i] != nil {
+			t.Fatalf("spend %d of %d (the last is the funding): %v", i, payments+1, errs[i])
+		}
+		if tx == nil {
+			t.Fatalf("spend %d: not in the pool", i)
+		}
+		if _, ok := ledger.PendingTx(tx.ID()); !ok {
+			t.Fatalf("spend %d: not in the pool", i)
+		}
+		for _, in := range tx.Inputs {
+			if j, dup := spentBy[in.Prev]; dup {
+				t.Fatalf("spends %d and %d both spend %v", j, i, in.Prev)
+			}
+			spentBy[in.Prev] = i
+		}
 	}
 }
 

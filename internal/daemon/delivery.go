@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"bcwan/internal/bccrypto"
 	"bcwan/internal/chain"
 	"bcwan/internal/fairex"
 	"bcwan/internal/gateway"
@@ -46,7 +47,7 @@ func (g *GatewayDaemon) EnableChannels(cfg ChannelConfig) (*ChannelManager, erro
 		// could drain key disclosures for 1 unit apiece.
 		cfg.Price = g.Gateway.Price()
 	}
-	mgr, err := newChannelManager(g.Node, g.Gateway.Wallet(), cfg, g.Gateway.DiscloseKey)
+	mgr, err := newChannelManager(g.Node, g.Gateway.Wallet(), cfg, g.Gateway.DiscloseKey, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -57,11 +58,14 @@ func (g *GatewayDaemon) EnableChannels(cfg ChannelConfig) (*ChannelManager, erro
 
 // NewGatewayDaemon wires a gateway actor onto a node.
 func NewGatewayDaemon(node *Node, cfg gateway.Config, random io.Reader, logger *log.Logger) (*GatewayDaemon, error) {
-	w, err := wallet.New(randomOrDefault(random))
+	// The wallet signs claims while the gateway's key pool refills, both
+	// from this one source.
+	random = bccrypto.SerialReader(randomOrDefault(random))
+	w, err := wallet.New(random)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: gateway wallet: %w", err)
 	}
-	gw := gateway.New(cfg, w, node.Ledger(), node.Directory(), randomOrDefault(random))
+	gw := gateway.New(cfg, w, node.Ledger(), node.Directory(), random)
 	gw.Instrument(node.Telemetry())
 	return &GatewayDaemon{
 		Node:    node,
@@ -217,7 +221,7 @@ func (r *RecipientDaemon) Addr() string { return r.listener.Addr().String() }
 // advertise a channel endpoint settle off-chain, falling back to the
 // on-chain payment path on any channel failure.
 func (r *RecipientDaemon) EnableChannels(cfg ChannelConfig) (*ChannelManager, error) {
-	mgr, err := newChannelManager(r.Node, r.Recipient.Wallet(), cfg, nil)
+	mgr, err := newChannelManager(r.Node, r.Recipient.Wallet(), cfg, nil, r.Recipient.Spending)
 	if err != nil {
 		return nil, err
 	}

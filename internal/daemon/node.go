@@ -138,11 +138,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
-	if cfg.Random != nil {
-		// crypto/rand is safe as-is; injected deterministic streams are
-		// not, and several node goroutines draw from the same source.
-		cfg.Random = &lockedReader{r: cfg.Random}
-	}
+	// The mine loop, explicit MineNow calls and snapshot-commitment
+	// signing all draw from the one source.
+	cfg.Random = bccrypto.SerialReader(cfg.Random)
 	c, err := chain.New(cfg.Params, cfg.Genesis)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: %w", err)

@@ -79,12 +79,31 @@ type exchangeKey struct {
 // claimed nor disclosed. Past it the oldest is dropped.
 const maxPending = 10_000
 
+// keyPoolSize is how many ephemeral pairs a gateway keeps minted ahead
+// of the key requests that take them (DESIGN.md §18).
+const keyPoolSize = 4
+
+// mintedKey is one ephemeral pair and its public half's wire encoding.
+type mintedKey struct {
+	key *bccrypto.RSA512PrivateKey
+	pub []byte
+}
+
+func mintKey(random io.Reader) (mintedKey, error) {
+	key, err := bccrypto.GenerateRSA512(random)
+	if err != nil {
+		return mintedKey{}, err
+	}
+	return mintedKey{key: key, pub: bccrypto.MarshalRSA512PublicKey(key.Public())}, nil
+}
+
 // Gateway is one foreign gateway.
 type Gateway struct {
 	cfg    Config
 	wallet *wallet.Wallet
 	ledger fairex.Ledger
 	dir    *registry.Directory
+	// random is read by key requests and by the key-pool refill at once.
 	random io.Reader
 
 	mu      sync.Mutex
@@ -93,7 +112,11 @@ type Gateway struct {
 	// the same exchanges at all times — settling unlinks the element —
 	// so an evicted head is always a live, abandoned exchange.
 	pendingOrder *list.List
-	metrics      *gatewayMetrics
+	// keys is the pool of pre-minted pairs, oldest first, never longer
+	// than keyPoolSize; refilling is set while a refill goroutine runs.
+	keys      []mintedKey
+	refilling bool
+	metrics   *gatewayMetrics
 
 	// Stats counts protocol outcomes.
 	Stats Stats
@@ -118,9 +141,10 @@ func New(cfg Config, w *wallet.Wallet, ledger fairex.Ledger, dir *registry.Direc
 		wallet:       w,
 		ledger:       ledger,
 		dir:          dir,
-		random:       random,
+		random:       bccrypto.SerialReader(random),
 		pending:      make(map[exchangeKey]*pendingExchange),
 		pendingOrder: list.New(),
+		keys:         make([]mintedKey, 0, keyPoolSize),
 	}
 }
 
@@ -142,26 +166,70 @@ func (g *Gateway) Instrument(reg *telemetry.Registry) {
 	g.metrics = newGatewayMetrics(reg)
 }
 
-// HandleKeyRequest performs Fig. 3 steps 1–2: mint an ephemeral RSA-512
-// pair for this message and answer with the public half.
+// HandleKeyRequest performs Fig. 3 steps 1–2: take a fresh ephemeral
+// RSA-512 pair for this message and answer with the public half.
 func (g *Gateway) HandleKeyRequest(f *lora.Frame) (*lora.Frame, error) {
 	if f.Type != lora.FrameKeyRequest {
 		return nil, fmt.Errorf("gateway: frame type %d is not a key request", f.Type)
 	}
-	key, err := bccrypto.GenerateRSA512(g.random)
+	k, err := g.takeKey()
 	if err != nil {
 		return nil, fmt.Errorf("gateway: ephemeral keygen: %w", err)
 	}
-	pub := bccrypto.MarshalRSA512PublicKey(key.Public())
-	g.track(exchangeKey{eui: f.DevEUI, counter: f.Counter}, &pendingExchange{key: key, pub: pub})
+	g.track(exchangeKey{eui: f.DevEUI, counter: f.Counter}, &pendingExchange{key: k.key, pub: k.pub})
 	// The response echoes the request counter; the device repeats it in
 	// its data frame to name this exchange.
 	return &lora.Frame{
 		Type:    lora.FrameKeyResponse,
 		DevEUI:  f.DevEUI,
 		Counter: f.Counter,
-		Payload: pub,
+		Payload: k.pub,
 	}, nil
+}
+
+// takeKey hands out the oldest pooled pair, each exactly once, and
+// starts a refill unless one is running. On an empty pool it mints the
+// pair inline instead of waiting for the refill.
+func (g *Gateway) takeKey() (mintedKey, error) {
+	g.mu.Lock()
+	var k mintedKey
+	pooled := len(g.keys) > 0
+	if pooled {
+		k = g.keys[0]
+		n := copy(g.keys, g.keys[1:])
+		g.keys[n] = mintedKey{}
+		g.keys = g.keys[:n]
+	} else if g.metrics != nil {
+		g.metrics.keysMintedInline.Inc()
+	}
+	if !g.refilling {
+		g.refilling = true
+		go g.refill()
+	}
+	g.mu.Unlock()
+	if pooled {
+		return k, nil
+	}
+	return mintKey(g.random)
+}
+
+// refill tops the pool up to keyPoolSize and exits. A keygen error ends
+// it early; the inline mint of the request that finds the pool empty
+// then reports the error.
+func (g *Gateway) refill() {
+	for {
+		k, err := mintKey(g.random)
+		g.mu.Lock()
+		if err == nil {
+			g.keys = append(g.keys, k)
+		}
+		if err != nil || len(g.keys) >= keyPoolSize {
+			g.refilling = false
+			g.mu.Unlock()
+			return
+		}
+		g.mu.Unlock()
+	}
 }
 
 // track records a freshly keyed exchange as pending, dropping the oldest

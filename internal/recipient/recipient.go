@@ -86,9 +86,10 @@ type Recipient struct {
 	ledger fairex.Ledger
 	random io.Reader
 
-	// payMu serializes payment building: Spendable → Build → Submit runs
-	// as one step, so a concurrent payment sees the coins the previous
-	// one spent already claimed by the pool and never picks them again.
+	// payMu serializes spends from the wallet (pay and Spending):
+	// Spendable → Build → Submit runs as one step, so a concurrent spend
+	// sees the coins the previous one spent already claimed by the pool
+	// and never picks them again.
 	payMu sync.Mutex
 
 	mu              sync.Mutex
@@ -279,6 +280,16 @@ func (r *Recipient) pay(params script.KeyReleaseParams, price uint64) (*chain.Tx
 		return nil, fmt.Errorf("recipient: submit payment: %w", err)
 	}
 	return payment, nil
+}
+
+// Spending runs fn under the lock key-release payments are built under,
+// for any other transaction funded from the recipient's wallet (a
+// channel's funding): fn's Spendable → Build → Submit then never picks a
+// coin a concurrent payment is spending.
+func (r *Recipient) Spending(fn func() error) error {
+	r.payMu.Lock()
+	defer r.payMu.Unlock()
+	return fn()
 }
 
 // SettleClaim completes the exchange once the gateway's claim is
