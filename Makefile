@@ -85,13 +85,15 @@ lint:
 # Coverage-guided smoke of every hostile-input surface: the script
 # verifier (consensus-critical) plus the decoders fed by
 # unauthenticated peers — directory bindings, channel messages, sync
-# messages, relay and compact-block messages.
+# messages, relay and compact-block messages — and the keygen prime
+# prefilter against its math/big reference.
 fuzz:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=30s -run '^$$' ./internal/script/
 	$(GO) test -fuzz=FuzzDecodeBinding -fuzztime=15s -run '^$$' ./internal/registry/
 	$(GO) test -fuzz=FuzzChannelMsgDecode -fuzztime=15s -run '^$$' ./internal/p2p/
 	$(GO) test -fuzz=FuzzSyncMsgDecode -fuzztime=15s -run '^$$' ./internal/p2p/
 	$(GO) test -fuzz=FuzzRelayMsgDecode -fuzztime=15s -run '^$$' ./internal/p2p/
+	$(GO) test -fuzz=FuzzSPRP2 -fuzztime=15s -run '^$$' ./internal/bccrypto/
 
 # Fault-injection scenario table under the race detector. Every run
 # logs each scenario's RNG seed; replay a failure with

@@ -50,7 +50,7 @@ const baseBlockConnect = `{
 }`
 
 func TestGateBlockConnectPasses(t *testing.T) {
-	// 20% slower and hit rate at 80% of baseline: inside both thresholds.
+	// Hit rate at 80% of baseline: inside the floor. ns/block is not gated.
 	cand := `{
 	  "blocks": 12, "txs_per_block": 24,
 	  "results": [
@@ -68,7 +68,8 @@ func TestGateBlockConnectPasses(t *testing.T) {
 }
 
 func TestGateBlockConnectFlagsRegressions(t *testing.T) {
-	// Sequential row 50% slower, warm row's cache effectively disabled.
+	// Warm row's cache effectively disabled: flagged. Sequential row 50%
+	// slower: a host can do that on its own, so it is not.
 	cand := `{
 	  "blocks": 12, "txs_per_block": 24,
 	  "results": [
@@ -80,11 +81,8 @@ func TestGateBlockConnectFlagsRegressions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(failures) != 2 {
-		t.Fatalf("failures = %v, want ns/op and hit-rate regressions", failures)
-	}
-	if !strings.Contains(failures[0], "ns/block") || !strings.Contains(failures[1], "hit rate") {
-		t.Fatalf("unexpected failure messages: %v", failures)
+	if len(failures) != 1 || !strings.Contains(failures[0], "hit rate") {
+		t.Fatalf("failures = %v, want the hit-rate regression alone", failures)
 	}
 }
 

@@ -132,8 +132,8 @@ var sievePrimes = func() []uint64 {
 // crypto/rand.Prime does — 32 random bytes, top two bits and low bit set
 // — and accepts on the same test, ProbablyPrime(20); what differs is
 // that a draw is sieved against sievePrimes in word arithmetic first,
-// so the test only runs on the few numbers of the window no table
-// prime divides.
+// and that a survivor must pass sprp2 before math/big sees it, so
+// ProbablyPrime runs on little more than the primes themselves.
 type primeSearch struct {
 	buf       [rsa512PrimeLen]byte
 	composite [sieveWindow]bool
@@ -153,19 +153,7 @@ func (ps *primeSearch) next(random io.Reader) (*big.Int, error) {
 		for i := range base {
 			base[i] = binary.BigEndian.Uint64(ps.buf[8*i:])
 		}
-
-		// composite[k] marks base+2k as divisible by a table prime.
-		ps.composite = [sieveWindow]bool{}
-		for _, p := range sievePrimes {
-			var r uint64
-			for _, w := range base {
-				r = bits.Rem64(r, w, p)
-			}
-			// base+2k ≡ 0 (mod p) first at k ≡ −r·2⁻¹, and 2⁻¹ is (p+1)/2.
-			for k := (p - r) % p * ((p + 1) / 2) % p; k < sieveWindow; k += p {
-				ps.composite[k] = true
-			}
-		}
+		ps.sieve(base)
 
 		for k := range ps.composite {
 			if ps.composite[k] {
@@ -178,12 +166,30 @@ func (ps *primeSearch) next(random io.Reader) (*big.Int, error) {
 			if carry != 0 {
 				break // the window ran past 2²⁵⁶
 			}
+			if !sprp2(cand) {
+				continue
+			}
 			for i, w := range cand {
 				binary.BigEndian.PutUint64(ps.buf[8*i:], w)
 			}
 			if ps.cand.SetBytes(ps.buf[:]).ProbablyPrime(20) {
 				return new(big.Int).Set(&ps.cand), nil
 			}
+		}
+	}
+}
+
+// sieve sets composite[k] for every base+2k a table prime divides.
+func (ps *primeSearch) sieve(base [rsa512PrimeLen / 8]uint64) {
+	ps.composite = [sieveWindow]bool{}
+	for _, p := range sievePrimes {
+		var r uint64
+		for _, w := range base {
+			r = bits.Rem64(r, w, p)
+		}
+		// base+2k ≡ 0 (mod p) first at k ≡ −r·2⁻¹, and 2⁻¹ is (p+1)/2.
+		for k := (p - r) % p * ((p + 1) / 2) % p; k < sieveWindow; k += p {
+			ps.composite[k] = true
 		}
 	}
 }

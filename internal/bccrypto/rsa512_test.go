@@ -3,10 +3,14 @@ package bccrypto
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math/big"
 	mrand "math/rand"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -122,6 +126,56 @@ func TestGenerateRSA512SameStreamSameKey(t *testing.T) {
 	}
 	if a.N.Cmp(c.N) == 0 {
 		t.Fatal("different byte streams produced the same key")
+	}
+}
+
+// goldenKeySeeds is how many seeded streams TestGenerateRSA512GoldenKeys
+// pins.
+const goldenKeySeeds = 1000
+
+// TestGenerateRSA512GoldenKeys pins the keys of seeds 1…goldenKeySeeds:
+// testdata/rsa512_golden_keys.sha256 is the SHA-256 over their marshalled
+// private keys, in seed order, recorded before the base-2 prefilter
+// existed. Any change to how a stream becomes a key — the draw, the
+// sieve, which candidates reach ProbablyPrime — shows up here.
+func TestGenerateRSA512GoldenKeys(t *testing.T) {
+	want, err := os.ReadFile("testdata/rsa512_golden_keys.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for seed := int64(1); seed <= goldenKeySeeds; seed++ {
+		key, err := GenerateRSA512(mrand.New(mrand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(MarshalRSA512PrivateKey(key))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != strings.TrimSpace(string(want)) {
+		t.Fatalf("keys of seeds 1…%d hash to %s, golden %s", goldenKeySeeds, got, want)
+	}
+}
+
+// maxAllocsPerKey bounds GenerateRSA512's allocations. With sprp2 in
+// front of ProbablyPrime a key costs ≈ 950; without it every composite
+// sieve survivor reaches math/big and a key costs ≈ 1 520.
+const maxAllocsPerKey = 1200
+
+// TestGenerateRSA512Allocs is the tripwire for composites reaching
+// math/big again; the allocation count of a seeded key stream is
+// deterministic.
+func TestGenerateRSA512Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	stream := mrand.New(mrand.NewSource(11))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := GenerateRSA512(stream); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocsPerKey {
+		t.Fatalf("GenerateRSA512 allocates %.0f times per key, want ≤ %d", allocs, maxAllocsPerKey)
 	}
 }
 

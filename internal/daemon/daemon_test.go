@@ -4,7 +4,9 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/json"
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -278,6 +280,135 @@ func TestFullExchangeOverTCP(t *testing.T) {
 				t.Fatal("exchange never settled")
 			}
 			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
+// rendezvousReader is an entropy source that, once armed, holds its
+// first Read for up to rendezvousWait until a second Read arrives, then
+// lets both go on. A wallet signs — and reads entropy — between
+// Spendable and Submit, so it forces any two spends that are allowed to
+// build at the same time to do so.
+type rendezvousReader struct {
+	mu      sync.Mutex
+	state   int // 0 idle, 1 armed, 2 holding a first reader, 3 spent
+	partner chan struct{}
+}
+
+const rendezvousWait = 200 * time.Millisecond
+
+func (r *rendezvousReader) arm() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.state, r.partner = 1, make(chan struct{})
+}
+
+func (r *rendezvousReader) Read(p []byte) (int, error) {
+	r.mu.Lock()
+	switch r.state {
+	case 1:
+		r.state = 2
+		r.mu.Unlock()
+		select {
+		case <-r.partner:
+		case <-time.After(rendezvousWait):
+		}
+		r.mu.Lock()
+		r.state = 3
+	case 2:
+		r.state = 3
+		close(r.partner)
+	}
+	r.mu.Unlock()
+	return rand.Read(p)
+}
+
+// TestBindingPublishAndPaymentsSpendDistinctCoins republishes a
+// recipient's directory binding while on-chain deliveries pay from the
+// same wallet, with the first signer held until a second spend signs
+// too. The binding and every payment must reach the pool: none may pick
+// a coin another one already spent and be refused as a double spend.
+func TestBindingPublishAndPaymentsSpendDistinctCoins(t *testing.T) {
+	const payments = 8
+	c := newCluster(t)
+	entropy := &rendezvousReader{}
+	rd, err := NewRecipientDaemon(c.rcptd.Node, recipient.DefaultConfig(), "127.0.0.1:0", entropy, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rd.Close() })
+	fund, err := c.funds.BuildPayment(c.master.Ledger().UTXO(), rd.Recipient.Wallet().PubKeyHash(), 100_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.master.Ledger().Submit(fund); err != nil {
+		t.Fatal(err)
+	}
+	c.mine()
+	bindTx, err := rd.PublishBinding(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.waitPooled(c.master, bindTx.ID())
+	c.mine()
+
+	sharedKey := make([]byte, bccrypto.AESKeySize)
+	if _, err := rand.Read(sharedKey); err != nil {
+		t.Fatal(err)
+	}
+	nodeKey, err := bccrypto.GenerateRSA512(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eui := lora.DevEUI{0xc4, 3}
+	dev, err := device.New(device.Provisioning{
+		DevEUI:        eui,
+		SharedKey:     sharedKey,
+		SigningKey:    nodeKey,
+		RecipientAddr: rd.Recipient.Wallet().PubKeyHash(),
+	}, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd.Recipient.Provision(eui, recipient.DeviceInfo{SharedKey: sharedKey, NodePub: nodeKey.Public()})
+	deliveries := make([]*fairex.Delivery, payments)
+	for i := range deliveries {
+		if deliveries[i], _, err = c.gwd.Gateway.HandleData(c.dataFrame(t, dev, []byte(fmt.Sprintf("reading-%d", i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	entropy.arm()
+	txs := make([]*chain.Tx, payments+1) // the binding goes last
+	errs := make([]error, payments+1)
+	var wg sync.WaitGroup
+	wg.Add(payments + 1)
+	go func() {
+		defer wg.Done()
+		txs[payments], errs[payments] = rd.PublishBinding(1)
+	}()
+	for i, d := range deliveries {
+		go func() {
+			defer wg.Done()
+			txs[i], errs[i] = rd.Recipient.HandleDelivery(d)
+		}()
+	}
+	wg.Wait()
+
+	ledger := rd.Node.Ledger()
+	spentBy := make(map[chain.OutPoint]int)
+	for i, tx := range txs {
+		if errs[i] != nil {
+			t.Fatalf("spend %d of %d (the last is the binding): %v", i, payments+1, errs[i])
+		}
+		if _, ok := ledger.PendingTx(tx.ID()); !ok {
+			t.Fatalf("spend %d: not in the pool", i)
+		}
+		for _, in := range tx.Inputs {
+			if j, dup := spentBy[in.Prev]; dup {
+				t.Fatalf("spends %d and %d both spend %v", j, i, in.Prev)
+			}
+			spentBy[in.Prev] = i
 		}
 	}
 }

@@ -280,14 +280,19 @@ func (r *RecipientDaemon) Inbox() []*recipient.Message {
 
 // PublishBinding broadcasts the @R → IP binding transaction (§4.3) and
 // returns it so callers can track its confirmation. The wallet must hold
-// funds for the fee.
+// funds for the fee; the fee is spent under the lock key-release payments
+// are built under.
 func (r *RecipientDaemon) PublishBinding(fee uint64) (*chain.Tx, error) {
 	w := r.Recipient.Wallet()
-	tx, err := registry.BuildPublish(w, r.Node.Ledger().Spendable(w.PubKeyHash()), r.Addr(), fee)
+	var tx *chain.Tx
+	err := r.Recipient.Spending(func() error {
+		var err error
+		if tx, err = registry.BuildPublish(w, r.Node.Ledger().Spendable(w.PubKeyHash()), r.Addr(), fee); err != nil {
+			return err
+		}
+		return r.Node.Ledger().Submit(tx)
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := r.Node.Ledger().Submit(tx); err != nil {
 		return nil, err
 	}
 	return tx, nil

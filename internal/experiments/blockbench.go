@@ -282,8 +282,6 @@ func WriteBlockConnect(w io.Writer, doc *BlockConnectDoc) {
 // The thresholds are loose so shared CI runners do not flake; a genuine
 // algorithmic regression overshoots them by orders of magnitude.
 const (
-	// maxConnectRegression is the allowed ns/block increase over baseline.
-	maxConnectRegression = 0.25
 	// minSigCacheHitFrac floors the candidate's hit rate as a fraction of
 	// the baseline's.
 	minSigCacheHitFrac = 0.75
@@ -293,10 +291,12 @@ const (
 )
 
 // gateBlockConnect matches candidate rows to baseline rows by
-// (workers, warm) and flags any ns/op regression beyond
-// maxConnectRegression or any hit rate falling below minSigCacheHitFrac
+// (workers, warm) and flags any hit rate falling below minSigCacheHitFrac
 // of the baseline's. Rows only one side has are ignored: sweeping a new
-// worker count must not fail the gate.
+// worker count must not fail the gate. ns/block is reported, not gated:
+// an absolute time against a file recorded on another day measures the
+// host as much as the code, and throughput is gated instead by the
+// same-run ratio of gateConnectScaling.
 func gateBlockConnect(base, cand *BlockConnectDoc) ([]string, error) {
 	if base.Blocks != cand.Blocks || base.TxsPerBlock != cand.TxsPerBlock || base.Repeats != cand.Repeats {
 		return nil, fmt.Errorf("workload mismatch: baseline %dx%d best-of-%d vs candidate %dx%d best-of-%d — regenerate the baseline",
@@ -319,12 +319,6 @@ func gateBlockConnect(base, cand *BlockConnectDoc) ([]string, error) {
 			continue
 		}
 		matched++
-		if b.NsPerBlock > 0 && float64(c.NsPerBlock) > float64(b.NsPerBlock)*(1+maxConnectRegression) {
-			failures = append(failures, fmt.Sprintf(
-				"block connect workers=%d warm=%v: %d ns/block vs baseline %d (+%.0f%%, allowed +%.0f%%)",
-				c.Workers, c.Warm, c.NsPerBlock, b.NsPerBlock,
-				100*(float64(c.NsPerBlock)/float64(b.NsPerBlock)-1), 100*maxConnectRegression))
-		}
 		if b.SigCacheHitRate > 0 && c.SigCacheHitRate < b.SigCacheHitRate*minSigCacheHitFrac {
 			failures = append(failures, fmt.Sprintf(
 				"sig cache workers=%d warm=%v: hit rate %.2f vs baseline %.2f (floor %.2f)",

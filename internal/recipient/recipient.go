@@ -284,8 +284,8 @@ func (r *Recipient) pay(params script.KeyReleaseParams, price uint64) (*chain.Tx
 
 // Spending runs fn under the lock key-release payments are built under,
 // for any other transaction funded from the recipient's wallet (a
-// channel's funding): fn's Spendable → Build → Submit then never picks a
-// coin a concurrent payment is spending.
+// channel's funding, a directory binding): fn's Spendable → Build →
+// Submit then never picks a coin a concurrent payment is spending.
 func (r *Recipient) Spending(fn func() error) error {
 	r.payMu.Lock()
 	defer r.payMu.Unlock()
