@@ -94,6 +94,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSyncMsgDecode -fuzztime=15s -run '^$$' ./internal/p2p/
 	$(GO) test -fuzz=FuzzRelayMsgDecode -fuzztime=15s -run '^$$' ./internal/p2p/
 	$(GO) test -fuzz=FuzzSPRP2 -fuzztime=15s -run '^$$' ./internal/bccrypto/
+	$(GO) test -fuzz=FuzzLogReplay -fuzztime=15s -run '^$$' ./internal/durable/
 
 # Fault-injection scenario table under the race detector. Every run
 # logs each scenario's RNG seed; replay a failure with

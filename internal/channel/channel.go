@@ -85,16 +85,16 @@ func (s Status) String() string {
 // Params are the immutable terms fixed at channel open.
 type Params struct {
 	// GatewayPub is the payee's EC public key.
-	GatewayPub []byte
+	GatewayPub []byte `json:"gatewayPub"`
 	// RecipientPub is the funder/payer's EC public key.
-	RecipientPub []byte
+	RecipientPub []byte `json:"recipientPub"`
 	// Capacity is the value locked in the funding output.
-	Capacity uint64
+	Capacity uint64 `json:"capacity"`
 	// CloseFee is the miner fee every commitment transaction pays.
-	CloseFee uint64
+	CloseFee uint64 `json:"closeFee"`
 	// RefundHeight is the absolute height at which the funder may
 	// reclaim the capacity unilaterally.
-	RefundHeight int64
+	RefundHeight int64 `json:"refundHeight"`
 }
 
 // ScriptParams converts the channel terms into the funding script
@@ -113,35 +113,35 @@ func (p Params) ScriptParams() script.ChannelParams {
 // AckedVersion/AckedPaid (payer side: the prefix the payee has confirmed).
 type State struct {
 	// ID is the funding transaction id; the funding output is (ID, 0).
-	ID chain.Hash
+	ID chain.Hash `json:"-"`
 	Params
 	// Role the local endpoint plays.
-	Role Role
+	Role Role `json:"role"`
 	// Version is the highest commitment version this endpoint has signed
 	// (payer) or verified and countersigned (payee). Version 0 means no
 	// off-chain update has happened yet.
-	Version uint64
+	Version uint64 `json:"version"`
 	// Paid is the cumulative amount paid to the gateway at Version.
-	Paid uint64
+	Paid uint64 `json:"paid"`
 	// RecipientSig and GatewaySig sign the Version commitment. The payee
 	// always holds both for its Version; the payer holds GatewaySig only
 	// up to AckedVersion.
-	RecipientSig []byte
-	GatewaySig   []byte
+	RecipientSig []byte `json:"recipientSig,omitempty"`
+	GatewaySig   []byte `json:"gatewaySig,omitempty"`
 	// AckedVersion/AckedPaid (payer only): highest version for which the
 	// gateway's countersignature has been received. Paid - AckedPaid is
 	// the in-flight delta — the payer's maximum possible loss.
-	AckedVersion uint64
-	AckedPaid    uint64
+	AckedVersion uint64 `json:"ackedVersion"`
+	AckedPaid    uint64 `json:"ackedPaid"`
 	// AckedRecipientSig/AckedGatewaySig (payer only) are the signature
 	// pair of the AckedVersion commitment. They survive SignUpdate so the
 	// payer can always close unilaterally at its acked balance even while
 	// a newer update is in flight unacknowledged.
-	AckedRecipientSig []byte
-	AckedGatewaySig   []byte
-	Status            Status
+	AckedRecipientSig []byte `json:"ackedRecipientSig,omitempty"`
+	AckedGatewaySig   []byte `json:"ackedGatewaySig,omitempty"`
+	Status            Status `json:"status"`
 	// PeerAddr is the p2p address of the remote endpoint, when known.
-	PeerAddr string
+	PeerAddr string `json:"peerAddr,omitempty"`
 }
 
 // Role distinguishes the two channel endpoints.

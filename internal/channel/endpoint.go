@@ -42,15 +42,14 @@ func OpenPayer(w *wallet.Wallet, ledger fairex.Ledger, store *Store, gatewayPub 
 	if err := ledger.Submit(funding); err != nil {
 		return nil, nil, fmt.Errorf("channel: submit funding: %w", err)
 	}
-	st := &State{
+	p := &Payer{st: new(State), wallet: w, ledger: ledger, store: store}
+	if err := commit(p.store, p.st, State{
 		ID:       funding.ID(),
 		Params:   params,
 		Role:     RolePayer,
 		Status:   StatusOpen,
 		PeerAddr: peerAddr,
-	}
-	p := &Payer{st: st, wallet: w, ledger: ledger, store: store}
-	if err := p.persist(); err != nil {
+	}); err != nil {
 		return nil, nil, err
 	}
 	return p, funding, nil
@@ -95,15 +94,13 @@ func (p *Payer) SignUpdate(delta uint64) (*Update, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.st.Version = version
-	p.st.Paid = paid
-	p.st.RecipientSig = sig
-	p.st.GatewaySig = nil
-	if err := p.persist(); err != nil {
+	next := *p.st
+	next.Version, next.Paid, next.RecipientSig, next.GatewaySig = version, paid, sig, nil
+	if err := commit(p.store, p.st, next); err != nil {
 		return nil, err
 	}
 	return &Update{
-		ChannelID:    p.st.ID,
+		ChannelID:    next.ID,
 		Version:      version,
 		Paid:         paid,
 		RecipientSig: sig,
@@ -129,16 +126,17 @@ func (p *Payer) NoteAck(version uint64, gatewaySig []byte) error {
 	if !bccrypto.VerifyECDigest(p.st.GatewayPub, digest[:], gatewaySig) {
 		return fmt.Errorf("%w: gateway countersignature", ErrBadSignature)
 	}
-	p.st.GatewaySig = append([]byte(nil), gatewaySig...)
-	p.st.AckedVersion = version
-	p.st.AckedPaid = p.st.Paid
+	next := *p.st
+	next.GatewaySig = append([]byte(nil), gatewaySig...)
+	next.AckedVersion = version
+	next.AckedPaid = next.Paid
 	// Keep the full signature pair of the acked commitment: SignUpdate
 	// drops GatewaySig for the next version, and without this copy an
 	// unacked in-flight update would leave the payer with no broadcastable
 	// commitment at all.
-	p.st.AckedRecipientSig = append([]byte(nil), p.st.RecipientSig...)
-	p.st.AckedGatewaySig = append([]byte(nil), gatewaySig...)
-	return p.persist()
+	next.AckedRecipientSig = append([]byte(nil), next.RecipientSig...)
+	next.AckedGatewaySig = append([]byte(nil), gatewaySig...)
+	return commit(p.store, p.st, next)
 }
 
 // UnilateralClose broadcasts the commitment at the payer's highest
@@ -159,8 +157,7 @@ func (p *Payer) UnilateralClose() (*chain.Tx, error) {
 	if err := p.ledger.Submit(tx); err != nil {
 		return nil, fmt.Errorf("channel: submit unilateral close: %w", err)
 	}
-	p.st.Status = StatusClosed
-	if err := p.persist(); err != nil {
+	if err := commit(p.store, p.st, withStatus(*p.st, StatusClosed)); err != nil {
 		return nil, err
 	}
 	return tx, nil
@@ -189,8 +186,7 @@ func (p *Payer) Refund(fee uint64) (*chain.Tx, error) {
 	if err := p.ledger.Submit(tx); err != nil {
 		return nil, fmt.Errorf("channel: submit refund: %w", err)
 	}
-	p.st.Status = StatusRefunded
-	if err := p.persist(); err != nil {
+	if err := commit(p.store, p.st, withStatus(*p.st, StatusRefunded)); err != nil {
 		return nil, err
 	}
 	return tx, nil
@@ -201,17 +197,27 @@ func (p *Payer) MarkClosing() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.st.Status == StatusOpen {
-		p.st.Status = StatusClosing
-		return p.persist()
+		return commit(p.store, p.st, withStatus(*p.st, StatusClosing))
 	}
 	return nil
 }
 
-func (p *Payer) persist() error {
-	if p.store == nil {
-		return nil
+// commit saves next, then makes it *st: a failed save leaves the
+// endpoint's memory exactly as far along as its disk.
+func commit(store *Store, st *State, next State) error {
+	if store != nil {
+		if err := store.Save(&next); err != nil {
+			return err
+		}
 	}
-	return p.store.Save(p.st)
+	*st = next
+	return nil
+}
+
+// withStatus returns st moved to status s.
+func withStatus(st State, s Status) State {
+	st.Status = s
+	return st
 }
 
 // Payee is the gateway-side channel endpoint: it verifies and countersigns
@@ -261,15 +267,14 @@ func AcceptPayee(w *wallet.Wallet, ledger fairex.Ledger, store *Store, funding *
 			}
 		}
 	}
-	st := &State{
+	g := &Payee{st: new(State), wallet: w, ledger: ledger, store: store}
+	if err := commit(g.store, g.st, State{
 		ID:       funding.ID(),
 		Params:   p,
 		Role:     RolePayee,
 		Status:   StatusOpen,
 		PeerAddr: peerAddr,
-	}
-	g := &Payee{st: st, wallet: w, ledger: ledger, store: store}
-	if err := g.persist(); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -326,11 +331,10 @@ func (g *Payee) ApplyUpdate(u *Update) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.st.Version = u.Version
-	g.st.Paid = u.Paid
-	g.st.RecipientSig = append([]byte(nil), u.RecipientSig...)
-	g.st.GatewaySig = gwSig
-	if err := g.persist(); err != nil {
+	next := *g.st
+	next.Version, next.Paid = u.Version, u.Paid
+	next.RecipientSig, next.GatewaySig = append([]byte(nil), u.RecipientSig...), gwSig
+	if err := commit(g.store, g.st, next); err != nil {
 		return nil, err
 	}
 	return gwSig, nil
@@ -353,8 +357,7 @@ func (g *Payee) Close() (*chain.Tx, error) {
 	if err := g.ledger.Submit(tx); err != nil {
 		return nil, fmt.Errorf("channel: submit close: %w", err)
 	}
-	g.st.Status = StatusClosed
-	if err := g.persist(); err != nil {
+	if err := commit(g.store, g.st, withStatus(*g.st, StatusClosed)); err != nil {
 		return nil, err
 	}
 	return tx, nil
@@ -370,13 +373,5 @@ func (g *Payee) Abandon() error {
 	if g.st.Status != StatusOpen {
 		return nil
 	}
-	g.st.Status = StatusClosed
-	return g.persist()
-}
-
-func (g *Payee) persist() error {
-	if g.store == nil {
-		return nil
-	}
-	return g.store.Save(g.st)
+	return commit(g.store, g.st, withStatus(*g.st, StatusClosed))
 }

@@ -1,176 +1,177 @@
 package channel
 
 import (
-	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"bcwan/internal/chain"
+	"bcwan/internal/durable"
 )
 
-// Store persists channel states as one JSON file per channel, written
-// atomically (temp file + rename) so a crash mid-write never corrupts the
-// previous state. Both endpoints persist BEFORE acting on a state change:
-// the payee saves the countersigned version before disclosing a key, and
-// the payer saves a signed update before sending it, so a restart always
-// knows the exact in-flight window.
+// Store persists channel states in one append-only log, channels.log, in
+// the durable package's CRC-framed format. Save appends the whole state
+// as one JSON record under one fsync; Load replays the log, and the last
+// record of each (ID, Role) wins — the payer and the payee of one channel
+// may share a store. Every compactEvery appends the log is rewritten
+// atomically with only those records.
+//
+// Both endpoints persist BEFORE acting on a state change: the payee saves
+// the countersigned version before disclosing a key, and the payer saves
+// a signed update before sending it, so a restart always knows the exact
+// in-flight window.
 type Store struct {
-	dir string
+	log *durable.Log
+
+	// mu guards the log and the fields below.
+	mu      sync.Mutex
+	closed  bool
+	latest  [][]byte         // the newest record of each endpoint
+	index   map[stateKey]int // position of an endpoint in latest
+	appends int              // records appended since the last rewrite
 }
 
-// OpenStore creates (if needed) and opens a channel state directory.
+// stateKey names one endpoint's state in a store.
+type stateKey struct {
+	id   chain.Hash
+	role Role
+}
+
+// compactEvery is how many appends trigger a rewrite of the log.
+const compactEvery = 64
+
+// maxStateRecord bounds one encoded state.
+const maxStateRecord = 64 << 10
+
+var logMagic = []byte("BCWANCHAN1\n")
+
+var errStoreClosed = errors.New("channel: store closed")
+
+// OpenStore creates (if needed) and opens a channel state directory. A
+// directory still holding a pre-log per-channel JSON state is refused:
+// silently dropping a countersigned state would break the bounded-loss
+// promise.
 func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("channel: open store: %w", err)
 	}
-	return &Store{dir: dir}, nil
-}
-
-// stateJSON is the serialized form of State: fixed-size byte arrays as
-// hex, everything else verbatim.
-type stateJSON struct {
-	ID                string `json:"id"`
-	GatewayPub        []byte `json:"gatewayPub"`
-	RecipientPub      []byte `json:"recipientPub"`
-	Capacity          uint64 `json:"capacity"`
-	CloseFee          uint64 `json:"closeFee"`
-	RefundHeight      int64  `json:"refundHeight"`
-	Role              uint8  `json:"role"`
-	Version           uint64 `json:"version"`
-	Paid              uint64 `json:"paid"`
-	RecipientSig      []byte `json:"recipientSig,omitempty"`
-	GatewaySig        []byte `json:"gatewaySig,omitempty"`
-	AckedVersion      uint64 `json:"ackedVersion"`
-	AckedPaid         uint64 `json:"ackedPaid"`
-	AckedRecipientSig []byte `json:"ackedRecipientSig,omitempty"`
-	AckedGatewaySig   []byte `json:"ackedGatewaySig,omitempty"`
-	Status            uint8  `json:"status"`
-	PeerAddr          string `json:"peerAddr,omitempty"`
-}
-
-func toJSON(st *State) *stateJSON {
-	return &stateJSON{
-		ID:                st.ID.String(),
-		GatewayPub:        st.GatewayPub,
-		RecipientPub:      st.RecipientPub,
-		Capacity:          st.Capacity,
-		CloseFee:          st.CloseFee,
-		RefundHeight:      st.RefundHeight,
-		Role:              uint8(st.Role),
-		Version:           st.Version,
-		Paid:              st.Paid,
-		RecipientSig:      st.RecipientSig,
-		GatewaySig:        st.GatewaySig,
-		AckedVersion:      st.AckedVersion,
-		AckedPaid:         st.AckedPaid,
-		AckedRecipientSig: st.AckedRecipientSig,
-		AckedGatewaySig:   st.AckedGatewaySig,
-		Status:            uint8(st.Status),
-		PeerAddr:          st.PeerAddr,
-	}
-}
-
-func fromJSON(j *stateJSON) (*State, error) {
-	id, err := chain.HashFromString(j.ID)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("channel: bad state id: %w", err)
+		return nil, fmt.Errorf("channel: open store: %w", err)
 	}
-	return &State{
-		ID: id,
-		Params: Params{
-			GatewayPub:   j.GatewayPub,
-			RecipientPub: j.RecipientPub,
-			Capacity:     j.Capacity,
-			CloseFee:     j.CloseFee,
-			RefundHeight: j.RefundHeight,
-		},
-		Role:              Role(j.Role),
-		Version:           j.Version,
-		Paid:              j.Paid,
-		RecipientSig:      j.RecipientSig,
-		GatewaySig:        j.GatewaySig,
-		AckedVersion:      j.AckedVersion,
-		AckedPaid:         j.AckedPaid,
-		AckedRecipientSig: j.AckedRecipientSig,
-		AckedGatewaySig:   j.AckedGatewaySig,
-		Status:            Status(j.Status),
-		PeerAddr:          j.PeerAddr,
-	}, nil
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".json") {
+			return nil, fmt.Errorf("channel: open store: %s is a pre-log channel state, which this version does not read",
+				filepath.Join(dir, e.Name()))
+		}
+	}
+	log, err := durable.OpenLog(filepath.Join(dir, "channels.log"), logMagic, maxStateRecord)
+	if err != nil {
+		return nil, fmt.Errorf("channel: open store: %w", err)
+	}
+	s := &Store{log: log}
+	if _, err := s.Load(); err != nil {
+		log.Close()
+		return nil, err
+	}
+	return s, nil
 }
 
-func (s *Store) path(id chain.Hash, role Role) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s-%s.json", hex.EncodeToString(id[:8]), role))
+// stateJSON is the record form of State: the funding id as hex, every
+// other field under its tag.
+type stateJSON struct {
+	ID string `json:"id"`
+	*State
 }
 
-// Save atomically and durably writes a channel state. Payer and payee
-// states are kept in separate files so one process acting as both sides
-// of different channels never collides. The temp file is fsynced before
-// the rename and the directory after it: the protocol releases keys and
-// signatures on the wire immediately after Save returns, so the persist
-// must survive power loss, not just a process crash.
+// Save durably records a channel state: one append and one fsync. The
+// protocol releases keys and signatures on the wire immediately after
+// Save returns, so the state must survive power loss, not just a process
+// crash.
 func (s *Store) Save(st *State) error {
-	data, err := json.MarshalIndent(toJSON(st), "", "  ")
+	rec, err := json.Marshal(stateJSON{ID: st.ID.String(), State: st})
 	if err != nil {
 		return fmt.Errorf("channel: marshal state: %w", err)
 	}
-	path := s.path(st.ID, st.Role)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("channel: write state: %w", err)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return errStoreClosed
 	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return fmt.Errorf("channel: write state: %w", err)
+	// Rewrite before appending, so a failed rewrite leaves nothing new on
+	// disk and the caller's state unchanged.
+	if s.appends >= compactEvery {
+		if err := s.log.Rewrite(s.latest); err != nil {
+			return fmt.Errorf("channel: compact store: %w", err)
+		}
+		s.appends = 0
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("channel: sync state: %w", err)
+	if err := s.log.Append(rec); err != nil {
+		return fmt.Errorf("channel: save state: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("channel: write state: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("channel: commit state: %w", err)
-	}
-	dir, err := os.Open(s.dir)
-	if err != nil {
-		return fmt.Errorf("channel: sync store dir: %w", err)
-	}
-	defer dir.Close()
-	if err := dir.Sync(); err != nil {
-		return fmt.Errorf("channel: sync store dir: %w", err)
+	s.appends++
+	k := stateKey{st.ID, st.Role}
+	if i, ok := s.index[k]; ok {
+		s.latest[i] = rec
+	} else {
+		s.index[k] = len(s.latest)
+		s.latest = append(s.latest, rec)
 	}
 	return nil
 }
 
-// Load reads every channel state in the store.
+// Load replays the log and returns the latest state of every endpoint in
+// the store. A torn tail record is cut away; a record that passes its
+// checksum but does not parse is an error.
 func (s *Store) Load() ([]*State, error) {
-	entries, err := os.ReadDir(s.dir)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, errStoreClosed
+	}
+	recs, err := s.log.Replay()
 	if err != nil {
-		return nil, fmt.Errorf("channel: read store: %w", err)
+		return nil, fmt.Errorf("channel: load store: %w", err)
 	}
 	var states []*State
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
+	var latest [][]byte
+	index := make(map[stateKey]int)
+	for _, rec := range recs {
+		j := stateJSON{State: new(State)}
+		if err := json.Unmarshal(rec, &j); err != nil {
+			return nil, fmt.Errorf("channel: parse state: %w", err)
+		}
+		st := j.State
+		if st.ID, err = chain.HashFromString(j.ID); err != nil {
+			return nil, fmt.Errorf("channel: bad state id: %w", err)
+		}
+		k := stateKey{st.ID, st.Role}
+		if i, ok := index[k]; ok {
+			states[i], latest[i] = st, rec
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(s.dir, e.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("channel: read state %s: %w", e.Name(), err)
-		}
-		var j stateJSON
-		if err := json.Unmarshal(data, &j); err != nil {
-			return nil, fmt.Errorf("channel: parse state %s: %w", e.Name(), err)
-		}
-		st, err := fromJSON(&j)
-		if err != nil {
-			return nil, err
-		}
+		index[k] = len(states)
 		states = append(states, st)
+		latest = append(latest, rec)
 	}
+	s.latest, s.index, s.appends = latest, index, len(recs)
 	return states, nil
+}
+
+// Syncs returns how many append fsyncs the store has issued.
+func (s *Store) Syncs() uint64 { return s.log.Syncs() }
+
+// Close closes the log. Every returned Save is already durable.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	return s.log.Close()
 }

@@ -3,18 +3,21 @@ package chaos
 import (
 	"fmt"
 	mrand "math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"bcwan/internal/chain"
+	"bcwan/internal/channel"
 	"bcwan/internal/daemon"
 	"bcwan/internal/script"
 	"bcwan/internal/wallet"
 )
 
-// Store crash scenarios: the daemon store's append path (DESIGN.md §16)
+// Store crash scenarios: the one store format (DESIGN.md §19)
 // must keep its durability promise through power cuts. AppendBlock
 // returning nil means the record survived an fsync — so after a crash
 // that tears the tail of blocks.log mid-write, recovery must replay
@@ -108,6 +111,8 @@ func buildStoreScenario(t *testing.T, name string, seed int64, n int) *storeScen
 
 func TestStoreCrashScenarios(t *testing.T) {
 	t.Run("torn-tail", testStoreTornTail)
+	t.Run("channel-torn-tail", testChannelStoreTornTail)
+	t.Run("channel-legacy-state", testChannelStoreLegacyState)
 }
 
 // testStoreTornTail loops crash/recover rounds against one on-disk
@@ -214,5 +219,112 @@ func testStoreTornTail(t *testing.T) {
 	}
 	if err := replica.CheckConsistency(); err != nil {
 		s.failf("final chain inconsistent: %v", err)
+	}
+}
+
+// testChannelStoreTornTail cuts the last record of channels.log at every
+// byte offset. The payer and payee of one channel share the store and
+// save alternately, past the store's compaction interval, so the cut
+// lands in a rewritten log. After each cut, reopening must return the
+// payee's previous state and the payer's latest, the torn tail must be
+// gone, and the next save must survive another reopen.
+func testChannelStoreTornTail(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "channels.log")
+	id := chain.Hash{0xc4, 7}
+	state := func(role channel.Role, version uint64) *channel.State {
+		return &channel.State{ID: id, Role: role, Status: channel.StatusOpen,
+			Version: version, Paid: chanPrice * version, RecipientSig: []byte{byte(version)}}
+	}
+	open := func() *channel.Store {
+		t.Helper()
+		st, err := channel.OpenStore(dir)
+		if err != nil {
+			t.Fatalf("open store: %v", err)
+		}
+		return st
+	}
+	// versions returns the stored version of each role.
+	versions := func(st *channel.Store) map[channel.Role]uint64 {
+		t.Helper()
+		states, err := st.Load()
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		got := make(map[channel.Role]uint64)
+		for _, s := range states {
+			got[s.Role] = s.Version
+		}
+		return got
+	}
+
+	const last = 40
+	st := open()
+	var before int64
+	for v := uint64(1); v <= last; v++ {
+		if err := st.Save(state(channel.RolePayer, v)); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = info.Size()
+		if err := st.Save(state(channel.RolePayee, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs := int64(len(full)) / (int64(len(full)) - before); recs >= last {
+		t.Fatalf("log holds about %d records after %d saves: it was never compacted", recs, 2*last)
+	}
+
+	for cut := before; cut < int64(len(full)); cut++ {
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st := open()
+		if got := versions(st); got[channel.RolePayer] != last || got[channel.RolePayee] != last-1 {
+			t.Fatalf("cut at %d of %d: reloaded versions %v, want payer %d and payee %d",
+				cut-before, int64(len(full))-before, got, last, last-1)
+		}
+		if info, err := os.Stat(path); err != nil || info.Size() != before {
+			t.Fatalf("cut at %d: torn tail left on disk (%v, %v)", cut-before, info.Size(), err)
+		}
+		if err := st.Save(state(channel.RolePayee, last)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st = open()
+		if got := versions(st); got[channel.RolePayee] != last {
+			t.Fatalf("cut at %d: payee at version %d after re-saving %d", cut-before, got[channel.RolePayee], last)
+		}
+		st.Close()
+	}
+}
+
+// testChannelStoreLegacyState opens a store directory that still holds a
+// pre-log per-channel JSON state. The store must refuse it by name before
+// writing anything: silently starting empty would drop a countersigned
+// state.
+func testChannelStoreLegacyState(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "c407000000000000-payee.json")
+	if err := os.WriteFile(legacy, []byte(`{"id":"c407","version":4}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := channel.OpenStore(dir); err == nil || !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("open over a legacy state: err = %v, want a refusal naming %s", err, legacy)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "channels.log")); !os.IsNotExist(err) {
+		t.Fatalf("refused store still created its log (%v)", err)
 	}
 }

@@ -237,6 +237,14 @@ func (m *ChannelManager) reload() error {
 	return nil
 }
 
+// close closes the channel store; its node calls it on shutdown.
+func (m *ChannelManager) close() error {
+	if m.store == nil {
+		return nil
+	}
+	return m.store.Close()
+}
+
 // send delivers a direct message, dialing the peer first if the overlay
 // has no live connection yet.
 func (m *ChannelManager) send(addr, msgType string, payload []byte) bool {
@@ -461,6 +469,10 @@ func (m *ChannelManager) SettleDelivery(d *fairex.Delivery) (*ChannelSettlement,
 	}
 	u, err := payer.SignUpdate(d.Price)
 	if err != nil {
+		// The state did not move, and the caller now pays this delivery
+		// on-chain: retire the channel as after any failed round, so the
+		// next delivery does not ride on a store that just failed.
+		m.retirePayer(payer)
 		return nil, err
 	}
 	waiter := make(chan *p2p.MsgChannelUpdateAck, 1)

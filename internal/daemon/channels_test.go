@@ -5,6 +5,8 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -24,16 +26,19 @@ import (
 )
 
 // enableChannels switches both cluster daemons to channel settlement with
-// short timeouts, returning the two managers.
+// short timeouts and on-disk stores, returning the two managers.
 func (c *cluster) enableChannels(t *testing.T) (gw, rcpt *ChannelManager) {
 	t.Helper()
 	ccfg := DefaultChannelConfig()
 	ccfg.OpenTimeout = 5 * time.Second
 	ccfg.UpdateTimeout = 5 * time.Second
+	dir := t.TempDir()
+	ccfg.StoreDir = filepath.Join(dir, "gateway")
 	gw, err := c.gwd.EnableChannels(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ccfg.StoreDir = filepath.Join(dir, "recipient")
 	rcpt, err = c.rcptd.EnableChannels(ccfg)
 	if err != nil {
 		t.Fatal(err)
@@ -107,17 +112,29 @@ func (c *cluster) publishBinding(t *testing.T) {
 
 // TestChannelDeliveryEndToEnd streams several deliveries through one
 // payment channel — no block is mined between them — then settles the
-// whole batch with a single on-chain close.
+// whole batch with a single on-chain close. Each channel-settled delivery
+// costs exactly three append fsyncs: the payer's signed update, the
+// payee's countersigned one, and the payer's ack.
 func TestChannelDeliveryEndToEnd(t *testing.T) {
 	c := newCluster(t)
-	_, rcptMgr := c.enableChannels(t)
+	gwMgr, rcptMgr := c.enableChannels(t)
 	c.publishBinding(t)
 	dev := c.provisionSensor(t, lora.DevEUI{0xc4, 1})
 
 	const deliveries = 3
 	heightBefore := c.master.Chain().Height()
-	for i := 0; i < deliveries; i++ {
+	// The first delivery also opens the channel; count the rest, far
+	// fewer appends than a store's compaction interval.
+	c.uplink(t, dev, []byte("reading"))
+	gwSyncs, rcptSyncs := gwMgr.store.Syncs(), rcptMgr.store.Syncs()
+	for i := 1; i < deliveries; i++ {
 		c.uplink(t, dev, []byte("reading"))
+	}
+	if got := gwMgr.store.Syncs() - gwSyncs; got != deliveries-1 {
+		t.Fatalf("payee store: %d fsyncs for %d deliveries, want 1 each", got, deliveries-1)
+	}
+	if got := rcptMgr.store.Syncs() - rcptSyncs; got != 2*(deliveries-1) {
+		t.Fatalf("payer store: %d fsyncs for %d deliveries, want 2 each", got, deliveries-1)
 	}
 	// Every delivery settled synchronously off-chain: the plaintext is in
 	// the inbox already, with zero blocks mined in between.
@@ -177,6 +194,61 @@ func TestChannelDeliveryEndToEnd(t *testing.T) {
 	}
 	if status := info.(ChannelSummary).Status; status == "open" {
 		t.Fatalf("channel still open after close (status %q)", status)
+	}
+}
+
+// TestChannelFailedSignPaysOnePrice fails the payer's persist mid-stream.
+// The failed SignUpdate must leave the channel state as it was and retire
+// the channel: the delivery falls back on-chain, and the next channel
+// update pays one price, not the failed delivery's price on top.
+func TestChannelFailedSignPaysOnePrice(t *testing.T) {
+	c := newCluster(t)
+	gwMgr, rcptMgr := c.enableChannels(t)
+	c.publishBinding(t)
+	dev := c.provisionSensor(t, lora.DevEUI{0xc4, 3})
+	price := gateway.DefaultConfig().Price
+
+	c.uplink(t, dev, []byte("reading-1"))
+	rcptMgr.mu.Lock()
+	var payer *channel.Payer
+	for _, p := range rcptMgr.payers {
+		payer = p
+	}
+	rcptMgr.mu.Unlock()
+	before := payer.State()
+
+	// settleMu orders the store swaps with the settling rounds.
+	rcptMgr.settleMu.Lock()
+	if err := rcptMgr.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rcptMgr.settleMu.Unlock()
+	c.uplink(t, dev, []byte("reading-2"))
+	if after := payer.State(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("failed persist moved the payer: version %d paid %d, was %d/%d",
+			after.Version, after.Paid, before.Version, before.Paid)
+	}
+	if got := c.gwd.Gateway.Stats.Claims; got != 1 {
+		t.Fatalf("gateway on-chain claims = %d, want the failed delivery's 1", got)
+	}
+
+	rcptMgr.settleMu.Lock()
+	store, err := channel.OpenStore(rcptMgr.cfg.StoreDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rcptMgr.store = store
+	rcptMgr.settleMu.Unlock()
+	c.uplink(t, dev, []byte("reading-3"))
+
+	var paid uint64
+	gwMgr.mu.Lock()
+	for _, g := range gwMgr.payees {
+		paid += g.State().Paid
+	}
+	gwMgr.mu.Unlock()
+	if paid != 2*price {
+		t.Fatalf("gateway channels hold %d for 2 channel-settled deliveries, want %d", paid, 2*price)
 	}
 }
 

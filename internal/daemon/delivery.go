@@ -52,7 +52,7 @@ func (g *GatewayDaemon) EnableChannels(cfg ChannelConfig) (*ChannelManager, erro
 		return nil, err
 	}
 	g.channels = mgr
-	g.Node.setChannelOps(mgr)
+	g.Node.setChannels(mgr)
 	return mgr, nil
 }
 
@@ -226,7 +226,7 @@ func (r *RecipientDaemon) EnableChannels(cfg ChannelConfig) (*ChannelManager, er
 		return nil, err
 	}
 	r.channels = mgr
-	r.Node.setChannelOps(mgr)
+	r.Node.setChannels(mgr)
 	return mgr, nil
 }
 

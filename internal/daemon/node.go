@@ -110,9 +110,9 @@ type Node struct {
 	mu        sync.Mutex
 	orphans   map[chain.Hash]*chain.Block // blocks waiting for their parent
 	orphanTxs map[chain.Hash]*chain.Tx    // txs whose inputs are not visible yet
-	// channelOps is the channel subsystem's RPC surface, installed late
-	// by EnableChannels (the RPC server starts in NewNode).
-	channelOps rpc.ChannelOps
+	// channels is the channel subsystem behind the RPC surface, installed
+	// late by EnableChannels (the RPC server starts in NewNode).
+	channels *ChannelManager
 	// pendingCmpct tracks compact blocks awaiting a blocktxn response.
 	pendingCmpct map[chain.Hash]*pendingCompact
 
@@ -233,18 +233,21 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 // Telemetry returns the node's metrics registry.
 func (n *Node) Telemetry() *telemetry.Registry { return n.reg }
 
-// setChannelOps installs the channel subsystem behind the openchannel /
-// getchannelinfo / closechannel RPC methods.
-func (n *Node) setChannelOps(ops rpc.ChannelOps) {
+// setChannels installs the channel subsystem behind the openchannel /
+// getchannelinfo / closechannel RPC methods; the node closes its store.
+func (n *Node) setChannels(m *ChannelManager) {
 	n.mu.Lock()
-	n.channelOps = ops
+	n.channels = m
 	n.mu.Unlock()
 }
 
 func (n *Node) getChannelOps() rpc.ChannelOps {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.channelOps
+	if n.channels == nil {
+		return nil
+	}
+	return n.channels
 }
 
 // Open attaches persistence rooted at dataDir: the incremental store
@@ -419,6 +422,14 @@ func (n *Node) Close() error {
 	n.mu.Unlock()
 	n.rpcSrv.Close()
 	err := n.gossip.Close()
+	n.mu.Lock()
+	channels := n.channels
+	n.mu.Unlock()
+	if channels != nil {
+		if cerr := channels.close(); err == nil {
+			err = cerr
+		}
+	}
 	if n.store != nil {
 		if serr := n.store.Close(); err == nil {
 			err = serr

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"bcwan/internal/durable"
 )
 
 // Tests for the store's append path: one fsync per returned
@@ -27,7 +29,8 @@ func TestSequentialAppendsSyncOncePerRecord(t *testing.T) {
 func TestConcurrentAppendsEachSync(t *testing.T) {
 	const n = 8
 	c, genesis, miners := storedChain(t, n)
-	st, err := OpenStore(t.TempDir())
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +64,7 @@ func TestConcurrentAppendsEachSync(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := OpenStore(st.Dir())
+	st2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,17 +97,17 @@ func TestAppendAfterCloseFails(t *testing.T) {
 func TestFreshStoreSyncsDirectory(t *testing.T) {
 	// A crash between creating blocks.log and the first compaction must
 	// not lose the file: the directory entry has to be durable the
-	// moment OpenStore returns. Assert through the syncDir hook that a
+	// moment OpenStore returns. Assert through the directory-sync hook that a
 	// fresh store fsyncs its directory — the crash window the seed left
 	// open (it only synced the directory on snapshot rename).
 	var mu sync.Mutex
 	var synced []string
-	dirSyncHook = func(dir string) {
+	durable.SyncDirHook = func(dir string) {
 		mu.Lock()
 		synced = append(synced, dir)
 		mu.Unlock()
 	}
-	defer func() { dirSyncHook = nil }()
+	defer func() { durable.SyncDirHook = nil }()
 
 	dir := t.TempDir()
 	st, err := OpenStore(dir)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -181,39 +182,52 @@ func TestStoreCompactThenTailThenCrash(t *testing.T) {
 	}
 }
 
+// TestStoreSnapshotCorruptionDetected refuses a snapshot.dat it cannot
+// trust: a flipped byte fails the checksum, and a file of the unpruned
+// BCWANSNAP1 generation is refused by name rather than misread.
 func TestStoreSnapshotCorruptionDetected(t *testing.T) {
-	c, genesis, miners := storedChain(t, 4)
-	dir := t.TempDir()
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendBest(t, st, c, 1, 4)
-	if err := st.Compact(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func([]byte) []byte
+		want    string
+	}{
+		{"flipped-byte", func(raw []byte) []byte { raw[len(raw)/2] ^= 0xff; return raw }, "checksum"},
+		{"v1-generation", func(raw []byte) []byte { return append([]byte("BCWANSNAP1\n"), raw[len(snapMagic):]...) }, "BCWANSNAP1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, genesis, miners := storedChain(t, 4)
+			dir := t.TempDir()
+			st, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendBest(t, st, c, 1, 4)
+			if err := st.Compact(c); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	snapPath := filepath.Join(dir, "snapshot.dat")
-	raw, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			snapPath := filepath.Join(dir, "snapshot.dat")
+			raw, err := os.ReadFile(snapPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(snapPath, tc.corrupt(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	st2, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	replica := freshReplica(t, genesis, miners)
-	if _, err := st2.Load(replica); !errors.Is(err, ErrBadStore) {
-		t.Fatalf("err = %v, want ErrBadStore", err)
+			st2, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.Close()
+			replica := freshReplica(t, genesis, miners)
+			if _, err := st2.Load(replica); !errors.Is(err, ErrBadStore) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want ErrBadStore naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"crypto/rand"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -61,36 +62,46 @@ func openTestStore(t *testing.T, dir string) *Store {
 	return st
 }
 
-// TestStorePrunedSnapshotRoundTrip compacts a pruned chain (v2 snapshot
-// generation: header spine + UTXO set at the horizon + full tail) and
-// restores it into a fresh replica.
+// TestStorePrunedSnapshotRoundTrip compacts a chain into the one
+// snapshot layout (header spine + UTXO set at the prune base + full tail)
+// and restores it into a fresh replica. An unpruned chain is base 0: no
+// headers, no base set, every block in the tail.
 func TestStorePrunedSnapshotRoundTrip(t *testing.T) {
-	c, genesis, miners := storedChain(t, 10)
-	if err := c.PruneBelow(6); err != nil {
-		t.Fatal(err)
-	}
-	st := openTestStore(t, filepath.Join(t.TempDir(), "chainstore"))
-	if err := st.Compact(c); err != nil {
-		t.Fatal(err)
-	}
+	for _, base := range []int64{6, 0} {
+		t.Run(fmt.Sprintf("base-%d", base), func(t *testing.T) {
+			c, genesis, miners := storedChain(t, 10)
+			if base > 0 {
+				if err := c.PruneBelow(base); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := openTestStore(t, filepath.Join(t.TempDir(), "chainstore"))
+			if err := st.Compact(c); err != nil {
+				t.Fatal(err)
+			}
 
-	restored := freshReplica(t, genesis, miners)
-	if _, err := st.Load(restored); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Height() != 10 || restored.PruneBase() != 6 {
-		t.Fatalf("restored height %d base %d, want 10/6", restored.Height(), restored.PruneBase())
-	}
-	if restored.Tip().ID() != c.Tip().ID() {
-		t.Fatal("restored tip differs")
-	}
-	if restored.UTXO().TotalValue() != c.UTXO().TotalValue() {
-		t.Fatal("restored UTXO set differs")
-	}
-	if b, ok := restored.BlockAt(3); !ok || len(b.Txs) != 0 {
-		t.Fatal("height 3 should restore as a header-only stub")
-	}
-	if b, ok := restored.BlockAt(8); !ok || len(b.Txs) == 0 {
-		t.Fatal("height 8 should keep its body")
+			restored := freshReplica(t, genesis, miners)
+			if _, err := st.Load(restored); err != nil {
+				t.Fatal(err)
+			}
+			if restored.Height() != 10 || restored.PruneBase() != base {
+				t.Fatalf("restored height %d base %d, want 10/%d", restored.Height(), restored.PruneBase(), base)
+			}
+			if restored.Tip().ID() != c.Tip().ID() {
+				t.Fatal("restored tip differs")
+			}
+			if !restored.UTXO().Equal(c.UTXO()) {
+				t.Fatal("restored UTXO set differs")
+			}
+			if b, ok := restored.BlockAt(3); !ok || (len(b.Txs) == 0) != (base > 3) {
+				t.Fatalf("height 3 restored with %d txs, want a stub only below base %d", len(b.Txs), base)
+			}
+			if b, ok := restored.BlockAt(8); !ok || len(b.Txs) == 0 {
+				t.Fatal("height 8 should keep its body")
+			}
+			if err := restored.CheckConsistency(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
