@@ -85,14 +85,16 @@ lint:
 # Coverage-guided smoke of every hostile-input surface: the script
 # verifier (consensus-critical) plus the decoders fed by
 # unauthenticated peers — directory bindings, channel messages, sync
-# messages, relay and compact-block messages — and the keygen prime
-# prefilter against its math/big reference.
+# messages, relay and compact-block messages, gateway deliveries — and
+# the keygen prime prefilter against its math/big reference. CI's fuzz
+# smoke runs this target; only the nightly matrix repeats the list.
 fuzz:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=30s -run '^$$' ./internal/script/
 	$(GO) test -fuzz=FuzzDecodeBinding -fuzztime=15s -run '^$$' ./internal/registry/
 	$(GO) test -fuzz=FuzzChannelMsgDecode -fuzztime=15s -run '^$$' ./internal/p2p/
 	$(GO) test -fuzz=FuzzSyncMsgDecode -fuzztime=15s -run '^$$' ./internal/p2p/
 	$(GO) test -fuzz=FuzzRelayMsgDecode -fuzztime=15s -run '^$$' ./internal/p2p/
+	$(GO) test -fuzz=FuzzDeliveryMsgDecode -fuzztime=15s -run '^$$' ./internal/daemon/
 	$(GO) test -fuzz=FuzzSPRP2 -fuzztime=15s -run '^$$' ./internal/bccrypto/
 	$(GO) test -fuzz=FuzzLogReplay -fuzztime=15s -run '^$$' ./internal/durable/
 

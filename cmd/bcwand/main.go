@@ -16,9 +16,9 @@
 //	bcwand -genesis-file genesis.hex -miner-pub <minerPub> \
 //	       -p2p 127.0.0.1:9402 -rpc 127.0.0.1:9502 -peers 127.0.0.1:9401
 //
-//	# recipient daemon (delivery listener + auto-settle):
+//	# recipient daemon (deliveries arrive on -p2p; auto-settle):
 //	bcwand -genesis-file genesis.hex -miner-pub <minerPub> \
-//	       -peers 127.0.0.1:9401 -recipient 127.0.0.1:9600
+//	       -p2p 127.0.0.1:9403 -peers 127.0.0.1:9401 -recipient
 package main
 
 import (
@@ -57,16 +57,21 @@ func run(args []string) error {
 	mine := fs.Bool("mine", false, "mine blocks (requires -miner-key)")
 	minerKeyHex := fs.String("miner-key", "", "miner EC private key hex (with -mine)")
 	interval := fs.Duration("interval", 15*time.Second, "block interval when mining")
-	p2pAddr := fs.String("p2p", "127.0.0.1:0", "gossip listen address")
+	p2pAddr := fs.String("p2p", "127.0.0.1:0", "gossip listen address, which peers must dial as written (not a wildcard like 0.0.0.0)")
 	rpcAddr := fs.String("rpc", "127.0.0.1:0", "JSON-RPC listen address")
 	peers := fs.String("peers", "", "gossip peers to dial, comma separated")
-	recipientAddr := fs.String("recipient", "", "also run a recipient delivery listener on this address")
+	recipientMode := fs.Bool("recipient", false, "also act as a recipient, taking gateway deliveries on the -p2p address")
 	dataDir := fs.String("datadir", "", "directory to persist the chain across restarts")
 	metricsLog := fs.Duration("metrics-log", 0, "periodically log a JSON telemetry snapshot at this interval (0 disables)")
 	prune := fs.Int64("prune", 0, "keep only this many recent block bodies; older heights become header-only stubs at each store compaction (0 = keep everything)")
 	snapshotInterval := fs.Int64("snapshot-interval", 0, "height spacing of signed snapshot commitments published when mining (0 = default 1024)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		// A stray word ends flag parsing, so every later flag would be
+		// ignored: most likely an old "-recipient <addr>".
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
 	logger := log.New(os.Stderr, "bcwand ", log.LstdFlags)
 
@@ -149,8 +154,8 @@ func run(args []string) error {
 		}()
 	}
 
-	if *recipientAddr != "" {
-		rd, err := daemon.NewRecipientDaemon(node, recipient.DefaultConfig(), *recipientAddr, nil, logger)
+	if *recipientMode {
+		rd, err := daemon.NewRecipientDaemon(node, recipient.DefaultConfig(), "", nil, logger)
 		if err != nil {
 			return err
 		}
@@ -166,7 +171,7 @@ func run(args []string) error {
 			return fmt.Errorf("enable channels: %w", err)
 		}
 		logger.Printf("payment channels enabled (openchannel/closechannel RPCs)")
-		logger.Printf("recipient @R %s delivering on %s", rd.Recipient.Wallet().Address(), rd.Addr())
+		logger.Printf("recipient @R %s delivering on %s", rd.Recipient.Wallet().Address(), node.P2PAddr())
 		logger.Printf("fund the recipient wallet and call PublishBinding via your tooling before exchanges")
 	}
 

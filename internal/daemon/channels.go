@@ -75,7 +75,6 @@ var ErrChannelsDisabled = errors.New("daemon: channel subsystem disabled")
 // settlement: which commitment paid for it and the disclosed key.
 type ChannelSettlement struct {
 	ChannelID chain.Hash
-	Version   uint64
 	Key       []byte
 }
 
@@ -134,13 +133,16 @@ type ChannelManager struct {
 	// in signing order.
 	settleMu sync.Mutex
 
-	mu            sync.Mutex
-	payers        map[chain.Hash]*channel.Payer
-	payees        map[chain.Hash]*channel.Payee
-	byGateway     map[string]chain.Hash // gateway pubkey → open payer channel
-	pendingOpens  map[string]*p2p.MsgChannelOpen
-	openWaiters   map[string]chan *p2p.MsgChannelAccept
-	updateWaiters map[updateKey]chan *p2p.MsgChannelUpdateAck
+	// accepts and updateAcks route the payee's answers to the payer
+	// round waiting for them, keyed by peer and by update.
+	accepts    replies[string, *p2p.MsgChannelAccept]
+	updateAcks replies[updateKey, *p2p.MsgChannelUpdateAck]
+
+	mu           sync.Mutex
+	payers       map[chain.Hash]*channel.Payer
+	payees       map[chain.Hash]*channel.Payee
+	byGateway    map[string]chain.Hash // gateway pubkey → open payer channel
+	pendingOpens map[string]*p2p.MsgChannelOpen
 }
 
 // newChannelManager builds the manager, reloads persisted endpoints and
@@ -166,17 +168,15 @@ func newChannelManager(node *Node, w *wallet.Wallet, cfg ChannelConfig, disclose
 		cfg.UpdateTimeout = def.UpdateTimeout
 	}
 	m := &ChannelManager{
-		cfg:           cfg,
-		node:          node,
-		wallet:        w,
-		disclose:      disclose,
-		spend:         spend,
-		payers:        make(map[chain.Hash]*channel.Payer),
-		payees:        make(map[chain.Hash]*channel.Payee),
-		byGateway:     make(map[string]chain.Hash),
-		pendingOpens:  make(map[string]*p2p.MsgChannelOpen),
-		openWaiters:   make(map[string]chan *p2p.MsgChannelAccept),
-		updateWaiters: make(map[updateKey]chan *p2p.MsgChannelUpdateAck),
+		cfg:          cfg,
+		node:         node,
+		wallet:       w,
+		disclose:     disclose,
+		spend:        spend,
+		payers:       make(map[chain.Hash]*channel.Payer),
+		payees:       make(map[chain.Hash]*channel.Payee),
+		byGateway:    make(map[string]chain.Hash),
+		pendingOpens: make(map[string]*p2p.MsgChannelOpen),
 	}
 	if cfg.StoreDir != "" {
 		store, err := channel.OpenStore(cfg.StoreDir)
@@ -245,18 +245,6 @@ func (m *ChannelManager) close() error {
 	return m.store.Close()
 }
 
-// send delivers a direct message, dialing the peer first if the overlay
-// has no live connection yet.
-func (m *ChannelManager) send(addr, msgType string, payload []byte) bool {
-	if m.node.gossip.SendTo(addr, msgType, payload) {
-		return true
-	}
-	if err := m.node.gossip.Connect(addr); err != nil {
-		return false
-	}
-	return m.node.gossip.SendTo(addr, msgType, payload)
-}
-
 // --- payee (gateway) side ---------------------------------------------
 
 func (m *ChannelManager) onChanOpen(from string, msg p2p.Message) {
@@ -281,7 +269,7 @@ func (m *ChannelManager) onChanOpen(from string, msg p2p.Message) {
 		reply.GatewayPub = m.wallet.PublicBytes()
 		reply.OK = p2p.ChannelAckOK
 	}
-	m.send(from, p2p.MsgTypeChannelAccept, reply.Encode())
+	m.node.send(from, p2p.MsgTypeChannelAccept, reply.Encode())
 }
 
 func (m *ChannelManager) onChanFund(from string, msg p2p.Message) {
@@ -361,7 +349,7 @@ func (m *ChannelManager) onChanUpdate(from string, msg p2p.Message) {
 	if payee == nil {
 		ack.Status = p2p.ChannelAckRejected
 		ack.Reason = "unknown channel"
-		m.send(from, p2p.MsgTypeChannelUpdateAck, ack.Encode())
+		m.node.send(from, p2p.MsgTypeChannelUpdateAck, ack.Encode())
 		return
 	}
 	prevPaid := payee.State().Paid
@@ -374,7 +362,7 @@ func (m *ChannelManager) onChanUpdate(from string, msg p2p.Message) {
 	if err != nil {
 		ack.Status = p2p.ChannelAckRejected
 		ack.Reason = err.Error()
-		m.send(from, p2p.MsgTypeChannelUpdateAck, ack.Encode())
+		m.node.send(from, p2p.MsgTypeChannelUpdateAck, ack.Encode())
 		return
 	}
 	// The update is countersigned and durable; only now is the key
@@ -383,7 +371,7 @@ func (m *ChannelManager) onChanUpdate(from string, msg p2p.Message) {
 	if err != nil {
 		ack.Status = p2p.ChannelAckRejected
 		ack.Reason = err.Error()
-		m.send(from, p2p.MsgTypeChannelUpdateAck, ack.Encode())
+		m.node.send(from, p2p.MsgTypeChannelUpdateAck, ack.Encode())
 		return
 	}
 	ack.Status = p2p.ChannelAckOK
@@ -391,7 +379,7 @@ func (m *ChannelManager) onChanUpdate(from string, msg p2p.Message) {
 	ack.GatewaySig = gwSig
 	m.node.metrics.channelUpdates.Inc()
 	m.node.metrics.channelValue.Add(u.Paid - prevPaid)
-	m.send(from, p2p.MsgTypeChannelUpdateAck, ack.Encode())
+	m.node.send(from, p2p.MsgTypeChannelUpdateAck, ack.Encode())
 }
 
 func (m *ChannelManager) onChanClose(from string, msg p2p.Message) {
@@ -423,15 +411,7 @@ func (m *ChannelManager) onChanAccept(from string, msg p2p.Message) {
 		m.node.logf("chanaccept from %s: %v", from, err)
 		return
 	}
-	m.mu.Lock()
-	waiter := m.openWaiters[from]
-	m.mu.Unlock()
-	if waiter != nil {
-		select {
-		case waiter <- acc:
-		default:
-		}
-	}
+	m.accepts.deliver(from, acc)
 }
 
 func (m *ChannelManager) onChanUpdateAck(from string, msg p2p.Message) {
@@ -440,30 +420,23 @@ func (m *ChannelManager) onChanUpdateAck(from string, msg p2p.Message) {
 		m.node.logf("chanupdateack from %s: %v", from, err)
 		return
 	}
-	m.mu.Lock()
-	waiter := m.updateWaiters[updateKey{chain.Hash(ack.ChannelID), ack.ChanVersion}]
-	m.mu.Unlock()
-	if waiter != nil {
-		select {
-		case waiter <- ack:
-		default:
-		}
-	}
+	m.updateAcks.deliver(updateKey{chain.Hash(ack.ChannelID), ack.ChanVersion}, ack)
 }
 
 // SettleDelivery pays for one delivery off-chain: it signs the next
-// commitment update, sends it to the gateway, waits for the
+// commitment update, sends it to the gateway at peer (the overlay
+// address the delivery came from), waits for the
 // countersignature plus the disclosed ephemeral key, verifies both and
 // acknowledges. A channel is opened (or rolled over) on demand. On any
 // failure the channel is retired so the caller can fall back to on-chain
 // settlement with at most one update delta in flight.
-func (m *ChannelManager) SettleDelivery(d *fairex.Delivery) (*ChannelSettlement, error) {
+func (m *ChannelManager) SettleDelivery(peer string, d *fairex.Delivery) (*ChannelSettlement, error) {
 	if m.disclose != nil {
 		return nil, errors.New("daemon: payee-side manager cannot settle deliveries")
 	}
 	m.settleMu.Lock()
 	defer m.settleMu.Unlock()
-	payer, err := m.payerFor(d.GatewayP2P, d.GatewayPubKey, d.Price)
+	payer, err := m.payerFor(peer, d.GatewayPubKey, d.Price)
 	if err != nil {
 		return nil, err
 	}
@@ -475,16 +448,8 @@ func (m *ChannelManager) SettleDelivery(d *fairex.Delivery) (*ChannelSettlement,
 		m.retirePayer(payer)
 		return nil, err
 	}
-	waiter := make(chan *p2p.MsgChannelUpdateAck, 1)
-	wk := updateKey{u.ChannelID, u.Version}
-	m.mu.Lock()
-	m.updateWaiters[wk] = waiter
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.updateWaiters, wk)
-		m.mu.Unlock()
-	}()
+	waiter, cancel := m.updateAcks.wait(updateKey{u.ChannelID, u.Version})
+	defer cancel()
 	upd := &p2p.MsgChannelUpdate{
 		ChannelID:    u.ChannelID,
 		ChanVersion:  u.Version,
@@ -493,9 +458,9 @@ func (m *ChannelManager) SettleDelivery(d *fairex.Delivery) (*ChannelSettlement,
 		Exchange:     d.Exchange,
 		RecipientSig: u.RecipientSig,
 	}
-	if !m.send(d.GatewayP2P, p2p.MsgTypeChannelUpdate, upd.Encode()) {
+	if !m.node.send(peer, p2p.MsgTypeChannelUpdate, upd.Encode()) {
 		m.retirePayer(payer)
-		return nil, fmt.Errorf("daemon: channel peer %s unreachable", d.GatewayP2P)
+		return nil, fmt.Errorf("daemon: channel peer %s unreachable", peer)
 	}
 	var ack *p2p.MsgChannelUpdateAck
 	timeout := time.NewTimer(m.cfg.UpdateTimeout)
@@ -523,7 +488,7 @@ func (m *ChannelManager) SettleDelivery(d *fairex.Delivery) (*ChannelSettlement,
 	}
 	m.node.metrics.channelUpdates.Inc()
 	m.node.metrics.channelValue.Add(d.Price)
-	return &ChannelSettlement{ChannelID: u.ChannelID, Version: u.Version, Key: ack.Key}, nil
+	return &ChannelSettlement{ChannelID: u.ChannelID, Key: ack.Key}, nil
 }
 
 // payerFor returns an open channel to the gateway with room for one more
@@ -551,21 +516,14 @@ func (m *ChannelManager) payerFor(peer string, gwPub []byte, price uint64) (*cha
 // openPayer runs the open/accept/fund handshake and funds a new channel.
 // wantGwPub, when non-nil, pins the gateway key the accept must name.
 func (m *ChannelManager) openPayer(peer string, wantGwPub []byte, capacity uint64) (*channel.Payer, error) {
-	waiter := make(chan *p2p.MsgChannelAccept, 1)
-	m.mu.Lock()
-	m.openWaiters[peer] = waiter
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.openWaiters, peer)
-		m.mu.Unlock()
-	}()
+	waiter, cancel := m.accepts.wait(peer)
+	defer cancel()
 	open := &p2p.MsgChannelOpen{
 		RecipientPub: m.wallet.PublicBytes(),
 		Capacity:     capacity,
 		RefundWindow: m.cfg.RefundWindow,
 	}
-	if !m.send(peer, p2p.MsgTypeChannelOpen, open.Encode()) {
+	if !m.node.send(peer, p2p.MsgTypeChannelOpen, open.Encode()) {
 		return nil, fmt.Errorf("daemon: channel peer %s unreachable", peer)
 	}
 	var acc *p2p.MsgChannelAccept
@@ -599,7 +557,7 @@ func (m *ChannelManager) openPayer(peer string, wantGwPub []byte, capacity uint6
 		CloseFee:     st.CloseFee,
 		FundingTx:    funding.Serialize(),
 	}
-	if !m.send(peer, p2p.MsgTypeChannelFund, fund.Encode()) {
+	if !m.node.send(peer, p2p.MsgTypeChannelFund, fund.Encode()) {
 		return nil, fmt.Errorf("daemon: channel peer %s unreachable", peer)
 	}
 	m.mu.Lock()
@@ -628,7 +586,7 @@ func (m *ChannelManager) retirePayer(p *channel.Payer) {
 		m.node.logf("channel %s mark closing: %v", st.ID, err)
 	}
 	req := &p2p.MsgChannelClose{ChannelID: st.ID, Kind: p2p.ChannelCloseCooperative}
-	if !m.send(st.PeerAddr, p2p.MsgTypeChannelClose, req.Encode()) {
+	if !m.node.send(st.PeerAddr, p2p.MsgTypeChannelClose, req.Encode()) {
 		// The gateway is unreachable: broadcast the acked commitment
 		// ourselves. ErrNoCommitment just means nothing was ever acked —
 		// the CLTV refund is then the only settlement left.

@@ -4,9 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/json"
 	"errors"
-	"net"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,51 +14,41 @@ import (
 	"bcwan/internal/fairex"
 	"bcwan/internal/gateway"
 	"bcwan/internal/lora"
+	"bcwan/internal/p2p"
 	"bcwan/internal/registry"
 	"bcwan/internal/script"
 )
 
-// fakeRecipient binds the recipient wallet's @R to a test listener in
-// place of the recipient daemon, so a test chooses what each ack names
-// and when its payment exists. answer runs off the test goroutine.
+// fakeRecipient binds the recipient wallet's @R to a bare overlay node
+// with one delivery handler in place of the recipient daemon, so a test
+// chooses what each ack names and when its payment exists. answer runs
+// off the test goroutine.
 func (c *cluster) fakeRecipient(answer func(*fairex.Delivery) fairex.Ack) {
 	t := c.t
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	fake, err := p2p.NewNode(p2p.TCPTransport{}, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	t.Cleanup(func() {
-		l.Close()
-		wg.Wait()
-	})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer conn.Close()
-				var d fairex.Delivery
-				if json.NewDecoder(conn).Decode(&d) != nil {
-					return
-				}
-				ack := answer(&d)
-				if err := json.NewEncoder(conn).Encode(&ack); err != nil {
-					t.Error(err)
-				}
-			}()
+	t.Cleanup(func() { fake.Close() })
+	fake.Handle(msgTypeDelivery, func(from string, msg p2p.Message) {
+		var d fairex.Delivery
+		if err := decodeDeliveryMsg(msg.Payload, &d); err != nil {
+			t.Error(err)
+			return
 		}
-	}()
+		payload, err := json.Marshal(deliveryAck{DevEUI: d.DevEUI, Exchange: d.Exchange, Ack: answer(&d)})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !fake.SendTo(from, msgTypeDeliveryAck, payload) {
+			t.Error("deliveryack not sent")
+		}
+	})
 	c.fundRecipient(100_000)
 	w := c.rcptd.Recipient.Wallet()
-	bind, err := registry.BuildPublish(w, c.rcptd.Node.Ledger().Spendable(w.PubKeyHash()), l.Addr().String(), 1)
+	bind, err := registry.BuildPublish(w, c.rcptd.Node.Ledger().Spendable(w.PubKeyHash()), fake.Addr(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +228,8 @@ func TestOnChainAckNamesPooledPayment(t *testing.T) {
 	c.fundRecipient(100_000)
 	dev := c.provisionSensor(t, lora.DevEUI{0xd3, 1})
 
-	// A hand-rolled gateway: its own ephemeral pair, no directory, no claim.
+	// A hand-rolled offer on the gateway node's wire: its own ephemeral
+	// pair, no directory, no claim.
 	eKey, err := bccrypto.GenerateRSA512(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +244,7 @@ func TestOnChainAckNamesPooledPayment(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := gateway.DefaultConfig()
-	ack, err := sendDelivery(c.rcptd.Addr(), &fairex.Delivery{
+	ack, err := c.gwd.deliver(c.rcptd.Node.P2PAddr(), &fairex.Delivery{
 		DevEUI:            frame.DevEUI,
 		Exchange:          frame.Counter,
 		Em:                payload.Em,

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/json"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +15,7 @@ import (
 	"bcwan/internal/fairex"
 	"bcwan/internal/gateway"
 	"bcwan/internal/lora"
+	"bcwan/internal/p2p"
 	"bcwan/internal/recipient"
 	"bcwan/internal/rpc"
 	"bcwan/internal/wallet"
@@ -91,7 +91,7 @@ func newGatewayCluster(t *testing.T, gwCfg gateway.Config) *cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcptd, err := NewRecipientDaemon(rcptNode, recipient.DefaultConfig(), "127.0.0.1:0", rand.Reader, nil)
+	rcptd, err := NewRecipientDaemon(rcptNode, recipient.DefaultConfig(), "", rand.Reader, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFullExchangeOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Delivery over real TCP, payment over gossip, claim on the
+	// Delivery and payment over the overlay on real TCP, claim on the
 	// gateway's replica.
 	if _, err := c.gwd.HandleUplink(dataFrame); err != nil {
 		t.Fatal(err)
@@ -332,7 +332,7 @@ func TestBindingPublishAndPaymentsSpendDistinctCoins(t *testing.T) {
 	const payments = 8
 	c := newCluster(t)
 	entropy := &rendezvousReader{}
-	rd, err := NewRecipientDaemon(c.rcptd.Node, recipient.DefaultConfig(), "127.0.0.1:0", entropy, nil)
+	rd, err := NewRecipientDaemon(c.rcptd.Node, recipient.DefaultConfig(), "", entropy, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,13 +446,11 @@ func TestDeliveryToDeadRecipientFails(t *testing.T) {
 	c.waitPooled(c.master, bindTx.ID())
 	c.mine()
 
-	// Kill the recipient's delivery listener; the binding still points
-	// at the dead address.
-	deadAddr := c.rcptd.Addr()
+	// Close the recipient daemon; the binding still points at its node,
+	// which now refuses every delivery.
 	if err := c.rcptd.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_ = deadAddr
 
 	sharedKey := make([]byte, bccrypto.AESKeySize)
 	if _, err := rand.Read(sharedKey); err != nil {
@@ -480,21 +478,54 @@ func TestDeliveryToDeadRecipientFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	start := time.Now()
 	if _, err := c.gwd.HandleUplink(dataFrame); err == nil {
 		t.Fatal("delivery to dead recipient succeeded")
 	}
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("delivery to dead recipient took %s to fail, want under 1s", took)
+	}
+}
+
+// bareGateway connects a bare overlay node to the recipient daemon's
+// node and collects the deliveryacks it gets back.
+func (c *cluster) bareGateway(t *testing.T) (*p2p.Node, <-chan deliveryAck) {
+	t.Helper()
+	peer, err := p2p.NewNode(p2p.TCPTransport{}, "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	acks := make(chan deliveryAck, 16)
+	peer.Handle(msgTypeDeliveryAck, func(_ string, msg p2p.Message) {
+		var a deliveryAck
+		if err := json.Unmarshal(msg.Payload, &a); err != nil {
+			t.Error(err)
+			return
+		}
+		acks <- a
+	})
+	if err := peer.Connect(c.rcptd.Node.P2PAddr()); err != nil {
+		t.Fatal(err)
+	}
+	return peer, acks
 }
 
 func TestRecipientDaemonRejectsGarbageConnection(t *testing.T) {
 	c := newCluster(t)
-	conn, err := net.Dial("tcp", c.rcptd.Addr())
-	if err != nil {
-		t.Fatal(err)
+	peer, acks := c.bareGateway(t)
+	if !peer.SendTo(c.rcptd.Node.P2PAddr(), msgTypeDelivery, []byte("this is not json\n")) {
+		t.Fatal("garbage not sent")
 	}
-	if _, err := conn.Write([]byte("this is not json\n")); err != nil {
-		t.Fatal(err)
+	// The garbage is charged to its sender and never answered.
+	waitCond(t, "the garbage charged", func() bool {
+		return c.rcptd.Node.Gossip().BanScore(peer.Addr()) == misbehaviorPenalty
+	})
+	select {
+	case a := <-acks:
+		t.Fatalf("garbage answered: %+v", a)
+	default:
 	}
-	conn.Close()
 	// The daemon must survive; a valid status query still works.
 	if got := len(c.rcptd.Inbox()); got != 0 {
 		t.Fatalf("inbox = %d", got)
@@ -504,18 +535,22 @@ func TestRecipientDaemonRejectsGarbageConnection(t *testing.T) {
 
 func TestRecipientDaemonRefusesUnknownSensorDelivery(t *testing.T) {
 	c := newCluster(t)
-	conn, err := net.Dial("tcp", c.rcptd.Addr())
+	peer, acks := c.bareGateway(t)
+	payload, err := json.Marshal(&fairex.Delivery{DevEUI: lora.DevEUI{0xff}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	d := fairex.Delivery{DevEUI: lora.DevEUI{0xff}}
-	if err := json.NewEncoder(conn).Encode(&d); err != nil {
-		t.Fatal(err)
+	if !peer.SendTo(c.rcptd.Node.P2PAddr(), msgTypeDelivery, payload) {
+		t.Fatal("delivery not sent")
 	}
-	var ack fairex.Ack
-	if err := json.NewDecoder(conn).Decode(&ack); err != nil {
-		t.Fatal(err)
+	var ack deliveryAck
+	select {
+	case ack = <-acks:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no deliveryack")
+	}
+	if ack.DevEUI != (lora.DevEUI{0xff}) {
+		t.Fatalf("ack names sensor %s", ack.DevEUI)
 	}
 	if ack.Accepted {
 		t.Fatal("unknown sensor accepted")

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"sync"
 	"time"
 
@@ -15,27 +14,62 @@ import (
 	"bcwan/internal/fairex"
 	"bcwan/internal/gateway"
 	"bcwan/internal/lora"
+	"bcwan/internal/p2p"
 	"bcwan/internal/recipient"
 	"bcwan/internal/registry"
 	"bcwan/internal/reputation"
 	"bcwan/internal/wallet"
 )
 
-// The Fig. 3 step 7 wire protocol: a gateway dials the recipient's
-// published address, sends one JSON-encoded fairex.Delivery, and reads one
-// fairex.Ack carrying the payment transaction id.
+// Fig. 3 step 7 rides the p2p overlay: the gateway sends the JSON
+// fairex.Delivery to the overlay address @R's binding names, and the
+// recipient answers with a deliveryack.
+const (
+	msgTypeDelivery    = "delivery"
+	msgTypeDeliveryAck = "deliveryack"
+	maxDeliveryMsg     = 4 << 10 // bytes; a real delivery is under 1 kB
+	// maxDeliveriesInFlight bounds the deliveries a recipient settles at
+	// once; one more is refused.
+	maxDeliveriesInFlight = 16
+)
 
-// deliveryTimeout bounds one delivery round trip.
-const deliveryTimeout = 30 * time.Second
+// deliveryTimeout bounds one delivery round trip, and the claim wait
+// after it. A variable so tests can shrink it.
+var deliveryTimeout = 30 * time.Second
+
+// deliveryAck is the deliveryack payload.
+type deliveryAck struct {
+	DevEUI   lora.DevEUI `json:"deveui"`
+	Exchange uint32      `json:"exchange"`
+	fairex.Ack
+}
+
+// ackKey names a delivery awaiting its ack: the address it went to,
+// which the ack must come from, and its exchange.
+type ackKey struct {
+	peer     string
+	dev      lora.DevEUI
+	exchange uint32
+}
+
+// decodeDeliveryMsg refuses an oversized payload before decoding it.
+func decodeDeliveryMsg(payload []byte, v any) error {
+	if len(payload) > maxDeliveryMsg {
+		return fmt.Errorf("daemon: %d-byte delivery message exceeds %d", len(payload), maxDeliveryMsg)
+	}
+	return json.Unmarshal(payload, v)
+}
 
 // GatewayDaemon is a deployable foreign gateway: a blockchain node plus
-// the gateway actor and the TCP delivery client.
+// the gateway actor, delivering over the node's overlay.
 type GatewayDaemon struct {
 	Node    *Node
 	Gateway *gateway.Gateway
 	logger  *log.Logger
 	// channels is the payee-side channel manager (nil = on-chain only).
 	channels *ChannelManager
+	// acks routes each deliveryack to the delivery waiting for it.
+	acks replies[ackKey, *fairex.Ack]
 }
 
 // EnableChannels attaches a payee-side channel manager: the gateway
@@ -67,16 +101,18 @@ func NewGatewayDaemon(node *Node, cfg gateway.Config, random io.Reader, logger *
 	}
 	gw := gateway.New(cfg, w, node.Ledger(), node.Directory(), random)
 	gw.Instrument(node.Telemetry())
-	return &GatewayDaemon{
+	g := &GatewayDaemon{
 		Node:    node,
 		Gateway: gw,
 		logger:  logger,
-	}, nil
+	}
+	node.gossip.Handle(msgTypeDeliveryAck, g.onDeliveryAck)
+	return g, nil
 }
 
 // HandleUplink processes one LoRa frame from a sensor: key requests are
 // answered locally (the returned frame is the downlink); data frames are
-// delivered to the recipient over TCP and the payment is claimed. It
+// delivered to the recipient node and the payment is claimed. It
 // returns the downlink frame for key requests, nil otherwise.
 func (g *GatewayDaemon) HandleUplink(f *lora.Frame) (*lora.Frame, error) {
 	switch f.Type {
@@ -99,9 +135,8 @@ func (g *GatewayDaemon) deliverAndClaim(f *lora.Frame) error {
 		// Advertise off-chain settlement: the recipient may pay through a
 		// channel update instead of a payment transaction.
 		delivery.GatewayPubKey = g.Gateway.Wallet().PublicBytes()
-		delivery.GatewayP2P = g.Node.P2PAddr()
 	}
-	ack, err := sendDelivery(netAddr, delivery)
+	ack, err := g.deliver(netAddr, delivery)
 	if err != nil {
 		return fmt.Errorf("daemon: deliver to %s: %w", netAddr, err)
 	}
@@ -150,72 +185,76 @@ func (g *GatewayDaemon) claim(d *fairex.Delivery, paymentID chain.Hash, offerHei
 	}
 }
 
-// sendDelivery performs the TCP round trip of Fig. 3 step 7.
-func sendDelivery(addr string, d *fairex.Delivery) (*fairex.Ack, error) {
-	conn, err := net.DialTimeout("tcp", addr, deliveryTimeout)
+// deliver performs Fig. 3 step 7: the delivery to the recipient node at
+// addr, then its deliveryack, accepted only from addr.
+func (g *GatewayDaemon) deliver(addr string, d *fairex.Delivery) (*fairex.Ack, error) {
+	payload, err := json.Marshal(d)
 	if err != nil {
 		return nil, err
 	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(deliveryTimeout)); err != nil {
-		return nil, err
+	acked, cancel := g.acks.wait(ackKey{addr, d.DevEUI, d.Exchange})
+	defer cancel()
+	if !g.Node.send(addr, msgTypeDelivery, payload) {
+		return nil, errors.New("recipient unreachable")
 	}
-	if err := json.NewEncoder(conn).Encode(d); err != nil {
-		return nil, fmt.Errorf("send delivery: %w", err)
+	timeout := time.NewTimer(deliveryTimeout)
+	defer timeout.Stop()
+	select {
+	case ack := <-acked:
+		return ack, nil
+	case <-timeout.C:
+		return nil, fmt.Errorf("no ack within %s", deliveryTimeout)
 	}
-	var ack fairex.Ack
-	if err := json.NewDecoder(conn).Decode(&ack); err != nil {
-		return nil, fmt.Errorf("read ack: %w", err)
+}
+
+func (g *GatewayDaemon) onDeliveryAck(from string, msg p2p.Message) {
+	var a deliveryAck
+	if err := decodeDeliveryMsg(msg.Payload, &a); err != nil {
+		g.Node.misbehave(from, err.Error())
+		return
 	}
-	return &ack, nil
+	g.acks.deliver(ackKey{from, a.DevEUI, a.Exchange}, &a.Ack)
 }
 
 // RecipientDaemon is a deployable recipient: a blockchain node plus the
-// recipient actor, a TCP listener for gateway deliveries, and a chain
+// recipient actor, a delivery handler on the node's overlay, and a chain
 // watcher that settles exchanges as claims confirm.
 type RecipientDaemon struct {
 	Node      *Node
 	Recipient *recipient.Recipient
-	listener  net.Listener
 	logger    *log.Logger
 	// channels is the payer-side channel manager (nil = on-chain only).
 	channels *ChannelManager
+	// slots holds one token per delivery being settled; Close takes them
+	// all for good.
+	slots     chan struct{}
+	closeOnce sync.Once
 
-	mu       sync.Mutex
-	inbox    []*recipient.Message
-	onRecv   func(*recipient.Message)
-	closed   bool
-	loopDone chan struct{}
+	mu     sync.Mutex
+	inbox  []*recipient.Message
+	onRecv func(*recipient.Message)
 }
 
-// NewRecipientDaemon wires a recipient actor onto a node, funds nothing
-// (the caller funds its wallet), starts the delivery listener on
-// listenAddr, and publishes the @R → IP binding once the wallet has
-// funds (call PublishBinding).
+// NewRecipientDaemon wires a recipient actor onto a node, taking
+// deliveries on its overlay, and funds nothing (the caller funds its
+// wallet, then calls PublishBinding). listenAddr is unused — deliveries
+// arrive on the node's p2p listener — and stays for existing callers.
 func NewRecipientDaemon(node *Node, cfg recipient.Config, listenAddr string, random io.Reader, logger *log.Logger) (*RecipientDaemon, error) {
 	w, err := wallet.New(randomOrDefault(random))
 	if err != nil {
 		return nil, fmt.Errorf("daemon: recipient wallet: %w", err)
 	}
-	l, err := net.Listen("tcp", listenAddr)
-	if err != nil {
-		return nil, fmt.Errorf("daemon: recipient listen: %w", err)
-	}
 	r := &RecipientDaemon{
 		Node:      node,
 		Recipient: recipient.New(cfg, w, node.Ledger(), randomOrDefault(random)),
-		listener:  l,
 		logger:    logger,
-		loopDone:  make(chan struct{}),
+		slots:     make(chan struct{}, maxDeliveriesInFlight),
 	}
 	// Settle pending exchanges as blocks (with claims) arrive.
 	node.Chain().Subscribe(func(*chain.Block) { r.settlePending() })
-	go r.acceptLoop()
+	node.gossip.Handle(msgTypeDelivery, r.onDelivery)
 	return r, nil
 }
-
-// Addr returns the delivery listener address.
-func (r *RecipientDaemon) Addr() string { return r.listener.Addr().String() }
 
 // EnableChannels attaches a payer-side channel manager: deliveries that
 // advertise a channel endpoint settle off-chain, falling back to the
@@ -239,13 +278,13 @@ func (r *RecipientDaemon) UseReputation(sys *reputation.System) {
 	r.Recipient.UseReputation(sys)
 }
 
-// settleViaChannel pays for one delivery through a channel update and
-// decrypts the message with the disclosed key.
-func (r *RecipientDaemon) settleViaChannel(d *fairex.Delivery) (*recipient.Message, *ChannelSettlement, error) {
+// settleViaChannel pays for one delivery through a channel update to the
+// gateway node at peer and decrypts the message with the disclosed key.
+func (r *RecipientDaemon) settleViaChannel(peer string, d *fairex.Delivery) (*recipient.Message, *ChannelSettlement, error) {
 	if err := r.Recipient.AcceptDeliveryOffChain(d); err != nil {
 		return nil, nil, err
 	}
-	settle, err := r.channels.SettleDelivery(d)
+	settle, err := r.channels.SettleDelivery(peer, d)
 	if err != nil {
 		r.Recipient.DropOffChain(d.DevEUI, d.Exchange)
 		if errors.Is(err, fairex.ErrBadDisclosedKey) {
@@ -258,10 +297,7 @@ func (r *RecipientDaemon) settleViaChannel(d *fairex.Delivery) (*recipient.Messa
 		return nil, nil, err
 	}
 	msg, err := r.Recipient.SettleOffChain(d.DevEUI, d.Exchange, settle.Key)
-	if err != nil {
-		return nil, nil, err
-	}
-	return msg, settle, nil
+	return msg, settle, err
 }
 
 // OnReceive installs a callback for decrypted messages.
@@ -278,16 +314,16 @@ func (r *RecipientDaemon) Inbox() []*recipient.Message {
 	return append([]*recipient.Message(nil), r.inbox...)
 }
 
-// PublishBinding broadcasts the @R → IP binding transaction (§4.3) and
-// returns it so callers can track its confirmation. The wallet must hold
-// funds for the fee; the fee is spent under the lock key-release payments
-// are built under.
+// PublishBinding broadcasts the @R → IP binding transaction (§4.3) for
+// the node's overlay address and returns it so callers can track its
+// confirmation. The wallet must hold funds for the fee; the fee is
+// spent under the lock key-release payments are built under.
 func (r *RecipientDaemon) PublishBinding(fee uint64) (*chain.Tx, error) {
 	w := r.Recipient.Wallet()
 	var tx *chain.Tx
 	err := r.Recipient.Spending(func() error {
 		var err error
-		if tx, err = registry.BuildPublish(w, r.Node.Ledger().Spendable(w.PubKeyHash()), r.Addr(), fee); err != nil {
+		if tx, err = registry.BuildPublish(w, r.Node.Ledger().Spendable(w.PubKeyHash()), r.Node.P2PAddr(), fee); err != nil {
 			return err
 		}
 		return r.Node.Ledger().Submit(tx)
@@ -298,77 +334,79 @@ func (r *RecipientDaemon) PublishBinding(fee uint64) (*chain.Tx, error) {
 	return tx, nil
 }
 
-// Close stops the delivery listener.
+// Close waits for the deliveries in flight and refuses every later one.
 func (r *RecipientDaemon) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.closed = true
-	r.mu.Unlock()
-	err := r.listener.Close()
-	<-r.loopDone
-	return err
-}
-
-func (r *RecipientDaemon) acceptLoop() {
-	defer close(r.loopDone)
-	for {
-		conn, err := r.listener.Accept()
-		if err != nil {
-			return
+	r.closeOnce.Do(func() {
+		for i := 0; i < cap(r.slots); i++ {
+			r.slots <- struct{}{}
 		}
-		go r.handleConn(conn)
-	}
+	})
+	return nil
 }
 
-func (r *RecipientDaemon) handleConn(conn net.Conn) {
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(deliveryTimeout)); err != nil {
-		return
-	}
-	var d fairex.Delivery
-	if err := json.NewDecoder(conn).Decode(&d); err != nil {
-		r.logf("delivery decode: %v", err)
+// onDelivery settles one delivery on a slot of its own, never on the
+// p2p read loop: the channel branch waits for a chanupdateack that can
+// arrive on this very connection. With every slot taken, or the daemon
+// closed, the gateway is refused at once.
+func (r *RecipientDaemon) onDelivery(from string, msg p2p.Message) {
+	d := new(fairex.Delivery)
+	if err := decodeDeliveryMsg(msg.Payload, d); err != nil {
+		r.Node.misbehave(from, err.Error())
 		return
 	}
 	r.Node.metrics.deliveriesReceived.Inc()
-	ack := fairex.Ack{}
-	if r.channels != nil && len(d.GatewayPubKey) > 0 && d.GatewayP2P != "" {
-		msg, settle, err := r.settleViaChannel(&d)
+	select {
+	case r.slots <- struct{}{}:
+	default:
+		r.reply(from, d, fairex.Ack{Reason: "recipient busy"})
+		return
+	}
+	go func() {
+		r.reply(from, d, r.settle(from, d))
+		<-r.slots
+	}()
+}
+
+// settle pays for one delivery through the channel the gateway at from
+// offers or, failing that, on-chain, and returns the ack to send.
+func (r *RecipientDaemon) settle(from string, d *fairex.Delivery) fairex.Ack {
+	if r.channels != nil && len(d.GatewayPubKey) > 0 {
+		msg, settle, err := r.settleViaChannel(from, d)
 		if err == nil {
-			ack.Accepted = true
-			ack.ChannelID = settle.ChannelID.String()
-			ack.ChannelVersion = settle.Version
 			// Commit, then ack: the gateway treats the ack as "the
 			// reading is in the inbox", so the append comes first.
-			r.mu.Lock()
-			r.inbox = append(r.inbox, msg)
-			fn := r.onRecv
-			r.mu.Unlock()
-			if fn != nil {
-				fn(msg)
-			}
-			if err := json.NewEncoder(conn).Encode(&ack); err != nil {
-				r.logf("ack encode: %v", err)
-			}
-			return
+			r.receive(msg)
+			return fairex.Ack{Accepted: true, ChannelID: settle.ChannelID.String()}
 		}
 		r.logf("channel settle failed, falling back on-chain: %v", err)
 	}
 	// Commit, then ack, on-chain too: HandleDelivery returns only after
 	// Submit has admitted the payment to this node's mempool, so the id
 	// the ack names is already pooled here and on its way to the gateway.
-	payment, err := r.Recipient.HandleDelivery(&d)
+	payment, err := r.Recipient.HandleDelivery(d)
 	if err != nil {
-		ack.Reason = err.Error()
-	} else {
-		ack.Accepted = true
-		ack.PaymentTxID = payment.ID().String()
+		return fairex.Ack{Reason: err.Error()}
 	}
-	if err := json.NewEncoder(conn).Encode(&ack); err != nil {
-		r.logf("ack encode: %v", err)
+	return fairex.Ack{Accepted: true, PaymentTxID: payment.ID().String()}
+}
+
+// reply sends the deliveryack for d to the node it came from.
+func (r *RecipientDaemon) reply(to string, d *fairex.Delivery, ack fairex.Ack) {
+	// A struct of plain fields always encodes.
+	payload, _ := json.Marshal(deliveryAck{DevEUI: d.DevEUI, Exchange: d.Exchange, Ack: ack})
+	if !r.Node.send(to, msgTypeDeliveryAck, payload) {
+		r.logf("deliveryack to %s: peer unreachable", to)
+	}
+}
+
+// receive commits a decrypted message to the inbox, then calls back.
+func (r *RecipientDaemon) receive(msg *recipient.Message) {
+	r.mu.Lock()
+	r.inbox = append(r.inbox, msg)
+	fn := r.onRecv
+	r.mu.Unlock()
+	if fn != nil {
+		fn(msg)
 	}
 }
 
@@ -380,18 +418,12 @@ func (r *RecipientDaemon) settlePending() {
 		if err != nil {
 			continue // claim not on chain yet
 		}
-		r.mu.Lock()
-		r.inbox = append(r.inbox, msg)
-		fn := r.onRecv
-		r.mu.Unlock()
-		if fn != nil {
-			fn(msg)
-		}
+		r.receive(msg)
 	}
 }
 
 func (r *RecipientDaemon) logf(format string, args ...any) {
 	if r.logger != nil {
-		r.logger.Printf("recipient %s: %s", r.Addr(), fmt.Sprintf(format, args...))
+		r.logger.Printf("recipient %s: %s", r.Node.P2PAddr(), fmt.Sprintf(format, args...))
 	}
 }

@@ -1,0 +1,168 @@
+package daemon
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"bcwan/internal/fairex"
+	"bcwan/internal/lora"
+)
+
+// TestRecipientShedsDeliveriesBeyondItsSlots offers four times as many
+// concurrent deliveries as the recipient has settle slots, with every
+// settle held. The excess is refused at once, the goroutine count stays
+// within the slots, and once the settles go on every accepted delivery
+// reaches the inbox.
+func TestRecipientShedsDeliveriesBeyondItsSlots(t *testing.T) {
+	const offered = 4 * maxDeliveriesInFlight
+	c := newCluster(t)
+	_, rcptMgr := c.enableChannels(t)
+	c.publishBinding(t)
+	dev := c.provisionSensor(t, lora.DevEUI{0xe0, 1})
+	deliveries := make([]*fairex.Delivery, offered)
+	for i := range deliveries {
+		d, _, err := c.gwd.Gateway.HandleData(c.dataFrame(t, dev, []byte(fmt.Sprintf("reading-%d", i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.GatewayPubKey = c.gwd.Gateway.Wallet().PublicBytes()
+		deliveries[i] = d
+	}
+
+	// Hold every settle: each admitted delivery parks on the payer's
+	// round lock, holding its slot.
+	rcptMgr.settleMu.Lock()
+	held := true
+	defer func() {
+		if held {
+			rcptMgr.settleMu.Unlock()
+		}
+	}()
+	base := runtime.NumGoroutine()
+	addr := c.rcptd.Node.P2PAddr()
+	acks := make([]<-chan *fairex.Ack, offered)
+	for i, d := range deliveries {
+		ch, cancel := c.gwd.acks.wait(ackKey{addr, d.DevEUI, d.Exchange})
+		defer cancel()
+		acks[i] = ch
+		payload, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.gwd.Node.send(addr, msgTypeDelivery, payload) {
+			t.Fatalf("delivery %d not sent", i)
+		}
+	}
+	// One connection carries them in order: the first deliveries take
+	// the slots, and the rest are refused while those are still held.
+	for i := maxDeliveriesInFlight; i < offered; i++ {
+		select {
+		case ack := <-acks[i]:
+			if ack.Accepted || ack.Reason != "recipient busy" {
+				t.Fatalf("delivery %d beyond the slots: %+v, want a busy refusal", i, ack)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("delivery %d beyond the slots: no refusal while the slots are held", i)
+		}
+	}
+	grew := runtime.NumGoroutine() - base
+	t.Logf("goroutines grew by %d", grew)
+	if grew > 2*maxDeliveriesInFlight {
+		t.Fatalf("%d goroutines more for %d offered deliveries, want at most %d", grew, offered, 2*maxDeliveriesInFlight)
+	}
+	if got := len(c.rcptd.Inbox()); got != 0 {
+		t.Fatalf("inbox = %d while every settle is held", got)
+	}
+
+	rcptMgr.settleMu.Unlock()
+	held = false
+	for i := 0; i < maxDeliveriesInFlight; i++ {
+		select {
+		case ack := <-acks[i]:
+			if !ack.Accepted || ack.ChannelID == "" {
+				t.Fatalf("delivery %d in a slot: %+v, want settled through the channel", i, ack)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("delivery %d in a slot: never acked", i)
+		}
+	}
+	if got := len(c.rcptd.Inbox()); got != maxDeliveriesInFlight {
+		t.Fatalf("inbox = %d, want every one of the %d accepted deliveries", got, maxDeliveriesInFlight)
+	}
+}
+
+func TestDeliveryDecodeRefusesOversize(t *testing.T) {
+	payload, err := json.Marshal(&fairex.Delivery{DevEUI: lora.DevEUI{1}, Exchange: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d fairex.Delivery
+	if err := decodeDeliveryMsg(payload, &d); err != nil {
+		t.Fatal(err)
+	}
+	padded := append(payload, bytes.Repeat([]byte(" "), maxDeliveryMsg)...)
+	if err := decodeDeliveryMsg(padded, &d); err == nil {
+		t.Fatalf("accepted a %d-byte delivery", len(padded))
+	}
+}
+
+// FuzzDeliveryMsgDecode drives the recipient's delivery decode, and the
+// gateway's deliveryack decode, with hostile payloads: neither may
+// panic or accept anything over the bound, and what they accept must
+// survive encode/decode unchanged.
+func FuzzDeliveryMsgDecode(f *testing.F) {
+	valid, err := json.Marshal(&fairex.Delivery{
+		DevEUI:        lora.DevEUI{0xaa, 1},
+		Exchange:      7,
+		Em:            bytes.Repeat([]byte{1}, 64),
+		EPk:           bytes.Repeat([]byte{2}, 70),
+		Sig:           bytes.Repeat([]byte{3}, 64),
+		Price:         100,
+		RefundWindow:  100,
+		GatewayPubKey: bytes.Repeat([]byte{4}, 65),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add([]byte("null"))
+	f.Add([]byte(`{"deveui":[1,2,3,4,5,6,7,8,9]}`))
+	f.Add([]byte(`{"exchange":-1,"price":1e30}`))
+	f.Add([]byte(`{"em":"not base64"}`))
+	f.Add([]byte(`{"em":null,"epk":"","gateway":[300]}`))
+	f.Add([]byte(`{"gAtewAYPuBKeY":"","0000000":0}`))
+	f.Add([]byte(`{"deveui":[1],"exchange":3,"accepted":true,"paymentTxid":"ab","reason":"\xff"}`))
+	f.Add(append(valid, bytes.Repeat([]byte(" "), maxDeliveryMsg)...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		roundTrip(t, data, new(fairex.Delivery), new(fairex.Delivery))
+		roundTrip(t, data, new(deliveryAck), new(deliveryAck))
+	})
+}
+
+// roundTrip decodes data into v; if that succeeds, v's encoding must
+// decode into again and encode to the same bytes. (Bytes, not values:
+// an empty omitempty field decodes as empty and comes back as nil.)
+func roundTrip(t *testing.T, data []byte, v, again any) {
+	if err := decodeDeliveryMsg(data, v); err != nil {
+		return
+	}
+	if len(data) > maxDeliveryMsg {
+		t.Fatalf("accepted a %d-byte payload", len(data))
+	}
+	encoded, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("re-encode %T: %v", v, err)
+	}
+	if err := decodeDeliveryMsg(encoded, again); err != nil {
+		t.Fatalf("re-decode %T: %v", v, err)
+	}
+	if reencoded, err := json.Marshal(again); err != nil || !bytes.Equal(encoded, reencoded) {
+		t.Fatalf("round trip changed the %T: %s vs %s (%v)", v, encoded, reencoded, err)
+	}
+}

@@ -2,7 +2,7 @@ package daemon
 
 import "bcwan/internal/telemetry"
 
-// daemonMetrics instruments the deployable daemons: Fig. 3 step-7 TCP
+// daemonMetrics instruments the deployable daemons: Fig. 3 step-7
 // deliveries on both sides, and chain-store persistence latency.
 type daemonMetrics struct {
 	deliveriesSent     *telemetry.Counter
@@ -47,8 +47,8 @@ type daemonMetrics struct {
 func newDaemonMetrics(reg *telemetry.Registry) *daemonMetrics {
 	ns := reg.Namespace("daemon")
 	return &daemonMetrics{
-		deliveriesSent:     ns.Counter("deliveries_sent_total", "TCP deliveries a gateway daemon pushed to recipients."),
-		deliveriesReceived: ns.Counter("deliveries_received_total", "TCP deliveries a recipient daemon accepted from gateways."),
+		deliveriesSent:     ns.Counter("deliveries_sent_total", "Deliveries a gateway daemon pushed to recipients and saw acknowledged."),
+		deliveriesReceived: ns.Counter("deliveries_received_total", "Deliveries a recipient daemon decoded from gateways."),
 		orphanTxsParked:    ns.Counter("orphan_txs_parked_total", "Gossiped transactions parked until their inputs become visible."),
 		claimWaitSeconds:   ns.Histogram("claim_wait_seconds", "Gateway wait from the recipient's ack to the claim's submission, in seconds.", nil),
 		claimRechecks:      ns.Counter("claim_rechecks_total", "Gateway claim wake-ups that did not yet find the payment (or its confirmations)."),

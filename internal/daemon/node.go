@@ -1,8 +1,8 @@
 // Package daemon assembles deployable BcWAN processes: a blockchain node
 // that replicates the chain over the P2P overlay and serves JSON-RPC
 // (§5.1's "BcWAN daemon" wrapping the blockchain module), plus the
-// gateway- and recipient-side daemons that speak the Fig. 3 TCP delivery
-// protocol between each other.
+// gateway- and recipient-side daemons that run the Fig. 3 delivery
+// between each other as messages on the same overlay.
 package daemon
 
 import (
@@ -333,10 +333,19 @@ func (n *Node) Gossip() *p2p.Node { return n.gossip }
 // are charged — validation failures (a block we disagree with, a tx
 // conflicting with our view) are legitimate fork ambiguity, not abuse.
 func (n *Node) misbehave(from, reason string) {
-	if from == "" {
-		return
-	}
 	n.gossip.Misbehave(from, misbehaviorPenalty, reason)
+}
+
+// send delivers a direct message, dialing the peer first if the overlay
+// has no live connection yet.
+func (n *Node) send(addr, msgType string, payload []byte) bool {
+	if n.gossip.SendTo(addr, msgType, payload) {
+		return true
+	}
+	if err := n.gossip.Connect(addr); err != nil {
+		return false
+	}
+	return n.gossip.SendTo(addr, msgType, payload)
 }
 
 // RPCAddr returns the JSON-RPC listen address.

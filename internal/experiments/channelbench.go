@@ -96,7 +96,7 @@ func newChannelDoc(cfg ChannelBenchConfig, results []*ChannelBenchResult) *Chann
 const channelBenchTimeout = 2 * time.Minute
 
 // channelBench is one three-node federation (miner + gateway daemon +
-// recipient daemon over an in-memory mesh, deliveries over real TCP)
+// recipient daemon over an in-memory mesh that also carries deliveries)
 // with a provisioned sensor. Each mode runs on a fresh instance so the
 // two workloads differ only in settlement path.
 type channelBench struct {
@@ -157,7 +157,7 @@ func newChannelBench(cfg ChannelBenchConfig, channels bool) (*channelBench, erro
 		cb.close()
 		return nil, err
 	}
-	cb.rcptd, err = daemon.NewRecipientDaemon(rcptNode, recipient.DefaultConfig(), "127.0.0.1:0", rand.Reader, nil)
+	cb.rcptd, err = daemon.NewRecipientDaemon(rcptNode, recipient.DefaultConfig(), "", rand.Reader, nil)
 	if err != nil {
 		gwNode.Close()
 		rcptNode.Close()

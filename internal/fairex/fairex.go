@@ -1,5 +1,5 @@
 // Package fairex carries the shared vocabulary of BcWAN's fair exchange
-// (§4.4): the TCP-level delivery message a gateway sends a recipient, the
+// (§4.4): the delivery message a gateway sends a recipient, the
 // ledger interface both sides watch, offer verification, and extraction of
 // the ephemeral private key from a confirmed claim transaction.
 package fairex
@@ -17,8 +17,8 @@ import (
 
 // Delivery is the Fig. 3 step 7 message: the gateway forwards the doubly
 // encrypted message (Em), the ephemeral public key (ePk) and the node's
-// signature (Sig) to the recipient over TCP/IP, together with the terms
-// of the exchange.
+// signature (Sig) to the recipient over TCP/IP — here one message on the
+// p2p overlay — together with the terms of the exchange.
 type Delivery struct {
 	// DevEUI identifies the originating sensor, so the recipient can
 	// select the shared key K and the node's public key Pk.
@@ -42,11 +42,9 @@ type Delivery struct {
 	RefundWindow int64 `json:"refundWindow"`
 	// GatewayPubKey, when present, is the gateway's EC public key and
 	// signals that the gateway accepts off-chain settlement through a
-	// payment channel funded against this key.
+	// payment channel funded against this key, at the overlay address
+	// the delivery came from.
 	GatewayPubKey []byte `json:"gatewayPubKey,omitempty"`
-	// GatewayP2P is the gateway's p2p overlay address for the channel
-	// control plane (open/update/close messages).
-	GatewayP2P string `json:"gatewayP2p,omitempty"`
 }
 
 // Ack is the recipient's answer: the payment transaction it broadcast,
@@ -56,10 +54,9 @@ type Ack struct {
 	Accepted    bool   `json:"accepted"`
 	PaymentTxID string `json:"paymentTxid,omitempty"`
 	Reason      string `json:"reason,omitempty"`
-	// ChannelID and ChannelVersion identify the off-chain commitment
-	// update that settled this delivery, when channel mode was used.
-	ChannelID      string `json:"channelId,omitempty"`
-	ChannelVersion uint64 `json:"channelVersion,omitempty"`
+	// ChannelID names the channel whose commitment update settled this
+	// delivery, when channel mode was used.
+	ChannelID string `json:"channelId,omitempty"`
 }
 
 // Fair-exchange errors.

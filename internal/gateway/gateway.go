@@ -256,7 +256,7 @@ func (g *Gateway) track(ek exchangeKey, pend *pendingExchange) {
 
 // HandleData performs Fig. 3 steps 6–7: decode (Em ‖ Sig ‖ @R), resolve
 // the recipient's IP in the blockchain directory, and produce the
-// Delivery to send over TCP together with the destination address.
+// Delivery to send together with the destination address.
 func (g *Gateway) HandleData(f *lora.Frame) (*fairex.Delivery, string, error) {
 	if f.Type != lora.FrameData {
 		return nil, "", fmt.Errorf("gateway: frame type %d is not a data frame", f.Type)

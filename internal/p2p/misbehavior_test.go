@@ -124,6 +124,65 @@ func TestMaxPeersRefusesExtraAndBanFreesSlot(t *testing.T) {
 	}
 }
 
+// TestForgedFromChargesTheConnection: a connected peer that stamps an
+// honest peer's address on its garbage is charged itself, and the
+// handler never sees the forged name.
+func TestForgedFromChargesTheConnection(t *testing.T) {
+	tr := NewMemTransport()
+	victim, err := NewNode(tr, "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer victim.Close()
+	honest, err := NewNode(tr, "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer honest.Close()
+	var got collector
+	victim.Handle("tx", func(from string, msg Message) {
+		got.handler(from, msg)
+		victim.Misbehave(from, 10, "undecodable tx")
+	})
+	if err := honest.Connect(victim.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	honest.SendTo(victim.Addr(), "hello", nil)
+	waitPeers(t, victim, 1)
+
+	const forger = "forger"
+	conn, err := tr.Dial(victim.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.Send(Message{Type: "hello", From: forger}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := conn.Send(Message{Type: "tx", From: honest.Addr(), Payload: []byte("junk")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Someone is charged 10 points per frame; wait for all three.
+	deadline := time.Now().Add(5 * time.Second)
+	for victim.BanScore(forger)+victim.BanScore(honest.Addr()) < 30 {
+		if time.Now().After(deadline) {
+			t.Fatal("the forged frames were never charged")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if score := victim.BanScore(honest.Addr()); score != 0 {
+		t.Fatalf("honest peer charged %d for frames it never sent", score)
+	}
+	if score := victim.BanScore(forger); score != 30 {
+		t.Fatalf("forger charged %d, want 30", score)
+	}
+	if got.count() != 0 {
+		t.Fatalf("dispatched %d forged frames", got.count())
+	}
+}
+
 // FuzzSyncMsgDecode drives the four sync decoders with hostile inputs:
 // none may panic, every accepted message must respect the documented
 // bounds, and decode/encode/decode must agree.

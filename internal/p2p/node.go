@@ -20,8 +20,10 @@ var ErrPeerLimit = errors.New("p2p: peer limit reached")
 // standard 10-point penalty.
 const DefaultBanThreshold = 100
 
-// Handler processes one received message. Handlers run on per-connection
-// reader goroutines; implementations must be safe for concurrent use.
+// Handler processes one received message; from is the address the
+// message's connection is registered under, never a frame's own claim.
+// Handlers run on per-connection reader goroutines; implementations must
+// be safe for concurrent use.
 type Handler func(from string, msg Message)
 
 // Node is one overlay participant: it listens for peers, maintains
@@ -420,18 +422,24 @@ func (n *Node) readLoop(addr string, conn Conn) {
 			m.bytesIn.Add(uint64(msg.WireSize()))
 			m.messageBytes.Observe(float64(msg.WireSize()))
 		}
-		n.dispatch(msg)
+		if msg.From != addr {
+			// Else a peer could have another charged for its garbage,
+			// or route replies elsewhere: ten such frames ban it.
+			n.Misbehave(addr, DefaultBanThreshold/10, "frame claims to be from "+msg.From)
+			continue
+		}
+		n.dispatch(addr, msg)
 	}
 }
 
-// dispatch runs the message's handler, if its type has one. Nothing is
-// forwarded.
-func (n *Node) dispatch(msg Message) {
+// dispatch runs the message's handler, if its type has one, under the
+// address of the connection it arrived on. Nothing is forwarded.
+func (n *Node) dispatch(from string, msg Message) {
 	n.mu.Lock()
 	h := n.handlers[msg.Type]
 	n.mu.Unlock()
 	if h != nil {
-		h(msg.From, msg)
+		h(from, msg)
 	}
 }
 
