@@ -86,8 +86,9 @@ lint:
 # verifier (consensus-critical) plus the decoders fed by
 # unauthenticated peers — directory bindings, channel messages, sync
 # messages, relay and compact-block messages, gateway deliveries — and
-# the keygen prime prefilter against its math/big reference. CI's fuzz
-# smoke runs this target; only the nightly matrix repeats the list.
+# keygen's fixed-width primality tests (the base-2 prefilter and the
+# whole verdict) against math/big. CI's fuzz smoke runs this target;
+# only the nightly matrix repeats the list.
 fuzz:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=30s -run '^$$' ./internal/script/
 	$(GO) test -fuzz=FuzzDecodeBinding -fuzztime=15s -run '^$$' ./internal/registry/
@@ -96,6 +97,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRelayMsgDecode -fuzztime=15s -run '^$$' ./internal/p2p/
 	$(GO) test -fuzz=FuzzDeliveryMsgDecode -fuzztime=15s -run '^$$' ./internal/daemon/
 	$(GO) test -fuzz=FuzzSPRP2 -fuzztime=15s -run '^$$' ./internal/bccrypto/
+	$(GO) test -fuzz=FuzzPrime256 -fuzztime=15s -run '^$$' ./internal/bccrypto/
 	$(GO) test -fuzz=FuzzLogReplay -fuzztime=15s -run '^$$' ./internal/durable/
 
 # Fault-injection scenario table under the race detector. Every run

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/big"
 	"math/bits"
+	"math/rand"
 )
 
 // RSA-512 implemented directly on math/big.
@@ -130,14 +131,14 @@ var sievePrimes = func() []uint64 {
 // primeSearch finds 256-bit primes for GenerateRSA512 and holds the
 // scratch both searches of one key share. It draws candidates exactly as
 // crypto/rand.Prime does — 32 random bytes, top two bits and low bit set
-// — and accepts on the same test, ProbablyPrime(20); what differs is
-// that a draw is sieved against sievePrimes in word arithmetic first,
-// and that a survivor must pass sprp2 before math/big sees it, so
-// ProbablyPrime runs on little more than the primes themselves.
+// — and accepts on the same test, math/big's at 20 rounds. A draw is
+// sieved against sievePrimes in word arithmetic, and a survivor takes
+// that test in fixed-width arithmetic (sprp.go): no candidate reaches
+// math/big.
 type primeSearch struct {
 	buf       [rsa512PrimeLen]byte
 	composite [sieveWindow]bool
-	cand      big.Int
+	rng       *rand.Rand // the Miller–Rabin bases' source
 }
 
 // next returns the first probable prime at or above a fresh random draw,
@@ -166,14 +167,11 @@ func (ps *primeSearch) next(random io.Reader) (*big.Int, error) {
 			if carry != 0 {
 				break // the window ran past 2²⁵⁶
 			}
-			if !sprp2(cand) {
-				continue
-			}
-			for i, w := range cand {
-				binary.BigEndian.PutUint64(ps.buf[8*i:], w)
-			}
-			if ps.cand.SetBytes(ps.buf[:]).ProbablyPrime(20) {
-				return new(big.Int).Set(&ps.cand), nil
+			if ps.probablyPrime(cand) {
+				for i, w := range cand {
+					binary.BigEndian.PutUint64(ps.buf[8*i:], w)
+				}
+				return new(big.Int).SetBytes(ps.buf[:]), nil
 			}
 		}
 	}

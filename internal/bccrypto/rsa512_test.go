@@ -10,6 +10,7 @@ import (
 	"math/big"
 	mrand "math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -156,26 +157,40 @@ func TestGenerateRSA512GoldenKeys(t *testing.T) {
 	}
 }
 
-// maxAllocsPerKey bounds GenerateRSA512's allocations. With sprp2 in
-// front of ProbablyPrime a key costs ≈ 950; without it every composite
-// sieve survivor reaches math/big and a key costs ≈ 1 520.
-const maxAllocsPerKey = 1200
+// The bounds on GenerateRSA512's heap use per key. A key costs ≈ 24
+// allocations and 7.8 kB, 5 kB of it the Miller–Rabin bases' math/rand
+// source. With ProbablyPrime(20) back on the accepted primes it costs
+// ≈ 944 allocations and 97 kB; with every sieve survivor reaching
+// math/big, ≈ 1 520 and 254 kB.
+const (
+	maxAllocsPerKey = 40
+	maxBytesPerKey  = 12 << 10
+)
 
-// TestGenerateRSA512Allocs is the tripwire for composites reaching
-// math/big again; the allocation count of a seeded key stream is
+// TestGenerateRSA512Allocs is the tripwire for primality testing
+// reaching math/big again; the heap use of a seeded key stream is
 // deterministic.
 func TestGenerateRSA512Allocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
+	const keys = 20
 	stream := mrand.New(mrand.NewSource(11))
-	allocs := testing.AllocsPerRun(20, func() {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < keys; i++ {
 		if _, err := GenerateRSA512(stream); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > maxAllocsPerKey {
-		t.Fatalf("GenerateRSA512 allocates %.0f times per key, want ≤ %d", allocs, maxAllocsPerKey)
+	}
+	runtime.ReadMemStats(&after)
+	t.Logf("%d allocations, %d bytes per key", (after.Mallocs-before.Mallocs)/keys, (after.TotalAlloc-before.TotalAlloc)/keys)
+	if allocs := (after.Mallocs - before.Mallocs) / keys; allocs > maxAllocsPerKey {
+		t.Errorf("GenerateRSA512 allocates %d times per key, want ≤ %d", allocs, maxAllocsPerKey)
+	}
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / keys; bytes > maxBytesPerKey {
+		t.Errorf("GenerateRSA512 allocates %d bytes per key, want ≤ %d", bytes, maxBytesPerKey)
 	}
 }
 

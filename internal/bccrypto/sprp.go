@@ -1,140 +1,426 @@
 package bccrypto
 
-import "math/bits"
+import (
+	"math/big"
+	"math/bits"
+	"math/rand"
+)
 
-// A strong-probable-prime test to base 2 on fixed-width 256-bit numbers.
+// math/big's probable-prime test at 20 rounds, on fixed-width 256-bit
+// numbers.
 //
-// primeSearch runs it on every sieve survivor before ProbablyPrime(20).
-// ProbablyPrime always includes a base-2 Miller–Rabin round (math/big
-// calls probablyPrimeMillerRabin with force2 set), so a survivor this
-// test rejects is one ProbablyPrime rejects too: the prefilter changes
-// which calls are made, never which candidate is accepted. About ten of
-// every eleven survivors are composite; here they cost 4×64-bit
-// Montgomery squarings on the stack instead of a math/big exponentiation
-// and a freshly seeded math/rand source each.
+// primeSearch accepts a sieve survivor on the test big.Int applies when
+// asked for 20 rounds — trial division by the primes 3 … 53, twenty
+// Miller–Rabin rounds on bases drawn from a math/rand source seeded with
+// n's low word, one round to base 2, and the "almost extra strong" Lucas
+// test — but runs it in 4×64-bit Montgomery arithmetic on the stack. The
+// bases come from the same seeded source, drawn as go1.24's
+// math/big/prime.go draws them on 64-bit words, so the verdict is
+// math/big's. The verdict is a
+// conjunction of pure functions of n, so the order of the parts is free:
+// base 2 goes first, because about ten of every eleven survivors are
+// composite and it rejects them before the source is seeded. Like
+// math/big's, the code is variable-time; the keys it serves are
+// ephemeral, minted off the request path, and published by the claim.
 
 // u256 is a 256-bit number, least significant word first.
 type u256 [4]uint64
 
-// sprp2 reports whether n is a strong probable prime to base 2. n is
-// given most significant word first, as the sieve holds it, and must be
-// odd with its top two bits set — every candidate primeSearch draws is.
-// Then n > 2²⁵⁵, so with R = 2²⁵⁶ the Montgomery form of 1 is R − n and
-// that of −1 is n − (R − n).
-func sprp2(nBE [4]uint64) bool {
-	n := u256{nBE[3], nBE[2], nBE[1], nBE[0]}
+// mont is an odd 256-bit modulus n with its top two bits set — every
+// candidate primeSearch draws is one — and the constants Montgomery
+// arithmetic modulo n needs. With R = 2²⁵⁶, n > 2²⁵⁵ makes R mod n equal
+// R − n: that is the Montgomery form of 1, and n − (R − n) is that of
+// −1.
+type mont struct {
+	n, nm1        u256   // n and n − 1
+	s             int    // n − 1 = d·2^s with d odd
+	ninv          uint64 // −n⁻¹ mod 2⁶⁴
+	one, minusOne u256
+}
 
-	// n − 1 = d·2^s with d odd; n is odd, so bit 0 of n − 1 is clear.
-	nm1 := n
-	nm1[0]--
-	s := 0
-	for _, w := range nm1 {
-		if w != 0 {
-			s += bits.TrailingZeros64(w)
-			break
-		}
-		s += 64
-	}
-
-	// ninv = −n⁻¹ mod 2⁶⁴ by Newton's iteration: each step doubles the
-	// correct low bits, and n·n ≡ 1 (mod 8) gives the first three.
-	inv := n[0]
+// newMont takes n most significant word first, as the sieve holds it.
+func newMont(nBE [4]uint64) mont {
+	m := mont{n: u256{nBE[3], nBE[2], nBE[1], nBE[0]}}
+	// n is odd, so bit 0 of n − 1 is clear.
+	m.nm1 = m.n
+	m.nm1[0]--
+	m.s = trailingZeros(&m.nm1)
+	// Newton's iteration: each step doubles the correct low bits, and
+	// n·n ≡ 1 (mod 8) gives the first three.
+	inv := m.n[0]
 	for i := 0; i < 5; i++ {
-		inv *= 2 - n[0]*inv
+		inv *= 2 - m.n[0]*inv
 	}
-	ninv := -inv
+	m.ninv = -inv
+	var zero u256
+	m.one, _ = subBorrow(&zero, &m.n)
+	m.minusOne, _ = subBorrow(&m.n, &m.one)
+	return m
+}
 
-	var one, minusOne u256
-	var borrow uint64
-	for i := range one {
-		one[i], borrow = bits.Sub64(0, n[i], borrow)
-	}
-	borrow = 0
-	for i := range minusOne {
-		minusOne[i], borrow = bits.Sub64(n[i], one[i], borrow)
-	}
+// sprp2 reports whether n, most significant word first, odd and with its
+// top two bits set, is a strong probable prime to base 2.
+func sprp2(nBE [4]uint64) bool {
+	m := newMont(nBE)
+	return m.sprp2()
+}
 
-	// x = 2^d in Montgomery form, left to right over the bits of d =
-	// (n − 1) >> s, which are bits s … 255 of n − 1. Multiplying by the
-	// base 2 is a modular doubling, so the ladder is squarings only.
-	x := one
-	for i := 255; i >= s; i-- {
-		x = montMul(&x, &x, &n, ninv)
-		if nm1[i/64]>>(i%64)&1 == 1 {
-			x = modDouble(&x, &n)
-		}
+// probablyPrime reports whether n, most significant word first, odd and
+// with its top two bits set, passes math/big's test at 20 rounds. It
+// needs no sieve. The Miller–Rabin source is made on first use and
+// reseeded for each candidate that reaches it.
+func (ps *primeSearch) probablyPrime(nBE [4]uint64) bool {
+	m := newMont(nBE)
+	if m.smallFactor() || !m.sprp2() {
+		return false
 	}
-	if x == one || x == minusOne {
-		return true
+	seed := int64(m.n[0])
+	if ps.rng == nil {
+		ps.rng = rand.New(rand.NewSource(seed))
+	} else {
+		ps.rng.Seed(seed)
 	}
-	for r := 1; r < s; r++ {
-		x = montMul(&x, &x, &n, ninv)
-		if x == minusOne {
+	return m.millerRabin(ps.rng) && m.lucas()
+}
+
+// smallPrimes are the primes math/big trial-divides by before its first
+// round. Their product fits a word, so one reduction of n serves
+// them all.
+var smallPrimes = [...]uint64{3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53}
+
+const smallPrimesProduct = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53
+
+// smallFactor reports whether one of smallPrimes divides n.
+func (m *mont) smallFactor() bool {
+	r := rem(&m.n, smallPrimesProduct)
+	for _, p := range smallPrimes {
+		if r%p == 0 {
 			return true
 		}
-		if x == one {
+	}
+	return false
+}
+
+// sprp2 computes 2^d left to right over the bits of d = (n − 1) >> s,
+// which are bits s … 255 of n − 1. Multiplying by the base 2 is a
+// modular doubling, so the ladder is squarings only.
+func (m *mont) sprp2() bool {
+	x := m.one
+	for i := 255; i >= m.s; i-- {
+		x = m.mul(&x, &x)
+		if m.nm1[i/64]>>(i%64)&1 == 1 {
+			x = m.add(&x, &x)
+		}
+	}
+	return m.chain(x)
+}
+
+// sprp is the strong test to base a, given in Montgomery form.
+func (m *mont) sprp(a *u256) bool {
+	x := m.one
+	for i := 255; i >= m.s; i-- {
+		x = m.mul(&x, &x)
+		if m.nm1[i/64]>>(i%64)&1 == 1 {
+			x = m.mul(&x, a)
+		}
+	}
+	return m.chain(x)
+}
+
+// chain finishes a strong test from x = a^d: n passes if x ≡ ±1, or if
+// x^(2^r) ≡ −1 for some 0 < r < s.
+func (m *mont) chain(x u256) bool {
+	if x == m.one || x == m.minusOne {
+		return true
+	}
+	for r := 1; r < m.s; r++ {
+		x = m.mul(&x, &x)
+		if x == m.minusOne {
+			return true
+		}
+		if x == m.one {
 			return false
 		}
 	}
 	return false
 }
 
-// montMul returns a·b·2⁻²⁵⁶ mod m for a, b < m, with m odd and ninv =
-// −m⁻¹ mod 2⁶⁴ (coarsely integrated operand scanning).
-func montMul(a, b, m *u256, ninv uint64) u256 {
-	var t [6]uint64
-	for i := 0; i < 4; i++ {
-		// t += a·b[i]
-		var c, cc uint64
-		for j := 0; j < 4; j++ {
-			hi, lo := bits.Mul64(a[j], b[i])
-			lo, cc = bits.Add64(lo, t[j], 0)
-			hi += cc
-			lo, cc = bits.Add64(lo, c, 0)
-			t[j], c = lo, hi+cc
-		}
-		t[4], cc = bits.Add64(t[4], c, 0)
-		t[5] = cc
+// millerRabinRounds is the number of random bases math/big is asked
+// for; it always adds base 2.
+const millerRabinRounds = 20
 
-		// t = (t + u·m) / 2⁶⁴, with u chosen to clear the low word.
-		u := t[0] * ninv
-		hi, lo := bits.Mul64(u, m[0])
-		_, cc = bits.Add64(lo, t[0], 0)
-		c = hi + cc
-		for j := 1; j < 4; j++ {
-			hi, lo = bits.Mul64(u, m[j])
-			lo, cc = bits.Add64(lo, t[j], 0)
-			hi += cc
-			lo, cc = bits.Add64(lo, c, 0)
-			t[j-1], c = lo, hi+cc
+// millerRabin runs the random-base rounds. rng must be seeded with
+// int64 of n's low word, as probablyPrimeMillerRabin seeds its source.
+func (m *mont) millerRabin(rng *rand.Rand) bool {
+	// R² mod n brings a base into Montgomery form.
+	rr := m.one
+	for i := 0; i < 256; i++ {
+		rr = m.add(&rr, &rr)
+	}
+	for i := 0; i < millerRabinRounds; i++ {
+		a := m.base(rng)
+		a = m.mul(&a, &rr)
+		if !m.sprp(&a) {
+			return false
 		}
-		t[3], cc = bits.Add64(t[4], c, 0)
-		t[4] = t[5] + cc
 	}
-	// t < 2m: subtract m once if t ≥ m.
-	var r u256
-	var borrow uint64
-	for i := range r {
-		r[i], borrow = bits.Sub64(t[i], m[i], borrow)
+	return true
+}
+
+// base draws the next Miller–Rabin base as nat.random draws it on 64-bit
+// words: each word is Uint32 | Uint32<<32, least significant word first,
+// and the value is redrawn until it is below n − 3; the base is that
+// value plus 2. n − 3 keeps all 256 bits, so nat.random's mask on the
+// top word is all ones.
+func (m *mont) base(rng *rand.Rand) u256 {
+	nm3, _ := subBorrow(&m.nm1, &u256{2})
+	for {
+		var z u256
+		for i := range z {
+			z[i] = uint64(rng.Uint32()) | uint64(rng.Uint32())<<32
+		}
+		if _, borrow := subBorrow(&z, &nm3); borrow != 0 {
+			return addWord(&z, 2)
+		}
 	}
-	if t[4] == 0 && borrow != 0 {
-		return u256{t[0], t[1], t[2], t[3]}
+}
+
+// lucas is math/big's probablyPrimeLucas: the "almost extra strong"
+// Lucas test with Baillie-OEIS method C parameters, P = 3, 4, … until
+// the Jacobi symbol of P² − 4 modulo n is −1, and Q = 1.
+func (m *mont) lucas() bool {
+	p := uint64(3)
+	for ; ; p++ {
+		if p > 10000 {
+			panic("bccrypto: cannot find (D/n) = -1 for " + m.big().String())
+		}
+		j := jacobi(p*p-4, &m.n)
+		if j == -1 {
+			break
+		}
+		if j == 0 {
+			// n shares a factor with P² − 4 < n, so it is composite.
+			return false
+		}
+		if p == 40 {
+			// A square n never yields −1; math/big checks here.
+			x := m.big()
+			r := new(big.Int).Sqrt(x)
+			if r.Mul(r, r).Cmp(x) == 0 {
+				return false
+			}
+		}
+	}
+
+	// n + 1 = s·2^r with s odd. n is odd, so (n + 1)/2 = (n >> 1) + 1,
+	// which cannot overflow 256 bits.
+	h := shr(&m.n, 1)
+	h = addWord(&h, 1)
+	tz := trailingZeros(&h)
+	r := 1 + tz
+	s := shr(&h, tz)
+
+	// V(0) = 2, V(1) = P; V(2k) = V(k)² − 2, V(2k+1) = V(k)·V(k+1) − P,
+	// all in Montgomery form. Bits of s above its top one leave k = 0,
+	// so the ladder can start at bit 255.
+	two := m.add(&m.one, &m.one)
+	var pm u256 // P·R mod n, by doubling and adding over the bits of P
+	for i := bits.Len64(p) - 1; i >= 0; i-- {
+		pm = m.add(&pm, &pm)
+		if p>>i&1 == 1 {
+			pm = m.add(&pm, &m.one)
+		}
+	}
+	vk, vk1 := two, pm
+	for i := 255; i >= 0; i-- {
+		t := m.mul(&vk, &vk1)
+		t = m.sub(&t, &pm)
+		if s[i/64]>>(i%64)&1 == 1 {
+			vk = t
+			vk1 = m.mul(&vk1, &vk1)
+			vk1 = m.sub(&vk1, &two)
+		} else {
+			vk1 = t
+			vk = m.mul(&vk, &vk)
+			vk = m.sub(&vk, &two)
+		}
+	}
+
+	// V(s) ≡ ±2 and U(s) ≡ 0, which holds iff P·V(s) ≡ 2·V(s+1).
+	var zero u256
+	if vk == two || vk == m.sub(&zero, &two) {
+		if m.mul(&vk, &pm) == m.add(&vk1, &vk1) {
+			return true
+		}
+	}
+	// Or V(2^t·s) ≡ 0 for some 0 ≤ t < r − 1. V = 2 is a fixed point of
+	// V ↦ V² − 2, so reaching it ends the search.
+	for t := 0; t < r-1; t++ {
+		if vk == zero {
+			return true
+		}
+		if vk == two {
+			return false
+		}
+		vk = m.mul(&vk, &vk)
+		vk = m.sub(&vk, &two)
+	}
+	return false
+}
+
+// jacobi returns the Jacobi symbol (a/n) for odd n and a > 0: one
+// reduction of n modulo a turns it into a symbol on words.
+func jacobi(a uint64, n *u256) int {
+	j := 1
+	// (2/n) = −1 iff n ≡ 3, 5 (mod 8).
+	tz := bits.TrailingZeros64(a)
+	a >>= tz
+	if tz&1 == 1 && (n[0]&7 == 3 || n[0]&7 == 5) {
+		j = -j
+	}
+	// Reciprocity for odd a: (a/n) = (n/a), negated iff a ≡ n ≡ 3 (mod 4).
+	if a&3 == 3 && n[0]&3 == 3 {
+		j = -j
+	}
+	x, y := rem(n, a), a
+	for x != 0 {
+		tz := bits.TrailingZeros64(x)
+		x >>= tz
+		if tz&1 == 1 && (y&7 == 3 || y&7 == 5) {
+			j = -j
+		}
+		if x&3 == 3 && y&3 == 3 {
+			j = -j
+		}
+		x, y = y%x, x
+	}
+	if y != 1 {
+		return 0
+	}
+	return j
+}
+
+// rem returns x mod d.
+func rem(x *u256, d uint64) uint64 {
+	var r uint64
+	for i := len(x) - 1; i >= 0; i-- {
+		_, r = bits.Div64(r, x[i], d)
 	}
 	return r
 }
 
-// modDouble returns 2x mod m for x < m.
-func modDouble(x, m *u256) u256 {
-	var d, r u256
-	var carry, borrow uint64
+func (m *mont) big() *big.Int {
+	return new(big.Int).SetBits([]big.Word{big.Word(m.n[0]), big.Word(m.n[1]), big.Word(m.n[2]), big.Word(m.n[3])})
+}
+
+// mul returns a·b·R⁻¹ mod n for a, b < n (coarsely integrated operand
+// scanning).
+func (m *mont) mul(a, b *u256) u256 {
+	var t0, t1, t2, t3, t4, t5, c, cc uint64
+	for _, bi := range b {
+		// t += a·bi
+		c, t0 = madd(a[0], bi, t0, 0)
+		c, t1 = madd(a[1], bi, t1, c)
+		c, t2 = madd(a[2], bi, t2, c)
+		c, t3 = madd(a[3], bi, t3, c)
+		t4, t5 = bits.Add64(t4, c, 0)
+
+		// t = (t + u·n) / 2⁶⁴, with u chosen to clear the low word.
+		u := t0 * m.ninv
+		c, _ = madd(u, m.n[0], t0, 0)
+		c, t0 = madd(u, m.n[1], t1, c)
+		c, t1 = madd(u, m.n[2], t2, c)
+		c, t2 = madd(u, m.n[3], t3, c)
+		t3, cc = bits.Add64(t4, c, 0)
+		t4 = t5 + cc
+	}
+	// t < 2n: subtract n once if t ≥ n.
+	t := u256{t0, t1, t2, t3}
+	r, borrow := subBorrow(&t, &m.n)
+	if t4 == 0 && borrow != 0 {
+		return t
+	}
+	return r
+}
+
+// madd returns x·y + z + c as a 128-bit (hi, lo); it cannot overflow.
+func madd(x, y, z, c uint64) (hi, lo uint64) {
+	hi, lo = bits.Mul64(x, y)
+	var cc uint64
+	lo, cc = bits.Add64(lo, z, 0)
+	hi += cc
+	lo, cc = bits.Add64(lo, c, 0)
+	return hi + cc, lo
+}
+
+// add returns x + y mod n for x, y < n.
+func (m *mont) add(x, y *u256) u256 {
+	var d u256
+	var carry uint64
 	for i := range d {
-		d[i], carry = bits.Add64(x[i], x[i], carry)
+		d[i], carry = bits.Add64(x[i], y[i], carry)
 	}
-	for i := range r {
-		r[i], borrow = bits.Sub64(d[i], m[i], borrow)
-	}
+	r, borrow := subBorrow(&d, &m.n)
 	if carry == 0 && borrow != 0 {
 		return d
+	}
+	return r
+}
+
+// sub returns x − y mod n for x, y < n.
+func (m *mont) sub(x, y *u256) u256 {
+	d, borrow := subBorrow(x, y)
+	if borrow == 0 {
+		return d
+	}
+	var carry uint64
+	for i := range d {
+		d[i], carry = bits.Add64(d[i], m.n[i], carry)
+	}
+	return d
+}
+
+// subBorrow returns x − y mod 2²⁵⁶ and the borrow out of the top word.
+func subBorrow(x, y *u256) (u256, uint64) {
+	var d u256
+	var borrow uint64
+	for i := range d {
+		d[i], borrow = bits.Sub64(x[i], y[i], borrow)
+	}
+	return d, borrow
+}
+
+// addWord returns x + w mod 2²⁵⁶.
+func addWord(x *u256, w uint64) u256 {
+	var r u256
+	r[0], w = bits.Add64(x[0], w, 0)
+	for i := 1; i < len(r); i++ {
+		r[i], w = bits.Add64(x[i], 0, w)
+	}
+	return r
+}
+
+// trailingZeros returns the number of trailing zero bits of x ≠ 0.
+func trailingZeros(x *u256) int {
+	n := 0
+	for _, w := range x {
+		if w != 0 {
+			return n + bits.TrailingZeros64(w)
+		}
+		n += 64
+	}
+	return n
+}
+
+// shr returns x >> k for k < 256.
+func shr(x *u256, k int) u256 {
+	var r u256
+	words, b := k/64, uint(k%64)
+	for i := 0; i+words < 4; i++ {
+		r[i] = x[i+words] >> b
+		if b != 0 && i+words+1 < 4 {
+			r[i] |= x[i+words+1] << (64 - b)
+		}
 	}
 	return r
 }

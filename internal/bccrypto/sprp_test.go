@@ -9,13 +9,13 @@ import (
 	"testing"
 )
 
-// sprp2Ref is the base-2 strong test in math/big: n − 1 = d·2^s with d
-// odd; n passes if 2^d ≡ 1, or 2^(d·2^r) ≡ −1 for some r < s (mod n).
-func sprp2Ref(n *big.Int) bool {
+// sprpRef is the strong test to base a in math/big: n − 1 = d·2^s with
+// d odd; n passes if a^d ≡ 1, or a^(d·2^r) ≡ −1 for some r < s (mod n).
+func sprpRef(n, a *big.Int) bool {
 	nm1 := new(big.Int).Sub(n, bigOne)
 	s := nm1.TrailingZeroBits()
 	d := new(big.Int).Rsh(nm1, s)
-	x := new(big.Int).Exp(big.NewInt(2), d, n)
+	x := new(big.Int).Exp(a, d, n)
 	if x.Cmp(bigOne) == 0 || x.Cmp(nm1) == 0 {
 		return true
 	}
@@ -49,7 +49,7 @@ func bigToWords(n *big.Int) [4]uint64 {
 // checkSPRP2 fails t unless sprp2 and sprp2Ref agree on n.
 func checkSPRP2(t testing.TB, n [4]uint64) bool {
 	t.Helper()
-	got, want := sprp2(n), sprp2Ref(wordsToBig(n))
+	got, want := sprp2(n), sprpRef(wordsToBig(n), big.NewInt(2))
 	if got != want {
 		t.Fatalf("sprp2(%x) = %v, math/big says %v", wordsToBig(n), got, want)
 	}
@@ -147,5 +147,305 @@ func BenchmarkSPRP2(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sprp2(ns[i%len(ns)])
+	}
+}
+
+// checkProbablyPrime fails t unless the fixed-width verdict and
+// big.Int.ProbablyPrime(20) agree on n.
+func checkProbablyPrime(t testing.TB, ps *primeSearch, n [4]uint64) bool {
+	t.Helper()
+	got, want := ps.probablyPrime(n), wordsToBig(n).ProbablyPrime(20)
+	if got != want {
+		t.Fatalf("probablyPrime(%x) = %v, ProbablyPrime(20) says %v", wordsToBig(n), got, want)
+	}
+	return got
+}
+
+// baseTwoPseudoprimes returns count composites n = p·(2p − 1), with p
+// and 2p − 1 prime, that pass sprp2. p's top byte is in 0x9c … 0xb5, so
+// n has 256 bits with the top two set. Such n pass base 2 only if 2 is
+// a square modulo 2p − 1, which needs p ≡ 1 (mod 4); they reach the
+// random-base rounds and the Lucas test, where a sieve survivor that
+// fails base 2 never goes. p steps by 4 through a window sieved, for p
+// and 2p − 1 at once, by the table primes.
+func baseTwoPseudoprimes(rng *mrand.Rand, count int) [][4]uint64 {
+	const window = 1 << 12
+	var out [][4]uint64
+	var composite [window]bool
+	lo := new(big.Int).Lsh(big.NewInt(0x9c), 120)
+	span := new(big.Int).Lsh(big.NewInt(0xb6-0x9c), 120)
+	p0, p, q, n := new(big.Int), new(big.Int), new(big.Int), new(big.Int)
+	for len(out) < count {
+		p0.Rand(rng, span).Add(p0, lo)
+		p0.SetBit(p0, 0, 1).SetBit(p0, 1, 0) // p0 ≡ 1 (mod 4)
+		hi, lw := new(big.Int).Rsh(p0, 64).Uint64(), p0.Uint64()
+		composite = [window]bool{}
+		for _, l := range sievePrimes {
+			// p0 + 4k ≡ 0 and 2(p0 + 4k) ≡ 1 (mod l): k ≡ −r/4 and (1/2 − r)/4.
+			r := bits.Rem64(hi, lw, l)
+			half := (l + 1) / 2
+			quarter := half * half % l
+			for _, k0 := range []uint64{(l - r) * quarter % l, (half + l - r) * quarter % l} {
+				for k := k0; k < window; k += l {
+					composite[k] = true
+				}
+			}
+		}
+		for k := 0; k < window && len(out) < count; k++ {
+			if composite[k] {
+				continue
+			}
+			p.Add(p0, big.NewInt(int64(4*k)))
+			q.Lsh(p, 1).Sub(q, bigOne)
+			n.Mul(p, q)
+			if n.BitLen() != 256 || n.Bit(254) != 1 {
+				continue
+			}
+			// sprp2 first: it is the cheap test, and it fails almost
+			// every n with a composite factor.
+			if w := bigToWords(n); sprp2(w) && p.ProbablyPrime(0) && q.ProbablyPrime(0) {
+				out = append(out, w)
+			}
+		}
+	}
+	return out
+}
+
+// TestProbablyPrimeAgreesWithBigInt checks the whole fixed-width verdict
+// against ProbablyPrime(20) on sieve survivors drawn as keygen draws
+// them, about one in eleven of them prime, and on composites that pass
+// base 2. 2·10⁴ survivors agree as well but take ≈ 7 s; FuzzPrime256
+// covers the rest.
+func TestProbablyPrimeAgreesWithBigInt(t *testing.T) {
+	var ps primeSearch
+	primes := 0
+	for _, n := range sieveSurvivors(mrand.New(mrand.NewSource(4)), 4_000) {
+		if checkProbablyPrime(t, &ps, n) {
+			primes++
+		}
+	}
+	if primes < 4_000/20 || primes > 4_000/6 {
+		t.Fatalf("%d of 4 000 sieve survivors are prime, want about one in eleven", primes)
+	}
+	for _, n := range baseTwoPseudoprimes(mrand.New(mrand.NewSource(5)), 100) {
+		if checkProbablyPrime(t, &ps, n) {
+			t.Fatalf("the composite %x passes", wordsToBig(n))
+		}
+		// Lucas rejects these too, so check the random-base rounds
+		// alone: the first base that rejects must be math/big's.
+		m, x := newMont(n), wordsToBig(n)
+		want := true
+		for _, a := range millerRabinBasesRef(x, millerRabinRounds) {
+			if !sprpRef(x, a) {
+				want = false
+				break
+			}
+		}
+		if got := m.millerRabin(mrand.New(mrand.NewSource(int64(m.n[0])))); got != want {
+			t.Fatalf("millerRabin(%x) = %v, math/big's rounds say %v", x, got, want)
+		}
+	}
+}
+
+// FuzzPrime256 runs the agreement check on arbitrary 32 bytes, with the
+// top two bits and the low bit forced as the prime search forces them.
+func FuzzPrime256(f *testing.F) {
+	f.Add(make([]byte, rsa512PrimeLen))
+	f.Add(bytes.Repeat([]byte{0xff}, rsa512PrimeLen))
+	p := new(big.Int).Sub(new(big.Int).Lsh(bigOne, 256), big.NewInt(189)) // prime
+	f.Add(p.Bytes())
+	for _, n := range baseTwoPseudoprimes(mrand.New(mrand.NewSource(6)), 2) {
+		f.Add(wordsToBig(n).Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var buf [rsa512PrimeLen]byte
+		copy(buf[:], data)
+		buf[0] |= 0xc0
+		buf[rsa512PrimeLen-1] |= 1
+		var ps primeSearch
+		checkProbablyPrime(t, &ps, bigToWords(new(big.Int).SetBytes(buf[:])))
+	})
+}
+
+// millerRabinBasesRef transcribes how math/big's
+// probablyPrimeMillerRabin draws its first count bases: a source seeded
+// with n's low word, and nat.random's loop — one word per Uint32 pair,
+// least significant first, the top word masked to n − 3's bit length,
+// redrawn until below n − 3 — plus 2.
+func millerRabinBasesRef(n *big.Int, count int) []*big.Int {
+	rng := mrand.New(mrand.NewSource(int64(n.Bits()[0])))
+	nm3 := new(big.Int).Sub(n, big.NewInt(3))
+	msw := uint(nm3.BitLen() % bits.UintSize)
+	if msw == 0 {
+		msw = bits.UintSize
+	}
+	mask := big.Word(1)<<msw - 1
+	var bases []*big.Int
+	for len(bases) < count {
+		z := make([]big.Word, len(nm3.Bits()))
+		x := new(big.Int)
+		for {
+			for i := range z {
+				z[i] = big.Word(rng.Uint32()) | big.Word(rng.Uint32())<<32
+			}
+			z[len(z)-1] &= mask
+			if x.SetBits(z).Cmp(nm3) < 0 {
+				break
+			}
+		}
+		bases = append(bases, x.Add(x, big.NewInt(2)))
+	}
+	return bases
+}
+
+// TestMillerRabinBasesMatchMathBig pins the base draw to the
+// transcription for 10⁴ moduli, each its own seed.
+func TestMillerRabinBasesMatchMathBig(t *testing.T) {
+	if bits.UintSize != 64 {
+		t.Skip("the transcription is of the draw on 64-bit words")
+	}
+	rng := mrand.New(mrand.NewSource(7))
+	for i := 0; i < 10_000; i++ {
+		n := randomOdd256(rng)
+		m := newMont(bigToWords(n))
+		bases := mrand.New(mrand.NewSource(int64(m.n[0])))
+		for j, want := range millerRabinBasesRef(n, millerRabinRounds) {
+			a := m.base(bases)
+			if got := wordsToBig([4]uint64{a[3], a[2], a[1], a[0]}); got.Cmp(want) != 0 {
+				t.Fatalf("n = %x, base %d: drew %x, math/big draws %x", n, j, got, want)
+			}
+		}
+	}
+}
+
+// randomOdd256 returns an odd 256-bit number with its top two bits set.
+func randomOdd256(rng *mrand.Rand) *big.Int {
+	var buf [rsa512PrimeLen]byte
+	rng.Read(buf[:])
+	buf[0] |= 0xc0
+	buf[rsa512PrimeLen-1] |= 1
+	return new(big.Int).SetBytes(buf[:])
+}
+
+// lucasRef transcribes math/big's probablyPrimeLucas for odd n > 2 on
+// big.Int.
+func lucasRef(n *big.Int) bool {
+	p := int64(3)
+	d := new(big.Int)
+	for ; ; p++ {
+		if p > 10000 {
+			panic("cannot find (D/n) = -1")
+		}
+		j := big.Jacobi(d.SetInt64(p*p-4), n)
+		if j == -1 {
+			break
+		}
+		if j == 0 {
+			return n.Cmp(big.NewInt(p+2)) == 0
+		}
+		if p == 40 {
+			r := new(big.Int).Sqrt(n)
+			if r.Mul(r, r).Cmp(n) == 0 {
+				return false
+			}
+		}
+	}
+	s := new(big.Int).Add(n, bigOne)
+	r := int(s.TrailingZeroBits())
+	s.Rsh(s, uint(r))
+	two, bp := big.NewInt(2), big.NewInt(p)
+	nm2 := new(big.Int).Sub(n, two)
+	vk, vk1 := big.NewInt(2), big.NewInt(p)
+	for i := s.BitLen(); i >= 0; i-- {
+		if s.Bit(i) != 0 {
+			vk.Mul(vk, vk1).Sub(vk, bp).Mod(vk, n)
+			vk1.Mul(vk1, vk1).Sub(vk1, two).Mod(vk1, n)
+		} else {
+			vk1.Mul(vk, vk1).Sub(vk1, bp).Mod(vk1, n)
+			vk.Mul(vk, vk).Sub(vk, two).Mod(vk, n)
+		}
+	}
+	if vk.Cmp(two) == 0 || vk.Cmp(nm2) == 0 {
+		u := new(big.Int).Mul(vk, bp)
+		u.Sub(u, new(big.Int).Lsh(vk1, 1)).Mod(u, n)
+		if u.Sign() == 0 {
+			return true
+		}
+	}
+	for t := 0; t < r-1; t++ {
+		if vk.Sign() == 0 {
+			return true
+		}
+		if vk.Cmp(two) == 0 {
+			return false
+		}
+		vk.Mul(vk, vk).Sub(vk, two).Mod(vk, n)
+	}
+	return false
+}
+
+// TestLucasAgreesWithBigInt checks the fixed-width Lucas test against the
+// transcription. Through ProbablyPrime its verdict on a composite hides
+// behind base 2, so this is where it is tested on composites: random odd
+// values (a third of them divisible by 3, the Jacobi-zero exit), sieve
+// survivors, base-2 pseudoprimes and squares of primes (the
+// perfect-square check). Two branches stay out of reach: the U(s) check
+// decides only for an n with a repeated prime factor above 10⁴, and the
+// last V(2^t·s) ≡ 0 test only for a Lucas pseudoprime; both are line for
+// line math/big's.
+func TestLucasAgreesWithBigInt(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(8))
+	var ns []*big.Int
+	for i := 0; i < 5_000; i++ {
+		ns = append(ns, randomOdd256(rng))
+	}
+	for _, n := range sieveSurvivors(rng, 5_000) {
+		ns = append(ns, wordsToBig(n))
+	}
+	for _, n := range baseTwoPseudoprimes(rng, 20) {
+		ns = append(ns, wordsToBig(n))
+	}
+	for len(ns) < 10_040 {
+		// A 128-bit prime root at or above √(3·2²⁵⁴) squares to 256 bits
+		// with the top two set, and no P ≤ 40 finds a factor of it.
+		x := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(0x21), 120))
+		x.Add(x, new(big.Int).Lsh(big.NewInt(0xde), 120)).SetBit(x, 0, 1)
+		if x.ProbablyPrime(20) {
+			ns = append(ns, x.Mul(x, x))
+		}
+	}
+	passed := 0
+	for _, n := range ns {
+		m := newMont(bigToWords(n))
+		got, want := m.lucas(), lucasRef(n)
+		if got != want {
+			t.Fatalf("lucas(%x) = %v, math/big's says %v", n, got, want)
+		}
+		if got {
+			passed++
+		}
+	}
+	if passed < 300 || passed > 1_000 {
+		t.Fatalf("%d of %d values pass, want about the primes among them", passed, len(ns))
+	}
+}
+
+// TestJacobiAgreesWithBigInt checks the word Jacobi symbol against
+// big.Jacobi for every D = P² − 4 the Lucas search can try first, and
+// for random a up to 2³².
+func TestJacobiAgreesWithBigInt(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(9))
+	for i := 0; i < 300; i++ {
+		n := randomOdd256(rng)
+		w := newMont(bigToWords(n)).n
+		as := []uint64{1, 2, 4, uint64(rng.Uint32()) + 1}
+		for p := uint64(3); p <= 200; p++ {
+			as = append(as, p*p-4)
+		}
+		for _, a := range as {
+			if got, want := jacobi(a, &w), big.Jacobi(new(big.Int).SetUint64(a), n); got != want {
+				t.Fatalf("jacobi(%d, %x) = %d, big.Jacobi says %d", a, n, got, want)
+			}
+		}
 	}
 }
