@@ -87,8 +87,9 @@ lint:
 # unauthenticated peers — directory bindings, channel messages, sync
 # messages, relay and compact-block messages, gateway deliveries — and
 # keygen's fixed-width primality tests (the base-2 prefilter and the
-# whole verdict) against math/big. CI's fuzz smoke runs this target;
-# only the nightly matrix repeats the list.
+# whole verdict) against math/big, the durable log's replay and the
+# chain store's load of arbitrary records. CI's fuzz smoke runs this
+# target; only the nightly matrix repeats the list.
 fuzz:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=30s -run '^$$' ./internal/script/
 	$(GO) test -fuzz=FuzzDecodeBinding -fuzztime=15s -run '^$$' ./internal/registry/
@@ -99,6 +100,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSPRP2 -fuzztime=15s -run '^$$' ./internal/bccrypto/
 	$(GO) test -fuzz=FuzzPrime256 -fuzztime=15s -run '^$$' ./internal/bccrypto/
 	$(GO) test -fuzz=FuzzLogReplay -fuzztime=15s -run '^$$' ./internal/durable/
+	$(GO) test -fuzz=FuzzStoreLoad -fuzztime=15s -run '^$$' ./internal/daemon/
 
 # Fault-injection scenario table under the race detector. Every run
 # logs each scenario's RNG seed; replay a failure with

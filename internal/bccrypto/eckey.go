@@ -1,6 +1,7 @@
 package bccrypto
 
 import (
+	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/sha256"
@@ -137,39 +138,17 @@ func ParseECPrivateKey(data []byte) (*ECKey, error) {
 	return &ECKey{priv: priv}, nil
 }
 
-// ParseECPublicKey parses an uncompressed P-256 point.
+// ParseECPublicKey parses an uncompressed P-256 point. crypto/ecdh
+// rejects coordinates outside the field, points off the curve and the
+// identity.
 func ParseECPublicKey(data []byte) (*ecdsa.PublicKey, error) {
 	if len(data) != ECPublicKeyLen || data[0] != 0x04 {
 		return nil, ErrBadPublicKey
 	}
+	if _, err := ecdh.P256().NewPublicKey(data); err != nil {
+		return nil, ErrBadPublicKey
+	}
 	x := new(big.Int).SetBytes(data[1:33])
 	y := new(big.Int).SetBytes(data[33:])
-	curve := elliptic.P256()
-	// Reject points not on the curve (including the identity).
-	if x.Sign() == 0 && y.Sign() == 0 {
-		return nil, ErrBadPublicKey
-	}
-	if !onCurveP256(curve, x, y) {
-		return nil, ErrBadPublicKey
-	}
-	return &ecdsa.PublicKey{Curve: curve, X: x, Y: y}, nil
-}
-
-// onCurveP256 checks y² = x³ - 3x + b (mod p) without using the deprecated
-// elliptic.Unmarshal helpers.
-func onCurveP256(curve elliptic.Curve, x, y *big.Int) bool {
-	p := curve.Params().P
-	if x.Cmp(p) >= 0 || y.Cmp(p) >= 0 || x.Sign() < 0 || y.Sign() < 0 {
-		return false
-	}
-	y2 := new(big.Int).Mul(y, y)
-	y2.Mod(y2, p)
-	x3 := new(big.Int).Mul(x, x)
-	x3.Mul(x3, x)
-	threeX := new(big.Int).Lsh(x, 1)
-	threeX.Add(threeX, x)
-	x3.Sub(x3, threeX)
-	x3.Add(x3, curve.Params().B)
-	x3.Mod(x3, p)
-	return y2.Cmp(x3) == 0
+	return &ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}, nil
 }

@@ -182,6 +182,9 @@ func DeserializeBlock(data []byte) (*Block, error) {
 	if nTxs > 1_000_000 {
 		return nil, errors.New("chain: implausible transaction count")
 	}
+	if nTxs > uint64(r.Len()) {
+		return nil, ErrBlockTruncated
+	}
 	b.Txs = make([]*Tx, nTxs)
 	for i := range b.Txs {
 		raw, err := readVarBytes(r, maxTxSize)

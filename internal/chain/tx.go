@@ -171,6 +171,9 @@ func readTx(r *bytes.Reader) (*Tx, error) {
 	if nIn > 10_000 {
 		return nil, ErrTxTooLarge
 	}
+	if nIn > uint64(r.Len()) {
+		return nil, ErrTxTruncated
+	}
 	tx.Inputs = make([]TxIn, nIn)
 	for i := range tx.Inputs {
 		if _, err := io.ReadFull(r, tx.Inputs[i].Prev.TxID[:]); err != nil {
@@ -193,6 +196,9 @@ func readTx(r *bytes.Reader) (*Tx, error) {
 	}
 	if nOut > 10_000 {
 		return nil, ErrTxTooLarge
+	}
+	if nOut > uint64(r.Len()) {
+		return nil, ErrTxTruncated
 	}
 	tx.Outputs = make([]TxOut, nOut)
 	for i := range tx.Outputs {
@@ -377,6 +383,9 @@ func readVarBytes(r *bytes.Reader, maxLen int) ([]byte, error) {
 	}
 	if n == 0 {
 		return nil, nil
+	}
+	if n > uint64(r.Len()) {
+		return nil, ErrTxTruncated
 	}
 	out := make([]byte, n)
 	if _, err := io.ReadFull(r, out); err != nil {

@@ -115,10 +115,11 @@ func (u *UTXOSet) UndoBlock(undo *BlockUndo) error {
 	return nil
 }
 
-// Equal reports whether two sets hold byte-identical entries — the
-// acceptance predicate of the undo-vs-replay cross-check.
+// Equal reports whether two sets hold byte-identical entries and equal
+// digests — the acceptance predicate of the undo-vs-replay cross-check,
+// so every such check also proves the digest was kept in step.
 func (u *UTXOSet) Equal(other *UTXOSet) bool {
-	if len(u.entries) != len(other.entries) {
+	if len(u.entries) != len(other.entries) || u.sum != other.sum {
 		return false
 	}
 	for op, e := range u.entries {

@@ -1,8 +1,11 @@
 package chain
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"bcwan/internal/script"
 )
@@ -28,6 +31,11 @@ type UTXOSet struct {
 	// remove, which keep the two in step; a hash with no coins has no
 	// key. Slices are unordered: removal swaps the last element in.
 	byHash map[[script.HashLen]byte][]OutPoint
+	// sum is the set's digest: the sum, mod 2^256, of the SHA-256 of
+	// every entry's SerializeUTXO encoding (big-endian words). put and
+	// remove keep it in step, so Digest costs O(1) where hashing the
+	// serialized set costs O(set).
+	sum [4]uint64
 }
 
 // UTXO errors.
@@ -50,6 +58,7 @@ func NewUTXOSet() *UTXOSet {
 // put adds an entry the caller has checked is absent.
 func (u *UTXOSet) put(op OutPoint, e UTXOEntry) {
 	u.entries[op] = e
+	u.addDigest(op, e, false)
 	if h, err := script.ExtractP2PKHHash(e.Out.Lock); err == nil {
 		u.byHash[h] = append(u.byHash[h], op)
 	}
@@ -61,6 +70,7 @@ func (u *UTXOSet) put(op OutPoint, e UTXOEntry) {
 // pubkey-hash, not by the set.
 func (u *UTXOSet) remove(op OutPoint, e UTXOEntry) {
 	delete(u.entries, op)
+	u.addDigest(op, e, true)
 	h, err := script.ExtractP2PKHHash(e.Out.Lock)
 	if err != nil {
 		return
@@ -78,6 +88,31 @@ func (u *UTXOSet) remove(op OutPoint, e UTXOEntry) {
 	} else {
 		u.byHash[h] = ops
 	}
+}
+
+// addDigest adds one entry's hash to sum, or subtracts it for a removal.
+func (u *UTXOSet) addDigest(op OutPoint, e UTXOEntry, remove bool) {
+	var buf [256]byte
+	h := sha256.Sum256(appendEntry(buf[:0], op, e))
+	var carry uint64
+	for i := len(u.sum) - 1; i >= 0; i-- {
+		w := binary.BigEndian.Uint64(h[8*i:])
+		if remove {
+			u.sum[i], carry = bits.Sub64(u.sum[i], w, carry)
+		} else {
+			u.sum[i], carry = bits.Add64(u.sum[i], w, carry)
+		}
+	}
+}
+
+// Digest returns the set's order-free digest, kept current by every
+// mutation: two sets with the same entries have the same digest.
+func (u *UTXOSet) Digest() Hash {
+	var d Hash
+	for i, w := range u.sum {
+		binary.BigEndian.PutUint64(d[8*i:], w)
+	}
+	return d
 }
 
 // Get looks up an entry.
@@ -104,6 +139,7 @@ func (u *UTXOSet) Clone() *UTXOSet {
 	out := &UTXOSet{
 		entries: make(map[OutPoint]UTXOEntry, len(u.entries)),
 		byHash:  make(map[[script.HashLen]byte][]OutPoint, len(u.byHash)),
+		sum:     u.sum,
 	}
 	for k, v := range u.entries {
 		out.entries[k] = v

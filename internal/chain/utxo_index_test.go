@@ -164,11 +164,11 @@ func TestPubKeyHashIndexMatchesScan(t *testing.T) {
 						}
 					}
 					bad.Inputs = append(bad.Inputs, TxIn{Prev: OutPoint{TxID: Hash{0xbd}, Index: uint32(nonce)}})
-					before := u.SerializeUTXO()
+					before, digest := u.SerializeUTXO(), u.Digest()
 					if _, err := u.ApplyTxUndo(bad, 1); err == nil {
 						t.Fatalf("%s: spend of a missing output applied", what)
 					}
-					if !bytes.Equal(before, u.SerializeUTXO()) {
+					if !bytes.Equal(before, u.SerializeUTXO()) || digest != u.Digest() {
 						t.Fatalf("%s: failed apply changed the set", what)
 					}
 				case r == 6 && len(journals) > 0:

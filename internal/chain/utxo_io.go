@@ -9,10 +9,11 @@ import (
 	"sort"
 )
 
-// UTXO set serialization, used by the daemon's snapshot store. The
-// encoding is deterministic (entries sorted by outpoint) so identical
-// sets produce identical bytes — which lets the restore path cross-check
-// the replayed chain state against the snapshot with a plain compare.
+// UTXO set serialization, used by snapshot commitments and transfer and
+// by the daemon store's base state. The encoding is deterministic
+// (entries sorted by outpoint) so identical sets produce identical bytes,
+// and a commitment's hash pins one set. Each entry's encoding is also
+// what the set's digest (UTXOSet.Digest) hashes.
 
 // ErrBadUTXOData reports an unreadable serialized UTXO set.
 var ErrBadUTXOData = errors.New("chain: malformed serialized UTXO set")
@@ -35,29 +36,28 @@ func (u *UTXOSet) SerializeUTXO() []byte {
 	}
 	sort.Slice(ops, func(a, b int) bool { return outpointLess(ops[a], ops[b]) })
 
-	var buf bytes.Buffer
-	var scratch [8]byte
-	binary.BigEndian.PutUint32(scratch[:4], uint32(len(ops)))
-	buf.Write(scratch[:4])
+	// Sized for a P2PKH set: 61 fixed bytes plus a 25-byte lock per entry.
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, 4+86*len(ops)), uint32(len(ops)))
 	for _, op := range ops {
-		e := u.entries[op]
-		buf.Write(op.TxID[:])
-		binary.BigEndian.PutUint32(scratch[:4], op.Index)
-		buf.Write(scratch[:4])
-		binary.BigEndian.PutUint64(scratch[:], uint64(e.Height))
-		buf.Write(scratch[:])
-		if e.Coinbase {
-			buf.WriteByte(1)
-		} else {
-			buf.WriteByte(0)
-		}
-		binary.BigEndian.PutUint64(scratch[:], e.Out.Value)
-		buf.Write(scratch[:])
-		binary.BigEndian.PutUint32(scratch[:4], uint32(len(e.Out.Lock)))
-		buf.Write(scratch[:4])
-		buf.Write(e.Out.Lock)
+		buf = appendEntry(buf, op, u.entries[op])
 	}
-	return buf.Bytes()
+	return buf
+}
+
+// appendEntry appends one entry's encoding: outpoint, height, coinbase
+// flag, value, and the length-prefixed lock script.
+func appendEntry(dst []byte, op OutPoint, e UTXOEntry) []byte {
+	dst = append(dst, op.TxID[:]...)
+	dst = binary.BigEndian.AppendUint32(dst, op.Index)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(e.Height))
+	var coinbase byte
+	if e.Coinbase {
+		coinbase = 1
+	}
+	dst = append(dst, coinbase)
+	dst = binary.BigEndian.AppendUint64(dst, e.Out.Value)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(e.Out.Lock)))
+	return append(dst, e.Out.Lock...)
 }
 
 // DeserializeUTXO decodes a set produced by SerializeUTXO, reading from

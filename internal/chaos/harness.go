@@ -214,7 +214,7 @@ func (c *Cluster) startNode(i int) (int, error) {
 		// also kicks it every round through RequestSync.
 		SyncRetryInterval: 20 * time.Millisecond,
 		// Compact aggressively so restart scenarios exercise the
-		// snapshot + log-tail recovery path, not just the log.
+		// checkpoint + tail recovery path, not just a plain log.
 		StoreCompactEvery: 4,
 	}
 	if c.Opts.NodeTweak != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"bcwan/internal/chain"
 	"bcwan/internal/netsim"
 	"bcwan/internal/p2p"
 	"bcwan/internal/simtime"
@@ -192,11 +193,14 @@ func TestClusterRestartRecoversFromStore(t *testing.T) {
 		t.Fatalf("cluster: %v", err)
 	}
 	defer c.Close()
-	for i := 0; i < 3; i++ {
+	// Ten blocks at StoreCompactEvery 4: two checkpoints, then a tail of
+	// two blocks that replays through full validation.
+	for i := 0; i < 10; i++ {
 		if _, err := c.Node(0).MineNow(); err != nil {
 			t.Fatalf("mine: %v", err)
 		}
 	}
+	before := chain.SnapshotHash(c.Node(0).Chain().UTXO().SerializeUTXO())
 	if err := c.Crash(0); err != nil {
 		t.Fatalf("crash: %v", err)
 	}
@@ -209,10 +213,13 @@ func TestClusterRestartRecoversFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	if loaded != 3 {
-		t.Fatalf("restart loaded %d blocks from store, want 3", loaded)
+	if loaded != 10 {
+		t.Fatalf("restart loaded %d blocks from store, want 10", loaded)
 	}
-	if h := c.Node(0).Chain().Height(); h != 3 {
-		t.Fatalf("restarted height %d, want 3", h)
+	if h := c.Node(0).Chain().Height(); h != 10 {
+		t.Fatalf("restarted height %d, want 10", h)
+	}
+	if after := chain.SnapshotHash(c.Node(0).Chain().UTXO().SerializeUTXO()); after != before {
+		t.Fatal("restart restored a different UTXO set")
 	}
 }

@@ -54,7 +54,7 @@ func newDaemonMetrics(reg *telemetry.Registry) *daemonMetrics {
 		claimRechecks:      ns.Counter("claim_rechecks_total", "Gateway claim wake-ups that did not yet find the payment (or its confirmations)."),
 		storeLoadSeconds:   ns.Histogram("store_load_seconds", "Chain store load latency in seconds.", nil),
 		storeAppendSeconds: ns.Histogram("store_append_seconds", "Block-log append+fsync latency in seconds.", nil),
-		storeCompactions:   ns.Counter("store_compactions_total", "Snapshot + log-compaction cycles of the incremental store."),
+		storeCompactions:   ns.Counter("store_compactions_total", "Compactions of the chain store: a checkpoint record, or a log rewrite when the prune base moved."),
 
 		headersSynced:           ns.Counter("sync_headers_total", "Headers appended to the sync spine during headers-first sync."),
 		snapshotRejected:        ns.Counter("snapshot_rejected_total", "Snapshot manifests, chunks or commitments that failed verification."),

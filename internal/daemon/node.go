@@ -49,9 +49,10 @@ type NodeConfig struct {
 	// Telemetry collects node-wide metrics; nil gets a fresh registry so
 	// every node serves GET /metrics and getmetrics out of the box.
 	Telemetry *telemetry.Registry
-	// StoreCompactEvery is how many appended log records trigger a
-	// snapshot + log compaction in a store opened via OpenStore
-	// (0 = default of 64).
+	// StoreCompactEvery is how many block appends to the store's log
+	// trigger a compaction: a checkpoint record, so a restart replays the
+	// blocks up to it trusted and only the tail after it through full
+	// validation (checkpoint + tail; 0 = default of 64).
 	StoreCompactEvery int
 	// RelayRequestTimeout is how long the relay waits for an announced
 	// object (and a blocktxn response) before falling back to the next
@@ -250,13 +251,13 @@ func (n *Node) getChannelOps() rpc.ChannelOps {
 	return n.channels
 }
 
-// Open attaches persistence rooted at dataDir: the incremental store
-// in dataDir/chainstore is loaded into the chain (snapshot plus log
-// tail), and every future best-branch connect is appended (fsync'd) to
-// the log, with a snapshot + log compaction every
-// cfg.StoreCompactEvery appends. When cfg.PruneDepth is set, each
-// compaction first prunes block bodies more than PruneDepth heights
-// below the tip, so the store's next snapshot is the pruned form.
+// Open attaches persistence rooted at dataDir: the chain store's log in
+// dataDir/chainstore is loaded into the chain (checkpoint + tail), and
+// every future best-branch connect is appended (fsync'd) to the log,
+// with a compaction every cfg.StoreCompactEvery appends. When
+// cfg.PruneDepth is set, each compaction first prunes block bodies more
+// than PruneDepth heights below the tip; a moved prune base makes the
+// compaction rewrite the log without them.
 //
 // Call once, after NewNode and before the node sees traffic. Returns
 // the number of blocks restored from disk.
@@ -311,7 +312,7 @@ func (n *Node) Open(dataDir string) (int, error) {
 	return loaded, nil
 }
 
-// Store returns the attached incremental store (nil before OpenStore).
+// Store returns the attached chain store (nil before Open).
 func (n *Node) Store() *Store { return n.store }
 
 // Ledger exposes the node's chain+mempool view.
@@ -477,6 +478,9 @@ func (n *Node) admitTx(tx *chain.Tx) {
 	case err == nil:
 		n.retryOrphanTxs()
 	case containsErr(err, chain.ErrMissingUTXO):
+		if n.spentOnChain(tx) {
+			return
+		}
 		n.mu.Lock()
 		if _, dup := n.orphanTxs[tx.ID()]; !dup && len(n.orphanTxs) < maxOrphanTxs {
 			n.orphanTxs[tx.ID()] = tx
@@ -526,6 +530,19 @@ func (n *Node) notifyLedger() {
 	n.ledgerMu.Unlock()
 }
 
+// spentOnChain reports whether a best-branch transaction spends one of
+// tx's inputs: tx is already confirmed or lost a conflict, so no block
+// will make its missing inputs visible, and parking it would only make
+// every later admission retry it.
+func (n *Node) spentOnChain(tx *chain.Tx) bool {
+	for _, in := range tx.Inputs {
+		if _, _, ok := n.chain.FindSpender(in.Prev); ok {
+			return true
+		}
+	}
+	return false
+}
+
 // retryOrphanTxs re-attempts parked transactions until a full pass
 // admits nothing new (an admitted tx can unblock another).
 func (n *Node) retryOrphanTxs() {
@@ -542,9 +559,9 @@ func (n *Node) retryOrphanTxs() {
 			if err == nil {
 				progressed = true
 			}
-			if err == nil || !containsErr(err, chain.ErrMissingUTXO) {
-				// Admitted, already known, conflicting or invalid:
-				// either way it no longer needs parking.
+			if err == nil || !containsErr(err, chain.ErrMissingUTXO) || n.spentOnChain(tx) {
+				// Admitted, already known, conflicting, confirmed or
+				// invalid: either way it no longer needs parking.
 				n.mu.Lock()
 				delete(n.orphanTxs, tx.ID())
 				n.mu.Unlock()

@@ -325,3 +325,34 @@ func TestRelayMeshConvergesCheaperThanFlood(t *testing.T) {
 	}
 	t.Logf("relay mesh moved %d bytes (budget %d)", bytes, budget)
 }
+
+// TestSpentTxIsNotParked gossips three transactions whose inputs a node
+// cannot see: one it has confirmed, one that lost a conflict to that
+// confirmed spend, and an orphan whose parent it has not seen. Only the
+// orphan is parked; no block will bring the other two's inputs back, and
+// every later admission would retry them.
+func TestSpentTxIsNotParked(t *testing.T) {
+	f := newRelayFixture(t, 1)
+	n := f.node(t, p2p.NewMemTransport(), true)
+	confirmed := f.payment(t, n, 0)
+	conflict := f.payment(t, n, 0)
+	if confirmed.ID() == conflict.ID() || confirmed.Inputs[0].Prev != conflict.Inputs[0].Prev {
+		t.Fatal("want two different spends of one coin")
+	}
+	orphan := &chain.Tx{Version: conflict.Version, Outputs: conflict.Outputs,
+		Inputs: []chain.TxIn{{Prev: chain.OutPoint{TxID: chain.Hash{9}}, Unlock: conflict.Inputs[0].Unlock}}}
+	if err := n.Ledger().Submit(confirmed); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.MineNow(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range []*chain.Tx{confirmed, conflict, orphan} {
+		n.admitTx(tx)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if _, ok := n.orphanTxs[orphan.ID()]; !ok || len(n.orphanTxs) != 1 {
+		t.Fatalf("%d txs parked (orphan among them: %v), want the orphan alone", len(n.orphanTxs), ok)
+	}
+}

@@ -453,9 +453,10 @@ func mustServeCommit(t *testing.T, n *Node) *chain.SnapshotCommitment {
 }
 
 // TestPrunedNodeRestartSettlesPayments runs a pruning miner against a
-// store, restarts it from the v2 pruned snapshot, and checks the
-// revived node still mines and settles payments with every body below
-// the horizon gone.
+// store, restarts it from the rewritten log (base state, blocks above
+// the base, checkpoint, tail), and checks the revived node restores the
+// same UTXO set and still mines and settles payments with every body
+// below the horizon gone.
 func TestPrunedNodeRestartSettlesPayments(t *testing.T) {
 	f := newRelayFixture(t, 1)
 	dir := t.TempDir()
@@ -481,6 +482,7 @@ func TestPrunedNodeRestartSettlesPayments(t *testing.T) {
 		t.Fatal("compaction never pruned")
 	}
 	tip := n1.Chain().Tip().ID()
+	_, tipSet := tipState(n1.Chain())
 	if err := n1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -490,11 +492,14 @@ func TestPrunedNodeRestartSettlesPayments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded == 0 {
-		t.Fatal("restart loaded nothing from the store")
+	if loaded != 12 {
+		t.Fatalf("restart loaded %d blocks from the store, want 12", loaded)
 	}
 	if n2.Chain().Height() != 12 || n2.Chain().Tip().ID() != tip {
 		t.Fatalf("restart height = %d, tip match %v", n2.Chain().Height(), n2.Chain().Tip().ID() == tip)
+	}
+	if _, h := tipState(n2.Chain()); h != tipSet {
+		t.Fatal("restart restored a different UTXO set")
 	}
 	base := n2.Chain().PruneBase()
 	if base == 0 {

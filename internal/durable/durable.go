@@ -1,9 +1,10 @@
 // Package durable is the repository's one on-disk format: an append-only
-// log of CRC-framed records behind a magic header, and a checked file
-// (magic, body, CRC trailer) replaced atomically by rename. Every fsync,
-// rename and checksum a store issues happens here, so the crash model is
-// stated once: an append is durable once it returns, a torn tail is cut
-// at replay, and a replaced file is seen whole or not at all.
+// log of CRC-framed records behind a magic header, rewritten atomically
+// by rename when its owner compacts it. Every fsync, rename and checksum
+// a store issues happens here, so the crash model is stated once: an
+// append is durable once it returns, a failed append leaves nothing
+// behind, a torn tail is cut at replay, and a rewritten log is seen whole
+// or not at all.
 package durable
 
 import (
@@ -37,6 +38,9 @@ type Log struct {
 	max   int
 	f     *os.File
 	syncs atomic.Uint64
+	// broken is set when a failed append could not be cut back off the
+	// file; every later append refuses with it.
+	broken error
 }
 
 // OpenLog opens the log at path, creating it if needed. A fresh file gets
@@ -87,15 +91,27 @@ func appendFrame(dst, payload []byte) []byte {
 }
 
 // Append writes one record and fsyncs it: when it returns nil, the record
-// is on stable storage.
+// is on stable storage. A failed write or fsync (ENOSPC, EFBIG) truncates
+// the file back to its size before the call, so a later acknowledged
+// append never follows a partial frame that replay would cut it with.
 func (l *Log) Append(payload []byte) error {
+	if l.broken != nil {
+		return l.broken
+	}
 	if len(payload) > l.max {
 		return fmt.Errorf("durable: record of %d bytes exceeds the %d-byte bound", len(payload), l.max)
 	}
-	if _, err := l.f.Write(appendFrame(nil, payload)); err != nil {
+	info, err := l.f.Stat()
+	if err != nil {
 		return err
 	}
-	if err := l.f.Sync(); err != nil {
+	if _, err = l.f.Write(appendFrame(nil, payload)); err == nil {
+		err = l.f.Sync()
+	}
+	if err != nil {
+		if terr := l.truncate(info.Size()); terr != nil {
+			l.broken = fmt.Errorf("durable: %s: failed append not undone (%v): %w", filepath.Base(l.path), terr, err)
+		}
 		return err
 	}
 	l.syncs.Add(1)
@@ -137,9 +153,6 @@ func (l *Log) Replay() ([][]byte, error) {
 	return recs, nil
 }
 
-// Reset drops every record, keeping the magic.
-func (l *Log) Reset() error { return l.truncate(int64(len(l.magic))) }
-
 func (l *Log) truncate(size int64) error {
 	if err := l.f.Truncate(size); err != nil {
 		return err
@@ -147,23 +160,43 @@ func (l *Log) truncate(size int64) error {
 	return l.f.Sync()
 }
 
-// Rewrite atomically replaces the log with one holding exactly records.
+// Rewrite atomically replaces the log with one holding exactly records:
+// the new file is written beside it, fsync'd, renamed over it and the
+// directory fsync'd, so a crash leaves the old log or the new one.
 func (l *Log) Rewrite(records [][]byte) error {
-	var buf []byte
+	buf := append([]byte(nil), l.magic...)
 	for _, r := range records {
 		buf = appendFrame(buf, r)
 	}
-	if err := replaceFile(l.path, l.magic, buf); err != nil {
+	tmp := l.path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(buf); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, l.path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := syncDir(filepath.Dir(l.path)); err != nil {
 		return err
 	}
 	// The old descriptor names the replaced file: appends must go to the
 	// new one, or fail.
-	f, err := os.OpenFile(l.path, os.O_RDWR|os.O_APPEND, 0)
+	f, err = os.OpenFile(l.path, os.O_RDWR|os.O_APPEND, 0)
 	l.f.Close()
 	if err != nil {
 		return err
 	}
-	l.f = f
+	l.f, l.broken = f, nil
 	return nil
 }
 
@@ -184,59 +217,6 @@ func (l *Log) CrashForTest(payload []byte, torn int) error {
 		err = cerr
 	}
 	return err
-}
-
-// WriteFile atomically replaces the file at path with magic, body and a
-// CRC32 trailer over body.
-func WriteFile(path string, magic, body []byte) error {
-	return replaceFile(path, magic, body, binary.BigEndian.AppendUint32(nil, crc32.ChecksumIEEE(body)))
-}
-
-// ReadFile returns the body of a file written by WriteFile, checking its
-// magic and trailer. A missing file reports an os.ErrNotExist error.
-func ReadFile(path string, magic []byte) ([]byte, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	name := filepath.Base(path)
-	if len(raw) < len(magic)+4 || !bytes.Equal(raw[:len(magic)], magic) {
-		return nil, fmt.Errorf("%w: %s: magic %q, want %q", ErrCorrupt, name, raw[:min(len(raw), len(magic))], magic)
-	}
-	body := raw[len(magic) : len(raw)-4]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(raw[len(raw)-4:]) {
-		return nil, fmt.Errorf("%w: %s: checksum mismatch", ErrCorrupt, name)
-	}
-	return body, nil
-}
-
-// replaceFile writes parts to a temporary file, fsyncs it, renames it over
-// path and fsyncs the directory.
-func replaceFile(path string, parts ...[]byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	for _, p := range parts {
-		if err == nil {
-			_, err = f.Write(p)
-		}
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so creations and renames within it are
