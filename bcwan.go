@@ -227,7 +227,7 @@ func (n *Network) NewRecipient(netAddr string, cfg RecipientConfig) (*Recipient,
 		return nil, err
 	}
 	return &Recipient{
-		Recipient: recipient.New(cfg, w, n.ledger, n.random),
+		Recipient: recipient.New(cfg, w, n.ledger),
 		net:       n,
 		netAddr:   netAddr,
 	}, nil

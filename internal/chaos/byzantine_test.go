@@ -294,8 +294,9 @@ func byzWithholdChannel(t *testing.T, name string, seed int64) {
 	}
 
 	d1, _ := env.byzDelivery(t, []byte("reading-1"))
-	if err := env.rcpt.AcceptDeliveryOffChain(d1); err != nil {
-		env.fatalf("accept off-chain: %v", err)
+	x1, err := env.rcpt.Admit(d1)
+	if err != nil {
+		env.fatalf("admit: %v", err)
 	}
 	u, err := payer.SignUpdate(byzPrice)
 	if err != nil {
@@ -306,11 +307,10 @@ func byzWithholdChannel(t *testing.T, name string, seed int64) {
 	}
 	// The adversary holds the countersigned delta; the disclosed key is
 	// junk, so settlement fails and the victim does NOT ack.
-	if _, err := env.rcpt.SettleOffChain(d1.DevEUI, d1.Exchange, env.byz.BadChannelKey()); !errors.Is(err, fairex.ErrBadDisclosedKey) {
-		env.fatalf("settle with junk key: err = %v, want ErrBadDisclosedKey", err)
+	if _, err := fairex.VerifyDisclosedKey(d1, env.byz.BadChannelKey()); !errors.Is(err, fairex.ErrBadDisclosedKey) {
+		env.fatalf("verify junk key: err = %v, want ErrBadDisclosedKey", err)
 	}
-	env.rcpt.DropOffChain(d1.DevEUI, d1.Exchange)
-	env.rcpt.ReportNonDisclosure(d1.GatewayPubKeyHash, byzPrice)
+	env.rcpt.ReportNonDisclosure(x1, byzPrice)
 	env.log.Record(ExchangeAttempt{Gateway: env.advID, Paid: byzPrice, Lost: byzPrice})
 
 	// The one in-flight delta is the whole exposure.
@@ -321,7 +321,7 @@ func byzWithholdChannel(t *testing.T, name string, seed int64) {
 		env.fatalf("adversary still trusted after channel non-disclosure")
 	}
 	d2, _ := env.byzDelivery(t, []byte("reading-2"))
-	if err := env.rcpt.AcceptDeliveryOffChain(d2); !errors.Is(err, recipient.ErrUntrustedGateway) {
+	if _, err := env.rcpt.Admit(d2); !errors.Is(err, recipient.ErrUntrustedGateway) {
 		env.fatalf("second off-chain delivery: err = %v, want ErrUntrustedGateway", err)
 	}
 	env.log.Record(ExchangeAttempt{Gateway: env.advID, Refused: true})
@@ -335,11 +335,13 @@ func byzWithholdChannel(t *testing.T, name string, seed int64) {
 	env.checkByz(t, byzPrice, nil)
 }
 
-// byzReplay: the adversary completes one honest exchange (banking the
-// capped credit), then tries to sell the same delivery again. The
-// victim's settled-digest ring catches the replay before any payment is
-// built, the report ejects the adversary, and fresh deliveries are
-// refused too.
+// byzReplay: the adversary sells one delivery twice before its claim —
+// a copy of an exchange in flight, refused without a second payment and
+// without a charge, since a duplicating link sends the same — then
+// completes it honestly (banking the capped credit) and tries to sell
+// it again. The victim's replay memory catches the settled copy before
+// any payment is built, the report ejects the adversary, and fresh
+// deliveries are refused too.
 func byzReplay(t *testing.T, name string, seed int64) {
 	env := newByzEnv(t, name, seed,
 		Options{Nodes: 3, Miners: []int{0}}, 1, 2)
@@ -350,6 +352,16 @@ func byzReplay(t *testing.T, name string, seed int64) {
 	payment, err := env.rcpt.HandleDelivery(d1)
 	if err != nil {
 		env.fatalf("first delivery: %v", err)
+	}
+	score := env.rep.Score(env.advID)
+	if _, err := env.rcpt.HandleDelivery(env.byz.ReplayDelivery(d1)); !errors.Is(err, recipient.ErrDeliveryInFlight) {
+		env.fatalf("in-flight copy: err = %v, want ErrDeliveryInFlight", err)
+	}
+	if s := env.rcpt.Stats; s.Payments != 1 || s.ReplaysDetected != 0 {
+		env.fatalf("after the in-flight copy: stats = %+v, want 1 payment and no replay", s)
+	}
+	if got := env.rep.Score(env.advID); got != score {
+		env.fatalf("in-flight copy moved the adversary's score %.2f → %.2f", score, got)
 	}
 	if err := c.WaitFor(scenarioTimeout, nil, func() bool {
 		return paymentEverywhere(c, payment.ID())
@@ -410,8 +422,9 @@ func byzReplay(t *testing.T, name string, seed int64) {
 	if got := env.rep.Snapshot().Replays; got != 1 {
 		env.fatalf("reputation replays = %d, want 1", got)
 	}
-	if got := ByzantineAttacks(c, "replay"); got != 1 {
-		env.fatalf("replay attacks = %d, want 1", got)
+	// Two copies offered: the in-flight one and the settled one.
+	if got := ByzantineAttacks(c, "replay"); got != 2 {
+		env.fatalf("replay attacks = %d, want 2", got)
 	}
 	env.checkByz(t, 0, []*Exchange{ex})
 }

@@ -367,8 +367,7 @@ func (c *Cluster) Gateway(i int, cfg gateway.Config) *gateway.Gateway {
 
 // Recipient builds a recipient actor operating through node i's ledger.
 func (c *Cluster) Recipient(i int, cfg recipient.Config) *recipient.Recipient {
-	return recipient.New(cfg, c.RecipientWallet, c.Node(i).Ledger(),
-		mrand.New(mrand.NewSource(linkSeed(c.Opts.Seed, nodeName(i), "recipient"))))
+	return recipient.New(cfg, c.RecipientWallet, c.Node(i).Ledger())
 }
 
 // PublishBinding publishes the @R → netAddr directory binding from node

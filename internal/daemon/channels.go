@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"bcwan/internal/bccrypto"
 	"bcwan/internal/chain"
 	"bcwan/internal/channel"
 	"bcwan/internal/fairex"
@@ -72,10 +73,11 @@ const chanHeightSkew = 2
 var ErrChannelsDisabled = errors.New("daemon: channel subsystem disabled")
 
 // ChannelSettlement is the payer-side outcome of one off-chain delivery
-// settlement: which commitment paid for it and the disclosed key.
+// settlement: which commitment paid for it and the disclosed key,
+// verified against the delivery's ePk before the update was acked.
 type ChannelSettlement struct {
 	ChannelID chain.Hash
-	Key       []byte
+	Key       *bccrypto.RSA512PrivateKey
 }
 
 // ChannelSummary is the RPC-facing view of one channel endpoint.
@@ -478,7 +480,8 @@ func (m *ChannelManager) SettleDelivery(peer string, d *fairex.Delivery) (*Chann
 		m.retirePayer(payer)
 		return nil, fmt.Errorf("daemon: channel update rejected: %s", ack.Reason)
 	}
-	if _, err := fairex.VerifyDisclosedKey(d, ack.Key); err != nil {
+	key, err := fairex.VerifyDisclosedKey(d, ack.Key)
+	if err != nil {
 		m.retirePayer(payer)
 		return nil, err
 	}
@@ -488,7 +491,7 @@ func (m *ChannelManager) SettleDelivery(peer string, d *fairex.Delivery) (*Chann
 	}
 	m.node.metrics.channelUpdates.Inc()
 	m.node.metrics.channelValue.Add(d.Price)
-	return &ChannelSettlement{ChannelID: u.ChannelID, Key: ack.Key}, nil
+	return &ChannelSettlement{ChannelID: u.ChannelID, Key: key}, nil
 }
 
 // payerFor returns an open channel to the gateway with room for one more

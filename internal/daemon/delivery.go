@@ -246,7 +246,7 @@ func NewRecipientDaemon(node *Node, cfg recipient.Config, listenAddr string, ran
 	}
 	r := &RecipientDaemon{
 		Node:      node,
-		Recipient: recipient.New(cfg, w, node.Ledger(), randomOrDefault(random)),
+		Recipient: recipient.New(cfg, w, node.Ledger()),
 		logger:    logger,
 		slots:     make(chan struct{}, maxDeliveriesInFlight),
 	}
@@ -276,28 +276,6 @@ func (r *RecipientDaemon) EnableChannels(cfg ChannelConfig) (*ChannelManager, er
 // as a real loss (no refund script protects a channel delta).
 func (r *RecipientDaemon) UseReputation(sys *reputation.System) {
 	r.Recipient.UseReputation(sys)
-}
-
-// settleViaChannel pays for one delivery through a channel update to the
-// gateway node at peer and decrypts the message with the disclosed key.
-func (r *RecipientDaemon) settleViaChannel(peer string, d *fairex.Delivery) (*recipient.Message, *ChannelSettlement, error) {
-	if err := r.Recipient.AcceptDeliveryOffChain(d); err != nil {
-		return nil, nil, err
-	}
-	settle, err := r.channels.SettleDelivery(peer, d)
-	if err != nil {
-		r.Recipient.DropOffChain(d.DevEUI, d.Exchange)
-		if errors.Is(err, fairex.ErrBadDisclosedKey) {
-			// The gateway countersigned the update (it holds the new
-			// commitment) but the disclosed key is junk: the delta is
-			// gone. Unlike the on-chain script there is no refund path,
-			// so this is the one bounded loss the invariant permits.
-			r.Recipient.ReportNonDisclosure(d.GatewayPubKeyHash, d.Price)
-		}
-		return nil, nil, err
-	}
-	msg, err := r.Recipient.SettleOffChain(d.DevEUI, d.Exchange, settle.Key)
-	return msg, settle, err
 }
 
 // OnReceive installs a callback for decrypted messages.
@@ -362,32 +340,56 @@ func (r *RecipientDaemon) onDelivery(from string, msg p2p.Message) {
 		return
 	}
 	go func() {
-		r.reply(from, d, r.settle(from, d))
+		if ack, answer := r.settle(from, d); answer {
+			r.reply(from, d, ack)
+		}
 		<-r.slots
 	}()
 }
 
-// settle pays for one delivery through the channel the gateway at from
-// offers or, failing that, on-chain, and returns the ack to send.
-func (r *RecipientDaemon) settle(from string, d *fairex.Delivery) fairex.Ack {
+// settle admits one delivery and pays for it through the channel the
+// gateway at from offers or, failing that, on-chain. It returns the ack
+// to send, or false for a copy of a delivery already in flight: the
+// first copy's ack is the gateway's one answer.
+func (r *RecipientDaemon) settle(from string, d *fairex.Delivery) (fairex.Ack, bool) {
+	x, err := r.Recipient.Admit(d)
+	if errors.Is(err, recipient.ErrDeliveryInFlight) {
+		return fairex.Ack{}, false
+	}
+	if err != nil {
+		return fairex.Ack{Reason: err.Error()}, true
+	}
 	if r.channels != nil && len(d.GatewayPubKey) > 0 {
-		msg, settle, err := r.settleViaChannel(from, d)
+		settled, err := r.channels.SettleDelivery(from, d)
 		if err == nil {
+			msg, err := r.Recipient.Open(x, settled.Key)
+			if err != nil {
+				return fairex.Ack{Reason: err.Error()}, true
+			}
 			// Commit, then ack: the gateway treats the ack as "the
 			// reading is in the inbox", so the append comes first.
 			r.receive(msg)
-			return fairex.Ack{Accepted: true, ChannelID: settle.ChannelID.String()}
+			return fairex.Ack{Accepted: true, ChannelID: settled.ChannelID.String()}, true
+		}
+		if errors.Is(err, fairex.ErrBadDisclosedKey) {
+			// The gateway countersigned the update (it holds the new
+			// commitment) but the disclosed key is junk: the delta is
+			// gone. Unlike the on-chain script there is no refund path,
+			// so this is the one bounded loss the invariant permits, and
+			// the gateway is not paid a second time.
+			r.Recipient.ReportNonDisclosure(x, d.Price)
+			return fairex.Ack{Reason: err.Error()}, true
 		}
 		r.logf("channel settle failed, falling back on-chain: %v", err)
 	}
-	// Commit, then ack, on-chain too: HandleDelivery returns only after
-	// Submit has admitted the payment to this node's mempool, so the id
-	// the ack names is already pooled here and on its way to the gateway.
-	payment, err := r.Recipient.HandleDelivery(d)
+	// Commit, then ack, on-chain too: Pay returns only after Submit has
+	// admitted the payment to this node's mempool, so the id the ack
+	// names is already pooled here and on its way to the gateway.
+	payment, err := r.Recipient.Pay(x)
 	if err != nil {
-		return fairex.Ack{Reason: err.Error()}
+		return fairex.Ack{Reason: err.Error()}, true
 	}
-	return fairex.Ack{Accepted: true, PaymentTxID: payment.ID().String()}
+	return fairex.Ack{Accepted: true, PaymentTxID: payment.ID().String()}, true
 }
 
 // reply sends the deliveryack for d to the node it came from.

@@ -95,6 +95,72 @@ func TestRecipientShedsDeliveriesBeyondItsSlots(t *testing.T) {
 	}
 }
 
+// TestDuplicatedDeliveryIsPaidAndAckedOnce delivers one delivery message
+// twice, as a duplicating link would. The recipient pays once and sends
+// one deliveryack, the acceptance; the copy gets no answer that could
+// overtake it.
+func TestDuplicatedDeliveryIsPaidAndAckedOnce(t *testing.T) {
+	c := newCluster(t)
+	c.publishBinding(t)
+	dev := c.provisionSensor(t, lora.DevEUI{0xe1, 1})
+	d, _, err := c.gwd.Gateway.HandleData(c.dataFrame(t, dev, []byte("twice")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, acks := c.bareGateway(t)
+	addr := c.rcptd.Node.P2PAddr()
+	var answers []deliveryAck
+	// send offers payloads in order, then a delivery from an unknown
+	// sensor behind them, and collects the acks until that one's: the
+	// read loop hands each delivery to its slot in order, and the acks
+	// share one send queue.
+	send := func(barrier lora.DevEUI, payloads ...[]byte) {
+		t.Helper()
+		last, err := json.Marshal(&fairex.Delivery{DevEUI: barrier})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range append(payloads, last) {
+			if !peer.SendTo(addr, msgTypeDelivery, p) {
+				t.Fatal("delivery not sent")
+			}
+		}
+		for {
+			select {
+			case a := <-acks:
+				if a.DevEUI == d.DevEUI {
+					answers = append(answers, a)
+				}
+				if a.DevEUI == barrier {
+					return
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("no ack for the delivery from %s", barrier)
+			}
+		}
+	}
+	send(lora.DevEUI{0xff}, payload, payload)
+	// Close waits for every settle in flight; an ack either copy sent is
+	// then queued ahead of the refusal the next delivery gets.
+	if err := c.rcptd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	send(lora.DevEUI{0xfe})
+	if len(answers) != 1 || !answers[0].Accepted || answers[0].PaymentTxID == "" {
+		t.Fatalf("deliveryacks for the delivery = %+v, want one acceptance naming its payment", answers)
+	}
+	if got := c.rcptd.Recipient.Stats.Payments; got != 1 {
+		t.Fatalf("%d payments for one delivery sent twice", got)
+	}
+	if ids := c.rcptd.Recipient.PendingPayments(); len(ids) != 1 || ids[0].String() != answers[0].PaymentTxID {
+		t.Fatalf("pending payments %v, want the acked %s alone", ids, answers[0].PaymentTxID)
+	}
+}
+
 func TestDeliveryDecodeRefusesOversize(t *testing.T) {
 	payload, err := json.Marshal(&fairex.Delivery{DevEUI: lora.DevEUI{1}, Exchange: 2})
 	if err != nil {

@@ -174,7 +174,7 @@ func newSim(cfg Config) (*sim, error) {
 
 	rcptCfg := recipient.DefaultConfig()
 	rcptCfg.MaxPrice = cfg.Price
-	s.rcpt = recipient.New(rcptCfg, rcptWallet, s.ledger, rand.Reader)
+	s.rcpt = recipient.New(rcptCfg, rcptWallet, s.ledger)
 
 	// Radio substrate.
 	s.channel = lora.NewChannel(s.sched, lora.DefaultPathLoss(), lora.DefaultPHY())

@@ -230,7 +230,13 @@ func ExtractKeyFromClaim(ledger Ledger, paymentID chain.Hash) (*bccrypto.RSA512P
 	if !ok {
 		return nil, ErrNoClaim
 	}
-	for _, in := range spender.Inputs {
+	return ClaimedKey(spender, paymentID)
+}
+
+// ClaimedKey returns the RSA-512 private key claim's unlocking script
+// reveals for the payment's output 0, confirmed or not.
+func ClaimedKey(claim *chain.Tx, paymentID chain.Hash) (*bccrypto.RSA512PrivateKey, error) {
+	for _, in := range claim.Inputs {
 		if in.Prev.TxID != paymentID || in.Prev.Index != 0 {
 			continue
 		}

@@ -88,7 +88,7 @@ func newWorld(t *testing.T, gwCfg gateway.Config, rcptCfg recipient.Config) *wor
 		t.Fatal(err)
 	}
 
-	rcpt := recipient.New(rcptCfg, rcptWallet, ledger, rand.Reader)
+	rcpt := recipient.New(rcptCfg, rcptWallet, ledger)
 	rcpt.Provision(eui, recipient.DeviceInfo{SharedKey: sharedKey, NodePub: nodeKey.Public()})
 
 	w := &world{

@@ -9,7 +9,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"bcwan/internal/bccrypto"
@@ -51,8 +50,8 @@ var (
 	// ErrUnknownSensor reports a delivery for a device the recipient
 	// was never provisioned with.
 	ErrUnknownSensor = errors.New("recipient: unknown device")
-	// ErrExchangeNotFound reports a claim settlement for an unknown
-	// payment.
+	// ErrExchangeNotFound reports a settlement of an exchange the
+	// recipient holds no open record of.
 	ErrExchangeNotFound = errors.New("recipient: no pending exchange for payment")
 	// ErrUntrustedGateway reports a delivery refused because the
 	// gateway's reputation is below the trust threshold.
@@ -60,17 +59,34 @@ var (
 	// ErrReplayedDelivery reports a delivery whose ciphertext was
 	// already bought once — a double-sell attempt.
 	ErrReplayedDelivery = errors.New("recipient: delivery already settled (replay)")
+	// ErrDeliveryInFlight reports a copy of a delivery whose exchange is
+	// still open. Nothing is paid for it and nobody is charged: a
+	// duplicating link delivers such copies honestly.
+	ErrDeliveryInFlight = errors.New("recipient: delivery already in flight")
 )
 
-// maxSettledMemory bounds the replay-detection window (digests of
-// ciphertexts already settled).
+// maxSettledMemory bounds the replay-detection window (settled
+// exchanges remembered by ciphertext digest).
 const maxSettledMemory = 4096
 
-// pendingPayment tracks an exchange between payment and claim.
-type pendingPayment struct {
+// refundSkew is the block a payment's refund height adds to the window,
+// so a recipient one block behind the height the gateway made its offer
+// at still writes a refund height fairex.CheckPayment accepts.
+const refundSkew = 1
+
+// Exchange is the recipient's record of one delivery, from admission
+// (Admit) through its payment (Pay, or a channel update) to its
+// decryption (Open).
+type Exchange struct {
+	digest   [sha256.Size]byte // of the ciphertext Em
 	delivery *fairex.Delivery
-	payment  *chain.Tx
+	shared   []byte    // the sensor's AES key
+	payment  *chain.Tx // nil unless paid on-chain
 }
+
+// settledExchange stands in the table for every settled exchange: the
+// replay memory keeps only the digest.
+var settledExchange = &Exchange{}
 
 // Message is a fully decrypted sensor reading.
 type Message struct {
@@ -84,7 +100,6 @@ type Recipient struct {
 	cfg    Config
 	wallet *wallet.Wallet
 	ledger fairex.Ledger
-	random io.Reader
 
 	// payMu serializes spends from the wallet (pay and Spending):
 	// Spendable → Build → Submit runs as one step, so a concurrent spend
@@ -92,30 +107,23 @@ type Recipient struct {
 	// and never picks them again.
 	payMu sync.Mutex
 
-	mu              sync.Mutex
-	devices         map[lora.DevEUI]DeviceInfo
-	pending         map[chain.Hash]*pendingPayment
-	pendingOffchain map[offchainKey]*fairex.Delivery
+	mu      sync.Mutex
+	devices map[lora.DevEUI]DeviceInfo
+	// exchanges holds one record per ciphertext digest: the open
+	// exchange, or settledExchange once it settled. byPayment indexes
+	// the open ones paid on-chain. settledRing evicts the oldest settled
+	// digest once maxSettledMemory is reached.
+	exchanges   map[[sha256.Size]byte]*Exchange
+	byPayment   map[chain.Hash]*Exchange
+	settledRing [][sha256.Size]byte
+	settledHead int
 
 	// rep, when set, gates deliveries on gateway trust and feeds exchange
 	// outcomes back as reputation reports (PR 8 defense layer).
 	rep *reputation.System
-	// settled remembers digests of already-settled ciphertexts so a
-	// gateway cannot sell the same message twice; settledRing evicts the
-	// oldest digest once maxSettledMemory is reached.
-	settled     map[[sha256.Size]byte]bool
-	settledRing [][sha256.Size]byte
-	settledHead int
 
 	// Stats aggregates outcomes.
 	Stats Stats
-}
-
-// offchainKey identifies an exchange settled through a channel update
-// (no payment transaction exists to key on).
-type offchainKey struct {
-	eui     lora.DevEUI
-	counter uint32
 }
 
 // Stats counts recipient outcomes.
@@ -137,16 +145,14 @@ type Stats struct {
 }
 
 // New creates a recipient.
-func New(cfg Config, w *wallet.Wallet, ledger fairex.Ledger, random io.Reader) *Recipient {
+func New(cfg Config, w *wallet.Wallet, ledger fairex.Ledger) *Recipient {
 	return &Recipient{
-		cfg:             cfg,
-		wallet:          w,
-		ledger:          ledger,
-		random:          random,
-		devices:         make(map[lora.DevEUI]DeviceInfo),
-		pending:         make(map[chain.Hash]*pendingPayment),
-		pendingOffchain: make(map[offchainKey]*fairex.Delivery),
-		settled:         make(map[[sha256.Size]byte]bool),
+		cfg:       cfg,
+		wallet:    w,
+		ledger:    ledger,
+		devices:   make(map[lora.DevEUI]DeviceInfo),
+		exchanges: make(map[[sha256.Size]byte]*Exchange),
+		byPayment: make(map[chain.Hash]*Exchange),
 	}
 }
 
@@ -158,57 +164,6 @@ func (r *Recipient) UseReputation(sys *reputation.System) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.rep = sys
-}
-
-// admit runs the PR 8 defense gate over an offer that already passed the
-// signature and price checks: replayed ciphertexts are rejected (and
-// charged against the gateway), then untrusted gateways are refused.
-func (r *Recipient) admit(d *fairex.Delivery) error {
-	digest := sha256.Sum256(d.Em)
-	gw := reputation.IDFromHash(d.GatewayPubKeyHash)
-	r.mu.Lock()
-	rep := r.rep
-	replayed := r.settled[digest]
-	if replayed {
-		r.Stats.ReplaysDetected++
-	}
-	r.mu.Unlock()
-	if replayed {
-		if rep != nil {
-			rep.ReportReplay(gw)
-		}
-		return fmt.Errorf("%w: exchange %d of %s", ErrReplayedDelivery, d.Exchange, d.DevEUI)
-	}
-	if rep != nil && !rep.Trusted(gw) {
-		rep.ReportRefused(gw)
-		r.mu.Lock()
-		r.Stats.RefusedUntrusted++
-		r.mu.Unlock()
-		return fmt.Errorf("%w: %s (score %.2f < %.2f)", ErrUntrustedGateway, gw, rep.Score(gw), rep.Threshold())
-	}
-	return nil
-}
-
-// markSettled remembers a settled ciphertext for replay detection and
-// credits the gateway.
-func (r *Recipient) markSettled(d *fairex.Delivery) {
-	digest := sha256.Sum256(d.Em)
-	r.mu.Lock()
-	if !r.settled[digest] {
-		r.settled[digest] = true
-		if len(r.settledRing) < maxSettledMemory {
-			r.settledRing = append(r.settledRing, digest)
-		} else {
-			delete(r.settled, r.settledRing[r.settledHead])
-			r.settledRing[r.settledHead] = digest
-			r.settledHead = (r.settledHead + 1) % maxSettledMemory
-		}
-	}
-	rep := r.rep
-	r.mu.Unlock()
-	if rep != nil {
-		rep.ReportDelivered(reputation.IDFromHash(d.GatewayPubKeyHash))
-	}
 }
 
 // Wallet returns the recipient's wallet.
@@ -225,6 +180,19 @@ func (r *Recipient) Provision(eui lora.DevEUI, info DeviceInfo) {
 // the terms, build the key-release payment, and submit it. It returns the
 // payment transaction (whose ID the Ack carries back to the gateway).
 func (r *Recipient) HandleDelivery(d *fairex.Delivery) (*chain.Tx, error) {
+	x, err := r.Admit(d)
+	if err != nil {
+		return nil, err
+	}
+	return r.Pay(x)
+}
+
+// Admit performs Fig. 3 step 8 and opens the exchange's record: it
+// checks the node's signature and the price, refuses a settled
+// ciphertext as a replay (charging the gateway) and a copy of an open
+// exchange as in flight (charging nobody), then refuses an untrusted
+// gateway. The checks on the table and the insert are one step.
+func (r *Recipient) Admit(d *fairex.Delivery) (*Exchange, error) {
 	r.mu.Lock()
 	info, known := r.devices[d.DevEUI]
 	r.Stats.Deliveries++
@@ -232,7 +200,6 @@ func (r *Recipient) HandleDelivery(d *fairex.Delivery) (*chain.Tx, error) {
 	if !known {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSensor, d.DevEUI)
 	}
-	// Step 8: authenticity and integrity via the node's signature.
 	if err := fairex.VerifyOffer(info.NodePub, d); err != nil {
 		r.bumpRejected()
 		return nil, err
@@ -241,30 +208,48 @@ func (r *Recipient) HandleDelivery(d *fairex.Delivery) (*chain.Tx, error) {
 		r.bumpRejected()
 		return nil, fmt.Errorf("%w: asked %d, max %d", fairex.ErrPriceTooHigh, d.Price, r.cfg.MaxPrice)
 	}
-	if err := r.admit(d); err != nil {
-		return nil, err
+	x := &Exchange{digest: sha256.Sum256(d.Em), delivery: d, shared: info.SharedKey}
+	gw := reputation.IDFromHash(d.GatewayPubKeyHash)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch prev := r.exchanges[x.digest]; {
+	case prev == settledExchange:
+		r.Stats.ReplaysDetected++
+		if r.rep != nil {
+			r.rep.ReportReplay(gw)
+		}
+		return nil, fmt.Errorf("%w: exchange %d of %s", ErrReplayedDelivery, d.Exchange, d.DevEUI)
+	case prev != nil:
+		return nil, fmt.Errorf("%w: exchange %d of %s", ErrDeliveryInFlight, d.Exchange, d.DevEUI)
+	case r.rep != nil && !r.rep.Trusted(gw):
+		r.rep.ReportRefused(gw)
+		r.Stats.RefusedUntrusted++
+		return nil, fmt.Errorf("%w: %s (score %.2f < %.2f)", ErrUntrustedGateway, gw, r.rep.Score(gw), r.rep.Threshold())
 	}
+	r.exchanges[x.digest] = x
+	return x, nil
+}
 
-	// Step 9: the Listing 1 payment.
-	window := d.RefundWindow
-	if r.cfg.RefundWindow > window {
-		window = r.cfg.RefundWindow
-	}
-	params := script.KeyReleaseParams{
+// Pay performs Fig. 3 step 9 for an admitted exchange: it builds and
+// submits the Listing 1 payment. A failed payment forgets the exchange.
+func (r *Recipient) Pay(x *Exchange) (*chain.Tx, error) {
+	d := x.delivery
+	window := max(d.RefundWindow, r.cfg.RefundWindow)
+	payment, err := r.pay(script.KeyReleaseParams{
 		RSAPubKey:         d.EPk,
 		GatewayPubKeyHash: d.GatewayPubKeyHash,
-		RefundHeight:      r.ledger.Height() + window,
+		RefundHeight:      r.ledger.Height() + window + refundSkew,
 		BuyerPubKeyHash:   r.wallet.PubKeyHash(),
-	}
-	payment, err := r.pay(params, d.Price)
+	}, d.Price)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if err != nil {
+		r.forgetLocked(x)
 		return nil, err
 	}
-
-	r.mu.Lock()
-	r.pending[payment.ID()] = &pendingPayment{delivery: d, payment: payment}
+	x.payment = payment
+	r.byPayment[payment.ID()] = x
 	r.Stats.Payments++
-	r.mu.Unlock()
 	return payment, nil
 }
 
@@ -293,156 +278,102 @@ func (r *Recipient) Spending(fn func() error) error {
 }
 
 // SettleClaim completes the exchange once the gateway's claim is
-// confirmed: extract eSk from the claim's unlocking script, strip the
-// RSA layer, then the AES layer, and return the plaintext.
+// confirmed: the claim is the transaction spending the payment.
 func (r *Recipient) SettleClaim(paymentID chain.Hash) (*Message, error) {
-	eSk, err := fairex.ExtractKeyFromClaim(r.ledger, paymentID)
-	if err != nil {
-		return nil, err
+	claim, _, ok := r.ledger.FindSpender(chain.OutPoint{TxID: paymentID, Index: 0})
+	if !ok {
+		return nil, fairex.ErrNoClaim
 	}
-	return r.settle(paymentID, eSk)
+	return r.SettleClaimTx(paymentID, claim)
 }
 
 // SettleClaimTx completes the exchange from a claim transaction observed
 // unconfirmed (gossiped or in the mempool) — the proof of concept's
 // zero-confirmation mode, whose double-spend exposure §6 discusses.
 func (r *Recipient) SettleClaimTx(paymentID chain.Hash, claim *chain.Tx) (*Message, error) {
-	for _, in := range claim.Inputs {
-		if in.Prev.TxID != paymentID || in.Prev.Index != 0 {
-			continue
-		}
-		keyBytes, err := script.ExtractClaimedRSAKey(in.Unlock)
-		if err != nil {
-			return nil, fmt.Errorf("recipient: claim unlock: %w", err)
-		}
-		eSk, err := bccrypto.UnmarshalRSA512PrivateKey(keyBytes)
-		if err != nil {
-			return nil, fmt.Errorf("recipient: revealed key: %w", err)
-		}
-		return r.settle(paymentID, eSk)
-	}
-	return nil, fairex.ErrNoClaim
-}
-
-func (r *Recipient) settle(paymentID chain.Hash, eSk *bccrypto.RSA512PrivateKey) (*Message, error) {
-	r.mu.Lock()
-	pend, ok := r.pending[paymentID]
-	if !ok {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrExchangeNotFound, paymentID)
-	}
-	info := r.devices[pend.delivery.DevEUI]
-	r.mu.Unlock()
-
-	frame, err := bccrypto.DecryptRSA512(eSk, pend.delivery.Em)
-	if err != nil {
-		return nil, fmt.Errorf("recipient: rsa layer: %w", err)
-	}
-	plaintext, err := bccrypto.DecryptFrame(info.SharedKey, frame)
-	if err != nil {
-		return nil, fmt.Errorf("recipient: aes layer: %w", err)
-	}
-	r.mu.Lock()
-	delete(r.pending, paymentID)
-	r.Stats.Decryptions++
-	r.mu.Unlock()
-	r.markSettled(pend.delivery)
-	return &Message{
-		DevEUI:    pend.delivery.DevEUI,
-		Plaintext: plaintext,
-		PaymentID: paymentID,
-	}, nil
-}
-
-// AcceptDeliveryOffChain performs the channel-mode variant of Fig. 3
-// steps 8–9: it verifies the offer signature and price exactly like
-// HandleDelivery, but instead of broadcasting an on-chain payment it
-// registers the exchange for settlement through a channel update. The
-// caller then streams the update and settles with SettleOffChain once the
-// key is disclosed.
-func (r *Recipient) AcceptDeliveryOffChain(d *fairex.Delivery) error {
-	r.mu.Lock()
-	info, known := r.devices[d.DevEUI]
-	r.Stats.Deliveries++
-	r.mu.Unlock()
-	if !known {
-		return fmt.Errorf("%w: %s", ErrUnknownSensor, d.DevEUI)
-	}
-	if err := fairex.VerifyOffer(info.NodePub, d); err != nil {
-		r.bumpRejected()
-		return err
-	}
-	if d.Price > r.cfg.MaxPrice {
-		r.bumpRejected()
-		return fmt.Errorf("%w: asked %d, max %d", fairex.ErrPriceTooHigh, d.Price, r.cfg.MaxPrice)
-	}
-	if err := r.admit(d); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.pendingOffchain[offchainKey{eui: d.DevEUI, counter: d.Exchange}] = d
-	r.mu.Unlock()
-	return nil
-}
-
-// SettleOffChain completes a channel-mode exchange: verify that the
-// disclosed key bytes match the delivery's ePk, strip both encryption
-// layers, and return the plaintext. Called with the key carried by the
-// gateway's channel update acknowledgement.
-func (r *Recipient) SettleOffChain(devEUI lora.DevEUI, exchange uint32, keyBytes []byte) (*Message, error) {
-	ok := offchainKey{eui: devEUI, counter: exchange}
-	r.mu.Lock()
-	d, found := r.pendingOffchain[ok]
-	info := r.devices[devEUI]
-	r.mu.Unlock()
-	if !found {
-		return nil, fmt.Errorf("%w: %s (exchange %d)", ErrExchangeNotFound, devEUI, exchange)
-	}
-	eSk, err := fairex.VerifyDisclosedKey(d, keyBytes)
+	eSk, err := fairex.ClaimedKey(claim, paymentID)
 	if err != nil {
 		return nil, err
 	}
+	r.mu.Lock()
+	x := r.byPayment[paymentID]
+	r.mu.Unlock()
+	if x == nil {
+		return nil, fmt.Errorf("%w: %s", ErrExchangeNotFound, paymentID)
+	}
+	return r.Open(x, eSk)
+}
+
+// Open completes an exchange with the ephemeral private key its payment
+// bought — recovered from the claim, or disclosed against a channel
+// update and verified before that update was acknowledged: it strips
+// the RSA layer, then the AES layer, and settles the exchange into the
+// replay memory. A failed decryption leaves the exchange open.
+func (r *Recipient) Open(x *Exchange, eSk *bccrypto.RSA512PrivateKey) (*Message, error) {
+	d := x.delivery
 	frame, err := bccrypto.DecryptRSA512(eSk, d.Em)
 	if err != nil {
 		return nil, fmt.Errorf("recipient: rsa layer: %w", err)
 	}
-	plaintext, err := bccrypto.DecryptFrame(info.SharedKey, frame)
+	plaintext, err := bccrypto.DecryptFrame(x.shared, frame)
 	if err != nil {
 		return nil, fmt.Errorf("recipient: aes layer: %w", err)
 	}
+	msg := &Message{DevEUI: d.DevEUI, Plaintext: plaintext}
 	r.mu.Lock()
-	delete(r.pendingOffchain, ok)
+	defer r.mu.Unlock()
+	if r.exchanges[x.digest] != x {
+		return nil, fmt.Errorf("%w: exchange %d of %s already closed", ErrExchangeNotFound, d.Exchange, d.DevEUI)
+	}
+	r.forgetLocked(x)
+	r.exchanges[x.digest] = settledExchange
+	if len(r.settledRing) < maxSettledMemory {
+		r.settledRing = append(r.settledRing, x.digest)
+	} else {
+		delete(r.exchanges, r.settledRing[r.settledHead])
+		r.settledRing[r.settledHead] = x.digest
+		r.settledHead = (r.settledHead + 1) % maxSettledMemory
+	}
 	r.Stats.Decryptions++
-	r.Stats.OffChainSettles++
-	r.mu.Unlock()
-	r.markSettled(d)
-	return &Message{DevEUI: devEUI, Plaintext: plaintext}, nil
+	if x.payment != nil {
+		msg.PaymentID = x.payment.ID()
+	} else {
+		r.Stats.OffChainSettles++
+	}
+	if r.rep != nil {
+		r.rep.ReportDelivered(reputation.IDFromHash(d.GatewayPubKeyHash))
+	}
+	return msg, nil
 }
 
-// DropOffChain abandons a registered off-chain exchange (e.g. the channel
-// path failed and the delivery is being re-settled on-chain).
-func (r *Recipient) DropOffChain(devEUI lora.DevEUI, exchange uint32) {
-	r.mu.Lock()
-	delete(r.pendingOffchain, offchainKey{eui: devEUI, counter: exchange})
-	r.mu.Unlock()
+// forgetLocked drops an open exchange's record; a copy of its delivery
+// is then admitted afresh. r.mu must be held.
+func (r *Recipient) forgetLocked(x *Exchange) {
+	if r.exchanges[x.digest] == x {
+		delete(r.exchanges, x.digest)
+	}
+	if x.payment != nil {
+		delete(r.byPayment, x.payment.ID())
+	}
 }
 
 // Refund reclaims an expired, unclaimed payment through the Listing 1
-// OP_ELSE path. It fails (at the ledger) before the refund height.
+// OP_ELSE path and forgets the exchange. It fails (at the ledger) before
+// the refund height.
 func (r *Recipient) Refund(paymentID chain.Hash) (*chain.Tx, error) {
 	r.mu.Lock()
-	pend, ok := r.pending[paymentID]
+	x := r.byPayment[paymentID]
 	r.mu.Unlock()
-	if !ok {
+	if x == nil {
 		return nil, fmt.Errorf("%w: %s", ErrExchangeNotFound, paymentID)
 	}
-	params, err := script.ParseKeyRelease(pend.payment.Outputs[0].Lock)
+	params, err := script.ParseKeyRelease(x.payment.Outputs[0].Lock)
 	if err != nil {
 		return nil, fmt.Errorf("recipient: parse own payment: %w", err)
 	}
 	refund, err := r.wallet.BuildRefund(
 		chain.OutPoint{TxID: paymentID, Index: 0},
-		pend.payment.Outputs[0], params.RefundHeight, r.cfg.RefundFee)
+		x.payment.Outputs[0], params.RefundHeight, r.cfg.RefundFee)
 	if err != nil {
 		return nil, fmt.Errorf("recipient: build refund: %w", err)
 	}
@@ -450,30 +381,29 @@ func (r *Recipient) Refund(paymentID chain.Hash) (*chain.Tx, error) {
 		return nil, fmt.Errorf("recipient: submit refund: %w", err)
 	}
 	r.mu.Lock()
-	delete(r.pending, paymentID)
+	defer r.mu.Unlock()
+	r.forgetLocked(x)
 	r.Stats.Refunds++
-	rep := r.rep
-	r.mu.Unlock()
 	// A refund means the gateway took the payment's escrow hostage and
 	// never disclosed the key: the Listing 1 OP_ELSE path made the victim
 	// whole (lost = 0), but the non-disclosure still decays the gateway's
 	// score so persistent withholders get refused.
-	if rep != nil {
-		rep.ReportWithheld(reputation.IDFromHash(pend.delivery.GatewayPubKeyHash), 0)
+	if r.rep != nil {
+		r.rep.ReportWithheld(reputation.IDFromHash(x.delivery.GatewayPubKeyHash), 0)
 	}
 	return refund, nil
 }
 
-// ReportNonDisclosure charges a gateway that kept an off-chain delivery's
-// payment without ever disclosing the key (the channel settlement path,
-// where there is no refund script to fall back on). lost is the channel
-// delta that cannot be recovered.
-func (r *Recipient) ReportNonDisclosure(gatewayPubKeyHash [20]byte, lost uint64) {
+// ReportNonDisclosure closes an exchange paid through a channel update
+// whose gateway never disclosed a valid key (no refund script to fall
+// back on), and charges the gateway with lost, the channel delta that
+// cannot be recovered.
+func (r *Recipient) ReportNonDisclosure(x *Exchange, lost uint64) {
 	r.mu.Lock()
-	rep := r.rep
-	r.mu.Unlock()
-	if rep != nil {
-		rep.ReportWithheld(reputation.IDFromHash(gatewayPubKeyHash), lost)
+	defer r.mu.Unlock()
+	r.forgetLocked(x)
+	if r.rep != nil {
+		r.rep.ReportWithheld(reputation.IDFromHash(x.delivery.GatewayPubKeyHash), lost)
 	}
 }
 
@@ -481,8 +411,8 @@ func (r *Recipient) ReportNonDisclosure(gatewayPubKeyHash [20]byte, lost uint64)
 func (r *Recipient) PendingPayments() []chain.Hash {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]chain.Hash, 0, len(r.pending))
-	for id := range r.pending {
+	out := make([]chain.Hash, 0, len(r.byPayment))
+	for id := range r.byPayment {
 		out = append(out, id)
 	}
 	return out

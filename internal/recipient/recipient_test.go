@@ -73,7 +73,7 @@ func newFixtureWith(t testing.TB, funds uint64, unrelated int) *fixture {
 	}
 	eui := lora.DevEUI{0x01}
 
-	r := New(DefaultConfig(), rcptW, node, rand.Reader)
+	r := New(DefaultConfig(), rcptW, node)
 	r.Provision(eui, DeviceInfo{SharedKey: shared, NodePub: nodeKey.Public()})
 	return &fixture{
 		rcpt:    r,
@@ -301,5 +301,90 @@ func TestConcurrentDeliveriesPayWithDistinctCoins(t *testing.T) {
 	}
 	if len(ids) != n {
 		t.Fatalf("%d distinct payments for %d deliveries", len(ids), n)
+	}
+}
+
+// TestInFlightCopyIsNotPaidTwice offers one delivery twice before its
+// claim, as a duplicating link or a double-selling gateway would. The
+// copy is refused as in flight without a second payment and without a
+// replay charged; once the exchange settles, a copy is a replay.
+func TestInFlightCopyIsNotPaidTwice(t *testing.T) {
+	f := newFixture(t)
+	d := f.delivery(t, "once")
+	payment, err := f.rcpt.HandleDelivery(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := *d
+	if _, err := f.rcpt.HandleDelivery(&copied); !errors.Is(err, ErrDeliveryInFlight) {
+		t.Fatalf("in-flight copy: err = %v, want ErrDeliveryInFlight", err)
+	}
+	if n := f.node.Pool.Len(); n != 1 {
+		t.Fatalf("%d transactions pooled, want the one payment", n)
+	}
+	if s := f.rcpt.Stats; s.Payments != 1 || s.ReplaysDetected != 0 {
+		t.Fatalf("stats = %+v, want 1 payment and no replay", s)
+	}
+
+	claim, err := f.gw.BuildClaim(chain.OutPoint{TxID: payment.ID(), Index: 0}, payment.Outputs[0], f.eKey, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.rcpt.SettleClaimTx(payment.ID(), claim); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.rcpt.SettleClaimTx(payment.ID(), claim); !errors.Is(err, ErrExchangeNotFound) {
+		t.Fatalf("second settle: err = %v, want ErrExchangeNotFound", err)
+	}
+	if _, err := f.rcpt.HandleDelivery(&copied); !errors.Is(err, ErrReplayedDelivery) {
+		t.Fatalf("settled copy: err = %v, want ErrReplayedDelivery", err)
+	}
+	if s := f.rcpt.Stats; s.Payments != 1 || s.Decryptions != 1 || s.ReplaysDetected != 1 {
+		t.Fatalf("stats = %+v, want 1 payment, 1 decryption, 1 replay", s)
+	}
+}
+
+// TestPaymentPassesOfferOneBlockAhead builds a payment at height h and
+// checks it as a gateway whose offer was made at h+1 does: a recipient
+// one block behind the gateway must still meet the refund window.
+func TestPaymentPassesOfferOneBlockAhead(t *testing.T) {
+	f := newFixture(t)
+	f.mine(t)
+	d := f.delivery(t, "skew")
+	h := f.node.Height()
+	payment, err := f.rcpt.HandleDelivery(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fairex.CheckPayment(d, payment, h+1); err != nil {
+		t.Fatalf("payment built at height %d, offer at %d: %v", h, h+1, err)
+	}
+}
+
+// TestRefundForgetsTheExchange: once refunded, the delivery's record is
+// gone, so a later copy is a fresh offer rather than a replay.
+func TestRefundForgetsTheExchange(t *testing.T) {
+	f := newFixture(t)
+	d := f.delivery(t, "x")
+	payment, err := f.rcpt.HandleDelivery(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := script.ParseKeyRelease(payment.Outputs[0].Lock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for f.node.Height() < params.RefundHeight {
+		f.mine(t)
+	}
+	if _, err := f.rcpt.Refund(payment.ID()); err != nil {
+		t.Fatal(err)
+	}
+	f.mine(t)
+	if len(f.rcpt.PendingPayments()) != 0 {
+		t.Fatal("refunded exchange still pending")
+	}
+	if _, err := f.rcpt.HandleDelivery(d); err != nil {
+		t.Fatalf("copy after refund: %v", err)
 	}
 }

@@ -7,9 +7,10 @@ import (
 )
 
 // BenchmarkHandleDeliveryUTXO times Fig. 3 steps 8–9 — verify the offer,
-// build, sign and submit the payment — with a block mined (untimed)
-// after every delivery, at two sizes of a UTXO set that is almost all
-// other people's coins. The two rows should read the same.
+// build, sign and submit the payment — with a fresh delivery built and a
+// block mined (both untimed) around every one, at two sizes of a UTXO
+// set that is almost all other people's coins. The two rows should read
+// the same.
 func BenchmarkHandleDeliveryUTXO(b *testing.B) {
 	for _, size := range []struct {
 		name      string
@@ -17,10 +18,12 @@ func BenchmarkHandleDeliveryUTXO(b *testing.B) {
 	}{{"1k", 1_000}, {"10k", 10_000}} {
 		b.Run(size.name, func(b *testing.B) {
 			f := newFixtureWith(b, 1<<40, size.unrelated)
-			d := f.delivery(b, "9.81m/s2")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				d := f.delivery(b, "9.81m/s2")
+				b.StartTimer()
 				if _, err := f.rcpt.HandleDelivery(d); err != nil {
 					b.Fatal(err)
 				}
@@ -36,10 +39,10 @@ func BenchmarkHandleDeliveryUTXO(b *testing.B) {
 // median of several, with the given number of unrelated unspent outputs.
 func handleDeliveryBytes(t *testing.T, unrelated int) uint64 {
 	f := newFixtureWith(t, 100_000, unrelated)
-	d := f.delivery(t, "9.81m/s2")
 	samples := make([]uint64, 0, 5)
 	var before, after runtime.MemStats
 	for i := 0; i < cap(samples)+1; i++ {
+		d := f.delivery(t, "9.81m/s2") // a copy of one still in flight is refused
 		runtime.ReadMemStats(&before)
 		_, err := f.rcpt.HandleDelivery(d)
 		runtime.ReadMemStats(&after)

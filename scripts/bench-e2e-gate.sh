@@ -2,7 +2,8 @@
 # The end-to-end gate on what a shared host cannot move (make bench-e2e-gate).
 #
 # It checks out HEAD and HEAD~1 in two git worktrees under WORK, runs
-# benchmark/run.sh on sim_federation and facade_onchain for each seed,
+# benchmark/run.sh on sim_federation, facade_onchain and tcp_channel
+# (the channel settlement, end to end over loopback TCP) for each seed,
 # parent and change interleaved run by run, folds each side into a set
 # and compares the sets with the change's -compare. It fails only on
 #   - an alloc_kb_per_delivery breach of the manifest's bound,
@@ -22,7 +23,7 @@ root="$(git rev-parse --show-toplevel)"
 work="${1:?usage: scripts/bench-e2e-gate.sh WORK}"
 seconds="$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$root/BENCHMARK.json")"
 seeds="1 2 3"
-workloads="sim_federation facade_onchain"
+workloads="sim_federation facade_onchain tcp_channel"
 
 mkdir -p "$work"
 work="$(cd "$work" && pwd)"
