@@ -56,8 +56,8 @@ bench-gate:
 	done
 
 # HEAD against its parent on the end-to-end harness (benchmark/run.sh,
-# sim_federation, facade_onchain and tcp_channel, seeds 1-3,
-# interleaved), gated only on what a shared host cannot move:
+# sim_federation, facade_onchain, tcp_channel and tcp_onchain, seeds
+# 1-3, interleaved), gated only on what a shared host cannot move:
 # allocations per delivery, failed deliveries and simulated time. Time
 # rows are printed, not gated. Needs HEAD~1 in the clone; see
 # scripts/bench-e2e-gate.sh.

@@ -17,14 +17,14 @@ type Payer struct {
 	mu     sync.Mutex
 	st     *State
 	wallet *wallet.Wallet
-	ledger fairex.Ledger
+	ledger *fairex.Node
 	store  *Store
 }
 
 // OpenPayer funds a new channel: it builds and submits the on-chain
 // funding transaction and returns the endpoint plus the funding tx for
 // relay to the payee.
-func OpenPayer(w *wallet.Wallet, ledger fairex.Ledger, store *Store, gatewayPub []byte, capacity, fundFee, closeFee uint64, refundWindow int64, peerAddr string) (*Payer, *chain.Tx, error) {
+func OpenPayer(w *wallet.Wallet, ledger *fairex.Node, store *Store, gatewayPub []byte, capacity, fundFee, closeFee uint64, refundWindow int64, peerAddr string) (*Payer, *chain.Tx, error) {
 	if capacity <= closeFee {
 		return nil, nil, fmt.Errorf("%w: capacity %d <= close fee %d", ErrExhausted, capacity, closeFee)
 	}
@@ -58,7 +58,7 @@ func OpenPayer(w *wallet.Wallet, ledger fairex.Ledger, store *Store, gatewayPub 
 // LoadPayer rebuilds a payer endpoint from a persisted state (after a
 // restart). The wallet must hold the key matching the state's
 // RecipientPub.
-func LoadPayer(st *State, w *wallet.Wallet, ledger fairex.Ledger, store *Store) (*Payer, error) {
+func LoadPayer(st *State, w *wallet.Wallet, ledger *fairex.Node, store *Store) (*Payer, error) {
 	if st.Role != RolePayer {
 		return nil, fmt.Errorf("%w: state role %s is not payer", ErrUnknownChannel, st.Role)
 	}
@@ -226,7 +226,7 @@ type Payee struct {
 	mu     sync.Mutex
 	st     *State
 	wallet *wallet.Wallet
-	ledger fairex.Ledger
+	ledger *fairex.Node
 	store  *Store
 	// priceFloor is the minimum cumulative-paid increase per update. Zero
 	// disables the check (raw endpoint use); the daemon sets it to the
@@ -248,7 +248,7 @@ func (g *Payee) SetPriceFloor(v uint64) {
 // and creates the payee endpoint. The funding transaction is submitted to
 // the payee's own mempool so it sees the channel anchor even if gossip
 // lags.
-func AcceptPayee(w *wallet.Wallet, ledger fairex.Ledger, store *Store, funding *chain.Tx, p Params, peerAddr string) (*Payee, error) {
+func AcceptPayee(w *wallet.Wallet, ledger *fairex.Node, store *Store, funding *chain.Tx, p Params, peerAddr string) (*Payee, error) {
 	if !bytes.Equal(p.GatewayPub, w.PublicBytes()) {
 		return nil, fmt.Errorf("%w: gateway key is not ours", ErrBadFunding)
 	}
@@ -281,7 +281,7 @@ func AcceptPayee(w *wallet.Wallet, ledger fairex.Ledger, store *Store, funding *
 }
 
 // LoadPayee rebuilds a payee endpoint from a persisted state.
-func LoadPayee(st *State, w *wallet.Wallet, ledger fairex.Ledger, store *Store) (*Payee, error) {
+func LoadPayee(st *State, w *wallet.Wallet, ledger *fairex.Node, store *Store) (*Payee, error) {
 	if st.Role != RolePayee {
 		return nil, fmt.Errorf("%w: state role %s is not payee", ErrUnknownChannel, st.Role)
 	}

@@ -22,11 +22,6 @@ type ChannelConfig struct {
 	// Capacity is the amount locked into each funding transaction; it
 	// bounds how many deliveries one channel settles before rolling over.
 	Capacity uint64
-	// FundingFee, CloseFee and RefundFee are the fees of the three
-	// on-chain channel transactions.
-	FundingFee uint64
-	CloseFee   uint64
-	RefundFee  uint64
 	// RefundWindow is the CLTV timeout in blocks: past it the funder can
 	// reclaim the capacity unilaterally, so the gateway must close first.
 	// A payee rejects opens offering a shorter window than its own.
@@ -53,15 +48,16 @@ type ChannelConfig struct {
 func DefaultChannelConfig() ChannelConfig {
 	return ChannelConfig{
 		Capacity:      10_000,
-		FundingFee:    1,
-		CloseFee:      1,
-		RefundFee:     1,
 		RefundWindow:  100,
 		CloseMargin:   10,
 		OpenTimeout:   10 * time.Second,
 		UpdateTimeout: 10 * time.Second,
 	}
 }
+
+// channelFee is the miner fee each of a channel's three on-chain
+// transactions pays: the funding, the close and the refund.
+const channelFee = 1
 
 // chanHeightSkew is how many blocks a funder's chain view may lag the
 // payee's when the payee checks a funded RefundHeight against the agreed
@@ -547,7 +543,7 @@ func (m *ChannelManager) openPayer(peer string, wantGwPub []byte, capacity uint6
 	var funding *chain.Tx
 	err := m.spend(func() (err error) {
 		payer, funding, err = channel.OpenPayer(m.wallet, m.node.Ledger(), m.store,
-			acc.GatewayPub, capacity, m.cfg.FundingFee, m.cfg.CloseFee, m.cfg.RefundWindow, peer)
+			acc.GatewayPub, capacity, channelFee, channelFee, m.cfg.RefundWindow, peer)
 		return err
 	})
 	if err != nil {
@@ -644,7 +640,7 @@ func (m *ChannelManager) RefundExpired() int {
 			}
 			continue
 		}
-		if _, err := p.Refund(m.cfg.RefundFee); err != nil {
+		if _, err := p.Refund(channelFee); err != nil {
 			m.node.logf("channel %s refund: %v", st.ID, err)
 			continue
 		}

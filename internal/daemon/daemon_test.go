@@ -417,8 +417,8 @@ func TestRPCVisibleAcrossCluster(t *testing.T) {
 	c := newCluster(t)
 	c.mine()
 	client := rpc.NewClient(c.rcptd.Node.RPCAddr())
-	h, err := client.GetBlockCount(context.Background())
-	if err != nil {
+	var h int64
+	if err := client.Call(context.Background(), "getblockcount", &h); err != nil {
 		t.Fatal(err)
 	}
 	if h != 1 {

@@ -94,35 +94,9 @@ func VerifyOffer(nodePub *bccrypto.RSA512PublicKey, d *Delivery) error {
 	return nil
 }
 
-// Ledger is the view of the blockchain both exchange parties share. It is
-// implemented by Node for in-process use and mirrors what the paper's
-// daemon reaches over Multichain's JSON-RPC.
-type Ledger interface {
-	// Height returns the best-branch height.
-	Height() int64
-	// UTXO returns a private copy of the whole spendable set, pooled
-	// transactions applied. It is O(set): nothing on a per-message path
-	// calls it.
-	UTXO() *chain.UTXOSet
-	// Spendable returns the coins one pubkey-hash can spend — confirmed
-	// or created by a pooled transaction, and claimed by none — as a
-	// small private set for wallet.Build* to select from.
-	Spendable(pubKeyHash [script.HashLen]byte) *chain.UTXOSet
-	// Submit validates a transaction into the mempool and gossips it.
-	Submit(tx *chain.Tx) error
-	// FindTx locates a confirmed transaction.
-	FindTx(id chain.Hash) (*chain.Tx, int64, bool)
-	// FindSpender locates the confirmed transaction spending an output.
-	FindSpender(op chain.OutPoint) (*chain.Tx, int64, bool)
-	// Confirmations counts blocks confirming a transaction.
-	Confirmations(id chain.Hash) int64
-	// PendingTx looks a transaction up in the mempool.
-	PendingTx(id chain.Hash) (*chain.Tx, bool)
-	// Params exposes the chain parameters.
-	Params() chain.Params
-}
-
-// Node adapts an in-process chain + mempool to Ledger.
+// Node is the view of the blockchain both exchange parties share: an
+// in-process chain and mempool, where the paper's daemon reaches the same
+// view over Multichain's JSON-RPC.
 type Node struct {
 	Chain *chain.Chain
 	Pool  *chain.Mempool
@@ -131,12 +105,10 @@ type Node struct {
 	OnSubmit func(*chain.Tx)
 }
 
-var _ Ledger = (*Node)(nil)
-
-// Height implements Ledger.
+// Height returns the best-branch height.
 func (n *Node) Height() int64 { return n.Chain.Height() }
 
-// UTXO implements Ledger: a copy of the confirmed set with every pooled
+// UTXO returns a private copy of the confirmed set with every pooled
 // transaction applied. It costs O(set) per call — reports, tests and the
 // benchmark harness use it; a wallet building a payment asks Spendable
 // for its own coins instead.
@@ -146,10 +118,12 @@ func (n *Node) UTXO() *chain.UTXOSet {
 	return view
 }
 
-// Spendable implements Ledger. It reads the chain's pubkey-hash index
-// and the mempool's overlay under Chain.mu's read lock (Mempool.mu
-// nested inside, the order Submit takes them in) and keeps nothing of
-// either past the callback: the returned set is the caller's.
+// Spendable returns the coins one pubkey-hash can spend — confirmed or
+// created by a pooled transaction, and claimed by none — as a small
+// private set for wallet.Build* to select from. It reads the chain's
+// pubkey-hash index and the mempool's overlay under Chain.mu's read lock
+// (Mempool.mu nested inside, the order Submit takes them in) and keeps
+// nothing of either past the callback: the returned set is the caller's.
 func (n *Node) Spendable(pubKeyHash [script.HashLen]byte) *chain.UTXOSet {
 	var coins *chain.UTXOSet
 	n.Chain.ReadState(func(tip *chain.Block, utxo *chain.UTXOSet) {
@@ -158,9 +132,10 @@ func (n *Node) Spendable(pubKeyHash [script.HashLen]byte) *chain.UTXOSet {
 	return coins
 }
 
-// Submit implements Ledger. Admission validates against the chain's
-// live UTXO set under its read lock — no clone — with pooled ancestors
-// layered on inside Accept's copy-on-write overlay.
+// Submit validates a transaction into the mempool, then calls OnSubmit
+// to gossip it. Admission validates against the chain's live UTXO set
+// under its read lock — no clone — with pooled ancestors layered on
+// inside Accept's copy-on-write overlay.
 func (n *Node) Submit(tx *chain.Tx) error {
 	var err error
 	n.Chain.ReadState(func(tip *chain.Block, utxo *chain.UTXOSet) {
@@ -175,21 +150,21 @@ func (n *Node) Submit(tx *chain.Tx) error {
 	return nil
 }
 
-// FindTx implements Ledger.
+// FindTx locates a confirmed transaction.
 func (n *Node) FindTx(id chain.Hash) (*chain.Tx, int64, bool) { return n.Chain.FindTx(id) }
 
-// FindSpender implements Ledger.
+// FindSpender locates the confirmed transaction spending an output.
 func (n *Node) FindSpender(op chain.OutPoint) (*chain.Tx, int64, bool) {
 	return n.Chain.FindSpender(op)
 }
 
-// Confirmations implements Ledger.
+// Confirmations counts blocks confirming a transaction.
 func (n *Node) Confirmations(id chain.Hash) int64 { return n.Chain.Confirmations(id) }
 
-// PendingTx implements Ledger.
+// PendingTx looks a transaction up in the mempool.
 func (n *Node) PendingTx(id chain.Hash) (*chain.Tx, bool) { return n.Pool.Get(id) }
 
-// Params implements Ledger.
+// Params exposes the chain parameters.
 func (n *Node) Params() chain.Params { return n.Chain.Params() }
 
 // CheckPayment verifies that a payment transaction honors the Delivery
@@ -225,7 +200,7 @@ func CheckPayment(d *Delivery, payment *chain.Tx, offerHeight int64) error {
 // ExtractKeyFromClaim finds the confirmed transaction spending the
 // payment's output 0 and returns the RSA-512 private key its unlocking
 // script reveals.
-func ExtractKeyFromClaim(ledger Ledger, paymentID chain.Hash) (*bccrypto.RSA512PrivateKey, error) {
+func ExtractKeyFromClaim(ledger *Node, paymentID chain.Hash) (*bccrypto.RSA512PrivateKey, error) {
 	spender, _, ok := ledger.FindSpender(chain.OutPoint{TxID: paymentID, Index: 0})
 	if !ok {
 		return nil, ErrNoClaim

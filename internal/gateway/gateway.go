@@ -101,7 +101,7 @@ func mintKey(random io.Reader) (mintedKey, error) {
 type Gateway struct {
 	cfg    Config
 	wallet *wallet.Wallet
-	ledger fairex.Ledger
+	ledger *fairex.Node
 	dir    *registry.Directory
 	// random is read by key requests and by the key-pool refill at once.
 	random io.Reader
@@ -135,7 +135,7 @@ type Stats struct {
 }
 
 // New creates a gateway.
-func New(cfg Config, w *wallet.Wallet, ledger fairex.Ledger, dir *registry.Directory, random io.Reader) *Gateway {
+func New(cfg Config, w *wallet.Wallet, ledger *fairex.Node, dir *registry.Directory, random io.Reader) *Gateway {
 	return &Gateway{
 		cfg:          cfg,
 		wallet:       w,

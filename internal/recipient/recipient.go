@@ -99,7 +99,7 @@ type Message struct {
 type Recipient struct {
 	cfg    Config
 	wallet *wallet.Wallet
-	ledger fairex.Ledger
+	ledger *fairex.Node
 
 	// payMu serializes spends from the wallet (pay and Spending):
 	// Spendable → Build → Submit runs as one step, so a concurrent spend
@@ -145,7 +145,7 @@ type Stats struct {
 }
 
 // New creates a recipient.
-func New(cfg Config, w *wallet.Wallet, ledger fairex.Ledger) *Recipient {
+func New(cfg Config, w *wallet.Wallet, ledger *fairex.Node) *Recipient {
 	return &Recipient{
 		cfg:       cfg,
 		wallet:    w,

@@ -3,24 +3,23 @@ package rpc
 import (
 	"bytes"
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
-
-	"bcwan/internal/chain"
 )
 
 // Client talks JSON-RPC 2.0 to a Server (or any Multichain-compatible
-// subset). Every call is context-aware; when the supplied context has no
-// deadline, the client applies its per-call timeout.
+// subset), one request per HTTP POST. Every call is context-aware; when
+// the supplied context has no deadline, the client bounds the call by
+// DefaultCallTimeout.
 type Client struct {
-	url     string
-	http    *http.Client
-	timeout time.Duration
-	nextID  atomic.Int64
+	url    string
+	http   *http.Client
+	nextID atomic.Int64
 }
 
 // DefaultCallTimeout bounds a call when the caller's context carries no
@@ -29,81 +28,43 @@ const DefaultCallTimeout = 30 * time.Second
 
 // NewClient creates a client for the daemon at addr (host:port).
 func NewClient(addr string) *Client {
-	return &Client{
-		url:     "http://" + addr + "/",
-		http:    &http.Client{},
-		timeout: DefaultCallTimeout,
-	}
-}
-
-// SetTimeout changes the per-call timeout applied when a context has no
-// deadline. Zero disables the client-side bound.
-func (c *Client) SetTimeout(d time.Duration) { c.timeout = d }
-
-// callContext applies the per-call timeout unless the caller already
-// set a deadline.
-func (c *Client) callContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if _, ok := ctx.Deadline(); !ok && c.timeout > 0 {
-		return context.WithTimeout(ctx, c.timeout)
-	}
-	return context.WithCancel(ctx)
-}
-
-// marshalParams encodes positional parameters.
-func marshalParams(params []any) ([]json.RawMessage, error) {
-	raw := make([]json.RawMessage, len(params))
-	for i, p := range params {
-		b, err := json.Marshal(p)
-		if err != nil {
-			return nil, fmt.Errorf("rpc marshal param %d: %w", i, err)
-		}
-		raw[i] = b
-	}
-	return raw, nil
-}
-
-// post sends one JSON body and returns the raw response body.
-func (c *Client) post(ctx context.Context, body []byte) ([]byte, error) {
-	ctx, cancel := c.callContext(ctx)
-	defer cancel()
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("rpc request: %w", err)
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	httpResp, err := c.http.Do(httpReq)
-	if err != nil {
-		return nil, fmt.Errorf("rpc post: %w", err)
-	}
-	defer httpResp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(httpResp.Body); err != nil {
-		return nil, fmt.Errorf("rpc read: %w", err)
-	}
-	return buf.Bytes(), nil
+	return &Client{url: "http://" + addr + "/", http: &http.Client{}}
 }
 
 // Call performs one JSON-RPC 2.0 round trip, decoding the result into
 // out (pass nil to discard).
 func (c *Client) Call(ctx context.Context, method string, out any, params ...any) error {
-	rawParams, err := marshalParams(params)
-	if err != nil {
-		return err
+	rawParams := make([]json.RawMessage, len(params))
+	for i, p := range params {
+		b, err := json.Marshal(p)
+		if err != nil {
+			return fmt.Errorf("rpc marshal param %d: %w", i, err)
+		}
+		rawParams[i] = b
 	}
-	id, err := json.Marshal(c.nextID.Add(1))
-	if err != nil {
-		return fmt.Errorf("rpc marshal id: %w", err)
-	}
+	id := json.RawMessage(strconv.FormatInt(c.nextID.Add(1), 10))
 	body, err := json.Marshal(Request{JSONRPC: "2.0", Method: method, Params: rawParams, ID: id})
 	if err != nil {
 		return fmt.Errorf("rpc marshal: %w", err)
 	}
-	respBody, err := c.post(ctx, body)
+	if _, ok := ctx.Deadline(); !ok {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, DefaultCallTimeout)
+		defer cancel()
+	}
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return fmt.Errorf("rpc request: %w", err)
+	}
+	httpReq.Header.Set("Content-Type", "application/json")
+	httpResp, err := c.http.Do(httpReq)
+	if err != nil {
+		return fmt.Errorf("rpc post: %w", err)
+	}
+	defer httpResp.Body.Close()
+	respBody, err := io.ReadAll(httpResp.Body)
+	if err != nil {
+		return fmt.Errorf("rpc read: %w", err)
 	}
 	var resp Response
 	if err := json.Unmarshal(respBody, &resp); err != nil {
@@ -118,215 +79,4 @@ func (c *Client) Call(ctx context.Context, method string, out any, params ...any
 		}
 	}
 	return nil
-}
-
-// BatchCall is one entry of a CallBatch round trip. Out (optional)
-// receives the decoded result; Err reports the call's individual
-// outcome after CallBatch returns.
-type BatchCall struct {
-	Method string
-	Params []any
-	Out    any
-	Err    error
-}
-
-// CallBatch performs many calls in a single HTTP round trip using a
-// JSON-RPC 2.0 batch request — the idiom a gateway uses to poll
-// confirmations for many pending claims at once. Transport-level
-// failures are returned; per-call failures land in each entry's Err.
-func (c *Client) CallBatch(ctx context.Context, calls []BatchCall) error {
-	if len(calls) == 0 {
-		return nil
-	}
-	reqs := make([]Request, len(calls))
-	byID := make(map[string]int, len(calls))
-	for i := range calls {
-		rawParams, err := marshalParams(calls[i].Params)
-		if err != nil {
-			return err
-		}
-		id, err := json.Marshal(c.nextID.Add(1))
-		if err != nil {
-			return fmt.Errorf("rpc marshal id: %w", err)
-		}
-		reqs[i] = Request{JSONRPC: "2.0", Method: calls[i].Method, Params: rawParams, ID: id}
-		byID[string(id)] = i
-	}
-	body, err := json.Marshal(reqs)
-	if err != nil {
-		return fmt.Errorf("rpc marshal batch: %w", err)
-	}
-	respBody, err := c.post(ctx, body)
-	if err != nil {
-		return err
-	}
-	trimmed := bytes.TrimLeft(respBody, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '{' {
-		// The server rejected the batch wholesale (parse error, over
-		// limit): one error object instead of an array.
-		var single Response
-		if err := json.Unmarshal(trimmed, &single); err != nil {
-			return fmt.Errorf("rpc decode: %w", err)
-		}
-		if single.Error != nil {
-			return single.Error
-		}
-		return fmt.Errorf("rpc: single response to batch request")
-	}
-	var resps []Response
-	if err := json.Unmarshal(respBody, &resps); err != nil {
-		return fmt.Errorf("rpc decode batch: %w", err)
-	}
-	seen := make([]bool, len(calls))
-	for i := range resps {
-		idx, ok := byID[string(bytes.TrimSpace(resps[i].ID))]
-		if !ok {
-			continue
-		}
-		seen[idx] = true
-		call := &calls[idx]
-		if resps[i].Error != nil {
-			call.Err = resps[i].Error
-			continue
-		}
-		if call.Out != nil {
-			if err := json.Unmarshal(resps[i].Result, call.Out); err != nil {
-				call.Err = fmt.Errorf("rpc decode result: %w", err)
-			}
-		}
-	}
-	for i := range calls {
-		if !seen[i] && calls[i].Err == nil {
-			calls[i].Err = fmt.Errorf("rpc: no response for batch call %d (%s)", i, calls[i].Method)
-		}
-	}
-	return nil
-}
-
-// Notify sends a JSON-RPC 2.0 notification: the method executes on the
-// server but no response is returned or awaited beyond the HTTP round
-// trip.
-func (c *Client) Notify(ctx context.Context, method string, params ...any) error {
-	rawParams, err := marshalParams(params)
-	if err != nil {
-		return err
-	}
-	body, err := json.Marshal(Request{JSONRPC: "2.0", Method: method, Params: rawParams})
-	if err != nil {
-		return fmt.Errorf("rpc marshal: %w", err)
-	}
-	_, err = c.post(ctx, body)
-	return err
-}
-
-// GetBlockCount returns the chain height.
-func (c *Client) GetBlockCount(ctx context.Context) (int64, error) {
-	var h int64
-	err := c.Call(ctx, "getblockcount", &h)
-	return h, err
-}
-
-// GetBlock returns the block at a height.
-func (c *Client) GetBlock(ctx context.Context, height int64) (*chain.Block, error) {
-	var summary BlockSummary
-	if err := c.Call(ctx, "getblock", &summary, height); err != nil {
-		return nil, err
-	}
-	raw, err := hex.DecodeString(summary.RawHex)
-	if err != nil {
-		return nil, fmt.Errorf("rpc block hex: %w", err)
-	}
-	return chain.DeserializeBlock(raw)
-}
-
-// GetBlockHeader returns the header summary for a block reference —
-// a height (int64) or a hash string.
-func (c *Client) GetBlockHeader(ctx context.Context, ref any) (HeaderSummary, error) {
-	var summary HeaderSummary
-	err := c.Call(ctx, "getblockheader", &summary, ref)
-	return summary, err
-}
-
-// GetChainTips returns every tip the node tracks, highest first.
-func (c *Client) GetChainTips(ctx context.Context) ([]TipSummary, error) {
-	var tips []TipSummary
-	err := c.Call(ctx, "getchaintips", &tips)
-	return tips, err
-}
-
-// GetRawBlock fetches a block's canonical serialization (getblock
-// verbosity 0); pruned heights fail server-side.
-func (c *Client) GetRawBlock(ctx context.Context, ref any) (*chain.Block, error) {
-	var blockHex string
-	if err := c.Call(ctx, "getblock", &blockHex, ref, 0); err != nil {
-		return nil, err
-	}
-	raw, err := hex.DecodeString(blockHex)
-	if err != nil {
-		return nil, fmt.Errorf("rpc block hex: %w", err)
-	}
-	return chain.DeserializeBlock(raw)
-}
-
-// SendRawTransaction submits a transaction, returning its txid.
-func (c *Client) SendRawTransaction(ctx context.Context, tx *chain.Tx) (chain.Hash, error) {
-	var txid string
-	if err := c.Call(ctx, "sendrawtransaction", &txid, hex.EncodeToString(tx.Serialize())); err != nil {
-		return chain.Hash{}, err
-	}
-	return chain.HashFromString(txid)
-}
-
-// GetRawTransaction fetches a transaction by ID.
-func (c *Client) GetRawTransaction(ctx context.Context, id chain.Hash) (*chain.Tx, error) {
-	var txHex string
-	if err := c.Call(ctx, "getrawtransaction", &txHex, id.String()); err != nil {
-		return nil, err
-	}
-	raw, err := hex.DecodeString(txHex)
-	if err != nil {
-		return nil, fmt.Errorf("rpc tx hex: %w", err)
-	}
-	return chain.DeserializeTx(raw)
-}
-
-// GetConfirmations returns the confirmation count of a transaction.
-func (c *Client) GetConfirmations(ctx context.Context, id chain.Hash) (int64, error) {
-	var n int64
-	err := c.Call(ctx, "getconfirmations", &n, id.String())
-	return n, err
-}
-
-// GetConfirmationsBatch fetches confirmation counts for many
-// transactions in one round trip. The result slice is index-aligned
-// with ids; a per-transaction failure fails the whole lookup.
-func (c *Client) GetConfirmationsBatch(ctx context.Context, ids []chain.Hash) ([]int64, error) {
-	confs := make([]int64, len(ids))
-	calls := make([]BatchCall, len(ids))
-	for i, id := range ids {
-		calls[i] = BatchCall{Method: "getconfirmations", Params: []any{id.String()}, Out: &confs[i]}
-	}
-	if err := c.CallBatch(ctx, calls); err != nil {
-		return nil, err
-	}
-	for i := range calls {
-		if calls[i].Err != nil {
-			return nil, fmt.Errorf("tx %s: %w", ids[i], calls[i].Err)
-		}
-	}
-	return confs, nil
-}
-
-// ListUnspent returns the P2PKH outputs paying a pubkey hash.
-func (c *Client) ListUnspent(ctx context.Context, hash [20]byte) ([]UnspentOutput, error) {
-	var out []UnspentOutput
-	err := c.Call(ctx, "listunspent", &out, EncodePubKeyHash(hash))
-	return out, err
-}
-
-// GetBalance sums the P2PKH outputs paying a pubkey hash.
-func (c *Client) GetBalance(ctx context.Context, hash [20]byte) (uint64, error) {
-	var v uint64
-	err := c.Call(ctx, "getbalance", &v, EncodePubKeyHash(hash))
-	return v, err
 }

@@ -22,7 +22,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One RPC call so rpc counters are non-zero.
-	if _, err := f.client.GetBlockCount(context.Background()); err != nil {
+	if err := f.client.Call(context.Background(), "getblockcount", nil); err != nil {
 		t.Fatal(err)
 	}
 

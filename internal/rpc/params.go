@@ -8,8 +8,7 @@ import (
 	"bcwan/internal/chain"
 )
 
-// Typed parameter decoding shared by the server's method handlers and
-// the client's convenience wrappers.
+// Typed parameter decoding shared by the server's method handlers.
 
 // noParams rejects any supplied parameters.
 func noParams(params []json.RawMessage) error {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -95,11 +96,32 @@ func (f *fixture) rawPost(body string) (int, []byte) {
 	return resp.StatusCode, buf.Bytes()
 }
 
+// send submits a transaction through sendrawtransaction.
+func (f *fixture) send(tx *chain.Tx) (string, error) {
+	var txid string
+	err := f.client.Call(context.Background(), "sendrawtransaction", &txid, hex.EncodeToString(tx.Serialize()))
+	return txid, err
+}
+
+// fromHex decodes a hex-encoded RPC result with a chain deserializer.
+func fromHex[T any](t *testing.T, s string, decode func([]byte) (T, error)) T {
+	t.Helper()
+	raw, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := decode(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func TestGetBlockCount(t *testing.T) {
 	f := newFixture(t)
 	ctx := context.Background()
-	h, err := f.client.GetBlockCount(ctx)
-	if err != nil {
+	var h int64
+	if err := f.client.Call(ctx, "getblockcount", &h); err != nil {
 		t.Fatal(err)
 	}
 	if h != 0 {
@@ -108,8 +130,7 @@ func TestGetBlockCount(t *testing.T) {
 	if _, err := f.miner.Mine(time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	h, err = f.client.GetBlockCount(ctx)
-	if err != nil {
+	if err := f.client.Call(ctx, "getblockcount", &h); err != nil {
 		t.Fatal(err)
 	}
 	if h != 1 {
@@ -124,11 +145,11 @@ func TestSendRawTransactionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	txid, err := f.client.SendRawTransaction(ctx, tx)
+	txid, err := f.send(tx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if txid != tx.ID() {
+	if txid != tx.ID().String() {
 		t.Fatalf("txid = %s, want %s", txid, tx.ID())
 	}
 	if !f.mempool.Contains(tx.ID()) {
@@ -139,11 +160,11 @@ func TestSendRawTransactionRoundTrip(t *testing.T) {
 	}
 
 	// Fetch it back from the mempool.
-	back, err := f.client.GetRawTransaction(ctx, tx.ID())
-	if err != nil {
+	var txHex string
+	if err := f.client.Call(ctx, "getrawtransaction", &txHex, tx.ID().String()); err != nil {
 		t.Fatal(err)
 	}
-	if back.ID() != tx.ID() {
+	if back := fromHex(t, txHex, chain.DeserializeTx); back.ID() != tx.ID() {
 		t.Fatal("mempool fetch mismatch")
 	}
 
@@ -151,17 +172,18 @@ func TestSendRawTransactionRoundTrip(t *testing.T) {
 	if _, err := f.miner.Mine(time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	conf, err := f.client.GetConfirmations(ctx, tx.ID())
-	if err != nil {
+	var conf int64
+	if err := f.client.Call(ctx, "getconfirmations", &conf, tx.ID().String()); err != nil {
 		t.Fatal(err)
 	}
 	if conf != 1 {
 		t.Fatalf("confirmations = %d, want 1", conf)
 	}
-	blk, err := f.client.GetBlock(ctx, 1)
-	if err != nil {
+	var sum BlockSummary
+	if err := f.client.Call(ctx, "getblock", &sum, 1); err != nil {
 		t.Fatal(err)
 	}
+	blk := fromHex(t, sum.RawHex, chain.DeserializeBlock)
 	found := false
 	for _, btx := range blk.Txs {
 		if btx.ID() == tx.ID() {
@@ -175,18 +197,17 @@ func TestSendRawTransactionRoundTrip(t *testing.T) {
 
 func TestSendRawTransactionRejectsInvalid(t *testing.T) {
 	f := newFixture(t)
-	ctx := context.Background()
 	// bob has no funds; a self-built spend of nonexistent coins fails.
 	tx, err := f.alice.BuildPayment(f.chain.UTXO(), f.bob.PubKeyHash(), 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tx.Inputs[0].Prev.Index = 999 // nonexistent outpoint
-	if _, err := f.client.SendRawTransaction(ctx, tx); err == nil {
+	if _, err := f.send(tx); err == nil {
 		t.Fatal("invalid transaction accepted")
 	}
 	var rpcErr *Error
-	if _, err := f.client.SendRawTransaction(ctx, tx); !errors.As(err, &rpcErr) {
+	if _, err := f.send(tx); !errors.As(err, &rpcErr) {
 		t.Fatalf("err = %T, want *rpc.Error", err)
 	}
 }
@@ -194,26 +215,43 @@ func TestSendRawTransactionRejectsInvalid(t *testing.T) {
 func TestListUnspentAndBalance(t *testing.T) {
 	f := newFixture(t)
 	ctx := context.Background()
-	outs, err := f.client.ListUnspent(ctx, f.alice.PubKeyHash())
-	if err != nil {
+	alice := EncodePubKeyHash(f.alice.PubKeyHash())
+	var outs []UnspentOutput
+	if err := f.client.Call(ctx, "listunspent", &outs, alice); err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 1 || outs[0].Value != 1_000_000 {
+	if len(outs) != 1 || outs[0].Value != 1_000_000 || !outs[0].Spendable {
 		t.Fatalf("unspent = %+v", outs)
 	}
-	bal, err := f.client.GetBalance(ctx, f.alice.PubKeyHash())
-	if err != nil {
+	var bal uint64
+	if err := f.client.Call(ctx, "getbalance", &bal, alice); err != nil {
 		t.Fatal(err)
 	}
 	if bal != 1_000_000 {
 		t.Fatalf("balance = %d", bal)
 	}
-	empty, err := f.client.ListUnspent(ctx, f.bob.PubKeyHash())
-	if err != nil {
+	var empty []UnspentOutput
+	if err := f.client.Call(ctx, "listunspent", &empty, EncodePubKeyHash(f.bob.PubKeyHash())); err != nil {
 		t.Fatal(err)
 	}
 	if len(empty) != 0 {
 		t.Fatalf("bob unspent = %+v, want none", empty)
+	}
+
+	// Once a pooled transaction spends alice's only coin, the confirmed
+	// row stays listed but a second spend of it would be a conflict.
+	tx, err := f.alice.BuildPayment(f.chain.UTXO(), f.bob.PubKeyHash(), 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.send(tx); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.client.Call(ctx, "listunspent", &outs, alice); err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != 1 || outs[0].TxID != tx.Inputs[0].Prev.TxID.String() || outs[0].Spendable {
+		t.Fatalf("unspent after pooled spend = %+v, want the coin listed as not spendable", outs)
 	}
 }
 
@@ -272,7 +310,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 	if err := f.server.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.client.GetBlockCount(context.Background()); err == nil {
+	if err := f.client.Call(context.Background(), "getblockcount", nil); err == nil {
 		t.Fatal("request succeeded after close")
 	}
 }
@@ -344,90 +382,44 @@ func TestNotification(t *testing.T) {
 	}
 }
 
-// TestBatchRequests covers the raw batch shape: ordered responses,
-// notifications omitted, invalid entries answered in place.
+// TestBatchRequests checks that one POST carries one request: an array
+// body, the JSON-RPC 2.0 batch shape, is refused with one invalid-request
+// object (null id) counted once, and none of its entries runs.
 func TestBatchRequests(t *testing.T) {
 	f := newFixture(t)
-	status, body := f.rawPost(`[
+	for _, batch := range []string{`[
 		{"jsonrpc":"2.0","method":"getblockcount","params":[],"id":1},
 		{"jsonrpc":"2.0","method":"getblockcount","params":[]},
 		{"jsonrpc":"2.0","method":"nosuchmethod","params":[],"id":2},
 		42
-	]`)
-	if status != http.StatusOK {
-		t.Fatalf("status = %d", status)
+	]`, `[]`} {
+		status, body := f.rawPost(batch)
+		if status != http.StatusOK {
+			t.Fatalf("status = %d", status)
+		}
+		var resp Response
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatalf("batch body %q is not one response object: %v", body, err)
+		}
+		if resp.Error == nil || resp.Error.Code != CodeInvalidRequest {
+			t.Fatalf("error = %+v, want invalid-request", resp.Error)
+		}
+		if string(bytes.TrimSpace(resp.ID)) != "null" {
+			t.Fatalf("id = %s, want null", resp.ID)
+		}
 	}
-	var resps []Response
-	if err := json.Unmarshal(body, &resps); err != nil {
-		t.Fatalf("batch body %q: %v", body, err)
-	}
-	if len(resps) != 3 {
-		t.Fatalf("responses = %d, want 3 (notification omitted)", len(resps))
-	}
-	if resps[0].Error != nil || string(bytes.TrimSpace(resps[0].ID)) != "1" {
-		t.Fatalf("first = %+v", resps[0])
-	}
-	if resps[1].Error == nil || resps[1].Error.Code != CodeMethodNotFound {
-		t.Fatalf("second = %+v, want method-not-found", resps[1])
-	}
-	if resps[2].Error == nil || resps[2].Error.Code != CodeInvalidRequest {
-		t.Fatalf("third = %+v, want invalid-request", resps[2])
-	}
-
-	// Empty batch: single invalid-request error object.
-	_, body = f.rawPost(`[]`)
-	var single Response
-	if err := json.Unmarshal(body, &single); err != nil {
+	var text bytes.Buffer
+	if err := telemetry.WritePrometheus(&text, f.reg.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if single.Error == nil || single.Error.Code != CodeInvalidRequest {
-		t.Fatalf("empty batch error = %+v", single.Error)
-	}
-}
-
-// TestCallBatchClient exercises the client-side batch API end to end.
-func TestCallBatchClient(t *testing.T) {
-	f := newFixture(t)
-	ctx := context.Background()
-	tx, err := f.alice.BuildPayment(f.chain.UTXO(), f.bob.PubKeyHash(), 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.client.SendRawTransaction(ctx, tx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.miner.Mine(time.Now()); err != nil {
-		t.Fatal(err)
-	}
-
-	var height int64
-	var conf int64
-	calls := []BatchCall{
-		{Method: "getblockcount", Out: &height},
-		{Method: "getconfirmations", Params: []any{tx.ID().String()}, Out: &conf},
-		{Method: "nosuchmethod"},
-	}
-	if err := f.client.CallBatch(ctx, calls); err != nil {
-		t.Fatal(err)
-	}
-	if calls[0].Err != nil || height != 1 {
-		t.Fatalf("height call = %v, height = %d", calls[0].Err, height)
-	}
-	if calls[1].Err != nil || conf != 1 {
-		t.Fatalf("conf call = %v, conf = %d", calls[1].Err, conf)
-	}
-	var rpcErr *Error
-	if !errors.As(calls[2].Err, &rpcErr) || rpcErr.Code != CodeMethodNotFound {
-		t.Fatalf("bad call err = %v, want method-not-found", calls[2].Err)
-	}
-
-	// The gateway idiom: poll many confirmations in one round trip.
-	confs, err := f.client.GetConfirmationsBatch(ctx, []chain.Hash{tx.ID(), tx.ID()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(confs) != 2 || confs[0] != 1 || confs[1] != 1 {
-		t.Fatalf("confs = %v", confs)
+	for _, want := range []string{
+		`bcwan_rpc_requests_total{method="getblockcount"} 0`,
+		`bcwan_rpc_errors_total{code="-32601"} 0`,
+		`bcwan_rpc_errors_total{code="-32600"} 2`,
+	} {
+		if !strings.Contains(text.String(), want+"\n") {
+			t.Errorf("metrics missing %q", want)
+		}
 	}
 }
 
@@ -474,7 +466,7 @@ func TestCallTimeout(t *testing.T) {
 	f := newFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already expired
-	if _, err := f.client.GetBlockCount(ctx); err == nil {
+	if err := f.client.Call(ctx, "getblockcount", nil); err == nil {
 		t.Fatal("call with canceled context succeeded")
 	}
 }
@@ -504,11 +496,11 @@ func TestConcurrentRPCAndMining(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := f.client.ListUnspent(ctx, f.alice.PubKeyHash()); err != nil {
+				if err := f.client.Call(ctx, "listunspent", nil, EncodePubKeyHash(f.alice.PubKeyHash())); err != nil {
 					errCh <- fmt.Errorf("listunspent: %w", err)
 					return
 				}
-				if _, err := f.client.GetBalance(ctx, f.bob.PubKeyHash()); err != nil {
+				if err := f.client.Call(ctx, "getbalance", nil, EncodePubKeyHash(f.bob.PubKeyHash())); err != nil {
 					errCh <- fmt.Errorf("getbalance: %w", err)
 					return
 				}
@@ -533,7 +525,7 @@ func TestConcurrentRPCAndMining(t *testing.T) {
 				continue
 			}
 			// Mempool conflicts with in-flight change are expected.
-			_, _ = f.client.SendRawTransaction(ctx, tx)
+			_, _ = f.send(tx)
 			time.Sleep(time.Millisecond)
 		}
 	}()
@@ -552,8 +544,8 @@ func TestConcurrentRPCAndMining(t *testing.T) {
 		t.Error(err)
 	}
 
-	h, err := f.client.GetBlockCount(ctx)
-	if err != nil {
+	var h int64
+	if err := f.client.Call(ctx, "getblockcount", &h); err != nil {
 		t.Fatal(err)
 	}
 	if h != blocks {
@@ -569,12 +561,11 @@ func TestGetBlockHeaderAndVerbosity(t *testing.T) {
 	}
 	b, _ := f.chain.BlockAt(1)
 
-	hdr, err := f.client.GetBlockHeader(ctx, int64(1))
-	if err != nil {
+	var hdr, byHash HeaderSummary
+	if err := f.client.Call(ctx, "getblockheader", &hdr, 1); err != nil {
 		t.Fatal(err)
 	}
-	byHash, err := f.client.GetBlockHeader(ctx, b.ID().String())
-	if err != nil {
+	if err := f.client.Call(ctx, "getblockheader", &byHash, b.ID().String()); err != nil {
 		t.Fatal(err)
 	}
 	if hdr != byHash {
@@ -585,11 +576,11 @@ func TestGetBlockHeaderAndVerbosity(t *testing.T) {
 	}
 
 	// Verbosity 0 returns the canonical serialization.
-	raw, err := f.client.GetRawBlock(ctx, b.ID().String())
-	if err != nil {
+	var blockHex string
+	if err := f.client.Call(ctx, "getblock", &blockHex, b.ID().String(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if raw.ID() != b.ID() {
+	if raw := fromHex(t, blockHex, chain.DeserializeBlock); raw.ID() != b.ID() {
 		t.Fatal("raw block round trip changed the ID")
 	}
 
@@ -603,7 +594,7 @@ func TestGetBlockHeaderAndVerbosity(t *testing.T) {
 	}
 
 	// Unknown verbosity is rejected.
-	err = f.client.Call(ctx, "getblock", nil, 1, 3)
+	err := f.client.Call(ctx, "getblock", nil, 1, 3)
 	var rpcErr *Error
 	if !errors.As(err, &rpcErr) || rpcErr.Code != CodeInvalidParams {
 		t.Fatalf("verbosity 3: err = %v, want invalid-params", err)
@@ -637,14 +628,16 @@ func TestGetBlockPrunedHeight(t *testing.T) {
 		t.Fatalf("pruned summary = %+v", sum)
 	}
 	// ...and the header survives pruning.
-	hdr, err := f.client.GetBlockHeader(ctx, int64(2))
-	if err != nil || hdr.Height != 2 {
+	var hdr HeaderSummary
+	if err := f.client.Call(ctx, "getblockheader", &hdr, 2); err != nil || hdr.Height != 2 {
 		t.Fatalf("pruned header: %+v, %v", hdr, err)
 	}
 	// Heights above the horizon still serve their bodies.
-	if _, err := f.client.GetRawBlock(ctx, int64(5)); err != nil {
+	var blockHex string
+	if err := f.client.Call(ctx, "getblock", &blockHex, 5, 0); err != nil {
 		t.Fatal(err)
 	}
+	fromHex(t, blockHex, chain.DeserializeBlock)
 }
 
 func TestGetChainTips(t *testing.T) {
@@ -655,8 +648,8 @@ func TestGetChainTips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tips, err := f.client.GetChainTips(ctx)
-	if err != nil {
+	var tips []TipSummary
+	if err := f.client.Call(ctx, "getchaintips", &tips); err != nil {
 		t.Fatal(err)
 	}
 	if len(tips) != 1 {

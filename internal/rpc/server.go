@@ -5,10 +5,10 @@
 //
 // The server speaks the JSON-RPC 2.0 wire format: requests carry
 // `"jsonrpc": "2.0"`, requests without an id (or with a null id) are
-// notifications and receive no response, and an array of requests is a
-// batch answered by an array of responses — a gateway polls
-// confirmations for many claims in one round trip. Legacy 1.0-style
-// requests (no jsonrpc member, integer ids) are still accepted.
+// notifications and receive no response, and one POST carries one
+// request: a body that is not a request object, an array included, is
+// refused with -32600. Legacy 1.0-style requests (no jsonrpc member,
+// integer ids) are still accepted.
 package rpc
 
 import (
@@ -67,14 +67,9 @@ const (
 	CodeServerError    = -32000
 )
 
-// Request-size guards.
-const (
-	// maxRequestBytes caps an HTTP request body; a full MaxBlockTxs
-	// block of maximum-size transactions still fits.
-	maxRequestBytes = 8 << 20
-	// maxBatchRequests caps the number of calls in one batch.
-	maxBatchRequests = 1000
-)
+// maxRequestBytes caps an HTTP request body; a full MaxBlockTxs block
+// of maximum-size transactions still fits.
+const maxRequestBytes = 8 << 20
 
 // Backend is the node state the server exposes.
 type Backend struct {
@@ -189,10 +184,10 @@ func (s *Server) Close() error {
 	return s.server.Close()
 }
 
-// handle reads one HTTP request carrying either a single JSON-RPC call
-// or a batch (JSON array), and writes the matching response shape.
-// Malformed bodies produce a proper JSON-RPC error object with a null
-// id, never a bare HTTP error.
+// handle reads one HTTP request carrying one JSON-RPC call. Malformed
+// JSON (-32700) and valid JSON that is not one request object (-32600)
+// produce a JSON-RPC error object with a null id, never a bare HTTP
+// error, and run no method.
 func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 	if m := s.metrics; m != nil {
 		start := time.Now()
@@ -211,13 +206,16 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.protocolError(nil, &Error{Code: CodeParseError, Message: "request body unreadable or over size limit"}))
 		return
 	}
-	if trimmed := bytes.TrimLeft(body, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '[' {
-		s.handleBatch(w, trimmed)
-		return
-	}
 	var req Request
-	if err := json.Unmarshal(body, &req); err != nil {
+	var syntaxErr *json.SyntaxError
+	switch err := json.Unmarshal(body, &req); {
+	case errors.As(err, &syntaxErr):
 		writeJSON(w, s.protocolError(nil, &Error{Code: CodeParseError, Message: err.Error()}))
+		return
+	case err != nil || bytes.TrimLeft(body, " \t\r\n")[0] != '{':
+		// Valid JSON, but not one request object: an array, a scalar,
+		// or an object whose members have the wrong types.
+		writeJSON(w, s.protocolError(nil, &Error{Code: CodeInvalidRequest, Message: "body is not one request object"}))
 		return
 	}
 	resp := s.dispatch(&req)
@@ -243,43 +241,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// Write errors mean a dead connection; nothing else to do.
 	_ = telemetry.WritePrometheus(w, reg.Snapshot())
-}
-
-// handleBatch answers an array of requests with an array of responses,
-// preserving order and omitting entries for notifications.
-func (s *Server) handleBatch(w http.ResponseWriter, body []byte) {
-	var raws []json.RawMessage
-	if err := json.Unmarshal(body, &raws); err != nil {
-		writeJSON(w, s.protocolError(nil, &Error{Code: CodeParseError, Message: err.Error()}))
-		return
-	}
-	if len(raws) == 0 {
-		writeJSON(w, s.protocolError(nil, &Error{Code: CodeInvalidRequest, Message: "empty batch"}))
-		return
-	}
-	if len(raws) > maxBatchRequests {
-		writeJSON(w, s.protocolError(nil, &Error{Code: CodeInvalidRequest,
-			Message: fmt.Sprintf("batch of %d exceeds limit %d", len(raws), maxBatchRequests)}))
-		return
-	}
-	responses := make([]*Response, 0, len(raws))
-	for _, raw := range raws {
-		var req Request
-		if err := json.Unmarshal(raw, &req); err != nil {
-			responses = append(responses, s.protocolError(nil, &Error{Code: CodeInvalidRequest, Message: err.Error()}))
-			continue
-		}
-		resp := s.dispatch(&req)
-		if !req.IsNotification() {
-			responses = append(responses, resp)
-		}
-	}
-	if len(responses) == 0 {
-		// A batch of nothing but notifications gets no response body.
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeJSON(w, responses)
 }
 
 // dispatch routes one request through the method registry.
@@ -313,7 +274,7 @@ func (s *Server) dispatchInner(req *Request) *Response {
 }
 
 // protocolError builds a failure response for errors raised before
-// dispatch (parse errors, malformed batches), counting them in the
+// dispatch (parse errors, invalid request objects), counting them in the
 // per-code error series that dispatch maintains for method errors.
 func (s *Server) protocolError(id json.RawMessage, rpcErr *Error) *Response {
 	s.metrics.errorCounter(rpcErr.Code).Inc()
@@ -566,9 +527,13 @@ func handleListUnspent(s *Server, params []json.RawMessage) (any, error) {
 		return nil, err
 	}
 	out := []UnspentOutput{}
-	s.backend.Chain.ReadState(func(_ *chain.Block, utxo *chain.UTXOSet) {
+	s.backend.Chain.ReadState(func(tip *chain.Block, utxo *chain.UTXOSet) {
+		// A confirmed coin a pooled transaction already spends is listed
+		// but not spendable: a second spend of it is a mempool conflict.
+		offered := s.backend.Mempool.Spendable(hash, utxo, tip.Header.Height)
 		for _, op := range utxo.FindByPubKeyHash(hash) {
 			entry, _ := utxo.Get(op)
+			_, spendable := offered.Get(op)
 			out = append(out, UnspentOutput{
 				TxID:      op.TxID.String(),
 				Vout:      op.Index,
@@ -576,7 +541,7 @@ func handleListUnspent(s *Server, params []json.RawMessage) (any, error) {
 				LockHex:   hex.EncodeToString(entry.Out.Lock),
 				Height:    entry.Height,
 				Coinbase:  entry.Coinbase,
-				Spendable: true,
+				Spendable: spendable,
 			})
 		}
 	})

@@ -2,10 +2,11 @@
 # The end-to-end gate on what a shared host cannot move (make bench-e2e-gate).
 #
 # It checks out HEAD and HEAD~1 in two git worktrees under WORK, runs
-# benchmark/run.sh on sim_federation, facade_onchain and tcp_channel
-# (the channel settlement, end to end over loopback TCP) for each seed,
-# parent and change interleaved run by run, folds each side into a set
-# and compares the sets with the change's -compare. It fails only on
+# benchmark/run.sh on sim_federation, facade_onchain, tcp_channel and
+# tcp_onchain (the channel and the on-chain settlement, end to end over
+# loopback TCP) for each seed, parent and change interleaved run by
+# run, folds each side into a set and compares the sets with the
+# change's -compare. It fails only on
 #   - an alloc_kb_per_delivery breach of the manifest's bound,
 #   - a failed delivery (any run with failed > 0 or correct = false), or
 #   - sim.virt_delivery_* differing between the two sides for a seed.
@@ -23,7 +24,7 @@ root="$(git rev-parse --show-toplevel)"
 work="${1:?usage: scripts/bench-e2e-gate.sh WORK}"
 seconds="$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' "$root/BENCHMARK.json")"
 seeds="1 2 3"
-workloads="sim_federation facade_onchain tcp_channel"
+workloads="sim_federation facade_onchain tcp_channel tcp_onchain"
 
 mkdir -p "$work"
 work="$(cd "$work" && pwd)"
