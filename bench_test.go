@@ -11,7 +11,6 @@ package bcwan_test
 
 import (
 	"crypto/rand"
-	"fmt"
 	"testing"
 	"time"
 
@@ -238,15 +237,12 @@ func BenchmarkLegacyBaseline(b *testing.B) {
 	b.ReportMetric(legacy.Mean.Seconds(), "s-mean-legacy")
 }
 
-// BenchmarkBlockConnect regenerates the validation-pipeline ablation:
-// block-connect throughput (txs/sec) as VerifyWorkers sweeps 0→8 with a
-// cold signature cache, plus the warm mempool-primed path. On a
-// single-CPU host the worker sweep is flat and the cache is the win;
-// with more cores the cold sweep shows the pool's speedup too.
+// BenchmarkBlockConnect regenerates the validation-pipeline replay:
+// block-connect throughput (txs/sec) with a cold signature cache and on
+// the warm mempool-primed path, on a verifier as wide as GOMAXPROCS (run
+// with -cpu 1,2,4 to see the pool's speedup).
 func BenchmarkBlockConnect(b *testing.B) {
-	cfg := experiments.BlockConnectConfig{
-		Blocks: 4, TxsPerBlock: 12, Workers: []int{0, 1, 2, 4, 8},
-	}
+	cfg := experiments.BlockConnectConfig{Blocks: 4, TxsPerBlock: 12}
 	var doc *experiments.BlockConnectDoc
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -256,9 +252,9 @@ func BenchmarkBlockConnect(b *testing.B) {
 		}
 	}
 	for _, r := range doc.Results {
-		name := fmt.Sprintf("txs-per-sec-%dw-cold", r.Workers)
+		name := "txs-per-sec-cold"
 		if r.Warm {
-			name = fmt.Sprintf("txs-per-sec-%dw-warm", r.Workers)
+			name = "txs-per-sec-warm"
 		}
 		b.ReportMetric(r.TxsPerSec, name)
 	}

@@ -8,7 +8,7 @@
 //	§6      double-spend exposure vs confirmation policy
 //	§4.4    reputation baseline vs script fair exchange
 //	extras  block-interval / gateway-count / SF sweeps, legacy baseline,
-//	        block-connect throughput vs VerifyWorkers and sig-cache state,
+//	        block-connect throughput, cold vs mempool-primed sig cache,
 //	        depth-2 reorg cost vs chain length (undo-journal ablation),
 //	        wire bytes and propagation time: flood vs inv/compact relay,
 //	        gateway cold start: genesis replay vs snapshot bootstrap,

@@ -44,8 +44,8 @@ func runGate(kind, basePath, candPath string) ([]string, error) {
 const baseBlockConnect = `{
   "blocks": 12, "txs_per_block": 24,
   "results": [
-    {"workers": 0, "warm": false, "ns_per_block": 4000000, "sigcache_hit_rate": 0},
-    {"workers": 4, "warm": true,  "ns_per_block": 200000,  "sigcache_hit_rate": 0.5}
+    {"warm": false, "ns_per_block": 4000000, "sigcache_hit_rate": 0},
+    {"warm": true,  "ns_per_block": 200000,  "sigcache_hit_rate": 0.5}
   ]
 }`
 
@@ -54,8 +54,8 @@ func TestGateBlockConnectPasses(t *testing.T) {
 	cand := `{
 	  "blocks": 12, "txs_per_block": 24,
 	  "results": [
-	    {"workers": 0, "warm": false, "ns_per_block": 4800000, "sigcache_hit_rate": 0},
-	    {"workers": 4, "warm": true,  "ns_per_block": 210000,  "sigcache_hit_rate": 0.4}
+	    {"warm": false, "ns_per_block": 4800000, "sigcache_hit_rate": 0},
+	    {"warm": true,  "ns_per_block": 210000,  "sigcache_hit_rate": 0.4}
 	  ]
 	}`
 	failures, err := gate(t, "blockconnect", baseBlockConnect, cand)
@@ -68,13 +68,13 @@ func TestGateBlockConnectPasses(t *testing.T) {
 }
 
 func TestGateBlockConnectFlagsRegressions(t *testing.T) {
-	// Warm row's cache effectively disabled: flagged. Sequential row 50%
+	// Warm row's cache effectively disabled: flagged. Cold row 50%
 	// slower: a host can do that on its own, so it is not.
 	cand := `{
 	  "blocks": 12, "txs_per_block": 24,
 	  "results": [
-	    {"workers": 0, "warm": false, "ns_per_block": 6000000, "sigcache_hit_rate": 0},
-	    {"workers": 4, "warm": true,  "ns_per_block": 200000,  "sigcache_hit_rate": 0.1}
+	    {"warm": false, "ns_per_block": 6000000, "sigcache_hit_rate": 0},
+	    {"warm": true,  "ns_per_block": 200000,  "sigcache_hit_rate": 0.1}
 	  ]
 	}`
 	failures, err := gate(t, "blockconnect", baseBlockConnect, cand)
@@ -238,22 +238,22 @@ func TestGateSyncWorkloadMismatch(t *testing.T) {
 }
 
 const serialConnect = `{
+  "host": {"nproc": 4, "gomaxprocs": 1},
   "blocks": 12, "txs_per_block": 24, "repeats": 5,
   "results": [
-    {"workers": 0, "warm": false, "ns_per_block": 4000000, "sigcache_hit_rate": 0},
-    {"workers": 4, "warm": false, "ns_per_block": 3900000, "sigcache_hit_rate": 0},
-    {"workers": 4, "warm": true,  "ns_per_block": 200000,  "sigcache_hit_rate": 0.5}
+    {"warm": false, "ns_per_block": 3900000, "sigcache_hit_rate": 0},
+    {"warm": true,  "ns_per_block": 200000,  "sigcache_hit_rate": 0.5}
   ]
 }`
 
 func TestGateConnectScalingPasses(t *testing.T) {
-	// All-cores run connects cold blocks 2.5x faster at workers=4.
+	// All-cores run connects cold blocks 2.5x faster at gomaxprocs 4.
 	cand := `{
+	  "host": {"nproc": 4, "gomaxprocs": 4},
 	  "blocks": 12, "txs_per_block": 24, "repeats": 5,
 	  "results": [
-	    {"workers": 0, "warm": false, "ns_per_block": 3950000, "sigcache_hit_rate": 0},
-	    {"workers": 4, "warm": false, "ns_per_block": 1560000, "sigcache_hit_rate": 0},
-	    {"workers": 4, "warm": true,  "ns_per_block": 90000,   "sigcache_hit_rate": 0.5}
+	    {"warm": false, "ns_per_block": 1560000, "sigcache_hit_rate": 0},
+	    {"warm": true,  "ns_per_block": 90000,   "sigcache_hit_rate": 0.5}
 	  ]
 	}`
 	failures, err := gate(t, "connect-scaling", serialConnect, cand)
@@ -268,10 +268,10 @@ func TestGateConnectScalingPasses(t *testing.T) {
 func TestGateConnectScalingFlagsSerializedConnect(t *testing.T) {
 	// Multicore run no faster than the pinned run: parallelism broke.
 	cand := `{
+	  "host": {"nproc": 4, "gomaxprocs": 4},
 	  "blocks": 12, "txs_per_block": 24, "repeats": 5,
 	  "results": [
-	    {"workers": 0, "warm": false, "ns_per_block": 4000000, "sigcache_hit_rate": 0},
-	    {"workers": 4, "warm": false, "ns_per_block": 3850000, "sigcache_hit_rate": 0}
+	    {"warm": false, "ns_per_block": 3850000, "sigcache_hit_rate": 0}
 	  ]
 	}`
 	failures, err := gate(t, "connect-scaling", serialConnect, cand)
@@ -284,16 +284,22 @@ func TestGateConnectScalingFlagsSerializedConnect(t *testing.T) {
 }
 
 func TestGateConnectScalingRejectsSerialOnlyCandidate(t *testing.T) {
-	// Candidate's best cold row is the sequential one — the run never
+	// The candidate was measured at gomaxprocs 1 — the run never
 	// measured a multi-worker connect, so the comparison is meaningless.
 	cand := `{
+	  "host": {"nproc": 4, "gomaxprocs": 1},
 	  "blocks": 12, "txs_per_block": 24, "repeats": 5,
 	  "results": [
-	    {"workers": 0, "warm": false, "ns_per_block": 1000000, "sigcache_hit_rate": 0}
+	    {"warm": false, "ns_per_block": 1000000, "sigcache_hit_rate": 0}
 	  ]
 	}`
 	if _, err := gate(t, "connect-scaling", serialConnect, cand); err == nil {
 		t.Fatal("want multi-worker-row error")
+	}
+	// Nor is a baseline that was not pinned to one core a serial run.
+	unpinned := strings.Replace(serialConnect, `"gomaxprocs": 1`, `"gomaxprocs": 4`, 1)
+	if _, err := gate(t, "connect-scaling", unpinned, unpinned); err == nil {
+		t.Fatal("want unpinned-baseline error")
 	}
 }
 

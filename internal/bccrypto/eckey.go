@@ -60,11 +60,6 @@ func (k *ECKey) Address() string {
 // AddressVersion is the base58check version byte for BcWAN addresses.
 const AddressVersion = 0x19
 
-// AddressFromPubKeyHash renders a pubkey hash as a base58check address.
-func AddressFromPubKeyHash(h [Ripemd160Size]byte) string {
-	return Base58CheckEncode(AddressVersion, h[:])
-}
-
 // PubKeyHashFromAddress parses a base58check address back to its pubkey
 // hash.
 func PubKeyHashFromAddress(addr string) ([Ripemd160Size]byte, error) {

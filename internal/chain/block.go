@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"bcwan/internal/bccrypto"
 )
@@ -65,9 +64,6 @@ func (h *Header) ID() Hash {
 
 // ID returns the block hash.
 func (b *Block) ID() Hash { return b.Header.ID() }
-
-// Timestamp converts the header time to time.Time.
-func (h *Header) Timestamp() time.Time { return time.Unix(0, h.Time) }
 
 // Sign signs the header with the miner key.
 func (h *Header) Sign(key *bccrypto.ECKey, random io.Reader) error {

@@ -104,7 +104,7 @@ func New(params Params, genesis *Block) (*Chain, error) {
 		txIndex:  make(map[Hash]txLoc),
 		spenders: make(map[OutPoint]Hash),
 		miners:   make(map[string]bool),
-		verifier: NewVerifier(params.VerifyWorkers, NewSigCache(DefaultSigCacheSize)),
+		verifier: newVerifier(),
 	}
 	c.indexBlockTxs(genesis)
 	return c, nil

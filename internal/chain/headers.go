@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // Headers-first synchronization (the Bitcoin getheaders/headers shape,
@@ -87,14 +84,6 @@ func (hc *HeaderChain) IDAt(height int64) (Hash, bool) {
 	return hc.ids[height], true
 }
 
-// HeaderAt returns the header at the given height.
-func (hc *HeaderChain) HeaderAt(height int64) (*Header, bool) {
-	if height < 0 || height >= int64(len(hc.headers)) {
-		return nil, false
-	}
-	return hc.headers[height], true
-}
-
 // Headers returns the spine headers from height from through to,
 // inclusive (clamped to the spine).
 func (hc *HeaderChain) Headers(from, to int64) []*Header {
@@ -154,7 +143,7 @@ func (hc *HeaderChain) Rebase(c *Chain) {
 // the local suffix. Returns how many headers were newly appended; on
 // error the headers before the bad one remain applied.
 func (hc *HeaderChain) Connect(batch []*Header) (int, error) {
-	sigOK := hc.verifyBatchSigs(batch)
+	firstBad := hc.verifyBatchSigs(batch)
 	added := 0
 	for i, h := range batch {
 		height := h.Header().Height
@@ -171,7 +160,7 @@ func (hc *HeaderChain) Connect(batch []*Header) (int, error) {
 		if len(hc.miners) > 0 && !hc.miners[string(h.MinerPubKey)] {
 			return added, fmt.Errorf("%w: height %d", ErrBadHeaderSig, height)
 		}
-		if !sigOK[i] {
+		if i == firstBad {
 			return added, fmt.Errorf("%w: height %d", ErrBadHeaderSig, height)
 		}
 		hc.headers = append(hc.headers[:height], h)
@@ -181,53 +170,42 @@ func (hc *HeaderChain) Connect(batch []*Header) (int, error) {
 	return added, nil
 }
 
-// verifyBatchSigs checks the batch's miner signatures on all cores.
-// ECDSA verification dominates headers-first sync — a 2000-header batch
-// is hundreds of milliseconds sequential — and the checks are
-// independent of the linkage walk, so they run ahead of it in parallel.
-// Headers already on the spine are skipped (their signatures were
-// checked when they were first appended); the pre-check against the
+// verifyBatchSigs checks the batch's miner signatures on the verify
+// pool and returns the index of the first header whose signature fails,
+// or len(batch). ECDSA verification dominates headers-first sync — a
+// 2000-header batch is hundreds of milliseconds sequential — and the
+// checks are independent of the linkage walk, so they run ahead of it in
+// parallel. Headers already on the spine are skipped (their signatures
+// were checked when they were first appended); the pre-check against the
 // current spine stays valid because batch heights only grow.
-func (hc *HeaderChain) verifyBatchSigs(batch []*Header) []bool {
-	ok := make([]bool, len(batch))
-	todo := make([]int, 0, len(batch))
+func (hc *HeaderChain) verifyBatchSigs(batch []*Header) int {
+	todo := make([]headerJob, 0, len(batch))
 	n := int64(len(hc.headers))
 	for i, h := range batch {
 		height := h.Header().Height
 		if height > 0 && height < n && hc.ids[height] == h.ID() {
-			ok[i] = true // duplicate: skipped by Connect before use
-			continue
+			continue // duplicate: skipped by Connect before use
 		}
-		todo = append(todo, i)
+		todo = append(todo, headerJob{h: h, pos: i})
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(todo) {
-		workers = len(todo)
+	if bad, err := runParallel(todo, poolWidth()); err != nil {
+		return todo[bad].pos
 	}
-	if workers <= 1 {
-		for _, i := range todo {
-			ok[i] = batch[i].VerifySignature()
-		}
-		return ok
+	return len(batch)
+}
+
+// headerJob is one miner-signature check of a Connect batch; pos is the
+// header's index in the batch.
+type headerJob struct {
+	h   *Header
+	pos int
+}
+
+func (j headerJob) run() error {
+	if !j.h.VerifySignature() {
+		return ErrBadHeaderSig
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(todo) {
-					return
-				}
-				i := todo[j]
-				ok[i] = batch[i].VerifySignature()
-			}
-		}()
-	}
-	wg.Wait()
-	return ok
+	return nil
 }
 
 // Header returns h itself; it exists so Connect can treat *Header

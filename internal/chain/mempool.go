@@ -39,10 +39,9 @@ type Mempool struct {
 	overlay       *UTXOView
 	overlayBase   UTXOReader
 	overlayHeight int64
-	// verifier, when set via UseVerifier, runs Accept's script checks
-	// and records them in the shared signature cache so block connect
-	// skips re-verifying admitted transactions. Nil falls back to
-	// sequential uncached verification.
+	// verifier runs Accept's script checks. UseVerifier swaps in the
+	// chain's, so admissions land in the signature cache block connect
+	// consults and block connect skips re-verifying them.
 	verifier *Verifier
 	// metrics is nil until Instrument is called.
 	metrics *mempoolMetrics
@@ -64,6 +63,7 @@ func NewMempool() *Mempool {
 		orderIdx: make(map[Hash]int),
 		spends:   make(map[OutPoint]Hash),
 		short:    make(map[uint64][]Hash),
+		verifier: newVerifier(),
 	}
 }
 

@@ -6,10 +6,7 @@
 // (OP_CHECKRSA512PAIR) patched into validation.
 package chain
 
-import (
-	"runtime"
-	"time"
-)
+import "time"
 
 // Params are the chain's consensus and performance tunables — the knobs
 // Multichain exposes that "impact the theoretical maximum number of
@@ -24,23 +21,17 @@ type Params struct {
 	// CoinbaseMaturity is the number of blocks before a coinbase output
 	// may be spent.
 	CoinbaseMaturity int64
-	// VerifyScripts toggles full script validation when connecting
-	// blocks. The paper's Fig. 5 measurement disables Multichain's block
-	// verification; this switch reproduces that configuration (together
-	// with VerificationStall in the simulation layer).
+	// VerifyScripts toggles script validation in block connect, mempool
+	// admission and block building. It is false only in
+	// Chain.AddBlockTrusted (store restore) and test fixtures. Fig. 5 and
+	// Fig. 6 both run with it on: their configurations differ in the
+	// simulation's VerificationStall (and the exchange timeout it
+	// stretches), not here.
 	VerifyScripts bool
-	// VerifyWorkers sets the script-verification fan-out when connecting
-	// blocks: 0 verifies sequentially on the caller's goroutine (the
-	// seed's deterministic behavior, used for the Fig. 5 ablation), n > 0
-	// fans independent input verifications out to n workers with
-	// first-error cancellation. Parallel and sequential validation accept
-	// and reject exactly the same blocks.
-	VerifyWorkers int
 }
 
 // DefaultParams mirrors the proof-of-concept configuration: a Multichain
 // with a short block interval, sized for the 5-node PlanetLab deployment.
-// Script verification fans out across all cores by default.
 func DefaultParams() Params {
 	return Params{
 		BlockInterval:    15 * time.Second,
@@ -48,6 +39,5 @@ func DefaultParams() Params {
 		CoinbaseReward:   50_000,
 		CoinbaseMaturity: 1,
 		VerifyScripts:    true,
-		VerifyWorkers:    runtime.GOMAXPROCS(0),
 	}
 }

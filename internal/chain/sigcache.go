@@ -45,8 +45,8 @@ type SigCache struct {
 // of inputs at MaxBlockTxs=1000.
 const DefaultSigCacheSize = 1 << 16
 
-// NewSigCache creates a cache holding up to capacity verified entries.
-// A capacity <= 0 yields a disabled cache (every lookup misses).
+// NewSigCache creates a cache holding up to capacity (> 0) verified
+// entries.
 func NewSigCache(capacity int) *SigCache {
 	return &SigCache{
 		cap: capacity,
@@ -58,9 +58,6 @@ func NewSigCache(capacity int) *SigCache {
 // SetMetrics wires hit/miss/eviction counters (typically registered by
 // Chain.Instrument). Any may be nil; call before concurrent use.
 func (c *SigCache) SetMetrics(hits, misses, evictions *telemetry.Counter) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.hits, c.misses, c.evictions = hits, misses, evictions
@@ -69,9 +66,6 @@ func (c *SigCache) SetMetrics(hits, misses, evictions *telemetry.Counter) {
 // Contains reports whether the entry was verified before, refreshing its
 // recency on a hit.
 func (c *SigCache) Contains(key sigCacheKey) bool {
-	if c == nil || c.cap <= 0 {
-		return false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.idx[key]
@@ -87,9 +81,6 @@ func (c *SigCache) Contains(key sigCacheKey) bool {
 // Add records a successful verification, evicting the least recently
 // used entry when full.
 func (c *SigCache) Add(key sigCacheKey) {
-	if c == nil || c.cap <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.idx[key]; ok {
@@ -107,9 +98,6 @@ func (c *SigCache) Add(key sigCacheKey) {
 
 // Len reports the number of cached verifications.
 func (c *SigCache) Len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()

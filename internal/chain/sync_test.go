@@ -3,6 +3,7 @@ package chain_test
 import (
 	"crypto/rand"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -97,6 +98,33 @@ func TestHeaderChainRejectsUnauthorizedAndUnsigned(t *testing.T) {
 	skip.Height = 7
 	if _, err := hc2.Connect([]*chain.Header{&skip}); !errors.Is(err, chain.ErrHeaderDisconnected) {
 		t.Fatalf("disconnected: err = %v", err)
+	}
+}
+
+// TestHeaderChainBadSignatureMidBatch runs a batch wide enough for the
+// verify pool: the headers before the one bad signature are appended
+// and the rest are not, and resending the prefix with the bad header
+// appends nothing.
+func TestHeaderChainBadSignatureMidBatch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	h := newHarness(t, chain.DefaultParams())
+	for i := 0; i < 64; i++ {
+		h.mine()
+	}
+	batch := bestHeaders(t, h.chain, 1, 64)
+	bad := *batch[40]
+	bad.Signature = append([]byte(nil), bad.Signature...)
+	bad.Signature[len(bad.Signature)/2] ^= 0xff
+	batch[40] = &bad
+
+	hc := chain.NewHeaderChain(h.chain.Genesis(), [][]byte{h.minerW.PublicBytes()})
+	added, err := hc.Connect(batch)
+	if !errors.Is(err, chain.ErrBadHeaderSig) || added != 40 || hc.Height() != 40 {
+		t.Fatalf("64-header batch: added %d, height %d, err %v; want 40, 40, ErrBadHeaderSig", added, hc.Height(), err)
+	}
+	added, err = hc.Connect(batch[:41])
+	if !errors.Is(err, chain.ErrBadHeaderSig) || added != 0 || hc.Height() != 40 {
+		t.Fatalf("resent prefix: added %d, height %d, err %v; want 0, 40, ErrBadHeaderSig", added, hc.Height(), err)
 	}
 }
 

@@ -99,20 +99,10 @@ func connectTxUTXO(utxo UTXOReader, tx *Tx, txIdx int, height, maturity int64, j
 	return inValue - outValue, jobs, nil
 }
 
-// ConnectTx validates tx against the UTXO view at the given height and
-// returns the fee it pays. When verifyScripts is false the script pair is
-// not executed — the configuration the paper measures in Fig. 5.
-//
-// Scripts are verified sequentially and uncached; consumers on the hot
-// path use ConnectTxVerified with a shared Verifier instead.
-func ConnectTx(utxo UTXOReader, tx *Tx, height int64, maturity int64, verifyScripts bool) (fee uint64, err error) {
-	return ConnectTxVerified(utxo, tx, height, maturity, verifyScripts, nil)
-}
-
-// ConnectTxVerified is ConnectTx with an explicit verifier: the UTXO
-// accounting pass runs sequentially, then the script pass runs through v
-// (worker pool + signature cache). A nil verifier means sequential and
-// uncached.
+// ConnectTxVerified validates tx against the UTXO view at the given
+// height and returns the fee it pays: the UTXO accounting pass runs
+// sequentially, then, when verifyScripts is set, the script pass runs
+// through v (worker pool + signature cache).
 func ConnectTxVerified(utxo UTXOReader, tx *Tx, height, maturity int64, verifyScripts bool, v *Verifier) (fee uint64, err error) {
 	fee, jobs, err := connectTxUTXO(utxo, tx, 0, height, maturity, nil)
 	if err != nil {

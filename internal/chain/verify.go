@@ -2,6 +2,7 @@ package chain
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -20,9 +21,13 @@ type verifyJob struct {
 
 // run executes the script pair. Script execution depends only on the
 // transaction and the locking script — never on UTXO state — which is
-// what makes deferring and parallelizing it safe.
+// what makes deferring and parallelizing it safe. A failure carries the
+// block-position context connectBlock reports UTXO-level failures with.
 func (j verifyJob) run() error {
-	return j.tx.VerifyInput(j.inputIdx, j.lock)
+	if err := j.tx.VerifyInput(j.inputIdx, j.lock); err != nil {
+		return fmt.Errorf("tx %d (%s): %w", j.txIdx, j.tx.ID(), err)
+	}
+	return nil
 }
 
 // key returns the job's signature-cache key.
@@ -30,16 +35,9 @@ func (j verifyJob) key() sigCacheKey {
 	return sigCacheKey{TxID: j.tx.ID(), Index: uint32(j.inputIdx), Lock: lockHash(j.lock)}
 }
 
-// wrap attaches block-position context to a verification failure, in the
-// same shape connectBlock reports UTXO-level failures.
-func (j verifyJob) wrap(err error) error {
-	return fmt.Errorf("tx %d (%s): %w", j.txIdx, j.tx.ID(), err)
-}
-
-// Verifier runs script verification jobs, optionally fanning them out to
-// a bounded worker pool and short-circuiting past work recorded in a
-// shared signature cache. The zero-value-equivalent NewVerifier(0, nil)
-// reproduces the seed's sequential, uncached behavior exactly.
+// Verifier runs script verification jobs on a worker pool as wide as the
+// schedulable CPUs, short-circuiting past work recorded in its signature
+// cache.
 //
 // One Verifier is shared by every consumer that validates the same chain
 // — block connect, reorg replay, mempool admission and block building —
@@ -50,73 +48,56 @@ type Verifier struct {
 	cache   *SigCache
 }
 
-// NewVerifier creates a verifier. workers is the fan-out width for one
-// batch of jobs: 0 (or 1) verifies sequentially on the caller's
-// goroutine, preserving deterministic error order for the Fig. 5
-// ablation; n > 1 verifies on min(n, len(jobs)) goroutines with
-// first-error cancellation. cache may be nil to disable memoization.
-func NewVerifier(workers int, cache *SigCache) *Verifier {
-	return &Verifier{workers: workers, cache: cache}
+// newVerifier creates a verifier with an empty DefaultSigCacheSize cache.
+// Its width is GOMAXPROCS, read once here.
+func newVerifier() *Verifier {
+	return &Verifier{workers: poolWidth(), cache: NewSigCache(DefaultSigCacheSize)}
 }
 
-// Cache returns the shared signature cache (nil when disabled).
-func (v *Verifier) Cache() *SigCache {
-	if v == nil {
-		return nil
-	}
-	return v.cache
-}
+// poolWidth is the fan-out of every verification pool in the package.
+func poolWidth() int { return runtime.GOMAXPROCS(0) }
+
+// Cache returns the shared signature cache.
+func (v *Verifier) Cache() *SigCache { return v.cache }
 
 // verifyJobs runs every job, returning nil only if all pass. Cache hits
-// are skipped; successes are recorded. A nil Verifier degrades to the
-// sequential uncached path.
+// are skipped; successes are recorded.
 func (v *Verifier) verifyJobs(jobs []verifyJob) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	var cache *SigCache
-	workers := 0
-	if v != nil {
-		cache, workers = v.cache, v.workers
-	}
-
 	// Cache pass: drop jobs whose exact (txid, input, lock) triple
 	// verified before. Done up front so the pool sizes itself to the
 	// residual work.
-	pending := jobs
-	if cache != nil {
-		pending = make([]verifyJob, 0, len(jobs))
-		for _, j := range jobs {
-			if !cache.Contains(j.key()) {
-				pending = append(pending, j)
-			}
+	pending := make([]verifyJob, 0, len(jobs))
+	for _, j := range jobs {
+		if !v.cache.Contains(j.key()) {
+			pending = append(pending, j)
 		}
 	}
-	if len(pending) == 0 {
-		return nil
+	// Every job below the first failure passed.
+	passed, err := runParallel(pending, v.workers)
+	for _, j := range pending[:passed] {
+		v.cache.Add(j.key())
 	}
-
-	if workers <= 1 || len(pending) == 1 {
-		for _, j := range pending {
-			if err := j.run(); err != nil {
-				return j.wrap(err)
-			}
-			if cache != nil {
-				cache.Add(j.key())
-			}
-		}
-		return nil
-	}
-	return runParallel(pending, workers, cache)
+	return err
 }
 
-// runParallel fans jobs out to a worker pool with first-error
-// cancellation: once any job fails, workers stop picking up new jobs.
-// Among the failures observed before cancellation, the lowest-position
-// one is reported, keeping messages stable for a given invalid block.
-func runParallel(jobs []verifyJob, workers int, cache *SigCache) error {
-	if workers > len(jobs) {
-		workers = len(jobs)
+// runParallel runs jobs on min(workers, len(jobs)) goroutines — on the
+// caller's goroutine when that is one — with first-error cancellation:
+// once any job fails, workers stop picking up new jobs. Jobs are claimed
+// in index order and every claimed job finishes, so every job below a
+// failure has run; the lowest-index failure is therefore exact and is
+// returned with its index. All passing returns (len(jobs), nil).
+func runParallel[J interface{ run() error }](jobs []J, workers int) (int, error) {
+	workers = min(workers, len(jobs))
+	if workers <= 1 {
+		for i, j := range jobs {
+			if err := j.run(); err != nil {
+				return i, err
+			}
+		}
+		return len(jobs), nil
 	}
 	var (
 		next   atomic.Int64 // index of the next unclaimed job
@@ -127,14 +108,6 @@ func runParallel(jobs []verifyJob, workers int, cache *SigCache) error {
 		firstErr error
 		firstPos = len(jobs)
 	)
-	record := func(pos int, err error) {
-		failed.Store(true)
-		errMu.Lock()
-		if pos < firstPos {
-			firstPos, firstErr = pos, err
-		}
-		errMu.Unlock()
-	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -144,17 +117,18 @@ func runParallel(jobs []verifyJob, workers int, cache *SigCache) error {
 				if i >= len(jobs) {
 					return
 				}
-				j := jobs[i]
-				if err := j.run(); err != nil {
-					record(i, j.wrap(err))
+				if err := jobs[i].run(); err != nil {
+					failed.Store(true)
+					errMu.Lock()
+					if i < firstPos {
+						firstPos, firstErr = i, err
+					}
+					errMu.Unlock()
 					return
-				}
-				if cache != nil {
-					cache.Add(j.key())
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	return firstErr
+	return firstPos, firstErr
 }

@@ -2,6 +2,7 @@ package chain_test
 
 import (
 	"crypto/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,17 +12,19 @@ import (
 
 // TestParallelSequentialEquivalence feeds the same deterministic mix of
 // valid and script-invalid blocks to two chains that differ only in
-// VerifyWorkers (0 = the seed's sequential path, 8 = the worker pool)
-// and asserts they accept and reject exactly the same blocks and end on
-// the same tip with the same UTXO set. This is the Fig. 5 ablation
-// guarantee: parallelism changes throughput, never consensus.
+// verifier width — one built under GOMAXPROCS=1 (verification on the
+// caller's goroutine), one under GOMAXPROCS=8 (the worker pool) — and
+// asserts they accept and reject exactly the same blocks and end on the
+// same tip with the same UTXO set: parallelism changes throughput, never
+// consensus.
 func TestParallelSequentialEquivalence(t *testing.T) {
 	// Builder harness: constructs the block sequence once.
 	h := newHarness(t, chain.DefaultParams())
 
-	newReplay := func(workers int) *chain.Chain {
+	newReplay := func(procs int) *chain.Chain {
+		// The verifier reads its width when the chain is built.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		params := chain.DefaultParams()
-		params.VerifyWorkers = workers
 		genesis, err := chain.DeserializeBlock(h.chain.Genesis().Serialize())
 		if err != nil {
 			t.Fatal(err)
@@ -33,7 +36,7 @@ func TestParallelSequentialEquivalence(t *testing.T) {
 		c.AuthorizeMiner(h.minerW.PublicBytes())
 		return c
 	}
-	seq := newReplay(0)
+	seq := newReplay(1)
 	par := newReplay(8)
 
 	// feed hands each chain its own fresh deserialized copy, so neither

@@ -35,7 +35,8 @@ func jobsFor(tx *Tx, lock script.Script) []verifyJob {
 
 func TestVerifyJobsSequentialAndParallelAgree(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 8} {
-		v := NewVerifier(workers, nil)
+		v := newVerifier()
+		v.workers = workers
 		if err := v.verifyJobs(jobsFor(verifierTestTx(17), trueLock)); err != nil {
 			t.Fatalf("workers=%d: valid jobs rejected: %v", workers, err)
 		}
@@ -45,19 +46,10 @@ func TestVerifyJobsSequentialAndParallelAgree(t *testing.T) {
 	}
 }
 
-func TestVerifyJobsNilVerifier(t *testing.T) {
-	var v *Verifier
-	if err := v.verifyJobs(jobsFor(verifierTestTx(3), trueLock)); err != nil {
-		t.Fatalf("nil verifier rejected valid jobs: %v", err)
-	}
-	if err := v.verifyJobs(nil); err != nil {
-		t.Fatalf("nil verifier on no jobs: %v", err)
-	}
-}
-
 func TestVerifyJobsUsesCache(t *testing.T) {
-	cache := NewSigCache(16)
-	v := NewVerifier(2, cache)
+	v := newVerifier()
+	v.workers = 2
+	cache := v.Cache()
 	tx := verifierTestTx(4)
 	if err := v.verifyJobs(jobsFor(tx, trueLock)); err != nil {
 		t.Fatal(err)
@@ -104,18 +96,6 @@ func TestSigCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestSigCacheDisabled(t *testing.T) {
-	for _, cache := range []*SigCache{nil, NewSigCache(0)} {
-		cache.Add(sigCacheKey{TxID: Hash{1}})
-		if cache.Contains(sigCacheKey{TxID: Hash{1}}) {
-			t.Fatal("disabled cache stored an entry")
-		}
-		if cache.Len() != 0 {
-			t.Fatal("disabled cache nonzero length")
-		}
-	}
-}
-
 // TestRunParallelReportsLowestFailure checks that when exactly one job
 // fails, the reported error names that job's block position, keeping
 // rejection messages stable regardless of worker scheduling.
@@ -126,9 +106,9 @@ func TestRunParallelReportsLowestFailure(t *testing.T) {
 	for i := range good.Inputs {
 		jobs = append(jobs, verifyJob{tx: good, txIdx: 1, inputIdx: i, lock: trueLock})
 	}
-	err := runParallel(jobs, 4, nil)
-	if err == nil {
-		t.Fatal("failing job set accepted")
+	pos, err := runParallel(jobs, 4)
+	if err == nil || pos != 0 {
+		t.Fatalf("failing job set: position %d, error %v", pos, err)
 	}
 	want := fmt.Sprintf("tx 0 (%s)", bad.ID())
 	if got := err.Error(); len(got) < len(want) || got[:len(want)] != want {
@@ -136,9 +116,9 @@ func TestRunParallelReportsLowestFailure(t *testing.T) {
 	}
 }
 
-// TestConnectTxVerifiedMatchesConnectTx pins the compatibility contract:
-// the verifier-threaded path and the legacy path agree on both fee and
-// rejection for the same transaction.
+// TestConnectTxVerifiedMatchesConnectTx pins the single-transaction
+// contract: the fee a good spend pays, and the rejection of a spend
+// whose script fails.
 func TestConnectTxVerifiedMatchesConnectTx(t *testing.T) {
 	utxo := NewUTXOSet()
 	fund := &Tx{
@@ -159,18 +139,19 @@ func TestConnectTxVerifiedMatchesConnectTx(t *testing.T) {
 		Inputs:  []TxIn{{Prev: OutPoint{TxID: fund.ID(), Index: 1}}},
 		Outputs: []TxOut{{Value: 40, Lock: trueLock}},
 	}
-	v := NewVerifier(4, NewSigCache(8))
+	v := newVerifier()
 	for _, tc := range []struct {
-		name string
-		tx   *Tx
-	}{{"good", spendGood}, {"bad", spendBad}} {
-		feeA, errA := ConnectTx(utxo.Clone(), tc.tx, 1, 0, true)
-		feeB, errB := ConnectTxVerified(utxo.Clone(), tc.tx, 1, 0, true, v)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("%s: legacy err %v, verified err %v", tc.name, errA, errB)
+		name    string
+		tx      *Tx
+		fee     uint64
+		wantErr bool
+	}{{"good", spendGood, 10, false}, {"bad", spendBad, 0, true}} {
+		fee, err := ConnectTxVerified(utxo.Clone(), tc.tx, 1, 0, true, v)
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%s: err %v, want error %v", tc.name, err, tc.wantErr)
 		}
-		if feeA != feeB {
-			t.Fatalf("%s: fee %d vs %d", tc.name, feeA, feeB)
+		if fee != tc.fee {
+			t.Fatalf("%s: fee %d, want %d", tc.name, fee, tc.fee)
 		}
 	}
 }

@@ -32,7 +32,6 @@
 package channel
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -191,14 +190,6 @@ var versionMarkerPrefix = []byte("bcch")
 // VersionMarker encodes the commitment-version OP_RETURN payload.
 func VersionMarker(version uint64) []byte {
 	return binary.BigEndian.AppendUint64(append([]byte(nil), versionMarkerPrefix...), version)
-}
-
-// ParseVersionMarker decodes a commitment version marker.
-func ParseVersionMarker(data []byte) (uint64, bool) {
-	if len(data) != len(versionMarkerPrefix)+8 || !bytes.HasPrefix(data, versionMarkerPrefix) {
-		return 0, false
-	}
-	return binary.BigEndian.Uint64(data[len(versionMarkerPrefix):]), true
 }
 
 // CommitmentTx builds the (unsigned) commitment transaction for a given

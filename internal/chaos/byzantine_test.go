@@ -88,7 +88,7 @@ func newByzEnv(t *testing.T, name string, seed int64, opts Options, byzNode, rec
 	}
 	env.rep.Instrument(c.Reg)
 	env.rcpt = c.Recipient(recipientNode, recipient.Config{
-		MaxPrice: byzPrice, RefundWindow: 5, PaymentFee: 1, RefundFee: 1,
+		MaxPrice: byzPrice, RefundWindow: 5,
 	})
 	env.rcpt.UseReputation(env.rep)
 	env.byz = c.Byzantine(byzNode, gateway.Config{

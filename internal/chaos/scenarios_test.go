@@ -345,7 +345,7 @@ func runScenario(t *testing.T, sc scenario) {
 		Price: 100, RefundWindow: 5, WaitConfirmations: 0, ClaimFee: 1,
 	})
 	env.rcpt = c.Recipient(sc.recipientNode, recipient.Config{
-		MaxPrice: 100, RefundWindow: 5, PaymentFee: 1, RefundFee: 1,
+		MaxPrice: 100, RefundWindow: 5,
 	})
 	env.sensor, err = c.NewSensor(lora.DevEUI{0xB0, 1, 2, 3, 4, 5, 6, 7}, env.rcpt)
 	if err != nil {

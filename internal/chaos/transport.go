@@ -134,13 +134,6 @@ func (n *Net) Heal() {
 	n.group = make(map[string]int)
 }
 
-// Partitioned reports whether a partition is active.
-func (n *Net) Partitioned() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.partitioned
-}
-
 // Wait blocks until every delayed in-flight delivery has been handed
 // to the inner transport (delivery into a closed connection is loss,
 // as on a real network).

@@ -30,14 +30,6 @@ type ChannelConfig struct {
 	// open channel once the chain is within CloseMargin of RefundHeight,
 	// so its earned balance is on-chain before the refund path unlocks.
 	CloseMargin int64
-	// Price is the payee's minimum paid delta per update (the delivery
-	// price): an update paying less never buys a key disclosure. Zero on
-	// a gateway daemon defaults to the gateway's configured price.
-	Price uint64
-	// OpenTimeout bounds the open/accept handshake; UpdateTimeout bounds
-	// one update/ack round trip.
-	OpenTimeout   time.Duration
-	UpdateTimeout time.Duration
 	// StoreDir, when set, persists channel state there so endpoints
 	// survive a daemon restart ("" = in-memory only).
 	StoreDir string
@@ -47,13 +39,15 @@ type ChannelConfig struct {
 // delivery against a 10k channel, the paper's 100-block refund window.
 func DefaultChannelConfig() ChannelConfig {
 	return ChannelConfig{
-		Capacity:      10_000,
-		RefundWindow:  100,
-		CloseMargin:   10,
-		OpenTimeout:   10 * time.Second,
-		UpdateTimeout: 10 * time.Second,
+		Capacity:     10_000,
+		RefundWindow: 100,
+		CloseMargin:  10,
 	}
 }
+
+// channelRoundTrip bounds one open/accept handshake or one update/ack
+// round trip.
+const channelRoundTrip = 10 * time.Second
 
 // channelFee is the miner fee each of a channel's three on-chain
 // transactions pays: the funding, the close and the refund.
@@ -122,6 +116,11 @@ type ChannelManager struct {
 	// disclose resolves a verified update into the exchange's ephemeral
 	// private key (payee mode only).
 	disclose func(lora.DevEUI, uint32) ([]byte, error)
+	// price is the payee's minimum paid delta per update, the gateway's
+	// delivery price: an update paying less never buys a key disclosure,
+	// or a payer could drain disclosures for 1 unit apiece (payee mode
+	// only).
+	price uint64
 	// spend runs a channel funding under the lock the recipient builds its
 	// on-chain payments under, so the two never pick the same coin (payer
 	// mode only).
@@ -145,7 +144,7 @@ type ChannelManager struct {
 
 // newChannelManager builds the manager, reloads persisted endpoints and
 // registers the p2p handlers for its mode.
-func newChannelManager(node *Node, w *wallet.Wallet, cfg ChannelConfig, disclose func(lora.DevEUI, uint32) ([]byte, error), spend func(func() error) error) (*ChannelManager, error) {
+func newChannelManager(node *Node, w *wallet.Wallet, cfg ChannelConfig, disclose func(lora.DevEUI, uint32) ([]byte, error), price uint64, spend func(func() error) error) (*ChannelManager, error) {
 	def := DefaultChannelConfig()
 	if cfg.Capacity == 0 {
 		cfg.Capacity = def.Capacity
@@ -159,17 +158,12 @@ func newChannelManager(node *Node, w *wallet.Wallet, cfg ChannelConfig, disclose
 	if cfg.CloseMargin >= cfg.RefundWindow {
 		cfg.CloseMargin = cfg.RefundWindow / 2
 	}
-	if cfg.OpenTimeout <= 0 {
-		cfg.OpenTimeout = def.OpenTimeout
-	}
-	if cfg.UpdateTimeout <= 0 {
-		cfg.UpdateTimeout = def.UpdateTimeout
-	}
 	m := &ChannelManager{
 		cfg:          cfg,
 		node:         node,
 		wallet:       w,
 		disclose:     disclose,
+		price:        price,
 		spend:        spend,
 		payers:       make(map[chain.Hash]*channel.Payer),
 		payees:       make(map[chain.Hash]*channel.Payee),
@@ -225,7 +219,7 @@ func (m *ChannelManager) reload() error {
 			if err != nil {
 				return err
 			}
-			g.SetPriceFloor(m.cfg.Price)
+			g.SetPriceFloor(m.price)
 			m.payees[st.ID] = g
 		}
 		if st.Status == channel.StatusOpen {
@@ -319,7 +313,7 @@ func (m *ChannelManager) onChanFund(from string, msg p2p.Message) {
 		m.node.logf("chanfund from %s rejected: %v", from, err)
 		return
 	}
-	payee.SetPriceFloor(m.cfg.Price)
+	payee.SetPriceFloor(m.price)
 	st := payee.State()
 	m.mu.Lock()
 	m.payees[st.ID] = payee
@@ -461,7 +455,7 @@ func (m *ChannelManager) SettleDelivery(peer string, d *fairex.Delivery) (*Chann
 		return nil, fmt.Errorf("daemon: channel peer %s unreachable", peer)
 	}
 	var ack *p2p.MsgChannelUpdateAck
-	timeout := time.NewTimer(m.cfg.UpdateTimeout)
+	timeout := time.NewTimer(channelRoundTrip)
 	defer timeout.Stop()
 	select {
 	case ack = <-waiter:
@@ -526,7 +520,7 @@ func (m *ChannelManager) openPayer(peer string, wantGwPub []byte, capacity uint6
 		return nil, fmt.Errorf("daemon: channel peer %s unreachable", peer)
 	}
 	var acc *p2p.MsgChannelAccept
-	timeout := time.NewTimer(m.cfg.OpenTimeout)
+	timeout := time.NewTimer(channelRoundTrip)
 	defer timeout.Stop()
 	select {
 	case acc = <-waiter:

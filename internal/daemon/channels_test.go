@@ -26,12 +26,10 @@ import (
 )
 
 // enableChannels switches both cluster daemons to channel settlement with
-// short timeouts and on-disk stores, returning the two managers.
+// on-disk stores, returning the two managers.
 func (c *cluster) enableChannels(t *testing.T) (gw, rcpt *ChannelManager) {
 	t.Helper()
 	ccfg := DefaultChannelConfig()
-	ccfg.OpenTimeout = 5 * time.Second
-	ccfg.UpdateTimeout = 5 * time.Second
 	dir := t.TempDir()
 	ccfg.StoreDir = filepath.Join(dir, "gateway")
 	gw, err := c.gwd.EnableChannels(ccfg)
@@ -533,8 +531,6 @@ func TestChannelPayeeClosesBeforeRefundDeadline(t *testing.T) {
 	ccfg := DefaultChannelConfig()
 	ccfg.RefundWindow = 12
 	ccfg.CloseMargin = 4
-	ccfg.OpenTimeout = 5 * time.Second
-	ccfg.UpdateTimeout = 5 * time.Second
 	if _, err := c.gwd.EnableChannels(ccfg); err != nil {
 		t.Fatal(err)
 	}

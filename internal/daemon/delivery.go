@@ -76,12 +76,7 @@ type GatewayDaemon struct {
 // advertises channel settlement in every delivery and answers verified
 // commitment updates with the exchange's ephemeral key.
 func (g *GatewayDaemon) EnableChannels(cfg ChannelConfig) (*ChannelManager, error) {
-	if cfg.Price == 0 {
-		// Every update must pay at least the delivery price, or a payer
-		// could drain key disclosures for 1 unit apiece.
-		cfg.Price = g.Gateway.Price()
-	}
-	mgr, err := newChannelManager(g.Node, g.Gateway.Wallet(), cfg, g.Gateway.DiscloseKey, nil)
+	mgr, err := newChannelManager(g.Node, g.Gateway.Wallet(), cfg, g.Gateway.DiscloseKey, g.Gateway.Price(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +255,7 @@ func NewRecipientDaemon(node *Node, cfg recipient.Config, listenAddr string, ran
 // advertise a channel endpoint settle off-chain, falling back to the
 // on-chain payment path on any channel failure.
 func (r *RecipientDaemon) EnableChannels(cfg ChannelConfig) (*ChannelManager, error) {
-	mgr, err := newChannelManager(r.Node, r.Recipient.Wallet(), cfg, nil, r.Recipient.Spending)
+	mgr, err := newChannelManager(r.Node, r.Recipient.Wallet(), cfg, nil, 0, r.Recipient.Spending)
 	if err != nil {
 		return nil, err
 	}

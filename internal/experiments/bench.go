@@ -44,8 +44,8 @@ type benchDoc interface{ header() *docHeader }
 // docHeader is what every BENCH document carries besides its campaign's
 // own schema.
 type docHeader struct {
-	// Host says where the document was measured: a worker sweep read
-	// without its core count cannot show whether it scaled.
+	// Host says where the document was measured: a block-connect time
+	// read without its GOMAXPROCS cannot show whether it scaled.
 	Host hostStamp `json:"host"`
 	// path is the file readDoc loaded the document from, for messages.
 	path string

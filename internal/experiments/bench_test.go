@@ -43,12 +43,12 @@ func TestWireFormatMatchesParentWriters(t *testing.T) {
 		want string
 	}{
 		{"blockconnect", newBlockConnectDoc(
-			BlockConnectConfig{Blocks: 12, TxsPerBlock: 24, Workers: []int{0, 4}, Repeats: 5},
+			BlockConnectConfig{Blocks: 12, TxsPerBlock: 24, Repeats: 5},
 			[]*BlockConnectResult{
-				{Workers: 0, Elapsed: 48 * time.Millisecond, Blocks: 12, Txs: 288, TxsPerSec: 6000, SigCacheMisses: 552},
-				{Workers: 4, Warm: true, Elapsed: 2_500_003, Blocks: 12, Txs: 288, TxsPerSec: 115199.86, SigCacheHits: 288, SigCacheMisses: 288, SigCacheHitRate: 0.5},
+				{Elapsed: 48 * time.Millisecond, Blocks: 12, Txs: 288, TxsPerSec: 6000, SigCacheMisses: 552},
+				{Warm: true, Elapsed: 2_500_003, Blocks: 12, Txs: 288, TxsPerSec: 115199.86, SigCacheHits: 288, SigCacheMisses: 288, SigCacheHitRate: 0.5},
 			}),
-			`{"blocks":12,"txs_per_block":24,"repeats":5,"results":[{"workers":0,"warm":false,"ns_per_block":4000000,"blocks_per_sec":250,"txs_per_sec":6000,"sigcache_hits":0,"sigcache_misses":552,"sigcache_hit_rate":0},{"workers":4,"warm":true,"ns_per_block":208333,"blocks_per_sec":4799.994240006911,"txs_per_sec":115199.86,"sigcache_hits":288,"sigcache_misses":288,"sigcache_hit_rate":0.5}]}`},
+			`{"blocks":12,"txs_per_block":24,"repeats":5,"results":[{"warm":false,"ns_per_block":4000000,"blocks_per_sec":250,"txs_per_sec":6000,"sigcache_hits":0,"sigcache_misses":552,"sigcache_hit_rate":0},{"warm":true,"ns_per_block":208333,"blocks_per_sec":4799.994240006911,"txs_per_sec":115199.86,"sigcache_hits":288,"sigcache_misses":288,"sigcache_hit_rate":0.5}]}`},
 		{"reorg", newReorgDoc(
 			ReorgConfig{ChainLengths: []int{100, 1000}, Depth: 2, Iterations: 30},
 			[]*ReorgResult{

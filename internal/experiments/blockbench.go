@@ -11,24 +11,25 @@ import (
 	"bcwan/internal/wallet"
 )
 
-// BlockConnectConfig sizes the block-connect throughput experiment: the
-// ablation behind Params.VerifyWorkers. A fixed sequence of signed
-// blocks is built once, then replayed into fresh chains that differ only
-// in worker count and signature-cache priming.
+// BlockConnectConfig sizes the block-connect throughput experiment. A
+// fixed sequence of signed blocks is built once, then replayed into
+// fresh chains with a cold and with a mempool-primed signature cache.
+// The verifier is as wide as GOMAXPROCS, which the document's host
+// stamp records.
 type BlockConnectConfig struct {
-	Blocks      int   `json:"blocks"`        // blocks in the replayed sequence
-	TxsPerBlock int   `json:"txs_per_block"` // payment transactions per block (plus a coinbase)
-	Workers     []int `json:"-"`             // VerifyWorkers values to sweep; 0 = seed's sequential path
+	Blocks      int `json:"blocks"`        // blocks in the replayed sequence
+	TxsPerBlock int `json:"txs_per_block"` // payment transactions per block (plus a coinbase)
 	// Repeats replays each configuration this many times and reports
 	// the fastest run, suppressing scheduler noise so the CI regression
 	// gate's 25% threshold measures the code, not the runner.
 	Repeats int `json:"repeats"`
 }
 
-// DefaultBlockConnectConfig is the paper-scale sweep: the worker widths
-// of the Fig. 5/6 ablation discussion.
+// DefaultBlockConnectConfig is the paper-scale replay. Its cold row is
+// what gateConnectScaling divides, so it is the best of fifteen replays:
+// enough for the minimum to survive a busy neighbour on a 2-CPU runner.
 func DefaultBlockConnectConfig() BlockConnectConfig {
-	return BlockConnectConfig{Blocks: 12, TxsPerBlock: 24, Workers: []int{0, 1, 2, 4, 8}, Repeats: 5}
+	return BlockConnectConfig{Blocks: 12, TxsPerBlock: 24, Repeats: 15}
 }
 
 func quickBlockConnectConfig() BlockConnectConfig {
@@ -41,9 +42,8 @@ func quickBlockConnectConfig() BlockConnectConfig {
 // fields come from the replay chain's telemetry snapshot, covering the
 // whole replay (warm runs include the mempool-priming verifications).
 type BlockConnectResult struct {
-	Workers         int           `json:"workers"` // VerifyWorkers for this run
-	Warm            bool          `json:"warm"`    // true when txs passed through the mempool first (shared sig cache primed)
-	Elapsed         time.Duration `json:"-"`       // total time inside Chain.AddBlock
+	Warm            bool          `json:"warm"` // true when txs passed through the mempool first (shared sig cache primed)
+	Elapsed         time.Duration `json:"-"`    // total time inside Chain.AddBlock
 	Blocks          int           `json:"-"`
 	Txs             int           `json:"-"` // payment txs connected (coinbases excluded)
 	NsPerBlock      int64         `json:"ns_per_block"`
@@ -141,19 +141,17 @@ func buildBlockConnectFixture(cfg BlockConnectConfig) (*blockConnectFixture, err
 	return fix, nil
 }
 
-// replay connects the fixture's blocks into a fresh chain configured
-// with the given worker count, timing only Chain.AddBlock. When warm is
-// true, each block's payments are first admitted through a mempool
-// sharing the chain's verifier — the production handoff — so block
-// connect finds their script checks already cached.
-func (fix *blockConnectFixture) replay(workers int, warm bool) (*BlockConnectResult, error) {
-	params := fix.params
-	params.VerifyWorkers = workers
+// replay connects the fixture's blocks into a fresh chain, timing only
+// Chain.AddBlock. When warm is true, each block's payments are first
+// admitted through a mempool sharing the chain's verifier — the
+// production handoff — so block connect finds their script checks
+// already cached.
+func (fix *blockConnectFixture) replay(warm bool) (*BlockConnectResult, error) {
 	genesis, err := chain.DeserializeBlock(fix.genesis)
 	if err != nil {
 		return nil, err
 	}
-	c, err := chain.New(params, genesis)
+	c, err := chain.New(fix.params, genesis)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +168,7 @@ func (fix *blockConnectFixture) replay(workers int, warm bool) (*BlockConnectRes
 	c.Instrument(reg)
 	pool.Instrument(reg)
 
-	res := &BlockConnectResult{Workers: workers, Warm: warm, Blocks: len(fix.blocks)}
+	res := &BlockConnectResult{Warm: warm, Blocks: len(fix.blocks)}
 	for _, raw := range fix.blocks {
 		blk, err := chain.DeserializeBlock(raw)
 		if err != nil {
@@ -180,7 +178,7 @@ func (fix *blockConnectFixture) replay(workers int, warm bool) (*BlockConnectRes
 			for _, tx := range blk.Txs[1:] {
 				// Warm-up, untimed: admission puts the block's scripts in
 				// the signature cache the timed AddBlock then hits.
-				if err := pool.Accept(tx, c.UTXO(), c.Height(), params); err != nil {
+				if err := pool.Accept(tx, c.UTXO(), c.Height(), fix.params); err != nil {
 					return nil, fmt.Errorf("mempool admission: %w", err)
 				}
 			}
@@ -216,14 +214,10 @@ func snapshotValue(reg *telemetry.Registry, name string) float64 {
 }
 
 // RunBlockConnect builds the block sequence once and replays it cold
-// (empty signature cache) at every requested worker count, then warm
-// (mempool-primed cache) at the same counts.
+// (empty signature cache), then warm (mempool-primed cache).
 func RunBlockConnect(cfg BlockConnectConfig) (*BlockConnectDoc, error) {
 	if cfg.Blocks <= 0 || cfg.TxsPerBlock <= 0 {
 		return nil, fmt.Errorf("block-connect config must be positive: %+v", cfg)
-	}
-	if len(cfg.Workers) == 0 {
-		cfg.Workers = DefaultBlockConnectConfig().Workers
 	}
 	if cfg.Repeats <= 0 {
 		cfg.Repeats = 1
@@ -234,47 +228,44 @@ func RunBlockConnect(cfg BlockConnectConfig) (*BlockConnectDoc, error) {
 	}
 	var results []*BlockConnectResult
 	for _, warm := range []bool{false, true} {
-		for _, w := range cfg.Workers {
-			// Best of cfg.Repeats: the minimum elapsed time is the run
-			// least disturbed by the scheduler. Cache stats are identical
-			// across repeats (each replay starts from a fresh chain).
-			var best *BlockConnectResult
-			for r := 0; r < cfg.Repeats; r++ {
-				res, err := fix.replay(w, warm)
-				if err != nil {
-					return nil, err
-				}
-				if best == nil || res.Elapsed < best.Elapsed {
-					best = res
-				}
+		// Best of cfg.Repeats: the minimum elapsed time is the run least
+		// disturbed by the scheduler. Cache stats are identical across
+		// repeats (each replay starts from a fresh chain).
+		var best *BlockConnectResult
+		for r := 0; r < cfg.Repeats; r++ {
+			res, err := fix.replay(warm)
+			if err != nil {
+				return nil, err
 			}
-			results = append(results, best)
+			if best == nil || res.Elapsed < best.Elapsed {
+				best = res
+			}
 		}
+		results = append(results, best)
 	}
 	return newBlockConnectDoc(cfg, results), nil
 }
 
-// WriteBlockConnect prints the throughput sweep. The cold rows isolate
-// the worker pool; the warm rows show the mempool→block-connect cache
+// WriteBlockConnect prints the two replays. The cold row is the full
+// verify pool's work; the warm row shows the mempool→block-connect cache
 // handoff, where block connect skips every script already verified at
 // admission.
 func WriteBlockConnect(w io.Writer, doc *BlockConnectDoc) {
 	fmt.Fprintf(w, "== Block-connect throughput (%d blocks x %d txs) ==\n", doc.Blocks, doc.TxsPerBlock)
-	fmt.Fprintf(w, "%-8s %-22s %12s %12s %9s\n", "workers", "sig cache", "connect", "txs/sec", "hit rate")
+	fmt.Fprintf(w, "%-22s %12s %12s %9s\n", "sig cache", "connect", "txs/sec", "hit rate")
 	var base float64
 	for _, r := range doc.Results {
-		cache := "cold"
+		cache, speedup := "cold", ""
 		if r.Warm {
 			cache = "warm (mempool-primed)"
-		}
-		speedup := ""
-		if r.Workers == 0 && !r.Warm {
+			if base > 0 {
+				speedup = fmt.Sprintf("  (%.2fx vs cold)", r.TxsPerSec/base)
+			}
+		} else {
 			base = r.TxsPerSec
-		} else if base > 0 {
-			speedup = fmt.Sprintf("  (%.2fx vs sequential cold)", r.TxsPerSec/base)
 		}
-		fmt.Fprintf(w, "%-8d %-22s %12s %12.0f %8.0f%%%s\n",
-			r.Workers, cache, r.Elapsed.Round(time.Microsecond), r.TxsPerSec, r.SigCacheHitRate*100, speedup)
+		fmt.Fprintf(w, "%-22s %12s %12.0f %8.0f%%%s\n",
+			cache, r.Elapsed.Round(time.Microsecond), r.TxsPerSec, r.SigCacheHitRate*100, speedup)
 	}
 	fmt.Fprintln(w)
 }
@@ -285,15 +276,14 @@ const (
 	// minSigCacheHitFrac floors the candidate's hit rate as a fraction of
 	// the baseline's.
 	minSigCacheHitFrac = 0.75
-	// minParallelSpeedup floors the all-cores run's ns/block speedup over
-	// the GOMAXPROCS=1 run.
+	// minParallelSpeedup floors the all-cores run's cold ns/block speedup
+	// over the GOMAXPROCS=1 run's.
 	minParallelSpeedup = 1.5
 )
 
-// gateBlockConnect matches candidate rows to baseline rows by
-// (workers, warm) and flags any hit rate falling below minSigCacheHitFrac
-// of the baseline's. Rows only one side has are ignored: sweeping a new
-// worker count must not fail the gate. ns/block is reported, not gated:
+// gateBlockConnect matches candidate rows to baseline rows by warm and
+// flags any hit rate falling below minSigCacheHitFrac of the baseline's.
+// ns/block is reported, not gated:
 // an absolute time against a file recorded on another day measures the
 // host as much as the code, and throughput is gated instead by the
 // same-run ratio of gateConnectScaling.
@@ -303,26 +293,22 @@ func gateBlockConnect(base, cand *BlockConnectDoc) ([]string, error) {
 			base.Blocks, base.TxsPerBlock, base.Repeats, cand.Blocks, cand.TxsPerBlock, cand.Repeats)
 	}
 
-	type key struct {
-		workers int
-		warm    bool
-	}
-	baseRows := make(map[key]*BlockConnectResult)
+	baseRows := make(map[bool]*BlockConnectResult)
 	for _, r := range base.Results {
-		baseRows[key{r.Workers, r.Warm}] = r
+		baseRows[r.Warm] = r
 	}
 	var failures []string
 	matched := 0
 	for _, c := range cand.Results {
-		b, ok := baseRows[key{c.Workers, c.Warm}]
+		b, ok := baseRows[c.Warm]
 		if !ok {
 			continue
 		}
 		matched++
 		if b.SigCacheHitRate > 0 && c.SigCacheHitRate < b.SigCacheHitRate*minSigCacheHitFrac {
 			failures = append(failures, fmt.Sprintf(
-				"sig cache workers=%d warm=%v: hit rate %.2f vs baseline %.2f (floor %.2f)",
-				c.Workers, c.Warm, c.SigCacheHitRate, b.SigCacheHitRate, b.SigCacheHitRate*minSigCacheHitFrac))
+				"sig cache warm=%v: hit rate %.2f vs baseline %.2f (floor %.2f)",
+				c.Warm, c.SigCacheHitRate, b.SigCacheHitRate, b.SigCacheHitRate*minSigCacheHitFrac))
 		}
 	}
 	if matched == 0 {
@@ -335,8 +321,8 @@ func gateBlockConnect(base, cand *BlockConnectDoc) ([]string, error) {
 // cores. Unlike the other gates, both inputs are fresh blockconnect
 // documents from the SAME machine in the SAME CI job — the baseline
 // measured under GOMAXPROCS=1, the candidate on all cores — so the ratio
-// of their best cold-cache rows is a pure parallel-speedup measurement.
-// UTXO accounting is one sequential pass, so the speedup is all the
+// of their cold-cache rows is a pure parallel-speedup measurement. UTXO
+// accounting is one sequential pass, so the speedup is all the
 // script-verify worker pool; below minParallelSpeedup the pool has
 // stopped buying anything.
 func gateConnectScaling(serial, parallel *BlockConnectDoc) ([]string, error) {
@@ -346,43 +332,40 @@ func gateConnectScaling(serial, parallel *BlockConnectDoc) ([]string, error) {
 			serial.Blocks, serial.TxsPerBlock, serial.Repeats,
 			parallel.Blocks, parallel.TxsPerBlock, parallel.Repeats)
 	}
+	// The verifier's width is GOMAXPROCS, so the host stamps say which
+	// run was serial and whether the other could fan out at all.
+	if serial.Host.GOMAXPROCS != 1 {
+		return nil, fmt.Errorf("%s: measured at gomaxprocs %d, want 1", serial.path, serial.Host.GOMAXPROCS)
+	}
+	if parallel.Host.GOMAXPROCS < 2 {
+		return nil, fmt.Errorf("%s: measured at gomaxprocs %d — the candidate run never exercised a multi-worker connect",
+			parallel.path, parallel.Host.GOMAXPROCS)
+	}
 
-	// Best cold-cache row per document: cold connects do the full
-	// signature + UTXO work, so this is where the verify pool shows up.
-	// min-over-workers makes the gate robust to one noisy row.
-	bestCold := func(doc *BlockConnectDoc) (int64, int, error) {
-		best, workers := int64(0), 0
+	// Cold connects do the full signature + UTXO work, so this is where
+	// the verify pool shows up.
+	cold := func(doc *BlockConnectDoc) (int64, error) {
 		for _, r := range doc.Results {
-			if r.Warm || r.NsPerBlock <= 0 {
-				continue
-			}
-			if best == 0 || r.NsPerBlock < best {
-				best, workers = r.NsPerBlock, r.Workers
+			if !r.Warm && r.NsPerBlock > 0 {
+				return r.NsPerBlock, nil
 			}
 		}
-		if best == 0 {
-			return 0, 0, fmt.Errorf("%s: no cold (warm=false) row with positive ns_per_block", doc.path)
-		}
-		return best, workers, nil
+		return 0, fmt.Errorf("%s: no cold (warm=false) row with positive ns_per_block", doc.path)
 	}
-	serialNs, _, err := bestCold(serial)
+	serialNs, err := cold(serial)
 	if err != nil {
 		return nil, err
 	}
-	parallelNs, parallelWorkers, err := bestCold(parallel)
+	parallelNs, err := cold(parallel)
 	if err != nil {
 		return nil, err
-	}
-	if parallelWorkers < 2 {
-		return nil, fmt.Errorf("%s: best parallel row uses %d workers — the candidate run never exercised a multi-worker connect",
-			parallel.path, parallelWorkers)
 	}
 
 	speedup := float64(serialNs) / float64(parallelNs)
 	if speedup < minParallelSpeedup {
 		return []string{fmt.Sprintf(
-			"parallel connect speedup %.2fx below floor %.1fx (GOMAXPROCS=1 best %d ns/block vs all-cores best %d at workers=%d) — did block connect serialize?",
-			speedup, minParallelSpeedup, serialNs, parallelNs, parallelWorkers)}, nil
+			"parallel connect speedup %.2fx below floor %.1fx (GOMAXPROCS=1 %d ns/block vs %d at GOMAXPROCS=%d) — did block connect serialize?",
+			speedup, minParallelSpeedup, serialNs, parallelNs, parallel.Host.GOMAXPROCS)}, nil
 	}
 	return nil, nil
 }

@@ -349,22 +349,22 @@ func TestLatencyRatioFig6OverFig5SameOrderAsPaper(t *testing.T) {
 }
 
 func TestBlockConnectSweep(t *testing.T) {
-	cfg := BlockConnectConfig{Blocks: 3, TxsPerBlock: 4, Workers: []int{0, 2}}
+	cfg := BlockConnectConfig{Blocks: 3, TxsPerBlock: 4}
 	doc, err := RunBlockConnect(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	results := doc.Results
-	// Two cache states x two worker counts, ordered cold-first.
-	if len(results) != 4 {
-		t.Fatalf("results = %d, want 4", len(results))
+	// Two cache states, ordered cold-first.
+	if len(results) != 2 {
+		t.Fatalf("results = %d, want 2", len(results))
 	}
 	for i, r := range results {
 		if r.Blocks != cfg.Blocks || r.Txs != cfg.Blocks*cfg.TxsPerBlock {
 			t.Fatalf("result %d connected %d blocks / %d txs, want %d / %d",
 				i, r.Blocks, r.Txs, cfg.Blocks, cfg.Blocks*cfg.TxsPerBlock)
 		}
-		if wantWarm := i >= 2; r.Warm != wantWarm {
+		if wantWarm := i >= 1; r.Warm != wantWarm {
 			t.Fatalf("result %d warm = %v, want %v", i, r.Warm, wantWarm)
 		}
 		if r.TxsPerSec <= 0 {

@@ -252,9 +252,6 @@ func (c *Channel) NewRadio(name string, pos Position) *Radio {
 // PHY returns the channel's modem configuration.
 func (c *Channel) PHY() PHYConfig { return c.phy }
 
-// Model returns the propagation model.
-func (c *Channel) Model() PathLossModel { return c.model }
-
 func (c *Channel) cellOf(p Position) cell {
 	return cell{x: int64(math.Floor(p.X / c.cellSize)), y: int64(math.Floor(p.Y / c.cellSize))}
 }

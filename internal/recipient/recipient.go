@@ -27,15 +27,11 @@ type Config struct {
 	// RefundWindow is the refund lock the recipient writes into its
 	// payments, in blocks.
 	RefundWindow int64
-	// PaymentFee is the fee attached to payment transactions.
-	PaymentFee uint64
-	// RefundFee is the fee attached to refund transactions.
-	RefundFee uint64
 }
 
 // DefaultConfig accepts the gateway default price.
 func DefaultConfig() Config {
-	return Config{MaxPrice: 100, RefundWindow: 100, PaymentFee: 1, RefundFee: 1}
+	return Config{MaxPrice: 100, RefundWindow: 100}
 }
 
 // DeviceInfo is the recipient-side provisioning for one sensor: the
@@ -73,6 +69,9 @@ const maxSettledMemory = 4096
 // so a recipient one block behind the height the gateway made its offer
 // at still writes a refund height fairex.CheckPayment accepts.
 const refundSkew = 1
+
+// txFee is the miner fee each payment and refund transaction pays.
+const txFee = 1
 
 // Exchange is the recipient's record of one delivery, from admission
 // (Admit) through its payment (Pay, or a channel update) to its
@@ -257,7 +256,7 @@ func (r *Recipient) Pay(x *Exchange) (*chain.Tx, error) {
 func (r *Recipient) pay(params script.KeyReleaseParams, price uint64) (*chain.Tx, error) {
 	r.payMu.Lock()
 	defer r.payMu.Unlock()
-	payment, err := r.wallet.BuildKeyReleasePayment(r.ledger.Spendable(r.wallet.PubKeyHash()), params, price, r.cfg.PaymentFee)
+	payment, err := r.wallet.BuildKeyReleasePayment(r.ledger.Spendable(r.wallet.PubKeyHash()), params, price, txFee)
 	if err != nil {
 		return nil, fmt.Errorf("recipient: build payment: %w", err)
 	}
@@ -373,7 +372,7 @@ func (r *Recipient) Refund(paymentID chain.Hash) (*chain.Tx, error) {
 	}
 	refund, err := r.wallet.BuildRefund(
 		chain.OutPoint{TxID: paymentID, Index: 0},
-		x.payment.Outputs[0], params.RefundHeight, r.cfg.RefundFee)
+		x.payment.Outputs[0], params.RefundHeight, txFee)
 	if err != nil {
 		return nil, fmt.Errorf("recipient: build refund: %w", err)
 	}
