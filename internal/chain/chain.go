@@ -215,18 +215,19 @@ func (c *Chain) addBlockPolicy(b *Block, notify *[]*Block, params Params) error 
 	if _, dup := c.index[id]; dup {
 		return ErrDuplicateBlock
 	}
+	// Authenticate first: callers park a block on ErrBadPrevBlock.
+	if len(c.miners) > 0 && !c.miners[string(b.Header.MinerPubKey)] {
+		return ErrUnknownMiner
+	}
+	if !b.Header.VerifySignature() {
+		return ErrBadMinerSig
+	}
 	parent, ok := c.index[b.Header.PrevBlock]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrBadPrevBlock, b.Header.PrevBlock)
 	}
 	if b.Header.Height != parent.Header.Height+1 {
 		return fmt.Errorf("%w: block %d on parent %d", ErrBadHeight, b.Header.Height, parent.Header.Height)
-	}
-	if len(c.miners) > 0 && !c.miners[string(b.Header.MinerPubKey)] {
-		return ErrUnknownMiner
-	}
-	if !b.Header.VerifySignature() {
-		return ErrBadMinerSig
 	}
 	if err := checkBlockStateless(b, params); err != nil {
 		return err

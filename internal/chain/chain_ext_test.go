@@ -283,6 +283,9 @@ func TestUnknownParentRejected(t *testing.T) {
 	}
 	b.Header.PrevBlock = chain.Hash{0xff}
 	b.Header.Height = 5
+	if err := b.Header.Sign(h.minerW.Key(), rand.Reader); err != nil {
+		t.Fatal(err)
+	}
 	if err := h.chain.AddBlock(b); !errors.Is(err, chain.ErrBadPrevBlock) {
 		t.Fatalf("err = %v, want ErrBadPrevBlock", err)
 	}

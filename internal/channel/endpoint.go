@@ -178,7 +178,7 @@ func (p *Payer) Refund(fee uint64) (*chain.Tx, error) {
 			return nil, fmt.Errorf("%w: funding tx %s not found", ErrUnknownChannel, p.st.ID)
 		}
 	}
-	tx, err := p.wallet.BuildChannelRefund(
+	tx, err := p.wallet.BuildRefund(
 		chain.OutPoint{TxID: p.st.ID, Index: 0}, funding.Outputs[0], p.st.RefundHeight, fee)
 	if err != nil {
 		return nil, err

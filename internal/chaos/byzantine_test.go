@@ -81,7 +81,7 @@ func newByzEnv(t *testing.T, name string, seed int64, opts Options, byzNode, rec
 
 	env := &byzEnv{
 		c:      c,
-		rep:    reputation.New(reputation.DefaultConfig()),
+		rep:    reputation.New(),
 		log:    &ByzantineLog{},
 		miners: opts.Miners[:1],
 		fatalf: fatalf,
@@ -406,7 +406,7 @@ func byzReplay(t *testing.T, name string, seed int64) {
 	}
 	env.log.Record(ExchangeAttempt{Gateway: env.advID, Refused: true})
 	// One replay from the capped credit crosses the threshold: the
-	// MaxScore cap is what keeps banked honesty from financing fraud.
+	// credit cap is what keeps banked honesty from financing fraud.
 	if env.rep.Trusted(env.advID) {
 		env.fatalf("adversary still trusted after replay (score %.2f)", env.rep.Score(env.advID))
 	}
@@ -455,7 +455,7 @@ func byzEclipse(t *testing.T, name string, seed int64) {
 		fatalf("cluster: %v", err)
 	}
 	t.Cleanup(c.Close)
-	env := &byzEnv{c: c, rep: reputation.New(reputation.DefaultConfig()),
+	env := &byzEnv{c: c, rep: reputation.New(),
 		log: &ByzantineLog{}, miners: []int{0}, fatalf: fatalf}
 	env.byz = c.Byzantine(1, gateway.Config{Price: byzPrice, RefundWindow: 5, ClaimFee: 1})
 	// The honest partition (n0 ↔ n1) makes progress; the victim cannot
@@ -646,7 +646,7 @@ func byzPrivateMine(t *testing.T, name string, seed int64) {
 // subsequent demand routes to the honest gateway.
 func byzEquivocatorCampaign(t *testing.T, name string, seed int64) {
 	rng := mrand.New(mrand.NewSource(seed))
-	rep := reputation.New(reputation.DefaultConfig())
+	rep := reputation.New()
 	log := &ByzantineLog{}
 	const rounds = 20
 	adv, honest := "gw-byz", "gw-honest"

@@ -379,7 +379,7 @@ func TestChannelCloseAndRefundMempoolAcceptance(t *testing.T) {
 	for ledger.Height() < refundHeight-2 {
 		c.mine()
 	}
-	refund, err := payerW.BuildChannelRefund(
+	refund, err := payerW.BuildRefund(
 		chain.OutPoint{TxID: funding2.ID(), Index: 0}, funding2.Outputs[0], refundHeight, 1)
 	if err != nil {
 		t.Fatal(err)

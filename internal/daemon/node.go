@@ -46,9 +46,6 @@ type NodeConfig struct {
 	Random io.Reader
 	// Logger receives operational messages (nil = silent).
 	Logger *log.Logger
-	// Telemetry collects node-wide metrics; nil gets a fresh registry so
-	// every node serves GET /metrics and getmetrics out of the box.
-	Telemetry *telemetry.Registry
 	// StoreCompactEvery is how many block appends to the store's log
 	// trigger a compaction: a checkpoint record, so a restart replays the
 	// blocks up to it trusted and only the tail after it through full
@@ -136,9 +133,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.MineInterval <= 0 {
 		cfg.MineInterval = cfg.Params.BlockInterval
 	}
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = telemetry.NewRegistry()
-	}
 	// The mine loop, explicit MineNow calls and snapshot-commitment
 	// signing all draw from the one source.
 	cfg.Random = bccrypto.SerialReader(cfg.Random)
@@ -149,6 +143,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	for _, pub := range cfg.Miners {
 		c.AuthorizeMiner(pub)
 	}
+	reg := telemetry.NewRegistry()
 	n := &Node{
 		cfg:          cfg,
 		chain:        c,
@@ -156,8 +151,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		orphans:      make(map[chain.Hash]*chain.Block),
 		orphanTxs:    make(map[chain.Hash]*chain.Tx),
 		pendingCmpct: make(map[chain.Hash]*pendingCompact),
-		reg:          cfg.Telemetry,
-		metrics:      newDaemonMetrics(cfg.Telemetry),
+		reg:          reg,
+		metrics:      newDaemonMetrics(reg),
 	}
 	// Share the chain's verifier (worker pool + signature cache) so
 	// gossip- and RPC-admitted transactions are not re-verified when

@@ -318,7 +318,7 @@ type ReputationComparison struct {
 // RunReputationComparison runs the Monte Carlo baseline.
 func RunReputationComparison(seed int64, gateways int, cheaterFraction, cheatProb float64, rounds int, price uint64) ReputationComparison {
 	return ReputationComparison{
-		Reputation:    reputation.Simulate(reputation.DefaultConfig(), seed, gateways, cheaterFraction, cheatProb, rounds, price),
+		Reputation:    reputation.Simulate(seed, gateways, cheaterFraction, cheatProb, rounds, price),
 		BcWANLossRate: 0,
 	}
 }

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"math"
 	"time"
-
-	"bcwan/internal/telemetry"
 )
 
 // SpreadingFactor is the LoRa spreading factor, SF7 (fastest) to SF12
@@ -149,8 +147,6 @@ type DutyCycle struct {
 	head   int        // index of oldest record
 	n      int        // live records
 	used   time.Duration
-
-	gauge *telemetry.Gauge
 }
 
 type txRecord struct {
@@ -164,21 +160,6 @@ func NewDutyCycle(limit float64) (*DutyCycle, error) {
 		return nil, fmt.Errorf("lora: duty cycle %f out of (0,1]", limit)
 	}
 	return &DutyCycle{limit: limit, window: dutyWindow}, nil
-}
-
-// Instrument points the limiter at a gauge that tracks its in-window
-// airtime as a fraction of the budget, in parts per million. A nil gauge
-// is a no-op.
-func (d *DutyCycle) Instrument(g *telemetry.Gauge) {
-	d.gauge = g
-	d.updateGauge()
-}
-
-func (d *DutyCycle) updateGauge() {
-	if d.gauge == nil {
-		return
-	}
-	d.gauge.Set(int64(float64(d.used) / float64(d.budget()) * 1e6))
 }
 
 // budget returns the allowed airtime per window.
@@ -248,7 +229,6 @@ func (d *DutyCycle) Record(start time.Time, airtime time.Duration) {
 		d.n++
 	}
 	d.used += airtime
-	d.updateGauge()
 }
 
 // grow doubles the ring, linearizing the live records to the front.
@@ -285,19 +265,14 @@ func (d *DutyCycle) insertSorted(r txRecord) {
 // of the ring.
 func (d *DutyCycle) prune(now time.Time) {
 	cutoff := now.Add(-d.window)
-	changed := false
 	for d.n > 0 && !d.buf[d.head].start.After(cutoff) {
 		d.used -= d.buf[d.head].airtime
 		d.buf[d.head] = txRecord{}
 		d.head = (d.head + 1) % len(d.buf)
 		d.n--
-		changed = true
 	}
 	if d.n == 0 {
 		d.head = 0
-	}
-	if changed {
-		d.updateGauge()
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"bcwan/internal/simtime"
-	"bcwan/internal/telemetry"
 )
 
 // Position is a 2D location in meters.
@@ -202,13 +201,9 @@ type Channel struct {
 	grid     map[cell][]*Radio
 	handlers int
 	active   map[airKey][]*transmission
-	inFlight int
 	scratch  []*Radio
 	// Stats counts channel-level outcomes for the experiment reports.
 	Stats ChannelStats
-
-	activeGauge *telemetry.Gauge
-	cellGauge   *telemetry.Gauge
 }
 
 // ChannelStats aggregates delivery outcomes.
@@ -232,16 +227,6 @@ func NewChannel(sched *simtime.Scheduler, model PathLossModel, phy PHYConfig) *C
 	}
 }
 
-// Instrument registers the channel gauges on reg. A nil registry is a
-// no-op.
-func (c *Channel) Instrument(reg *telemetry.Registry) {
-	ns := reg.Namespace("lora")
-	c.activeGauge = ns.Gauge("active_transmissions", "In-flight frames on the shared medium (including the collision-check grace window).")
-	c.cellGauge = ns.Gauge("grid_cells", "Occupied cells of the spatial radio index.")
-	c.activeGauge.Set(int64(c.inFlight))
-	c.cellGauge.Set(int64(len(c.grid)))
-}
-
 // NewRadio attaches a transceiver at the given position.
 func (c *Channel) NewRadio(name string, pos Position) *Radio {
 	r := &Radio{Name: name, id: len(c.radios), pos: pos, ch: c, halfDup: true}
@@ -258,7 +243,6 @@ func (c *Channel) cellOf(p Position) cell {
 
 func (c *Channel) gridInsert(r *Radio, at cell) {
 	c.grid[at] = append(c.grid[at], r)
-	c.cellGauge.Set(int64(len(c.grid)))
 }
 
 func (c *Channel) gridRemove(r *Radio, at cell) {
@@ -275,7 +259,6 @@ func (c *Channel) gridRemove(r *Radio, at cell) {
 	} else {
 		c.grid[at] = rs
 	}
-	c.cellGauge.Set(int64(len(c.grid)))
 }
 
 // neighborhood collects every handler-equipped radio within the 3×3 cells
@@ -318,8 +301,6 @@ func (r *Radio) Transmit(payload []byte, sf SpreadingFactor, freq FrequencyHz) (
 	}
 	key := airKey{freq: freq, sf: sf}
 	c.active[key] = append(c.active[key], tx)
-	c.inFlight++
-	c.activeGauge.Set(int64(c.inFlight))
 	c.Stats.Transmissions++
 	// The sender cannot receive while transmitting (half duplex).
 	if tx.end.After(r.busyTill) {
@@ -434,12 +415,10 @@ func (c *Channel) prune(now time.Time) {
 				keep = append(keep, tx)
 			}
 		}
-		c.inFlight -= len(txs) - len(keep)
 		if len(keep) == 0 {
 			delete(c.active, key)
 		} else {
 			c.active[key] = keep
 		}
 	}
-	c.activeGauge.Set(int64(c.inFlight))
 }

@@ -34,45 +34,25 @@ const (
 	OutcomeRefused
 )
 
-// Config tunes the reputation system.
-type Config struct {
-	// InitialScore is a new gateway's reputation.
-	InitialScore float64
-	// DeliverReward is added on honest delivery.
-	DeliverReward float64
-	// CheatPenalty is subtracted when the recipient reports
-	// non-delivery.
-	CheatPenalty float64
-	// TrustThreshold is the minimum score a recipient deals with.
-	TrustThreshold float64
-	// MaxScore caps accrued credit (0 = uncapped). Without a cap a
-	// patient adversary banks honest deliveries and then cheats several
-	// times before crossing the threshold; with MaxScore - CheatPenalty
-	// below TrustThreshold, ONE proven cheat ejects from any reachable
-	// score, which is what makes the chaos bounded-loss invariant
-	// structural rather than probabilistic.
-	MaxScore float64
-}
-
-// DefaultConfig gives new gateways the benefit of the doubt but caps
-// credit low enough that a single proven cheat ejects.
-func DefaultConfig() Config {
-	return Config{
-		InitialScore:   1.0,
-		DeliverReward:  0.1,
-		CheatPenalty:   0.6,
-		TrustThreshold: 0.5,
-		// Half a reward of headroom: 1.05 - 0.6 = 0.45 < 0.5.
-		MaxScore: 1.05,
-	}
-}
+// Scoring. New gateways get the benefit of the doubt, and credit is capped
+// low enough that a single proven cheat ejects: without a cap a patient
+// adversary banks honest deliveries and then cheats several times before
+// crossing the threshold; with maxScore - cheatPenalty below
+// trustThreshold (1.05 - 0.6 = 0.45 < 0.5), ONE proven cheat ejects from
+// any reachable score, which is what makes the chaos bounded-loss
+// invariant structural rather than probabilistic.
+const (
+	initialScore   = 1.0  // a new gateway's reputation
+	deliverReward  = 0.1  // added on honest delivery
+	cheatPenalty   = 0.6  // subtracted on a reported cheat or replay
+	trustThreshold = 0.5  // the minimum score a recipient deals with
+	maxScore       = 1.05 // the cap on accrued credit
+)
 
 // System is the recipients' shared reputation table. All methods are
 // safe for concurrent use; the stats are only exposed through Snapshot
 // so no caller can observe them without the lock.
 type System struct {
-	cfg Config
-
 	mu     sync.Mutex
 	scores map[string]float64
 	stats  Stats
@@ -95,8 +75,8 @@ type Stats struct {
 }
 
 // New creates a reputation system.
-func New(cfg Config) *System {
-	return &System{cfg: cfg, scores: make(map[string]float64)}
+func New() *System {
+	return &System{scores: make(map[string]float64)}
 }
 
 // IDFromHash derives the reputation identity of a gateway from its
@@ -134,16 +114,16 @@ func (s *System) scoreLocked(gatewayID string) float64 {
 	if v, ok := s.scores[gatewayID]; ok {
 		return v
 	}
-	return s.cfg.InitialScore
+	return initialScore
 }
 
 // Threshold returns the trust threshold below which recipients refuse a
 // gateway.
-func (s *System) Threshold() float64 { return s.cfg.TrustThreshold }
+func (s *System) Threshold() float64 { return trustThreshold }
 
 // Trusted reports whether a recipient would pay the gateway.
 func (s *System) Trusted(gatewayID string) bool {
-	return s.Score(gatewayID) >= s.cfg.TrustThreshold
+	return s.Score(gatewayID) >= trustThreshold
 }
 
 // ReportDelivered rewards a gateway for a completed exchange (the key
@@ -189,18 +169,14 @@ func (s *System) ReportRefused(gatewayID string) {
 }
 
 func (s *System) rewardLocked(gatewayID string) {
-	v := s.scoreLocked(gatewayID) + s.cfg.DeliverReward
-	if s.cfg.MaxScore > 0 && v > s.cfg.MaxScore {
-		v = s.cfg.MaxScore
-	}
-	s.scores[gatewayID] = v
+	s.scores[gatewayID] = min(s.scoreLocked(gatewayID)+deliverReward, maxScore)
 }
 
 func (s *System) penalizeLocked(gatewayID string) {
 	before := s.scoreLocked(gatewayID)
-	after := before - s.cfg.CheatPenalty
+	after := before - cheatPenalty
 	s.scores[gatewayID] = after
-	if before >= s.cfg.TrustThreshold && after < s.cfg.TrustThreshold {
+	if before >= trustThreshold && after < trustThreshold {
 		s.metrics.ejected()
 	}
 }
@@ -211,7 +187,7 @@ func (s *System) penalizeLocked(gatewayID string) {
 func (s *System) Exchange(gatewayID string, price uint64, cheats bool) Outcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.scoreLocked(gatewayID) < s.cfg.TrustThreshold {
+	if s.scoreLocked(gatewayID) < trustThreshold {
 		s.stats.Refused++
 		s.metrics.refused()
 		return OutcomeRefused
@@ -246,9 +222,9 @@ type SimResult struct {
 // BcWAN script exchange. All randomness comes from the caller's seed (a
 // private rand.Source, never the global one), so runs replay exactly and
 // stay data-race-free under concurrent Simulate calls.
-func Simulate(cfg Config, seed int64, gateways int, cheaterFraction, cheatProb float64, rounds int, price uint64) SimResult {
+func Simulate(seed int64, gateways int, cheaterFraction, cheatProb float64, rounds int, price uint64) SimResult {
 	rng := rand.New(rand.NewSource(seed))
-	sys := New(cfg)
+	sys := New()
 	ids := make([]string, gateways)
 	cheater := make([]bool, gateways)
 	for i := range ids {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestHonestGatewayGainsReputation(t *testing.T) {
-	s := New(DefaultConfig())
+	s := New()
 	before := s.Score("gw")
 	if got := s.Exchange("gw", 100, false); got != OutcomeDelivered {
 		t.Fatalf("outcome = %v", got)
@@ -22,20 +22,20 @@ func TestHonestGatewayGainsReputation(t *testing.T) {
 }
 
 func TestCheatingLosesPaymentAndReputation(t *testing.T) {
-	s := New(DefaultConfig())
+	s := New()
 	if got := s.Exchange("gw", 100, true); got != OutcomeCheated {
 		t.Fatalf("outcome = %v", got)
 	}
 	if lost := s.Snapshot().PaymentsLost; lost != 100 {
 		t.Fatalf("PaymentsLost = %d, want 100 (pay-first exchange)", lost)
 	}
-	if s.Score("gw") >= DefaultConfig().InitialScore {
+	if s.Score("gw") >= initialScore {
 		t.Fatal("score did not drop")
 	}
 }
 
 func TestRepeatOffenderEventuallyRefused(t *testing.T) {
-	s := New(DefaultConfig())
+	s := New()
 	refused := false
 	for i := 0; i < 10; i++ {
 		if s.Exchange("gw", 100, true) == OutcomeRefused {
@@ -55,19 +55,18 @@ func TestRepeatOffenderEventuallyRefused(t *testing.T) {
 }
 
 func TestUntrustedGatewayRefused(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.InitialScore = 0 // below threshold: nobody starts trusted
-	s := New(cfg)
+	s := New()
+	s.ReportWithheld("gw", 0) // one cheat: 1.0 - 0.6 is below the 0.5 threshold
 	if got := s.Exchange("gw", 100, false); got != OutcomeRefused {
 		t.Fatalf("outcome = %v, want refused", got)
 	}
 }
 
 func TestReportsAdjustScoreAndStats(t *testing.T) {
-	s := New(DefaultConfig())
+	s := New()
 	s.Instrument(telemetry.NewRegistry())
 	s.ReportDelivered("gw")
-	if got := s.Score("gw"); got <= DefaultConfig().InitialScore || got > DefaultConfig().MaxScore {
+	if got := s.Score("gw"); got <= initialScore || got > maxScore {
 		t.Fatalf("score after delivery = %v", got)
 	}
 	s.ReportWithheld("gw", 100)
@@ -84,7 +83,7 @@ func TestReportsAdjustScoreAndStats(t *testing.T) {
 }
 
 func TestConcurrentReportsRaceFree(t *testing.T) {
-	s := New(DefaultConfig())
+	s := New()
 	s.Instrument(telemetry.NewRegistry())
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -120,12 +119,12 @@ func TestConcurrentReportsRaceFree(t *testing.T) {
 // FIRST cheat, so a victim never pays a given adversary for more than
 // one withheld delivery.
 func TestCreditCapBoundsLossToOneCheat(t *testing.T) {
-	s := New(DefaultConfig())
+	s := New()
 	for i := 0; i < 50; i++ { // bank as much credit as the system allows
 		s.ReportDelivered("gw")
 	}
-	if got := s.Score("gw"); got > DefaultConfig().MaxScore {
-		t.Fatalf("score %v exceeds cap %v", got, DefaultConfig().MaxScore)
+	if got := s.Score("gw"); got > maxScore {
+		t.Fatalf("score %v exceeds cap %v", got, maxScore)
 	}
 	s.ReportWithheld("gw", 100)
 	if s.Trusted("gw") {
@@ -137,7 +136,7 @@ func TestCreditCapBoundsLossToOneCheat(t *testing.T) {
 }
 
 func TestSimulateAllHonestLosesNothing(t *testing.T) {
-	res := Simulate(DefaultConfig(), 1, 10, 0, 0, 2000, 100)
+	res := Simulate(1, 10, 0, 0, 2000, 100)
 	if res.PaymentsLost != 0 || res.LossRate != 0 {
 		t.Fatalf("loss = %d (%f)", res.PaymentsLost, res.LossRate)
 	}
@@ -148,7 +147,7 @@ func TestSimulateAllHonestLosesNothing(t *testing.T) {
 
 func TestSimulateCheatersCauseBoundedLoss(t *testing.T) {
 	// The §4.4 claim: reputation reduces but does not eliminate loss.
-	res := Simulate(DefaultConfig(), 42, 10, 0.3, 0.5, 5000, 100)
+	res := Simulate(42, 10, 0.3, 0.5, 5000, 100)
 	if res.PaymentsLost == 0 {
 		t.Fatal("cheaters caused no loss — reputation would equal fair exchange")
 	}
@@ -161,16 +160,16 @@ func TestSimulateCheatersCauseBoundedLoss(t *testing.T) {
 }
 
 func TestSimulateDeterministic(t *testing.T) {
-	a := Simulate(DefaultConfig(), 7, 10, 0.3, 0.5, 1000, 100)
-	b := Simulate(DefaultConfig(), 7, 10, 0.3, 0.5, 1000, 100)
+	a := Simulate(7, 10, 0.3, 0.5, 1000, 100)
+	b := Simulate(7, 10, 0.3, 0.5, 1000, 100)
 	if a != b {
 		t.Fatal("same seed produced different results")
 	}
 }
 
 func TestMoreAggressiveCheatingBanishedFaster(t *testing.T) {
-	gentle := Simulate(DefaultConfig(), 3, 10, 0.3, 0.1, 5000, 100)
-	brazen := Simulate(DefaultConfig(), 3, 10, 0.3, 1.0, 5000, 100)
+	gentle := Simulate(3, 10, 0.3, 0.1, 5000, 100)
+	brazen := Simulate(3, 10, 0.3, 1.0, 5000, 100)
 	// A brazen cheater is caught quickly, so per-exchange loss rate
 	// stays comparable or lower than sustained sneaky cheating at
 	// scale; at minimum both must lose something and refusals must be

@@ -9,8 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"bcwan/internal/lora"
-	"bcwan/internal/simtime"
 	"bcwan/internal/telemetry"
 )
 
@@ -159,59 +157,5 @@ func TestGetMetricsAgreesWithPrometheus(t *testing.T) {
 	if servedStable.String() != buf.String() {
 		t.Fatalf("expositions disagree:\n--- /metrics (stable series) ---\n%s\n--- getmetrics re-rendered ---\n%s",
 			servedStable.String(), buf.String())
-	}
-}
-
-// TestGetMetricsSeesSimulationGauges wires the discrete-event engine's
-// instrumentation — clock, radio medium, duty cycle — into a node registry
-// and asserts the gauges surface through the getmetrics RPC.
-func TestGetMetricsSeesSimulationGauges(t *testing.T) {
-	f := newFixture(t)
-	origin := time.Date(2018, 12, 10, 0, 0, 0, 0, time.UTC)
-
-	clk := simtime.NewSim(origin)
-	clk.Instrument(f.reg)
-	clk.NewTimer(time.Minute)
-
-	sched := simtime.NewScheduler(origin)
-	ch := lora.NewChannel(sched, lora.DefaultPathLoss(), lora.DefaultPHY())
-	ch.Instrument(f.reg)
-	gw := ch.NewRadio("gw", lora.Position{})
-	gw.OnReceive(func(lora.RxFrame) {})
-	dev := ch.NewRadio("dev", lora.Position{X: 500})
-	if _, err := dev.Transmit([]byte{1}, lora.SF7, lora.DefaultChannels[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	dc, err := lora.NewDutyCycle(0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc.Instrument(f.reg.Namespace("lora").Gauge(
-		"dutycycle_used_fraction", "In-window airtime over budget, in ppm."))
-	dc.Record(sched.Now(), 18*time.Second) // half the 36 s budget
-
-	var snap []telemetry.Metric
-	if err := f.client.Call(context.Background(), "getmetrics", &snap); err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]float64{}
-	for _, m := range snap {
-		got[m.Name] = m.Value
-	}
-	for name, want := range map[string]float64{
-		"bcwan_sim_pending_timers":           1,
-		"bcwan_lora_active_transmissions":    1,
-		"bcwan_lora_grid_cells":              1,
-		"bcwan_lora_dutycycle_used_fraction": 500_000,
-	} {
-		v, ok := got[name]
-		if !ok {
-			t.Errorf("getmetrics missing %s", name)
-			continue
-		}
-		if v != want {
-			t.Errorf("%s = %v, want %v", name, v, want)
-		}
 	}
 }

@@ -69,12 +69,6 @@ func UnlockChannelClose(recipientSig, gatewaySig []byte) Script {
 		Script()
 }
 
-// UnlockChannelRefund builds the funder's unlocking script for the refund
-// path after the lock time: <sig> <pubKey> OP_FALSE.
-func UnlockChannelRefund(sig, pubKey []byte) Script {
-	return NewBuilder().AddData(sig).AddData(pubKey).AddOp(OpFalse).Script()
-}
-
 func isChannel(instrs []Instruction) bool {
 	ops := []Opcode{
 		OpIf, 0, OpCheckSigVerify, 0, OpCheckSig,

@@ -98,7 +98,7 @@ func TestChannelRefundBoundary(t *testing.T) {
 	p := testChannelParams()
 	p.FunderPubKeyHash = rcKey.PubKeyHash()
 	lock := Channel(p)
-	unlock := UnlockChannelRefund(sig, rcKey.PublicBytes())
+	unlock := UnlockKeyReleaseRefund(sig, rcKey.PublicBytes())
 	checker := func(sig, pub []byte) bool { return bccrypto.VerifyECDigest(pub, digest, sig) }
 
 	// Exactly at the refund height: accepted.
@@ -116,7 +116,7 @@ func TestChannelRefundBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustFail(t, UnlockChannelRefund(otherSig, other.PublicBytes()), lock,
+	mustFail(t, UnlockKeyReleaseRefund(otherSig, other.PublicBytes()), lock,
 		fakeContext{sigOK: checker, lockTime: p.RefundHeight}, ErrEqualVerifyFailed)
 }
 

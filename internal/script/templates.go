@@ -142,9 +142,10 @@ func UnlockKeyReleaseClaim(sig, pubKey, rsaPrivKey []byte) Script {
 	return NewBuilder().AddData(sig).AddData(pubKey).AddData(rsaPrivKey).Script()
 }
 
-// UnlockKeyReleaseRefund builds the buyer's unlocking script for the
-// refund path after the lock time: <sig> <pubKey> <dummy>. The dummy fails
-// the pair check, steering evaluation into the OP_ELSE branch.
+// UnlockKeyReleaseRefund builds the unlocking script for the refund path
+// of a key-release or channel output after its lock time: <sig> <pubKey>
+// OP_FALSE. The OP_FALSE fails the pair check (or selects the channel
+// lock's OP_ELSE), steering evaluation into the refund branch.
 func UnlockKeyReleaseRefund(sig, pubKey []byte) Script {
 	return NewBuilder().AddData(sig).AddData(pubKey).AddOp(OpFalse).Script()
 }

@@ -1,21 +1,18 @@
-// Package simtime provides a clock abstraction with a real-time
-// implementation and a discrete-event simulated implementation.
+// Package simtime provides virtual time: Scheduler, a discrete-event
+// engine that runs callbacks in (deadline, arm order) on its caller's
+// goroutine, and a Clock with a real-time and a simulated implementation.
 //
-// All BcWAN protocol components take a Clock so that the experiment
-// harness can replay thousands of exchanges — whose real-world latency is
-// measured in seconds to minutes — in milliseconds of wall time, while the
-// daemons and examples run on the real clock.
+// The experiment campaigns, the city campaign and the radio model run on
+// a Scheduler. Today only chaos.Net's message delays take a Clock: Real
+// by default, a Sim in its tests. The daemons read the wall clock.
 package simtime
 
 import (
-	"container/heap"
 	"sync"
 	"time"
-
-	"bcwan/internal/telemetry"
 )
 
-// Clock is the time source used by all protocol components.
+// Clock is a time source that can be real or simulated.
 type Clock interface {
 	// Now returns the current instant.
 	Now() time.Time
@@ -67,46 +64,33 @@ type realTimer struct{ t *time.Timer }
 func (rt realTimer) C() <-chan time.Time { return rt.t.C }
 func (rt realTimer) Stop() bool          { return rt.t.Stop() }
 
-// Sim is a discrete-event simulated Clock. Goroutines that Sleep on a Sim
-// clock are suspended until the driver advances virtual time past their
-// wake-up instant via Advance or Step.
+// Sim is a simulated Clock for goroutines: those that Sleep on it are
+// suspended until the driver advances virtual time past their wake-up
+// instant via Advance or Step.
 //
-// Pending timers live in a min-heap keyed on (deadline, arm sequence), so
-// arming and firing are O(log n) and timers sharing a deadline fire in the
-// order they were armed (FIFO) — the fire order is deterministic no matter
-// how many timers are pending.
+// Sim is a mutex around a Scheduler. Each pending timer is one event on
+// it, so timers fire in (deadline, arm order) — FIFO among equal
+// deadlines — and arming, firing and stopping are O(log n).
 //
 // The zero value is not usable; construct with NewSim.
 type Sim struct {
-	mu      sync.Mutex
-	now     time.Time
-	seq     uint64
-	timers  timerHeap
-	pending *telemetry.Gauge
+	mu    sync.Mutex
+	sched *Scheduler
+	due   *simTimer // set by the event Step just ran
 }
 
 var _ Clock = (*Sim)(nil)
 
 // NewSim returns a simulated clock starting at the given origin.
 func NewSim(origin time.Time) *Sim {
-	return &Sim{now: origin}
-}
-
-// Instrument registers the bcwan_sim_pending_timers gauge on reg. A nil
-// registry is a no-op.
-func (s *Sim) Instrument(reg *telemetry.Registry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pending = reg.Namespace("sim").Gauge(
-		"pending_timers", "Timers waiting to fire on the simulated clock.")
-	s.pending.Set(int64(len(s.timers)))
+	return &Sim{sched: NewScheduler(origin)}
 }
 
 // Now implements Clock.
 func (s *Sim) Now() time.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.now
+	return s.sched.Now()
 }
 
 // Sleep implements Clock. It suspends the caller until virtual time
@@ -128,132 +112,77 @@ func (s *Sim) After(d time.Duration) <-chan time.Time {
 func (s *Sim) NewTimer(d time.Duration) Timer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := &simTimer{sim: s, ch: make(chan time.Time, 1), idx: -1}
+	t := &simTimer{sim: s, ch: make(chan time.Time, 1)}
 	if d <= 0 {
-		t.ch <- s.now
+		t.ch <- s.sched.Now()
 		return t
 	}
-	t.at = s.now.Add(d)
-	s.seq++
-	t.seq = s.seq
-	heap.Push(&s.timers, t)
-	s.pending.Set(int64(len(s.timers)))
+	t.ev = s.sched.After(d, func(time.Time) { s.due = t })
 	return t
 }
 
 // Advance moves virtual time forward by d, firing every timer whose
 // deadline falls inside the window in deadline order (FIFO among equal
-// deadlines).
-//
-// Fire times are delivered with s.mu released: the buffered channel means
-// the send can never block today, but dropping the lock first guarantees a
-// receiver that wakes immediately and re-arms via After/NewTimer cannot
-// deadlock against Advance even if the channel contract ever changes. A
-// timer armed by such a receiver joins this same window if its deadline is
-// inside it.
+// deadlines). A timer armed by a receiver woken inside the window joins
+// it if its deadline is inside it.
 func (s *Sim) Advance(d time.Duration) {
 	s.mu.Lock()
-	target := s.now.Add(d)
-	for len(s.timers) > 0 && !s.timers[0].at.After(target) {
-		t := heap.Pop(&s.timers).(*simTimer)
-		t.idx = -1
-		s.now = t.at
-		s.pending.Set(int64(len(s.timers)))
-		s.mu.Unlock()
-		t.ch <- t.at
-		s.mu.Lock()
-		if target.Before(s.now) {
-			// A concurrent Advance moved time past our window while the
-			// lock was released; never rewind.
-			target = s.now
-		}
+	target := s.sched.Now().Add(d)
+	for s.sched.Len() > 0 && !s.sched.queue[0].at.After(target) {
+		s.fire()
 	}
-	if s.now.Before(target) {
-		s.now = target
-	}
+	// A concurrent Advance may have moved time past target while the lock
+	// was released; RunUntil never rewinds.
+	s.sched.RunUntil(target)
 	s.mu.Unlock()
 }
 
 // Step advances virtual time to the next pending timer deadline and fires
-// it. It reports whether a timer was pending. Like Advance, the fire time
-// is delivered with the lock released.
+// it. It reports whether a timer was pending.
 func (s *Sim) Step() bool {
 	s.mu.Lock()
-	if len(s.timers) == 0 {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.sched.Len() == 0 {
 		return false
 	}
-	t := heap.Pop(&s.timers).(*simTimer)
-	t.idx = -1
-	s.now = t.at
-	s.pending.Set(int64(len(s.timers)))
-	s.mu.Unlock()
-	t.ch <- t.at
+	s.fire()
 	return true
+}
+
+// fire runs the earliest event, which marks its timer due, and delivers
+// the fire time with s.mu released: the buffered channel means the send
+// can never block today, but dropping the lock first guarantees a
+// receiver that wakes immediately and re-arms cannot deadlock against the
+// driver even if the channel contract ever changes. The caller holds s.mu.
+func (s *Sim) fire() {
+	s.sched.Step()
+	t, at := s.due, s.sched.Now()
+	s.due = nil
+	s.mu.Unlock()
+	t.ch <- at
+	s.mu.Lock()
 }
 
 // Pending reports how many timers are waiting to fire.
 func (s *Sim) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.timers)
+	return s.sched.Len()
 }
 
 // simTimer is a pending (or fired) one-shot timer on a Sim clock.
 type simTimer struct {
 	sim *Sim
-	at  time.Time
-	seq uint64
+	ev  *Event // nil for a timer that fired when armed
 	ch  chan time.Time
-	idx int // heap index, -1 once fired or stopped
 }
 
 func (t *simTimer) C() <-chan time.Time { return t.ch }
 
-// Stop removes the timer from the heap in O(log n) via its tracked index.
+// Stop cancels the timer's event. Event.Cancel is nil-safe, so a timer
+// that fired when armed reports false.
 func (t *simTimer) Stop() bool {
-	s := t.sim
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t.idx < 0 {
-		return false
-	}
-	heap.Remove(&s.timers, t.idx)
-	t.idx = -1
-	s.pending.Set(int64(len(s.timers)))
-	return true
-}
-
-// timerHeap is a min-heap ordered by (at, seq) with index tracking for
-// O(log n) cancellation.
-type timerHeap []*simTimer
-
-func (h timerHeap) Len() int { return len(h) }
-
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at.Equal(h[j].at) {
-		return h[i].seq < h[j].seq
-	}
-	return h[i].at.Before(h[j].at)
-}
-
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-
-func (h *timerHeap) Push(x any) {
-	t := x.(*simTimer)
-	t.idx = len(*h)
-	*h = append(*h, t)
-}
-
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+	t.sim.mu.Lock()
+	defer t.sim.mu.Unlock()
+	return t.ev.Cancel()
 }

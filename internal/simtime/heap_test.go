@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"bcwan/internal/telemetry"
 )
 
 // seedSim is the pre-heap Sim engine, copied verbatim from the seed tree:
@@ -316,7 +314,7 @@ func TestSimTimerStopMiddleOfHeap(t *testing.T) {
 func (s *Sim) timeUntil(tm Timer) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return tm.(*simTimer).at.Sub(s.now)
+	return tm.(*simTimer).ev.at.Sub(s.sched.now)
 }
 
 func TestRealTimerStop(t *testing.T) {
@@ -464,41 +462,6 @@ func TestSchedulerCancelPreservesFIFO(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("ran %v, want %v", got, want)
 		}
-	}
-}
-
-func TestPendingTimerGauges(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	s := NewSim(origin)
-	s.Instrument(reg)
-	tm := s.NewTimer(time.Second)
-	s.NewTimer(2 * time.Second)
-	g := reg.Gauge("bcwan_sim_pending_timers", "")
-	if g.Value() != 2 {
-		t.Fatalf("pending gauge = %d, want 2", g.Value())
-	}
-	tm.Stop()
-	if g.Value() != 1 {
-		t.Fatalf("pending gauge after Stop = %d, want 1", g.Value())
-	}
-	s.Advance(time.Hour)
-	if g.Value() != 0 {
-		t.Fatalf("pending gauge after Advance = %d, want 0", g.Value())
-	}
-
-	reg2 := telemetry.NewRegistry()
-	sc := NewScheduler(origin)
-	sc.Instrument(reg2)
-	ev := sc.After(time.Second, func(time.Time) {})
-	sc.After(2*time.Second, func(time.Time) {})
-	g2 := reg2.Gauge("bcwan_sim_pending_timers", "")
-	if g2.Value() != 2 {
-		t.Fatalf("scheduler gauge = %d, want 2", g2.Value())
-	}
-	ev.Cancel()
-	sc.Run()
-	if g2.Value() != 0 {
-		t.Fatalf("scheduler gauge after run = %d, want 0", g2.Value())
 	}
 }
 

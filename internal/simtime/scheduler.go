@@ -3,8 +3,6 @@ package simtime
 import (
 	"container/heap"
 	"time"
-
-	"bcwan/internal/telemetry"
 )
 
 // Scheduler is a deterministic discrete-event scheduler. Events are
@@ -15,10 +13,9 @@ import (
 // Handlers may schedule further events; Run keeps going until the queue is
 // empty or the optional horizon is reached.
 type Scheduler struct {
-	now     time.Time
-	queue   eventQueue
-	seq     uint64
-	pending *telemetry.Gauge
+	now   time.Time
+	queue eventQueue
+	seq   uint64
 }
 
 // Event is a scheduled callback handle. It can be cancelled while still
@@ -42,21 +39,12 @@ func (e *Event) Cancel() bool {
 	heap.Remove(&s.queue, e.idx)
 	e.idx = -1
 	e.fn = nil
-	s.pending.Set(int64(len(s.queue)))
 	return true
 }
 
 // NewScheduler returns a Scheduler whose virtual time starts at origin.
 func NewScheduler(origin time.Time) *Scheduler {
 	return &Scheduler{now: origin}
-}
-
-// Instrument registers the bcwan_sim_pending_timers gauge on reg. A nil
-// registry is a no-op.
-func (s *Scheduler) Instrument(reg *telemetry.Registry) {
-	s.pending = reg.Namespace("sim").Gauge(
-		"pending_timers", "Events waiting to run on the discrete-event scheduler.")
-	s.pending.Set(int64(len(s.queue)))
 }
 
 // Now returns the current virtual time.
@@ -72,7 +60,6 @@ func (s *Scheduler) At(t time.Time, fn func(now time.Time)) *Event {
 	s.seq++
 	ev := &Event{at: t, seq: s.seq, fn: fn, sched: s}
 	heap.Push(&s.queue, ev)
-	s.pending.Set(int64(len(s.queue)))
 	return ev
 }
 
@@ -96,7 +83,6 @@ func (s *Scheduler) Step() bool {
 	}
 	ev.idx = -1
 	s.now = ev.at
-	s.pending.Set(int64(len(s.queue)))
 	ev.fn(s.now)
 	return true
 }

@@ -196,35 +196,10 @@ func (w *Wallet) SignChannelDigest(digest [32]byte) ([]byte, error) {
 	return sig, nil
 }
 
-// BuildChannelRefund spends a channel funding output through the
-// time-locked refund path, reclaiming the full capacity minus fee to the
-// funder. The transaction carries LockTime = refundHeight, so the chain
-// will not accept it before that height.
-func (w *Wallet) BuildChannelRefund(prev chain.OutPoint, prevOut chain.TxOut, refundHeight int64, fee uint64) (*chain.Tx, error) {
-	if prevOut.Value < fee {
-		return nil, fmt.Errorf("%w: output %d below fee %d", ErrInsufficientFunds, prevOut.Value, fee)
-	}
-	tx := &chain.Tx{
-		Version:  1,
-		LockTime: refundHeight,
-		Inputs:   []chain.TxIn{{Prev: prev}},
-		Outputs: []chain.TxOut{{
-			Value: prevOut.Value - fee,
-			Lock:  script.PayToPubKeyHash(w.PubKeyHash()),
-		}},
-	}
-	digest := tx.SigHash(0, prevOut.Lock)
-	sig, err := w.key.SignDigest(w.random, digest[:])
-	if err != nil {
-		return nil, fmt.Errorf("wallet: sign channel refund: %w", err)
-	}
-	tx.Inputs[0].Unlock = script.UnlockChannelRefund(sig, w.PublicBytes())
-	return tx, nil
-}
-
-// BuildRefund spends a key-release output through the time-locked refund
-// path. The transaction carries LockTime = refundHeight, so the chain will
-// not accept it before that height.
+// BuildRefund spends a key-release or channel funding output through its
+// time-locked refund path, reclaiming the value minus fee to the wallet.
+// The transaction carries LockTime = refundHeight, so the chain will not
+// accept it before that height.
 func (w *Wallet) BuildRefund(prev chain.OutPoint, prevOut chain.TxOut, refundHeight int64, fee uint64) (*chain.Tx, error) {
 	if prevOut.Value < fee {
 		return nil, fmt.Errorf("%w: output %d below fee %d", ErrInsufficientFunds, prevOut.Value, fee)
