@@ -86,7 +86,8 @@ lint:
 	govulncheck ./...
 
 # Coverage-guided smoke of every hostile-input surface: the script
-# verifier (consensus-critical) plus the decoders fed by
+# verifier (consensus-critical) and its template matchers against
+# Parse-based references, plus the decoders fed by
 # unauthenticated peers — directory bindings, channel messages, sync
 # messages, relay and compact-block messages, gateway deliveries — and
 # keygen's fixed-width primality tests (the base-2 prefilter and the
@@ -95,6 +96,7 @@ lint:
 # target; only the nightly matrix repeats the list.
 fuzz:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=30s -run '^$$' ./internal/script/
+	$(GO) test -fuzz=FuzzTemplates -fuzztime=15s -run '^$$' ./internal/script/
 	$(GO) test -fuzz=FuzzDecodeBinding -fuzztime=15s -run '^$$' ./internal/registry/
 	$(GO) test -fuzz=FuzzChannelMsgDecode -fuzztime=15s -run '^$$' ./internal/p2p/
 	$(GO) test -fuzz=FuzzSyncMsgDecode -fuzztime=15s -run '^$$' ./internal/p2p/

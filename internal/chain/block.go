@@ -43,23 +43,14 @@ var (
 // digest returns the header digest the miner signs (every field except the
 // signature itself).
 func (h *Header) digest() Hash {
-	var buf bytes.Buffer
-	writeInt64(&buf, int64(h.Version))
-	buf.Write(h.PrevBlock[:])
-	buf.Write(h.MerkleRoot[:])
-	writeInt64(&buf, h.Time)
-	writeInt64(&buf, h.Height)
-	writeVarBytes(&buf, h.MinerPubKey)
-	return Hash(bccrypto.DoubleSHA256(buf.Bytes()))
+	return Hash(bccrypto.DoubleSHA256(h.appendUnsigned(make([]byte, 0, h.serializedSize()))))
 }
 
 // ID returns the block hash: the double SHA-256 of the full serialized
 // header including the miner signature. The compact relay uses it to
 // key a sketch to its block without shipping the body.
 func (h *Header) ID() Hash {
-	var buf bytes.Buffer
-	h.serialize(&buf)
-	return Hash(bccrypto.DoubleSHA256(buf.Bytes()))
+	return Hash(bccrypto.DoubleSHA256(h.Serialize()))
 }
 
 // ID returns the block hash.
@@ -109,25 +100,39 @@ func MerkleRoot(txs []*Tx) Hash {
 	return level[0]
 }
 
-func (h *Header) serialize(buf *bytes.Buffer) {
-	writeInt64(buf, int64(h.Version))
-	buf.Write(h.PrevBlock[:])
-	buf.Write(h.MerkleRoot[:])
-	writeInt64(buf, h.Time)
-	writeInt64(buf, h.Height)
-	writeVarBytes(buf, h.MinerPubKey)
-	writeVarBytes(buf, h.Signature)
+// serializedSize returns the length of the header's encoding.
+func (h *Header) serializedSize() int {
+	return 8 + len(h.PrevBlock) + len(h.MerkleRoot) + 8 + 8 + varBytesLen(h.MinerPubKey) + varBytesLen(h.Signature)
 }
 
-// Serialize encodes the block.
+// appendUnsigned appends every header field but the signature: the
+// digest the miner signs.
+func (h *Header) appendUnsigned(b []byte) []byte {
+	b = appendInt64(b, int64(h.Version))
+	b = append(b, h.PrevBlock[:]...)
+	b = append(b, h.MerkleRoot[:]...)
+	b = appendInt64(b, h.Time)
+	b = appendInt64(b, h.Height)
+	return appendVarBytes(b, h.MinerPubKey)
+}
+
+// appendTo appends the header's encoding.
+func (h *Header) appendTo(b []byte) []byte {
+	return appendVarBytes(h.appendUnsigned(b), h.Signature)
+}
+
+// Serialize encodes the block into one slice of exactly its length.
 func (b *Block) Serialize() []byte {
-	var buf bytes.Buffer
-	b.Header.serialize(&buf)
-	writeVarInt(&buf, uint64(len(b.Txs)))
+	n := b.Header.serializedSize() + varIntLen(uint64(len(b.Txs)))
 	for _, tx := range b.Txs {
-		writeVarBytes(&buf, tx.memoized().raw)
+		n += varBytesLen(tx.memoized().raw)
 	}
-	return buf.Bytes()
+	out := b.Header.appendTo(make([]byte, 0, n))
+	out = appendVarInt(out, uint64(len(b.Txs)))
+	for _, tx := range b.Txs {
+		out = appendVarBytes(out, tx.memoized().raw)
+	}
+	return out
 }
 
 // readHeader parses a serialized header from r; shared by the full

@@ -145,16 +145,13 @@ func (cb *CompactBlock) finish(txs []*Tx) (*Block, error) {
 
 // Serialize encodes the compact block for the wire.
 func (cb *CompactBlock) Serialize() []byte {
-	var buf bytes.Buffer
-	cb.Header.serialize(&buf)
-	writeVarInt(&buf, uint64(len(cb.ShortIDs)))
-	var sid [8]byte
+	n := cb.Header.serializedSize() + varIntLen(uint64(len(cb.ShortIDs))) + 8*len(cb.ShortIDs) + prefilledSize(cb.Prefilled)
+	b := cb.Header.appendTo(make([]byte, 0, n))
+	b = appendVarInt(b, uint64(len(cb.ShortIDs)))
 	for _, s := range cb.ShortIDs {
-		binary.BigEndian.PutUint64(sid[:], s)
-		buf.Write(sid[:])
+		b = binary.BigEndian.AppendUint64(b, s)
 	}
-	writePrefilled(&buf, cb.Prefilled)
-	return buf.Bytes()
+	return appendPrefilled(b, cb.Prefilled)
 }
 
 // DeserializeCompactBlock parses a Serialize encoding.
@@ -194,13 +191,11 @@ func DeserializeCompactBlock(data []byte) (*CompactBlock, error) {
 // EncodeGetBlockTxn frames a request for the block's transactions at
 // the given absolute indexes.
 func EncodeGetBlockTxn(blockID Hash, indexes []uint32) []byte {
-	var buf bytes.Buffer
-	buf.Write(blockID[:])
-	writeVarInt(&buf, uint64(len(indexes)))
+	b := appendVarInt(append([]byte(nil), blockID[:]...), uint64(len(indexes)))
 	for _, i := range indexes {
-		writeVarInt(&buf, uint64(i))
+		b = appendVarInt(b, uint64(i))
 	}
-	return buf.Bytes()
+	return b
 }
 
 // DecodeGetBlockTxn parses an EncodeGetBlockTxn frame.
@@ -231,10 +226,8 @@ func DecodeGetBlockTxn(data []byte) (Hash, []uint32, error) {
 // EncodeBlockTxn frames the answer to a getblocktxn: the requested
 // transactions in full, pinned to their indexes.
 func EncodeBlockTxn(blockID Hash, txs []PrefilledTx) []byte {
-	var buf bytes.Buffer
-	buf.Write(blockID[:])
-	writePrefilled(&buf, txs)
-	return buf.Bytes()
+	b := append(make([]byte, 0, len(blockID)+prefilledSize(txs)), blockID[:]...)
+	return appendPrefilled(b, txs)
 }
 
 // DecodeBlockTxn parses an EncodeBlockTxn frame.
@@ -254,12 +247,22 @@ func DecodeBlockTxn(data []byte) (Hash, []PrefilledTx, error) {
 	return id, txs, nil
 }
 
-func writePrefilled(buf *bytes.Buffer, txs []PrefilledTx) {
-	writeVarInt(buf, uint64(len(txs)))
+// prefilledSize returns the length appendPrefilled adds.
+func prefilledSize(txs []PrefilledTx) int {
+	n := varIntLen(uint64(len(txs)))
 	for _, p := range txs {
-		writeVarInt(buf, uint64(p.Index))
-		writeVarBytes(buf, p.Tx.memoized().raw)
+		n += varIntLen(uint64(p.Index)) + varBytesLen(p.Tx.memoized().raw)
 	}
+	return n
+}
+
+func appendPrefilled(b []byte, txs []PrefilledTx) []byte {
+	b = appendVarInt(b, uint64(len(txs)))
+	for _, p := range txs {
+		b = appendVarInt(b, uint64(p.Index))
+		b = appendVarBytes(b, p.Tx.memoized().raw)
+	}
+	return b
 }
 
 func readPrefilled(r *bytes.Reader) ([]PrefilledTx, error) {

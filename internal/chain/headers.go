@@ -27,9 +27,7 @@ var (
 // Serialize encodes the header (the same encoding a full block starts
 // with, so header IDs match block IDs).
 func (h *Header) Serialize() []byte {
-	var buf bytes.Buffer
-	h.serialize(&buf)
-	return buf.Bytes()
+	return h.appendTo(make([]byte, 0, h.serializedSize()))
 }
 
 // DeserializeHeader parses a header produced by Serialize.

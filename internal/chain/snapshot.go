@@ -54,14 +54,17 @@ type SnapshotCommitment struct {
 
 // digest returns the signed portion of the commitment.
 func (sc *SnapshotCommitment) digest() Hash {
-	var buf bytes.Buffer
-	writeInt64(&buf, int64(sc.Version))
-	writeInt64(&buf, sc.Height)
-	buf.Write(sc.BlockID[:])
-	buf.Write(sc.UTXOHash[:])
-	writeInt64(&buf, sc.UTXOSize)
-	writeVarBytes(&buf, sc.MinerPubKey)
-	return Hash(bccrypto.DoubleSHA256(buf.Bytes()))
+	return Hash(bccrypto.DoubleSHA256(sc.appendUnsigned(nil)))
+}
+
+// appendUnsigned appends every field but the signature.
+func (sc *SnapshotCommitment) appendUnsigned(b []byte) []byte {
+	b = appendInt64(b, int64(sc.Version))
+	b = appendInt64(b, sc.Height)
+	b = append(b, sc.BlockID[:]...)
+	b = append(b, sc.UTXOHash[:]...)
+	b = appendInt64(b, sc.UTXOSize)
+	return appendVarBytes(b, sc.MinerPubKey)
 }
 
 // Sign signs the commitment with the miner key.
@@ -84,15 +87,7 @@ func (sc *SnapshotCommitment) VerifySignature() bool {
 
 // Serialize encodes the commitment.
 func (sc *SnapshotCommitment) Serialize() []byte {
-	var buf bytes.Buffer
-	writeInt64(&buf, int64(sc.Version))
-	writeInt64(&buf, sc.Height)
-	buf.Write(sc.BlockID[:])
-	buf.Write(sc.UTXOHash[:])
-	writeInt64(&buf, sc.UTXOSize)
-	writeVarBytes(&buf, sc.MinerPubKey)
-	writeVarBytes(&buf, sc.Signature)
-	return buf.Bytes()
+	return appendVarBytes(sc.appendUnsigned(nil), sc.Signature)
 }
 
 // ID is the commitment's relay identity: the double SHA-256 of its

@@ -122,23 +122,61 @@ func (tx *Tx) Serialize() []byte {
 // SerializedSize returns the canonical encoding length without copying.
 func (tx *Tx) SerializedSize() int { return len(tx.memoized().raw) }
 
-// encode performs the actual canonical encoding.
+// encode performs the actual canonical encoding into one slice of
+// exactly its length.
 func (tx *Tx) encode() []byte {
-	var buf bytes.Buffer
-	writeInt64(&buf, int64(tx.Version))
-	writeVarInt(&buf, uint64(len(tx.Inputs)))
-	for _, in := range tx.Inputs {
-		buf.Write(in.Prev.TxID[:])
-		writeUint32(&buf, in.Prev.Index)
-		writeVarBytes(&buf, in.Unlock)
+	return tx.appendEncoding(make([]byte, 0, tx.encodedSize(nil)), nil)
+}
+
+// sigInput turns a transaction encoding into the body of a signature
+// preimage: every unlocking script is cleared and the signed input's
+// slot carries the previous output's locking script. A nil *sigInput
+// leaves each input's own unlocking script in place (the canonical
+// encoding).
+type sigInput struct {
+	index    int
+	prevLock script.Script
+}
+
+// unlock returns what input i contributes as its unlocking script.
+func (s *sigInput) unlock(i int, own script.Script) script.Script {
+	switch {
+	case s == nil:
+		return own
+	case i == s.index:
+		return s.prevLock
+	default:
+		return nil
 	}
-	writeVarInt(&buf, uint64(len(tx.Outputs)))
+}
+
+// encodedSize returns the length appendEncoding adds.
+func (tx *Tx) encodedSize(sig *sigInput) int {
+	n := 8 + varIntLen(uint64(len(tx.Inputs))) + varIntLen(uint64(len(tx.Outputs))) + 8
+	for i, in := range tx.Inputs {
+		n += len(in.Prev.TxID) + 4 + varBytesLen(sig.unlock(i, in.Unlock))
+	}
 	for _, out := range tx.Outputs {
-		writeUint64(&buf, out.Value)
-		writeVarBytes(&buf, out.Lock)
+		n += 8 + varBytesLen(out.Lock)
 	}
-	writeInt64(&buf, tx.LockTime)
-	return buf.Bytes()
+	return n
+}
+
+// appendEncoding appends the transaction's encoding to b.
+func (tx *Tx) appendEncoding(b []byte, sig *sigInput) []byte {
+	b = appendInt64(b, int64(tx.Version))
+	b = appendVarInt(b, uint64(len(tx.Inputs)))
+	for i, in := range tx.Inputs {
+		b = append(b, in.Prev.TxID[:]...)
+		b = binary.LittleEndian.AppendUint32(b, in.Prev.Index)
+		b = appendVarBytes(b, sig.unlock(i, in.Unlock))
+	}
+	b = appendVarInt(b, uint64(len(tx.Outputs)))
+	for _, out := range tx.Outputs {
+		b = binary.LittleEndian.AppendUint64(b, out.Value)
+		b = appendVarBytes(b, out.Lock)
+	}
+	return appendInt64(b, tx.LockTime)
 }
 
 // DeserializeTx parses a transaction produced by Serialize.
@@ -242,22 +280,11 @@ const coinbaseIndex = 0xffffffff
 // the signed input's slot replaced by the previous output's locking
 // script, plus the input index.
 func (tx *Tx) SigHash(inputIndex int, prevLock script.Script) Hash {
-	clone := Tx{
-		Version:  tx.Version,
-		Inputs:   make([]TxIn, len(tx.Inputs)),
-		Outputs:  tx.Outputs,
-		LockTime: tx.LockTime,
-	}
-	for i, in := range tx.Inputs {
-		clone.Inputs[i].Prev = in.Prev
-		if i == inputIndex {
-			clone.Inputs[i].Unlock = prevLock
-		}
-	}
-	var buf bytes.Buffer
-	buf.Write(clone.encode())
-	writeUint32(&buf, uint32(inputIndex))
-	return Hash(bccrypto.DoubleSHA256(buf.Bytes()))
+	sig := &sigInput{index: inputIndex, prevLock: prevLock}
+	preimage := make([]byte, 0, tx.encodedSize(sig)+4)
+	preimage = tx.appendEncoding(preimage, sig)
+	preimage = binary.LittleEndian.AppendUint32(preimage, uint32(inputIndex))
+	return Hash(bccrypto.DoubleSHA256(preimage))
 }
 
 // sigContext adapts a (tx, input) pair to script.Context.
@@ -293,42 +320,39 @@ func (tx *Tx) VerifyInput(inputIndex int, prevLock script.Script) error {
 // Binary encoding helpers (little-endian fixed ints, Bitcoin-style
 // varints).
 
-func writeUint32(w *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Write(b[:])
-}
+func appendInt64(b []byte, v int64) []byte { return binary.LittleEndian.AppendUint64(b, uint64(v)) }
 
-func writeUint64(w *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Write(b[:])
-}
-
-func writeInt64(w *bytes.Buffer, v int64) { writeUint64(w, uint64(v)) }
-
-func writeVarInt(w *bytes.Buffer, v uint64) {
+func appendVarInt(b []byte, v uint64) []byte {
 	switch {
 	case v < 0xfd:
-		w.WriteByte(byte(v))
+		return append(b, byte(v))
 	case v <= 0xffff:
-		w.WriteByte(0xfd)
-		var b [2]byte
-		binary.LittleEndian.PutUint16(b[:], uint16(v))
-		w.Write(b[:])
+		return binary.LittleEndian.AppendUint16(append(b, 0xfd), uint16(v))
 	case v <= 0xffffffff:
-		w.WriteByte(0xfe)
-		writeUint32(w, uint32(v))
+		return binary.LittleEndian.AppendUint32(append(b, 0xfe), uint32(v))
 	default:
-		w.WriteByte(0xff)
-		writeUint64(w, v)
+		return binary.LittleEndian.AppendUint64(append(b, 0xff), v)
 	}
 }
 
-func writeVarBytes(w *bytes.Buffer, b []byte) {
-	writeVarInt(w, uint64(len(b)))
-	w.Write(b)
+// varIntLen returns the length appendVarInt adds for v.
+func varIntLen(v uint64) int {
+	switch {
+	case v < 0xfd:
+		return 1
+	case v <= 0xffff:
+		return 3
+	case v <= 0xffffffff:
+		return 5
+	default:
+		return 9
+	}
 }
+
+func appendVarBytes(b, p []byte) []byte { return append(appendVarInt(b, uint64(len(p))), p...) }
+
+// varBytesLen returns the length appendVarBytes adds for p.
+func varBytesLen(p []byte) int { return varIntLen(uint64(len(p))) + len(p) }
 
 func readUint32(r *bytes.Reader) (uint32, error) {
 	var b [4]byte

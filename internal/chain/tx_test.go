@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"bcwan/internal/bccrypto"
 	"bcwan/internal/script"
 )
 
@@ -155,9 +156,11 @@ func TestHashFromString(t *testing.T) {
 
 func TestVarIntRoundTrip(t *testing.T) {
 	for _, v := range []uint64{0, 1, 0xfc, 0xfd, 0xffff, 0x10000, 0xffffffff, 0x100000000, 1 << 60} {
-		var buf bytes.Buffer
-		writeVarInt(&buf, v)
-		got, err := readVarInt(bytes.NewReader(buf.Bytes()))
+		buf := appendVarInt(nil, v)
+		if len(buf) != varIntLen(v) {
+			t.Fatalf("varint %d: %d bytes, varIntLen says %d", v, len(buf), varIntLen(v))
+		}
+		got, err := readVarInt(bytes.NewReader(buf))
 		if err != nil {
 			t.Fatalf("readVarInt(%d): %v", v, err)
 		}
@@ -201,5 +204,41 @@ func TestCheckTxSanity(t *testing.T) {
 	zeroPrev.Inputs[0].Prev = OutPoint{} // zero txid but not coinbase index
 	if err := CheckTxSanity(zeroPrev); !errors.Is(err, ErrBadCoinbase) {
 		t.Errorf("zero prev err = %v, want ErrBadCoinbase", err)
+	}
+}
+
+// TestEncodingsSizedOnceGolden pins the transaction, signature-preimage,
+// header and block encodings (a 300-byte unlock takes the 3-byte varint)
+// and checks each is built in one slice of exactly its length.
+func TestEncodingsSizedOnceGolden(t *testing.T) {
+	tx := sampleTx()
+	tx.Inputs = append(tx.Inputs, TxIn{Prev: OutPoint{TxID: Hash{0x09}, Index: 300}, Unlock: make([]byte, 300)})
+	h := Header{Version: 1, PrevBlock: Hash{7}, MerkleRoot: Hash{8}, Time: 9, Height: 10,
+		MinerPubKey: []byte("miner"), Signature: []byte("sig")}
+	b := &Block{Header: h, Txs: []*Tx{tx, sampleTx()}}
+	for _, c := range []struct {
+		name, want string
+		got        Hash
+	}{
+		{"sighash", "4274c35c5d6e150a78bc59d12079de648e4e673ac045b2dc16dcdf76423f654d",
+			tx.SigHash(1, script.PayToPubKeyHash([20]byte{0xbb}))},
+		{"txid", "165edcd71bd939390ee92fa3e07eab87257ac3c7149a0a50616e7405d2cbb754", tx.ID()},
+		{"block", "131e6ff3d9d68cbc1f85f8cc7f992d2f9e4373fb0dc4d873a59187931d2f4245",
+			Hash(bccrypto.DoubleSHA256(b.Serialize()))},
+		{"header digest", "f644ad85037b843eaa04ad2f98447f2c8cc5dabc7b4038583456a279d601a702", h.digest()},
+		{"header id", "78f4719e8439c849755af1cc388df97c07bd555930d739489360acfb4e013632", h.ID()},
+	} {
+		if c.got.String() != c.want {
+			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
+		}
+	}
+	for name, enc := range map[string][]byte{
+		"tx":     tx.encode(),
+		"header": h.Serialize(),
+		"block":  b.Serialize(),
+	} {
+		if len(enc) != cap(enc) {
+			t.Errorf("%s encoding: len %d, cap %d", name, len(enc), cap(enc))
+		}
 	}
 }

@@ -220,3 +220,43 @@ func TestPubKeyHashIndexMatchesScan(t *testing.T) {
 		})
 	}
 }
+
+// maxAllocsApplyUndoKeyRelease bounds the heap allocations of one
+// ApplyTxUndo plus UndoTx of a key-release payment: the undo journal,
+// the growth of its spent and created slices and the pubkey-hash index
+// appends. The template checks on every spent and created output
+// allocate nothing.
+const maxAllocsApplyUndoKeyRelease = 6
+
+// TestApplyUndoKeyReleaseAllocs is the tripwire for the UTXO set's
+// per-output template checks allocating again.
+func TestApplyUndoKeyReleaseAllocs(t *testing.T) {
+	var buyer, gateway [script.HashLen]byte
+	buyer[0], gateway[0] = 1, 2
+	u := NewUTXOSet()
+	funding := OutPoint{TxID: Hash{0xf0}, Index: 0}
+	u.put(funding, UTXOEntry{Out: TxOut{Value: 1000, Lock: script.PayToPubKeyHash(buyer)}, Height: 1})
+	payment := &Tx{
+		Version: 1,
+		Inputs:  []TxIn{{Prev: funding, Unlock: script.UnlockP2PKH(make([]byte, 71), make([]byte, 33))}},
+		Outputs: []TxOut{
+			{Value: 500, Lock: script.KeyRelease(script.KeyReleaseParams{
+				RSAPubKey: make([]byte, 72), GatewayPubKeyHash: gateway, RefundHeight: 110, BuyerPubKeyHash: buyer,
+			})},
+			{Value: 490, Lock: script.PayToPubKeyHash(buyer)},
+		},
+	}
+	payment.ID() // memoized before measuring, as on the connect path
+	allocs := testing.AllocsPerRun(100, func() {
+		undo, err := u.ApplyTxUndo(payment, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := u.UndoTx(undo); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocsApplyUndoKeyRelease {
+		t.Fatalf("%v allocations per ApplyTxUndo+UndoTx, ceiling %d", allocs, maxAllocsApplyUndoKeyRelease)
+	}
+}

@@ -1,7 +1,10 @@
 package p2p
 
 import (
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"bcwan/internal/telemetry"
 )
@@ -110,5 +113,113 @@ func TestP2PTelemetryCounters(t *testing.T) {
 	}
 	if got := snapValue(t, regA, "bcwan_p2p_dial_failures_total", nil); got != 1 {
 		t.Fatalf("dial_failures = %v, want 1", got)
+	}
+}
+
+// TestJunkTypesMintNoSeries: a peer that names message types and relay
+// kinds this node never handles or sends adds no telemetry series — a
+// type may be megabytes long, and a registered series is never freed.
+func TestJunkTypesMintNoSeries(t *testing.T) {
+	tr := NewMemTransport()
+	reg := telemetry.NewRegistry()
+	n, err := NewNode(tr, "", nil, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	fetched := 0
+	r := NewRelay(n, RelayConfig{Fetch: func(string, ObjectID) ([]byte, bool) {
+		fetched++
+		return nil, false
+	}})
+	defer r.Close()
+	r.Handle("tx", func(string, []byte) (ObjectID, bool) { return ObjectID{}, false })
+	pings := make(chan struct{}, 1)
+	n.Handle("ping", func(string, Message) { pings <- struct{}{} })
+
+	conn, err := tr.Dial(n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const junker = "junker"
+	// A frame's handler runs before the next frame is read, so a ping
+	// answered means every frame sent before it was processed.
+	ping := func() {
+		t.Helper()
+		if err := conn.Send(Message{Type: "ping", From: junker}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-pings:
+		case <-time.After(5 * time.Second):
+			t.Fatal("ping never handled")
+		}
+	}
+	ping()
+	before := len(reg.Snapshot())
+	for i := 0; i < 1000; i++ {
+		if err := conn.Send(Message{Type: fmt.Sprintf("junk-%d", i), From: junker}); err != nil {
+			t.Fatal(err)
+		}
+		inv := EncodeInv(fmt.Sprintf("kind-%d", i), ObjectID{byte(i), byte(i >> 8)})
+		if err := conn.Send(Message{Type: "getdata", From: junker, Payload: inv}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ping()
+	if after := len(reg.Snapshot()); after != before {
+		t.Fatalf("junk traffic registered %d series", after-before)
+	}
+	if fetched != 0 {
+		t.Fatalf("getdata for unhandled kinds reached Fetch %d times", fetched)
+	}
+	if score := n.BanScore(junker); score != 0 {
+		t.Fatalf("unknown types charged %d misbehavior points", score)
+	}
+	if got := counterValue(reg, "messages_in_total", telemetry.L("type", "getdata")); got != 1000 {
+		t.Fatalf("getdata messages_in = %d, want 1000", got)
+	}
+}
+
+// TestWarmCounterLookupDoesNotAllocate is the tripwire for the
+// per-message counter lookups building a series key again.
+func TestWarmCounterLookupDoesNotAllocate(t *testing.T) {
+	m := newP2PMetrics(telemetry.NewRegistry())
+	m.local("chanupdate").get(msgOut)
+	allocs := testing.AllocsPerRun(100, func() {
+		m.remote("tx").get(msgIn).Inc()
+		m.local("chanupdate").get(msgOut).Inc()
+		m.local("block").get(announceOut).Inc()
+		m.remote("block").get(requestIn).Inc()
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per warm lookup round, want 0", allocs)
+	}
+}
+
+// TestCounterTableConcurrentUse races first use of one name and its
+// counters from several goroutines: every goroutine must land on the
+// one registered series.
+func TestCounterTableConcurrentUse(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	m := newP2PMetrics(reg)
+	const workers, incs = 8, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < incs; i++ {
+				m.local("chanopen").get(msgOut).Inc()
+				m.remote("chanopen").get(msgIn).Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, name := range []string{"messages_out_total", "messages_in_total"} {
+		if got := counterValue(reg, name, telemetry.L("type", "chanopen")); got != workers*incs {
+			t.Errorf("%s = %d, want %d", name, got, workers*incs)
+		}
 	}
 }

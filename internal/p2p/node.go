@@ -125,8 +125,10 @@ func (n *Node) Addr() string { return n.listener.Addr() }
 
 // Handle registers the handler for a message type. Must be called
 // before messages of that type arrive. Handlers must be idempotent — the
-// wire may deliver the same message more than once.
+// wire may deliver the same message more than once. A type gets its
+// per-type telemetry series only once a handler or a send names it.
 func (n *Node) Handle(msgType string, h Handler) {
+	n.metrics.local(msgType)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.handlers[msgType] = h
@@ -254,7 +256,7 @@ func (n *Node) SendTo(addr, msgType string, payload []byte) bool {
 		return false
 	}
 	if m := n.metrics; m != nil {
-		m.msgOut(msg.Type).Inc()
+		m.local(msg.Type).get(msgOut).Inc()
 		m.bytesOut.Add(uint64(msg.WireSize()))
 	}
 	return true
@@ -418,7 +420,7 @@ func (n *Node) readLoop(addr string, conn Conn) {
 			}
 		}
 		if m := n.metrics; m != nil {
-			m.msgIn(msg.Type).Inc()
+			m.remote(msg.Type).get(msgIn).Inc()
 			m.bytesIn.Add(uint64(msg.WireSize()))
 			m.messageBytes.Observe(float64(msg.WireSize()))
 		}

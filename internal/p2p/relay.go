@@ -181,11 +181,12 @@ func (r *Relay) Announce(kind string, id ObjectID, payload []byte) {
 		return
 	}
 	wire := EncodeInv(kind, id)
+	announced := m.local(kind).get(announceOut)
 	var sent []string
 	for _, addr := range targets {
 		if r.node.SendTo(addr, "inv", wire) {
 			sent = append(sent, addr)
-			m.relayAnnounce(kind, "out").Inc()
+			announced.Inc()
 		}
 	}
 	r.mu.Lock()
@@ -222,9 +223,10 @@ func (r *Relay) AnnounceBatch(kind string, ids []ObjectID, bodies [][]byte) {
 	r.mu.Unlock()
 
 	wire := EncodeInv(kind, ids...)
+	announced := m.local(kind).get(announceOut)
 	for _, addr := range peers {
 		if r.node.SendTo(addr, "inv", wire) {
-			m.relayAnnounce(kind, "out").Add(uint64(len(ids)))
+			announced.Add(uint64(len(ids)))
 			r.mu.Lock()
 			known := r.knownLocked(addr)
 			for _, key := range keys {
@@ -296,7 +298,7 @@ func (r *Relay) Request(kind string, id ObjectID, from string) {
 	r.newPendingLocked(key, from)
 	m := r.node.metrics
 	r.mu.Unlock()
-	m.relayRequest(kind, "out").Inc()
+	m.local(kind).get(requestOut).Inc()
 	r.node.SendTo(from, "getdata", EncodeInv(kind, id))
 }
 
@@ -317,8 +319,9 @@ func (r *Relay) onInv(from string, msg Message) {
 		r.mu.Unlock()
 		return
 	}
+	counters := m.remote(kind)
 	for _, id := range ids {
-		m.relayAnnounce(kind, "in").Inc()
+		counters.get(announceIn).Inc()
 		key := invKey{kind, id}
 		r.knownLocked(from).add(key)
 		if p, exists := r.pending[key]; exists {
@@ -338,21 +341,29 @@ func (r *Relay) onInv(from string, msg Message) {
 	}
 	r.mu.Unlock()
 	if len(want) > 0 {
-		m.relayRequest(kind, "out").Add(uint64(len(want)))
+		counters.get(requestOut).Add(uint64(len(want)))
 		r.node.SendTo(from, "getdata", EncodeInv(kind, want...))
 	}
 }
 
 // onGetData answers requests from the store, falling back to the
-// consumer's Fetch for evicted objects.
+// consumer's Fetch for evicted objects. A kind with no handler is
+// ignored, as in onInv: this node relays no such object.
 func (r *Relay) onGetData(from string, msg Message) {
 	kind, ids, ok := decodeInv(msg.Payload)
 	if !ok {
 		return
 	}
+	r.mu.Lock()
+	_, handled := r.handlers[kind]
+	r.mu.Unlock()
+	if !handled {
+		return
+	}
 	m := r.node.metrics
+	counters := m.remote(kind)
 	for _, id := range ids {
-		m.relayRequest(kind, "in").Inc()
+		counters.get(requestIn).Inc()
 		key := invKey{kind, id}
 		r.mu.Lock()
 		body, have := r.store[key]
@@ -365,7 +376,7 @@ func (r *Relay) onGetData(from string, msg Message) {
 			continue
 		}
 		if r.node.SendTo(from, kind, body) {
-			m.relayFulfill(kind, "out").Inc()
+			counters.get(fulfillOut).Inc()
 			r.mu.Lock()
 			r.knownLocked(from).add(key)
 			r.mu.Unlock()
@@ -382,7 +393,7 @@ func (r *Relay) onObject(kind, from string, payload []byte) {
 	if h == nil {
 		return
 	}
-	r.node.metrics.relayFulfill(kind, "in").Inc()
+	r.node.metrics.remote(kind).get(fulfillIn).Inc()
 	id, relayOn := h(from, payload)
 	key := invKey{kind, id}
 	r.mu.Lock()
@@ -432,7 +443,7 @@ func (r *Relay) expire(key invKey) {
 	p.timer = time.AfterFunc(r.timeout, func() { r.expire(key) })
 	r.mu.Unlock()
 	m.relayRerequests.Inc()
-	m.relayRequest(key.kind, "out").Inc()
+	m.local(key.kind).get(requestOut).Inc()
 	r.node.SendTo(next, "getdata", EncodeInv(key.kind, key.id))
 }
 

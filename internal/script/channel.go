@@ -69,16 +69,19 @@ func UnlockChannelClose(recipientSig, gatewaySig []byte) Script {
 		Script()
 }
 
+// channelOps is the channel script's opcode sequence; 0 marks a data
+// push slot.
+var channelOps = [...]Opcode{
+	OpIf, 0, OpCheckSigVerify, 0, OpCheckSig,
+	OpElse, 0, OpCheckLockTime, OpVerify,
+	OpDup, OpHash160, 0, OpEqualVerify, OpCheckSig, OpEndIf,
+}
+
 func isChannel(instrs []Instruction) bool {
-	ops := []Opcode{
-		OpIf, 0, OpCheckSigVerify, 0, OpCheckSig,
-		OpElse, 0, OpCheckLockTime, OpVerify,
-		OpDup, OpHash160, 0, OpEqualVerify, OpCheckSig, OpEndIf,
-	}
-	if len(instrs) != len(ops) {
+	if len(instrs) != len(channelOps) {
 		return false
 	}
-	for i, want := range ops {
+	for i, want := range channelOps {
 		if want == 0 {
 			continue // data push slot
 		}
@@ -92,7 +95,8 @@ func isChannel(instrs []Instruction) bool {
 
 // ParseChannel extracts the parameters of a channel funding script.
 func ParseChannel(s Script) (ChannelParams, error) {
-	instrs, err := Parse(s)
+	var buf [len(channelOps)]Instruction
+	instrs, err := decode(buf[:0], s, len(buf))
 	if err != nil {
 		return ChannelParams{}, err
 	}

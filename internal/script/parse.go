@@ -33,62 +33,77 @@ const MaxScriptSize = 10000
 
 // Parse decodes a script into its instruction sequence.
 func Parse(s Script) ([]Instruction, error) {
+	// Every instruction takes at least one byte, so MaxScriptSize never
+	// cuts a script short here.
+	return decode(nil, s, MaxScriptSize)
+}
+
+// decode appends the instructions of s to dst and returns the extended
+// slice. It fails with ErrNotTemplate once s holds more than max
+// instructions, so a template helper can decode into a stack array
+// sized to its template and never touch the heap.
+func decode(dst []Instruction, s Script, max int) ([]Instruction, error) {
 	if len(s) > MaxScriptSize {
 		return nil, ErrScriptTooLarge
 	}
-	var out []Instruction
 	for i := 0; i < len(s); {
-		op := Opcode(s[i])
-		i++
-		switch {
-		case op >= 0x01 && op <= maxDirectPush:
-			n := int(op)
-			if i+n > len(s) {
-				return nil, ErrTruncatedPush
-			}
-			out = append(out, Instruction{Op: op, Data: s[i : i+n]})
-			i += n
-		case op == OpPushData1:
-			if i >= len(s) {
-				return nil, ErrTruncatedPush
-			}
-			n := int(s[i])
-			i++
-			if i+n > len(s) {
-				return nil, ErrTruncatedPush
-			}
-			out = append(out, Instruction{Op: op, Data: s[i : i+n]})
-			i += n
-		case op == OpPushData2:
-			if i+1 >= len(s) {
-				return nil, ErrTruncatedPush
-			}
-			n := int(binary.LittleEndian.Uint16(s[i:]))
-			i += 2
-			if i+n > len(s) {
-				return nil, ErrTruncatedPush
-			}
-			out = append(out, Instruction{Op: op, Data: s[i : i+n]})
-			i += n
-		default:
-			out = append(out, Instruction{Op: op})
+		if len(dst) == max {
+			return nil, ErrNotTemplate
 		}
+		in, next, err := decodeAt(s, i)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, in)
+		i = next
 	}
-	return out, nil
+	return dst, nil
+}
+
+// decodeAt decodes the instruction starting at s[i] and returns it with
+// the offset of the next one. It is the only place push encodings are
+// read: Parse, the template helpers and IsPushOnly all go through it.
+func decodeAt(s Script, i int) (Instruction, int, error) {
+	op := Opcode(s[i])
+	i++
+	n := 0
+	switch {
+	case op >= 0x01 && op <= maxDirectPush:
+		n = int(op)
+	case op == OpPushData1:
+		if i >= len(s) {
+			return Instruction{}, 0, ErrTruncatedPush
+		}
+		n = int(s[i])
+		i++
+	case op == OpPushData2:
+		if i+1 >= len(s) {
+			return Instruction{}, 0, ErrTruncatedPush
+		}
+		n = int(binary.LittleEndian.Uint16(s[i:]))
+		i += 2
+	default:
+		return Instruction{Op: op}, i, nil
+	}
+	if i+n > len(s) {
+		return Instruction{}, 0, ErrTruncatedPush
+	}
+	return Instruction{Op: op, Data: s[i : i+n]}, i + n, nil
 }
 
 // IsPushOnly reports whether the script consists solely of data pushes.
 // Unlocking scripts are required to be push-only, which closes script
 // malleability through executable unlocking programs.
 func (s Script) IsPushOnly() bool {
-	instrs, err := Parse(s)
-	if err != nil {
+	if len(s) > MaxScriptSize {
 		return false
 	}
-	for _, in := range instrs {
-		if !in.Op.IsPush() {
+	for i := 0; i < len(s); {
+		in, next, err := decodeAt(s, i)
+		if err != nil || !in.Op.IsPush() {
 			return false
 		}
+		i = next
 	}
 	return true
 }

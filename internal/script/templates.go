@@ -72,7 +72,8 @@ func NullData(data []byte) Script {
 
 // ExtractNullData returns the payload of an OP_RETURN output.
 func ExtractNullData(s Script) ([]byte, error) {
-	instrs, err := Parse(s)
+	var buf [2]Instruction
+	instrs, err := decode(buf[:0], s, len(buf))
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +156,10 @@ func Classify(s Script) Class {
 	if isCanonicalP2PKH(s) {
 		return ClassP2PKH
 	}
-	instrs, err := Parse(s)
+	// Listing 1 is the longest template: a script with more instructions
+	// matches none, so it fails decoding before it reaches the switch.
+	var buf [len(keyReleaseOps)]Instruction
+	instrs, err := decode(buf[:0], s, len(buf))
 	if err != nil {
 		return ClassUnknown
 	}
@@ -191,16 +195,19 @@ func isP2PKH(instrs []Instruction) bool {
 		instrs[4].Op == OpCheckSig
 }
 
+// keyReleaseOps is the Listing 1 opcode sequence; 0 marks a data push
+// slot.
+var keyReleaseOps = [...]Opcode{
+	0, OpCheckRSA512Pair, OpIf, OpDup, OpHash160, 0, OpEqualVerify,
+	OpElse, 0, OpCheckLockTime, OpVerify, OpDup, OpHash160, 0,
+	OpEqualVerify, OpEndIf, OpCheckSig,
+}
+
 func isKeyRelease(instrs []Instruction) bool {
-	if len(instrs) != 17 {
+	if len(instrs) != len(keyReleaseOps) {
 		return false
 	}
-	ops := []Opcode{
-		0, OpCheckRSA512Pair, OpIf, OpDup, OpHash160, 0, OpEqualVerify,
-		OpElse, 0, OpCheckLockTime, OpVerify, OpDup, OpHash160, 0,
-		OpEqualVerify, OpEndIf, OpCheckSig,
-	}
-	for i, want := range ops {
+	for i, want := range keyReleaseOps {
 		if want == 0 {
 			continue // data push slot
 		}
@@ -213,7 +220,8 @@ func isKeyRelease(instrs []Instruction) bool {
 
 // ParseKeyRelease extracts the parameters of a Listing 1 script.
 func ParseKeyRelease(s Script) (KeyReleaseParams, error) {
-	instrs, err := Parse(s)
+	var buf [len(keyReleaseOps)]Instruction
+	instrs, err := decode(buf[:0], s, len(buf))
 	if err != nil {
 		return KeyReleaseParams{}, err
 	}
@@ -236,7 +244,8 @@ func ParseKeyRelease(s Script) (KeyReleaseParams, error) {
 // claim-path unlocking script. This is how the recipient learns eSk once
 // the gateway's claim transaction appears in the chain.
 func ExtractClaimedRSAKey(unlock Script) ([]byte, error) {
-	instrs, err := Parse(unlock)
+	var buf [3]Instruction
+	instrs, err := decode(buf[:0], unlock, len(buf))
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +266,8 @@ func ExtractP2PKHHash(s Script) ([HashLen]byte, error) {
 		copy(out[:], s[3:])
 		return out, nil
 	}
-	instrs, err := Parse(s)
+	var buf [5]Instruction
+	instrs, err := decode(buf[:0], s, len(buf))
 	if err != nil {
 		return out, err
 	}
