@@ -89,10 +89,10 @@ lint:
 # verifier (consensus-critical) and its template matchers against
 # Parse-based references, plus the decoders fed by
 # unauthenticated peers — directory bindings, channel messages, sync
-# messages, relay and compact-block messages, gateway deliveries — and
-# keygen's fixed-width primality tests (the base-2 prefilter and the
-# whole verdict) against math/big, the durable log's replay and the
-# chain store's load of arbitrary records. CI's fuzz smoke runs this
+# messages, relay and compact-block messages, gateway deliveries, the
+# TCP transport's frame body — and keygen's fixed-width primality tests
+# (the base-2 prefilter and the whole verdict) against math/big, the
+# durable log's replay and the chain store's load of arbitrary records. CI's fuzz smoke runs this
 # target; only the nightly matrix repeats the list.
 fuzz:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=30s -run '^$$' ./internal/script/
@@ -101,6 +101,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzChannelMsgDecode -fuzztime=15s -run '^$$' ./internal/p2p/
 	$(GO) test -fuzz=FuzzSyncMsgDecode -fuzztime=15s -run '^$$' ./internal/p2p/
 	$(GO) test -fuzz=FuzzRelayMsgDecode -fuzztime=15s -run '^$$' ./internal/p2p/
+	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=15s -run '^$$' ./internal/p2p/
 	$(GO) test -fuzz=FuzzDeliveryMsgDecode -fuzztime=15s -run '^$$' ./internal/daemon/
 	$(GO) test -fuzz=FuzzSPRP2 -fuzztime=15s -run '^$$' ./internal/bccrypto/
 	$(GO) test -fuzz=FuzzPrime256 -fuzztime=15s -run '^$$' ./internal/bccrypto/

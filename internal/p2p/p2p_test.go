@@ -1,8 +1,10 @@
 package p2p
 
 import (
+	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -186,46 +188,52 @@ func TestMemConnDrainsQueuedBeforeEOF(t *testing.T) {
 	}
 }
 
+// TestTCPFrameRoundTrip: every message the project sends, and the edges
+// of the frame layout, arrive with the same Type, From and Payload bytes
+// over both transports.
 func TestTCPFrameRoundTrip(t *testing.T) {
-	tr := TCPTransport{}
-	l, err := tr.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	done := make(chan Message, 1)
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		m, err := conn.Receive()
-		if err != nil {
-			return
-		}
-		done <- m
-	}()
-
-	c, err := tr.Dial(l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
 	payload := make([]byte, 10_000)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	if err := c.Send(Message{Type: "block", From: "me", Payload: payload}); err != nil {
-		t.Fatal(err)
+	var cases []Message
+	for _, typ := range knownMessageTypes {
+		cases = append(cases, Message{Type: typ, From: "127.0.0.1:9401", Payload: payload})
 	}
-	select {
-	case m := <-done:
-		if m.Type != "block" || len(m.Payload) != len(payload) {
-			t.Fatalf("got %s/%d bytes", m.Type, len(m.Payload))
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("frame not received")
+	cases = append(cases,
+		Message{Type: "tx", From: "me"},
+		Message{Type: strings.Repeat("t", maxFrameType), From: "me", Payload: []byte{1}},
+		Message{Type: "tx", From: strings.Repeat("f", maxFrameFrom), Payload: []byte{2}},
+		Message{Type: "unknown-type", From: "someone-else", Payload: []byte{3}},
+		// A body that outgrows Receive's first allocation twice.
+		Message{Type: "block", From: "me", Payload: bytes.Repeat(payload[:7], frameChunk/2)},
+	)
+	for name, mk := range transports(t) {
+		t.Run(name, func(t *testing.T) {
+			send, recv := connPair(t, mk())
+			errc := make(chan error, 1)
+			go func() {
+				for _, m := range cases {
+					if err := send.Send(m); err != nil {
+						errc <- err
+						return
+					}
+				}
+				errc <- nil
+			}()
+			for i, want := range cases {
+				got, err := recv.Receive()
+				if err != nil {
+					t.Fatalf("case %d: %v", i, err)
+				}
+				if got.Type != want.Type || got.From != want.From || !bytes.Equal(got.Payload, want.Payload) {
+					t.Fatalf("case %d: got %.40q/%.40q/%d bytes, want %.40q/%.40q/%d bytes",
+						i, got.Type, got.From, len(got.Payload), want.Type, want.From, len(want.Payload))
+				}
+			}
+			if err := <-errc; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

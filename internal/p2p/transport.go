@@ -6,8 +6,8 @@
 package p2p
 
 import (
+	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -19,20 +19,17 @@ import (
 // Message is one framed gossip datagram.
 type Message struct {
 	// Type routes the message to a handler ("tx", "block", "inv", …).
-	Type string `json:"type"`
+	Type string
 	// From is the sender's listen address, so receivers can dial back.
-	From string `json:"from"`
-	// Payload is the message body (hex/base64-free: JSON array of
-	// bytes is wasteful, so payloads are raw bytes via base64 per
-	// encoding/json's []byte convention).
-	Payload []byte `json:"payload"`
+	From string
+	// Payload is the message body, carried as raw bytes.
+	Payload []byte
 }
 
 // WireSize is the logical size of the message on the wire: type, sender
-// and payload bytes. Transport framing (JSON field names, base64
-// expansion, length prefixes) is excluded so byte metrics compare
-// protocols, not encodings. The byte counters and the relaybench
-// experiment both use this measure.
+// and payload bytes. Transport framing (length prefixes) is excluded so
+// byte metrics compare protocols, not encodings. The byte counters and
+// the relaybench experiment both use this measure.
 func (m *Message) WireSize() int { return len(m.Type) + len(m.From) + len(m.Payload) }
 
 // maxFrameSize bounds a single framed message (a full block with many
@@ -66,8 +63,8 @@ type Conn interface {
 // ErrClosed reports use of a closed connection or listener.
 var ErrClosed = errors.New("p2p: closed")
 
-// TCPTransport implements Transport over real sockets with 4-byte
-// length-prefixed JSON frames.
+// TCPTransport implements Transport over real sockets, one binary frame
+// per message (see tcpConn).
 type TCPTransport struct{}
 
 var _ Transport = TCPTransport{}
@@ -99,7 +96,7 @@ func (TCPTransport) Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("p2p dial %s: %w", addr, err)
 	}
-	return &tcpConn{c: c}, nil
+	return newTCPConn(c), nil
 }
 
 type tcpListener struct {
@@ -111,59 +108,165 @@ func (t *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tcpConn{c: c}, nil
+	return newTCPConn(c), nil
 }
 
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
 func (t *tcpListener) Close() error { return t.l.Close() }
 
+// Frame layout, all integers big-endian:
+//
+//	u32 body length | u8 len(Type) | Type | u16 len(From) | From | Payload
+//
+// The body is everything after the 4-byte prefix; maxFrameSize bounds it.
+const (
+	framePrefixLen = 4
+	maxFrameType   = 1<<8 - 1
+	maxFrameFrom   = 1<<16 - 1
+	// frameChunk is the most Receive allocates for a body before its
+	// bytes arrive; a larger declared body grows as they do, so a bare
+	// prefix cannot pin maxFrameSize bytes.
+	frameChunk = 64 << 10
+)
+
+// frameTypes interns the message types this project sends, so a received
+// frame of a known type allocates no Type string. The daemon's "delivery"
+// and "deliveryack" are listed by value: internal/daemon defines them.
+var frameTypes = func() map[string]string {
+	all := append([]string{
+		MsgTypeChannelOpen, MsgTypeChannelAccept, MsgTypeChannelFund,
+		MsgTypeChannelUpdate, MsgTypeChannelUpdateAck, MsgTypeChannelClose,
+		MsgTypeGetHeaders, MsgTypeHeaders, MsgTypeGetSnapshot,
+		MsgTypeSnapshotChunk, MsgTypeSnapCommit,
+		"delivery", "deliveryack",
+	}, knownMessageTypes...)
+	m := make(map[string]string, len(all))
+	for _, t := range all {
+		m[t] = t
+	}
+	return m
+}()
+
 type tcpConn struct {
-	c  net.Conn
-	mu sync.Mutex // serializes Send frames
+	c net.Conn
+
+	mu   sync.Mutex // serializes Send frames; guards the fields below
+	hdr  []byte     // the frame's prefix, Type and From, reused per Send
+	bufs [2][]byte  // header and payload, backing vec
+	vec  net.Buffers
+
+	// Receive state; only the connection's one reader touches it.
+	r      *bufio.Reader
+	prefix [framePrefixLen]byte
+	from   string // the last frame's From, reused while it repeats
 }
 
+func newTCPConn(c net.Conn) *tcpConn { return &tcpConn{c: c, r: bufio.NewReader(c)} }
+
+// Send writes m as one frame: header and payload in one vectored write,
+// the payload neither copied nor re-encoded.
 func (t *tcpConn) Send(m Message) error {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("p2p marshal: %w", err)
+	if len(m.Type) > maxFrameType {
+		return fmt.Errorf("p2p: message type of %d bytes exceeds %d", len(m.Type), maxFrameType)
 	}
-	if len(data) > maxFrameSize {
-		return fmt.Errorf("p2p: frame of %d bytes exceeds limit", len(data))
+	if len(m.From) > maxFrameFrom {
+		return fmt.Errorf("p2p: sender of %d bytes exceeds %d", len(m.From), maxFrameFrom)
 	}
-	var lenb [4]byte
-	binary.BigEndian.PutUint32(lenb[:], uint32(len(data)))
+	if body := 1 + len(m.Type) + 2 + len(m.From) + len(m.Payload); body > maxFrameSize {
+		return fmt.Errorf("p2p: frame of %d bytes exceeds limit", body)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.hdr = appendFrameHeader(t.hdr[:0], &m)
 	if err := t.c.SetWriteDeadline(time.Now().Add(tcpWriteTimeout)); err != nil {
 		return err
 	}
-	if _, err := t.c.Write(lenb[:]); err != nil {
-		return err
-	}
-	_, err = t.c.Write(data)
+	// WriteTo consumes vec and clears bufs' entries, so the payload is
+	// not retained past the write.
+	t.bufs = [2][]byte{t.hdr, m.Payload}
+	t.vec = t.bufs[:]
+	_, err := t.vec.WriteTo(t.c)
 	return err
 }
 
+// appendFrameHeader appends everything of m's frame but its payload: the
+// length prefix, Type and From. The caller has checked the field limits.
+func appendFrameHeader(h []byte, m *Message) []byte {
+	body := 1 + len(m.Type) + 2 + len(m.From) + len(m.Payload)
+	h = binary.BigEndian.AppendUint32(h, uint32(body))
+	h = append(h, byte(len(m.Type)))
+	h = append(h, m.Type...)
+	h = binary.BigEndian.AppendUint16(h, uint16(len(m.From)))
+	return append(h, m.From...)
+}
+
+// Receive reads the next frame. The returned Payload aliases a buffer
+// owned by the message alone.
 func (t *tcpConn) Receive() (Message, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(t.c, lenb[:]); err != nil {
+	if _, err := io.ReadFull(t.r, t.prefix[:]); err != nil {
 		return Message{}, err
 	}
-	n := binary.BigEndian.Uint32(lenb[:])
+	n := binary.BigEndian.Uint32(t.prefix[:])
 	if n > maxFrameSize {
 		return Message{}, fmt.Errorf("p2p: frame of %d bytes exceeds limit", n)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(t.c, data); err != nil {
+	body, err := readBody(t.r, int(n))
+	if err != nil {
 		return Message{}, err
 	}
-	var m Message
-	if err := json.Unmarshal(data, &m); err != nil {
-		return Message{}, fmt.Errorf("p2p unmarshal: %w", err)
+	m, err := decodeFrame(body, t.from)
+	if err != nil {
+		return Message{}, err
+	}
+	t.from = m.From
+	return m, nil
+}
+
+// readBody reads an n-byte frame body. Up to frameChunk bytes are
+// allocated at once; beyond that the buffer at most doubles per step,
+// each step only after the bytes before it have arrived.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, min(n, frameChunk))
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, err
+	}
+	for len(body) < n {
+		have := len(body)
+		body = append(body, make([]byte, min(have, n-have))...)
+		if _, err := io.ReadFull(r, body[have:]); err != nil {
+			return nil, err
+		}
+	}
+	return body, nil
+}
+
+// decodeFrame parses a frame body (everything after the length prefix).
+// Payload aliases body, a known Type is interned, and From is lastFrom
+// itself when the two are equal, so a connection whose sender repeats
+// allocates no string for it.
+func decodeFrame(body []byte, lastFrom string) (Message, error) {
+	if len(body) < 1 || len(body) < 1+int(body[0])+2 {
+		return Message{}, errMalformedFrame
+	}
+	typ := body[1 : 1+int(body[0])]
+	rest := body[1+len(typ):]
+	nFrom := int(binary.BigEndian.Uint16(rest))
+	rest = rest[2:]
+	if len(rest) < nFrom {
+		return Message{}, errMalformedFrame
+	}
+	m := Message{Type: frameTypes[string(typ)], From: lastFrom, Payload: rest[nFrom:]}
+	if m.Type == "" {
+		m.Type = string(typ)
+	}
+	if string(rest[:nFrom]) != lastFrom {
+		m.From = string(rest[:nFrom])
 	}
 	return m, nil
 }
+
+var errMalformedFrame = errors.New("p2p: malformed frame")
 
 func (t *tcpConn) Close() error { return t.c.Close() }
 
