@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/big"
 	"math/bits"
-	"math/rand"
 )
 
 // RSA-512 implemented directly on math/big.
@@ -131,14 +130,12 @@ var sievePrimes = func() []uint64 {
 // primeSearch finds 256-bit primes for GenerateRSA512 and holds the
 // scratch both searches of one key share. It draws candidates exactly as
 // crypto/rand.Prime does — 32 random bytes, top two bits and low bit set
-// — and accepts on the same test, math/big's at 20 rounds. A draw is
-// sieved against sievePrimes in word arithmetic, and a survivor takes
-// that test in fixed-width arithmetic (sprp.go): no candidate reaches
-// math/big.
+// — and accepts on BPSW, math/big's ProbablyPrime(0). A draw is sieved
+// against sievePrimes in word arithmetic, and a survivor takes BPSW in
+// fixed-width arithmetic (sprp.go): no candidate reaches math/big.
 type primeSearch struct {
 	buf       [rsa512PrimeLen]byte
 	composite [sieveWindow]bool
-	rng       *rand.Rand // the Miller–Rabin bases' source
 }
 
 // next returns the first probable prime at or above a fresh random draw,
@@ -167,7 +164,7 @@ func (ps *primeSearch) next(random io.Reader) (*big.Int, error) {
 			if carry != 0 {
 				break // the window ran past 2²⁵⁶
 			}
-			if ps.probablyPrime(cand) {
+			if probablyPrime(cand) {
 				for i, w := range cand {
 					binary.BigEndian.PutUint64(ps.buf[8*i:], w)
 				}
@@ -197,12 +194,12 @@ func (k *RSA512PrivateKey) Public() *RSA512PublicKey {
 	return &RSA512PublicKey{N: new(big.Int).Set(k.N), E: k.E}
 }
 
-// MatchesPublic reports whether the private key corresponds to pub. This is
-// the check OpenSSL's VerifyPubKey performs and that the script operator
-// OP_CHECKRSA512PAIR exposes on-chain: same modulus, and e·d ≡ 1 modulo
-// λ-compatible φ(n) — verified constructively by a round trip on a probe
-// value, which is sound without trusting the P/Q factors of an
-// attacker-supplied key.
+// MatchesPublic reports whether the private key passes the pair check
+// the script operator OP_CHECKRSA512PAIR exposes on-chain: the same
+// modulus and exponent, and one probe, 2^(e·D) ≡ 2 (mod N). It does not
+// read P or Q. The probe does not prove that D decrypts under N: the
+// party that made the key can pass it with a D that does not (ROADMAP
+// item 22).
 func (k *RSA512PrivateKey) MatchesPublic(pub *RSA512PublicKey) bool {
 	if k == nil || pub == nil || k.N == nil || pub.N == nil || k.D == nil {
 		return false

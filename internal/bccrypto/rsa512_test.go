@@ -157,14 +157,16 @@ func TestGenerateRSA512GoldenKeys(t *testing.T) {
 	}
 }
 
-// The bounds on GenerateRSA512's heap use per key. A key costs ≈ 24
-// allocations and 7.8 kB, 5 kB of it the Miller–Rabin bases' math/rand
-// source. With ProbablyPrime(20) back on the accepted primes it costs
-// ≈ 944 allocations and 97 kB; with every sieve survivor reaching
-// math/big, ≈ 1 520 and 254 kB.
+// The bounds on GenerateRSA512's heap use per key. A key costs 22
+// allocations and 2.3 kB, none of it in the primality test.
+// Before keygen accepted on BPSW alone, the Miller–Rabin bases'
+// math/rand source added 5 kB (24 allocations, 7.8 kB). With
+// ProbablyPrime(20) back on the accepted primes a key costs ≈ 944
+// allocations and 97 kB; with every sieve survivor reaching math/big,
+// ≈ 1 520 and 254 kB.
 const (
-	maxAllocsPerKey = 40
-	maxBytesPerKey  = 12 << 10
+	maxAllocsPerKey = 30
+	maxBytesPerKey  = 4 << 10
 )
 
 // TestGenerateRSA512Allocs is the tripwire for primality testing

@@ -3,25 +3,21 @@ package bccrypto
 import (
 	"math/big"
 	"math/bits"
-	"math/rand"
 )
 
-// math/big's probable-prime test at 20 rounds, on fixed-width 256-bit
-// numbers.
+// The Baillie–PSW probable-prime test on fixed-width 256-bit numbers.
 //
 // primeSearch accepts a sieve survivor on the test big.Int applies when
-// asked for 20 rounds — trial division by the primes 3 … 53, twenty
-// Miller–Rabin rounds on bases drawn from a math/rand source seeded with
-// n's low word, one round to base 2, and the "almost extra strong" Lucas
-// test — but runs it in 4×64-bit Montgomery arithmetic on the stack. The
-// bases come from the same seeded source, drawn as go1.24's
-// math/big/prime.go draws them on 64-bit words, so the verdict is
-// math/big's. The verdict is a
-// conjunction of pure functions of n, so the order of the parts is free:
-// base 2 goes first, because about ten of every eleven survivors are
-// composite and it rejects them before the source is seeded. Like
-// math/big's, the code is variable-time; the keys it serves are
-// ephemeral, minted off the request path, and published by the claim.
+// asked for ProbablyPrime(0) — trial division by the primes 3 … 53, one
+// Miller–Rabin round to base 2, and the "almost extra strong" Lucas test
+// — but runs it in 4×64-bit Montgomery arithmetic on the stack. No
+// composite is known to pass BPSW, and none exists below 2⁶⁴; a prime
+// always passes, so the search stops at the prime crypto/rand.Prime would
+// stop at unless it first meets a BPSW pseudoprime. Base 2 goes before
+// Lucas because about ten of every eleven survivors are composite and it
+// rejects them at about half of Lucas's cost. Like math/big's, the code
+// is variable-time; the keys it serves are ephemeral, minted off the
+// request path, and published by the claim.
 
 // u256 is a 256-bit number, least significant word first.
 type u256 [4]uint64
@@ -66,21 +62,11 @@ func sprp2(nBE [4]uint64) bool {
 }
 
 // probablyPrime reports whether n, most significant word first, odd and
-// with its top two bits set, passes math/big's test at 20 rounds. It
-// needs no sieve. The Miller–Rabin source is made on first use and
-// reseeded for each candidate that reaches it.
-func (ps *primeSearch) probablyPrime(nBE [4]uint64) bool {
+// with its top two bits set, passes BPSW: math/big's ProbablyPrime(0).
+// It needs no sieve.
+func probablyPrime(nBE [4]uint64) bool {
 	m := newMont(nBE)
-	if m.smallFactor() || !m.sprp2() {
-		return false
-	}
-	seed := int64(m.n[0])
-	if ps.rng == nil {
-		ps.rng = rand.New(rand.NewSource(seed))
-	} else {
-		ps.rng.Seed(seed)
-	}
-	return m.millerRabin(ps.rng) && m.lucas()
+	return !m.smallFactor() && m.sprp2() && m.lucas()
 }
 
 // smallPrimes are the primes math/big trial-divides by before its first
@@ -115,18 +101,6 @@ func (m *mont) sprp2() bool {
 	return m.chain(x)
 }
 
-// sprp is the strong test to base a, given in Montgomery form.
-func (m *mont) sprp(a *u256) bool {
-	x := m.one
-	for i := 255; i >= m.s; i-- {
-		x = m.mul(&x, &x)
-		if m.nm1[i/64]>>(i%64)&1 == 1 {
-			x = m.mul(&x, a)
-		}
-	}
-	return m.chain(x)
-}
-
 // chain finishes a strong test from x = a^d: n passes if x ≡ ±1, or if
 // x^(2^r) ≡ −1 for some 0 < r < s.
 func (m *mont) chain(x u256) bool {
@@ -143,46 +117,6 @@ func (m *mont) chain(x u256) bool {
 		}
 	}
 	return false
-}
-
-// millerRabinRounds is the number of random bases math/big is asked
-// for; it always adds base 2.
-const millerRabinRounds = 20
-
-// millerRabin runs the random-base rounds. rng must be seeded with
-// int64 of n's low word, as probablyPrimeMillerRabin seeds its source.
-func (m *mont) millerRabin(rng *rand.Rand) bool {
-	// R² mod n brings a base into Montgomery form.
-	rr := m.one
-	for i := 0; i < 256; i++ {
-		rr = m.add(&rr, &rr)
-	}
-	for i := 0; i < millerRabinRounds; i++ {
-		a := m.base(rng)
-		a = m.mul(&a, &rr)
-		if !m.sprp(&a) {
-			return false
-		}
-	}
-	return true
-}
-
-// base draws the next Miller–Rabin base as nat.random draws it on 64-bit
-// words: each word is Uint32 | Uint32<<32, least significant word first,
-// and the value is redrawn until it is below n − 3; the base is that
-// value plus 2. n − 3 keeps all 256 bits, so nat.random's mask on the
-// top word is all ones.
-func (m *mont) base(rng *rand.Rand) u256 {
-	nm3, _ := subBorrow(&m.nm1, &u256{2})
-	for {
-		var z u256
-		for i := range z {
-			z[i] = uint64(rng.Uint32()) | uint64(rng.Uint32())<<32
-		}
-		if _, borrow := subBorrow(&z, &nm3); borrow != 0 {
-			return addWord(&z, 2)
-		}
-	}
 }
 
 // lucas is math/big's probablyPrimeLucas: the "almost extra strong"

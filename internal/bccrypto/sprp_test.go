@@ -151,12 +151,12 @@ func BenchmarkSPRP2(b *testing.B) {
 }
 
 // checkProbablyPrime fails t unless the fixed-width verdict and
-// big.Int.ProbablyPrime(20) agree on n.
-func checkProbablyPrime(t testing.TB, ps *primeSearch, n [4]uint64) bool {
+// big.Int.ProbablyPrime(0), math/big's BPSW, agree on n.
+func checkProbablyPrime(t testing.TB, n [4]uint64) bool {
 	t.Helper()
-	got, want := ps.probablyPrime(n), wordsToBig(n).ProbablyPrime(20)
+	got, want := probablyPrime(n), wordsToBig(n).ProbablyPrime(0)
 	if got != want {
-		t.Fatalf("probablyPrime(%x) = %v, ProbablyPrime(20) says %v", wordsToBig(n), got, want)
+		t.Fatalf("probablyPrime(%x) = %v, ProbablyPrime(0) says %v", wordsToBig(n), got, want)
 	}
 	return got
 }
@@ -165,9 +165,9 @@ func checkProbablyPrime(t testing.TB, ps *primeSearch, n [4]uint64) bool {
 // and 2p − 1 prime, that pass sprp2. p's top byte is in 0x9c … 0xb5, so
 // n has 256 bits with the top two set. Such n pass base 2 only if 2 is
 // a square modulo 2p − 1, which needs p ≡ 1 (mod 4); they reach the
-// random-base rounds and the Lucas test, where a sieve survivor that
-// fails base 2 never goes. p steps by 4 through a window sieved, for p
-// and 2p − 1 at once, by the table primes.
+// Lucas test, where a sieve survivor that fails base 2 never goes. p
+// steps by 4 through a window sieved, for p and 2p − 1 at once, by the
+// table primes.
 func baseTwoPseudoprimes(rng *mrand.Rand, count int) [][4]uint64 {
 	const window = 1 << 12
 	var out [][4]uint64
@@ -212,15 +212,15 @@ func baseTwoPseudoprimes(rng *mrand.Rand, count int) [][4]uint64 {
 }
 
 // TestProbablyPrimeAgreesWithBigInt checks the whole fixed-width verdict
-// against ProbablyPrime(20) on sieve survivors drawn as keygen draws
+// against ProbablyPrime(0) on sieve survivors drawn as keygen draws
 // them, about one in eleven of them prime, and on composites that pass
-// base 2. 2·10⁴ survivors agree as well but take ≈ 7 s; FuzzPrime256
-// covers the rest.
+// base 2. Lucas is all that keeps those composites out of a key, so it
+// must reject each of them on its own. 2·10⁴ survivors agree as well
+// but take ≈ 2 s; FuzzPrime256 covers the rest.
 func TestProbablyPrimeAgreesWithBigInt(t *testing.T) {
-	var ps primeSearch
 	primes := 0
 	for _, n := range sieveSurvivors(mrand.New(mrand.NewSource(4)), 4_000) {
-		if checkProbablyPrime(t, &ps, n) {
+		if checkProbablyPrime(t, n) {
 			primes++
 		}
 	}
@@ -228,27 +228,20 @@ func TestProbablyPrimeAgreesWithBigInt(t *testing.T) {
 		t.Fatalf("%d of 4 000 sieve survivors are prime, want about one in eleven", primes)
 	}
 	for _, n := range baseTwoPseudoprimes(mrand.New(mrand.NewSource(5)), 100) {
-		if checkProbablyPrime(t, &ps, n) {
+		if checkProbablyPrime(t, n) {
 			t.Fatalf("the composite %x passes", wordsToBig(n))
 		}
-		// Lucas rejects these too, so check the random-base rounds
-		// alone: the first base that rejects must be math/big's.
-		m, x := newMont(n), wordsToBig(n)
-		want := true
-		for _, a := range millerRabinBasesRef(x, millerRabinRounds) {
-			if !sprpRef(x, a) {
-				want = false
-				break
-			}
-		}
-		if got := m.millerRabin(mrand.New(mrand.NewSource(int64(m.n[0])))); got != want {
-			t.Fatalf("millerRabin(%x) = %v, math/big's rounds say %v", x, got, want)
+		if m := newMont(n); m.lucas() {
+			t.Fatalf("lucas passes the base-2 pseudoprime %x", wordsToBig(n))
 		}
 	}
 }
 
 // FuzzPrime256 runs the agreement check on arbitrary 32 bytes, with the
-// top two bits and the low bit forced as the prime search forces them.
+// top two bits and the low bit forced as the prime search forces them,
+// and cross-checks the verdict against ProbablyPrime(20), which adds 20
+// random-base Miller–Rabin rounds to BPSW. A disagreement there is a
+// BPSW pseudoprime: keygen would accept a composite.
 func FuzzPrime256(f *testing.F) {
 	f.Add(make([]byte, rsa512PrimeLen))
 	f.Add(bytes.Repeat([]byte{0xff}, rsa512PrimeLen))
@@ -262,60 +255,11 @@ func FuzzPrime256(f *testing.F) {
 		copy(buf[:], data)
 		buf[0] |= 0xc0
 		buf[rsa512PrimeLen-1] |= 1
-		var ps primeSearch
-		checkProbablyPrime(t, &ps, bigToWords(new(big.Int).SetBytes(buf[:])))
+		n := new(big.Int).SetBytes(buf[:])
+		if got := checkProbablyPrime(t, bigToWords(n)); got != n.ProbablyPrime(20) {
+			t.Fatalf("BPSW pseudoprime: %x passes BPSW and fails ProbablyPrime(20)", n)
+		}
 	})
-}
-
-// millerRabinBasesRef transcribes how math/big's
-// probablyPrimeMillerRabin draws its first count bases: a source seeded
-// with n's low word, and nat.random's loop — one word per Uint32 pair,
-// least significant first, the top word masked to n − 3's bit length,
-// redrawn until below n − 3 — plus 2.
-func millerRabinBasesRef(n *big.Int, count int) []*big.Int {
-	rng := mrand.New(mrand.NewSource(int64(n.Bits()[0])))
-	nm3 := new(big.Int).Sub(n, big.NewInt(3))
-	msw := uint(nm3.BitLen() % bits.UintSize)
-	if msw == 0 {
-		msw = bits.UintSize
-	}
-	mask := big.Word(1)<<msw - 1
-	var bases []*big.Int
-	for len(bases) < count {
-		z := make([]big.Word, len(nm3.Bits()))
-		x := new(big.Int)
-		for {
-			for i := range z {
-				z[i] = big.Word(rng.Uint32()) | big.Word(rng.Uint32())<<32
-			}
-			z[len(z)-1] &= mask
-			if x.SetBits(z).Cmp(nm3) < 0 {
-				break
-			}
-		}
-		bases = append(bases, x.Add(x, big.NewInt(2)))
-	}
-	return bases
-}
-
-// TestMillerRabinBasesMatchMathBig pins the base draw to the
-// transcription for 10⁴ moduli, each its own seed.
-func TestMillerRabinBasesMatchMathBig(t *testing.T) {
-	if bits.UintSize != 64 {
-		t.Skip("the transcription is of the draw on 64-bit words")
-	}
-	rng := mrand.New(mrand.NewSource(7))
-	for i := 0; i < 10_000; i++ {
-		n := randomOdd256(rng)
-		m := newMont(bigToWords(n))
-		bases := mrand.New(mrand.NewSource(int64(m.n[0])))
-		for j, want := range millerRabinBasesRef(n, millerRabinRounds) {
-			a := m.base(bases)
-			if got := wordsToBig([4]uint64{a[3], a[2], a[1], a[0]}); got.Cmp(want) != 0 {
-				t.Fatalf("n = %x, base %d: drew %x, math/big draws %x", n, j, got, want)
-			}
-		}
-	}
 }
 
 // randomOdd256 returns an odd 256-bit number with its top two bits set.

@@ -83,9 +83,12 @@ const (
 	OpCheckSigVerify Opcode = 0xad
 	OpCheckLockTime  Opcode = 0xb1 // OP_CHECKLOCKTIMEVERIFY (BIP-65)
 	// OpCheckRSA512Pair is the paper's custom operator: pops an RSA-512
-	// public key then a candidate private key and pushes whether they
-	// form a valid pair. Implemented in Multichain via OpenSSL's
-	// RSA_PrivKey::VerifyPubKey; here via bccrypto.MatchesPublic.
+	// public key then a candidate private key and pushes whether
+	// bccrypto.MatchesPublic accepts them — the same N and e, and one
+	// probe, 2^(e·D) ≡ 2 (mod N). Multichain implements it with
+	// OpenSSL's RSA_PrivKey::VerifyPubKey. The probe does not prove that
+	// D decrypts under N when the discloser made the key (ROADMAP item
+	// 22).
 	OpCheckRSA512Pair Opcode = 0xc0
 )
 
