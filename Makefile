@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race harness-smoke bench blockconnect reorg relay-bench sync-bench channel-bench city-bench bench-gate bench-e2e-gate bench-scaling lint fuzz chaos chaos-byzantine ci
+.PHONY: build test vet race harness-smoke bench blockconnect reorg relay-bench sync-bench channel-bench city-bench bench-gate bench-e2e-gate bench-scaling lint fuzz chaos chaos-byzantine unreached ci
 
 build:
 	$(GO) build ./...
@@ -121,5 +121,11 @@ chaos:
 #   make chaos-byzantine CHAOS_SEED=<seed>
 chaos-byzantine:
 	CHAOS_SEED=$(CHAOS_SEED) $(GO) test -race -count=1 -v -run 'TestByzantineScenarios' ./internal/chaos
+
+# Every function and method of internal/ and the root package that no
+# cmd/*, examples/* or benchmark binary links: a report for dead-code
+# sweeps, not a gate (scripts/unreached.sh).
+unreached:
+	bash scripts/unreached.sh
 
 ci: vet race harness-smoke

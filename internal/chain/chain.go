@@ -73,9 +73,9 @@ var (
 	ErrDuplicateBlock = errors.New("chain: duplicate block")
 	// ErrInvalidGenesis reports a genesis block that fails validation.
 	ErrInvalidGenesis = errors.New("chain: invalid genesis block")
-	// ErrInconsistentState reports that the incremental UTXO set or the
-	// chain indexes diverged from a from-genesis replay — the debug
-	// cross-check failing.
+	// ErrInconsistentState reports that the incremental UTXO set, its
+	// undo journals or the chain indexes diverged from the reference
+	// CheckConsistency rebuilds — the debug cross-check failing.
 	ErrInconsistentState = errors.New("chain: incremental state inconsistent with replay")
 )
 
@@ -88,11 +88,9 @@ func New(params Params, genesis *Block) (*Chain, error) {
 	if MerkleRoot(genesis.Txs) != genesis.Header.MerkleRoot {
 		return nil, fmt.Errorf("%w: merkle root mismatch", ErrInvalidGenesis)
 	}
-	utxo := NewUTXOSet()
-	for _, tx := range genesis.Txs {
-		if err := utxo.ApplyTx(tx, 0); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrInvalidGenesis, err)
-		}
+	utxo, err := genesisUTXO(genesis)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidGenesis, err)
 	}
 	c := &Chain{
 		params:   params,
@@ -108,6 +106,17 @@ func New(params Params, genesis *Block) (*Chain, error) {
 	}
 	c.indexBlockTxs(genesis)
 	return c, nil
+}
+
+// genesisUTXO is the set the genesis block's transactions create.
+func genesisUTXO(genesis *Block) (*UTXOSet, error) {
+	utxo := NewUTXOSet()
+	for _, tx := range genesis.Txs {
+		if err := utxo.ApplyTx(tx, 0); err != nil {
+			return nil, err
+		}
+	}
+	return utxo, nil
 }
 
 // AuthorizeMiner adds a public key to the permissioned miner set.
@@ -181,74 +190,70 @@ func (c *Chain) Subscribe(fn func(*Block)) {
 
 // AddBlock validates and accepts a block, extending the best branch, or
 // storing (and possibly reorganizing to) a side branch.
-func (c *Chain) AddBlock(b *Block) error {
+func (c *Chain) AddBlock(b *Block) error { return c.addBlock(b, c.params) }
+
+// AddBlockTrusted connects a block whose scripts were validated when it
+// was first persisted — the snapshot-restore path of the daemon store.
+// Header linkage, miner authorization, signatures and all UTXO
+// accounting rules still run; only script execution is skipped, which is
+// what makes restart O(history txs) in map operations rather than
+// signature verifications.
+func (c *Chain) AddBlockTrusted(b *Block) error { return c.addBlock(b, c.params.withoutScripts()) }
+
+// addBlock accepts b under params, then hands every block that joined
+// the best branch to the subscribers, outside the lock.
+func (c *Chain) addBlock(b *Block, params Params) error {
 	c.mu.Lock()
-	var notify []*Block
-	err := c.addBlockLocked(b, &notify)
-	subs := make([]func(*Block), len(c.subscribers))
-	copy(subs, c.subscribers)
+	notify, err := c.addBlockLocked(b, params)
+	// Subscribe only appends, so this header's elements never change.
+	subs := c.subscribers
 	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	for _, nb := range notify {
 		for _, fn := range subs {
 			fn(nb)
 		}
 	}
-	return nil
+	return err
 }
 
-func (c *Chain) addBlockLocked(b *Block, notify *[]*Block) error {
-	return c.addBlockPolicy(b, notify, c.params)
-}
-
-// addBlockPolicy is addBlockLocked with an explicit parameter set, so
-// the trusted store-restore path can run the same code with script
-// verification switched off.
-func (c *Chain) addBlockPolicy(b *Block, notify *[]*Block, params Params) error {
+// addBlockLocked validates b and files it: on the best branch, on a side
+// branch, or as the tip of a reorganization. It returns the blocks that
+// joined the best branch.
+func (c *Chain) addBlockLocked(b *Block, params Params) ([]*Block, error) {
 	var start time.Time
 	if c.metrics != nil {
 		start = time.Now()
 	}
 	id := b.ID()
 	if _, dup := c.index[id]; dup {
-		return ErrDuplicateBlock
+		return nil, ErrDuplicateBlock
 	}
 	// Authenticate first: callers park a block on ErrBadPrevBlock.
 	if len(c.miners) > 0 && !c.miners[string(b.Header.MinerPubKey)] {
-		return ErrUnknownMiner
+		return nil, ErrUnknownMiner
 	}
 	if !b.Header.VerifySignature() {
-		return ErrBadMinerSig
+		return nil, ErrBadMinerSig
 	}
 	parent, ok := c.index[b.Header.PrevBlock]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrBadPrevBlock, b.Header.PrevBlock)
+		return nil, fmt.Errorf("%w: %s", ErrBadPrevBlock, b.Header.PrevBlock)
 	}
 	if b.Header.Height != parent.Header.Height+1 {
-		return fmt.Errorf("%w: block %d on parent %d", ErrBadHeight, b.Header.Height, parent.Header.Height)
+		return nil, fmt.Errorf("%w: block %d on parent %d", ErrBadHeight, b.Header.Height, parent.Header.Height)
 	}
 	if err := checkBlockStateless(b, params); err != nil {
-		return err
+		return nil, err
 	}
 
-	tip := c.best[len(c.best)-1]
-	if parent == tip {
-		// The common case: extend the best branch in place, journaling
-		// the mutations. connectBlockUndo rolls the set back itself on
-		// failure.
-		undo, err := connectBlockUndo(c.utxo, b, params, c.verifier)
-		if err != nil {
-			return err
+	if parent == c.best[len(c.best)-1] {
+		// The common case: extend the best branch in place.
+		if err := c.connectTip(b, id, params); err != nil {
+			return nil, err
 		}
 		c.index[id] = b
-		c.undo[id] = undo
-		c.indexBlockTxs(b)
-		c.best = append(c.best, b)
-		*notify = append(*notify, b)
 		c.noteConnect(b, start)
-		return nil
+		return []*Block{b}, nil
 	}
 
 	// Side branch. The block must link back to genesis; full UTXO
@@ -256,36 +261,40 @@ func (c *Chain) addBlockPolicy(b *Block, notify *[]*Block, params Params) error 
 	// header, signature and stateless checks already ran above).
 	branch, err := c.branchTo(parent)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	branch = append(branch, b)
 	c.index[id] = b
 	if len(branch) <= len(c.best) {
-		return nil
+		return nil, nil
 	}
-	if err := c.reorgLocked(branch, notify); err != nil {
+	joined, err := c.reorgLocked(branch)
+	if err != nil {
 		delete(c.index, id)
-		return err
+		return nil, err
 	}
 	c.noteConnect(b, start)
+	return joined, nil
+}
+
+// connectTip is the one way a block joins the best branch: it validates
+// b (whose ID is id; hashing a header is not free) against the live set
+// and applies it there, journaled (connectBlockUndo leaves the set
+// untouched on failure), and indexes its transactions.
+func (c *Chain) connectTip(b *Block, id Hash, params Params) error {
+	undo, err := connectBlockUndo(c.utxo, b, params, c.verifier)
+	if err != nil {
+		return err
+	}
+	c.undo[id] = undo
+	c.indexBlockTxs(b)
+	c.best = append(c.best, b)
 	return nil
 }
 
-// reorgLocked switches the best branch to the strictly longer candidate:
-// the losing suffix is disconnected through its undo journals and the
-// winning suffix connected with full validation, in O(reorg depth)
-// total. If a winning block fails validation the chain is restored to
-// its pre-reorg state exactly and the error returned.
-func (c *Chain) reorgLocked(branch []*Block, notify *[]*Block) error {
-	fork := commonPrefixLen(c.best, branch)
-	if int64(fork) <= c.pruneBase {
-		// Disconnecting down to the fork would unwind pruned heights,
-		// whose bodies and undo journals are gone.
-		return fmt.Errorf("%w: fork at height %d, prune base %d", ErrPrunedFork, fork, c.pruneBase)
-	}
-	detached := append([]*Block(nil), c.best[fork:]...)
-
-	// Disconnect the losing suffix, tip first.
+// disconnectTo unwinds the best branch, tip first, through the undo
+// journals until fork blocks remain.
+func (c *Chain) disconnectTo(fork int) {
 	for i := len(c.best) - 1; i >= fork; i-- {
 		blk := c.best[i]
 		blkID := blk.ID()
@@ -297,21 +306,29 @@ func (c *Chain) reorgLocked(branch []*Block, notify *[]*Block) error {
 		delete(c.undo, blkID)
 	}
 	c.best = c.best[:fork:fork]
+}
 
-	// Connect the winning suffix.
-	for j := fork; j < len(branch); j++ {
-		blk := branch[j]
-		undo, err := connectBlockUndo(c.utxo, blk, c.params, c.verifier)
-		if err != nil {
-			c.restoreBranch(fork, detached)
-			return fmt.Errorf("chain: reorg connect height %d (%s): %w", j, blk.ID(), err)
-		}
-		blkID := blk.ID()
-		c.undo[blkID] = undo
-		c.indexBlockTxs(blk)
-		c.best = append(c.best, blk)
+// reorgLocked switches the best branch to the strictly longer candidate:
+// the losing suffix is disconnected through its undo journals and the
+// winning suffix connected with full validation, in O(reorg depth)
+// total, and the connected suffix returned. If a winning block fails
+// validation the chain is restored to its pre-reorg state exactly and
+// the error returned.
+func (c *Chain) reorgLocked(branch []*Block) ([]*Block, error) {
+	fork := commonPrefixLen(c.best, branch)
+	if int64(fork) <= c.pruneBase {
+		// Disconnecting down to the fork would unwind pruned heights,
+		// whose bodies and undo journals are gone.
+		return nil, fmt.Errorf("%w: fork at height %d, prune base %d", ErrPrunedFork, fork, c.pruneBase)
 	}
-	*notify = append(*notify, branch[fork:]...)
+	detached := append([]*Block(nil), c.best[fork:]...)
+	c.disconnectTo(fork)
+	for _, blk := range branch[fork:] {
+		if err := c.connectTip(blk, blk.ID(), c.params); err != nil {
+			c.restoreBranch(fork, detached)
+			return nil, fmt.Errorf("chain: reorg connect height %d (%s): %w", blk.Header.Height, blk.ID(), err)
+		}
+	}
 	if m := c.metrics; m != nil {
 		if depth := len(detached); depth > 0 {
 			m.reorgs.Inc()
@@ -319,32 +336,20 @@ func (c *Chain) reorgLocked(branch []*Block, notify *[]*Block) error {
 			m.blocksDisconnected.Add(uint64(depth))
 		}
 	}
-	return nil
+	return branch[fork:], nil
 }
 
 // restoreBranch rolls a half-connected reorg back: blocks connected so
-// far are disconnected through their fresh journals, then the original
-// suffix is re-applied trusted (it was fully validated when it first
-// connected).
+// far are disconnected, then the original suffix re-joins through
+// connectTip with scripts off, as AddBlockTrusted connects (they were
+// verified when the suffix first connected).
 func (c *Chain) restoreBranch(fork int, detached []*Block) {
-	for i := len(c.best) - 1; i >= fork; i-- {
-		blk := c.best[i]
-		blkID := blk.ID()
-		if err := c.utxo.UndoBlock(c.undo[blkID]); err != nil {
-			panic(fmt.Sprintf("chain: reorg rollback at height %d: %v", i, err))
-		}
-		c.unindexBlockTxs(blk)
-		delete(c.undo, blkID)
-	}
-	c.best = c.best[:fork:fork]
+	c.disconnectTo(fork)
+	trusted := c.params.withoutScripts()
 	for _, blk := range detached {
-		undo, err := applyBlockTrusted(c.utxo, blk)
-		if err != nil {
+		if err := c.connectTip(blk, blk.ID(), trusted); err != nil {
 			panic(fmt.Sprintf("chain: reorg restore height %d: %v", blk.Header.Height, err))
 		}
-		c.undo[blk.ID()] = undo
-		c.indexBlockTxs(blk)
-		c.best = append(c.best, blk)
 	}
 }
 
@@ -421,126 +426,48 @@ func (c *Chain) branchTo(b *Block) ([]*Block, error) {
 	return branch, nil
 }
 
-// replayBranch replays a branch from genesis into a fresh UTXO set
-// through the full validation path. The live chain never uses it — the
-// incremental undo journals replaced the replay — but it survives as
-// the debug cross-check behind CheckConsistency: the O(n) ground truth
-// the O(depth) path must agree with byte for byte.
-func (c *Chain) replayBranch(branch []*Block) (*UTXOSet, error) {
-	utxo := NewUTXOSet()
-	for i, blk := range branch {
-		if i == 0 {
-			for _, tx := range blk.Txs {
-				if err := utxo.ApplyTx(tx, 0); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		if err := connectBlock(utxo, blk, c.params, c.verifier); err != nil {
-			return nil, fmt.Errorf("replay height %d: %w", i, err)
-		}
-	}
-	return utxo, nil
-}
-
-// CheckConsistency replays the best branch from genesis and verifies
-// that the incrementally maintained UTXO set and chain indexes match the
-// replay exactly. It is O(chain length) — a debug and test cross-check,
-// also wired into the chaos invariants — and returns
-// ErrInconsistentState (wrapped with detail) on divergence.
+// CheckConsistency verifies the incrementally maintained state against
+// a reference built without it. A copy of the live set is unwound
+// through the undo journals to the prune base — on an unpruned chain it
+// must then equal the genesis set — and every block above the base is
+// re-applied through the journal-free connectBlock; the round trip must
+// land exactly on the live set. The tx and spender indexes must hold
+// exactly genesis plus the unpruned suffix, and pruned heights must be
+// header-only stubs. It is O(unpruned chain) — a debug and test
+// cross-check, also wired into the chaos invariants and the benchmark's
+// end-of-run checks — and returns ErrInconsistentState (wrapped with
+// detail) on divergence.
+//
+// An entry wrongly present in the set and touched by no journal above
+// the base survives the round trip unchanged, so on a pruned chain,
+// where no genesis set remains to compare with, it cannot be seen.
 func (c *Chain) CheckConsistency() error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.pruneBase > 0 {
-		return c.checkConsistencyPrunedLocked()
-	}
-	replayed, err := c.replayBranch(c.best)
-	if err != nil {
-		return fmt.Errorf("%w: replay failed: %v", ErrInconsistentState, err)
-	}
-	if !c.utxo.Equal(replayed) {
-		return fmt.Errorf("%w: utxo set diverged (incremental %d entries, replay %d)",
-			ErrInconsistentState, c.utxo.Len(), replayed.Len())
-	}
-	if err := c.utxo.checkIndex(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInconsistentState, err)
-	}
-	// Rebuild the indexes from the best branch and compare.
-	var txs, spends int
-	for _, blk := range c.best {
-		for _, tx := range blk.Txs {
-			txs++
-			loc, ok := c.txIndex[tx.ID()]
-			if !ok || loc.height != blk.Header.Height || loc.tx != tx {
-				return fmt.Errorf("%w: txIndex entry for %s wrong or missing", ErrInconsistentState, tx.ID())
-			}
-			if tx.IsCoinbase() {
-				continue
-			}
-			for _, in := range tx.Inputs {
-				spends++
-				if c.spenders[in.Prev] != tx.ID() {
-					return fmt.Errorf("%w: spender index for %s wrong or missing", ErrInconsistentState, in.Prev)
-				}
-			}
-		}
-	}
-	if txs != len(c.txIndex) {
-		return fmt.Errorf("%w: txIndex has %d entries, best branch has %d txs", ErrInconsistentState, len(c.txIndex), txs)
-	}
-	if spends != len(c.spenders) {
-		return fmt.Errorf("%w: spender index has %d entries, best branch has %d spends", ErrInconsistentState, len(c.spenders), spends)
-	}
-	// Every best-branch block above genesis must hold an undo journal.
-	for _, blk := range c.best[1:] {
-		if _, ok := c.undo[blk.ID()]; !ok {
-			return fmt.Errorf("%w: missing undo journal for height %d", ErrInconsistentState, blk.Header.Height)
-		}
-	}
-	return nil
-}
-
-// checkConsistencyPrunedLocked is the pruned-chain variant of
-// CheckConsistency: genesis replay is impossible once bodies below the
-// horizon are gone, so the ground truth becomes the undo journals —
-// unwind the tip set to the prune base, re-apply the unpruned suffix
-// through full validation, and require the round trip to land exactly
-// on the incrementally maintained state. Indexes are checked over
-// genesis plus the unpruned suffix only.
-func (c *Chain) checkConsistencyPrunedLocked() error {
 	base := c.pruneBase
-	rewound := c.utxo.Clone()
-	for h := int64(len(c.best)) - 1; h > base; h-- {
-		undo, ok := c.undo[c.best[h].ID()]
-		if !ok {
-			return fmt.Errorf("%w: missing undo journal for height %d", ErrInconsistentState, h)
-		}
-		if err := rewound.UndoBlock(undo); err != nil {
-			return fmt.Errorf("%w: unwind height %d: %v", ErrInconsistentState, h, err)
-		}
-	}
-	for h := base + 1; h < int64(len(c.best)); h++ {
-		if err := connectBlock(rewound, c.best[h], c.params, c.verifier); err != nil {
-			return fmt.Errorf("%w: re-apply height %d: %v", ErrInconsistentState, h, err)
-		}
-	}
-	if !c.utxo.Equal(rewound) {
-		return fmt.Errorf("%w: utxo set diverged after unwind/re-apply round trip (incremental %d entries, round trip %d)",
-			ErrInconsistentState, c.utxo.Len(), rewound.Len())
-	}
-	if err := c.utxo.checkIndex(); err != nil {
+	u, err := c.stateAtLocked(base)
+	if err != nil {
 		return fmt.Errorf("%w: %v", ErrInconsistentState, err)
 	}
-	// Stubs must stay stubs, and indexed txs/spends must come from
-	// genesis plus the unpruned suffix exactly.
-	for h := int64(1); h <= base; h++ {
-		if len(c.best[h].Txs) != 0 {
-			return fmt.Errorf("%w: pruned height %d still holds a body", ErrInconsistentState, h)
+	if base == 0 {
+		genesis, err := genesisUTXO(c.genesis)
+		if err != nil || !u.Equal(genesis) {
+			return fmt.Errorf("%w: unwound set (%d entries) is not the genesis set", ErrInconsistentState, u.Len())
 		}
 	}
 	var txs, spends int
-	checkBlock := func(blk *Block) error {
+	for h, blk := range c.best {
+		if h > 0 && int64(h) <= base {
+			if len(blk.Txs) != 0 {
+				return fmt.Errorf("%w: pruned height %d still holds a body", ErrInconsistentState, h)
+			}
+			continue
+		}
+		if h > 0 {
+			if err := connectBlock(u, blk, c.params, c.verifier); err != nil {
+				return fmt.Errorf("%w: re-apply height %d: %v", ErrInconsistentState, h, err)
+			}
+		}
 		for _, tx := range blk.Txs {
 			txs++
 			loc, ok := c.txIndex[tx.ID()]
@@ -557,15 +484,13 @@ func (c *Chain) checkConsistencyPrunedLocked() error {
 				}
 			}
 		}
-		return nil
 	}
-	if err := checkBlock(c.best[0]); err != nil {
-		return err
+	if !c.utxo.Equal(u) {
+		return fmt.Errorf("%w: utxo set diverged after unwind/re-apply round trip (incremental %d entries, round trip %d)",
+			ErrInconsistentState, c.utxo.Len(), u.Len())
 	}
-	for h := base + 1; h < int64(len(c.best)); h++ {
-		if err := checkBlock(c.best[h]); err != nil {
-			return err
-		}
+	if err := c.utxo.checkIndex(); err != nil {
+		return fmt.Errorf("%w: %v", ErrInconsistentState, err)
 	}
 	if txs != len(c.txIndex) {
 		return fmt.Errorf("%w: txIndex has %d entries, unpruned blocks have %d txs", ErrInconsistentState, len(c.txIndex), txs)
@@ -632,32 +557,6 @@ func (c *Chain) ReadState(fn func(tip *Block, utxo *UTXOSet)) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	fn(c.best[len(c.best)-1], c.utxo)
-}
-
-// AddBlockTrusted connects a block whose scripts were validated when it
-// was first persisted — the snapshot-restore path of the daemon store.
-// Header linkage, miner authorization, signatures and all UTXO
-// accounting rules still run; only script execution is skipped, which is
-// what makes restart O(history txs) in map operations rather than
-// signature verifications.
-func (c *Chain) AddBlockTrusted(b *Block) error {
-	c.mu.Lock()
-	var notify []*Block
-	params := c.params
-	params.VerifyScripts = false
-	err := c.addBlockPolicy(b, &notify, params)
-	subs := make([]func(*Block), len(c.subscribers))
-	copy(subs, c.subscribers)
-	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	for _, nb := range notify {
-		for _, fn := range subs {
-			fn(nb)
-		}
-	}
-	return nil
 }
 
 // Confirmations returns how many blocks confirm the transaction (1 =

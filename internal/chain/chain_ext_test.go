@@ -381,6 +381,53 @@ func TestReorgToLongerBranch(t *testing.T) {
 	}
 }
 
+// TestFailedReorgRestoresBranch overtakes the best branch with a side
+// branch whose last block overpays its coinbase. The reorg fails on that
+// block, and the chain must be back on its old branch — same tip, same
+// set, indexes and journals that pass the cross-check — and keep
+// extending it.
+func TestFailedReorgRestoresBranch(t *testing.T) {
+	h := newHarness(t, chain.DefaultParams())
+	for i := 0; i < 4; i++ {
+		if i == 2 {
+			// The detached suffix carries a spend, so the restore
+			// re-applies more than coinbases.
+			tx, err := h.alice.BuildPayment(h.chain.UTXO(), h.bob.PubKeyHash(), 300, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.accept(tx)
+		}
+		h.mine()
+	}
+	tip, before := h.chain.Tip(), h.chain.UTXO()
+
+	parent, _ := h.chain.BlockAt(2)
+	for nonce := int64(1); nonce <= 2; nonce++ {
+		parent = forkBlockOn(t, parent, h.minerW, h.now, nonce)
+		if err := h.chain.AddBlock(parent); err != nil {
+			t.Fatalf("side block %d: %v", nonce, err)
+		}
+	}
+	bad := forkBlockPaying(t, parent, h.minerW, h.now, 3, h.params.CoinbaseReward+1)
+	if err := h.chain.AddBlock(bad); !errors.Is(err, chain.ErrExcessSubsidy) {
+		t.Fatalf("overpaying block: err = %v, want ErrExcessSubsidy", err)
+	}
+	if h.chain.Tip() != tip {
+		t.Fatalf("tip = %s, want the pre-reorg %s", h.chain.Tip().ID(), tip.ID())
+	}
+	if !h.chain.UTXO().Equal(before) {
+		t.Fatal("utxo set differs from the pre-reorg set")
+	}
+	if err := h.chain.CheckConsistency(); err != nil {
+		t.Fatalf("after the failed reorg: %v", err)
+	}
+	h.mine()
+	if err := h.chain.CheckConsistency(); err != nil {
+		t.Fatalf("after extending the restored branch: %v", err)
+	}
+}
+
 // buildOn hand-builds an empty signed block on a specific parent.
 func buildOn(m *chain.Miner, parent *chain.Block, at time.Time, w *wallet.Wallet) (*chain.Block, error) {
 	coinbase := &chain.Tx{

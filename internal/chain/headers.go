@@ -71,9 +71,6 @@ func NewHeaderChain(genesis *Block, miners [][]byte) *HeaderChain {
 // Height returns the spine tip height.
 func (hc *HeaderChain) Height() int64 { return int64(len(hc.headers)) - 1 }
 
-// TipID returns the spine tip's block ID.
-func (hc *HeaderChain) TipID() Hash { return hc.ids[len(hc.ids)-1] }
-
 // IDAt returns the block ID at the given height.
 func (hc *HeaderChain) IDAt(height int64) (Hash, bool) {
 	if height < 0 || height >= int64(len(hc.ids)) {

@@ -41,3 +41,11 @@ func DefaultParams() Params {
 		VerifyScripts:    true,
 	}
 }
+
+// withoutScripts is p with script verification off: the policy for
+// blocks whose scripts were verified before (AddBlockTrusted, a failed
+// reorg's restore).
+func (p Params) withoutScripts() Params {
+	p.VerifyScripts = false
+	return p
+}

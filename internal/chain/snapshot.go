@@ -163,6 +163,11 @@ func (c *Chain) PruneBase() int64 {
 func (c *Chain) StateAt(height int64) (*UTXOSet, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	return c.stateAtLocked(height)
+}
+
+// stateAtLocked is StateAt for a caller holding c.mu.
+func (c *Chain) stateAtLocked(height int64) (*UTXOSet, error) {
 	tip := int64(len(c.best)) - 1
 	if height < c.pruneBase || height > tip {
 		return nil, fmt.Errorf("chain: no state at height %d (prune base %d, tip %d)", height, c.pruneBase, tip)

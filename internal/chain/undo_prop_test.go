@@ -19,6 +19,12 @@ import (
 // height.
 func forkBlockOn(tb testing.TB, parent *chain.Block, w *wallet.Wallet, at time.Time, nonce int64) *chain.Block {
 	tb.Helper()
+	return forkBlockPaying(tb, parent, w, at, nonce, chain.DefaultParams().CoinbaseReward)
+}
+
+// forkBlockPaying is forkBlockOn with a coinbase worth value.
+func forkBlockPaying(tb testing.TB, parent *chain.Block, w *wallet.Wallet, at time.Time, nonce int64, value uint64) *chain.Block {
+	tb.Helper()
 	coinbase := &chain.Tx{
 		Inputs: []chain.TxIn{{
 			Prev: chain.OutPoint{Index: 0xffffffff},
@@ -28,7 +34,7 @@ func forkBlockOn(tb testing.TB, parent *chain.Block, w *wallet.Wallet, at time.T
 				AddData([]byte("fork")).Script(),
 		}},
 		Outputs: []chain.TxOut{{
-			Value: chain.DefaultParams().CoinbaseReward,
+			Value: value,
 			Lock:  script.PayToPubKeyHash(w.PubKeyHash()),
 		}},
 	}

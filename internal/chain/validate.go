@@ -119,44 +119,24 @@ func ConnectTxVerified(utxo UTXOReader, tx *Tx, height, maturity int64, verifySc
 	return fee, nil
 }
 
-// connectBlock validates every rule that depends on the UTXO view and
-// mutates utxo on success. The caller has already validated the header
-// linkage.
+// connectBlock validates b and applies it to utxo without journaling —
+// the reference CheckConsistency re-applies blocks through, independent
+// of the undo machinery the live chain connects with. The caller has
+// already validated the header linkage.
 //
 // Validation is two-pass: a sequential UTXO-accounting sweep over the
 // block (order-dependent — outputs created by tx i are spendable by tx
-// i+1) collects every script pair to check, then the verifier fans the
-// accumulated jobs out across cores. Script execution never touches the
-// UTXO set, so the split preserves accept/reject decisions exactly; the
-// utxo argument is a scratch view the caller only adopts on success.
+// i+1, and a second spend of one output finds it gone) collects every
+// script pair to check, then the verifier fans the accumulated jobs out
+// across cores. Script execution never touches the UTXO set, so the
+// split preserves accept/reject decisions exactly.
 func connectBlock(utxo *UTXOSet, b *Block, params Params, v *Verifier) error {
-	if len(b.Txs) == 0 {
-		return ErrNoTxs
-	}
-	if len(b.Txs) > params.MaxBlockTxs {
-		return ErrTooManyBlockTxs
-	}
-	if !b.Txs[0].IsCoinbase() {
-		return ErrBadCoinbase
-	}
-	if MerkleRoot(b.Txs) != b.Header.MerkleRoot {
-		return ErrBadMerkleRoot
+	if err := checkBlockStateless(b, params); err != nil {
+		return err
 	}
 	var fees uint64
 	var jobs []verifyJob
-	spentInBlock := make(map[OutPoint]bool)
 	for i, tx := range b.Txs {
-		if i > 0 && tx.IsCoinbase() {
-			return ErrBadCoinbase
-		}
-		if !tx.IsCoinbase() {
-			for _, in := range tx.Inputs {
-				if spentInBlock[in.Prev] {
-					return fmt.Errorf("chain: double spend of %s within block", in.Prev)
-				}
-				spentInBlock[in.Prev] = true
-			}
-		}
 		var fee uint64
 		var err error
 		fee, jobs, err = connectTxUTXO(utxo, tx, i, b.Header.Height, params.CoinbaseMaturity, jobs)
@@ -266,22 +246,6 @@ func connectBlockUndo(utxo *UTXOSet, b *Block, params Params, v *Verifier) (*Blo
 			rollback()
 			return nil, err
 		}
-	}
-	return undo, nil
-}
-
-// applyBlockTrusted connects a block that was fully validated when it
-// was first on the best branch, re-capturing its undo journal without
-// re-running validation. Used only to restore the original branch after
-// a failed reorganization attempt.
-func applyBlockTrusted(utxo *UTXOSet, b *Block) (*BlockUndo, error) {
-	undo := &BlockUndo{Txs: make([]*TxUndo, 0, len(b.Txs))}
-	for _, tx := range b.Txs {
-		txUndo, err := utxo.ApplyTxUndo(tx, b.Header.Height)
-		if err != nil {
-			return nil, err
-		}
-		undo.Txs = append(undo.Txs, txUndo)
 	}
 	return undo, nil
 }

@@ -58,10 +58,6 @@ const channelFee = 1
 // window.
 const chanHeightSkew = 2
 
-// ErrChannelsDisabled reports a channel operation on a daemon without an
-// enabled channel subsystem.
-var ErrChannelsDisabled = errors.New("daemon: channel subsystem disabled")
-
 // ChannelSettlement is the payer-side outcome of one off-chain delivery
 // settlement: which commitment paid for it and the disclosed key,
 // verified against the delivery's ePk before the update was acked.

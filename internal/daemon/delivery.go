@@ -17,7 +17,6 @@ import (
 	"bcwan/internal/p2p"
 	"bcwan/internal/recipient"
 	"bcwan/internal/registry"
-	"bcwan/internal/reputation"
 	"bcwan/internal/wallet"
 )
 
@@ -264,15 +263,6 @@ func (r *RecipientDaemon) EnableChannels(cfg ChannelConfig) (*ChannelManager, er
 	return mgr, nil
 }
 
-// UseReputation threads a shared reputation system into the delivery
-// path: deliveries from untrusted gateways are refused before payment,
-// replays are detected and reported, and a channel counterparty that
-// takes a commitment update without disclosing a valid key is reported
-// as a real loss (no refund script protects a channel delta).
-func (r *RecipientDaemon) UseReputation(sys *reputation.System) {
-	r.Recipient.UseReputation(sys)
-}
-
 // OnReceive installs a callback for decrypted messages.
 func (r *RecipientDaemon) OnReceive(fn func(*recipient.Message)) {
 	r.mu.Lock()
@@ -407,15 +397,23 @@ func (r *RecipientDaemon) receive(msg *recipient.Message) {
 	}
 }
 
-// settlePending tries to settle every pending exchange from confirmed
-// claims.
+// settlePending settles every pending exchange whose claim is
+// confirmed, and refunds every one its gateway left unclaimed until the
+// payment's refund height, so no payment stays locked, or pending, for
+// ever.
 func (r *RecipientDaemon) settlePending() {
 	for _, paymentID := range r.Recipient.PendingPayments() {
 		msg, err := r.Recipient.SettleClaim(paymentID)
-		if err != nil {
-			continue // claim not on chain yet
+		if err == nil {
+			r.receive(msg)
+			continue
 		}
-		r.receive(msg)
+		if !errors.Is(err, fairex.ErrNoClaim) {
+			continue
+		}
+		if _, err := r.Recipient.Refund(paymentID); err != nil && !errors.Is(err, recipient.ErrRefundTooEarly) {
+			r.logf("refund of unclaimed payment %s: %v", paymentID, err)
+		}
 	}
 }
 

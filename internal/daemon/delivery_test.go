@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"bcwan/internal/chain"
 	"bcwan/internal/fairex"
 	"bcwan/internal/lora"
+	"bcwan/internal/script"
 )
 
 // TestRecipientShedsDeliveriesBeyondItsSlots offers four times as many
@@ -158,6 +160,66 @@ func TestDuplicatedDeliveryIsPaidAndAckedOnce(t *testing.T) {
 	}
 	if ids := c.rcptd.Recipient.PendingPayments(); len(ids) != 1 || ids[0].String() != answers[0].PaymentTxID {
 		t.Fatalf("pending payments %v, want the acked %s alone", ids, answers[0].PaymentTxID)
+	}
+}
+
+// TestUnclaimedPaymentIsRefunded pays for a delivery whose gateway
+// never claims. Below the payment's refund height the recipient daemon
+// leaves it pending; at that height it refunds it on its own, and the
+// refund confirms as the payment's spender.
+func TestUnclaimedPaymentIsRefunded(t *testing.T) {
+	c := newCluster(t)
+	c.publishBinding(t)
+	dev := c.provisionSensor(t, lora.DevEUI{0xe2, 1})
+	d, _, err := c.gwd.Gateway.HandleData(c.dataFrame(t, dev, []byte("never claimed")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A bare overlay node stands in for the gateway: it never claims.
+	peer, acks := c.bareGateway(t)
+	if !peer.SendTo(c.rcptd.Node.P2PAddr(), msgTypeDelivery, payload) {
+		t.Fatal("delivery not sent")
+	}
+	var ack deliveryAck
+	select {
+	case ack = <-acks:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no deliveryack")
+	}
+	paymentID, err := chain.HashFromString(ack.PaymentTxID)
+	if !ack.Accepted || err != nil {
+		t.Fatalf("ack %+v: want an acceptance naming its payment (%v)", ack, err)
+	}
+	c.waitPooled(c.master, paymentID)
+	payment, _ := c.master.Ledger().PendingTx(paymentID)
+	lock, err := script.ParseKeyRelease(payment.Outputs[0].Lock)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for c.master.Chain().Height() < lock.RefundHeight-1 {
+		c.mine()
+	}
+	// A refund that went out would have forgotten the payment.
+	c.rcptd.settlePending()
+	if got := len(c.rcptd.Recipient.PendingPayments()); got != 1 {
+		t.Fatalf("one block before the refund height: %d pending, want the payment still pending", got)
+	}
+
+	c.mine()
+	waitCond(t, "the refund", func() bool { return len(c.rcptd.Recipient.PendingPayments()) == 0 })
+	if got := c.rcptd.Recipient.Stats.Refunds; got != 1 {
+		t.Fatalf("%d refunds, want 1", got)
+	}
+	waitCond(t, "the refund at the miner", func() bool { return c.master.Ledger().Pool.Len() == 1 })
+	c.mine()
+	spender, _, ok := c.rcptd.Node.Chain().FindSpender(chain.OutPoint{TxID: paymentID})
+	if !ok || spender.LockTime != lock.RefundHeight {
+		t.Fatalf("payment output spent by %+v (found %v), want the refund locked to height %d", spender, ok, lock.RefundHeight)
 	}
 }
 

@@ -197,17 +197,6 @@ func CheckPayment(d *Delivery, payment *chain.Tx, offerHeight int64) error {
 	return nil
 }
 
-// ExtractKeyFromClaim finds the confirmed transaction spending the
-// payment's output 0 and returns the RSA-512 private key its unlocking
-// script reveals.
-func ExtractKeyFromClaim(ledger *Node, paymentID chain.Hash) (*bccrypto.RSA512PrivateKey, error) {
-	spender, _, ok := ledger.FindSpender(chain.OutPoint{TxID: paymentID, Index: 0})
-	if !ok {
-		return nil, ErrNoClaim
-	}
-	return ClaimedKey(spender, paymentID)
-}
-
 // ClaimedKey returns the RSA-512 private key claim's unlocking script
 // reveals for the payment's output 0, confirmed or not.
 func ClaimedKey(claim *chain.Tx, paymentID chain.Hash) (*bccrypto.RSA512PrivateKey, error) {

@@ -150,13 +150,14 @@ func TestExtractKeyFromClaimPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.mine(t)
+	op := chain.OutPoint{TxID: payment.ID(), Index: 0}
 
 	// No spender yet.
-	if _, err := ExtractKeyFromClaim(f.node, payment.ID()); !errors.Is(err, ErrNoClaim) {
-		t.Fatalf("err = %v, want ErrNoClaim", err)
+	if spender, _, ok := f.node.FindSpender(op); ok {
+		t.Fatalf("spender %s before any claim", spender.ID())
 	}
 
-	claim, err := f.gw.BuildClaim(chain.OutPoint{TxID: payment.ID(), Index: 0}, payment.Outputs[0], eKey, 1)
+	claim, err := f.gw.BuildClaim(op, payment.Outputs[0], eKey, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +165,15 @@ func TestExtractKeyFromClaimPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unconfirmed claim: FindSpender scans the chain only.
-	if _, err := ExtractKeyFromClaim(f.node, payment.ID()); !errors.Is(err, ErrNoClaim) {
-		t.Fatalf("unconfirmed err = %v, want ErrNoClaim", err)
+	if _, _, ok := f.node.FindSpender(op); ok {
+		t.Fatal("FindSpender found the unconfirmed claim")
 	}
 	f.mine(t)
-	got, err := ExtractKeyFromClaim(f.node, payment.ID())
+	spender, _, ok := f.node.FindSpender(op)
+	if !ok {
+		t.Fatal("confirmed claim not found")
+	}
+	got, err := ClaimedKey(spender, payment.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +213,11 @@ func TestExtractKeyFromRefundIsNotAClaim(t *testing.T) {
 	}
 	f.mine(t)
 	// The spender exists, but it is the refund — no key to extract.
-	if _, err := ExtractKeyFromClaim(f.node, payment.ID()); !errors.Is(err, ErrNoClaim) {
+	spender, _, ok := f.node.FindSpender(chain.OutPoint{TxID: payment.ID(), Index: 0})
+	if !ok {
+		t.Fatal("confirmed refund not found")
+	}
+	if _, err := ClaimedKey(spender, payment.ID()); !errors.Is(err, ErrNoClaim) {
 		t.Fatalf("err = %v, want ErrNoClaim for refund spender", err)
 	}
 }

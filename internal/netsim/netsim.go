@@ -72,19 +72,6 @@ func NewPlanetLab(seed int64, n int) *Network {
 	return net
 }
 
-// NewUniform builds a network where every link has the same distribution.
-func NewUniform(seed int64, n int, dist LinkDist) *Network {
-	net := NewPlanetLab(seed, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				net.links[i][j] = dist
-			}
-		}
-	}
-	return net
-}
-
 // Size returns the node count.
 func (net *Network) Size() int { return net.n }
 
@@ -97,11 +84,6 @@ func (net *Network) Latency(a, b int) time.Duration {
 		return net.ProcessingDelay
 	}
 	return net.links[a][b].Sample(net.rng) + net.ProcessingDelay
-}
-
-// RTT samples a round trip a→b→a.
-func (net *Network) RTT(a, b int) time.Duration {
-	return net.Latency(a, b) + net.Latency(b, a)
 }
 
 // MedianMS returns the configured median for a link (useful in tests and

@@ -113,26 +113,3 @@ func TestLatencyPanicsOutOfRange(t *testing.T) {
 	}()
 	net.Latency(0, 9)
 }
-
-func TestRTTIsSumOfLegs(t *testing.T) {
-	net := NewUniform(5, 2, LinkDist{MedianMS: 40, Sigma: 0.1})
-	rtt := net.RTT(0, 1)
-	// Each leg ≥ processing delay, so RTT ≥ 2×.
-	if rtt < 2*net.ProcessingDelay {
-		t.Fatalf("RTT %v implausibly small", rtt)
-	}
-}
-
-func TestNewUniformOverridesLinks(t *testing.T) {
-	net := NewUniform(5, 4, LinkDist{MedianMS: 55, Sigma: 0.2})
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if i == j {
-				continue
-			}
-			if net.MedianMS(i, j) != 55 {
-				t.Fatalf("link %d->%d median = %f, want 55", i, j, net.MedianMS(i, j))
-			}
-		}
-	}
-}

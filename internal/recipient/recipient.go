@@ -59,6 +59,9 @@ var (
 	// still open. Nothing is paid for it and nobody is charged: a
 	// duplicating link delivers such copies honestly.
 	ErrDeliveryInFlight = errors.New("recipient: delivery already in flight")
+	// ErrRefundTooEarly reports a refund asked for before the chain
+	// reached the payment's refund height.
+	ErrRefundTooEarly = errors.New("recipient: refund height not reached")
 )
 
 // maxSettledMemory bounds the replay-detection window (settled
@@ -81,6 +84,9 @@ type Exchange struct {
 	delivery *fairex.Delivery
 	shared   []byte    // the sensor's AES key
 	payment  *chain.Tx // nil unless paid on-chain
+	// refundHeight is the height from which the payment's refund path
+	// opens; set with payment.
+	refundHeight int64
 }
 
 // settledExchange stands in the table for every settled exchange: the
@@ -233,11 +239,11 @@ func (r *Recipient) Admit(d *fairex.Delivery) (*Exchange, error) {
 // submits the Listing 1 payment. A failed payment forgets the exchange.
 func (r *Recipient) Pay(x *Exchange) (*chain.Tx, error) {
 	d := x.delivery
-	window := max(d.RefundWindow, r.cfg.RefundWindow)
+	refundHeight := r.ledger.Height() + max(d.RefundWindow, r.cfg.RefundWindow) + refundSkew
 	payment, err := r.pay(script.KeyReleaseParams{
 		RSAPubKey:         d.EPk,
 		GatewayPubKeyHash: d.GatewayPubKeyHash,
-		RefundHeight:      r.ledger.Height() + window + refundSkew,
+		RefundHeight:      refundHeight,
 		BuyerPubKeyHash:   r.wallet.PubKeyHash(),
 	}, d.Price)
 	r.mu.Lock()
@@ -246,7 +252,7 @@ func (r *Recipient) Pay(x *Exchange) (*chain.Tx, error) {
 		r.forgetLocked(x)
 		return nil, err
 	}
-	x.payment = payment
+	x.payment, x.refundHeight = payment, refundHeight
 	r.byPayment[payment.ID()] = x
 	r.Stats.Payments++
 	return payment, nil
@@ -357,8 +363,9 @@ func (r *Recipient) forgetLocked(x *Exchange) {
 }
 
 // Refund reclaims an expired, unclaimed payment through the Listing 1
-// OP_ELSE path and forgets the exchange. It fails (at the ledger) before
-// the refund height.
+// OP_ELSE path and forgets the exchange. Before the chain reaches the
+// payment's refund height it fails with ErrRefundTooEarly, and builds
+// and signs nothing.
 func (r *Recipient) Refund(paymentID chain.Hash) (*chain.Tx, error) {
 	r.mu.Lock()
 	x := r.byPayment[paymentID]
@@ -366,13 +373,12 @@ func (r *Recipient) Refund(paymentID chain.Hash) (*chain.Tx, error) {
 	if x == nil {
 		return nil, fmt.Errorf("%w: %s", ErrExchangeNotFound, paymentID)
 	}
-	params, err := script.ParseKeyRelease(x.payment.Outputs[0].Lock)
-	if err != nil {
-		return nil, fmt.Errorf("recipient: parse own payment: %w", err)
+	if height := r.ledger.Height(); height < x.refundHeight {
+		return nil, fmt.Errorf("%w: height %d < refund height %d", ErrRefundTooEarly, height, x.refundHeight)
 	}
 	refund, err := r.wallet.BuildRefund(
 		chain.OutPoint{TxID: paymentID, Index: 0},
-		x.payment.Outputs[0], params.RefundHeight, txFee)
+		x.payment.Outputs[0], x.refundHeight, txFee)
 	if err != nil {
 		return nil, fmt.Errorf("recipient: build refund: %w", err)
 	}

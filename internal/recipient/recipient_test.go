@@ -202,9 +202,9 @@ func TestRefundLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.mine(t)
-	// Before expiry the ledger rejects; the exchange stays pending.
-	if _, err := f.rcpt.Refund(payment.ID()); err == nil {
-		t.Fatal("early refund accepted")
+	// Before expiry nothing is built; the exchange stays pending.
+	if _, err := f.rcpt.Refund(payment.ID()); !errors.Is(err, ErrRefundTooEarly) {
+		t.Fatalf("early refund: err = %v, want ErrRefundTooEarly", err)
 	}
 	if len(f.rcpt.PendingPayments()) != 1 {
 		t.Fatal("failed refund dropped the exchange")

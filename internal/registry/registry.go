@@ -219,18 +219,11 @@ func (d *Directory) Lookup(pubKeyHash [20]byte) (Binding, error) {
 }
 
 // Eject marks an address as untrusted (reputation below threshold): its
-// current and future bindings are ignored until Reinstate.
+// current and future bindings are ignored from then on.
 func (d *Directory) Eject(pubKeyHash [20]byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.ejected[pubKeyHash] = true
-}
-
-// Reinstate lifts an ejection.
-func (d *Directory) Reinstate(pubKeyHash [20]byte) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.ejected, pubKeyHash)
 }
 
 // Len reports the number of known, non-ejected bindings.

@@ -322,15 +322,6 @@ func TestDirectoryEjectedLookup(t *testing.T) {
 	if _, err := dir.Lookup(hash); !errors.Is(err, ErrUntrusted) {
 		t.Fatalf("post-rebind ejected lookup err = %v, want ErrUntrusted", err)
 	}
-
-	dir.Reinstate(hash)
-	b, err := dir.Lookup(hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.NetAddr != "198.51.100.9:8000" || dir.Len() != 1 {
-		t.Fatalf("reinstated = %+v, Len = %d", b, dir.Len())
-	}
 }
 
 func FuzzDecodeBinding(f *testing.F) {

@@ -37,11 +37,6 @@ func New(random io.Reader) (*Wallet, error) {
 	return &Wallet{key: key, random: random}, nil
 }
 
-// FromKey wraps an existing keypair.
-func FromKey(key *bccrypto.ECKey, random io.Reader) *Wallet {
-	return &Wallet{key: key, random: random}
-}
-
 // Address returns the wallet's base58check address — the blockchain
 // address @R used by sensors to name their recipient.
 func (w *Wallet) Address() string { return w.key.Address() }

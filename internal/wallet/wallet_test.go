@@ -173,14 +173,6 @@ func TestAddressStable(t *testing.T) {
 	}
 }
 
-func TestFromKeyPreservesIdentity(t *testing.T) {
-	w, _ := fundedWallet(t, 100)
-	clone := FromKey(w.Key(), rand.Reader)
-	if clone.Address() != w.Address() {
-		t.Fatal("FromKey changed the identity")
-	}
-}
-
 func TestBuildKeyReleasePayment(t *testing.T) {
 	w, utxo := fundedWallet(t, 1000)
 	eKey, err := bccrypto.GenerateRSA512(rand.Reader)
