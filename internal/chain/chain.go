@@ -228,7 +228,8 @@ func (c *Chain) addBlockLocked(b *Block, params Params) ([]*Block, error) {
 	if _, dup := c.index[id]; dup {
 		return nil, ErrDuplicateBlock
 	}
-	// Authenticate first: callers park a block on ErrBadPrevBlock.
+	// Authenticate first: callers fetch a block's ancestors on
+	// ErrBadPrevBlock.
 	if len(c.miners) > 0 && !c.miners[string(b.Header.MinerPubKey)] {
 		return nil, ErrUnknownMiner
 	}

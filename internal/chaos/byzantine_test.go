@@ -531,7 +531,6 @@ func byzEclipse(t *testing.T, name string, seed int64) {
 	if err := c.Node(victim).Connect(nodeName(1)); err != nil {
 		env.fatalf("reconnect n1: %v", err)
 	}
-	c.Node(victim).RequestSync()
 	if err := c.WaitFor(scenarioTimeout, env.miners, func() bool { return c.Converged() }); err != nil {
 		env.fatalf("post-recovery convergence: %v", err)
 	}

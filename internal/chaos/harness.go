@@ -190,9 +190,9 @@ func (c *Cluster) nodeRandom(i, generation int) io.Reader {
 }
 
 // startNode boots peer i: fresh daemon, chain reloaded from its store,
-// connections to every live peer (each greeted with a getheaders), and a
-// catch-up round for anything missed while down. It returns the number
-// of blocks recovered from disk.
+// and connections to every live peer (each greeted with a getheaders,
+// whose answer is a catch-up round for anything missed while down). It
+// returns the number of blocks recovered from disk.
 func (c *Cluster) startNode(i int) (int, error) {
 	p := c.peers[i]
 	cfg := daemon.NodeConfig{
@@ -210,8 +210,8 @@ func (c *Cluster) startNode(i int) (int, error) {
 		// stalls half a second per faulted block body while the pump
 		// keeps mining, and catch-up barely outruns block production.
 		RelayRequestTimeout: 50 * time.Millisecond,
-		// Drive the sync state machine at the same time scale; the pump
-		// also kicks it every round through RequestSync.
+		// Drive the sync state machine at the same time scale: its live
+		// tick is the cluster's only anti-entropy, as in bcwand.
 		SyncRetryInterval: 20 * time.Millisecond,
 		// Compact aggressively so restart scenarios exercise the
 		// checkpoint + tail recovery path, not just a plain log.
@@ -246,7 +246,6 @@ func (c *Cluster) startNode(i int) (int, error) {
 			}
 		}
 	}
-	node.RequestSync()
 	p.Node = node
 	p.Alive = true
 	return loaded, nil
@@ -301,17 +300,11 @@ func (c *Cluster) Close() {
 	c.Net.Wait()
 }
 
-// PumpRound drives one anti-entropy round: every live node re-gossips
-// its pooled transactions and runs a catch-up round, the given
-// miners each mint one block, and the round then idles briefly so the
-// gossip fans out.
+// PumpRound drives one round: the given miners each mint one block,
+// and the round then idles briefly so the gossip fans out. Repair is
+// the daemons' own: each node's sync tick runs a catch-up round and
+// re-announces its pool.
 func (c *Cluster) PumpRound(miners ...int) {
-	for _, p := range c.peers {
-		if p.Alive {
-			p.Node.RebroadcastPending()
-			p.Node.RequestSync()
-		}
-	}
 	for _, i := range miners {
 		if p := c.peers[i]; p.Alive {
 			if _, err := p.Node.MineNow(); err != nil && c.Opts.Logger != nil {

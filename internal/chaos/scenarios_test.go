@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bcwan/internal/chain"
+	"bcwan/internal/daemon"
 	"bcwan/internal/fairex"
 	"bcwan/internal/gateway"
 	"bcwan/internal/lora"
@@ -68,6 +69,8 @@ type scenario struct {
 	gatewayNode   int
 	recipientNode int
 	faults        Faults
+	// tweak adjusts a node's config before it boots (Options.NodeTweak).
+	tweak func(i int, cfg *daemon.NodeConfig)
 	// refund runs the gateway-death arm: no claim, the recipient
 	// reclaims the payment through the Listing 1 OP_ELSE path.
 	refund bool
@@ -237,6 +240,17 @@ func TestFaultScenarios(t *testing.T) {
 			// reconstruction is missing the claim tx and must climb to the
 			// getblocktxn round trip (DESIGN.md §12 fallback ladder).
 			name: "compact-missing-tx", seed: 1010, nodes: 4, miners: []int{0},
+			// Once the partition heals, a sync tick could race the
+			// sketch while MineNow signs and stores the block: n0's
+			// re-announces the pooled claim to n3, and n3's round fetches
+			// the block's body. This scenario tests the reconstruction
+			// ladder, so neither tick fires; n1 and n2 reach n3 through
+			// dropped links until n3 adopts the block.
+			tweak: func(i int, cfg *daemon.NodeConfig) {
+				if i == 0 || i == 3 {
+					cfg.SyncRetryInterval = time.Hour
+				}
+			},
 			midExchange: func(t *testing.T, env *scenarioEnv) {
 				env.c.Net.Partition([]string{"n0", "n1", "n2"}, []string{"n3"})
 				// No mining while split: the claim must stay pooled so the
@@ -254,6 +268,10 @@ func TestFaultScenarios(t *testing.T) {
 					}
 					time.Sleep(2 * time.Millisecond)
 				}
+				// n0's relay announces the claim after admitting it, from
+				// a queue a loaded scheduler may not drain before Heal; let
+				// that inv meet the partition.
+				time.Sleep(50 * time.Millisecond)
 				// Heal n0 → n3 before n1 → n3 and n2 → n3. Those two may
 				// still be admitting the claim and announcing it, and an
 				// announcement reaching n3 ahead of the sketch would pool
@@ -265,15 +283,12 @@ func TestFaultScenarios(t *testing.T) {
 					env.c.Net.SetLinkFaults(from, "n3", Faults{Drop: 1})
 				}
 				env.c.Net.Heal()
-				// Mine before any pump round can re-announce pending txs,
-				// so the sketch reaches n3 with the claim still unknown.
+				// Mine at once, so the sketch reaches n3 with the claim
+				// still unknown.
 				blk, err := env.c.Node(0).MineNow()
 				if err != nil {
 					t.Fatalf("mine after heal: %v", err)
 				}
-				// Wait for n3 to adopt it without pumping: a pump round
-				// would force-rebroadcast the claim, racing it into n3's
-				// pool before the sketch and voiding the round trip.
 				deadline = time.Now().Add(scenarioTimeout)
 				for env.c.Node(3).Chain().Tip().ID() != blk.ID() {
 					if time.Now().After(deadline) {
@@ -327,10 +342,11 @@ func runScenario(t *testing.T, sc scenario) {
 	}
 
 	c, err := NewCluster(Options{
-		Seed:   seed,
-		Nodes:  sc.nodes,
-		Miners: sc.miners,
-		Dir:    t.TempDir(),
+		Seed:      seed,
+		Nodes:     sc.nodes,
+		Miners:    sc.miners,
+		Dir:       t.TempDir(),
+		NodeTweak: sc.tweak,
 	})
 	if err != nil {
 		fatalf("cluster: %v", err)

@@ -6,6 +6,7 @@
 package daemon
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -106,8 +107,7 @@ type Node struct {
 	metrics *daemonMetrics
 
 	mu        sync.Mutex
-	orphans   map[chain.Hash]*chain.Block // blocks waiting for their parent
-	orphanTxs map[chain.Hash]*chain.Tx    // txs whose inputs are not visible yet
+	orphanTxs map[chain.Hash]*chain.Tx // txs whose inputs are not visible yet
 	// channels is the channel subsystem behind the RPC surface, installed
 	// late by EnableChannels (the RPC server starts in NewNode).
 	channels *ChannelManager
@@ -148,7 +148,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg:          cfg,
 		chain:        c,
 		pool:         chain.NewMempool(),
-		orphans:      make(map[chain.Hash]*chain.Block),
 		orphanTxs:    make(map[chain.Hash]*chain.Tx),
 		pendingCmpct: make(map[chain.Hash]*pendingCompact),
 		reg:          reg,
@@ -196,12 +195,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.relay.Handle(p2p.MsgTypeSnapCommit, n.onSnapCommit)
 
 	rpcSrv, err := rpc.NewServer(cfg.ListenRPC, rpc.Backend{
-		Chain:        c,
-		Mempool:      n.pool,
-		OnTxAccepted: n.broadcastTx,
-		Telemetry:    n.reg,
-		SyncInfo:     func() any { return n.SyncInfo() },
-		Channels:     func() rpc.ChannelOps { return n.getChannelOps() },
+		Chain:     c,
+		Mempool:   n.pool,
+		Submit:    n.ledger.Submit,
+		Telemetry: n.reg,
+		SyncInfo:  func() any { return n.SyncInfo() },
+		Channels:  func() rpc.ChannelOps { return n.getChannelOps() },
 	})
 	if err != nil {
 		gossip.Close()
@@ -358,37 +357,6 @@ func (n *Node) Connect(addr string) error {
 	return nil
 }
 
-// RequestSync runs a catch-up round (after partitions, restarts or
-// message loss): one getheaders with the chain's locator to the next
-// peer in rotation, then a tail fetch of whatever the answer shows we
-// lack — a block whose inv was lost, or the far side of a fork of any
-// depth. While the boot sequence or an earlier round is still running,
-// it advances that one retry step instead.
-func (n *Node) RequestSync() {
-	if !n.sync.round("") {
-		n.sync.tick()
-	}
-}
-
-// RebroadcastPending re-announces every pooled transaction: the whole
-// pool goes out as one inv frame per peer, regardless of known-inventory
-// — a peer that lost the original inv to a fault would otherwise be
-// skipped forever — and batched because per-tx announcements cost
-// O(txs × peers) messages per call.
-func (n *Node) RebroadcastPending() {
-	txs := n.pool.Select(n.chain.Params().MaxBlockTxs)
-	if len(txs) == 0 {
-		return
-	}
-	ids := make([]p2p.ObjectID, len(txs))
-	bodies := make([][]byte, len(txs))
-	for i, tx := range txs {
-		ids[i] = p2p.ObjectID(tx.ID())
-		bodies[i] = tx.Serialize()
-	}
-	n.relay.AnnounceBatch("tx", ids, bodies)
-}
-
 // MineNow mints one block immediately (used by tests and by single-node
 // setups instead of the timer loop).
 func (n *Node) MineNow() (*chain.Block, error) {
@@ -472,7 +440,7 @@ func (n *Node) admitTx(tx *chain.Tx) {
 	switch {
 	case err == nil:
 		n.retryOrphanTxs()
-	case containsErr(err, chain.ErrMissingUTXO):
+	case errors.Is(err, chain.ErrMissingUTXO):
 		if n.spentOnChain(tx) {
 			return
 		}
@@ -554,7 +522,7 @@ func (n *Node) retryOrphanTxs() {
 			if err == nil {
 				progressed = true
 			}
-			if err == nil || !containsErr(err, chain.ErrMissingUTXO) || n.spentOnChain(tx) {
+			if err == nil || !errors.Is(err, chain.ErrMissingUTXO) || n.spentOnChain(tx) {
 				// Admitted, already known, conflicting, confirmed or
 				// invalid: either way it no longer needs parking.
 				n.mu.Lock()
@@ -568,70 +536,27 @@ func (n *Node) retryOrphanTxs() {
 	}
 }
 
-// acceptBlock adds a block received from peer from, parking it as an
-// orphan if its parent has not arrived yet, and retrying orphans after
-// every acceptance.
+// acceptBlock adds a block received from peer from, then each block the
+// sync machine's tail window held for want of it. An orphan (its parent
+// unknown) goes to syncManager.orphan: a live node keeps none and starts
+// a round with the sender, whose locator finds the fork point however
+// deep it sits below our tip.
 func (n *Node) acceptBlock(b *chain.Block, from string) {
-	switch err := n.chain.AddBlock(b); {
-	case err == nil:
-		n.pool.RemoveConfirmed(b)
-		n.drainOrphans()
-		// Confirmed outputs may fund transactions parked out of order.
-		n.retryOrphanTxs()
-		n.sync.noteBlockConnected()
-	case isOrphanErr(err):
-		n.mu.Lock()
-		if len(n.orphans) < 10_000 {
-			n.orphans[b.Header.PrevBlock] = b
-		}
-		n.mu.Unlock()
-		// Ask the sender for the missing ancestors: a round's locator
-		// finds the fork point however deep it sits below our tip. While
-		// the boot sequence or a round is running, the orphan waits for
-		// it to drain the gap instead.
-		n.sync.round(from)
-	default:
-		n.logf("block %s rejected: %v", b.ID(), err)
-	}
-}
-
-// drainOrphans attaches every parked block whose parent is now in the
-// index — on the best branch or a side branch (AddBlock reorganizes if
-// the side branch takes the lead) — repeating until a pass makes no
-// progress.
-func (n *Node) drainOrphans() {
-	for {
-		n.mu.Lock()
-		pending := make([]*chain.Block, 0, len(n.orphans))
-		for _, b := range n.orphans {
-			pending = append(pending, b)
-		}
-		n.mu.Unlock()
-		progress := false
-		for _, b := range pending {
-			if _, ok := n.chain.BlockByID(b.Header.PrevBlock); !ok {
-				continue
-			}
-			n.mu.Lock()
-			delete(n.orphans, b.Header.PrevBlock)
-			n.mu.Unlock()
-			switch err := n.chain.AddBlock(b); {
-			case err == nil:
-				n.pool.RemoveConfirmed(b)
-				progress = true
-			case containsErr(err, chain.ErrDuplicateBlock):
-			default:
-				n.logf("orphan %s rejected: %v", b.ID(), err)
-			}
-		}
-		if !progress {
+	for b != nil {
+		switch err := n.chain.AddBlock(b); {
+		case err == nil:
+			n.pool.RemoveConfirmed(b)
+			// Confirmed outputs may fund transactions parked out of order.
+			n.retryOrphanTxs()
+			b = n.sync.noteBlockConnected(b)
+		case errors.Is(err, chain.ErrBadPrevBlock):
+			n.sync.orphan(b, from)
+			return
+		default:
+			n.logf("block %s rejected: %v", b.ID(), err)
 			return
 		}
 	}
-}
-
-func isOrphanErr(err error) bool {
-	return err != nil && containsErr(err, chain.ErrBadPrevBlock)
 }
 
 func (n *Node) logf(format string, args ...any) {

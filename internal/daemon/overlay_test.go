@@ -207,6 +207,13 @@ func TestDaemonsDeliverOnMemTransport(t *testing.T) {
 		{rc, "messages_out_total", "deliveryack", 2},
 		{gw, "messages_in_total", "deliveryack", 2},
 	} {
+		// SendTo counts a message once it is queued, so the peer can act
+		// on it before the sender's count moves: wait for the count, then
+		// require it exact.
+		deadline := time.Now().Add(5 * time.Second)
+		for p2pCount(c.node, c.name, c.msgType) < c.expected && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
 		if got := p2pCount(c.node, c.name, c.msgType); got != c.expected {
 			t.Fatalf("%s %s{type=%q} = %d, want %d", c.node.P2PAddr(), c.name, c.msgType, got, c.expected)
 		}

@@ -100,10 +100,24 @@ func (n *Node) onRelayBlock(from string, payload []byte) (p2p.ObjectID, bool) {
 }
 
 // broadcastTx hands a transaction admitted locally (Submit or
-// sendrawtransaction) to the relay.
+// sendrawtransaction) to the relay, then retries the transactions
+// parked for want of its outputs.
 func (n *Node) broadcastTx(tx *chain.Tx) {
 	n.notifyLedger()
 	n.relay.Announce("tx", p2p.ObjectID(tx.ID()), tx.Serialize())
+	n.retryOrphanTxs()
+}
+
+// reannouncePool announces the pool's ids to every peer on each sync
+// retry tick: a peer that lost a transaction's inv would otherwise never
+// hear of it again. relayFetch answers the getdata from the pool.
+func (n *Node) reannouncePool() {
+	txs := n.pool.Select(n.chain.Params().MaxBlockTxs)
+	ids := make([]p2p.ObjectID, len(txs))
+	for i, tx := range txs {
+		ids[i] = p2p.ObjectID(tx.ID())
+	}
+	n.relay.AnnounceBatch("tx", ids)
 }
 
 // broadcastBlock propagates a freshly mined block as a compact sketch.

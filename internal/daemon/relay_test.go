@@ -271,14 +271,14 @@ func TestRelayMeshConvergesCheaperThanFlood(t *testing.T) {
 		t.Cleanup(func() { n.Close() })
 		nodes[i] = n
 	}
-	// Ring closure for redundant paths. The extra sync is the first
-	// message over the new link, teaching nodes[0] the dialer's
-	// address; every node then learns both ring neighbours before the
-	// workload starts (inbound peers register on first message).
+	// Ring closure for redundant paths. Connect's greeting getheaders
+	// is the first message over the new link, teaching nodes[0] the
+	// dialer's address; every node then learns both ring neighbours
+	// before the workload starts (inbound peers register on first
+	// message).
 	if err := nodes[nNodes-1].Connect(nodes[0].P2PAddr()); err != nil {
 		t.Fatal(err)
 	}
-	nodes[nNodes-1].RequestSync()
 	waitCond(t, "ring to become bidirectional", func() bool {
 		for _, n := range nodes {
 			if len(n.gossip.Peers()) != 2 {
@@ -354,5 +354,39 @@ func TestSpentTxIsNotParked(t *testing.T) {
 	defer n.mu.Unlock()
 	if _, ok := n.orphanTxs[orphan.ID()]; !ok || len(n.orphanTxs) != 1 {
 		t.Fatalf("%d txs parked (orphan among them: %v), want the orphan alone", len(n.orphanTxs), ok)
+	}
+}
+
+// TestLocalSubmitAdmitsParkedChild parks a transaction whose parent the
+// node has not seen, then submits the parent through the ledger: the
+// child must be pooled at once, with no block mined to retry it.
+func TestLocalSubmitAdmitsParkedChild(t *testing.T) {
+	f := newRelayFixture(t, 1)
+	n := f.node(t, p2p.NewMemTransport(), false)
+	w := f.wallets[0]
+	parent := f.payment(t, n, 0)
+	view := n.Chain().UTXO()
+	if err := view.ApplyTx(parent, 1); err != nil {
+		t.Fatal(err)
+	}
+	child, err := w.BuildPayment(view, w.PubKeyHash(), 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.admitTx(child)
+	n.mu.Lock()
+	_, parked := n.orphanTxs[child.ID()]
+	n.mu.Unlock()
+	if !parked {
+		t.Fatal("the child was not parked")
+	}
+	if err := n.Ledger().Submit(parent); err != nil {
+		t.Fatal(err)
+	}
+	if !n.Ledger().Pool.Contains(child.ID()) {
+		t.Fatal("the parked child is not pooled after its parent's submit")
+	}
+	if h := n.Chain().Height(); h != 0 {
+		t.Fatalf("height = %d, want 0", h)
 	}
 }

@@ -33,12 +33,15 @@ import (
 //     snapshot horizon, if one was installed), as direct getdata batches
 //     served by the relay — so a fork of any depth resolves in one round.
 //  4. live: ongoing replication is the relay's inv/compact-block gossip.
-//     RequestSync, every outbound Connect and an orphan block (asked of
-//     the peer that sent it) start the next round at headers.
+//     Every retry tick, every outbound Connect and an orphan block (asked
+//     of the peer that sent it) start the next round at headers.
 //
 // Every phase is driven by a retry ticker with deterministic peer
 // rotation (sorted peer names, round-robin counter), so chaos runs
-// replay identically under a fixed seed.
+// replay identically under a fixed seed. The live tick's round and its
+// pool re-announce are the node's only anti-entropy: they repair a lost
+// block sketch, a lost transaction inv or a healed partition without
+// waiting for the next block.
 
 // Sync phases.
 const (
@@ -115,6 +118,11 @@ type syncManager struct {
 	// tailReqEnd is the top of the last requested tail batch; the
 	// connect hook sends the next batch once that block is indexed.
 	tailReqEnd int64
+	// early is the tail's reorder window: spine blocks that arrived
+	// ahead of their parent, by height, at most maxSyncBlocks above the
+	// chain. The connect hook hands each on once its parent is indexed;
+	// a new round or the return to live empties it.
+	early map[int64]*chain.Block
 
 	// held suppresses ticks and headers responses until Node.Open has
 	// loaded the store (or the first retry tick fires, for nodes that
@@ -147,6 +155,7 @@ func newSyncManager(n *Node) *syncManager {
 		held:      true,
 		spine:     chain.NewHeaderChain(n.cfg.Genesis, n.cfg.Miners),
 		triedSnap: make(map[string]bool),
+		early:     make(map[int64]*chain.Block),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}
@@ -167,6 +176,9 @@ func (sm *syncManager) run() {
 		case <-ticker.C:
 			sm.release()
 			sm.tick()
+			// Outside sm.mu: Relay.onInv holds the relay's mutex while
+			// its Have callback takes sm.mu.
+			sm.n.reannouncePool()
 		case <-sm.stop:
 			return
 		}
@@ -202,23 +214,6 @@ func (sm *syncManager) release() {
 	}
 }
 
-// round starts a catch-up round against peer ("" = the next peer in
-// rotation) with one getheaders. It reports false, and does nothing,
-// while the boot sequence or an earlier round is still running.
-func (sm *syncManager) round(peer string) bool {
-	sm.mu.Lock()
-	defer sm.mu.Unlock()
-	if sm.phase != syncLive {
-		return false
-	}
-	sm.beginRoundLocked()
-	if peer == "" {
-		peer = sm.nextPeerLocked()
-	}
-	sm.sendGetHeadersLocked(peer)
-	return true
-}
-
 // beginRoundLocked puts a live machine back at the headers phase, with
 // the spine rebased onto the best chain so a getheaders carries the
 // chain's own locator and a peer answers from the fork point.
@@ -228,6 +223,7 @@ func (sm *syncManager) beginRoundLocked() {
 	sm.stall = 0
 	sm.headersSent = true
 	sm.tailPeer = ""
+	clear(sm.early)
 }
 
 // greet opens an outbound link with a getheaders. The dialee learns our
@@ -235,15 +231,40 @@ func (sm *syncManager) beginRoundLocked() {
 // once live it is also a round against the new peer. A held machine
 // drops the answer, and release asks again.
 func (sm *syncManager) greet(peer string) {
-	if sm.round(peer) {
-		return
-	}
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
+	if sm.phase == syncLive {
+		sm.beginRoundLocked()
+	}
 	sm.sendGetHeadersLocked(peer)
 }
 
-// tick advances the machine one retry step.
+// orphan takes a block whose parent is unknown, received from peer
+// from. A live machine starts a round with its sender, whose tail
+// fetches the block again. A tail fetch keeps the block in its window if
+// the spine names it (its header joins the spine when it extends it): a
+// reordered batch, or a sketch newer than the fetch. Otherwise the block
+// waits for the running round, or the next live tick's.
+func (sm *syncManager) orphan(b *chain.Block, from string) {
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
+	switch sm.phase {
+	case syncLive:
+		sm.beginRoundLocked()
+		sm.sendGetHeadersLocked(from)
+	case syncTail:
+		h := b.Header.Height
+		if h == sm.spine.Height()+1 {
+			sm.spine.Connect([]*chain.Header{&b.Header})
+		}
+		if id, ok := sm.spine.IDAt(h); ok && id == b.ID() && h <= sm.n.chain.Height()+maxSyncBlocks {
+			sm.early[h] = b
+		}
+	}
+}
+
+// tick advances the machine one retry step; a live machine starts a
+// round.
 func (sm *syncManager) tick() {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
@@ -256,6 +277,13 @@ func (sm *syncManager) tick() {
 	// silent interval (stall ≥ 2) — a fast retry tick must not flood
 	// duplicates while a response is still being verified.
 	switch sm.phase {
+	case syncLive:
+		// A round with the next peer in the rotation: it finds whatever
+		// a lost announcement or a partition kept from us.
+		if peer := sm.nextPeerLocked(); peer != "" {
+			sm.beginRoundLocked()
+			sm.sendGetHeadersLocked(peer)
+		}
 	case syncHeaders:
 		sm.stall++
 		if sm.stall > syncStallTicks {
@@ -386,7 +414,8 @@ func (sm *syncManager) onHeaders(from string, msg p2p.Message) {
 func (sm *syncManager) decideLocked() {
 	our := sm.n.chain.Height()
 	if sm.spine.Height() <= our {
-		sm.toLiveLocked()
+		// Nothing to fetch, as after most live ticks: no log line.
+		sm.phase = syncLive
 		return
 	}
 	useSnapshot := !sm.fullOnly &&
@@ -614,40 +643,46 @@ func (sm *syncManager) sendTailRequestLocked(peer string) {
 	if peer == "" {
 		return
 	}
-	from := sm.tailStartLocked()
 	var ids []p2p.ObjectID
-	for h := from; h <= sm.spine.Height() && len(ids) < maxSyncBlocks; h++ {
-		id, _ := sm.spine.IDAt(h)
-		ids = append(ids, p2p.ObjectID(id))
+	for h := sm.tailStartLocked(); h <= sm.spine.Height() && len(ids) < maxSyncBlocks; h++ {
+		if sm.early[h] == nil {
+			id, _ := sm.spine.IDAt(h)
+			ids = append(ids, p2p.ObjectID(id))
+			sm.tailReqEnd = h
+		}
 	}
 	if len(ids) == 0 {
 		return
 	}
-	sm.tailReqEnd = from + int64(len(ids)) - 1
 	sm.n.gossip.SendTo(peer, "getdata", p2p.EncodeInv("block", ids...))
 }
 
-// noteBlockConnected is called from acceptBlock whenever a block joins
-// the index: during the tail phase it requests the next getdata batch as
-// soon as the previous one has fully arrived, so the backfill is
+// noteBlockConnected is called from acceptBlock whenever block b joins
+// the index, and returns the tail window's next block, whose parent b
+// is. During the tail phase it requests the next getdata batch as soon
+// as the previous one has fully arrived, so the backfill is
 // response-paced instead of waiting out a retry tick per batch.
-func (sm *syncManager) noteBlockConnected() {
+func (sm *syncManager) noteBlockConnected(b *chain.Block) *chain.Block {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	if sm.phase != syncTail {
-		return
+		return nil
 	}
+	next := sm.early[b.Header.Height+1]
+	delete(sm.early, b.Header.Height+1)
 	sm.stall = 0
 	if sm.tailDoneLocked() {
 		sm.toLiveLocked()
-		return
+		return next
 	}
 	if id, ok := sm.spine.IDAt(sm.tailReqEnd); ok && sm.n.relayHave("block", p2p.ObjectID(id)) {
 		sm.sendTailRequestLocked(sm.tailPeer)
 	}
+	return next
 }
 
 func (sm *syncManager) toLiveLocked() {
+	clear(sm.early)
 	sm.phase = syncLive
 	sm.n.logf("sync live at height %d", sm.n.chain.Height())
 }

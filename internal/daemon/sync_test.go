@@ -366,12 +366,34 @@ func TestConnectRegistersDialerAtOnce(t *testing.T) {
 	}
 }
 
+// handTickedNode builds a syncTestNode whose retry tick never fires (an
+// hour apart), so the test starts every round itself with sync.tick,
+// and lifts its boot hold as Open would.
+func handTickedNode(t *testing.T, f *relayFixture, tr p2p.Transport, tweak func(*NodeConfig), peers ...string) *Node {
+	t.Helper()
+	n := syncTestNode(t, f, tr, func(cfg *NodeConfig) {
+		cfg.SyncRetryInterval = time.Hour
+		if tweak != nil {
+			tweak(cfg)
+		}
+	}, peers...)
+	n.sync.release()
+	return n
+}
+
+// getheadersSent counts the rounds a node has started: each sends one
+// getheaders.
+func getheadersSent(n *Node) uint64 {
+	return n.Telemetry().Counter("bcwan_p2p_messages_out_total", "", telemetry.L("type", p2p.MsgTypeGetHeaders)).Value()
+}
+
 // TestDeepForkResolvesInOneRound splits two miners for longer than one
 // tail batch: each mines its own branch off genesis, then a bare link
 // joins them — nothing is announced over it, as when a partition heals.
 // The shorter side must reorganize onto the longer branch within
-// ⌈depth/64⌉ + 1 RequestSync calls: a round's locator finds the fork
-// point, and the tail fetches from there instead of from its own tip.
+// ⌈depth/64⌉ + 1 live ticks per node, counted as the getheaders each
+// node sent: a round's locator finds the fork point, and the tail
+// fetches from there instead of from its own tip.
 func TestDeepForkResolvesInOneRound(t *testing.T) {
 	const short, long = 70, 140
 	f := newRelayFixture(t, 1)
@@ -382,35 +404,38 @@ func TestDeepForkResolvesInOneRound(t *testing.T) {
 	miners := [][]byte{f.miner.PublicBytes(), other.PublicBytes()}
 	tr := p2p.NewMemTransport()
 	mk := func(key *bccrypto.ECKey, blocks int) *Node {
-		n := syncTestNode(t, f, tr, func(cfg *NodeConfig) { cfg.Miners, cfg.MinerKey = miners, key })
+		n := handTickedNode(t, f, tr, func(cfg *NodeConfig) { cfg.Miners, cfg.MinerKey = miners, key })
 		for i := 0; i < blocks; i++ {
 			if _, err := n.MineNow(); err != nil {
 				t.Fatal(err)
 			}
 		}
+		// With no peer, the boot round stalls out to live.
+		for n.SyncInfo().Phase != "live" {
+			n.sync.tick()
+		}
 		return n
 	}
 	a, b := mk(f.miner, short), mk(other, long)
 	bothLive := func() bool { return a.SyncInfo().Phase == "live" && b.SyncInfo().Phase == "live" }
-	waitCond(t, "both miners live", bothLive)
 	if err := a.Gossip().Connect(b.P2PAddr()); err != nil {
 		t.Fatal(err)
 	}
 
-	bound := (long+maxSyncBlocks-1)/maxSyncBlocks + 1
-	calls := 0
-	for ; a.Chain().Tip().ID() != b.Chain().Tip().ID(); calls++ {
-		if calls == bound {
-			t.Fatalf("no convergence after %d RequestSync calls (a at %d, b at %d)", calls, a.Chain().Height(), b.Chain().Height())
+	bound := uint64((long+maxSyncBlocks-1)/maxSyncBlocks + 1)
+	for a.Chain().Tip().ID() != b.Chain().Tip().ID() {
+		if getheadersSent(a) >= bound || getheadersSent(b) >= bound {
+			t.Fatalf("no convergence after %d and %d rounds (a at %d, b at %d)",
+				getheadersSent(a), getheadersSent(b), a.Chain().Height(), b.Chain().Height())
 		}
-		a.RequestSync()
-		b.RequestSync()
+		a.sync.tick()
+		b.sync.tick()
 		waitCond(t, "the round to finish", bothLive)
 	}
 	if got := a.Chain().Height(); got != long {
 		t.Fatalf("a at height %d, want the long branch's %d", got, long)
 	}
-	t.Logf("a %d-block fork resolved after %d RequestSync calls (bound %d)", long, calls, bound)
+	t.Logf("a %d-block fork resolved after %d rounds at a, %d at b (bound %d)", long, getheadersSent(a), getheadersSent(b), bound)
 }
 
 // lyingTransport makes a node a lying snapshot peer: chunk 0 of every

@@ -196,43 +196,21 @@ func (r *Relay) Announce(kind string, id ObjectID, payload []byte) {
 	r.mu.Unlock()
 }
 
-// AnnounceBatch stores a batch of objects and advertises all of them
-// with one inv frame per peer — the mempool-rebroadcast path, which
-// would otherwise cost one message per object per peer every pump. The
-// batch ignores known-inventory: an entry can be a false positive when
-// a send was enqueued but lost, and a rebroadcast exists to repair
-// exactly that.
-func (r *Relay) AnnounceBatch(kind string, ids []ObjectID, bodies [][]byte) {
-	if len(ids) == 0 || len(ids) != len(bodies) {
+// AnnounceBatch advertises objects the consumer already holds (its
+// Fetch answers the getdata) with one inv frame per peer — the daemon's
+// pool re-announce, which per-object announcements would cost one
+// message per object per peer every tick. The batch ignores
+// known-inventory: an entry can be a false positive when a send was
+// enqueued but lost, and a re-announce exists to repair exactly that.
+func (r *Relay) AnnounceBatch(kind string, ids []ObjectID) {
+	if len(ids) == 0 {
 		return
 	}
-	peers := r.node.Peers()
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	keys := make([]invKey, len(ids))
-	for i, id := range ids {
-		keys[i] = invKey{kind, id}
-		r.storeLocked(keys[i], bodies[i])
-		r.clearPendingLocked(keys[i])
-	}
-	r.pruneKnownLocked(peers)
-	m := r.node.metrics
-	r.mu.Unlock()
-
 	wire := EncodeInv(kind, ids...)
-	announced := m.local(kind).get(announceOut)
-	for _, addr := range peers {
+	announced := r.node.metrics.local(kind).get(announceOut)
+	for _, addr := range r.node.Peers() {
 		if r.node.SendTo(addr, "inv", wire) {
 			announced.Add(uint64(len(ids)))
-			r.mu.Lock()
-			known := r.knownLocked(addr)
-			for _, key := range keys {
-				known.add(key)
-			}
-			r.mu.Unlock()
 		}
 	}
 }

@@ -283,6 +283,58 @@ func TestRelayDedupAcrossAnnouncers(t *testing.T) {
 	}
 }
 
+// TestAnnounceBatchRepairsKnownInventory re-announces two objects to a
+// peer whose known-inventory already lists both, as after a send the
+// fault model dropped. The batch inv must still arrive; the peer fetches
+// only the object it lacks, and the announcer answers that getdata
+// through Fetch, since its relay store holds no body.
+func TestAnnounceBatchRepairsKnownInventory(t *testing.T) {
+	tr := NewMemTransport()
+	held, lacked := []byte("held-by-peer"), []byte("lacked-by-peer")
+	heldID, lackedID := sha256.Sum256(held), sha256.Sum256(lacked)
+	var mu sync.Mutex
+	var fetched []ObjectID
+	a := newRelayTestNode(t, tr, RelayConfig{Fetch: func(kind string, id ObjectID) ([]byte, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		fetched = append(fetched, id)
+		switch id {
+		case heldID:
+			return held, true
+		case lackedID:
+			return lacked, true
+		}
+		return nil, false
+	}})
+	b := newRelayTestNode(t, tr, RelayConfig{Have: func(kind string, id ObjectID) bool { return id == heldID }})
+	if err := a.node.Connect(b.node.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	a.relay.MarkKnown(b.node.Addr(), "tx", heldID)
+	a.relay.MarkKnown(b.node.Addr(), "tx", lackedID)
+
+	a.relay.AnnounceBatch("tx", []ObjectID{heldID, lackedID})
+	b.got.waitFor(t, 1)
+	time.Sleep(50 * time.Millisecond)
+	if got := b.got.count(); got != 1 || !bytes.Equal(b.got.msgs[0].Payload, lacked) {
+		t.Fatalf("b received %d bodies, want the lacked one alone", got)
+	}
+	if v := counterValue(b.reg, "relay_announces_total", telemetry.L("kind", "tx"), telemetry.L("dir", "in")); v != 2 {
+		t.Fatalf("b heard %d announcements, want both ids", v)
+	}
+	if v := counterValue(b.reg, "relay_requests_total", telemetry.L("kind", "tx"), telemetry.L("dir", "out")); v != 1 {
+		t.Fatalf("b requested %d objects, want 1", v)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(fetched, []ObjectID{lackedID}) {
+		t.Fatalf("a fetched %d bodies, want the lacked one alone", len(fetched))
+	}
+	if a.relay.Has("tx", lackedID) {
+		t.Fatal("the batch stored a body in the relay")
+	}
+}
+
 func TestInvEncodingRoundTrip(t *testing.T) {
 	id1 := sha256.Sum256([]byte("a"))
 	id2 := sha256.Sum256([]byte("b"))

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"bcwan/internal/chain"
+	"bcwan/internal/fairex"
 	"bcwan/internal/telemetry"
 	"bcwan/internal/wallet"
 )
@@ -67,11 +68,16 @@ func newFixture(t *testing.T) *fixture {
 		bob:     bob,
 		reg:     reg,
 	}
+	ledger := &fairex.Node{
+		Chain:    c,
+		Pool:     pool,
+		OnSubmit: func(tx *chain.Tx) { f.gossip = append(f.gossip, tx) },
+	}
 	f.server, err = NewServer("", Backend{
-		Chain:        c,
-		Mempool:      pool,
-		OnTxAccepted: func(tx *chain.Tx) { f.gossip = append(f.gossip, tx) },
-		Telemetry:    reg,
+		Chain:     c,
+		Mempool:   pool,
+		Submit:    ledger.Submit,
+		Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

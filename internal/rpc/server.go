@@ -75,9 +75,10 @@ const maxRequestBytes = 8 << 20
 type Backend struct {
 	Chain   *chain.Chain
 	Mempool *chain.Mempool
-	// OnTxAccepted, when set, is invoked after a sendrawtransaction is
-	// admitted to the mempool (the daemon gossips it to peers).
-	OnTxAccepted func(*chain.Tx)
+	// Submit admits a sendrawtransaction to the mempool, and relays it
+	// once admitted (the daemon passes its ledger's Submit, the one
+	// local admission path).
+	Submit func(*chain.Tx) error
 	// Telemetry, when set, is served at GET /metrics (Prometheus text)
 	// and by the getmetrics method, and the server records its own
 	// request metrics in it.
@@ -507,16 +508,8 @@ func handleSendRawTransaction(s *Server, params []json.RawMessage) (any, error) 
 	if err != nil {
 		return nil, &Error{Code: CodeInvalidParams, Message: err.Error()}
 	}
-	c := s.backend.Chain
-	var acceptErr error
-	c.ReadState(func(tip *chain.Block, utxo *chain.UTXOSet) {
-		acceptErr = s.backend.Mempool.Accept(tx, utxo, tip.Header.Height, c.Params())
-	})
-	if acceptErr != nil {
-		return nil, &Error{Code: CodeServerError, Message: acceptErr.Error()}
-	}
-	if s.backend.OnTxAccepted != nil {
-		s.backend.OnTxAccepted(tx)
+	if err := s.backend.Submit(tx); err != nil {
+		return nil, &Error{Code: CodeServerError, Message: err.Error()}
 	}
 	return tx.ID().String(), nil
 }
