@@ -124,7 +124,3 @@ func (m *Miner) Mine(now time.Time) (*Block, error) {
 	m.mempool.RemoveConfirmed(b)
 	return b, nil
 }
-
-// PublicKey returns the miner's serialized public key, for
-// Chain.AuthorizeMiner.
-func (m *Miner) PublicKey() []byte { return m.key.PublicBytes() }

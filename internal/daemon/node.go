@@ -108,6 +108,10 @@ type Node struct {
 
 	mu        sync.Mutex
 	orphanTxs map[chain.Hash]*chain.Tx // txs whose inputs are not visible yet
+	// refusedTxs are the gossiped txs the pool refused since the tip
+	// last moved. relayHave counts them, so a peer's pool re-announce of
+	// a first-seen conflict is not fetched again on every tick.
+	refusedTxs map[chain.Hash]bool
 	// channels is the channel subsystem behind the RPC surface, installed
 	// late by EnableChannels (the RPC server starts in NewNode).
 	channels *ChannelManager
@@ -149,6 +153,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		chain:        c,
 		pool:         chain.NewMempool(),
 		orphanTxs:    make(map[chain.Hash]*chain.Tx),
+		refusedTxs:   make(map[chain.Hash]bool),
 		pendingCmpct: make(map[chain.Hash]*pendingCompact),
 		reg:          reg,
 		metrics:      newDaemonMetrics(reg),
@@ -161,8 +166,14 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.pool.Instrument(n.reg)
 	n.dir = registry.NewDirectory()
 	n.dir.Attach(c)
-	// A connect can confirm, or first show, a payment a claim waits for.
-	c.Subscribe(func(*chain.Block) { n.notifyLedger() })
+	// A connect can confirm, or first show, a payment a claim waits for,
+	// and can make a refused transaction valid.
+	c.Subscribe(func(*chain.Block) {
+		n.notifyLedger()
+		n.mu.Lock()
+		clear(n.refusedTxs)
+		n.mu.Unlock()
+	})
 
 	gossip, err := p2p.NewNode(cfg.Transport, cfg.ListenP2P, cfg.Logger, n.reg)
 	if err != nil {
@@ -367,7 +378,7 @@ func (n *Node) MineNow() (*chain.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.broadcastBlock(b)
+	n.sendCompact(b, "")
 	n.maybePublishCommitment(b)
 	return b, nil
 }
@@ -434,26 +445,60 @@ const maxOrphanTxs = 10_000
 // arrive before the one funding it (the gateway's claim chains onto the
 // unconfirmed payment), and gossip dedup means it will never be
 // re-delivered — so transactions with missing inputs are parked and
-// retried as the view grows instead of being dropped.
-func (n *Node) admitTx(tx *chain.Tx) {
+// retried as the view grows instead of being dropped. It reports whether
+// this call pooled tx or it is parked.
+func (n *Node) admitTx(tx *chain.Tx) bool {
 	err := n.acceptPooled(tx)
 	switch {
 	case err == nil:
 		n.retryOrphanTxs()
+		return true
 	case errors.Is(err, chain.ErrMissingUTXO):
 		if n.spentOnChain(tx) {
-			return
+			n.refuseTx(tx.ID())
+			return false
 		}
 		n.mu.Lock()
-		if _, dup := n.orphanTxs[tx.ID()]; !dup && len(n.orphanTxs) < maxOrphanTxs {
+		defer n.mu.Unlock()
+		_, parked := n.orphanTxs[tx.ID()]
+		if !parked && len(n.orphanTxs) < maxOrphanTxs {
 			n.orphanTxs[tx.ID()] = tx
 			n.metrics.orphanTxsParked.Inc()
+			parked = true
 		}
-		n.mu.Unlock()
+		return parked
 	default:
 		// Gossiped duplicates and conflicts are normal; only log oddities.
 		n.logf("gossiped tx %s rejected: %v", tx.ID(), err)
+		n.refuseTx(tx.ID())
+		return false
 	}
+}
+
+// refuseTx records a transaction the pool refused, emptying the record
+// first once it holds maxOrphanTxs ids.
+func (n *Node) refuseTx(id chain.Hash) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(n.refusedTxs) >= maxOrphanTxs {
+		clear(n.refusedTxs)
+	}
+	n.refusedTxs[id] = true
+}
+
+// heldTx returns the transaction with the given id if this node holds
+// it, pooled, parked or confirmed, and nil otherwise.
+func (n *Node) heldTx(id chain.Hash) *chain.Tx {
+	if tx, ok := n.pool.Get(id); ok {
+		return tx
+	}
+	n.mu.Lock()
+	tx := n.orphanTxs[id]
+	n.mu.Unlock()
+	if tx == nil {
+		tx, _, _ = n.chain.FindTx(id)
+	}
+	return tx
 }
 
 // acceptPooled validates tx against the chain's live UTXO set under its

@@ -33,28 +33,34 @@ type pendingCompact struct {
 	timer   *time.Timer
 }
 
-// relayHave reports objects the node already holds outside the relay's
-// own store, so announcements for them are not requested.
+// relayHave reports the objects the node holds — the relay keeps none
+// of its own — so announcements for them are not requested: a pooled,
+// parked or confirmed transaction, an indexed block, a kept commitment.
+// A transaction the pool refused since the tip last moved is not
+// requested either.
 func (n *Node) relayHave(kind string, id p2p.ObjectID) bool {
 	switch kind {
 	case "tx":
-		return n.pool.Contains(chain.Hash(id))
+		if n.heldTx(chain.Hash(id)) != nil {
+			return true
+		}
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.refusedTxs[chain.Hash(id)]
 	case "block":
 		_, ok := n.chain.BlockByID(chain.Hash(id))
 		return ok
 	case p2p.MsgTypeSnapCommit:
-		_, ok := n.sync.cachedCommit(id)
-		return ok
+		return n.sync.keptCommit(id) != nil
 	}
 	return false
 }
 
-// relayFetch re-serializes objects the relay's bounded store has
-// evicted, so old getdata requests can still be answered.
+// relayFetch serializes a held object to answer a getdata.
 func (n *Node) relayFetch(kind string, id p2p.ObjectID) ([]byte, bool) {
 	switch kind {
 	case "tx":
-		if tx, ok := n.pool.Get(chain.Hash(id)); ok {
+		if tx := n.heldTx(chain.Hash(id)); tx != nil {
 			return tx.Serialize(), true
 		}
 	case "block":
@@ -64,7 +70,9 @@ func (n *Node) relayFetch(kind string, id p2p.ObjectID) ([]byte, bool) {
 			return b.Serialize(), true
 		}
 	case p2p.MsgTypeSnapCommit:
-		return n.sync.cachedCommit(id)
+		if commit := n.sync.keptCommit(id); commit != nil {
+			return commit.Serialize(), true
+		}
 	}
 	return nil, false
 }
@@ -77,15 +85,16 @@ func (n *Node) onRelayTx(from string, payload []byte) (p2p.ObjectID, bool) {
 		n.misbehave(from, "undecodable relayed tx")
 		return p2p.ObjectID{}, false
 	}
-	n.admitTx(tx)
-	// Relay onward regardless of admission: a transaction parked here as
-	// an orphan, or refused as a first-seen conflict, may be admissible
-	// at a peer, and peers make their own admission decisions.
-	return p2p.ObjectID(tx.ID()), true
+	// A parked orphan travels on, since its parent may be pooled at a
+	// peer; a refused transaction (invalid, a first-seen conflict,
+	// already confirmed) stops here.
+	return p2p.ObjectID(tx.ID()), n.admitTx(tx)
 }
 
 // onRelayBlock consumes a full block body delivered by the relay — the
-// catch-up path and the last rung of the compact fallback ladder.
+// catch-up path and the last rung of the compact fallback ladder. The
+// block travels on only once the chain indexes it: an orphan or a
+// rejected block stops here.
 func (n *Node) onRelayBlock(from string, payload []byte) (p2p.ObjectID, bool) {
 	b, err := chain.DeserializeBlock(payload)
 	if err != nil {
@@ -96,7 +105,7 @@ func (n *Node) onRelayBlock(from string, payload []byte) (p2p.ObjectID, bool) {
 	id := b.ID()
 	n.clearPendingCompact(id) // a full body supersedes any sketch round trip
 	n.acceptBlock(b, from)
-	return p2p.ObjectID(id), true
+	return p2p.ObjectID(id), n.relayHave("block", p2p.ObjectID(id))
 }
 
 // broadcastTx hands a transaction admitted locally (Submit or
@@ -104,7 +113,7 @@ func (n *Node) onRelayBlock(from string, payload []byte) (p2p.ObjectID, bool) {
 // parked for want of its outputs.
 func (n *Node) broadcastTx(tx *chain.Tx) {
 	n.notifyLedger()
-	n.relay.Announce("tx", p2p.ObjectID(tx.ID()), tx.Serialize())
+	n.relay.Announce("tx", p2p.ObjectID(tx.ID()))
 	n.retryOrphanTxs()
 }
 
@@ -118,13 +127,6 @@ func (n *Node) reannouncePool() {
 		ids[i] = p2p.ObjectID(tx.ID())
 	}
 	n.relay.AnnounceBatch("tx", ids)
-}
-
-// broadcastBlock propagates a freshly mined block as a compact sketch.
-// Catch-up blocks are fetched by the sync machine's tail getdata instead.
-func (n *Node) broadcastBlock(b *chain.Block) {
-	n.relay.Put("block", p2p.ObjectID(b.ID()), b.Serialize())
-	n.sendCompact(b, "")
 }
 
 // sendCompact pushes the sketch of b to every peer not yet known to
@@ -158,7 +160,7 @@ func (n *Node) onCompactBlock(from string, msg p2p.Message) {
 	n.relay.MarkKnown(from, "block", p2p.ObjectID(id))
 
 	// Already have the body, or a round trip for it is in flight.
-	if n.relayHave("block", p2p.ObjectID(id)) || n.relay.Has("block", p2p.ObjectID(id)) {
+	if n.relayHave("block", p2p.ObjectID(id)) {
 		return
 	}
 	n.mu.Lock()
@@ -275,14 +277,16 @@ func (n *Node) clearPendingCompact(id chain.Hash) {
 	n.mu.Unlock()
 }
 
-// completeCompact accepts a reconstructed block and forwards its sketch
-// to peers that have not seen it, so compact propagation stays compact
-// beyond the first hop.
+// completeCompact accepts a reconstructed block and, once the chain
+// indexes it, forwards its sketch to peers that have not seen it, so
+// compact propagation stays compact beyond the first hop. An orphan or a
+// rejected block travels no further.
 func (n *Node) completeCompact(b *chain.Block, from string) {
 	n.metrics.cmpctReconstructed.Inc()
 	id := p2p.ObjectID(b.ID())
-	n.relay.Put("block", id, b.Serialize())
 	n.relay.MarkKnown(from, "block", id)
 	n.acceptBlock(b, from)
-	n.sendCompact(b, from)
+	if n.relayHave("block", id) {
+		n.sendCompact(b, from)
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"bcwan/internal/bccrypto"
 	"bcwan/internal/chain"
 	"bcwan/internal/p2p"
+	"bcwan/internal/telemetry"
 	"bcwan/internal/wallet"
 )
 
@@ -82,6 +83,13 @@ func (f *relayFixture) payment(t *testing.T, n *Node, i int) *chain.Tx {
 
 func daemonCounter(n *Node, name string) uint64 {
 	return n.Telemetry().Counter("bcwan_daemon_"+name, "").Value()
+}
+
+// txRelayCount reads one of the p2p relay's transaction counters
+// ("announces", "requests" or "fulfills") in direction dir.
+func txRelayCount(n *Node, name, dir string) uint64 {
+	return n.Telemetry().Counter("bcwan_p2p_relay_"+name+"_total", "",
+		telemetry.L("kind", "tx"), telemetry.L("dir", dir)).Value()
 }
 
 func waitCond(t *testing.T, what string, cond func() bool) {
@@ -236,6 +244,159 @@ func TestCompactBlockFullFallback(t *testing.T) {
 	}
 	if got := daemonCounter(b, "cmpct_reconstructed_total"); got != 0 {
 		t.Fatalf("b counted %d reconstructions for a full-body fetch", got)
+	}
+}
+
+// TestOrphanSketchNotForwarded hands a node the sketch of a block whose
+// parent it lacks. The block cannot join the index, so the node must not
+// forward the sketch: a peer's orphan round would ask it for headers it
+// does not have.
+func TestOrphanSketchNotForwarded(t *testing.T) {
+	f := newRelayFixture(t, 0)
+	tr := p2p.NewMemTransport()
+	n := f.node(t, tr, false)
+	f.node(t, tr, false, n.P2PAddr())
+	waitCond(t, "n to learn its peer", func() bool { return len(n.gossip.Peers()) == 1 })
+
+	// Two blocks on a private chain nobody else holds; n gets the second.
+	private, err := chain.New(f.params, f.genesis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	private.AuthorizeMiner(f.miner.PublicBytes())
+	miner := chain.NewMiner(f.miner, private, chain.NewMempool(), rand.Reader)
+	if _, err := miner.Mine(time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	orphan, err := miner.Mine(time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faker, err := p2p.NewNode(tr, "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer faker.Close()
+	if err := faker.Connect(n.P2PAddr()); err != nil {
+		t.Fatal(err)
+	}
+	// The second copy is a barrier: n handles the link's frames in
+	// order, so once it has received two sketches it is done with the
+	// first.
+	sketch := chain.NewCompactBlock(orphan).Serialize()
+	faker.SendTo(n.P2PAddr(), "cmpctblock", sketch)
+	faker.SendTo(n.P2PAddr(), "cmpctblock", sketch)
+	waitCond(t, "n to handle both sketches", func() bool {
+		return daemonCounter(n, "cmpct_received_total") == 2
+	})
+	if got := daemonCounter(n, "cmpct_reconstructed_total"); got == 0 {
+		t.Fatal("n never reconstructed the orphan")
+	}
+	if h := n.Chain().Height(); h != 0 {
+		t.Fatalf("height = %d, want 0", h)
+	}
+	if got := daemonCounter(n, "cmpct_sent_total"); got != 0 {
+		t.Fatalf("n forwarded the orphan's sketch %d times", got)
+	}
+}
+
+// TestRefusedTxNotRelayed runs a line a — b — c in which a, a bare p2p
+// node, announces a transaction with a corrupted signature and an orphan
+// child whose parent no node has seen. b fetches both: it refuses the
+// first, which must go no further, and parks the child, which must still
+// reach c, served from b's parked set.
+func TestRefusedTxNotRelayed(t *testing.T) {
+	f := newRelayFixture(t, 2)
+	tr := p2p.NewMemTransport()
+	b := f.node(t, tr, false)
+	c := f.node(t, tr, false, b.P2PAddr())
+	waitCond(t, "b to learn c", func() bool { return len(b.gossip.Peers()) == 1 })
+
+	w := f.wallets[0]
+	parent := f.payment(t, b, 0)
+	view := b.Chain().UTXO()
+	if err := view.ApplyTx(parent, 1); err != nil {
+		t.Fatal(err)
+	}
+	child, err := w.BuildPayment(view, w.PubKeyHash(), 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := f.payment(t, b, 1)
+	unlock := append([]byte(nil), good.Inputs[0].Unlock...)
+	unlock[10] ^= 0xff // inside the signature
+	forged := &chain.Tx{Version: good.Version, Outputs: good.Outputs,
+		Inputs: []chain.TxIn{{Prev: good.Inputs[0].Prev, Unlock: unlock}}}
+	bodies := map[p2p.ObjectID][]byte{
+		p2p.ObjectID(forged.ID()): forged.Serialize(),
+		p2p.ObjectID(child.ID()):  child.Serialize(),
+	}
+
+	a, err := p2p.NewNode(tr, "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	a.Handle("getdata", func(from string, msg p2p.Message) {
+		ids := msg.Payload[1+int(msg.Payload[0]):]
+		for ; len(ids) >= 32; ids = ids[32:] {
+			if body, ok := bodies[p2p.ObjectID(ids[:32])]; ok {
+				a.SendTo(from, "tx", body)
+			}
+		}
+	})
+	if err := a.Connect(b.P2PAddr()); err != nil {
+		t.Fatal(err)
+	}
+	// b handles the forged body before the child's and c its link from
+	// b in order, so once c parks the child anything b relayed of the
+	// forged transaction has reached c.
+	a.SendTo(b.P2PAddr(), "inv", p2p.EncodeInv("tx", p2p.ObjectID(forged.ID()), p2p.ObjectID(child.ID())))
+	waitCond(t, "c to park the child", func() bool { return c.heldTx(child.ID()) != nil })
+
+	if got := txRelayCount(b, "fulfills", "in"); got != 2 {
+		t.Fatalf("b received %d tx bodies, want 2", got)
+	}
+	if b.heldTx(forged.ID()) != nil {
+		t.Fatal("b holds the forged transaction")
+	}
+	if got := txRelayCount(c, "announces", "in"); got != 1 {
+		t.Fatalf("c heard %d tx announcements, want the child's alone", got)
+	}
+	if got := txRelayCount(c, "fulfills", "in"); got != 1 {
+		t.Fatalf("c received %d tx bodies, want the child's alone", got)
+	}
+	if b.heldTx(child.ID()) == nil || txRelayCount(b, "fulfills", "out") != 1 {
+		t.Fatal("b did not serve the child from its parked set")
+	}
+}
+
+// TestConflictNotRefetched pools one of two conflicting payments at
+// each of two linked nodes. Every sync tick re-announces each pool to the
+// other node, which refuses the conflicting body: it must fetch it once,
+// not once per tick.
+func TestConflictNotRefetched(t *testing.T) {
+	f := newRelayFixture(t, 1)
+	tr := p2p.NewMemTransport()
+	fastTicks := func(cfg *NodeConfig) { cfg.SyncRetryInterval = 10 * time.Millisecond }
+	a := syncTestNode(t, f, tr, fastTicks)
+	b := syncTestNode(t, f, tr, fastTicks, a.P2PAddr())
+	waitCond(t, "a to learn b", func() bool { return len(a.gossip.Peers()) == 1 })
+	first, second := f.payment(t, a, 0), f.payment(t, a, 0)
+	if err := a.Ledger().Pool.Accept(first, a.Chain().UTXO(), 0, f.params); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Ledger().Pool.Accept(second, b.Chain().UTXO(), 0, f.params); err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "five re-announces each way", func() bool {
+		return txRelayCount(a, "announces", "in") >= 5 && txRelayCount(b, "announces", "in") >= 5
+	})
+	for _, n := range []*Node{a, b} {
+		if got := txRelayCount(n, "fulfills", "in"); got != 1 {
+			t.Errorf("a node fetched the conflicting body %d times, want 1", got)
+		}
 	}
 }
 

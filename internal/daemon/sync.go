@@ -143,6 +143,10 @@ type syncManager struct {
 	// serialized set (built lazily on first request).
 	serveCommit *chain.SnapshotCommitment
 	serveData   []byte
+	// unplacedCommit is the newest authorized commitment this node
+	// cannot place on its own branch (behind, or on a fork). It is kept
+	// for the relay to serve, never to serve a snapshot from.
+	unplacedCommit *chain.SnapshotCommitment
 
 	stop chan struct{}
 	done chan struct{}
@@ -798,10 +802,11 @@ func (sm *syncManager) buildServeDataLocked() []byte {
 }
 
 // onSnapCommit consumes a relayed snapshot commitment: verify it
-// against the miner set and cache the newest one on our own best branch
-// for serving. A commitment relays onward once an authorized miner's
-// signature checks out, even when this node cannot place its block yet
-// (behind, or on a fork); a forged one stops here.
+// against the miner set and keep the newest one on our own best branch
+// for serving, or the newest one this node cannot place yet (behind, or
+// on a fork) in unplacedCommit. A commitment relays onward once an
+// authorized miner's signature checks out and this call kept it; a
+// forged one stops here.
 func (n *Node) onSnapCommit(from string, payload []byte) (p2p.ObjectID, bool) {
 	commit, err := chain.DeserializeSnapshotCommitment(payload)
 	if err != nil {
@@ -814,31 +819,34 @@ func (n *Node) onSnapCommit(from string, payload []byte) (p2p.ObjectID, bool) {
 		return id, false
 	}
 	b, ok := n.chain.BlockAt(commit.Height)
-	if !ok || b.ID() != commit.BlockID {
-		// Not verifiable against our branch: relay, but do not cache —
-		// serving requires local proof.
-		return id, true
-	}
+	placed := ok && b.ID() == commit.BlockID
 	sm := n.sync
 	sm.mu.Lock()
-	if sm.serveCommit == nil || commit.Height > sm.serveCommit.Height {
+	switch {
+	case placed && (sm.serveCommit == nil || commit.Height > sm.serveCommit.Height):
 		sm.serveCommit = commit
 		sm.serveData = nil
+	case !placed && (sm.unplacedCommit == nil || commit.Height > sm.unplacedCommit.Height):
+		sm.unplacedCommit = commit
 	}
+	kept := sm.serveCommit == commit || sm.unplacedCommit == commit
 	sm.mu.Unlock()
-	return id, true
+	return id, kept
 }
 
-// cachedCommit returns the serialized serving commitment when its relay
-// ID is id — what relayHave and relayFetch answer for "snapcommit".
-func (sm *syncManager) cachedCommit(id p2p.ObjectID) ([]byte, bool) {
+// keptCommit returns the serving or the unplaced commitment when its
+// relay ID is id — what relayHave and relayFetch answer for
+// "snapcommit" — or nil.
+func (sm *syncManager) keptCommit(id p2p.ObjectID) *chain.SnapshotCommitment {
 	sm.mu.Lock()
-	commit := sm.serveCommit
+	kept := []*chain.SnapshotCommitment{sm.serveCommit, sm.unplacedCommit}
 	sm.mu.Unlock()
-	if commit == nil || p2p.ObjectID(commit.ID()) != id {
-		return nil, false
+	for _, commit := range kept {
+		if commit != nil && p2p.ObjectID(commit.ID()) == id {
+			return commit
+		}
 	}
-	return commit.Serialize(), true
+	return nil
 }
 
 // publishSnapshotCommitment builds, signs and caches a commitment to
@@ -875,7 +883,7 @@ func (n *Node) publishSnapshotCommitment(height int64) {
 		sm.serveData = data
 	}
 	sm.mu.Unlock()
-	n.relay.Announce(p2p.MsgTypeSnapCommit, p2p.ObjectID(commit.ID()), commit.Serialize())
+	n.relay.Announce(p2p.MsgTypeSnapCommit, p2p.ObjectID(commit.ID()))
 }
 
 // maybePublishCommitment publishes after mining a block on a snapshot

@@ -30,11 +30,6 @@ func (d LinkDist) Sample(rng *rand.Rand) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
-// Mean returns the distribution mean in milliseconds.
-func (d LinkDist) Mean() float64 {
-	return d.MedianMS * math.Exp(d.Sigma*d.Sigma/2)
-}
-
 // Network is a complete latency graph over n nodes.
 type Network struct {
 	n     int

@@ -48,14 +48,6 @@ func TestLinkDistZeroMedian(t *testing.T) {
 	}
 }
 
-func TestLinkDistMean(t *testing.T) {
-	d := LinkDist{MedianMS: 100, Sigma: 0.5}
-	want := 100 * math.Exp(0.125)
-	if math.Abs(d.Mean()-want) > 1e-9 {
-		t.Fatalf("Mean = %f, want %f", d.Mean(), want)
-	}
-}
-
 func TestPlanetLabDeterministic(t *testing.T) {
 	a := NewPlanetLab(7, 5)
 	b := NewPlanetLab(7, 5)

@@ -128,10 +128,13 @@ func TestJunkTypesMintNoSeries(t *testing.T) {
 	}
 	defer n.Close()
 	fetched := 0
-	r := NewRelay(n, RelayConfig{Fetch: func(string, ObjectID) ([]byte, bool) {
-		fetched++
-		return nil, false
-	}})
+	r := NewRelay(n, RelayConfig{
+		Have: func(string, ObjectID) bool { return false },
+		Fetch: func(string, ObjectID) ([]byte, bool) {
+			fetched++
+			return nil, false
+		},
+	})
 	defer r.Close()
 	r.Handle("tx", func(string, []byte) (ObjectID, bool) { return ObjectID{}, false })
 	pings := make(chan struct{}, 1)

@@ -9,12 +9,13 @@ import (
 // node, the only way a gossiped object (transaction, block, snapshot
 // commitment) reaches peers beyond the first hop: a node that obtains a
 // new object announces its 32-byte digest ("inv") and peers request only
-// the bodies they do not already hold ("getdata"). An object travels on
-// only after its kind's handler accepted it, so a forged or junk body
-// stops at the first honest node. Per-peer known-inventory sets keep a
-// node from announcing an object back to the peer it learned it from,
-// and a timeout re-requests an announced object from the next announcer
-// when the first one never answers.
+// the bodies they do not already hold ("getdata"). The relay keeps no
+// bodies: the consumer is the only store, answering Have and Fetch, and
+// an object travels on only once its kind's handler reports that the
+// consumer holds it, so a body this node refused stops here. Per-peer
+// known-inventory sets keep a node from announcing an object back to the
+// peer it learned it from, and a timeout re-requests an announced object
+// from the next announcer when the first one never answers.
 
 // ObjectID is the 32-byte content identifier inventory gossip relays
 // (transaction, block and snapshot-commitment hashes).
@@ -23,30 +24,28 @@ type ObjectID = [32]byte
 const (
 	// maxKnownPerPeer bounds each peer's known-inventory ring.
 	maxKnownPerPeer = 8192
-	// maxRelayObjects bounds the relay's payload store.
-	maxRelayObjects = 4096
 	// defaultRequestTimeout is how long a getdata waits before the
 	// relay asks the next announcer.
 	defaultRequestTimeout = 500 * time.Millisecond
 )
 
-// RelayConfig wires an inventory relay to its consumer.
+// RelayConfig wires an inventory relay to its consumer, the only store
+// of the objects it relays. Have and Fetch are required.
 type RelayConfig struct {
-	// Have reports whether the consumer already holds the object
-	// outside the relay's own store (mempool or chain lookup); such
-	// inventory is never requested. Nil means "only the store knows".
+	// Have reports whether the consumer holds the object, or would
+	// refuse it again; such inventory is never requested.
 	Have func(kind string, id ObjectID) bool
-	// Fetch recovers the serialized object after the relay's bounded
-	// store evicted it (e.g. old blocks re-serialized from the chain).
+	// Fetch serializes a held object to answer a getdata.
 	Fetch func(kind string, id ObjectID) ([]byte, bool)
 	// RequestTimeout overrides defaultRequestTimeout (tests shrink it).
 	RequestTimeout time.Duration
 }
 
 // ObjectHandler consumes one relayed object body. It returns the
-// object's content id and whether the object is valid enough to relay
-// onward. Handlers must be idempotent: a re-requested object can be
-// delivered by more than one announcer.
+// object's content id and whether the consumer now holds the object —
+// Fetch can serve it — so the relay announces it onward. Handlers must
+// be idempotent: a re-requested object can be delivered by more than one
+// announcer.
 type ObjectHandler func(from string, payload []byte) (id ObjectID, relay bool)
 
 // invKey identifies one relayable object.
@@ -55,8 +54,7 @@ type invKey struct {
 	id   ObjectID
 }
 
-// invSet is a bounded set of object identities with ring eviction, the
-// same discipline as the relay's object store.
+// invSet is a bounded set of object identities with ring eviction.
 type invSet struct {
 	set  map[invKey]bool
 	ring []invKey
@@ -104,9 +102,6 @@ type Relay struct {
 
 	mu       sync.Mutex
 	handlers map[string]ObjectHandler
-	store    map[invKey][]byte
-	ring     []invKey
-	head     int
 	known    map[string]*invSet // peer addr → inventory it is known to have
 	pending  map[invKey]*pendingFetch
 	closed   bool
@@ -120,7 +115,6 @@ func NewRelay(n *Node, cfg RelayConfig) *Relay {
 		cfg:      cfg,
 		timeout:  cfg.RequestTimeout,
 		handlers: make(map[string]ObjectHandler),
-		store:    make(map[invKey][]byte),
 		known:    make(map[string]*invSet),
 		pending:  make(map[invKey]*pendingFetch),
 	}
@@ -155,9 +149,9 @@ func (r *Relay) Close() {
 	r.pending = make(map[invKey]*pendingFetch)
 }
 
-// Announce stores the object and advertises its digest to connected
-// peers not already known to hold it.
-func (r *Relay) Announce(kind string, id ObjectID, payload []byte) {
+// Announce advertises the digest of an object the consumer holds to
+// connected peers not already known to hold it.
+func (r *Relay) Announce(kind string, id ObjectID) {
 	key := invKey{kind, id}
 	peers := r.node.Peers()
 	r.mu.Lock()
@@ -165,7 +159,6 @@ func (r *Relay) Announce(kind string, id ObjectID, payload []byte) {
 		r.mu.Unlock()
 		return
 	}
-	r.storeLocked(key, payload)
 	r.clearPendingLocked(key)
 	r.pruneKnownLocked(peers)
 	targets := make([]string, 0, len(peers))
@@ -215,28 +208,6 @@ func (r *Relay) AnnounceBatch(kind string, ids []ObjectID) {
 	}
 }
 
-// Put stores an object body without announcing it — the compact-block
-// path pushes its own announcement format but must still be able to
-// answer getdata and getblocktxn for the block.
-func (r *Relay) Put(kind string, id ObjectID, payload []byte) {
-	key := invKey{kind, id}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	r.storeLocked(key, payload)
-	r.clearPendingLocked(key)
-}
-
-// Has reports whether the relay's store holds the object body.
-func (r *Relay) Has(kind string, id ObjectID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.store[invKey{kind, id}]
-	return ok
-}
-
 // Known reports whether the peer is known to hold the object.
 func (r *Relay) Known(addr, kind string, id ObjectID) bool {
 	r.mu.Lock()
@@ -256,13 +227,12 @@ func (r *Relay) MarkKnown(addr, kind string, id ObjectID) {
 // block reconstruction's last-resort fallback. The normal timeout and
 // re-request machinery takes over if the peer never answers.
 func (r *Relay) Request(kind string, id ObjectID, from string) {
+	if r.cfg.Have(kind, id) {
+		return
+	}
 	key := invKey{kind, id}
 	r.mu.Lock()
 	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	if _, have := r.store[key]; have {
 		r.mu.Unlock()
 		return
 	}
@@ -308,10 +278,7 @@ func (r *Relay) onInv(from string, msg Message) {
 			}
 			continue
 		}
-		if _, have := r.store[key]; have {
-			continue
-		}
-		if r.cfg.Have != nil && r.cfg.Have(kind, id) {
+		if r.cfg.Have(kind, id) {
 			continue
 		}
 		r.newPendingLocked(key, from)
@@ -324,9 +291,8 @@ func (r *Relay) onInv(from string, msg Message) {
 	}
 }
 
-// onGetData answers requests from the store, falling back to the
-// consumer's Fetch for evicted objects. A kind with no handler is
-// ignored, as in onInv: this node relays no such object.
+// onGetData answers requests through the consumer's Fetch. A kind with
+// no handler is ignored, as in onInv: this node relays no such object.
 func (r *Relay) onGetData(from string, msg Message) {
 	kind, ids, ok := decodeInv(msg.Payload)
 	if !ok {
@@ -342,13 +308,7 @@ func (r *Relay) onGetData(from string, msg Message) {
 	counters := m.remote(kind)
 	for _, id := range ids {
 		counters.get(requestIn).Inc()
-		key := invKey{kind, id}
-		r.mu.Lock()
-		body, have := r.store[key]
-		r.mu.Unlock()
-		if !have && r.cfg.Fetch != nil {
-			body, have = r.cfg.Fetch(kind, id)
-		}
+		body, have := r.cfg.Fetch(kind, id)
 		if !have {
 			m.relayUnfulfilled.Inc()
 			continue
@@ -356,14 +316,16 @@ func (r *Relay) onGetData(from string, msg Message) {
 		if r.node.SendTo(from, kind, body) {
 			counters.get(fulfillOut).Inc()
 			r.mu.Lock()
-			r.knownLocked(from).add(key)
+			r.knownLocked(from).add(invKey{kind, id})
 			r.mu.Unlock()
 		}
 	}
 }
 
 // onObject runs the consumer handler for a delivered body, then relays
-// the object onward by announcement.
+// the object onward by announcement if the consumer now holds it. A
+// duplicate delivery announces to no one: every peer told the first
+// time is known to hold the object.
 func (r *Relay) onObject(kind, from string, payload []byte) {
 	r.mu.Lock()
 	h := r.handlers[kind]
@@ -380,16 +342,12 @@ func (r *Relay) onObject(kind, from string, payload []byte) {
 		return
 	}
 	r.knownLocked(from).add(key)
+	// The handler stored a held object before the fetch clears, so an
+	// inv handled from here on finds it through Have.
 	r.clearPendingLocked(key)
-	_, already := r.store[key]
-	if relayOn && !already {
-		// Store before unlocking: an inv handled between clearing the
-		// fetch and Announce's store would otherwise fetch the body again.
-		r.storeLocked(key, payload)
-	}
 	r.mu.Unlock()
-	if relayOn && !already {
-		r.Announce(kind, id, payload)
+	if relayOn {
+		r.Announce(kind, id)
 	}
 }
 
@@ -443,22 +401,6 @@ func (r *Relay) clearPendingLocked(key invKey) {
 		p.timer.Stop()
 		delete(r.pending, key)
 	}
-}
-
-// storeLocked inserts the body with ring eviction; the caller holds
-// r.mu.
-func (r *Relay) storeLocked(key invKey, payload []byte) {
-	if _, dup := r.store[key]; dup {
-		return
-	}
-	r.store[key] = payload
-	if len(r.ring) < maxRelayObjects {
-		r.ring = append(r.ring, key)
-		return
-	}
-	delete(r.store, r.ring[r.head])
-	r.ring[r.head] = key
-	r.head = (r.head + 1) % maxRelayObjects
 }
 
 // knownLocked returns the peer's known-inventory set, creating it on

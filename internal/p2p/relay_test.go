@@ -12,33 +12,64 @@ import (
 	"bcwan/internal/telemetry"
 )
 
-// relayTestNode bundles a node, its relay, its registry and a collector
-// for received object bodies.
+// relayTestNode bundles a node, its relay, its registry, a collector
+// for received object bodies and the store the relay's Have and Fetch
+// read: every body its handler accepted, plus what hold put there.
 type relayTestNode struct {
 	node  *Node
 	relay *Relay
 	reg   *telemetry.Registry
 	got   collector
+
+	mu      sync.Mutex
+	held    map[ObjectID][]byte
+	fetched []ObjectID // ids Fetch was asked for, in order
 }
 
-func newRelayTestNode(t *testing.T, tr Transport, cfg RelayConfig) *relayTestNode {
+func newRelayTestNode(t *testing.T, tr Transport, timeout time.Duration) *relayTestNode {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	n, err := NewNode(tr, "", nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRelay(n, cfg)
-	rt := &relayTestNode{node: n, relay: r, reg: reg}
+	rt := &relayTestNode{node: n, reg: reg, held: make(map[ObjectID][]byte)}
+	r := NewRelay(n, RelayConfig{
+		Have: func(_ string, id ObjectID) bool {
+			rt.mu.Lock()
+			defer rt.mu.Unlock()
+			_, ok := rt.held[id]
+			return ok
+		},
+		Fetch: func(_ string, id ObjectID) ([]byte, bool) {
+			rt.mu.Lock()
+			defer rt.mu.Unlock()
+			rt.fetched = append(rt.fetched, id)
+			body, ok := rt.held[id]
+			return body, ok
+		},
+		RequestTimeout: timeout,
+	})
+	rt.relay = r
 	r.Handle("tx", func(from string, payload []byte) (ObjectID, bool) {
+		id := rt.hold(payload)
 		rt.got.handler(from, Message{Type: "tx", From: from, Payload: payload})
-		return sha256.Sum256(payload), true
+		return id, true
 	})
 	t.Cleanup(func() {
 		r.Close()
 		n.Close()
 	})
 	return rt
+}
+
+// hold stores a body as the node's own and returns its id.
+func (rt *relayTestNode) hold(payload []byte) ObjectID {
+	id := sha256.Sum256(payload)
+	rt.mu.Lock()
+	rt.held[id] = payload
+	rt.mu.Unlock()
+	return id
 }
 
 // counterValue reads a registered series; zero when it does not exist.
@@ -120,7 +151,7 @@ func TestRelayMeshFewerBytesThanFlood(t *testing.T) {
 		rts := make([]*relayTestNode, nNodes)
 		addrs := make([]string, nNodes)
 		for i := range rts {
-			rts[i] = newRelayTestNode(t, tr, RelayConfig{})
+			rts[i] = newRelayTestNode(t, tr, 0)
 			addrs[i] = rts[i].node.Addr()
 		}
 		connectMesh(t, addrs, func(i int, addr string) {
@@ -128,8 +159,7 @@ func TestRelayMeshFewerBytesThanFlood(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		id := sha256.Sum256(payload)
-		rts[0].relay.Announce("tx", id, payload)
+		rts[0].relay.Announce("tx", rts[0].hold(payload))
 		for i := 1; i < nNodes; i++ {
 			rts[i].got.waitFor(t, 1)
 		}
@@ -153,7 +183,7 @@ func TestRelayMeshFewerBytesThanFlood(t *testing.T) {
 // request timeout must move the fetch to the honest peer.
 func TestRelayRerequestsFromSecondAnnouncer(t *testing.T) {
 	tr := NewMemTransport()
-	target := newRelayTestNode(t, tr, RelayConfig{RequestTimeout: 50 * time.Millisecond})
+	target := newRelayTestNode(t, tr, 50*time.Millisecond)
 
 	payload := []byte("relayed-object-body")
 	id := sha256.Sum256(payload)
@@ -214,15 +244,14 @@ func TestRelayRerequestsFromSecondAnnouncer(t *testing.T) {
 // the node that taught us an object must not be told about it again.
 func TestRelayNeverAnnouncesBack(t *testing.T) {
 	tr := NewMemTransport()
-	a := newRelayTestNode(t, tr, RelayConfig{})
-	b := newRelayTestNode(t, tr, RelayConfig{})
+	a := newRelayTestNode(t, tr, 0)
+	b := newRelayTestNode(t, tr, 0)
 	if err := a.node.Connect(b.node.Addr()); err != nil {
 		t.Fatal(err)
 	}
 
-	payload := []byte("no-echo")
-	id := sha256.Sum256(payload)
-	a.relay.Announce("tx", id, payload)
+	id := a.hold([]byte("no-echo"))
+	a.relay.Announce("tx", id)
 	b.got.waitFor(t, 1)
 
 	// b's handler relayed the object onward; its only peer is a, which is
@@ -246,7 +275,7 @@ func TestRelayNeverAnnouncesBack(t *testing.T) {
 // getdata.
 func TestRelayDedupAcrossAnnouncers(t *testing.T) {
 	tr := NewMemTransport()
-	target := newRelayTestNode(t, tr, RelayConfig{RequestTimeout: time.Minute})
+	target := newRelayTestNode(t, tr, time.Minute)
 
 	payload := []byte("fetched-once")
 	id := sha256.Sum256(payload)
@@ -287,26 +316,14 @@ func TestRelayDedupAcrossAnnouncers(t *testing.T) {
 // peer whose known-inventory already lists both, as after a send the
 // fault model dropped. The batch inv must still arrive; the peer fetches
 // only the object it lacks, and the announcer answers that getdata
-// through Fetch, since its relay store holds no body.
+// through Fetch.
 func TestAnnounceBatchRepairsKnownInventory(t *testing.T) {
 	tr := NewMemTransport()
 	held, lacked := []byte("held-by-peer"), []byte("lacked-by-peer")
-	heldID, lackedID := sha256.Sum256(held), sha256.Sum256(lacked)
-	var mu sync.Mutex
-	var fetched []ObjectID
-	a := newRelayTestNode(t, tr, RelayConfig{Fetch: func(kind string, id ObjectID) ([]byte, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		fetched = append(fetched, id)
-		switch id {
-		case heldID:
-			return held, true
-		case lackedID:
-			return lacked, true
-		}
-		return nil, false
-	}})
-	b := newRelayTestNode(t, tr, RelayConfig{Have: func(kind string, id ObjectID) bool { return id == heldID }})
+	a := newRelayTestNode(t, tr, 0)
+	b := newRelayTestNode(t, tr, 0)
+	heldID, lackedID := a.hold(held), a.hold(lacked)
+	b.hold(held)
 	if err := a.node.Connect(b.node.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -325,13 +342,10 @@ func TestAnnounceBatchRepairsKnownInventory(t *testing.T) {
 	if v := counterValue(b.reg, "relay_requests_total", telemetry.L("kind", "tx"), telemetry.L("dir", "out")); v != 1 {
 		t.Fatalf("b requested %d objects, want 1", v)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if !slices.Equal(fetched, []ObjectID{lackedID}) {
-		t.Fatalf("a fetched %d bodies, want the lacked one alone", len(fetched))
-	}
-	if a.relay.Has("tx", lackedID) {
-		t.Fatal("the batch stored a body in the relay")
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !slices.Equal(a.fetched, []ObjectID{lackedID}) {
+		t.Fatalf("a fetched %d bodies, want the lacked one alone", len(a.fetched))
 	}
 }
 

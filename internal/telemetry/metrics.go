@@ -86,13 +86,12 @@ func (g *Gauge) Value() int64 {
 // Histogram counts observations into fixed buckets. Buckets are upper
 // bounds (inclusive), sorted ascending; an implicit +Inf bucket catches
 // everything above the last bound. Observations are lock-free: a bucket
-// increment, a count increment and a CAS loop folding the value into
-// the sum. A nil *Histogram discards all observations.
+// increment and a CAS loop folding the value into the sum; the count is
+// the buckets' total. A nil *Histogram discards all observations.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
-	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits
+	sum    atomic.Uint64   // float64 bits
 }
 
 // newHistogram builds a histogram over the given bucket bounds. The
@@ -114,7 +113,6 @@ func (h *Histogram) Observe(v float64) {
 		i++
 	}
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		upd := math.Float64bits(math.Float64frombits(old) + v)
@@ -126,14 +124,6 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveSince records the seconds elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start).Seconds()) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 {

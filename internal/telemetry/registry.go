@@ -201,9 +201,8 @@ func (m *metric) snapshot() Metric {
 			}
 			data.Buckets = append(data.Buckets, Bucket{LE: le, Count: cum})
 		}
-		// Report the cumulative total as the count so bucket sums and
-		// the count agree even if a concurrent Observe lands between
-		// the bucket reads and a separate counter read.
+		// The count is the cumulative total, so it always agrees with
+		// the buckets.
 		data.Count = cum
 		s.Value = data.Sum
 		s.Histogram = data
