@@ -88,9 +88,10 @@ lint:
 # Coverage-guided smoke of every hostile-input surface: the script
 # verifier (consensus-critical) and its template matchers against
 # Parse-based references, plus the decoders fed by
-# unauthenticated peers — directory bindings, channel messages, sync
-# messages, relay and compact-block messages, gateway deliveries, the
-# TCP transport's frame body — and keygen's fixed-width primality tests
+# unauthenticated peers — directory bindings, the TCP transport's frame
+# body, and the payload decoders p2p.Handle charges for: channel, sync
+# and delivery messages on the shared p2p Reader, relay and
+# compact-block bodies — and keygen's fixed-width primality tests
 # (the base-2 prefilter and the whole verdict) against math/big, the
 # durable log's replay and the chain store's load of arbitrary records. CI's fuzz smoke runs this
 # target; only the nightly matrix repeats the list.

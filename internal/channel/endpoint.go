@@ -2,6 +2,7 @@ package channel
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -258,13 +259,12 @@ func AcceptPayee(w *wallet.Wallet, ledger *fairex.Node, store *Store, funding *c
 	if p.RefundHeight <= ledger.Height() {
 		return nil, fmt.Errorf("%w: refund height %d already reached (height %d)", ErrBadFunding, p.RefundHeight, ledger.Height())
 	}
-	// Best effort: the funding tx usually arrives via gossip too, so an
-	// already-known (or already-confirmed) funding is not an error.
+	// Best effort: the funding tx usually arrives via gossip too, on
+	// another connection and at any moment, so an already-pooled (or
+	// already-confirmed) funding is not an error.
 	if _, _, confirmed := ledger.FindTx(funding.ID()); !confirmed {
-		if _, pending := ledger.PendingTx(funding.ID()); !pending {
-			if err := ledger.Submit(funding); err != nil {
-				return nil, fmt.Errorf("%w: funding rejected: %v", ErrBadFunding, err)
-			}
+		if err := ledger.Submit(funding); err != nil && !errors.Is(err, chain.ErrAlreadyPooled) {
+			return nil, fmt.Errorf("%w: funding rejected: %v", ErrBadFunding, err)
 		}
 	}
 	g := &Payee{st: new(State), wallet: w, ledger: ledger, store: store}

@@ -177,16 +177,16 @@ func newChannelManager(node *Node, w *wallet.Wallet, cfg ChannelConfig, disclose
 		}
 	}
 	if disclose != nil {
-		node.gossip.Handle(p2p.MsgTypeChannelOpen, m.onChanOpen)
-		node.gossip.Handle(p2p.MsgTypeChannelFund, m.onChanFund)
-		node.gossip.Handle(p2p.MsgTypeChannelUpdate, m.onChanUpdate)
-		node.gossip.Handle(p2p.MsgTypeChannelClose, m.onChanClose)
+		p2p.Handle(node.gossip, p2p.MsgTypeChannelOpen, p2p.DecodeChannelOpen, m.onChanOpen)
+		p2p.Handle(node.gossip, p2p.MsgTypeChannelFund, decodeChanFund, m.onChanFund)
+		p2p.Handle(node.gossip, p2p.MsgTypeChannelUpdate, p2p.DecodeChannelUpdate, m.onChanUpdate)
+		p2p.Handle(node.gossip, p2p.MsgTypeChannelClose, p2p.DecodeChannelClose, m.onChanClose)
 		// A payee must have its earned balance on-chain before the CLTV
 		// refund path unlocks: close every channel nearing its deadline.
 		node.Chain().Subscribe(func(*chain.Block) { m.CloseExpiring() })
 	} else {
-		node.gossip.Handle(p2p.MsgTypeChannelAccept, m.onChanAccept)
-		node.gossip.Handle(p2p.MsgTypeChannelUpdateAck, m.onChanUpdateAck)
+		p2p.Handle(node.gossip, p2p.MsgTypeChannelAccept, p2p.DecodeChannelAccept, m.onChanAccept)
+		p2p.Handle(node.gossip, p2p.MsgTypeChannelUpdateAck, p2p.DecodeChannelUpdateAck, m.onChanUpdateAck)
 		// A payer abandoned past the CLTV timeout reclaims its capacity.
 		node.Chain().Subscribe(func(*chain.Block) { m.RefundExpired() })
 	}
@@ -235,12 +235,7 @@ func (m *ChannelManager) close() error {
 
 // --- payee (gateway) side ---------------------------------------------
 
-func (m *ChannelManager) onChanOpen(from string, msg p2p.Message) {
-	req, err := p2p.DecodeChannelOpen(msg.Payload)
-	if err != nil {
-		m.node.logf("chanopen from %s: %v", from, err)
-		return
-	}
+func (m *ChannelManager) onChanOpen(from string, req *p2p.MsgChannelOpen) {
 	reply := &p2p.MsgChannelAccept{RecipientPub: req.RecipientPub}
 	if len(req.RecipientPub) == 0 || req.Capacity == 0 || req.RefundWindow <= 0 {
 		reply.OK = p2p.ChannelAckRejected
@@ -260,12 +255,20 @@ func (m *ChannelManager) onChanOpen(from string, msg p2p.Message) {
 	m.node.send(from, p2p.MsgTypeChannelAccept, reply.Encode())
 }
 
-func (m *ChannelManager) onChanFund(from string, msg p2p.Message) {
-	fund, err := p2p.DecodeChannelFund(msg.Payload)
-	if err != nil {
-		m.node.logf("chanfund from %s: %v", from, err)
-		return
+// chanFund is a chanfund with its funding transaction decoded.
+type chanFund struct {
+	*p2p.MsgChannelFund
+	funding *chain.Tx
+}
+
+func decodeChanFund(payload []byte) (m chanFund, err error) {
+	if m.MsgChannelFund, err = p2p.DecodeChannelFund(payload); err == nil {
+		m.funding, err = chain.DeserializeTx(m.FundingTx)
 	}
+	return m, err
+}
+
+func (m *ChannelManager) onChanFund(from string, fund chanFund) {
 	m.mu.Lock()
 	open := m.pendingOpens[from]
 	delete(m.pendingOpens, from)
@@ -274,11 +277,7 @@ func (m *ChannelManager) onChanFund(from string, msg p2p.Message) {
 		m.node.logf("chanfund from %s without a pending open", from)
 		return
 	}
-	funding, err := chain.DeserializeTx(fund.FundingTx)
-	if err != nil {
-		m.node.logf("chanfund from %s: funding tx: %v", from, err)
-		return
-	}
+	funding := fund.funding
 	if len(funding.Outputs) == 0 {
 		m.node.logf("chanfund from %s: funding tx has no outputs", from)
 		return
@@ -318,12 +317,7 @@ func (m *ChannelManager) onChanFund(from string, msg p2p.Message) {
 	m.node.metrics.channelsOpen.Inc()
 }
 
-func (m *ChannelManager) onChanUpdate(from string, msg p2p.Message) {
-	u, err := p2p.DecodeChannelUpdate(msg.Payload)
-	if err != nil {
-		m.node.logf("chanupdate from %s: %v", from, err)
-		return
-	}
+func (m *ChannelManager) onChanUpdate(from string, u *p2p.MsgChannelUpdate) {
 	ack := &p2p.MsgChannelUpdateAck{
 		ChannelID:   u.ChannelID,
 		ChanVersion: u.ChanVersion,
@@ -370,12 +364,7 @@ func (m *ChannelManager) onChanUpdate(from string, msg p2p.Message) {
 	m.node.send(from, p2p.MsgTypeChannelUpdateAck, ack.Encode())
 }
 
-func (m *ChannelManager) onChanClose(from string, msg p2p.Message) {
-	req, err := p2p.DecodeChannelClose(msg.Payload)
-	if err != nil {
-		m.node.logf("chanclose from %s: %v", from, err)
-		return
-	}
+func (m *ChannelManager) onChanClose(_ string, req *p2p.MsgChannelClose) {
 	id := chain.Hash(req.ChannelID)
 	m.mu.Lock()
 	payee := m.payees[id]
@@ -393,21 +382,11 @@ func (m *ChannelManager) onChanClose(from string, msg p2p.Message) {
 
 // --- payer (recipient) side -------------------------------------------
 
-func (m *ChannelManager) onChanAccept(from string, msg p2p.Message) {
-	acc, err := p2p.DecodeChannelAccept(msg.Payload)
-	if err != nil {
-		m.node.logf("chanaccept from %s: %v", from, err)
-		return
-	}
+func (m *ChannelManager) onChanAccept(from string, acc *p2p.MsgChannelAccept) {
 	m.accepts.deliver(from, acc)
 }
 
-func (m *ChannelManager) onChanUpdateAck(from string, msg p2p.Message) {
-	ack, err := p2p.DecodeChannelUpdateAck(msg.Payload)
-	if err != nil {
-		m.node.logf("chanupdateack from %s: %v", from, err)
-		return
-	}
+func (m *ChannelManager) onChanUpdateAck(_ string, ack *p2p.MsgChannelUpdateAck) {
 	m.updateAcks.deliver(updateKey{chain.Hash(ack.ChannelID), ack.ChanVersion}, ack)
 }
 

@@ -479,7 +479,7 @@ func TestChannelFundRejectsShortRefundHeight(t *testing.T) {
 
 	// Refund window below the payee's configured floor: refused at open.
 	short := &p2p.MsgChannelOpen{RecipientPub: payerW.PublicBytes(), Capacity: 5_000, RefundWindow: 3}
-	gwMgr.onChanOpen("127.0.0.1:1", p2p.Message{Type: p2p.MsgTypeChannelOpen, Payload: short.Encode()})
+	gwMgr.onChanOpen("127.0.0.1:1", short)
 	gwMgr.mu.Lock()
 	_, pending := gwMgr.pendingOpens["127.0.0.1:1"]
 	gwMgr.mu.Unlock()
@@ -493,7 +493,7 @@ func TestChannelFundRejectsShortRefundHeight(t *testing.T) {
 		Capacity:     5_000,
 		RefundWindow: DefaultChannelConfig().RefundWindow,
 	}
-	gwMgr.onChanOpen("127.0.0.1:1", p2p.Message{Type: p2p.MsgTypeChannelOpen, Payload: open.Encode()})
+	gwMgr.onChanOpen("127.0.0.1:1", open)
 	height := c.gwd.Node.Ledger().Height()
 	params := channel.Params{
 		GatewayPub:   c.gwd.Gateway.Wallet().PublicBytes(),
@@ -512,7 +512,7 @@ func TestChannelFundRejectsShortRefundHeight(t *testing.T) {
 		CloseFee:     1,
 		FundingTx:    funding.Serialize(),
 	}
-	gwMgr.onChanFund("127.0.0.1:1", p2p.Message{Type: p2p.MsgTypeChannelFund, Payload: fund.Encode()})
+	gwMgr.onChanFund("127.0.0.1:1", chanFund{fund, funding})
 	list, err := gwMgr.ListChannels()
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"crypto/rand"
-	"encoding/json"
 	"errors"
 	"sort"
 	"testing"
@@ -31,18 +30,9 @@ func (c *cluster) fakeRecipient(answer func(*fairex.Delivery) fairex.Ack) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fake.Close() })
-	fake.Handle(msgTypeDelivery, func(from string, msg p2p.Message) {
-		var d fairex.Delivery
-		if err := decodeDeliveryMsg(msg.Payload, &d); err != nil {
-			t.Error(err)
-			return
-		}
-		payload, err := json.Marshal(deliveryAck{DevEUI: d.DevEUI, Exchange: d.Exchange, Ack: answer(&d)})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if !fake.SendTo(from, msgTypeDeliveryAck, payload) {
+	p2p.Handle(fake, msgTypeDelivery, decodeDelivery, func(from string, d *fairex.Delivery) {
+		a := &deliveryAck{DevEUI: d.DevEUI, Exchange: d.Exchange, Ack: answer(d)}
+		if !fake.SendTo(from, msgTypeDeliveryAck, a.encode()) {
 			t.Error("deliveryack not sent")
 		}
 	})
@@ -86,7 +76,7 @@ func TestClaimFailsFastOnBadPayment(t *testing.T) {
 			t.Error(err)
 			return fairex.Ack{Reason: err.Error()}
 		}
-		return fairex.Ack{Accepted: true, PaymentTxID: pay.ID().String()}
+		return fairex.Ack{Accepted: true, PaymentTxID: pay.ID()}
 	})
 	frame := c.dataFrame(t, c.provisionSensor(t, lora.DevEUI{0xd0, 1}), []byte("short"))
 
@@ -188,7 +178,7 @@ func TestClaimMetricsMoveOnOneDelivery(t *testing.T) {
 			return fairex.Ack{Reason: err.Error()}
 		}
 		payments <- pay // acked now, submitted by the test later
-		return fairex.Ack{Accepted: true, PaymentTxID: pay.ID().String()}
+		return fairex.Ack{Accepted: true, PaymentTxID: pay.ID()}
 	})
 	frame := c.dataFrame(t, c.provisionSensor(t, lora.DevEUI{0xd2, 1}), []byte("late"))
 	done := make(chan error, 1)
@@ -260,10 +250,7 @@ func TestOnChainAckNamesPooledPayment(t *testing.T) {
 	if !ack.Accepted {
 		t.Fatalf("delivery refused: %s", ack.Reason)
 	}
-	id, err := chain.HashFromString(ack.PaymentTxID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := ack.PaymentTxID
 	if _, ok := c.rcptd.Node.Ledger().PendingTx(id); !ok {
 		t.Fatalf("ack names payment %s, which the recipient's mempool does not hold", id)
 	}

@@ -3,7 +3,6 @@ package daemon
 import (
 	"context"
 	"crypto/rand"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -497,14 +496,7 @@ func (c *cluster) bareGateway(t *testing.T) (*p2p.Node, <-chan deliveryAck) {
 	}
 	t.Cleanup(func() { peer.Close() })
 	acks := make(chan deliveryAck, 16)
-	peer.Handle(msgTypeDeliveryAck, func(_ string, msg p2p.Message) {
-		var a deliveryAck
-		if err := json.Unmarshal(msg.Payload, &a); err != nil {
-			t.Error(err)
-			return
-		}
-		acks <- a
-	})
+	p2p.Handle(peer, msgTypeDeliveryAck, decodeDeliveryAck, func(_ string, a *deliveryAck) { acks <- *a })
 	if err := peer.Connect(c.rcptd.Node.P2PAddr()); err != nil {
 		t.Fatal(err)
 	}
@@ -514,12 +506,12 @@ func (c *cluster) bareGateway(t *testing.T) (*p2p.Node, <-chan deliveryAck) {
 func TestRecipientDaemonRejectsGarbageConnection(t *testing.T) {
 	c := newCluster(t)
 	peer, acks := c.bareGateway(t)
-	if !peer.SendTo(c.rcptd.Node.P2PAddr(), msgTypeDelivery, []byte("this is not json\n")) {
+	if !peer.SendTo(c.rcptd.Node.P2PAddr(), msgTypeDelivery, []byte("this is not a delivery\n")) {
 		t.Fatal("garbage not sent")
 	}
 	// The garbage is charged to its sender and never answered.
 	waitCond(t, "the garbage charged", func() bool {
-		return c.rcptd.Node.Gossip().BanScore(peer.Addr()) == misbehaviorPenalty
+		return c.rcptd.Node.Gossip().BanScore(peer.Addr()) == p2p.Penalty
 	})
 	select {
 	case a := <-acks:
@@ -536,10 +528,7 @@ func TestRecipientDaemonRejectsGarbageConnection(t *testing.T) {
 func TestRecipientDaemonRefusesUnknownSensorDelivery(t *testing.T) {
 	c := newCluster(t)
 	peer, acks := c.bareGateway(t)
-	payload, err := json.Marshal(&fairex.Delivery{DevEUI: lora.DevEUI{0xff}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encodeDelivery(&fairex.Delivery{DevEUI: lora.DevEUI{0xff}})
 	if !peer.SendTo(c.rcptd.Node.P2PAddr(), msgTypeDelivery, payload) {
 		t.Fatal("delivery not sent")
 	}
@@ -557,5 +546,100 @@ func TestRecipientDaemonRefusesUnknownSensorDelivery(t *testing.T) {
 	}
 	if ack.Reason == "" {
 		t.Fatal("refusal without a reason")
+	}
+}
+
+// TestUndecodablePayloadCostsOnePenalty sends every message type a
+// plain node, a gateway or a recipient registers one payload its decoder
+// refuses, each from a fresh peer. The sender's score rises by exactly
+// p2p.Penalty and nothing answers the frame; a type the node does not
+// register costs nothing.
+func TestUndecodablePayloadCostsOnePenalty(t *testing.T) {
+	c := newCluster(t)
+	c.enableChannels(t)
+	junk := []byte{0xff}
+	badHeader := (&p2p.MsgHeaders{Headers: [][]byte{{1, 2, 3}}}).Encode()
+	badFunding := (&p2p.MsgChannelFund{FundingTx: []byte{1, 2, 3}}).Encode()
+	badManifest := (&p2p.MsgSnapshotChunk{Height: 1, Chunk: -1, Total: 1, Manifest: []byte{1, 2, 3}}).Encode()
+	plain, gw, rc := c.master, c.gwd.Node, c.rcptd.Node
+	for _, tc := range []struct {
+		node    *Node
+		msgType string
+		payload []byte
+		charged bool
+	}{
+		{plain, "inv", junk, true},
+		{plain, "getdata", junk, true},
+		{plain, "tx", junk, true},
+		{plain, "block", junk, true},
+		{plain, p2p.MsgTypeSnapCommit, junk, true},
+		{plain, "cmpctblock", junk, true},
+		{plain, "getblocktxn", junk, true},
+		{plain, "blocktxn", junk, true},
+		{plain, p2p.MsgTypeGetHeaders, junk, true},
+		{plain, p2p.MsgTypeHeaders, junk, true},
+		{plain, p2p.MsgTypeHeaders, badHeader, true},
+		{plain, p2p.MsgTypeGetSnapshot, junk, true},
+		{plain, p2p.MsgTypeSnapshotChunk, junk, true},
+		{plain, p2p.MsgTypeSnapshotChunk, badManifest, true},
+		{gw, msgTypeDeliveryAck, junk, true},
+		{gw, p2p.MsgTypeChannelOpen, junk, true},
+		{gw, p2p.MsgTypeChannelFund, junk, true},
+		{gw, p2p.MsgTypeChannelFund, badFunding, true},
+		{gw, p2p.MsgTypeChannelUpdate, junk, true},
+		{gw, p2p.MsgTypeChannelClose, junk, true},
+		{rc, msgTypeDelivery, junk, true},
+		{rc, p2p.MsgTypeChannelAccept, junk, true},
+		{rc, p2p.MsgTypeChannelUpdateAck, junk, true},
+		{plain, msgTypeDelivery, junk, false},
+		{plain, "no-such-type", junk, false},
+	} {
+		name := fmt.Sprintf("%s %x to %s", tc.msgType, tc.payload, tc.node.P2PAddr())
+		// Each peer listens until the test ends, so no two share an
+		// address, and with it a score.
+		peer, err := p2p.NewNode(p2p.TCPTransport{}, "", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { peer.Close() })
+		// Every frame the node sends back is recorded; a getheaders
+		// behind the bad frame is the barrier, since the node handles one
+		// link's frames in order and answers it with headers.
+		var mu sync.Mutex
+		var answers []string
+		barrier := make(chan struct{}, 1)
+		for _, typ := range []string{p2p.MsgTypeHeaders, msgTypeDeliveryAck, p2p.MsgTypeChannelAccept,
+			p2p.MsgTypeChannelUpdateAck, p2p.MsgTypeSnapshotChunk, "tx", "block", "blocktxn"} {
+			p2p.Handle(peer, typ, rawBytes, func(string, []byte) {
+				mu.Lock()
+				answers = append(answers, typ)
+				mu.Unlock()
+				if typ == p2p.MsgTypeHeaders {
+					barrier <- struct{}{}
+				}
+			})
+		}
+		if err := peer.Connect(tc.node.P2PAddr()); err != nil {
+			t.Fatal(err)
+		}
+		peer.SendTo(tc.node.P2PAddr(), tc.msgType, tc.payload)
+		peer.SendTo(tc.node.P2PAddr(), p2p.MsgTypeGetHeaders, (&p2p.MsgGetHeaders{Max: 1}).Encode())
+		select {
+		case <-barrier:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the barrier was never answered", name)
+		}
+		want := 0
+		if tc.charged {
+			want = p2p.Penalty
+		}
+		if got := tc.node.Gossip().BanScore(peer.Addr()); got != want {
+			t.Errorf("%s: sender's score %d, want %d", name, got, want)
+		}
+		mu.Lock()
+		if len(answers) != 1 {
+			t.Errorf("%s: answered with %v, want the barrier's headers alone", name, answers)
+		}
+		mu.Unlock()
 	}
 }

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -20,13 +19,15 @@ import (
 	"bcwan/internal/wallet"
 )
 
-// Fig. 3 step 7 rides the p2p overlay: the gateway sends the JSON
+// Fig. 3 step 7 rides the p2p overlay: the gateway sends the
 // fairex.Delivery to the overlay address @R's binding names, and the
-// recipient answers with a deliveryack.
+// recipient answers with a deliveryack, both in the p2p wire format.
 const (
 	msgTypeDelivery    = "delivery"
 	msgTypeDeliveryAck = "deliveryack"
-	maxDeliveryMsg     = 4 << 10 // bytes; a real delivery is under 1 kB
+	// maxDeliveryField bounds each byte string of a delivery or an ack;
+	// the largest real one, the ephemeral public key, is under 100 bytes.
+	maxDeliveryField = 1 << 10
 	// maxDeliveriesInFlight bounds the deliveries a recipient settles at
 	// once; one more is refused.
 	maxDeliveriesInFlight = 16
@@ -38,8 +39,8 @@ var deliveryTimeout = 30 * time.Second
 
 // deliveryAck is the deliveryack payload.
 type deliveryAck struct {
-	DevEUI   lora.DevEUI `json:"deveui"`
-	Exchange uint32      `json:"exchange"`
+	DevEUI   lora.DevEUI
+	Exchange uint32
 	fairex.Ack
 }
 
@@ -51,12 +52,54 @@ type ackKey struct {
 	exchange uint32
 }
 
-// decodeDeliveryMsg refuses an oversized payload before decoding it.
-func decodeDeliveryMsg(payload []byte, v any) error {
-	if len(payload) > maxDeliveryMsg {
-		return fmt.Errorf("daemon: %d-byte delivery message exceeds %d", len(payload), maxDeliveryMsg)
-	}
-	return json.Unmarshal(payload, v)
+func encodeDelivery(d *fairex.Delivery) []byte {
+	w := p2p.NewWriter(1 + 8 + 4 + 4*4 + len(d.Em) + len(d.EPk) + len(d.Sig) + 20 + 8 + 8 + len(d.GatewayPubKey))
+	w.Fixed(d.DevEUI[:])
+	w.Uint32(d.Exchange)
+	w.Bytes(d.Em)
+	w.Bytes(d.EPk)
+	w.Bytes(d.Sig)
+	w.Fixed(d.GatewayPubKeyHash[:])
+	w.Uint64(d.Price)
+	w.Uint64(uint64(d.RefundWindow))
+	w.Bytes(d.GatewayPubKey)
+	return w.Payload()
+}
+
+func decodeDelivery(payload []byte) (*fairex.Delivery, error) {
+	r := p2p.NewReader(payload)
+	d := new(fairex.Delivery)
+	r.Fixed(d.DevEUI[:])
+	d.Exchange = r.Uint32()
+	d.Em, d.EPk, d.Sig = r.Bytes(maxDeliveryField), r.Bytes(maxDeliveryField), r.Bytes(maxDeliveryField)
+	r.Fixed(d.GatewayPubKeyHash[:])
+	d.Price = r.Uint64()
+	d.RefundWindow = int64(r.Uint64())
+	d.GatewayPubKey = r.Bytes(maxDeliveryField)
+	return d, r.Done()
+}
+
+func (a *deliveryAck) encode() []byte {
+	w := p2p.NewWriter(1 + 8 + 4 + 1 + 32 + 32 + 4 + len(a.Reason))
+	w.Fixed(a.DevEUI[:])
+	w.Uint32(a.Exchange)
+	w.Bool(a.Accepted)
+	w.Fixed(a.PaymentTxID[:])
+	w.Fixed(a.ChannelID[:])
+	w.Bytes([]byte(a.Reason))
+	return w.Payload()
+}
+
+func decodeDeliveryAck(payload []byte) (*deliveryAck, error) {
+	r := p2p.NewReader(payload)
+	a := new(deliveryAck)
+	r.Fixed(a.DevEUI[:])
+	a.Exchange = r.Uint32()
+	a.Accepted = r.Bool()
+	r.Fixed(a.PaymentTxID[:])
+	r.Fixed(a.ChannelID[:])
+	a.Reason = string(r.Bytes(maxDeliveryField))
+	return a, r.Done()
 }
 
 // GatewayDaemon is a deployable foreign gateway: a blockchain node plus
@@ -100,7 +143,7 @@ func NewGatewayDaemon(node *Node, cfg gateway.Config, random io.Reader, logger *
 		Gateway: gw,
 		logger:  logger,
 	}
-	node.gossip.Handle(msgTypeDeliveryAck, g.onDeliveryAck)
+	p2p.Handle(node.gossip, msgTypeDeliveryAck, decodeDeliveryAck, g.onDeliveryAck)
 	return g, nil
 }
 
@@ -138,16 +181,12 @@ func (g *GatewayDaemon) deliverAndClaim(f *lora.Frame) error {
 	if !ack.Accepted {
 		return fmt.Errorf("daemon: recipient refused delivery: %s", ack.Reason)
 	}
-	if ack.ChannelID != "" {
+	if ack.ChannelID != (chain.Hash{}) {
 		// Settled off-chain: the channel manager already disclosed the
 		// key against the countersigned update — nothing to claim.
 		return nil
 	}
-	paymentID, err := chain.HashFromString(ack.PaymentTxID)
-	if err != nil {
-		return fmt.Errorf("daemon: ack payment id: %w", err)
-	}
-	return g.claim(delivery, paymentID, offerHeight)
+	return g.claim(delivery, ack.PaymentTxID, offerHeight)
 }
 
 // claim performs Fig. 3 step 10 on this node's replica. The payment was
@@ -182,13 +221,9 @@ func (g *GatewayDaemon) claim(d *fairex.Delivery, paymentID chain.Hash, offerHei
 // deliver performs Fig. 3 step 7: the delivery to the recipient node at
 // addr, then its deliveryack, accepted only from addr.
 func (g *GatewayDaemon) deliver(addr string, d *fairex.Delivery) (*fairex.Ack, error) {
-	payload, err := json.Marshal(d)
-	if err != nil {
-		return nil, err
-	}
 	acked, cancel := g.acks.wait(ackKey{addr, d.DevEUI, d.Exchange})
 	defer cancel()
-	if !g.Node.send(addr, msgTypeDelivery, payload) {
+	if !g.Node.send(addr, msgTypeDelivery, encodeDelivery(d)) {
 		return nil, errors.New("recipient unreachable")
 	}
 	timeout := time.NewTimer(deliveryTimeout)
@@ -201,12 +236,7 @@ func (g *GatewayDaemon) deliver(addr string, d *fairex.Delivery) (*fairex.Ack, e
 	}
 }
 
-func (g *GatewayDaemon) onDeliveryAck(from string, msg p2p.Message) {
-	var a deliveryAck
-	if err := decodeDeliveryMsg(msg.Payload, &a); err != nil {
-		g.Node.misbehave(from, err.Error())
-		return
-	}
+func (g *GatewayDaemon) onDeliveryAck(from string, a *deliveryAck) {
 	g.acks.deliver(ackKey{from, a.DevEUI, a.Exchange}, &a.Ack)
 }
 
@@ -246,7 +276,7 @@ func NewRecipientDaemon(node *Node, cfg recipient.Config, listenAddr string, ran
 	}
 	// Settle pending exchanges as blocks (with claims) arrive.
 	node.Chain().Subscribe(func(*chain.Block) { r.settlePending() })
-	node.gossip.Handle(msgTypeDelivery, r.onDelivery)
+	p2p.Handle(node.gossip, msgTypeDelivery, decodeDelivery, r.onDelivery)
 	return r, nil
 }
 
@@ -311,12 +341,7 @@ func (r *RecipientDaemon) Close() error {
 // p2p read loop: the channel branch waits for a chanupdateack that can
 // arrive on this very connection. With every slot taken, or the daemon
 // closed, the gateway is refused at once.
-func (r *RecipientDaemon) onDelivery(from string, msg p2p.Message) {
-	d := new(fairex.Delivery)
-	if err := decodeDeliveryMsg(msg.Payload, d); err != nil {
-		r.Node.misbehave(from, err.Error())
-		return
-	}
+func (r *RecipientDaemon) onDelivery(from string, d *fairex.Delivery) {
 	r.Node.metrics.deliveriesReceived.Inc()
 	select {
 	case r.slots <- struct{}{}:
@@ -354,7 +379,7 @@ func (r *RecipientDaemon) settle(from string, d *fairex.Delivery) (fairex.Ack, b
 			// Commit, then ack: the gateway treats the ack as "the
 			// reading is in the inbox", so the append comes first.
 			r.receive(msg)
-			return fairex.Ack{Accepted: true, ChannelID: settled.ChannelID.String()}, true
+			return fairex.Ack{Accepted: true, ChannelID: settled.ChannelID}, true
 		}
 		if errors.Is(err, fairex.ErrBadDisclosedKey) {
 			// The gateway countersigned the update (it holds the new
@@ -374,14 +399,13 @@ func (r *RecipientDaemon) settle(from string, d *fairex.Delivery) (fairex.Ack, b
 	if err != nil {
 		return fairex.Ack{Reason: err.Error()}, true
 	}
-	return fairex.Ack{Accepted: true, PaymentTxID: payment.ID().String()}, true
+	return fairex.Ack{Accepted: true, PaymentTxID: payment.ID()}, true
 }
 
 // reply sends the deliveryack for d to the node it came from.
 func (r *RecipientDaemon) reply(to string, d *fairex.Delivery, ack fairex.Ack) {
-	// A struct of plain fields always encodes.
-	payload, _ := json.Marshal(deliveryAck{DevEUI: d.DevEUI, Exchange: d.Exchange, Ack: ack})
-	if !r.Node.send(to, msgTypeDeliveryAck, payload) {
+	a := &deliveryAck{DevEUI: d.DevEUI, Exchange: d.Exchange, Ack: ack}
+	if !r.Node.send(to, msgTypeDeliveryAck, a.encode()) {
 		r.logf("deliveryack to %s: peer unreachable", to)
 	}
 }

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
@@ -51,11 +50,7 @@ func TestRecipientShedsDeliveriesBeyondItsSlots(t *testing.T) {
 		ch, cancel := c.gwd.acks.wait(ackKey{addr, d.DevEUI, d.Exchange})
 		defer cancel()
 		acks[i] = ch
-		payload, err := json.Marshal(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !c.gwd.Node.send(addr, msgTypeDelivery, payload) {
+		if !c.gwd.Node.send(addr, msgTypeDelivery, encodeDelivery(d)) {
 			t.Fatalf("delivery %d not sent", i)
 		}
 	}
@@ -85,7 +80,7 @@ func TestRecipientShedsDeliveriesBeyondItsSlots(t *testing.T) {
 	for i := 0; i < maxDeliveriesInFlight; i++ {
 		select {
 		case ack := <-acks[i]:
-			if !ack.Accepted || ack.ChannelID == "" {
+			if !ack.Accepted || ack.ChannelID == (chain.Hash{}) {
 				t.Fatalf("delivery %d in a slot: %+v, want settled through the channel", i, ack)
 			}
 		case <-time.After(30 * time.Second):
@@ -109,10 +104,7 @@ func TestDuplicatedDeliveryIsPaidAndAckedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := json.Marshal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encodeDelivery(d)
 	peer, acks := c.bareGateway(t)
 	addr := c.rcptd.Node.P2PAddr()
 	var answers []deliveryAck
@@ -122,10 +114,7 @@ func TestDuplicatedDeliveryIsPaidAndAckedOnce(t *testing.T) {
 	// share one send queue.
 	send := func(barrier lora.DevEUI, payloads ...[]byte) {
 		t.Helper()
-		last, err := json.Marshal(&fairex.Delivery{DevEUI: barrier})
-		if err != nil {
-			t.Fatal(err)
-		}
+		last := encodeDelivery(&fairex.Delivery{DevEUI: barrier})
 		for _, p := range append(payloads, last) {
 			if !peer.SendTo(addr, msgTypeDelivery, p) {
 				t.Fatal("delivery not sent")
@@ -152,13 +141,13 @@ func TestDuplicatedDeliveryIsPaidAndAckedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	send(lora.DevEUI{0xfe})
-	if len(answers) != 1 || !answers[0].Accepted || answers[0].PaymentTxID == "" {
+	if len(answers) != 1 || !answers[0].Accepted || answers[0].PaymentTxID == (chain.Hash{}) {
 		t.Fatalf("deliveryacks for the delivery = %+v, want one acceptance naming its payment", answers)
 	}
 	if got := c.rcptd.Recipient.Stats.Payments; got != 1 {
 		t.Fatalf("%d payments for one delivery sent twice", got)
 	}
-	if ids := c.rcptd.Recipient.PendingPayments(); len(ids) != 1 || ids[0].String() != answers[0].PaymentTxID {
+	if ids := c.rcptd.Recipient.PendingPayments(); len(ids) != 1 || ids[0] != answers[0].PaymentTxID {
 		t.Fatalf("pending payments %v, want the acked %s alone", ids, answers[0].PaymentTxID)
 	}
 }
@@ -175,10 +164,7 @@ func TestUnclaimedPaymentIsRefunded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := json.Marshal(d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encodeDelivery(d)
 	// A bare overlay node stands in for the gateway: it never claims.
 	peer, acks := c.bareGateway(t)
 	if !peer.SendTo(c.rcptd.Node.P2PAddr(), msgTypeDelivery, payload) {
@@ -190,9 +176,9 @@ func TestUnclaimedPaymentIsRefunded(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("no deliveryack")
 	}
-	paymentID, err := chain.HashFromString(ack.PaymentTxID)
-	if !ack.Accepted || err != nil {
-		t.Fatalf("ack %+v: want an acceptance naming its payment (%v)", ack, err)
+	paymentID := ack.PaymentTxID
+	if !ack.Accepted || paymentID == (chain.Hash{}) {
+		t.Fatalf("ack %+v: want an acceptance naming its payment", ack)
 	}
 	c.waitPooled(c.master, paymentID)
 	payment, _ := c.master.Ledger().PendingTx(paymentID)
@@ -224,26 +210,22 @@ func TestUnclaimedPaymentIsRefunded(t *testing.T) {
 }
 
 func TestDeliveryDecodeRefusesOversize(t *testing.T) {
-	payload, err := json.Marshal(&fairex.Delivery{DevEUI: lora.DevEUI{1}, Exchange: 2})
-	if err != nil {
+	d := &fairex.Delivery{DevEUI: lora.DevEUI{1}, Exchange: 2, Em: bytes.Repeat([]byte{1}, maxDeliveryField)}
+	if _, err := decodeDelivery(encodeDelivery(d)); err != nil {
 		t.Fatal(err)
 	}
-	var d fairex.Delivery
-	if err := decodeDeliveryMsg(payload, &d); err != nil {
-		t.Fatal(err)
-	}
-	padded := append(payload, bytes.Repeat([]byte(" "), maxDeliveryMsg)...)
-	if err := decodeDeliveryMsg(padded, &d); err == nil {
-		t.Fatalf("accepted a %d-byte delivery", len(padded))
+	d.Em = append(d.Em, 1)
+	if _, err := decodeDelivery(encodeDelivery(d)); err == nil {
+		t.Fatalf("accepted a %d-byte field", len(d.Em))
 	}
 }
 
 // FuzzDeliveryMsgDecode drives the recipient's delivery decode, and the
 // gateway's deliveryack decode, with hostile payloads: neither may
-// panic or accept anything over the bound, and what they accept must
-// survive encode/decode unchanged.
+// panic or accept a field over its bound, and what they accept must
+// encode to the very bytes they decoded.
 func FuzzDeliveryMsgDecode(f *testing.F) {
-	valid, err := json.Marshal(&fairex.Delivery{
+	delivery := encodeDelivery(&fairex.Delivery{
 		DevEUI:        lora.DevEUI{0xaa, 1},
 		Exchange:      7,
 		Em:            bytes.Repeat([]byte{1}, 64),
@@ -253,44 +235,40 @@ func FuzzDeliveryMsgDecode(f *testing.F) {
 		RefundWindow:  100,
 		GatewayPubKey: bytes.Repeat([]byte{4}, 65),
 	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
+	ack := (&deliveryAck{DevEUI: lora.DevEUI{1}, Exchange: 3, Ack: fairex.Ack{Accepted: true, PaymentTxID: chain.Hash{5}, Reason: "r"}}).encode()
+	f.Add(delivery)
+	f.Add(ack)
 	f.Add([]byte{})
-	f.Add([]byte("null"))
-	f.Add([]byte(`{"deveui":[1,2,3,4,5,6,7,8,9]}`))
-	f.Add([]byte(`{"exchange":-1,"price":1e30}`))
-	f.Add([]byte(`{"em":"not base64"}`))
-	f.Add([]byte(`{"em":null,"epk":"","gateway":[300]}`))
-	f.Add([]byte(`{"gAtewAYPuBKeY":"","0000000":0}`))
-	f.Add([]byte(`{"deveui":[1],"exchange":3,"accepted":true,"paymentTxid":"ab","reason":"\xff"}`))
-	f.Add(append(valid, bytes.Repeat([]byte(" "), maxDeliveryMsg)...))
+	f.Add(append([]byte{0xfe}, delivery[1:]...))          // a version this build does not speak
+	f.Add(delivery[:len(delivery)-1])                     // truncated
+	f.Add(append(append([]byte(nil), delivery...), 0xde)) // trailing garbage
+	lying := append([]byte(nil), delivery...)
+	lying[1+8+4] = 0xff // the Em length prefix claims 4 GiB
+	f.Add(lying)
+	badBool := append([]byte(nil), ack...)
+	badBool[1+8+4] = 2
+	f.Add(badBool)
+	f.Add(ack[:1+8+4+1])
+	f.Add(append(append([]byte(nil), ack...), bytes.Repeat([]byte(" "), maxDeliveryField)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		roundTrip(t, data, new(fairex.Delivery), new(fairex.Delivery))
-		roundTrip(t, data, new(deliveryAck), new(deliveryAck))
+		if d, err := decodeDelivery(data); err == nil {
+			for _, b := range [][]byte{d.Em, d.EPk, d.Sig, d.GatewayPubKey} {
+				if len(b) > maxDeliveryField {
+					t.Fatalf("accepted a %d-byte field", len(b))
+				}
+			}
+			if enc := encodeDelivery(d); !bytes.Equal(enc, data) {
+				t.Fatalf("delivery re-encodes to %x, decoded from %x", enc, data)
+			}
+		}
+		if a, err := decodeDeliveryAck(data); err == nil {
+			if len(a.Reason) > maxDeliveryField {
+				t.Fatalf("accepted a %d-byte reason", len(a.Reason))
+			}
+			if enc := a.encode(); !bytes.Equal(enc, data) {
+				t.Fatalf("deliveryack re-encodes to %x, decoded from %x", enc, data)
+			}
+		}
 	})
-}
-
-// roundTrip decodes data into v; if that succeeds, v's encoding must
-// decode into again and encode to the same bytes. (Bytes, not values:
-// an empty omitempty field decodes as empty and comes back as nil.)
-func roundTrip(t *testing.T, data []byte, v, again any) {
-	if err := decodeDeliveryMsg(data, v); err != nil {
-		return
-	}
-	if len(data) > maxDeliveryMsg {
-		t.Fatalf("accepted a %d-byte payload", len(data))
-	}
-	encoded, err := json.Marshal(v)
-	if err != nil {
-		t.Fatalf("re-encode %T: %v", v, err)
-	}
-	if err := decodeDeliveryMsg(encoded, again); err != nil {
-		t.Fatalf("re-decode %T: %v", v, err)
-	}
-	if reencoded, err := json.Marshal(again); err != nil || !bytes.Equal(encoded, reencoded) {
-		t.Fatalf("round trip changed the %T: %s vs %s (%v)", v, encoded, reencoded, err)
-	}
 }

@@ -79,15 +79,10 @@ type NodeConfig struct {
 	// (0 = default of 500ms).
 	SyncRetryInterval time.Duration
 	// MaxPeers bounds the gossip node's registered peer set (0 =
-	// unlimited). Connections beyond the bound are refused; combined
-	// with misbehavior bans this is the eclipse-recovery lever.
+	// p2p.DefaultMaxPeers). Connections beyond the bound are refused;
+	// combined with misbehavior bans this is the eclipse-recovery lever.
 	MaxPeers int
 }
-
-// misbehaviorPenalty is charged per malformed frame; an honest peer's
-// occasional garbage stays far from the p2p ban threshold, a spammer
-// crosses it within ~10 frames.
-const misbehaviorPenalty = 10
 
 // Node is one running blockchain daemon.
 type Node struct {
@@ -193,17 +188,17 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		Fetch:          n.relayFetch,
 		RequestTimeout: cfg.RelayRequestTimeout,
 	})
-	n.relay.Handle("tx", n.onRelayTx)
-	n.relay.Handle("block", n.onRelayBlock)
-	gossip.Handle("cmpctblock", n.onCompactBlock)
-	gossip.Handle("getblocktxn", n.onGetBlockTxn)
-	gossip.Handle("blocktxn", n.onBlockTxn)
+	p2p.HandleObject(n.relay, "tx", chain.DeserializeTx, n.onRelayTx)
+	p2p.HandleObject(n.relay, "block", chain.DeserializeBlock, n.onRelayBlock)
+	p2p.Handle(gossip, "cmpctblock", chain.DeserializeCompactBlock, n.onCompactBlock)
+	p2p.Handle(gossip, "getblocktxn", decodeGetBlockTxn, n.onGetBlockTxn)
+	p2p.Handle(gossip, "blocktxn", decodeBlockTxn, n.onBlockTxn)
 	n.sync = newSyncManager(n)
-	gossip.Handle(p2p.MsgTypeGetHeaders, n.onGetHeaders)
-	gossip.Handle(p2p.MsgTypeHeaders, n.sync.onHeaders)
-	gossip.Handle(p2p.MsgTypeGetSnapshot, n.onGetSnapshot)
-	gossip.Handle(p2p.MsgTypeSnapshotChunk, n.sync.onSnapshotChunk)
-	n.relay.Handle(p2p.MsgTypeSnapCommit, n.onSnapCommit)
+	p2p.Handle(gossip, p2p.MsgTypeGetHeaders, p2p.DecodeGetHeaders, n.onGetHeaders)
+	p2p.Handle(gossip, p2p.MsgTypeHeaders, decodeHeaders, n.sync.onHeaders)
+	p2p.Handle(gossip, p2p.MsgTypeGetSnapshot, p2p.DecodeGetSnapshot, n.onGetSnapshot)
+	p2p.Handle(gossip, p2p.MsgTypeSnapshotChunk, decodeSnapshotChunk, n.sync.onSnapshotChunk)
+	p2p.HandleObject(n.relay, p2p.MsgTypeSnapCommit, chain.DeserializeSnapshotCommitment, n.onSnapCommit)
 
 	rpcSrv, err := rpc.NewServer(cfg.ListenRPC, rpc.Backend{
 		Chain:     c,
@@ -334,13 +329,6 @@ func (n *Node) P2PAddr() string { return n.gossip.Addr() }
 
 // Gossip exposes the p2p node (peer set, misbehavior scores, bans).
 func (n *Node) Gossip() *p2p.Node { return n.gossip }
-
-// misbehave charges a peer for a malformed frame. Only decode failures
-// are charged — validation failures (a block we disagree with, a tx
-// conflicting with our view) are legitimate fork ambiguity, not abuse.
-func (n *Node) misbehave(from, reason string) {
-	n.gossip.Misbehave(from, misbehaviorPenalty, reason)
-}
 
 // send delivers a direct message, dialing the peer first if the overlay
 // has no live connection yet.

@@ -77,14 +77,8 @@ func (n *Node) relayFetch(kind string, id p2p.ObjectID) ([]byte, bool) {
 	return nil, false
 }
 
-// onRelayTx consumes a transaction body delivered by the relay.
-func (n *Node) onRelayTx(from string, payload []byte) (p2p.ObjectID, bool) {
-	tx, err := chain.DeserializeTx(payload)
-	if err != nil {
-		n.logf("relayed tx undecodable: %v", err)
-		n.misbehave(from, "undecodable relayed tx")
-		return p2p.ObjectID{}, false
-	}
+// onRelayTx consumes a transaction delivered by the relay.
+func (n *Node) onRelayTx(_ string, tx *chain.Tx) (p2p.ObjectID, bool) {
 	// A parked orphan travels on, since its parent may be pooled at a
 	// peer; a refused transaction (invalid, a first-seen conflict,
 	// already confirmed) stops here.
@@ -95,13 +89,7 @@ func (n *Node) onRelayTx(from string, payload []byte) (p2p.ObjectID, bool) {
 // catch-up path and the last rung of the compact fallback ladder. The
 // block travels on only once the chain indexes it: an orphan or a
 // rejected block stops here.
-func (n *Node) onRelayBlock(from string, payload []byte) (p2p.ObjectID, bool) {
-	b, err := chain.DeserializeBlock(payload)
-	if err != nil {
-		n.logf("relayed block undecodable: %v", err)
-		n.misbehave(from, "undecodable relayed block")
-		return p2p.ObjectID{}, false
-	}
+func (n *Node) onRelayBlock(from string, b *chain.Block) (p2p.ObjectID, bool) {
 	id := b.ID()
 	n.clearPendingCompact(id) // a full body supersedes any sketch round trip
 	n.acceptBlock(b, from)
@@ -148,13 +136,7 @@ func (n *Node) sendCompact(b *chain.Block, skip string) {
 // onCompactBlock receives a sketch and climbs the reconstruction
 // ladder: mempool resolution, then a getblocktxn round trip, then the
 // full block.
-func (n *Node) onCompactBlock(from string, msg p2p.Message) {
-	cb, err := chain.DeserializeCompactBlock(msg.Payload)
-	if err != nil {
-		n.logf("compact block undecodable: %v", err)
-		n.misbehave(from, "undecodable compact block")
-		return
-	}
+func (n *Node) onCompactBlock(from string, cb *chain.CompactBlock) {
 	n.metrics.cmpctReceived.Inc()
 	id := cb.BlockID()
 	n.relay.MarkKnown(from, "block", p2p.ObjectID(id))
@@ -194,15 +176,29 @@ func (n *Node) onCompactBlock(from string, msg p2p.Message) {
 	}
 }
 
+// blockTxn is a getblocktxn body (the indexes a reconstructing peer
+// misses) or a blocktxn body (the transactions at them).
+type blockTxn struct {
+	id      chain.Hash
+	indexes []uint32
+	fills   []chain.PrefilledTx
+}
+
+func decodeGetBlockTxn(payload []byte) (m blockTxn, err error) {
+	m.id, m.indexes, err = chain.DecodeGetBlockTxn(payload)
+	return m, err
+}
+
+func decodeBlockTxn(payload []byte) (m blockTxn, err error) {
+	m.id, m.fills, err = chain.DecodeBlockTxn(payload)
+	return m, err
+}
+
 // onGetBlockTxn serves the transactions a reconstructing peer is
 // missing, by absolute index.
-func (n *Node) onGetBlockTxn(from string, msg p2p.Message) {
-	id, indexes, err := chain.DecodeGetBlockTxn(msg.Payload)
-	if err != nil {
-		n.misbehave(from, "undecodable getblocktxn")
-		return
-	}
-	b, ok := n.chain.BlockByID(chain.Hash(id))
+func (n *Node) onGetBlockTxn(from string, req blockTxn) {
+	id, indexes := req.id, req.indexes
+	b, ok := n.chain.BlockByID(id)
 	if !ok {
 		// Not in the index (evicted or never accepted); the peer's
 		// timeout will escalate to a full-block request elsewhere.
@@ -221,12 +217,8 @@ func (n *Node) onGetBlockTxn(from string, msg p2p.Message) {
 
 // onBlockTxn completes a pending reconstruction with the transactions
 // the sketch's sender shipped back.
-func (n *Node) onBlockTxn(from string, msg p2p.Message) {
-	id, fills, err := chain.DecodeBlockTxn(msg.Payload)
-	if err != nil {
-		n.misbehave(from, "undecodable blocktxn")
-		return
-	}
+func (n *Node) onBlockTxn(from string, resp blockTxn) {
+	id, fills := resp.id, resp.fills
 	n.mu.Lock()
 	pc := n.pendingCmpct[id]
 	if pc != nil {

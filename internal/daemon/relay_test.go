@@ -92,6 +92,9 @@ func txRelayCount(n *Node, name, dir string) uint64 {
 		telemetry.L("kind", "tx"), telemetry.L("dir", dir)).Value()
 }
 
+// rawBytes is the decoder of a test fake that wants the payload bytes.
+func rawBytes(payload []byte) ([]byte, error) { return payload, nil }
+
 func waitCond(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -222,8 +225,8 @@ func TestCompactBlockFullFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer faker.Close()
-	faker.Handle("getblocktxn", func(string, p2p.Message) {})
-	faker.Handle("getdata", func(from string, msg p2p.Message) {
+	p2p.Handle(faker, "getblocktxn", rawBytes, func(string, []byte) {})
+	p2p.Handle(faker, "getdata", rawBytes, func(from string, _ []byte) {
 		faker.SendTo(from, "block", raw)
 	})
 	if err := faker.Connect(b.P2PAddr()); err != nil {
@@ -338,8 +341,8 @@ func TestRefusedTxNotRelayed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	a.Handle("getdata", func(from string, msg p2p.Message) {
-		ids := msg.Payload[1+int(msg.Payload[0]):]
+	p2p.Handle(a, "getdata", rawBytes, func(from string, payload []byte) {
+		ids := payload[1+int(payload[0]):]
 		for ; len(ids) >= 32; ids = ids[32:] {
 			if body, ok := bodies[p2p.ObjectID(ids[:32])]; ok {
 				a.SendTo(from, "tx", body)

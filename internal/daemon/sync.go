@@ -356,25 +356,26 @@ func (sm *syncManager) sendGetHeadersLocked(peer string) {
 	sm.n.gossip.SendTo(peer, p2p.MsgTypeGetHeaders, msg.Encode())
 }
 
+// decodeHeaders decodes a headers batch down to its headers: one header
+// that does not decode refuses the whole batch.
+func decodeHeaders(payload []byte) ([]*chain.Header, error) {
+	m, err := p2p.DecodeHeaders(payload)
+	if err != nil {
+		return nil, err
+	}
+	headers := make([]*chain.Header, len(m.Headers))
+	for i, raw := range m.Headers {
+		if headers[i], err = chain.DeserializeHeader(raw); err != nil {
+			return nil, err
+		}
+	}
+	return headers, nil
+}
+
 // onHeaders consumes a headers batch: validate and connect to the
 // spine, then either ask for more (full batch) or decide how to fetch
 // state (short batch = the peer's tip).
-func (sm *syncManager) onHeaders(from string, msg p2p.Message) {
-	dec, err := p2p.DecodeHeaders(msg.Payload)
-	if err != nil {
-		sm.n.logf("headers from %s: %v", from, err)
-		sm.n.misbehave(from, "undecodable headers")
-		return
-	}
-	headers := make([]*chain.Header, 0, len(dec.Headers))
-	for _, raw := range dec.Headers {
-		h, err := chain.DeserializeHeader(raw)
-		if err != nil {
-			sm.n.logf("header from %s undecodable: %v", from, err)
-			return
-		}
-		headers = append(headers, h)
-	}
+func (sm *syncManager) onHeaders(from string, headers []*chain.Header) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	if sm.held {
@@ -492,15 +493,23 @@ func (sm *syncManager) failSnapshotPeerLocked(why string) {
 	sm.requestManifestLocked()
 }
 
+// snapshotChunk is a snapshotchunk with its manifest decoded; commit is
+// nil when the manifest is empty.
+type snapshotChunk struct {
+	*p2p.MsgSnapshotChunk
+	commit *chain.SnapshotCommitment
+}
+
+func decodeSnapshotChunk(payload []byte) (m snapshotChunk, err error) {
+	if m.MsgSnapshotChunk, err = p2p.DecodeSnapshotChunk(payload); err == nil && len(m.Manifest) > 0 {
+		m.commit, err = chain.DeserializeSnapshotCommitment(m.Manifest)
+	}
+	return m, err
+}
+
 // onSnapshotChunk consumes manifest and chunk responses from the
 // current snapshot peer.
-func (sm *syncManager) onSnapshotChunk(from string, msg p2p.Message) {
-	dec, err := p2p.DecodeSnapshotChunk(msg.Payload)
-	if err != nil {
-		sm.n.logf("snapshotchunk from %s: %v", from, err)
-		sm.n.misbehave(from, "undecodable snapshotchunk")
-		return
-	}
+func (sm *syncManager) onSnapshotChunk(from string, dec snapshotChunk) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	if sm.phase != syncSnapshot || from != sm.snapPeer {
@@ -530,20 +539,16 @@ func (sm *syncManager) onSnapshotChunk(from string, msg p2p.Message) {
 
 // acceptManifestLocked verifies a snapshot commitment against the miner
 // set and our own validated spine before any chunk is downloaded.
-func (sm *syncManager) acceptManifestLocked(dec *p2p.MsgSnapshotChunk) {
+func (sm *syncManager) acceptManifestLocked(dec snapshotChunk) {
 	if sm.commit != nil {
 		return // already have one in flight
 	}
-	if len(dec.Manifest) == 0 || dec.Total <= 0 {
+	commit := dec.commit
+	if commit == nil || dec.Total <= 0 {
 		sm.failSnapshotPeerLocked("no snapshot offered")
 		return
 	}
-	commit, err := chain.DeserializeSnapshotCommitment(dec.Manifest)
-	if err != nil {
-		sm.n.metrics.snapshotRejected.Inc()
-		sm.failSnapshotPeerLocked(fmt.Sprintf("manifest: %v", err))
-		return
-	}
+	var err error
 	spineID, onSpine := sm.spine.IDAt(commit.Height)
 	switch {
 	case !sm.n.chain.IsAuthorizedMiner(commit.MinerPubKey):
@@ -713,12 +718,7 @@ func (sm *syncManager) info() SyncInfo {
 
 // onGetHeaders serves best-branch headers above the requester's
 // locator. Pruned heights still serve — stubs keep their headers.
-func (n *Node) onGetHeaders(from string, msg p2p.Message) {
-	dec, err := p2p.DecodeGetHeaders(msg.Payload)
-	if err != nil {
-		n.misbehave(from, "undecodable getheaders")
-		return
-	}
+func (n *Node) onGetHeaders(from string, dec *p2p.MsgGetHeaders) {
 	max := int(dec.Max)
 	if max <= 0 || max > headersBatchMax {
 		max = headersBatchMax
@@ -737,12 +737,7 @@ func (n *Node) onGetHeaders(from string, msg p2p.Message) {
 
 // onGetSnapshot serves the snapshot manifest (latest verified
 // commitment) and its chunks.
-func (n *Node) onGetSnapshot(from string, msg p2p.Message) {
-	dec, err := p2p.DecodeGetSnapshot(msg.Payload)
-	if err != nil {
-		n.misbehave(from, "undecodable getsnapshot")
-		return
-	}
+func (n *Node) onGetSnapshot(from string, dec *p2p.MsgGetSnapshot) {
 	sm := n.sync
 	sm.mu.Lock()
 	commit, data := sm.serveCommit, sm.serveData
@@ -807,12 +802,7 @@ func (sm *syncManager) buildServeDataLocked() []byte {
 // on a fork) in unplacedCommit. A commitment relays onward once an
 // authorized miner's signature checks out and this call kept it; a
 // forged one stops here.
-func (n *Node) onSnapCommit(from string, payload []byte) (p2p.ObjectID, bool) {
-	commit, err := chain.DeserializeSnapshotCommitment(payload)
-	if err != nil {
-		n.misbehave(from, "undecodable snapshot commitment")
-		return p2p.ObjectID{}, false
-	}
+func (n *Node) onSnapCommit(_ string, commit *chain.SnapshotCommitment) (p2p.ObjectID, bool) {
 	id := p2p.ObjectID(commit.ID())
 	if !n.chain.IsAuthorizedMiner(commit.MinerPubKey) || !commit.VerifySignature() {
 		n.metrics.snapshotRejected.Inc()

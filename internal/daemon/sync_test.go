@@ -235,7 +235,7 @@ func TestSnapshotBootstrapPrefersHonestPeer(t *testing.T) {
 	// verifiable commitment; the liar's mine-time announcements predate it,
 	// so hand it one directly.
 	waitCond(t, "honest node to cache a commitment", func() bool {
-		honest.onSnapCommit("test", mustServeCommit(t, liar).Serialize())
+		honest.onSnapCommit("test", mustServeCommit(t, liar))
 		honest.sync.mu.Lock()
 		defer honest.sync.mu.Unlock()
 		return honest.sync.serveCommit != nil

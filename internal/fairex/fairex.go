@@ -22,41 +22,43 @@ import (
 type Delivery struct {
 	// DevEUI identifies the originating sensor, so the recipient can
 	// select the shared key K and the node's public key Pk.
-	DevEUI lora.DevEUI `json:"deveui"`
+	DevEUI lora.DevEUI
 	// Exchange is the key-request counter naming this exchange on the
 	// gateway (the ephemeral pair is minted per request).
-	Exchange uint32 `json:"exchange"`
+	Exchange uint32
 	// Em is the double encryption of the message (64 bytes).
-	Em []byte `json:"em"`
+	Em []byte
 	// EPk is the serialized ephemeral RSA-512 public key.
-	EPk []byte `json:"epk"`
+	EPk []byte
 	// Sig is the node's RSA-512 signature over Em ‖ EPk.
-	Sig []byte `json:"sig"`
+	Sig []byte
 	// GatewayPubKeyHash is the payment destination of the claim path.
-	GatewayPubKeyHash [20]byte `json:"gateway"`
+	GatewayPubKeyHash [20]byte
 	// Price is the amount (in chain units) the gateway asks for the
 	// key disclosure ("fixed or negotiated with the gateway", step 9).
-	Price uint64 `json:"price"`
+	Price uint64
 	// RefundWindow is the number of blocks after which the buyer may
 	// reclaim the payment (Listing 1 uses block_height+100).
-	RefundWindow int64 `json:"refundWindow"`
+	RefundWindow int64
 	// GatewayPubKey, when present, is the gateway's EC public key and
 	// signals that the gateway accepts off-chain settlement through a
 	// payment channel funded against this key, at the overlay address
 	// the delivery came from.
-	GatewayPubKey []byte `json:"gatewayPubKey,omitempty"`
+	GatewayPubKey []byte
 }
 
 // Ack is the recipient's answer: the payment transaction it broadcast,
 // or — when the exchange settled off-chain — the channel update that
 // paid for it.
 type Ack struct {
-	Accepted    bool   `json:"accepted"`
-	PaymentTxID string `json:"paymentTxid,omitempty"`
-	Reason      string `json:"reason,omitempty"`
+	Accepted bool
+	// PaymentTxID names the payment transaction, when the delivery
+	// settled on-chain.
+	PaymentTxID chain.Hash
+	Reason      string
 	// ChannelID names the channel whose commitment update settled this
 	// delivery, when channel mode was used.
-	ChannelID string `json:"channelId,omitempty"`
+	ChannelID chain.Hash
 }
 
 // Fair-exchange errors.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestChannelOpenRoundTrip(t *testing.T) {
-	m := &MsgChannelOpen{Version: 1, RecipientPub: []byte("rc-pub"), Capacity: 10_000, RefundWindow: 144}
+	m := &MsgChannelOpen{RecipientPub: []byte("rc-pub"), Capacity: 10_000, RefundWindow: 144}
 	got, err := DecodeChannelOpen(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -19,7 +19,7 @@ func TestChannelOpenRoundTrip(t *testing.T) {
 }
 
 func TestChannelAcceptRoundTrip(t *testing.T) {
-	m := &MsgChannelAccept{Version: 1, RecipientPub: []byte("rc"), GatewayPub: []byte("gw"), OK: ChannelAckOK}
+	m := &MsgChannelAccept{RecipientPub: []byte("rc"), GatewayPub: []byte("gw"), OK: ChannelAckOK}
 	got, err := DecodeChannelAccept(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func TestChannelAcceptRoundTrip(t *testing.T) {
 	if !bytes.Equal(got.GatewayPub, m.GatewayPub) || got.OK != ChannelAckOK || got.Reason != "" {
 		t.Fatalf("round trip = %+v", got)
 	}
-	rej := &MsgChannelAccept{Version: 1, RecipientPub: []byte("rc"), OK: 1, Reason: "channels disabled"}
+	rej := &MsgChannelAccept{RecipientPub: []byte("rc"), OK: 1, Reason: "channels disabled"}
 	got, err = DecodeChannelAccept(rej.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestChannelAcceptRoundTrip(t *testing.T) {
 }
 
 func TestChannelFundRoundTrip(t *testing.T) {
-	m := &MsgChannelFund{Version: 1, ChannelID: [32]byte{9, 9}, RefundHeight: 512, CloseFee: 5, FundingTx: bytes.Repeat([]byte{0xfe}, 300)}
+	m := &MsgChannelFund{ChannelID: [32]byte{9, 9}, RefundHeight: 512, CloseFee: 5, FundingTx: bytes.Repeat([]byte{0xfe}, 300)}
 	got, err := DecodeChannelFund(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestChannelFundRoundTrip(t *testing.T) {
 
 func TestChannelUpdateRoundTrip(t *testing.T) {
 	m := &MsgChannelUpdate{
-		Version: 1, ChannelID: [32]byte{1}, ChanVersion: 42, Paid: 4200,
+		ChannelID: [32]byte{1}, ChanVersion: 42, Paid: 4200,
 		DevEUI: [8]byte{0xde, 0xca}, Exchange: 7, RecipientSig: []byte("sig"),
 	}
 	got, err := DecodeChannelUpdate(m.Encode())
@@ -65,7 +65,7 @@ func TestChannelUpdateRoundTrip(t *testing.T) {
 
 func TestChannelUpdateAckRoundTrip(t *testing.T) {
 	m := &MsgChannelUpdateAck{
-		Version: 1, ChannelID: [32]byte{2}, ChanVersion: 42, DevEUI: [8]byte{1},
+		ChannelID: [32]byte{2}, ChanVersion: 42, DevEUI: [8]byte{1},
 		Exchange: 7, Status: ChannelAckOK, Key: bytes.Repeat([]byte{3}, 136), GatewaySig: []byte("gwsig"),
 	}
 	got, err := DecodeChannelUpdateAck(m.Encode())
@@ -76,7 +76,7 @@ func TestChannelUpdateAckRoundTrip(t *testing.T) {
 		!bytes.Equal(got.Key, m.Key) || !bytes.Equal(got.GatewaySig, m.GatewaySig) {
 		t.Fatalf("round trip = %+v", got)
 	}
-	rej := &MsgChannelUpdateAck{Version: 1, Status: ChannelAckRejected, Reason: "stale version"}
+	rej := &MsgChannelUpdateAck{Status: ChannelAckRejected, Reason: "stale version"}
 	got, err = DecodeChannelUpdateAck(rej.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestChannelUpdateAckRoundTrip(t *testing.T) {
 }
 
 func TestChannelCloseRoundTrip(t *testing.T) {
-	m := &MsgChannelClose{Version: 1, ChannelID: [32]byte{0xaa}, Kind: ChannelCloseUnilateral}
+	m := &MsgChannelClose{ChannelID: [32]byte{0xaa}, Kind: ChannelCloseUnilateral}
 	got, err := DecodeChannelClose(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestChannelMsgRejectsBadInput(t *testing.T) {
 	// Unknown version byte.
 	enc := (&MsgChannelClose{ChannelID: [32]byte{1}}).Encode()
 	enc[0] = 99
-	if _, err := DecodeChannelClose(enc); !errors.Is(err, ErrBadChannelMsg) {
+	if _, err := DecodeChannelClose(enc); !errors.Is(err, errMalformed) {
 		t.Fatalf("future version: %v", err)
 	}
 	decoders := []func([]byte) error{
@@ -113,22 +113,22 @@ func TestChannelMsgRejectsBadInput(t *testing.T) {
 		func(b []byte) error { _, err := DecodeChannelClose(b); return err },
 	}
 	for i, decode := range decoders {
-		if err := decode(nil); !errors.Is(err, ErrBadChannelMsg) {
+		if err := decode(nil); !errors.Is(err, errMalformed) {
 			t.Fatalf("decoder %d empty payload: %v", i, err)
 		}
-		if err := decode([]byte{1, 0}); !errors.Is(err, ErrBadChannelMsg) {
+		if err := decode([]byte{1, 0}); !errors.Is(err, errMalformed) {
 			t.Fatalf("decoder %d truncated payload: %v", i, err)
 		}
 	}
 	// A field length lying beyond its bound must be rejected, not
 	// allocated.
 	lying := []byte{1, 0xff, 0xff, 0xff, 0xff}
-	if _, err := DecodeChannelOpen(lying); !errors.Is(err, ErrBadChannelMsg) {
+	if _, err := DecodeChannelOpen(lying); !errors.Is(err, errMalformed) {
 		t.Fatalf("lying length: %v", err)
 	}
 	// Trailing garbage after a well-formed message.
 	trailing := append((&MsgChannelUpdate{RecipientSig: []byte("s")}).Encode(), 0xcc)
-	if _, err := DecodeChannelUpdate(trailing); !errors.Is(err, ErrBadChannelMsg) {
+	if _, err := DecodeChannelUpdate(trailing); !errors.Is(err, errMalformed) {
 		t.Fatalf("trailing bytes: %v", err)
 	}
 }
@@ -149,8 +149,8 @@ func TestChannelUnknownTypeTolerated(t *testing.T) {
 	}
 	defer newNode.Close()
 
-	known := make(chan Message, 4)
-	oldNode.Handle("block", func(from string, msg Message) { known <- msg })
+	known := make(chan []byte, 4)
+	Handle(oldNode, "block", raw, func(from string, payload []byte) { known <- payload })
 	if err := newNode.Connect("old"); err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +161,9 @@ func TestChannelUnknownTypeTolerated(t *testing.T) {
 	newNode.SendTo("old", "block", []byte("payload"))
 
 	select {
-	case msg := <-known:
-		if string(msg.Payload) != "payload" {
-			t.Fatalf("known message payload = %q", msg.Payload)
+	case payload := <-known:
+		if string(payload) != "payload" {
+			t.Fatalf("known message payload = %q", payload)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("known message never delivered after channel ones")

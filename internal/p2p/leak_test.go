@@ -161,8 +161,8 @@ func TestFloodDoesNotDeadlock(t *testing.T) {
 		t.Fatalf("connect: %v", err)
 	}
 	for _, n := range []*Node{a, b} {
-		n.Handle("t", func(from string, msg Message) {
-			n.SendTo(from, "r", msg.Payload)
+		Handle(n, "t", raw, func(from string, payload []byte) {
+			n.SendTo(from, "r", payload)
 		})
 	}
 

@@ -76,7 +76,7 @@ func TestP2PTelemetryCounters(t *testing.T) {
 	defer b.Close()
 
 	var got collector
-	b.Handle("tx", got.handler)
+	Handle(b, "tx", raw, got.handler)
 	if err := a.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -136,9 +136,9 @@ func TestJunkTypesMintNoSeries(t *testing.T) {
 		},
 	})
 	defer r.Close()
-	r.Handle("tx", func(string, []byte) (ObjectID, bool) { return ObjectID{}, false })
+	HandleObject(r, "tx", raw, func(string, []byte) (ObjectID, bool) { return ObjectID{}, false })
 	pings := make(chan struct{}, 1)
-	n.Handle("ping", func(string, Message) { pings <- struct{}{} })
+	Handle(n, "ping", raw, func(string, []byte) { pings <- struct{}{} })
 
 	conn, err := tr.Dial(n.Addr())
 	if err != nil {

@@ -3,6 +3,7 @@ package p2p
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -15,6 +16,13 @@ func waitPeers(t *testing.T, n *Node, want int) {
 			t.Fatalf("timed out waiting for %d peers, have %v", want, n.Peers())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// ban charges addr at n until the ban threshold.
+func ban(n *Node, addr, reason string) {
+	for i := 0; i < DefaultBanThreshold/Penalty; i++ {
+		n.misbehave(addr, reason)
 	}
 }
 
@@ -34,11 +42,13 @@ func TestMisbehaveCrossingThresholdBans(t *testing.T) {
 	if err := a.Connect(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	a.Misbehave(b.Addr(), DefaultBanThreshold-10, "malformed frames")
+	for i := 0; i < DefaultBanThreshold/Penalty-1; i++ {
+		a.misbehave(b.Addr(), "malformed frames")
+	}
 	if a.Banned(b.Addr()) {
 		t.Fatal("banned below threshold")
 	}
-	a.Misbehave(b.Addr(), 10, "malformed frame")
+	a.misbehave(b.Addr(), "malformed frame")
 	if !a.Banned(b.Addr()) {
 		t.Fatal("not banned at threshold")
 	}
@@ -65,8 +75,8 @@ func TestBannedInboundRefusedAndNotDispatched(t *testing.T) {
 	defer b.Close()
 
 	var got collector
-	a.Handle("tx", got.handler)
-	a.Misbehave(b.Addr(), DefaultBanThreshold, "preemptive")
+	Handle(a, "tx", raw, got.handler)
+	ban(a, b.Addr(), "preemptive")
 
 	if err := b.Connect(a.Addr()); err != nil {
 		t.Fatal(err)
@@ -113,7 +123,7 @@ func TestMaxPeersRefusesExtraAndBanFreesSlot(t *testing.T) {
 	}
 
 	// Banning the slot squatter frees the slot for the honest peer.
-	a.Misbehave(b.Addr(), DefaultBanThreshold, "squatting")
+	ban(a, b.Addr(), "squatting")
 	waitPeers(t, a, 0)
 	if err := a.Connect(c.Addr()); err != nil {
 		t.Fatal(err)
@@ -121,6 +131,54 @@ func TestMaxPeersRefusesExtraAndBanFreesSlot(t *testing.T) {
 	waitPeers(t, a, 1)
 	if a.Peers()[0] != c.Addr() {
 		t.Fatalf("peers = %v, want %s", a.Peers(), c.Addr())
+	}
+}
+
+// TestDefaultMaxPeersBound: a node nobody configured still bounds its
+// peer set, so inbound senders cannot grow it without limit.
+func TestDefaultMaxPeersBound(t *testing.T) {
+	tr := NewMemTransport()
+	a, err := NewNode(tr, "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewNode(tr, "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	conns := make([]Conn, 0, DefaultMaxPeers+1)
+	defer func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+	hello := func(i int) {
+		t.Helper()
+		conn, err := tr.Dial(a.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, conn)
+		if err := conn.Send(Message{Type: "hello", From: fmt.Sprintf("inbound-%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < DefaultMaxPeers; i++ {
+		hello(i)
+		waitPeers(t, a, i+1) // and the accept queue stays short
+	}
+	if err := a.Connect(b.Addr()); !errors.Is(err, ErrPeerLimit) {
+		t.Fatalf("outbound beyond %d default peers: err = %v, want ErrPeerLimit", DefaultMaxPeers, err)
+	}
+	// One more inbound sender is refused: its connection is closed.
+	hello(DefaultMaxPeers)
+	if _, err := conns[DefaultMaxPeers].Receive(); err == nil {
+		t.Fatal("inbound beyond the default bound was answered, want it closed")
+	}
+	if got := len(a.Peers()); got != DefaultMaxPeers {
+		t.Fatalf("%d peers, want %d", got, DefaultMaxPeers)
 	}
 }
 
@@ -140,10 +198,7 @@ func TestForgedFromChargesTheConnection(t *testing.T) {
 	}
 	defer honest.Close()
 	var got collector
-	victim.Handle("tx", func(from string, msg Message) {
-		got.handler(from, msg)
-		victim.Misbehave(from, 10, "undecodable tx")
-	})
+	Handle(victim, "tx", raw, got.handler)
 	if err := honest.Connect(victim.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +251,9 @@ func FuzzSyncMsgDecode(f *testing.F) {
 	// Hostile-field seeds: counts that lie, lengths that overflow what is
 	// present, negative-as-unsigned values, wrong versions, truncations
 	// and trailing garbage.
-	hugeLocators := []byte{syncMsgVersion, 0xFF, 0xFF}
+	hugeLocators := []byte{wireVersion, 0xFF, 0xFF}
 	f.Add(hugeLocators)
-	hugeHeaders := append([]byte{syncMsgVersion}, 0xFF, 0xFF, 0xFF, 0xFF)
+	hugeHeaders := append([]byte{wireVersion}, 0xFF, 0xFF, 0xFF, 0xFF)
 	f.Add(hugeHeaders)
 	lyingHeaderLen := (&MsgHeaders{Headers: [][]byte{[]byte("hdr")}}).Encode()
 	binary.BigEndian.PutUint32(lyingHeaderLen[5:], 1<<30)

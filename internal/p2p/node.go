@@ -16,15 +16,23 @@ var ErrBanned = errors.New("p2p: peer banned")
 var ErrPeerLimit = errors.New("p2p: peer limit reached")
 
 // DefaultBanThreshold is the misbehavior score at which a peer is
-// disconnected and refused; ~10 malformed frames at the daemon's
-// standard 10-point penalty.
+// disconnected and refused.
 const DefaultBanThreshold = 100
 
-// Handler processes one received message; from is the address the
-// message's connection is registered under, never a frame's own claim.
-// Handlers run on per-connection reader goroutines; implementations must
-// be safe for concurrent use.
-type Handler func(from string, msg Message)
+// Penalty is what one frame costs its sender when its type's decoder
+// refuses the payload, or when it claims another sender: ten such
+// frames ban the peer, and an honest peer's occasional garbage stays
+// far from that.
+const Penalty = DefaultBanThreshold / 10
+
+// DefaultMaxPeers bounds a node's registered peers unless SetMaxPeers
+// says otherwise, so inbound connections cannot grow the peer set
+// without limit (Bitcoin Core's default).
+const DefaultMaxPeers = 125
+
+// handler decodes one payload and, if it decodes, consumes the value; it
+// returns the decoder's error.
+type handler func(from string, payload []byte) error
 
 // Node is one overlay participant: it listens for peers, maintains
 // outbound connections, and moves every message point-to-point. Nothing
@@ -44,15 +52,14 @@ type Node struct {
 	mu       sync.Mutex
 	peers    map[string]*peer
 	conns    map[Conn]bool // every live conn, incl. unregistered inbound
-	handlers map[string]Handler
+	handlers map[string]handler
 	closed   bool
 
 	// Misbehavior accounting: protocol-level abuse accumulates a
 	// per-address score; crossing DefaultBanThreshold drops the peer and
-	// refuses further connections either way. maxPeers (0 = unlimited)
-	// bounds the registered-peer set so an adversary cannot add slots at
-	// will — and banning a slot-squatter is the recovery path from an
-	// eclipse.
+	// refuses further connections either way. maxPeers bounds the
+	// registered-peer set so an adversary cannot add slots at will — and
+	// banning a slot-squatter is the recovery path from an eclipse.
 	banScore map[string]int
 	banned   map[string]bool
 	maxPeers int
@@ -108,9 +115,10 @@ func NewNode(transport Transport, addr string, logger *log.Logger, reg *telemetr
 		logger:    logger,
 		peers:     make(map[string]*peer),
 		conns:     make(map[Conn]bool),
-		handlers:  make(map[string]Handler),
+		handlers:  make(map[string]handler),
 		banScore:  make(map[string]int),
 		banned:    make(map[string]bool),
+		maxPeers:  DefaultMaxPeers,
 	}
 	if reg != nil {
 		n.metrics = newP2PMetrics(reg)
@@ -123,35 +131,44 @@ func NewNode(transport Transport, addr string, logger *log.Logger, reg *telemetr
 // Addr returns the node's listen address.
 func (n *Node) Addr() string { return n.listener.Addr() }
 
-// Handle registers the handler for a message type. Must be called
-// before messages of that type arrive. Handlers must be idempotent — the
-// wire may deliver the same message more than once. A type gets its
-// per-type telemetry series only once a handler or a send names it.
-func (n *Node) Handle(msgType string, h Handler) {
+// Handle registers how payloads of one message type become values and
+// who consumes them. Must be called before messages of that type arrive.
+// A payload the decoder refuses costs its sender Penalty and reaches no
+// handler; a type with no registration is dropped uncharged. h runs on
+// the connection's reader goroutine, under the address the connection
+// is registered as (never a frame's own claim), and must be idempotent:
+// the wire may deliver the same message more than once. A type gets its
+// per-type telemetry series only once a registration or a send names it.
+func Handle[T any](n *Node, msgType string, decode func([]byte) (T, error), h func(from string, v T)) {
 	n.metrics.local(msgType)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.handlers[msgType] = h
+	n.handlers[msgType] = func(from string, payload []byte) error {
+		v, err := decode(payload)
+		if err == nil {
+			h(from, v)
+		}
+		return err
+	}
 }
 
-// SetMaxPeers bounds the number of registered peers (0 = unlimited).
-// Connections beyond the bound — outbound or inbound — are refused.
+// SetMaxPeers bounds the number of registered peers (DefaultMaxPeers
+// until called). Connections beyond the bound — outbound or inbound —
+// are refused.
 func (n *Node) SetMaxPeers(k int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.maxPeers = k
 }
 
-// Misbehave charges points of protocol abuse (malformed frames, bogus
-// requests) against an address. Crossing the ban threshold disconnects
-// the peer and refuses it from then on. Callers pick the points so that
-// an honest peer's occasional garbage never reaches the threshold.
-func (n *Node) Misbehave(addr string, points int, reason string) {
+// misbehave charges Penalty against an address. Crossing the ban
+// threshold disconnects the peer and refuses it from then on.
+func (n *Node) misbehave(addr, reason string) {
 	if addr == "" || addr == n.Addr() {
 		return
 	}
 	n.mu.Lock()
-	n.banScore[addr] += points
+	n.banScore[addr] += Penalty
 	score := n.banScore[addr]
 	freshBan := score >= DefaultBanThreshold && !n.banned[addr]
 	if freshBan {
@@ -159,7 +176,7 @@ func (n *Node) Misbehave(addr string, points int, reason string) {
 	}
 	n.mu.Unlock()
 	if m := n.metrics; m != nil {
-		m.misbehavior.Add(uint64(points))
+		m.misbehavior.Add(Penalty)
 	}
 	if freshBan {
 		n.logf("banning %s (score %d): %s", addr, score, reason)
@@ -207,7 +224,7 @@ func (n *Node) Connect(addr string) error {
 		}
 		return ErrBanned
 	}
-	if n.maxPeers > 0 && len(n.peers) >= n.maxPeers {
+	if len(n.peers) >= n.maxPeers {
 		n.mu.Unlock()
 		if m := n.metrics; m != nil {
 			m.connRefused("full").Inc()
@@ -240,7 +257,9 @@ func (n *Node) Peers() []string {
 
 // SendTo queues a message to one connected peer only — the relay's
 // announcement, request and fulfillment traffic. It reports false when
-// the peer is unknown or its queue was full (the message was shed).
+// the peer is unknown or its queue was full (the message was shed). The
+// peer's writer counts the message as sent just before it hands it to
+// the transport, so the count moves before the peer can act on it.
 func (n *Node) SendTo(addr, msgType string, payload []byte) bool {
 	msg := Message{Type: msgType, From: n.Addr(), Payload: payload}
 	n.mu.Lock()
@@ -254,10 +273,6 @@ func (n *Node) SendTo(addr, msgType string, payload []byte) bool {
 			m.queueDrops.Inc()
 		}
 		return false
-	}
-	if m := n.metrics; m != nil {
-		m.local(msg.Type).get(msgOut).Inc()
-		m.bytesOut.Add(uint64(msg.WireSize()))
 	}
 	return true
 }
@@ -350,6 +365,10 @@ func (n *Node) writeLoop(addr string, p *peer) {
 	for {
 		select {
 		case msg := <-p.out:
+			if m := n.metrics; m != nil {
+				m.local(msg.Type).get(msgOut).Inc()
+				m.bytesOut.Add(uint64(msg.WireSize()))
+			}
 			if err := p.conn.Send(msg); err != nil {
 				n.logf("send %s to %s: %v", msg.Type, addr, err)
 				n.dropPeer(addr)
@@ -404,7 +423,7 @@ func (n *Node) readLoop(addr string, conn Conn) {
 			if n.banned[addr] {
 				refuse = "banned"
 			} else if _, dup := n.peers[addr]; !dup && !n.closed {
-				if n.maxPeers > 0 && len(n.peers) >= n.maxPeers {
+				if len(n.peers) >= n.maxPeers {
 					refuse = "full"
 				} else {
 					n.registerPeerLocked(addr, conn)
@@ -426,8 +445,8 @@ func (n *Node) readLoop(addr string, conn Conn) {
 		}
 		if msg.From != addr {
 			// Else a peer could have another charged for its garbage,
-			// or route replies elsewhere: ten such frames ban it.
-			n.Misbehave(addr, DefaultBanThreshold/10, "frame claims to be from "+msg.From)
+			// or route replies elsewhere.
+			n.misbehave(addr, "frame claims to be from "+msg.From)
 			continue
 		}
 		n.dispatch(addr, msg)
@@ -435,13 +454,17 @@ func (n *Node) readLoop(addr string, conn Conn) {
 }
 
 // dispatch runs the message's handler, if its type has one, under the
-// address of the connection it arrived on. Nothing is forwarded.
+// address of the connection it arrived on, and charges the sender for a
+// payload the type's decoder refuses. Nothing is forwarded.
 func (n *Node) dispatch(from string, msg Message) {
 	n.mu.Lock()
 	h := n.handlers[msg.Type]
 	n.mu.Unlock()
-	if h != nil {
-		h(from, msg)
+	if h == nil {
+		return
+	}
+	if err := h(from, msg.Payload); err != nil {
+		n.misbehave(from, msg.Type+": "+err.Error())
 	}
 }
 

@@ -16,11 +16,15 @@ type collector struct {
 	msgs []Message
 }
 
-func (c *collector) handler(_ string, m Message) {
+// handler records a payload the raw decoder passed, with its sender.
+func (c *collector) handler(from string, payload []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.msgs = append(c.msgs, m)
+	c.msgs = append(c.msgs, Message{From: from, Payload: payload})
 }
+
+// raw is the decoder of a test fake that wants the payload bytes.
+func raw(payload []byte) ([]byte, error) { return payload, nil }
 
 func (c *collector) count() int {
 	c.mu.Lock()
@@ -63,7 +67,7 @@ func TestDirectBroadcast(t *testing.T) {
 			defer b.Close()
 
 			var got collector
-			b.Handle("tx", got.handler)
+			Handle(b, "tx", raw, got.handler)
 			if err := a.Connect(b.Addr()); err != nil {
 				t.Fatal(err)
 			}
@@ -93,9 +97,9 @@ func TestBidirectionalAfterInbound(t *testing.T) {
 	defer b.Close()
 
 	var aGot collector
-	a.Handle("tx", aGot.handler)
+	Handle(a, "tx", raw, aGot.handler)
 	var bGot collector
-	b.Handle("tx", bGot.handler)
+	Handle(b, "tx", raw, bGot.handler)
 
 	// Only a dials b. After a's first message, b must be able to
 	// answer over the learned inbound connection.

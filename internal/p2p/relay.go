@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -40,13 +41,6 @@ type RelayConfig struct {
 	// RequestTimeout overrides defaultRequestTimeout (tests shrink it).
 	RequestTimeout time.Duration
 }
-
-// ObjectHandler consumes one relayed object body. It returns the
-// object's content id and whether the consumer now holds the object —
-// Fetch can serve it — so the relay announces it onward. Handlers must
-// be idempotent: a re-requested object can be delivered by more than one
-// announcer.
-type ObjectHandler func(from string, payload []byte) (id ObjectID, relay bool)
 
 // invKey identifies one relayable object.
 type invKey struct {
@@ -100,40 +94,46 @@ type Relay struct {
 	cfg     RelayConfig
 	timeout time.Duration
 
-	mu       sync.Mutex
-	handlers map[string]ObjectHandler
-	known    map[string]*invSet // peer addr → inventory it is known to have
-	pending  map[invKey]*pendingFetch
-	closed   bool
+	mu      sync.Mutex
+	kinds   map[string]bool    // the object kinds HandleObject registered
+	known   map[string]*invSet // peer addr → inventory it is known to have
+	pending map[invKey]*pendingFetch
+	closed  bool
 }
 
-// NewRelay attaches inventory relay to n. Call Handle for every object
-// kind before traffic arrives.
+// NewRelay attaches inventory relay to n. Call HandleObject for every
+// object kind before traffic arrives.
 func NewRelay(n *Node, cfg RelayConfig) *Relay {
 	r := &Relay{
-		node:     n,
-		cfg:      cfg,
-		timeout:  cfg.RequestTimeout,
-		handlers: make(map[string]ObjectHandler),
-		known:    make(map[string]*invSet),
-		pending:  make(map[invKey]*pendingFetch),
+		node:    n,
+		cfg:     cfg,
+		timeout: cfg.RequestTimeout,
+		kinds:   make(map[string]bool),
+		known:   make(map[string]*invSet),
+		pending: make(map[invKey]*pendingFetch),
 	}
 	if r.timeout <= 0 {
 		r.timeout = defaultRequestTimeout
 	}
-	n.Handle("inv", r.onInv)
-	n.Handle("getdata", r.onGetData)
+	Handle(n, "inv", decodeInv, r.onInv)
+	Handle(n, "getdata", decodeInv, r.onGetData)
 	return r
 }
 
-// Handle registers the consumer callback for an object kind and starts
-// accepting bodies of that kind over the wire.
-func (r *Relay) Handle(kind string, h ObjectHandler) {
+// HandleObject registers an object kind and starts accepting its bodies
+// over the wire, through Handle: a body the decoder refuses is charged
+// and stops there. h consumes a decoded object and returns its content id
+// and whether the consumer now holds it — Fetch can serve it — so the
+// relay announces it onward. h must be idempotent: a re-requested
+// object can be delivered by more than one announcer.
+func HandleObject[T any](r *Relay, kind string, decode func([]byte) (T, error), h func(from string, v T) (id ObjectID, held bool)) {
 	r.mu.Lock()
-	r.handlers[kind] = h
+	r.kinds[kind] = true
 	r.mu.Unlock()
-	r.node.Handle(kind, func(from string, msg Message) {
-		r.onObject(kind, from, msg.Payload)
+	Handle(r.node, kind, decode, func(from string, v T) {
+		r.node.metrics.remote(kind).get(fulfillIn).Inc()
+		id, held := h(from, v)
+		r.onObject(kind, from, id, held)
 	})
 }
 
@@ -251,11 +251,8 @@ func (r *Relay) Request(kind string, id ObjectID, from string) {
 }
 
 // onInv records the announcer and requests any object this node lacks.
-func (r *Relay) onInv(from string, msg Message) {
-	kind, ids, ok := decodeInv(msg.Payload)
-	if !ok {
-		return
-	}
+func (r *Relay) onInv(from string, inv invMsg) {
+	kind, ids := inv.kind, inv.ids
 	m := r.node.metrics
 	var want []ObjectID
 	r.mu.Lock()
@@ -263,7 +260,7 @@ func (r *Relay) onInv(from string, msg Message) {
 		r.mu.Unlock()
 		return
 	}
-	if _, handled := r.handlers[kind]; !handled {
+	if !r.kinds[kind] {
 		r.mu.Unlock()
 		return
 	}
@@ -293,13 +290,10 @@ func (r *Relay) onInv(from string, msg Message) {
 
 // onGetData answers requests through the consumer's Fetch. A kind with
 // no handler is ignored, as in onInv: this node relays no such object.
-func (r *Relay) onGetData(from string, msg Message) {
-	kind, ids, ok := decodeInv(msg.Payload)
-	if !ok {
-		return
-	}
+func (r *Relay) onGetData(from string, inv invMsg) {
+	kind, ids := inv.kind, inv.ids
 	r.mu.Lock()
-	_, handled := r.handlers[kind]
+	handled := r.kinds[kind]
 	r.mu.Unlock()
 	if !handled {
 		return
@@ -322,19 +316,11 @@ func (r *Relay) onGetData(from string, msg Message) {
 	}
 }
 
-// onObject runs the consumer handler for a delivered body, then relays
-// the object onward by announcement if the consumer now holds it. A
+// onObject records a body the consumer has handled, then relays the
+// object onward by announcement if the consumer now holds it. A
 // duplicate delivery announces to no one: every peer told the first
 // time is known to hold the object.
-func (r *Relay) onObject(kind, from string, payload []byte) {
-	r.mu.Lock()
-	h := r.handlers[kind]
-	r.mu.Unlock()
-	if h == nil {
-		return
-	}
-	r.node.metrics.remote(kind).get(fulfillIn).Inc()
-	id, relayOn := h(from, payload)
+func (r *Relay) onObject(kind, from string, id ObjectID, held bool) {
 	key := invKey{kind, id}
 	r.mu.Lock()
 	if r.closed {
@@ -346,7 +332,7 @@ func (r *Relay) onObject(kind, from string, payload []byte) {
 	// inv handled from here on finds it through Have.
 	r.clearPendingLocked(key)
 	r.mu.Unlock()
-	if relayOn {
+	if held {
 		r.Announce(kind, id)
 	}
 }
@@ -445,28 +431,27 @@ func EncodeInv(kind string, ids ...ObjectID) []byte {
 	return out
 }
 
-// decodeInv parses an EncodeInv payload. It rejects empty, truncated or
-// ragged frames.
-func decodeInv(payload []byte) (kind string, ids []ObjectID, ok bool) {
-	if len(payload) < 1 {
-		return "", nil, false
+// invMsg is a decoded inv or getdata: one kind, one or more ids.
+type invMsg struct {
+	kind string
+	ids  []ObjectID
+}
+
+// errBadInv reports an empty, truncated or ragged inventory payload.
+var errBadInv = fmt.Errorf("%w: bad inventory", errMalformed)
+
+// decodeInv parses an EncodeInv payload.
+func decodeInv(payload []byte) (invMsg, error) {
+	if len(payload) < 1 || len(payload)-1 < int(payload[0]) {
+		return invMsg{}, errBadInv
 	}
-	kl := int(payload[0])
-	rest := payload[1:]
-	if len(rest) < kl {
-		return "", nil, false
-	}
-	kind = string(rest[:kl])
-	rest = rest[kl:]
+	rest := payload[1+int(payload[0]):]
 	if len(rest) == 0 || len(rest)%32 != 0 {
-		return "", nil, false
+		return invMsg{}, errBadInv
 	}
-	ids = make([]ObjectID, 0, len(rest)/32)
-	for len(rest) > 0 {
-		var id ObjectID
-		copy(id[:], rest[:32])
-		ids = append(ids, id)
-		rest = rest[32:]
+	inv := invMsg{kind: string(payload[1 : 1+int(payload[0])]), ids: make([]ObjectID, len(rest)/32)}
+	for i := range inv.ids {
+		copy(inv.ids[i][:], rest[32*i:])
 	}
-	return kind, ids, true
+	return inv, nil
 }

@@ -51,9 +51,9 @@ func newRelayTestNode(t *testing.T, tr Transport, timeout time.Duration) *relayT
 		RequestTimeout: timeout,
 	})
 	rt.relay = r
-	r.Handle("tx", func(from string, payload []byte) (ObjectID, bool) {
+	HandleObject(r, "tx", raw, func(from string, payload []byte) (ObjectID, bool) {
 		id := rt.hold(payload)
-		rt.got.handler(from, Message{Type: "tx", From: from, Payload: payload})
+		rt.got.handler(from, payload)
 		return id, true
 	})
 	t.Cleanup(func() {
@@ -120,10 +120,10 @@ func TestRelayMeshFewerBytesThanFlood(t *testing.T) {
 			defer n.Close()
 			nodes[i] = n
 			addrs[i] = n.Addr()
-			nodes[i].Handle("tx", func(from string, msg Message) {
+			Handle(nodes[i], "tx", raw, func(from string, payload []byte) {
 				seen[i].Do(func() {
-					cols[i].handler(from, msg)
-					forward(i, from, msg.Payload)
+					cols[i].handler(from, payload)
+					forward(i, from, payload)
 				})
 			})
 		}
@@ -195,7 +195,7 @@ func TestRelayRerequestsFromSecondAnnouncer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer silent.Close()
-	silent.Handle("getdata", func(string, Message) {})
+	Handle(silent, "getdata", raw, func(string, []byte) {})
 
 	// honest serves the body on request.
 	honest, err := NewNode(tr, "", nil, nil)
@@ -203,8 +203,8 @@ func TestRelayRerequestsFromSecondAnnouncer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer honest.Close()
-	honest.Handle("getdata", func(from string, msg Message) {
-		if kind, ids, ok := decodeInv(msg.Payload); ok && kind == "tx" && ids[0] == id {
+	Handle(honest, "getdata", decodeInv, func(from string, inv invMsg) {
+		if inv.kind == "tx" && inv.ids[0] == id {
 			honest.SendTo(from, "tx", payload)
 		}
 	})
@@ -287,7 +287,7 @@ func TestRelayDedupAcrossAnnouncers(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { n.Close() })
-		n.Handle("getdata", func(from string, msg Message) {
+		Handle(n, "getdata", raw, func(from string, _ []byte) {
 			n.SendTo(from, "tx", payload)
 		})
 		if err := n.Connect(target.node.Addr()); err != nil {
@@ -352,12 +352,12 @@ func TestAnnounceBatchRepairsKnownInventory(t *testing.T) {
 func TestInvEncodingRoundTrip(t *testing.T) {
 	id1 := sha256.Sum256([]byte("a"))
 	id2 := sha256.Sum256([]byte("b"))
-	kind, ids, ok := decodeInv(EncodeInv("block", id1, id2))
-	if !ok || kind != "block" || len(ids) != 2 || ids[0] != id1 || ids[1] != id2 {
-		t.Fatalf("round trip failed: %q %v %v", kind, ids, ok)
+	inv, err := decodeInv(EncodeInv("block", id1, id2))
+	if err != nil || inv.kind != "block" || len(inv.ids) != 2 || inv.ids[0] != id1 || inv.ids[1] != id2 {
+		t.Fatalf("round trip failed: %q %v %v", inv.kind, inv.ids, err)
 	}
 	for _, bad := range [][]byte{nil, {}, {5, 'a'}, EncodeInv("tx")[:3], append(EncodeInv("tx", id1), 1)} {
-		if _, _, ok := decodeInv(bad); ok {
+		if _, err := decodeInv(bad); err == nil {
 			t.Fatalf("decodeInv accepted malformed frame %v", bad)
 		}
 	}
@@ -398,11 +398,11 @@ func FuzzRelayMsgDecode(f *testing.F) {
 	f.Add([]byte{0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if kind, ids, ok := decodeInv(data); ok {
-			if len(ids) == 0 || len(data) != 1+len(kind)+32*len(ids) {
-				t.Fatalf("inv accepted %d ids of kind %q from %d bytes", len(ids), kind, len(data))
+		if inv, err := decodeInv(data); err == nil {
+			if len(inv.ids) == 0 || len(data) != 1+len(inv.kind)+32*len(inv.ids) {
+				t.Fatalf("inv accepted %d ids of kind %q from %d bytes", len(inv.ids), inv.kind, len(data))
 			}
-			if !bytes.Equal(EncodeInv(kind, ids...), data) {
+			if !bytes.Equal(EncodeInv(inv.kind, inv.ids...), data) {
 				t.Fatal("inv round-trip mismatch")
 			}
 		}

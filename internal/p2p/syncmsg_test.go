@@ -8,7 +8,7 @@ import (
 )
 
 func TestGetHeadersRoundTrip(t *testing.T) {
-	m := &MsgGetHeaders{Version: 1, Locator: [][32]byte{{1}, {2, 2}, {3}}, Max: 500}
+	m := &MsgGetHeaders{Locator: [][32]byte{{1}, {2, 2}, {3}}, Max: 500}
 	got, err := DecodeGetHeaders(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -17,14 +17,14 @@ func TestGetHeadersRoundTrip(t *testing.T) {
 		t.Fatalf("round trip = %+v", got)
 	}
 	// Empty locator is legal (a from-genesis request).
-	empty := &MsgGetHeaders{Version: 1, Max: 10}
+	empty := &MsgGetHeaders{Max: 10}
 	if _, err := DecodeGetHeaders(empty.Encode()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestHeadersRoundTrip(t *testing.T) {
-	m := &MsgHeaders{Version: 1, Headers: [][]byte{{0xaa, 0xbb}, {0xcc}}}
+	m := &MsgHeaders{Headers: [][]byte{{0xaa, 0xbb}, {0xcc}}}
 	got, err := DecodeHeaders(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -32,14 +32,14 @@ func TestHeadersRoundTrip(t *testing.T) {
 	if len(got.Headers) != 2 || !bytes.Equal(got.Headers[0], m.Headers[0]) || !bytes.Equal(got.Headers[1], m.Headers[1]) {
 		t.Fatalf("round trip = %+v", got)
 	}
-	none := &MsgHeaders{Version: 1}
+	none := &MsgHeaders{}
 	if got, err := DecodeHeaders(none.Encode()); err != nil || len(got.Headers) != 0 {
 		t.Fatalf("empty batch: %v %+v", err, got)
 	}
 }
 
 func TestGetSnapshotRoundTrip(t *testing.T) {
-	m := &MsgGetSnapshot{Version: 1, Height: 99_328, Chunk: -1}
+	m := &MsgGetSnapshot{Height: 99_328, Chunk: -1}
 	got, err := DecodeGetSnapshot(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestGetSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotChunkRoundTrip(t *testing.T) {
-	m := &MsgSnapshotChunk{Version: 1, Height: 1024, Chunk: -1, Total: 17, Manifest: []byte("manifest")}
+	m := &MsgSnapshotChunk{Height: 1024, Chunk: -1, Total: 17, Manifest: []byte("manifest")}
 	got, err := DecodeSnapshotChunk(m.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestSnapshotChunkRoundTrip(t *testing.T) {
 	if got.Total != 17 || got.Chunk != -1 || !bytes.Equal(got.Manifest, m.Manifest) || len(got.Payload) != 0 {
 		t.Fatalf("manifest round trip = %+v", got)
 	}
-	data := &MsgSnapshotChunk{Version: 1, Height: 1024, Chunk: 3, Total: 17, Payload: bytes.Repeat([]byte{7}, 1000)}
+	data := &MsgSnapshotChunk{Height: 1024, Chunk: 3, Total: 17, Payload: bytes.Repeat([]byte{7}, 1000)}
 	got, err = DecodeSnapshotChunk(data.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestSyncMsgRejectsBadInput(t *testing.T) {
 	m := &MsgGetSnapshot{Height: 5, Chunk: 0}
 	enc := m.Encode()
 	enc[0] = 99
-	if _, err := DecodeGetSnapshot(enc); !errors.Is(err, ErrBadSyncMsg) {
+	if _, err := DecodeGetSnapshot(enc); !errors.Is(err, errMalformed) {
 		t.Fatalf("future version: %v", err)
 	}
 	// Truncations and empty payloads.
@@ -83,16 +83,16 @@ func TestSyncMsgRejectsBadInput(t *testing.T) {
 		func(b []byte) error { _, err := DecodeGetSnapshot(b); return err },
 		func(b []byte) error { _, err := DecodeSnapshotChunk(b); return err },
 	} {
-		if err := decode(nil); !errors.Is(err, ErrBadSyncMsg) {
+		if err := decode(nil); !errors.Is(err, errMalformed) {
 			t.Fatalf("empty payload: %v", err)
 		}
-		if err := decode([]byte{1, 0}); !errors.Is(err, ErrBadSyncMsg) {
+		if err := decode([]byte{1, 0}); !errors.Is(err, errMalformed) {
 			t.Fatalf("truncated payload: %v", err)
 		}
 	}
 	// A headers message lying about its count.
 	lying := []byte{1, 0, 0, 0, 5}
-	if _, err := DecodeHeaders(lying); !errors.Is(err, ErrBadSyncMsg) {
+	if _, err := DecodeHeaders(lying); !errors.Is(err, errMalformed) {
 		t.Fatalf("lying count: %v", err)
 	}
 }
@@ -113,8 +113,8 @@ func TestUnknownMessageTypeTolerated(t *testing.T) {
 	}
 	defer newNode.Close()
 
-	known := make(chan Message, 4)
-	oldNode.Handle("block", func(from string, msg Message) { known <- msg })
+	known := make(chan []byte, 4)
+	Handle(oldNode, "block", raw, func(from string, payload []byte) { known <- payload })
 	if err := newNode.Connect("old"); err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +126,9 @@ func TestUnknownMessageTypeTolerated(t *testing.T) {
 	newNode.SendTo("old", "block", []byte("payload"))
 
 	select {
-	case msg := <-known:
-		if string(msg.Payload) != "payload" {
-			t.Fatalf("known message payload = %q", msg.Payload)
+	case payload := <-known:
+		if string(payload) != "payload" {
+			t.Fatalf("known message payload = %q", payload)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("known message never delivered after unknown ones")
