@@ -91,8 +91,9 @@ lint:
 # unauthenticated peers — directory bindings, the TCP transport's frame
 # body, and the payload decoders p2p.Handle charges for: channel, sync
 # and delivery messages on the shared p2p Reader, relay and
-# compact-block bodies — and keygen's fixed-width primality tests
-# (the base-2 prefilter and the whole verdict) against math/big, the
+# compact-block bodies — keygen's fixed-width primality tests
+# (the base-2 prefilter and the whole verdict) and the RSA-512
+# exponentiations, CRT signing and input checks against math/big, the
 # durable log's replay and the chain store's load of arbitrary records. CI's fuzz smoke runs this
 # target; only the nightly matrix repeats the list.
 fuzz:
@@ -106,6 +107,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDeliveryMsgDecode -fuzztime=15s -run '^$$' ./internal/daemon/
 	$(GO) test -fuzz=FuzzSPRP2 -fuzztime=15s -run '^$$' ./internal/bccrypto/
 	$(GO) test -fuzz=FuzzPrime256 -fuzztime=15s -run '^$$' ./internal/bccrypto/
+	$(GO) test -fuzz=FuzzRSA512Exp -fuzztime=15s -run '^$$' ./internal/bccrypto/
 	$(GO) test -fuzz=FuzzLogReplay -fuzztime=15s -run '^$$' ./internal/durable/
 	$(GO) test -fuzz=FuzzStoreLoad -fuzztime=15s -run '^$$' ./internal/daemon/
 

@@ -4,7 +4,6 @@ import (
 	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -87,12 +86,6 @@ func (k *ECKey) SignDigest(random io.Reader, digest []byte) ([]byte, error) {
 	return sig, nil
 }
 
-// Sign signs the SHA-256 digest of msg.
-func (k *ECKey) Sign(random io.Reader, msg []byte) ([]byte, error) {
-	digest := sha256.Sum256(msg)
-	return k.SignDigest(random, digest[:])
-}
-
 // VerifyECDigest verifies an ASN.1 signature over a 32-byte digest with a
 // serialized public key.
 func VerifyECDigest(pubKey, digest, sig []byte) bool {
@@ -101,12 +94,6 @@ func VerifyECDigest(pubKey, digest, sig []byte) bool {
 		return false
 	}
 	return ecdsa.VerifyASN1(pub, digest, sig)
-}
-
-// VerifyEC verifies a signature over the SHA-256 digest of msg.
-func VerifyEC(pubKey, msg, sig []byte) bool {
-	digest := sha256.Sum256(msg)
-	return VerifyECDigest(pubKey, digest[:], sig)
 }
 
 // MarshalECPrivateKey encodes the private scalar as 32 big-endian bytes.

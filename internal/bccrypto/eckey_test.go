@@ -2,6 +2,7 @@ package bccrypto
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
 	"strings"
 	"testing"
 )
@@ -17,19 +18,20 @@ func newECKey(t testing.TB) *ECKey {
 
 func TestECKeySignVerify(t *testing.T) {
 	key := newECKey(t)
-	msg := []byte("transaction sighash preimage")
-	sig, err := key.Sign(rand.Reader, msg)
+	digest := sha256.Sum256([]byte("transaction sighash preimage"))
+	sig, err := key.SignDigest(rand.Reader, digest[:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !VerifyEC(key.PublicBytes(), msg, sig) {
+	if !VerifyECDigest(key.PublicBytes(), digest[:], sig) {
 		t.Fatal("valid signature rejected")
 	}
-	if VerifyEC(key.PublicBytes(), []byte("other message"), sig) {
+	otherDigest := sha256.Sum256([]byte("other message"))
+	if VerifyECDigest(key.PublicBytes(), otherDigest[:], sig) {
 		t.Fatal("signature accepted for wrong message")
 	}
 	other := newECKey(t)
-	if VerifyEC(other.PublicBytes(), msg, sig) {
+	if VerifyECDigest(other.PublicBytes(), digest[:], sig) {
 		t.Fatal("signature accepted for wrong key")
 	}
 }
@@ -75,10 +77,11 @@ func TestParseECPublicKeyRejects(t *testing.T) {
 
 func TestVerifyECRejectsGarbage(t *testing.T) {
 	key := newECKey(t)
-	if VerifyEC(key.PublicBytes(), []byte("msg"), []byte("not-asn1")) {
+	digest := sha256.Sum256([]byte("msg"))
+	if VerifyECDigest(key.PublicBytes(), digest[:], []byte("not-asn1")) {
 		t.Fatal("garbage signature accepted")
 	}
-	if VerifyEC([]byte("not-a-key"), []byte("msg"), []byte("sig")) {
+	if VerifyECDigest([]byte("not-a-key"), digest[:], []byte("sig")) {
 		t.Fatal("garbage public key accepted")
 	}
 }
@@ -124,10 +127,10 @@ func TestAddressesDistinct(t *testing.T) {
 
 func BenchmarkECSign(b *testing.B) {
 	key := newECKey(b)
-	msg := []byte("benchmark message")
+	digest := sha256.Sum256([]byte("benchmark message"))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := key.Sign(rand.Reader, msg); err != nil {
+		if _, err := key.SignDigest(rand.Reader, digest[:]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -135,15 +138,15 @@ func BenchmarkECSign(b *testing.B) {
 
 func BenchmarkECVerify(b *testing.B) {
 	key := newECKey(b)
-	msg := []byte("benchmark message")
-	sig, err := key.Sign(rand.Reader, msg)
+	digest := sha256.Sum256([]byte("benchmark message"))
+	sig, err := key.SignDigest(rand.Reader, digest[:])
 	if err != nil {
 		b.Fatal(err)
 	}
 	pub := key.PublicBytes()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if !VerifyEC(pub, msg, sig) {
+		if !VerifyECDigest(pub, digest[:], sig) {
 			b.Fatal("verify failed")
 		}
 	}
@@ -163,11 +166,12 @@ func TestECPrivateKeyMarshalRoundTrip(t *testing.T) {
 		t.Fatal("public key changed in round trip")
 	}
 	// The restored key signs verifiably.
-	sig, err := back.Sign(rand.Reader, []byte("msg"))
+	digest := sha256.Sum256([]byte("msg"))
+	sig, err := back.SignDigest(rand.Reader, digest[:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !VerifyEC(key.PublicBytes(), []byte("msg"), sig) {
+	if !VerifyECDigest(key.PublicBytes(), digest[:], sig) {
 		t.Fatal("signature from restored key rejected")
 	}
 }

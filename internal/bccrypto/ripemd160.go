@@ -1,19 +1,15 @@
 // Package bccrypto implements the cryptographic primitives BcWAN needs on
 // top of the Go standard library: RIPEMD-160 and base58check for blockchain
 // addresses, the AES-256-CBC message frame of the paper's Fig. 4, and
-// RSA-512 (built from scratch on math/big because crypto/rsa refuses keys
-// under 1024 bits) for the ephemeral fair-exchange keys and node
-// signatures.
+// RSA-512 (built from scratch, because crypto/rsa refuses keys under 1024
+// bits) for the ephemeral fair-exchange keys and node signatures.
 //
 // RSA-512 is intentionally weak; the paper (§6) accepts this because the
 // cost of factoring a 512-bit modulus exceeds the micro-payment value each
 // key protects, and the LoRa payload budget cannot fit larger keys.
 package bccrypto
 
-import (
-	"encoding/binary"
-	"hash"
-)
+import "encoding/binary"
 
 // RIPEMD-160, implemented from the original Dobbertin/Bosselaers/Preneel
 // specification. Used for HASH160 = RIPEMD160(SHA256(x)), the address and
@@ -31,15 +27,6 @@ type ripemd160 struct {
 	len uint64
 }
 
-var _ hash.Hash = (*ripemd160)(nil)
-
-// NewRipemd160 returns a new RIPEMD-160 hash.Hash.
-func NewRipemd160() hash.Hash {
-	d := new(ripemd160)
-	d.Reset()
-	return d
-}
-
 // Ripemd160 returns the RIPEMD-160 digest of data.
 func Ripemd160(data []byte) [Ripemd160Size]byte {
 	d := new(ripemd160)
@@ -55,10 +42,6 @@ func (d *ripemd160) Reset() {
 	d.nx = 0
 	d.len = 0
 }
-
-func (d *ripemd160) Size() int { return Ripemd160Size }
-
-func (d *ripemd160) BlockSize() int { return ripemd160BlockSize }
 
 func (d *ripemd160) Write(p []byte) (int, error) {
 	n := len(p)

@@ -46,7 +46,8 @@ func TestRipemd160MillionA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping 1M-byte vector in short mode")
 	}
-	h := NewRipemd160()
+	var h ripemd160
+	h.Reset()
 	chunk := bytes.Repeat([]byte("a"), 1000)
 	for i := 0; i < 1000; i++ {
 		h.Write(chunk)
@@ -64,7 +65,8 @@ func TestRipemd160IncrementalMatchesOneShot(t *testing.T) {
 	data := []byte(strings.Repeat("BcWAN federated LPWAN ", 41))
 	want := Ripemd160(data)
 	for _, chunk := range []int{1, 3, 7, 63, 64, 65, 128} {
-		h := NewRipemd160()
+		var h ripemd160
+		h.Reset()
 		for i := 0; i < len(data); i += chunk {
 			end := i + chunk
 			if end > len(data) {
@@ -79,7 +81,8 @@ func TestRipemd160IncrementalMatchesOneShot(t *testing.T) {
 }
 
 func TestRipemd160SumDoesNotMutateState(t *testing.T) {
-	h := NewRipemd160()
+	var h ripemd160
+	h.Reset()
 	h.Write([]byte("partial"))
 	first := h.Sum(nil)
 	second := h.Sum(nil)
@@ -94,7 +97,8 @@ func TestRipemd160SumDoesNotMutateState(t *testing.T) {
 }
 
 func TestRipemd160Reset(t *testing.T) {
-	h := NewRipemd160()
+	var h ripemd160
+	h.Reset()
 	h.Write([]byte("garbage"))
 	h.Reset()
 	h.Write([]byte("abc"))
@@ -105,7 +109,8 @@ func TestRipemd160Reset(t *testing.T) {
 }
 
 func TestRipemd160SumAppends(t *testing.T) {
-	h := NewRipemd160()
+	var h ripemd160
+	h.Reset()
 	h.Write([]byte("abc"))
 	prefix := []byte{0xde, 0xad}
 	out := h.Sum(prefix)

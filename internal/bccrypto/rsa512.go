@@ -11,14 +11,19 @@ import (
 	"math/bits"
 )
 
-// RSA-512 implemented directly on math/big.
+// RSA-512, built here from scratch.
 //
 // The paper deliberately chooses RSA-512 (§6): the LoRa payload budget is
 // tiny, and the cost of factoring a 512-bit modulus exceeds the value of
 // the micro-payment each ephemeral key protects. Go's crypto/rsa refuses
-// keys under 1024 bits, so the primitive is built here from scratch. The
-// same code also powers the node's message signature (Sk/Pk in Fig. 3) and
-// the OP_CHECKRSA512PAIR script operator's private/public pair check.
+// keys under 1024 bits. The same code also powers the node's message
+// signature (Sk/Pk in Fig. 3) and the OP_CHECKRSA512PAIR script
+// operator's private/public pair check. Keys hold *big.Int, and keygen
+// forms N, φ and D in math/big; every operation on a reading runs in
+// fixed-width Montgomery arithmetic (mont512.go) and allocates at most
+// the slice it returns. That arithmetic needs an odd modulus with bit
+// 511 set, which every key GenerateRSA512 mints has, and the key
+// decoders refuse any other.
 
 // RSA512Bits is the modulus size of every key produced by GenerateRSA512.
 const RSA512Bits = 512
@@ -41,6 +46,8 @@ var (
 	// ErrKeyPairMismatch reports a private key that does not correspond
 	// to the presented public key (the OP_CHECKRSA512PAIR failure case).
 	ErrKeyPairMismatch = errors.New("bccrypto: RSA-512 key pair mismatch")
+
+	errModulus = errors.New("bccrypto: RSA-512 modulus is not odd with bit 511 set")
 )
 
 // RSA512PublicKey is a 512-bit RSA public key.
@@ -199,19 +206,28 @@ func (k *RSA512PrivateKey) Public() *RSA512PublicKey {
 // modulus and exponent, and one probe, 2^(e·D) ≡ 2 (mod N). It does not
 // read P or Q. The probe does not prove that D decrypts under N: the
 // party that made the key can pass it with a D that does not (ROADMAP
-// item 22).
+// item 22). A key whose modulus is not odd with bit 511 set, or whose
+// E or D is not positive, fails.
 func (k *RSA512PrivateKey) MatchesPublic(pub *RSA512PublicKey) bool {
 	if k == nil || pub == nil || k.N == nil || pub.N == nil || k.D == nil {
 		return false
 	}
-	if k.N.Cmp(pub.N) != 0 || k.E != pub.E {
+	if k.N.Cmp(pub.N) != 0 || k.E != pub.E || pub.E <= 0 {
 		return false
 	}
-	// Probe: x^(e·d) mod n must equal x for x coprime to n.
-	probe := big.NewInt(2)
-	enc := new(big.Int).Exp(probe, big.NewInt(pub.E), pub.N)
-	dec := new(big.Int).Exp(enc, k.D, k.N)
-	return dec.Cmp(probe) == 0
+	m, ok := newMont512(pub.N)
+	var ed [len(u512{}) + 1]uint64
+	if !ok || !loadInt(ed[:len(u512{})], k.D) {
+		return false
+	}
+	// Probe: x^(e·d) mod n must equal x for x coprime to n; here x = 2,
+	// and 2^(e·d) is one ladder over the bits of the product e·d.
+	var c uint64
+	for i := range ed {
+		c, ed[i] = madd(ed[i], uint64(pub.E), 0, c)
+	}
+	two := m.add(&m.one, &m.one)
+	return m.pow2(ed[:]) == two
 }
 
 // EncryptRSA512 encrypts msg under pub with randomized PKCS#1-v1.5-style
@@ -223,6 +239,10 @@ func EncryptRSA512(random io.Reader, pub *RSA512PublicKey, msg []byte) ([]byte, 
 	if len(msg) > k-11 {
 		return nil, ErrMessageTooLong
 	}
+	m, ok := newMont512(pub.N)
+	if !ok || pub.E <= 0 {
+		return nil, errModulus
+	}
 	em := make([]byte, k)
 	em[0] = 0x00
 	em[1] = 0x02
@@ -233,22 +253,27 @@ func EncryptRSA512(random io.Reader, pub *RSA512PublicKey, msg []byte) ([]byte, 
 	em[k-len(msg)-1] = 0x00
 	copy(em[k-len(msg):], msg)
 
-	m := new(big.Int).SetBytes(em)
-	c := new(big.Int).Exp(m, big.NewInt(pub.E), pub.N)
-	return leftPad(c.Bytes(), k), nil
+	var x u512
+	x.setBytes(em)
+	c := m.powSmall(&x, uint64(pub.E))
+	c.putBytes(em)
+	return em, nil
 }
 
-// DecryptRSA512 reverses EncryptRSA512.
+// DecryptRSA512 reverses EncryptRSA512. The recipient holds only the
+// disclosed D, so decryption always takes the full 512-bit exponent.
 func DecryptRSA512(priv *RSA512PrivateKey, ciphertext []byte) ([]byte, error) {
-	if len(ciphertext) != RSA512ModulusLen {
+	m, ok := newMont512(priv.N)
+	var d, c u512
+	if !ok || !loadInt(d[:], priv.D) || len(ciphertext) != RSA512ModulusLen {
 		return nil, ErrDecryption
 	}
-	c := new(big.Int).SetBytes(ciphertext)
-	if c.Cmp(priv.N) >= 0 {
+	if c.setBytes(ciphertext); !m.less(&c) {
 		return nil, ErrDecryption
 	}
-	m := new(big.Int).Exp(c, priv.D, priv.N)
-	em := leftPad(m.Bytes(), RSA512ModulusLen)
+	x := m.pow(&c, d[:])
+	var em [RSA512ModulusLen]byte
+	x.putBytes(em[:])
 	if em[0] != 0x00 || em[1] != 0x02 {
 		return nil, ErrDecryption
 	}
@@ -262,46 +287,102 @@ func DecryptRSA512(priv *RSA512PrivateKey, ciphertext []byte) ([]byte, error) {
 
 // SignRSA512 signs the SHA-256 digest of msg: s = pad(hash)^d mod n.
 // The node uses this with its provisioned secret key Sk to authenticate
-// (Em ‖ ePk) toward the recipient (Fig. 3 step 4).
+// (Em ‖ ePk) toward the recipient (Fig. 3 step 4). A key that holds its
+// factors signs by CRT (signCRT), any other with the full exponent; the
+// signature is the same. It panics on a key that neither GenerateRSA512
+// nor UnmarshalRSA512PrivateKey could have made.
 func SignRSA512(priv *RSA512PrivateKey, msg []byte) []byte {
-	digest := sha256.Sum256(msg)
-	em := padSignature(digest[:])
-	m := new(big.Int).SetBytes(em)
-	s := new(big.Int).Exp(m, priv.D, priv.N)
-	return leftPad(s.Bytes(), RSA512ModulusLen)
+	m, ok := newMont512(priv.N)
+	var d u512
+	if !ok || !loadInt(d[:], priv.D) {
+		panic("bccrypto: SignRSA512 needs an odd 512-bit modulus and 0 ≤ D < 2⁵¹²")
+	}
+	var em [RSA512ModulusLen]byte
+	padSignature(&em, msg)
+	var x u512
+	x.setBytes(em[:])
+	s, ok := signCRT(priv, &m, &x, &d)
+	if !ok {
+		s = m.pow(&x, d[:])
+	}
+	out := make([]byte, RSA512ModulusLen)
+	s.putBytes(out)
+	return out
+}
+
+// signCRT returns x^D mod N from the key's factors, as crypto/rsa signs:
+// x^(D mod (P−1)) mod P and x^(D mod (Q−1)) mod Q, two 256-bit
+// exponentiations on sprp.go's mont, joined by Garner's formula
+// s = s_Q + Q·((s_P − s_Q)·Q⁻¹ mod P) with Q⁻¹ = Q^(P−2) mod P. Like
+// crypto/rsa it checks s^E ≡ x (mod N), so neither a fault nor factors
+// that do not belong to N and D yield a signature. ok is false then, and
+// when P or Q is missing or not odd with bit 255 set.
+func signCRT(priv *RSA512PrivateKey, mn *mont512, x, d *u512) (s u512, ok bool) {
+	var p, q u256
+	if priv.P == nil || priv.Q == nil || priv.E <= 0 || !loadInt(p[:], priv.P) || !loadInt(q[:], priv.Q) ||
+		p[3]>>63 == 0 || q[3]>>63 == 0 || p[0]&1 == 0 || q[0]&1 == 0 {
+		return s, false
+	}
+	mp := newMont([4]uint64{p[3], p[2], p[1], p[0]})
+	mq := newMont([4]uint64{q[3], q[2], q[1], q[0]})
+	sp, sq := mp.powCRT(x, d), mq.powCRT(x, d)
+	// s_Q < Q < 2P, as both factors lie in [2²⁵⁵, 2²⁵⁶).
+	sqp := sq
+	if r, borrow := subBorrow(&sq, &mp.n); borrow == 0 {
+		sqp = r
+	}
+	diff := mp.sub(&sp, &sqp)
+	pm2, _ := subBorrow(&mp.n, &u256{2})
+	qm := mp.toMont(q[:])
+	qinv := mp.pow(&qm, &pm2)
+	h := mp.mul(&diff, &qinv)
+	// s = s_Q + h·Q, below P·Q.
+	copy(s[:], sq[:])
+	for i, hi := range h {
+		var c uint64
+		for j, qj := range q {
+			c, s[i+j] = madd(hi, qj, s[i+j], c)
+		}
+		s[i+len(q)] = c
+	}
+	if !mn.less(&s) || mn.powSmall(&s, uint64(priv.E)) != *x {
+		return s, false
+	}
+	return s, true
 }
 
 // VerifyRSA512 checks a SignRSA512 signature against pub.
 func VerifyRSA512(pub *RSA512PublicKey, msg, sig []byte) error {
-	if len(sig) != RSA512ModulusLen {
+	m, ok := newMont512(pub.N)
+	var s u512
+	if !ok || pub.E <= 0 || len(sig) != RSA512ModulusLen {
 		return ErrVerification
 	}
-	s := new(big.Int).SetBytes(sig)
-	if s.Cmp(pub.N) >= 0 {
+	if s.setBytes(sig); !m.less(&s) {
 		return ErrVerification
 	}
-	m := new(big.Int).Exp(s, big.NewInt(pub.E), pub.N)
-	em := leftPad(m.Bytes(), RSA512ModulusLen)
-	digest := sha256.Sum256(msg)
-	want := padSignature(digest[:])
-	if !bytes.Equal(em, want) {
+	x := m.powSmall(&s, uint64(pub.E))
+	var em, want [RSA512ModulusLen]byte
+	x.putBytes(em[:])
+	padSignature(&want, msg)
+	if em != want {
 		return ErrVerification
 	}
 	return nil
 }
 
-// padSignature builds the deterministic 0x00 0x01 0xFF… 0x00 digest block.
-func padSignature(digest []byte) []byte {
-	k := RSA512ModulusLen
-	em := make([]byte, k)
+// padSignature writes the deterministic 0x00 0x01 0xFF… 0x00 block of
+// msg's SHA-256 digest into em.
+func padSignature(em *[RSA512ModulusLen]byte, msg []byte) {
+	k := len(em) - sha256.Size
 	em[0] = 0x00
 	em[1] = 0x01
-	for i := 2; i < k-len(digest)-1; i++ {
+	for i := 2; i < k-1; i++ {
 		em[i] = 0xff
 	}
-	em[k-len(digest)-1] = 0x00
-	copy(em[k-len(digest):], digest)
-	return em
+	em[k-1] = 0x00
+	digest := sha256.Sum256(msg)
+	copy(em[k:], digest[:])
 }
 
 func fillNonZero(random io.Reader, out []byte) error {
@@ -353,8 +434,8 @@ func UnmarshalRSA512PublicKey(data []byte) (*RSA512PublicKey, error) {
 		return nil, errors.New("bccrypto: implausible RSA exponent")
 	}
 	n := new(big.Int).SetBytes(data[8:])
-	if n.Sign() <= 0 {
-		return nil, errors.New("bccrypto: zero RSA modulus")
+	if _, ok := newMont512(n); !ok {
+		return nil, errModulus
 	}
 	return &RSA512PublicKey{N: n, E: int64(e)}, nil
 }

@@ -451,15 +451,46 @@ func BenchmarkGenerateRSA512(b *testing.B) {
 	}
 }
 
+// The RSA-512 benchmarks run each operation twice: as the package does
+// it (engine) and as big.Int.Exp does its exponentiation on the same
+// operands (bigref), so the ratio of the two comes from one process.
+
+// benchRSA512 runs op as the engine sub-benchmark, and Exp(x, y, m),
+// then Exp(result, y2, m) when y2 is not nil, as bigref.
+func benchRSA512(b *testing.B, op func(), x, y, y2, m *big.Int) {
+	b.Run("engine", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			op()
+		}
+	})
+	b.Run("bigref", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			z := new(big.Int).Exp(x, y, m)
+			if y2 != nil {
+				z.Exp(z, y2, m)
+			}
+		}
+	})
+}
+
 func BenchmarkRSA512Encrypt(b *testing.B) {
 	key, _ := testKeys(b)
+	pub := key.Public()
 	msg := make([]byte, CanonicalFrameLen)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncryptRSA512(rand.Reader, key.Public(), msg); err != nil {
+	stream := mrand.New(mrand.NewSource(1))
+	ct, err := EncryptRSA512(stream, pub, msg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The padded block ct encrypts is what Exp raises to e.
+	padded := new(big.Int).Exp(new(big.Int).SetBytes(ct), key.D, key.N)
+	benchRSA512(b, func() {
+		if _, err := EncryptRSA512(stream, pub, msg); err != nil {
 			b.Fatal(err)
 		}
-	}
+	}, padded, big.NewInt(key.E), nil, key.N)
 }
 
 func BenchmarkRSA512Decrypt(b *testing.B) {
@@ -468,10 +499,43 @@ func BenchmarkRSA512Decrypt(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	benchRSA512(b, func() {
 		if _, err := DecryptRSA512(key, ct); err != nil {
 			b.Fatal(err)
 		}
-	}
+	}, new(big.Int).SetBytes(ct), key.D, nil, key.N)
+}
+
+// BenchmarkRSA512Sign signs with a generated key, which holds its
+// factors and so signs by CRT.
+func BenchmarkRSA512Sign(b *testing.B) {
+	key, _ := testKeys(b)
+	msg := make([]byte, 2*RSA512ModulusLen)
+	var em [RSA512ModulusLen]byte
+	padSignature(&em, msg)
+	benchRSA512(b, func() { SignRSA512(key, msg) }, new(big.Int).SetBytes(em[:]), key.D, nil, key.N)
+}
+
+func BenchmarkRSA512Verify(b *testing.B) {
+	key, _ := testKeys(b)
+	pub := key.Public()
+	msg := make([]byte, 2*RSA512ModulusLen)
+	sig := SignRSA512(key, msg)
+	benchRSA512(b, func() {
+		if err := VerifyRSA512(pub, msg, sig); err != nil {
+			b.Fatal(err)
+		}
+	}, new(big.Int).SetBytes(sig), big.NewInt(key.E), nil, key.N)
+}
+
+// BenchmarkRSA512PairCheck is OP_CHECKRSA512PAIR's work; its bigref is
+// the probe as math/big ran it, (2^e mod N)^D mod N.
+func BenchmarkRSA512PairCheck(b *testing.B) {
+	key, _ := testKeys(b)
+	pub := key.Public()
+	benchRSA512(b, func() {
+		if !key.MatchesPublic(pub) {
+			b.Fatal("key fails its own pair check")
+		}
+	}, big.NewInt(2), big.NewInt(key.E), key.D, key.N)
 }

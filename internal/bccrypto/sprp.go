@@ -41,24 +41,22 @@ func newMont(nBE [4]uint64) mont {
 	m.nm1 = m.n
 	m.nm1[0]--
 	m.s = trailingZeros(&m.nm1)
-	// Newton's iteration: each step doubles the correct low bits, and
-	// n·n ≡ 1 (mod 8) gives the first three.
-	inv := m.n[0]
-	for i := 0; i < 5; i++ {
-		inv *= 2 - m.n[0]*inv
-	}
-	m.ninv = -inv
+	m.ninv = negInv64(m.n[0])
 	var zero u256
 	m.one, _ = subBorrow(&zero, &m.n)
 	m.minusOne, _ = subBorrow(&m.n, &m.one)
 	return m
 }
 
-// sprp2 reports whether n, most significant word first, odd and with its
-// top two bits set, is a strong probable prime to base 2.
-func sprp2(nBE [4]uint64) bool {
-	m := newMont(nBE)
-	return m.sprp2()
+// negInv64 returns −x⁻¹ mod 2⁶⁴ for odd x. Newton's iteration: each
+// step doubles the correct low bits, and x·x ≡ 1 (mod 8) gives the
+// first three.
+func negInv64(x uint64) uint64 {
+	inv := x
+	for i := 0; i < 5; i++ {
+		inv *= 2 - x*inv
+	}
+	return -inv
 }
 
 // probablyPrime reports whether n, most significant word first, odd and
@@ -248,25 +246,43 @@ func (m *mont) big() *big.Int {
 }
 
 // mul returns a·b·R⁻¹ mod n for a, b < n (coarsely integrated operand
-// scanning).
+// scanning), in mont512.mul's two carry chains per row.
 func (m *mont) mul(a, b *u256) u256 {
-	var t0, t1, t2, t3, t4, t5, c, cc uint64
+	var t0, t1, t2, t3, t4, t5, c uint64
 	for _, bi := range b {
 		// t += a·bi
-		c, t0 = madd(a[0], bi, t0, 0)
-		c, t1 = madd(a[1], bi, t1, c)
-		c, t2 = madd(a[2], bi, t2, c)
-		c, t3 = madd(a[3], bi, t3, c)
-		t4, t5 = bits.Add64(t4, c, 0)
+		h0, l0 := bits.Mul64(a[0], bi)
+		h1, l1 := bits.Mul64(a[1], bi)
+		h2, l2 := bits.Mul64(a[2], bi)
+		h3, l3 := bits.Mul64(a[3], bi)
+		t0, c = bits.Add64(t0, l0, 0)
+		t1, c = bits.Add64(t1, l1, c)
+		t2, c = bits.Add64(t2, l2, c)
+		t3, c = bits.Add64(t3, l3, c)
+		t4, t5 = bits.Add64(t4, 0, c)
+		t1, c = bits.Add64(t1, h0, 0)
+		t2, c = bits.Add64(t2, h1, c)
+		t3, c = bits.Add64(t3, h2, c)
+		t4, c = bits.Add64(t4, h3, c)
+		t5 += c
 
 		// t = (t + u·n) / 2⁶⁴, with u chosen to clear the low word.
 		u := t0 * m.ninv
-		c, _ = madd(u, m.n[0], t0, 0)
-		c, t0 = madd(u, m.n[1], t1, c)
-		c, t1 = madd(u, m.n[2], t2, c)
-		c, t2 = madd(u, m.n[3], t3, c)
-		t3, cc = bits.Add64(t4, c, 0)
-		t4 = t5 + cc
+		h0, l0 = bits.Mul64(u, m.n[0])
+		h1, l1 = bits.Mul64(u, m.n[1])
+		h2, l2 = bits.Mul64(u, m.n[2])
+		h3, l3 = bits.Mul64(u, m.n[3])
+		_, c = bits.Add64(t0, l0, 0)
+		t1, c = bits.Add64(t1, l1, c)
+		t2, c = bits.Add64(t2, l2, c)
+		t3, c = bits.Add64(t3, l3, c)
+		t4, c = bits.Add64(t4, 0, c)
+		t5 += c
+		t0, c = bits.Add64(t1, h0, 0)
+		t1, c = bits.Add64(t2, h1, c)
+		t2, c = bits.Add64(t3, h2, c)
+		t3, c = bits.Add64(t4, h3, c)
+		t4, t5 = t5+c, 0
 	}
 	// t < 2n: subtract n once if t ≥ n.
 	t := u256{t0, t1, t2, t3}

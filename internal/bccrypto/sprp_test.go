@@ -46,10 +46,11 @@ func bigToWords(n *big.Int) [4]uint64 {
 	return w
 }
 
-// checkSPRP2 fails t unless sprp2 and sprp2Ref agree on n.
+// checkSPRP2 fails t unless mont.sprp2 and sprpRef agree on n.
 func checkSPRP2(t testing.TB, n [4]uint64) bool {
 	t.Helper()
-	got, want := sprp2(n), sprpRef(wordsToBig(n), big.NewInt(2))
+	m := newMont(n)
+	got, want := m.sprp2(), sprpRef(wordsToBig(n), big.NewInt(2))
 	if got != want {
 		t.Fatalf("sprp2(%x) = %v, math/big says %v", wordsToBig(n), got, want)
 	}
@@ -146,7 +147,8 @@ func BenchmarkSPRP2(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sprp2(ns[i%len(ns)])
+		m := newMont(ns[i%len(ns)])
+		m.sprp2()
 	}
 }
 
@@ -203,7 +205,8 @@ func baseTwoPseudoprimes(rng *mrand.Rand, count int) [][4]uint64 {
 			}
 			// sprp2 first: it is the cheap test, and it fails almost
 			// every n with a composite factor.
-			if w := bigToWords(n); sprp2(w) && p.ProbablyPrime(0) && q.ProbablyPrime(0) {
+			w := bigToWords(n)
+			if m := newMont(w); m.sprp2() && p.ProbablyPrime(0) && q.ProbablyPrime(0) {
 				out = append(out, w)
 			}
 		}

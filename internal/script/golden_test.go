@@ -1,9 +1,11 @@
 package script
 
 import (
+	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"math/big"
 	"os"
 	"path/filepath"
 	"testing"
@@ -100,4 +102,59 @@ func TestGoldenVectorsMatchWireFormat(t *testing.T) {
 		return
 	}
 	t.Fatal("valid-pair vector missing from corpus")
+}
+
+// TestCheckRSA512PairRefusesNonCanonicalModulus pins the modulus shape
+// rule: a 64-byte modulus that is even, or below 2⁵¹¹, is not a key, so
+// OP_CHECKRSA512PAIR pushes false on it — even for a pair the probe
+// 2^(e·D) ≡ 2 (mod N) alone accepts — and Listing 1's refund arm still
+// spends the output.
+func TestCheckRSA512PairRefusesNonCanonicalModulus(t *testing.T) {
+	const e = 65537
+	// m = p·q with p of 256 bits and q of 255, both with their top two
+	// bits set: m is odd and exactly 511 bits long.
+	var p, q, m, d *big.Int
+	for d == nil {
+		var err error
+		if p, err = rand.Prime(rand.Reader, 256); err != nil {
+			t.Fatal(err)
+		}
+		if q, err = rand.Prime(rand.Reader, 255); err != nil {
+			t.Fatal(err)
+		}
+		m = new(big.Int).Mul(p, q)
+		one := big.NewInt(1)
+		phi := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))
+		d = new(big.Int).ModInverse(big.NewInt(e), phi)
+	}
+	for name, n := range map[string]*big.Int{
+		"below 2⁵¹¹": m,
+		"even":       new(big.Int).Lsh(m, 1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			probe := new(big.Int).Exp(new(big.Int).Exp(big.NewInt(2), big.NewInt(e), n), d, n)
+			if probe.Cmp(big.NewInt(2)) != 0 {
+				t.Fatal("the probe alone does not accept the pair")
+			}
+			priv := &bccrypto.RSA512PrivateKey{RSA512PublicKey: bccrypto.RSA512PublicKey{N: n, E: e}, D: d}
+			pubBytes := bccrypto.MarshalRSA512PublicKey(&priv.RSA512PublicKey)
+			privBytes := bccrypto.MarshalRSA512PrivateKey(priv)
+			if len(pubBytes) != 8+bccrypto.RSA512ModulusLen {
+				t.Fatalf("public key encodes to %d bytes", len(pubBytes))
+			}
+
+			unlock := NewBuilder().AddData(privBytes).Script()
+			lock := NewBuilder().AddData(pubBytes).AddOp(OpCheckRSA512Pair).Script()
+			mustFail(t, unlock, lock, nil, ErrScriptFalse)
+
+			// Listing 1: the claim with this key falls into the refund
+			// arm before the refund height, and the refund spends.
+			buyerPub := []byte("buyer-pub")
+			kr := KeyReleaseParams{RSAPubKey: pubBytes, RefundHeight: 500, BuyerPubKeyHash: bccrypto.Hash160(buyerPub)}
+			always := func(_, _ []byte) bool { return true }
+			claim := UnlockKeyReleaseClaim([]byte("sig"), []byte("gateway-pub"), privBytes)
+			mustFail(t, claim, KeyRelease(kr), fakeContext{sigOK: always, lockTime: kr.RefundHeight - 1}, ErrLockTimeNotReached)
+			mustRun(t, UnlockKeyReleaseRefund([]byte("sig"), buyerPub), KeyRelease(kr), fakeContext{sigOK: always, lockTime: kr.RefundHeight})
+		})
+	}
 }
