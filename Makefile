@@ -97,7 +97,8 @@ lint:
 # durable log's replay and the chain store's load of arbitrary records. CI's fuzz smoke runs this
 # target; only the nightly matrix repeats the list.
 fuzz:
-	$(GO) test -fuzz=FuzzVerify -fuzztime=30s -run '^$$' ./internal/script/
+	$(GO) test -fuzz='^FuzzVerify$$' -fuzztime=30s -run '^$$' ./internal/script/
+	$(GO) test -fuzz=FuzzVerifyReference -fuzztime=15s -run '^$$' ./internal/script/
 	$(GO) test -fuzz=FuzzTemplates -fuzztime=15s -run '^$$' ./internal/script/
 	$(GO) test -fuzz=FuzzDecodeBinding -fuzztime=15s -run '^$$' ./internal/registry/
 	$(GO) test -fuzz=FuzzChannelMsgDecode -fuzztime=15s -run '^$$' ./internal/p2p/

@@ -87,13 +87,20 @@ func (k *ECKey) SignDigest(random io.Reader, digest []byte) ([]byte, error) {
 }
 
 // VerifyECDigest verifies an ASN.1 signature over a 32-byte digest with a
-// serialized public key.
+// serialized public key. It checks only the encoding's length and prefix
+// itself: ecdsa.VerifyASN1 re-encodes the point and rejects, as
+// ParseECPublicKey does, coordinates outside the field, points off the
+// curve and the identity, so validating first would decode the key twice.
 func VerifyECDigest(pubKey, digest, sig []byte) bool {
-	pub, err := ParseECPublicKey(pubKey)
-	if err != nil {
+	if len(pubKey) != ECPublicKeyLen || pubKey[0] != 0x04 {
 		return false
 	}
-	return ecdsa.VerifyASN1(pub, digest, sig)
+	pub := ecdsa.PublicKey{
+		Curve: elliptic.P256(),
+		X:     new(big.Int).SetBytes(pubKey[1:33]),
+		Y:     new(big.Int).SetBytes(pubKey[33:]),
+	}
+	return ecdsa.VerifyASN1(&pub, digest, sig)
 }
 
 // MarshalECPrivateKey encodes the private scalar as 32 big-endian bytes.

@@ -3,6 +3,7 @@ package bccrypto
 import (
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -72,6 +73,78 @@ func TestParseECPublicKeyRejects(t *testing.T) {
 		if _, err := ParseECPublicKey(data); err == nil {
 			t.Errorf("%s: invalid key parsed", name)
 		}
+	}
+}
+
+// TestVerifyECDigestRejectsWhatParseRejects holds VerifyECDigest, which
+// leaves the point checks to ecdsa.VerifyASN1, to ParseECPublicKey's
+// verdict: every key the parser refuses fails a digest and signature
+// that the real key verifies.
+func TestVerifyECDigestRejectsWhatParseRejects(t *testing.T) {
+	key := newECKey(t)
+	good := key.PublicBytes()
+	digest := sha256.Sum256([]byte("sighash"))
+	sig, err := key.SignDigest(rand.Reader, digest[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !VerifyECDigest(good, digest[:], sig) {
+		t.Fatal("the real key rejects its own signature")
+	}
+	// The P-256 field prime.
+	p, _ := hex.DecodeString("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff")
+	edit := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		f(b)
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		key  []byte
+	}{
+		{"short", good[:ECPublicKeyLen-1]},
+		{"long", append(append([]byte(nil), good...), 0)},
+		{"prefix 0x00", edit(func(b []byte) { b[0] = 0x00 })},
+		{"prefix 0x02", edit(func(b []byte) { b[0] = 0x02 })},
+		{"prefix 0x03", edit(func(b []byte) { b[0] = 0x03 })},
+		{"x = p", edit(func(b []byte) { copy(b[1:33], p) })},
+		{"y = p", edit(func(b []byte) { copy(b[33:], p) })},
+		{"off curve", edit(func(b []byte) { b[64] ^= 1 })},
+		{"zero coordinates", edit(func(b []byte) { clear(b[1:]) })},
+	} {
+		if _, err := ParseECPublicKey(c.key); err == nil {
+			t.Errorf("%s: ParseECPublicKey accepts the key", c.name)
+		}
+		if VerifyECDigest(c.key, digest[:], sig) {
+			t.Errorf("%s: VerifyECDigest accepts the key", c.name)
+		}
+	}
+}
+
+// maxAllocsVerifyECDigest is VerifyECDigest's measured count: the two
+// coordinates and what ecdsa.VerifyASN1 allocates inside. Validating
+// the key through crypto/ecdh first took it to 20.
+const maxAllocsVerifyECDigest = 14
+
+// TestVerifyECDigestAllocs is the tripwire for the key being decoded
+// twice again: every P2PKH and Listing 1 input verifies one signature.
+func TestVerifyECDigestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	key := newECKey(t)
+	pub := key.PublicBytes()
+	digest := sha256.Sum256([]byte("sighash"))
+	sig, err := key.SignDigest(rand.Reader, digest[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := false
+	if n := testing.AllocsPerRun(100, func() { ok = VerifyECDigest(pub, digest[:], sig) }); n > maxAllocsVerifyECDigest {
+		t.Errorf("VerifyECDigest allocates %v times per call, want ≤ %d", n, maxAllocsVerifyECDigest)
+	}
+	if !ok {
+		t.Fatal("valid signature rejected")
 	}
 }
 

@@ -33,7 +33,7 @@ func Ripemd160(data []byte) [Ripemd160Size]byte {
 	d.Reset()
 	d.Write(data)
 	var out [Ripemd160Size]byte
-	copy(out[:], d.Sum(nil))
+	d.Sum(out[:0]) // appends within out's capacity: no allocation
 	return out
 }
 

@@ -40,17 +40,25 @@ var (
 	ErrNoTxs          = errors.New("chain: block has no transactions")
 )
 
+// headerBuf is the stack buffer digest and ID encode into: a header with
+// a P-256 miner key and signature takes 227 bytes, and a longer one
+// grows past the buffer by append. Neither is memoized — Sign and
+// callers write the exported fields after construction.
+const headerBuf = 256
+
 // digest returns the header digest the miner signs (every field except the
 // signature itself).
 func (h *Header) digest() Hash {
-	return Hash(bccrypto.DoubleSHA256(h.appendUnsigned(make([]byte, 0, h.serializedSize()))))
+	var buf [headerBuf]byte
+	return Hash(bccrypto.DoubleSHA256(h.appendUnsigned(buf[:0])))
 }
 
 // ID returns the block hash: the double SHA-256 of the full serialized
 // header including the miner signature. The compact relay uses it to
 // key a sketch to its block without shipping the body.
 func (h *Header) ID() Hash {
-	return Hash(bccrypto.DoubleSHA256(h.Serialize()))
+	var buf [headerBuf]byte
+	return Hash(bccrypto.DoubleSHA256(h.appendTo(buf[:0])))
 }
 
 // ID returns the block hash.

@@ -275,13 +275,22 @@ func (tx *Tx) IsCoinbase() bool {
 
 const coinbaseIndex = 0xffffffff
 
+// sigHashBuf is the preimage SigHash builds on the stack: every
+// exchange and channel transaction fits, a larger one gets a heap slice
+// of its exact size.
+const sigHashBuf = 1024
+
 // SigHash computes the digest an input's signature commits to
 // (SIGHASH_ALL): the transaction with every unlocking script cleared and
 // the signed input's slot replaced by the previous output's locking
 // script, plus the input index.
 func (tx *Tx) SigHash(inputIndex int, prevLock script.Script) Hash {
 	sig := &sigInput{index: inputIndex, prevLock: prevLock}
-	preimage := make([]byte, 0, tx.encodedSize(sig)+4)
+	var buf [sigHashBuf]byte
+	preimage := buf[:0]
+	if n := tx.encodedSize(sig) + 4; n > len(buf) {
+		preimage = make([]byte, 0, n)
+	}
 	preimage = tx.appendEncoding(preimage, sig)
 	preimage = binary.LittleEndian.AppendUint32(preimage, uint32(inputIndex))
 	return Hash(bccrypto.DoubleSHA256(preimage))

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -240,5 +241,53 @@ func TestEncodingsSizedOnceGolden(t *testing.T) {
 		if len(enc) != cap(enc) {
 			t.Errorf("%s encoding: len %d, cap %d", name, len(enc), cap(enc))
 		}
+	}
+}
+
+// TestHeaderIDOnStack checks that ID and digest encode on the stack and
+// hash what Serialize emits, for a header that fits headerBuf and for
+// one whose miner key overflows it.
+func TestHeaderIDOnStack(t *testing.T) {
+	for _, keyLen := range []int{bccrypto.ECPublicKeyLen, headerBuf} {
+		h := Header{Version: 1, PrevBlock: Hash{7}, MerkleRoot: Hash{8}, Time: 9, Height: 10,
+			MinerPubKey: bytes.Repeat([]byte{0x04}, keyLen), Signature: make([]byte, 72)}
+		if got, want := h.ID(), Hash(bccrypto.DoubleSHA256(h.Serialize())); got != want {
+			t.Errorf("%d-byte key: ID = %s, want DoubleSHA256(Serialize()) = %s", keyLen, got, want)
+		}
+		unsigned := h
+		unsigned.Signature = nil
+		enc := unsigned.Serialize()
+		if got, want := h.digest(), Hash(bccrypto.DoubleSHA256(enc[:len(enc)-1])); got != want {
+			t.Errorf("%d-byte key: digest = %s, want the hash of the unsigned fields %s", keyLen, got, want)
+		}
+		if h.serializedSize() > headerBuf {
+			continue // past the buffer append grows the encoding onto the heap
+		}
+		if n := testing.AllocsPerRun(100, func() { h.ID() }); n != 0 {
+			t.Errorf("ID allocates %v times per call, want 0", n)
+		}
+		if n := testing.AllocsPerRun(100, func() { h.digest() }); n != 0 {
+			t.Errorf("digest allocates %v times per call, want 0", n)
+		}
+	}
+}
+
+// TestSigHashAllocs is the tripwire for the signature preimage leaving
+// the stack: every input's CheckSig builds one.
+func TestSigHashAllocs(t *testing.T) {
+	tx := sampleTx()
+	lock := script.PayToPubKeyHash([20]byte{0xbb})
+	if n := tx.encodedSize(&sigInput{index: 0, prevLock: lock}) + 4; n > sigHashBuf {
+		t.Fatalf("sample preimage is %d bytes, over the %d-byte buffer", n, sigHashBuf)
+	}
+	if n := testing.AllocsPerRun(100, func() { tx.SigHash(0, lock) }); n != 0 {
+		t.Errorf("SigHash allocates %v times per call, want 0", n)
+	}
+	// Past the buffer the preimage takes the heap and hashes the same.
+	long := script.Script(bytes.Repeat([]byte{byte(script.OpNop)}, sigHashBuf))
+	sig := &sigInput{index: 0, prevLock: long}
+	want := Hash(bccrypto.DoubleSHA256(binary.LittleEndian.AppendUint32(tx.appendEncoding(nil, sig), 0)))
+	if got := tx.SigHash(0, long); got != want {
+		t.Errorf("SigHash past the buffer = %s, want %s", got, want)
 	}
 }

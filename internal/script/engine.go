@@ -31,13 +31,36 @@ const (
 	maxStackSize   = 1000
 	maxOpsPerEval  = 201
 	maxElementSize = 520
+
+	// stackHint is the element stack's one allocation per Verify: room
+	// for every template's deepest stack. A deeper script spills by
+	// append, up to maxStackSize.
+	stackHint = 16
 )
+
+// smallNums holds what OP_1NEGATE, OP_0 and OP_1..OP_16 push, indexed by
+// value+1. Stack elements alias these slices; no opcode writes into an
+// element, so the table never changes.
+var smallNums = func() (t [18][]byte) {
+	for v := -1; v <= 16; v++ {
+		t[v+1] = encodeNum(int64(v))
+	}
+	return t
+}()
 
 // Context supplies the transaction-dependent inputs a script evaluation
 // needs. The chain package implements it against a spending transaction.
+//
+// The engine never copies a stack element: a data push, OP_DUP and
+// OP_OVER push the slice itself, so an element may share its bytes with
+// the scripts passed to Verify or with another element. That is sound
+// because no opcode writes into an element — every result is a fresh
+// slice or a package-level constant — and it holds only while an
+// implementation does the same: CheckSig must not modify sig or pubKey.
 type Context interface {
 	// CheckSig verifies sig over the spending transaction's signature
-	// hash with the given serialized public key.
+	// hash with the given serialized public key. It must not modify
+	// either argument.
 	CheckSig(sig, pubKey []byte) bool
 	// LockTime returns the spending transaction's lock time, expressed
 	// as a block height (BIP-65 semantics).
@@ -61,7 +84,7 @@ func Verify(unlock, lock Script, ctx Context) error {
 	if ctx == nil {
 		ctx = staticContext{}
 	}
-	e := &engine{ctx: ctx}
+	e := engine{ctx: ctx, stack: make([][]byte, 0, stackHint)}
 	if err := e.run(unlock); err != nil {
 		return fmt.Errorf("unlocking script: %w", err)
 	}
@@ -111,9 +134,17 @@ func (e *engine) peek() ([]byte, error) {
 
 func (e *engine) pushBool(v bool) error {
 	if v {
-		return e.push([]byte{1})
+		return e.pushNum(1)
 	}
 	return e.push(nil)
+}
+
+// pushNum pushes n's minimal encoding, from smallNums when it has one.
+func (e *engine) pushNum(n int64) error {
+	if n >= -1 && n <= 16 {
+		return e.push(smallNums[n+1])
+	}
+	return e.push(encodeNum(n))
 }
 
 func (e *engine) popNum() (int64, error) {
@@ -133,22 +164,31 @@ const (
 	condSkipAll                  // entire conditional inside a skipped branch
 )
 
+// executing reports whether every enclosing OP_IF branch is taken.
+func executing(conds []condState) bool {
+	for _, c := range conds {
+		if c != condTrue {
+			return false
+		}
+	}
+	return true
+}
+
+// run executes s on the shared stack. It walks the script in place with
+// decodeAt, after one validating pass that fails a malformed script —
+// too large, or a truncated push anywhere in it — before any op runs,
+// as parsing it whole would.
 func (e *engine) run(s Script) error {
-	instrs, err := Parse(s)
-	if err != nil {
+	if err := checkEncoding(s); err != nil {
 		return err
 	}
-	var conds []condState
-	executing := func() bool {
-		for _, c := range conds {
-			if c != condTrue {
-				return false
-			}
-		}
-		return true
-	}
+	// The templates nest one OP_IF; deeper nesting spills to the heap.
+	var condBuf [8]condState
+	conds := condBuf[:0]
 
-	for idx, in := range instrs {
+	for idx, i := 0, 0; i < len(s); idx++ {
+		in, next, _ := decodeAt(s, i) // checkEncoding accepted every push
+		i = next
 		op := in.Op
 		if !op.IsPush() {
 			e.ops++
@@ -160,7 +200,7 @@ func (e *engine) run(s Script) error {
 		// Conditional bookkeeping happens even on skipped branches.
 		switch op {
 		case OpIf, OpNotIf:
-			if !executing() {
+			if !executing(conds) {
 				conds = append(conds, condSkipAll)
 				continue
 			}
@@ -199,7 +239,7 @@ func (e *engine) run(s Script) error {
 			continue
 		}
 
-		if !executing() {
+		if !executing(conds) {
 			continue
 		}
 		if err := e.step(in); err != nil {
@@ -216,12 +256,12 @@ func (e *engine) run(s Script) error {
 func (e *engine) step(in Instruction) error {
 	op := in.Op
 
-	// Data pushes.
+	// Data pushes alias the script (see Context).
 	if in.Data != nil || (op >= 0x01 && op <= maxDirectPush) {
-		return e.push(append([]byte(nil), in.Data...))
+		return e.push(in.Data)
 	}
 	if v, ok := op.smallIntValue(); ok {
-		return e.push(encodeNum(v))
+		return e.pushNum(v)
 	}
 
 	switch op {
@@ -250,7 +290,7 @@ func (e *engine) step(in Instruction) error {
 		if err != nil {
 			return err
 		}
-		return e.push(append([]byte(nil), top...))
+		return e.push(top)
 
 	case OpNip:
 		top, err := e.pop()
@@ -266,7 +306,7 @@ func (e *engine) step(in Instruction) error {
 		if len(e.stack) < 2 {
 			return ErrStackUnderflow
 		}
-		return e.push(append([]byte(nil), e.stack[len(e.stack)-2]...))
+		return e.push(e.stack[len(e.stack)-2])
 
 	case OpSwap:
 		a, err := e.pop()
@@ -287,10 +327,10 @@ func (e *engine) step(in Instruction) error {
 		if err != nil {
 			return err
 		}
-		return e.push(encodeNum(int64(len(top))))
+		return e.pushNum(int64(len(top)))
 
 	case OpDepth:
-		return e.push(encodeNum(int64(len(e.stack))))
+		return e.pushNum(int64(len(e.stack)))
 
 	case OpEqual, OpEqualVerify:
 		a, err := e.pop()
@@ -343,9 +383,9 @@ func (e *engine) step(in Instruction) error {
 		}
 		switch op {
 		case OpAdd:
-			return e.push(encodeNum(a + b))
+			return e.pushNum(a + b)
 		case OpSub:
-			return e.push(encodeNum(a - b))
+			return e.pushNum(a - b)
 		case OpLessThan:
 			return e.pushBool(a < b)
 		case OpGreaterThan:
@@ -355,9 +395,9 @@ func (e *engine) step(in Instruction) error {
 		case OpGreaterThanOrEqual:
 			return e.pushBool(a >= b)
 		case OpMin:
-			return e.push(encodeNum(min64(a, b)))
+			return e.pushNum(min64(a, b))
 		default:
-			return e.push(encodeNum(max64(a, b)))
+			return e.pushNum(max64(a, b))
 		}
 
 	case OpSHA256:

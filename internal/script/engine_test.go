@@ -483,6 +483,42 @@ func BenchmarkVerifyKeyReleaseClaim(b *testing.B) {
 	}
 }
 
+// Allocation gates for one Verify through a stub Context, each the
+// measured count. Parsing both scripts and copying every push cost 16,
+// 32 and 27.
+const (
+	maxAllocsVerifyP2PKH  = 2  // the stack and OP_HASH160's digest
+	maxAllocsVerifyClaim  = 11 // those, and the pair check's key decoding
+	maxAllocsVerifyRefund = 7  // the same, the pair check failing early
+)
+
+// TestVerifyAllocs is the tripwire for the engine building an
+// instruction slice or copying pushes again: every federation member
+// runs it for each input of each transaction it pools.
+func TestVerifyAllocs(t *testing.T) {
+	params, eKey, gatewayPub, buyerPub := keyReleaseFixture(t)
+	lock := KeyRelease(params)
+	sig := make([]byte, 71)
+	var ctx Context = fakeContext{sigOK: alwaysValidSig.sigOK, lockTime: params.RefundHeight}
+	for _, c := range []struct {
+		name         string
+		max          float64
+		unlock, lock Script
+	}{
+		{"p2pkh", maxAllocsVerifyP2PKH, UnlockP2PKH(sig, gatewayPub), PayToPubKeyHash(bccrypto.Hash160(gatewayPub))},
+		{"claim", maxAllocsVerifyClaim, UnlockKeyReleaseClaim(sig, gatewayPub, bccrypto.MarshalRSA512PrivateKey(eKey)), lock},
+		{"refund", maxAllocsVerifyRefund, UnlockKeyReleaseRefund(sig, buyerPub), lock},
+	} {
+		var err error
+		if n := testing.AllocsPerRun(100, func() { err = Verify(c.unlock, c.lock, ctx) }); n > c.max {
+			t.Errorf("%s: Verify allocates %v times per call, want ≤ %v", c.name, n, c.max)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+}
+
 func TestOpSHA256(t *testing.T) {
 	data := []byte("bcwan")
 	sum := sha256.Sum256(data)

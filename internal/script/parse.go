@@ -60,9 +60,27 @@ func decode(dst []Instruction, s Script, max int) ([]Instruction, error) {
 	return dst, nil
 }
 
+// checkEncoding fails where Parse would — ErrScriptTooLarge past
+// MaxScriptSize, or the first truncated push — without building the
+// instruction slice. The engine runs it before executing a script.
+func checkEncoding(s Script) error {
+	if len(s) > MaxScriptSize {
+		return ErrScriptTooLarge
+	}
+	for i := 0; i < len(s); {
+		_, next, err := decodeAt(s, i)
+		if err != nil {
+			return err
+		}
+		i = next
+	}
+	return nil
+}
+
 // decodeAt decodes the instruction starting at s[i] and returns it with
 // the offset of the next one. It is the only place push encodings are
-// read: Parse, the template helpers and IsPushOnly all go through it.
+// read: Parse, the engine, the template helpers and IsPushOnly all go
+// through it.
 func decodeAt(s Script, i int) (Instruction, int, error) {
 	op := Opcode(s[i])
 	i++
